@@ -40,6 +40,9 @@ def _subinterval(p, q) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
+_NEGATED = {Truth.YES: Truth.NO, Truth.NO: Truth.YES}
+
+
 def _halve_values(lo: Fraction, hi: Fraction, k: int,
                   above_mid: Callable[[Fraction], FueledBool]) -> DyadicInterval:
     """Shrink [lo, hi] around the target value: test the upper half first and
@@ -81,23 +84,11 @@ def inf_usco(f: SymbolicFn, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInt
     require_rule("ExistsValueBelow", f, "inf_usco")
     lo, hi = f.range_bound()
 
-    def below(mid):
+    def not_below(mid):
         truth, _ = f.witness_below(iv, mid)
-        return FueledBool(truth, 1)
+        return FueledBool(_NEGATED.get(truth, truth), 1)
 
-    # mirrored halving: test the lower half first, keep the upper on NO
-    width = Fraction(1, 1 << k)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        answer = below(mid)
-        if answer.value is Truth.UNKNOWN:
-            raise FuelExhausted("value search undecided below the target width",
-                                best=DyadicInterval(lo, hi))
-        if answer:
-            hi = mid
-        else:
-            lo = mid
-    return DyadicInterval(lo, hi)
+    return _halve_values(lo, hi, k, not_below)
 
 
 def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:

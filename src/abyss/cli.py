@@ -23,9 +23,7 @@ from .errors import (ClassRefusal, ConstructionError, DomainError,
 from .exact import DyadicInterval, Q2, rational_grid
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
 from .selftest import run_selftest
-from .universe import (Baire1Limit, build_cover_psi, build_penny, build_pennyk,
-                       constant, linear, pennyk_limit, staircase, thomae,
-                       TildePenny)
+from .universe import Baire1Limit, constant, linear, staircase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,28 +57,17 @@ def parse_fn(spec: str):
     if spec.startswith("{"):
         return ser.fn_from_json(json.loads(spec))
     name, _, arg = spec.partition(":")
-    A = sqrt2_family()
-    if name == "thomae":
-        return thomae()
-    if name == "penny":
-        return build_penny(A)
-    if name == "pennyk":
-        return build_pennyk(A, int(arg or 4))
-    if name == "tilde-penny":
-        return TildePenny(A)
-    if name == "cover-psi":
-        return build_cover_psi(A, False)
-    if name == "cover-psi-usco":
-        return build_cover_psi(A, True)
-    if name == "pennyk-limit":
-        return pennyk_limit(A)
     if name == "identity":
         return linear(1)
     if name == "const":
         return constant(Fraction(arg or "0"))
     if name == "step":
         return staircase([(Fraction(arg or "1/2"), 1)])
-    raise ValueError("unknown function spec %r" % (spec,))
+    # any other name is a function kind over the canonical seed set
+    doc = {"kind": name, "set": ser.set_json(sqrt2_family())}
+    if name == "pennyk":
+        doc["cutoff"] = int(arg or 4)
+    return ser.fn_from_json(doc)
 
 
 def parse_point(text: str) -> Q2:

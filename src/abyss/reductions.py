@@ -119,12 +119,12 @@ def naive_rational_sup(f: SymbolicFn, p, q, depth: int) -> Fraction:
     """Max of f over the dyadic grid only - no carried points, no collapse
     rule.  Sound for quasi-continuous f; provably blind on the spike family.
 
-    The max over the (finite) grid is computed exactly; deep grids take a
-    structure-aware shortcut that evaluates the same finite maximum without
-    touching any off-grid point.
+    The max over the (finite) grid is exact.  The family supplies it through
+    `grid_max` when its structure decides it without touching any off-grid
+    point; otherwise the grid is scanned point by point.
     """
     iv = DyadicInterval(Fraction(p), Fraction(q))
-    fast = _grid_max_fast(f, iv, depth)
+    fast = f.grid_max(iv, depth)
     if fast is not None:
         return fast
     if iv.width * (1 << depth) > (1 << 20):
@@ -136,79 +136,6 @@ def naive_rational_sup(f: SymbolicFn, p, q, depth: int) -> Fraction:
         r = v.as_rational() if v.is_rational else v.approx(depth + 8)
         best = r if best is None else max(best, r)
     return best
-
-
-def _eval_rat(f, x: Fraction) -> Fraction:
-    v = f.eval(Q2.of(x))
-    return v.as_rational() if v.is_rational else v.approx(80)
-
-
-def _grid_max_fast(f, iv: DyadicInterval, depth: int) -> Optional[Fraction]:
-    """Exact max of f over rational_grid(iv, depth) for families whose grid
-    restriction is structurally known; None defers to the plain scan."""
-    from . import universe as u
-    ends = [_eval_rat(f, iv.lower), _eval_rat(f, iv.upper)]
-    if isinstance(f, u.RestrictedView):
-        return _grid_max_fast(f.f, iv, depth)
-    if isinstance(f, u.ScalarMultiple):
-        inner_max = _grid_max_fast(f.f, iv, depth)
-        if inner_max is None:
-            return None
-        if f.c >= 0:
-            return inner_max * f.c
-        return None  # max of c*f needs the grid MIN of f; defer
-    if isinstance(f, u.Penny):  # PennyK, TildePenny, tails included
-        best = max(ends)
-        limit = 4096 if f.a_set.size is None else f.a_set.size
-        for n, pt in f.spikes_in(iv, limit):
-            if pt.is_rational:
-                r = pt.as_rational()
-                if (r * (1 << depth)).denominator == 1:
-                    best = max(best, f.spike_value(n))
-            elif f.a_set.values_descend and pt < Q2.of(iv.lower):
-                break
-        return best
-    if isinstance(f, (u.CoverPsi, u.CoverPsiUsco)):
-        # members are irrational, so grid values depend only on the band;
-        # bands give larger values at larger points
-        grid = rational_grid(iv, min(depth, 4))
-        return max(max(ends), max(_eval_rat(f, g) for g in grid[-2:]))
-    if isinstance(f, u.Thomae):
-        # the first dyadic level with a multiple inside wins: T there is 2^-j
-        import math
-        best = max(ends)
-        for j in range(0, depth + 1):
-            step = Fraction(1, 1 << j)
-            if math.floor(iv.upper / step) >= math.ceil(iv.lower / step):
-                best = max(best, Fraction(1, 1 << j))
-                break
-        return best
-    if isinstance(f, u.PiecewiseRational):
-        best = max(ends)
-        step = Fraction(1, 1 << depth)
-        import math
-        candidates = set()
-        marks = [iv.lower, iv.upper]
-        for c in f.cuts:
-            if iv.contains(c):
-                if c.is_rational:
-                    marks.append(c.as_rational())
-                else:
-                    marks.append(c.approx(depth + 4))
-        for piece in f.pieces:
-            v = piece.vertex()
-            if v is not None and iv.contains(v):
-                marks.append(v)
-        for mark in marks:
-            base = math.floor(mark / step)
-            for i in (base - 1, base, base + 1, base + 2):
-                g = step * i
-                if iv.lower <= g <= iv.upper:
-                    candidates.add(g)
-        for g in rational_grid(iv, min(depth, 4)):
-            candidates.add(g)
-        return max(best, max(_eval_rat(f, g) for g in candidates))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +188,9 @@ class _PennyTail(Penny):
         super().__init__(a_set)
         self.start = start
 
-    def spikes_in(self, iv, limit):
-        return [(n, p) for n, p in self.a_set.members_in(iv, limit) if n >= self.start]
-
-    def _eval(self, x):
-        n = self.a_set.index_of(x)
-        if n is None or n < self.start:
-            return Q2.of(0)
-        return Q2.of(self.spike_value(n))
+    def to_jsonable(self):
+        raise ValueError("a stripped spike function exists only inside an "
+                         "extraction and does not serialize")
 
 
 @dataclass

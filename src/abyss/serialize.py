@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import universe as u
 from .exact import DyadicInterval, Q2, format_rational
 from .sets import ComplementOfR2Open, CountableSet, FinitePointSet, R2Rep, finite_set, sqrt2_family
 
@@ -85,45 +86,45 @@ def closed_set_from_json(doc):
 
 
 def fn_json(f) -> dict:
-    from .universe import Baire1Limit
-    if isinstance(f, Baire1Limit):
-        if getattr(f, "seed_set", None) is not None:
-            return {"kind": "pennyk-limit", "set": set_json(f.seed_set)}
-        raise ValueError("only built-in pointwise-limit representations serialize")
     return f.to_jsonable()
 
 
+def _piecewise_from_json(doc):
+    return u.PiecewiseRational([q2_from_json(c) for c in doc["cuts"]],
+                               [u.Poly(*(Fraction(c) for c in cs)) for cs in doc["pieces"]],
+                               [q2_from_json(v) for v in doc["values"]])
+
+
+def _seeded(make):
+    return lambda doc: make(set_from_json(doc["set"]))
+
+
+# kind -> constructor from the document: the one list of loadable kinds
+FN_KINDS = {
+    "thomae": lambda doc: u.Thomae(),
+    "penny": _seeded(u.Penny),
+    "pennyk": lambda doc: u.PennyK(set_from_json(doc["set"]), doc["cutoff"]),
+    "tilde-penny": _seeded(u.TildePenny),
+    "cover-psi": _seeded(u.CoverPsi),
+    "cover-psi-usco": _seeded(u.CoverPsiUsco),
+    "pennyk-limit": _seeded(u.pennyk_limit),
+    "indicator": lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"])),
+    "piecewise": _piecewise_from_json,
+    "sum": lambda doc: u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"])),
+    "scalar-multiple": lambda doc: u.ScalarMultiple(Fraction(doc["c"]), fn_from_json(doc["f"])),
+    "restricted": lambda doc: u.restrict_tags(fn_from_json(doc["f"]), doc["tags"]),
+}
+
+
 def fn_from_json(doc):
-    from . import universe as u
-    kind = doc["kind"]
-    if kind == "thomae":
-        return u.thomae()
-    if kind == "penny":
-        return u.build_penny(set_from_json(doc["set"]))
-    if kind == "pennyk":
-        return u.build_pennyk(set_from_json(doc["set"]), doc["cutoff"])
-    if kind == "tilde-penny":
-        return u.TildePenny(set_from_json(doc["set"]))
-    if kind == "cover-psi":
-        return u.CoverPsi(set_from_json(doc["set"]))
-    if kind == "cover-psi-usco":
-        return u.CoverPsiUsco(set_from_json(doc["set"]))
-    if kind == "indicator":
-        return u.Indicator(closed_set_from_json(doc["closed_set"]))
-    if kind == "piecewise":
-        cuts = [q2_from_json(c) for c in doc["cuts"]]
-        pieces = [u.Poly(*(Fraction(c) for c in cs)) for cs in doc["pieces"]]
-        vals = [q2_from_json(v) for v in doc["values"]]
-        return u.PiecewiseRational(cuts, pieces, vals)
-    if kind == "sum":
-        return u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"]))
-    if kind == "scalar-multiple":
-        return u.ScalarMultiple(Fraction(doc["c"]), fn_from_json(doc["f"]))
-    if kind == "restricted":
-        return u.restrict_tags(fn_from_json(doc["f"]), doc["tags"])
-    if kind == "pennyk-limit":
-        return u.pennyk_limit(set_from_json(doc["set"]))
-    raise ValueError("unknown function kind %r" % (kind,))
+    kind = doc.get("kind")
+    make = FN_KINDS.get(kind)
+    if make is None:
+        raise ValueError("unknown function kind %r" % (kind,))
+    try:
+        return make(doc)
+    except KeyError as e:
+        raise ValueError("%s document lacks the field %s" % (kind, e)) from None
 
 
 def envelope(payload: dict) -> dict:

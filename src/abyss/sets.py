@@ -150,15 +150,13 @@ def band_of(x, half_open=True) -> Optional[int]:
 # --- the shifted, banded copy of a set (one point per band) ----------------
 
 
+_SHIFT_ENUM = signed_unit_rationals()
 _SHIFT_ENUM_CACHE: list[Fraction] = []
 
 
 def _signed_rational(i: int) -> Fraction:
     while len(_SHIFT_ENUM_CACHE) <= i:
-        gen = signed_unit_rationals()
-        for _ in range(len(_SHIFT_ENUM_CACHE)):
-            next(gen)
-        _SHIFT_ENUM_CACHE.append(next(gen))
+        _SHIFT_ENUM_CACHE.append(next(_SHIFT_ENUM))
     return _SHIFT_ENUM_CACHE[i]
 
 

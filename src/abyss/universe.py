@@ -13,6 +13,7 @@ sound way to simulate number-quantifier oracles against a black box.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -174,6 +175,12 @@ class SymbolicFn:
     def variation_points(self, iv: DyadicInterval) -> Optional[list[Q2]]:
         return None
 
+    def grid_max(self, iv: DyadicInterval, depth: int) -> Optional[Fraction]:
+        """Exact max of f over rational_grid(iv, depth), read off the
+        family's structure without visiting every grid point; None asks the
+        caller for the plain scan."""
+        return None
+
     # -- exact existential witnesses ----------------------------------------
 
     def witness_above(self, iv, y, rationals_only=False):
@@ -224,6 +231,16 @@ class SymbolicFn:
 
     def __repr__(self):
         return "<%s tags={%s}>" % (self.kind, ",".join(sorted(self.tags)))
+
+
+def _eval_rat(f: SymbolicFn, x: Fraction) -> Fraction:
+    v = f.eval(Q2.of(x))
+    return v.as_rational() if v.is_rational else v.approx(80)
+
+
+def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
+    """Larger value at the two ends of iv, which every grid includes."""
+    return max(_eval_rat(f, iv.lower), _eval_rat(f, iv.upper))
 
 
 def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int,
@@ -424,6 +441,26 @@ class PiecewiseRational(SymbolicFn):
                     pts.add(p)
         return sorted(pts)
 
+    def grid_max(self, iv, depth):
+        # a piece attains its grid max next to a cut, a vertex or an end
+        step = Fraction(1, 1 << depth)
+        marks = [iv.lower, iv.upper]
+        for c in self.cuts:
+            if iv.contains(c):
+                marks.append(c.as_rational() if c.is_rational else c.approx(depth + 4))
+        for piece in self.pieces:
+            v = piece.vertex()
+            if v is not None and iv.contains(v):
+                marks.append(v)
+        candidates = set(rational_grid(iv, min(depth, 4)))
+        for mark in marks:
+            base = math.floor(mark / step)
+            for i in (base - 1, base, base + 1, base + 2):
+                g = step * i
+                if iv.lower <= g <= iv.upper:
+                    candidates.add(g)
+        return max(_ends_max(self, iv), max(_eval_rat(self, g) for g in candidates))
+
     def constant_value(self):
         vals = {self.bp_values[0]}
         for piece in self.pieces:
@@ -500,7 +537,6 @@ class Thomae(SymbolicFn):
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
         p/q in iv; None if there is none up to cap."""
-        import math
         for q in range(1, cap + 1):
             lo = math.ceil(iv.lower * q)
             hi = math.floor(iv.upper * q)
@@ -569,7 +605,6 @@ class Thomae(SymbolicFn):
 
     def special_points(self, iv, depth):
         # spikes with denominator up to depth (the grid supplies dyadics)
-        import math
         out = []
         for q in range(1, max(2, depth) + 1):
             lo = math.ceil(iv.lower * q)
@@ -578,6 +613,14 @@ class Thomae(SymbolicFn):
                 if math.gcd(abs(p), q) == 1 and 0 <= Fraction(p, q) <= 1:
                     out.append(Q2.of(Fraction(p, q)))
         return out
+
+    def grid_max(self, iv, depth):
+        # the first dyadic level with a multiple inside wins: T there is 2^-j
+        for j in range(depth + 1):
+            step = Fraction(1, 1 << j)
+            if math.floor(iv.upper / step) >= math.ceil(iv.lower / step):
+                return max(_ends_max(self, iv), step)
+        return _ends_max(self, iv)
 
     def one_sided_limit(self, x, side, k):
         p = Q2.of(x)
@@ -591,7 +634,11 @@ class Thomae(SymbolicFn):
 
 class _SpikeFamily(SymbolicFn):
     """Shared machinery for families that are 0 (or a base value) off a
-    countable set and assign index-determined values on it."""
+    countable set and assign index-determined values on it.
+
+    Off the set each family is constant, or (cover-psi-usco) nondecreasing
+    on (0,1] and largest at 0, so the off-set values on any grid peak at an
+    end of the interval: `grid_max` relies on it."""
 
     def __init__(self, a_set: CountableSet, tags, certificates=()):
         self.a_set = a_set
@@ -609,12 +656,30 @@ class _SpikeFamily(SymbolicFn):
     def special_points(self, iv, depth):
         return [p for _, p in self.spikes_in(iv, max(depth, 8))]
 
+    def grid_max(self, iv, depth):
+        best = _ends_max(self, iv)
+        if self.a_set.all_irrational:
+            return best  # no member lies on a rational grid
+        if self.a_set.size is None:
+            return None
+        for n, p in self.spikes_in(iv, self.a_set.size):
+            if p.is_rational and (p.as_rational() * (1 << depth)).denominator == 1:
+                best = max(best, self.spike_value(n))
+        return best
+
 
 class Penny(_SpikeFamily):
     """Value 1/2^(Y(x)+1) on the seed set, 0 elsewhere: the canonical
-    adversarial instance.  Equal to its own oscillation function."""
+    adversarial instance.  Equal to its own oscillation function.
+
+    Spikes sit at the members whose index lies in the window [start, stop)
+    (stop None: unbounded); the truncated, banded and stripped variants only
+    move the window or the seed set.  A bounded window is scanned whole, so
+    every answer over it is exact."""
 
     kind = "penny"
+    start = 0
+    stop: Optional[int] = None
 
     def __init__(self, a_set: CountableSet):
         if a_set.size == 0:
@@ -624,30 +689,29 @@ class Penny(_SpikeFamily):
     def spike_value(self, n):
         return Fraction(1, 1 << (n + 1))
 
+    def spikes_in(self, iv, limit):
+        if self.stop is not None:
+            limit = min(limit, self.stop)
+        return [(n, p) for n, p in self.a_set.members_in(iv, limit) if n >= self.start]
+
     def _eval(self, x):
         n = self.a_set.index_of(x)
-        return Q2.of(0) if n is None else Q2.of(self.spike_value(n))
+        if n is None or n < self.start or (self.stop is not None and n >= self.stop):
+            return Q2.of(0)
+        return Q2.of(self.spike_value(n))
 
     def range_bound(self):
         return Fraction(0), Fraction(1, 2)
 
     def _sup_on(self, iv, k, rationals_only):
-        limit = self._spike_scan_limit(k)
-        best = Fraction(0)
-        for n, p in self.spikes_in(iv, limit):
-            if rationals_only and not p.is_rational:
-                continue
-            best = max(best, self.spike_value(n))
-            break  # values decrease with the index: first hit is maximal
-        if rationals_only:
-            # later rational members could still appear; scan the rest
-            for n, p in self.spikes_in(iv, limit):
-                if p.is_rational:
-                    best = max(best, self.spike_value(n))
-        exhaustive = self.a_set.scan_is_exhaustive(iv, limit)
-        if exhaustive or best >= Fraction(1, 1 << (limit + 1)):
+        limit = self._spike_scan_limit(k) if self.stop is None else self.stop
+        # values decrease with the index: the first hit is maximal
+        best = next((self.spike_value(n) for n, p in self.spikes_in(iv, limit)
+                     if p.is_rational or not rationals_only), Fraction(0))
+        tail = Fraction(1, 1 << (limit + 1))
+        if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
             return Bracket.point(best)
-        return Bracket(best, Fraction(1, 1 << (limit + 1)))
+        return Bracket(best, tail)
 
     def range_on(self, iv, k, rationals_only=False):
         iv = _clip_unit(iv)
@@ -663,16 +727,20 @@ class Penny(_SpikeFamily):
         y = Fraction(y)
         if y < 0:
             return Truth.YES, Q2.of(iv.lower)
-        # spikes above y have bounded index: 1/2^(n+1) > y
-        limit = 1
-        while Fraction(1, 1 << (limit + 1)) > y and limit < 4096:
-            limit += 1
+        if self.stop is None:
+            # spikes above y have bounded index: 1/2^(n+1) > y
+            limit = 1
+            while Fraction(1, 1 << (limit + 1)) > y and limit < 4096:
+                limit += 1
+        else:
+            limit = self.stop
         for n, p in self.spikes_in(iv, limit):
             if rationals_only and not p.is_rational:
                 continue
             if self.spike_value(n) > y:
                 return Truth.YES, p
-        if self.a_set.scan_is_exhaustive(iv, limit) or Fraction(1, 1 << (limit + 1)) <= y:
+        if (self.stop is not None or Fraction(1, 1 << (limit + 1)) <= y
+                or self.a_set.scan_is_exhaustive(iv, limit)):
             return Truth.NO, None
         return Truth.UNKNOWN, None
 
@@ -715,67 +783,23 @@ class PennyK(Penny):
             raise ConstructionError("cutoff must be >= 0")
         super().__init__(a_set)
         self.cutoff = cutoff
-
-    def spikes_in(self, iv, limit):
-        return [(n, p) for n, p in self.a_set.members_in(iv, min(limit, self.cutoff + 1))
-                if n <= self.cutoff]
-
-    def _eval(self, x):
-        n = self.a_set.index_of(x)
-        if n is None or n > self.cutoff:
-            return Q2.of(0)
-        return Q2.of(self.spike_value(n))
-
-    def _sup_on(self, iv, k, rationals_only):
-        best = Fraction(0)
-        for n, p in self.spikes_in(iv, self.cutoff + 1):
-            if rationals_only and not p.is_rational:
-                continue
-            best = max(best, self.spike_value(n))
-        return Bracket.point(best)
-
-    def witness_above(self, iv, y, rationals_only=False):
-        from .exact import Truth
-        iv = _clip_unit(iv)
-        y = Fraction(y)
-        if y < 0:
-            return Truth.YES, Q2.of(iv.lower)
-        for n, p in self.spikes_in(iv, self.cutoff + 1):
-            if rationals_only and not p.is_rational:
-                continue
-            if self.spike_value(n) > y:
-                return Truth.YES, p
-        return Truth.NO, None
+        self.stop = cutoff + 1
 
     def to_jsonable(self):
         from .serialize import set_json
         return {"kind": "pennyk", "set": set_json(self.a_set), "cutoff": self.cutoff}
 
 
-class TildePenny(_SpikeFamily):
+class TildePenny(Penny):
     """The banded copy's spike function: value 2^-(n+1) at the band-n member
     of the shifted set, 0 elsewhere.  Simply continuous."""
 
     kind = "tilde-penny"
 
     def __init__(self, a_set: CountableSet):
-        tilde = tilde_set(a_set)  # validates irrationality of the source
-        super().__init__(tilde, {CLIQUISH, SIMPLY_CONTINUOUS, USCO, BV, REGULATED, BAIRE1})
+        super().__init__(tilde_set(a_set))  # validates irrationality of the source
+        self.tags = self.tags | {SIMPLY_CONTINUOUS}
         self.source = a_set
-
-    def spike_value(self, n):
-        return Fraction(1, 1 << (n + 1))
-
-    def _eval(self, x):
-        n = self.a_set.index_of(x)
-        return Q2.of(0) if n is None else Q2.of(self.spike_value(n))
-
-    range_bound = Penny.range_bound
-    range_on = Penny.range_on
-    _sup_on = Penny._sup_on
-    witness_above = Penny.witness_above
-    witness_below = Penny.witness_below
-    one_sided_limit = Penny.one_sided_limit
 
     def to_jsonable(self):
         from .serialize import set_json
@@ -1067,6 +1091,7 @@ class Baire1Limit(SymbolicFn):
     """
 
     kind = "baire1-limit"
+    seed_set: Optional[CountableSet] = None  # set by pennyk_limit
 
     def __init__(self, terms: Callable[[int], SymbolicFn], conv_modulus=None,
                  stabilizer=None, tags=(BAIRE1,), special=None, label="baire1"):
@@ -1120,7 +1145,11 @@ class Baire1Limit(SymbolicFn):
         return self.term(min(depth, 8)).special_points(iv, depth)
 
     def to_jsonable(self):
-        return {"kind": "baire1-limit", "label": self.label}
+        if self.seed_set is None:
+            raise ValueError("the %s representation does not serialize; only "
+                             "built-in pointwise-limit representations do" % self.label)
+        from .serialize import set_json
+        return {"kind": "pennyk-limit", "set": set_json(self.seed_set)}
 
 
 def pennyk_limit(a_set: CountableSet) -> Baire1Limit:
@@ -1342,6 +1371,12 @@ class ScalarMultiple(SymbolicFn):
     def jump_candidates(self, limit):
         return [] if self.c == 0 else self.f.jump_candidates(limit)
 
+    def grid_max(self, iv, depth):
+        if self.c < 0:
+            return None  # max of c*f needs the grid min of f
+        inner = self.f.grid_max(iv, depth)
+        return None if inner is None else inner * self.c
+
     def constant_value(self):
         v = self.f.constant_value()
         return None if v is None else v * self.c
@@ -1392,6 +1427,9 @@ class RestrictedView(SymbolicFn):
 
     def jump_candidates(self, limit):
         return self.f.jump_candidates(limit)
+
+    def grid_max(self, iv, depth):
+        return self.f.grid_max(iv, depth)
 
     def witness_above(self, iv, y, rationals_only=False):
         return self.f.witness_above(iv, y, rationals_only)
@@ -1455,7 +1493,7 @@ def osc_selfcheck(f: SymbolicFn, probe_limit: int = 16) -> bool:
     """Whether the symbolic oscillation of a spike function equals the
     function itself pointwise (checked exactly at members and at a rational
     sample; true for the whole penny family)."""
-    if not isinstance(f, Penny):  # PennyK included via subclassing
+    if not isinstance(f, Penny):  # every truncated or banded variant subclasses it
         raise UnsupportedVariant("oscillation self-identity is a spike-family check")
     probes = [p for _, p in f.a_set.members_upto(probe_limit)]
     probes += [Q2.of(Fraction(i, 16)) for i in range(17)]

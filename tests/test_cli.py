@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 CLI = [sys.executable, "-m", "abyss.cli"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*args, env_extra=None):
@@ -148,3 +152,13 @@ def test_selftest_deterministic():
     assert r1.stdout == r2.stdout  # byte-identical transcripts
     doc = json.loads(r1.stdout)
     assert doc["all_pass"] is True
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr

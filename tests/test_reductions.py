@@ -6,14 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (InvalidModulus, OracleInconsistency, Q2,
+from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
+                   OracleInconsistency, Penny, PennyK, PiecewiseRational, Poly,
+                   Q2, TildePenny,
                    adversarial_cliq_modulus, canonical_cliq_modulus,
                    canonical_regulation_modulus, cantor_diagonal, demo_abyss,
                    exhaustive_sup_oracle, extract_enumeration_from_sup,
-                   finite_set, naive_rational_sup, realiser_from_cliq_modulus,
+                   finite_set, fn_sum, linear, naive_rational_sup,
+                   rational_grid, realiser_from_cliq_modulus,
                    realiser_from_regulation_modulus, realiser_from_sup,
-                   build_penny, sqrt2_family, thomae, SupOracle)
+                   build_penny, restrict_tags, sqrt2_family, staircase, thomae,
+                   SupOracle)
 from abyss.reductions import adversarial_wide_modulus
+from abyss.universe import CLIQUISH, ScalarMultiple
 
 from conftest import random_finite_set
 
@@ -116,6 +121,46 @@ def test_naive_sup_baseline():
     assert naive_rational_sup(thomae(), F(1, 4), F(3, 4), 8) == F(1, 2)
     from abyss import constant
     assert naive_rational_sup(constant(F(1, 3)), 0, 1, 6) == F(1, 3)
+    # the banded copy's members are irrational too, so no grid sees a spike
+    assert naive_rational_sup(TildePenny(A), 0, 1, 24) == 0
+
+
+# a finite seed set with rational members, one of them past index 1
+RATIONAL_SEEDS = finite_set([Q2(F(1, 4), F(1, 16)), F(3, 8), F(1, 2), F(5, 7)])
+IRRATIONAL_SEEDS = finite_set([Q2(F(3, 4), F(1, 64)), Q2(F(1, 3), F(1, 32)),
+                               Q2(F(1, 8), F(1, 128))])
+GRID_FAMILIES = [
+    ("penny-sqrt2", lambda: Penny(A)),
+    ("penny-finite", lambda: Penny(RATIONAL_SEEDS)),
+    ("pennyk-sqrt2", lambda: PennyK(A, 3)),
+    ("pennyk-finite", lambda: PennyK(RATIONAL_SEEDS, 1)),
+    ("tilde-penny-sqrt2", lambda: TildePenny(A)),
+    ("tilde-penny-finite", lambda: TildePenny(IRRATIONAL_SEEDS)),
+    ("cover-psi", lambda: CoverPsi(A)),
+    ("cover-psi-usco", lambda: CoverPsiUsco(A)),
+    ("thomae", thomae),
+    ("staircase", lambda: staircase([(F(1, 3), F(1, 2)), (F(5, 8), F(-1, 4))])),
+    # a lone value 1 at the cut 5/32 and a vertex at 5/7, off every coarse grid
+    ("piecewise", lambda: PiecewiseRational.from_polys(
+        [0, F(5, 32), 1], [Poly(0, 1), Poly(0, F(10, 7), -1)], ["right", 1, "right"])),
+    ("scalar-positive", lambda: ScalarMultiple(F(3, 2), Penny(RATIONAL_SEEDS))),
+    ("scalar-negative", lambda: ScalarMultiple(F(-2), thomae())),
+    ("restricted", lambda: restrict_tags(Penny(RATIONAL_SEEDS), {CLIQUISH})),
+    ("sum", lambda: fn_sum(thomae(), linear(F(1, 4)))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in GRID_FAMILIES],
+                         ids=[name for name, _ in GRID_FAMILIES])
+def test_grid_max_matches_plain_scan(make):
+    """Whatever shortcut a family takes, naive_rational_sup is the max of
+    plain evaluations over the grid."""
+    f = make()
+    for p, q in ((F(0), F(1)), (F(1, 4), F(3, 4)), (F(1, 3), F(5, 7)), (F(3, 8), F(1, 2))):
+        for depth in range(11):
+            plain = max(f.eval(Q2.of(g)).as_rational()
+                        for g in rational_grid(DyadicInterval(p, q), depth))
+            assert naive_rational_sup(f, p, q, depth) == plain, (p, q, depth)
 
 
 def test_baseline_gap_invariant():

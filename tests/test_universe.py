@@ -454,6 +454,7 @@ def test_cover_usco_regulation_modulus():
 def test_osc_selfcheck():
     assert osc_selfcheck(build_penny(A))
     assert osc_selfcheck(build_penny(finite_set([S2(0)])))
+    assert osc_selfcheck(TildePenny(A))
     with pytest.raises(UnsupportedVariant):
         osc_selfcheck(constant(0))
 
