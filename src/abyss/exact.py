@@ -29,19 +29,41 @@ def sqrt2_bracket(k: int) -> tuple[Fraction, Fraction]:
     return got
 
 
+_ZERO = Fraction(0)
+
+
+def _sign_int(x: int, y: int) -> int:
+    """The sign of x + y*sqrt(2) for integers x and y.
+
+    When the two parts have opposite signs the one with the larger square
+    wins: x^2 = 2 y^2 has no solution with y != 0, so there is no tie.
+    """
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    return sx if x * x > 2 * y * y else sy
+
+
 class Q2:
     """An element a + b*sqrt(2) of the field Q(sqrt2), with exact total order.
 
     Rational numbers embed as b = 0; every irrational carrier used by the
     function universe (sqrt2/2^(n+1) and its rational shifts) lives here,
     so membership and order questions are decided symbolically.
+
+    Invariant: `a` and `b` are reduced `Fraction`s (positive denominators).
+    Order is decided by integer cross-multiplication of their numerators
+    and denominators, so a comparison builds no `Q2` and no `Fraction`.
     """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a, b=_ZERO):
+        self.a = a if a.__class__ is Fraction else Fraction(a)
+        self.b = b if b.__class__ is Fraction else Fraction(b)
 
     # --- constructors ---------------------------------------------------
 
@@ -50,13 +72,13 @@ class Q2:
         """The carrier sqrt(2)/2^(n+1)."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        return Q2(0, Fraction(1, 1 << (n + 1)))
+        return Q2(_ZERO, Fraction(1, 1 << (n + 1)))
 
     @staticmethod
     def of(x) -> "Q2":
-        if isinstance(x, Q2):
+        if x.__class__ is Q2:
             return x
-        return Q2(Fraction(x))
+        return Q2(x)
 
     # --- predicates -----------------------------------------------------
 
@@ -70,23 +92,40 @@ class Q2:
         return self.a
 
     # --- arithmetic -----------------------------------------------------
+    # A rational operand (or one with b == 0) has no sqrt2 cross terms.
+    # Every non-Q2 operand goes through Fraction(), so no float gets in.
 
     def __add__(self, other) -> "Q2":
-        o = Q2.of(other)
-        return Q2(self.a + o.a, self.b + o.b)
+        if other.__class__ is not Q2:
+            return Q2(self.a + Fraction(other), self.b)
+        if not other.b:
+            return Q2(self.a + other.a, self.b)
+        return Q2(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Q2":
-        o = Q2.of(other)
-        return Q2(self.a - o.a, self.b - o.b)
+        if other.__class__ is not Q2:
+            return Q2(self.a - Fraction(other), self.b)
+        if not other.b:
+            return Q2(self.a - other.a, self.b)
+        return Q2(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other) -> "Q2":
         return Q2.of(other) - self
 
     def __mul__(self, other) -> "Q2":
-        o = Q2.of(other)
-        return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        a, b = self.a, self.b
+        if other.__class__ is not Q2:
+            c = Fraction(other)
+        elif not other.b:
+            c = other.a
+        elif not b:
+            return Q2(a * other.a, a * other.b)
+        else:
+            c, d = other.a, other.b
+            return Q2(a * c + 2 * b * d, a * d + b * c)
+        return Q2(a * c, b * c) if b else Q2(a * c)
 
     __rmul__ = __mul__
 
@@ -108,30 +147,40 @@ class Q2:
 
     def sign(self) -> int:
         """Exact sign, decided by squaring when the two parts compete."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2
-        d = a * a - 2 * b * b
-        if a > 0:  # b < 0: positive iff a > |b| sqrt2
-            return 1 if d > 0 else (-1 if d < 0 else 0)
-        # a < 0, b > 0: positive iff b sqrt2 > |a|
-        return 1 if d < 0 else (-1 if d > 0 else 0)
+        an, ad = self.a.as_integer_ratio()
+        bn, bd = self.b.as_integer_ratio()
+        return _sign_int(an * bd, bn * ad)
 
     def _cmp(self, other) -> int:
-        return (self - Q2.of(other)).sign()
+        """The sign of self - other, from integer cross products.
+
+        With self = an/ad + (bn/bd) sqrt2 and other = on/od + (pn/pd) sqrt2,
+        self - other = x/(ad od) + (y/(bd pd)) sqrt2 for the integers x and y
+        below, and clearing the positive denominators leaves the sign of
+        x bd pd + y ad od sqrt2.
+        """
+        an, ad = self.a.as_integer_ratio()
+        bn, bd = self.b.as_integer_ratio()
+        if other.__class__ is Q2:
+            on, od = other.a.as_integer_ratio()
+            pn, pd = other.b.as_integer_ratio()
+        else:
+            if other.__class__ is not int and other.__class__ is not Fraction:
+                other = Fraction(other)
+            on, od = other.as_integer_ratio()
+            pn, pd = 0, 1
+        x = an * od - on * ad
+        y = bn * pd - pn * bd
+        if not y:
+            return (x > 0) - (x < 0)
+        return _sign_int(x * bd * pd, y * ad * od)
 
     def __eq__(self, other):
-        if not isinstance(other, (Q2, Fraction, int)):
-            return NotImplemented
-        o = Q2.of(other)
-        return self.a == o.a and self.b == o.b
+        if other.__class__ is Q2:
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (Fraction, int)):
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         if self.b == 0:
@@ -161,6 +210,17 @@ class Q2:
         if self.b > 0:
             return (self.a + self.b * lo2, self.a + self.b * hi2)
         return (self.a + self.b * hi2, self.a + self.b * lo2)
+
+    def __floor__(self) -> int:
+        """The exact floor: refine the bracket until both ends agree (an
+        irrational value is never an integer, so this ends)."""
+        k = 4
+        while True:
+            lo, hi = self.bracket(k)
+            f = math.floor(lo)
+            if f == math.floor(hi):
+                return f
+            k *= 2
 
     def approx(self, k: int) -> Fraction:
         """A rational within 2^-k of self."""
@@ -205,8 +265,10 @@ class DyadicInterval:
     upper: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", Fraction(self.lower))
-        object.__setattr__(self, "upper", Fraction(self.upper))
+        if self.lower.__class__ is not Fraction:
+            object.__setattr__(self, "lower", Fraction(self.lower))
+        if self.upper.__class__ is not Fraction:
+            object.__setattr__(self, "upper", Fraction(self.upper))
         if self.lower > self.upper:
             raise ValueError("interval endpoints out of order: [%s, %s]" % (self.lower, self.upper))
 
@@ -219,12 +281,22 @@ class DyadicInterval:
         return (self.lower + self.upper) / 2
 
     def contains(self, x) -> bool:
-        p = Q2.of(x)
-        return p >= self.lower and p <= self.upper
+        if x.__class__ is Q2:
+            if x.b:
+                return x >= self.lower and x <= self.upper
+            x = x.a
+        elif x.__class__ is not Fraction:
+            x = Fraction(x)
+        return self.lower <= x <= self.upper
 
     def contains_interior(self, x) -> bool:
-        p = Q2.of(x)
-        return p > self.lower and p < self.upper
+        if x.__class__ is Q2:
+            if x.b:
+                return x > self.lower and x < self.upper
+            x = x.a
+        elif x.__class__ is not Fraction:
+            x = Fraction(x)
+        return self.lower < x < self.upper
 
     def intersects(self, other: "DyadicInterval") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
@@ -348,13 +420,6 @@ def signed_unit_rationals() -> Iterator[Fraction]:
         d += 1
 
 
-def nth_unit_rational(n: int) -> Fraction:
-    it = unit_rationals()
-    for _ in range(n):
-        next(it)
-    return next(it)
-
-
 def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
@@ -374,8 +439,10 @@ class Bracket:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo.__class__ is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if self.hi.__class__ is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError("bracket out of order: [%s, %s]" % (self.lo, self.hi))
 
@@ -419,6 +486,8 @@ class Bracket:
         return Bracket(min(self.lo, other.lo), min(self.hi, other.hi))
 
     def contains(self, v) -> bool:
+        if v.__class__ is Q2:
+            return v >= self.lo and v <= self.hi
         return self.lo <= Fraction(v) <= self.hi
 
     def to_interval(self) -> "DyadicInterval":

@@ -8,11 +8,12 @@ exactly decidable over Q(sqrt2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exact import Q2, DyadicInterval, signed_unit_rationals
+from .exact import Q2, DyadicInterval
 
 
 class CountableSet:
@@ -150,31 +151,26 @@ def band_of(x, half_open=True) -> Optional[int]:
 # --- the shifted, banded copy of a set (one point per band) ----------------
 
 
-_SHIFT_ENUM = signed_unit_rationals()
-_SHIFT_ENUM_CACHE: list[Fraction] = []
-
-
-def _signed_rational(i: int) -> Fraction:
-    while len(_SHIFT_ENUM_CACHE) <= i:
-        _SHIFT_ENUM_CACHE.append(next(_SHIFT_ENUM))
-    return _SHIFT_ENUM_CACHE[i]
-
-
 def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     """The minimal-index rational q in [-1,1] with a - q in [2^-(n+1), 2^-n).
 
-    The target interval for q is (a - 2^-n, a - 2^-(n+1)], which always
-    contains rationals, so the scan over the fixed enumeration terminates.
+    The target interval for q is (lo, hi] = (a - 2^-n, a - 2^-(n+1)].  The
+    fixed enumeration `signed_unit_rationals` orders [-1,1] by denominator,
+    then numerator, so the minimal index belongs to the least denominator d
+    with an integer p in (lo d, hi d] cap [-d, d], and to the least such p.
+    That p/d is already in lowest terms: p/g over d/g would lie in the same
+    interval at a smaller denominator.
     """
     lo = a - Fraction(1, 1 << n)       # exclusive
     hi = a - Fraction(1, 1 << (n + 1))  # inclusive
-    i = 0
+    if lo >= 1 or hi < -1:
+        raise ValueError("no rational of [-1,1] shifts %s into band %d" % (a, n))
+    d = 1
     while True:
-        q = _signed_rational(i)
-        qq = Q2.of(q)
-        if qq > lo and qq <= hi:
-            return q
-        i += 1
+        p = max(math.floor(lo * d) + 1, -d)
+        if p <= d and hi * d >= p:
+            return Fraction(p, d)
+        d += 1
 
 
 def tilde_set(a_set: CountableSet) -> CountableSet:

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,6 +14,37 @@ from abyss.exact import (Bracket, DegenerateInterval, signed_unit_rationals,
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=512)
 small_nat = st.integers(min_value=0, max_value=12)
+
+# Q2 values: general ones, rational shifts of the carriers +-sqrt2/2^k down
+# to k = 60, and b == 0
+carriers = st.builds(lambda a, s, k: Q2(a, F(s, 1 << k)), rationals,
+                     st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=60))
+q2s = st.one_of(st.builds(Q2, rationals, rationals), carriers, rationals.map(Q2))
+operands = st.one_of(st.integers(min_value=-8, max_value=8), rationals, q2s)
+
+
+@st.composite
+def close_pairs(draw):
+    """A Q2 value and an operand equal to it or to an end or the midpoint of
+    one of its brackets (widths down to 2^-130): close values, whose order
+    only the squaring rule decides."""
+    x = draw(q2s)
+    lo, hi = x.bracket(draw(st.integers(min_value=0, max_value=130)))
+    y = draw(st.sampled_from([x, lo, hi, (lo + hi) / 2, Q2(lo), Q2(hi)]))
+    return x, y
+
+
+def sym(v):
+    """The exact sympy value a + b*sympy.sqrt(2) of an int, Fraction or Q2."""
+    if isinstance(v, Q2):
+        return sym(v.a) + sym(v.b) * sympy.sqrt(2)
+    v = F(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+def sym_equal(q, e):
+    return isinstance(q, Q2) and type(q.a) is F and type(q.b) is F \
+        and sympy.expand(sym(q) - e) == 0
 
 
 @given(rationals, rationals)
@@ -134,3 +166,42 @@ def test_bracket_arith(a, b, c, d):
     m = x.join_max(y)
     assert m.lo == max(x.lo, y.lo) and m.hi == max(x.hi, y.hi)
     assert (x - y).contains(x.lo - y.hi)
+
+
+def check_against_sympy(x, y):
+    sx, sy = sym(x), sym(y)
+    want = int(sympy.sign(sympy.expand(sx - sy)))
+    plain = (x - y).sign()  # the reference the comparisons shortcut
+    assert plain == want
+    assert x.sign() == int(sympy.sign(sx))
+    assert ((x < y), (x <= y), (x == y), (x > y), (x >= y), (x != y)) == \
+        (want < 0, want <= 0, want == 0, want > 0, want >= 0, want != 0)
+    # reflected: y op x with y an int or a Fraction lands in Q2's methods
+    assert ((y > x), (y >= x), (y == x), (y < x), (y <= x)) == \
+        (want < 0, want <= 0, want == 0, want > 0, want >= 0)
+    if want == 0:
+        assert hash(x) == hash(y)
+    if x.is_rational:
+        assert x == x.a and hash(x) == hash(x.a)
+    assert sym_equal(x + y, sx + sy) and sym_equal(y + x, sx + sy)
+    assert sym_equal(x - y, sx - sy) and sym_equal(y - x, sy - sx)
+    assert sym_equal(x * y, sx * sy) and sym_equal(y * x, sx * sy)
+    if sy != 0:
+        assert sym_equal(x / y, sympy.radsimp(sx / sy))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@given(st.one_of(st.tuples(q2s, operands), close_pairs()))
+def test_q2_matches_sympy(pair):
+    check_against_sympy(*pair)
+
+
+def test_bracket_contains_irrational_value():
+    x = Q2.sqrt2_scaled(0)  # sqrt2/2 = 0.7071...
+    for k in (0, 1, 10, 40):
+        assert Bracket.of_q2(x, k).contains(x)
+    assert not Bracket(0, F(7, 10)).contains(x)
+    assert not Bracket(F(71, 100), 1).contains(x)
+    assert Bracket(0, 1).contains(F(1, 2)) and Bracket(0, 1).contains(Q2(1))

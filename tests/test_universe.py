@@ -113,17 +113,33 @@ def test_baire1_limit_needs_modulus():
 
 
 def test_minimal_shift_matches_plain_scan():
-    # independent oracle: scan the fixed enumeration from scratch
-    for n in range(6):
-        a = A.member(n)
-        lo, hi = a - F(1, 1 << n), a - F(1, 1 << (n + 1))
-        gen = signed_unit_rationals()
-        expected = None
-        while expected is None:
-            q = next(gen)
-            if Q2.of(q) > lo and Q2.of(q) <= hi:
-                expected = q
+    # independent oracle: scan the fixed enumeration from index 0, for the
+    # canonical members in their own bands and for 40 points of [0,1)
+    # (every other one rational) in bands 0-10
+    gen, prefix = signed_unit_rationals(), []
+
+    def scan(lo, hi):
+        i = 0
+        while True:
+            if i == len(prefix):
+                prefix.append(next(gen))
+            if Q2.of(prefix[i]) > lo and Q2.of(prefix[i]) <= hi:
+                return prefix[i]
+            i += 1
+
+    rng = random.Random(429)
+    pts = []
+    while len(pts) < 40:
+        b = F(1, 1 << rng.randrange(3, 30)) if len(pts) % 2 else 0
+        p = Q2(F(rng.randrange(1, 127), 128), b)
+        if p < 1:
+            pts.append(p)
+    cases = [(A.member(n), n) for n in range(6)] + [(a, n) for a in pts for n in range(11)]
+    for a, n in cases:
+        expected = scan(a - F(1, 1 << n), a - F(1, 1 << (n + 1)))
         assert minimal_shift_into_band(a, n) == expected
+    with pytest.raises(ValueError):  # no rational of [-1,1] reaches band 0
+        minimal_shift_into_band(Q2(3), 0)
 
 
 def test_tilde_of_canonical_is_itself():
