@@ -420,6 +420,35 @@ def signed_unit_rationals() -> Iterator[Fraction]:
         d += 1
 
 
+def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(p, q) with p/q the simplest rational of the closed interval [lo, hi],
+    0 <= lo <= hi: the least denominator q, then the least numerator p (ties
+    arise only at q = 1).  p/q is in lowest terms.
+
+    The Stern-Brocot walk by continued fractions: take the least integer of
+    the interval if there is one, else strip the common integer part f and
+    continue on the reciprocal interval [1/(hi - f), 1/(lo - f)].  The map
+    t -> (a t + b)/(c t + d) carries the current interval back to the first,
+    so each step costs a few integer operations and there are O(log) steps.
+    """
+    ln, ld = lo.as_integer_ratio()
+    hn, hd = hi.as_integer_ratio()
+    if ln < 0 or ln * hd > hn * ld:
+        raise ValueError("need 0 <= lo <= hi, got [%s, %s]" % (lo, hi))
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        f = ln // ld
+        if f * ld == ln:
+            t = f
+        elif (f + 1) * hd <= hn:
+            t = f + 1
+        else:
+            a, b, c, d = a * f + b, a, c * f + d, c
+            ln, ld, hn, hd = hd, hn - f * hd, ld, ln - f * ld
+            continue
+        return a * t + b, c * t + d
+
+
 def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 

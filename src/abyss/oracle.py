@@ -255,7 +255,7 @@ class QueryTrace:
 def exists_value_above(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
                        operation="exists_value_above", trace=None) -> FueledBool:
     require_rule("ExistsValueAbove", f, operation)
-    truth, point = f.witness_above(iv, Fraction(y), rationals_only)
+    truth, _ = f.witness_above(iv, Fraction(y), rationals_only)
     if trace is not None:
         trace.record("ExistsValueAbove", fuel, 0, truth.value)
     if truth is Truth.UNKNOWN:
@@ -266,7 +266,7 @@ def exists_value_above(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
 def exists_value_below(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
                        operation="exists_value_below", trace=None) -> FueledBool:
     require_rule("ExistsValueBelow", f, operation)
-    truth, point = f.witness_below(iv, Fraction(y), rationals_only)
+    truth, _ = f.witness_below(iv, Fraction(y), rationals_only)
     if trace is not None:
         trace.record("ExistsValueBelow", fuel, 0, truth.value)
     if truth is Truth.UNKNOWN:
@@ -354,8 +354,7 @@ def _mu_exists(q, above: bool, trace):
     shape = "ExistsValueAbove" if above else "ExistsValueBelow"
     require_rule(shape, q.f, "mu_search/" + shape)
     y = Fraction(q.threshold)
-    witness = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
-    truth, point = witness
+    truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
     if truth is Truth.NO:
         if trace is not None:
             trace.record(shape, q.fuel, 0, "no")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .exact import Q2, DyadicInterval
 
@@ -55,18 +55,22 @@ class CountableSet:
         hi = limit if self.size is None else min(limit, self.size)
         return [(n, self.member(n)) for n in range(hi)]
 
+    def iter_members_in(self, iv: DyadicInterval, limit: int,
+                        start: int = 0) -> Iterator[tuple[int, Q2]]:
+        """Lazily, the members inside iv with index in [start, limit), in
+        index order; a caller that wants only the first hit stops there."""
+        hi = limit if self.size is None else min(limit, self.size)
+        for n in range(start, hi):
+            p = self.member(n)
+            if self.values_descend and p < iv.lower:
+                return
+            if iv.contains(p):
+                yield n, p
+
     def members_in(self, iv: DyadicInterval, limit: int) -> list[tuple[int, Q2]]:
         """Members inside iv with index below limit (exhaustive when the
         enumeration descends below iv or the set is finite)."""
-        out = []
-        hi = limit if self.size is None else min(limit, self.size)
-        for n in range(hi):
-            p = self.member(n)
-            if self.values_descend and p < iv.lower:
-                break
-            if iv.contains(p):
-                out.append((n, p))
-        return out
+        return list(self.iter_members_in(iv, limit))
 
     def scan_is_exhaustive(self, iv: DyadicInterval, limit: int) -> bool:
         """Whether members_in(iv, limit) provably saw every member in iv."""

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
-from .exact import Bracket, DyadicInterval, Q2, rational_grid
+from .exact import (Bracket, DyadicInterval, Q2, least_denominator_in,
+                    rational_grid)
 from .sets import (ComplementOfR2Open, CountableSet, FinitePointSet,
                    band_of, tilde_set)
 
@@ -185,10 +186,17 @@ class SymbolicFn:
 
     def witness_above(self, iv, y, rationals_only=False):
         """Decide (exactly where possible) whether some point of iv has value
-        strictly above y; returns (Truth, witness point or None)."""
+        strictly above y; returns (Truth, witness point or None).
+
+        The answer is decided from `range_on`, which gives no point, so a YES
+        carries the witness None here; families that locate their witness
+        directly (the spike families, Thomae) return it.  A caller that needs
+        a point runs `oracle.mu_search` on `ExistsValueAbove`: that search is
+        bounded by its fuel and ends in `FuelExhausted`."""
         return self._witness_via_range(iv, y, rationals_only, above=True)
 
     def witness_below(self, iv, y, rationals_only=False):
+        """The mirror of `witness_above` for a value strictly below y."""
         return self._witness_via_range(iv, y, rationals_only, above=False)
 
     def _witness_via_range(self, iv, y, rationals_only, above):
@@ -204,22 +212,14 @@ class SymbolicFn:
                 if target.hi <= y:
                     return Truth.NO, None
                 if target.lo > y:
-                    return Truth.YES, self._find_point(iv, y, rationals_only, above)
+                    return Truth.YES, None
             else:
                 if target.lo >= y:
                     return Truth.NO, None
                 if target.hi < y:
-                    return Truth.YES, self._find_point(iv, y, rationals_only, above)
+                    return Truth.YES, None
             prec = 2 * prec + 16
         return Truth.UNKNOWN, None
-
-    def _find_point(self, iv, y, rationals_only, above, max_depth=40):
-        for depth in range(0, max_depth):
-            for p in probe_points(self, iv, depth, rationals_only):
-                v = self.eval(p)
-                if (v > y) if above else (v < y):
-                    return p
-        return None
 
     # -- misc ---------------------------------------------------------------
 
@@ -536,14 +536,13 @@ class Thomae(SymbolicFn):
 
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
-        p/q in iv; None if there is none up to cap."""
-        for q in range(1, cap + 1):
-            lo = math.ceil(iv.lower * q)
-            hi = math.floor(iv.upper * q)
-            for p in range(lo, hi + 1):
-                if math.gcd(abs(p), q) == 1 and 0 <= Fraction(p, q) <= 1:
-                    return Fraction(p, q), q
-        return None
+        p/q in iv cap [0,1] (the least such p); None if there is none up to
+        cap.  `exact.least_denominator_in` finds it in O(log) steps."""
+        lo, hi = max(iv.lower, Fraction(0)), min(iv.upper, Fraction(1))
+        if lo > hi:
+            return None
+        p, q = least_denominator_in(lo, hi)
+        return (Fraction(p, q), q) if q <= cap else None
 
     def range_on(self, iv, k, rationals_only=False):
         iv = _clip_unit(iv)
@@ -689,10 +688,15 @@ class Penny(_SpikeFamily):
     def spike_value(self, n):
         return Fraction(1, 1 << (n + 1))
 
-    def spikes_in(self, iv, limit):
+    def _spike_scan(self, iv, limit):
+        """Lazily, the spikes in iv with index below limit, in index order,
+        so in decreasing value: the first allowed hit is the largest."""
         if self.stop is not None:
             limit = min(limit, self.stop)
-        return [(n, p) for n, p in self.a_set.members_in(iv, limit) if n >= self.start]
+        return self.a_set.iter_members_in(iv, limit, self.start)
+
+    def spikes_in(self, iv, limit):
+        return list(self._spike_scan(iv, limit))
 
     def _eval(self, x):
         n = self.a_set.index_of(x)
@@ -705,8 +709,7 @@ class Penny(_SpikeFamily):
 
     def _sup_on(self, iv, k, rationals_only):
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
-        # values decrease with the index: the first hit is maximal
-        best = next((self.spike_value(n) for n, p in self.spikes_in(iv, limit)
+        best = next((self.spike_value(n) for n, p in self._spike_scan(iv, limit)
                      if p.is_rational or not rationals_only), Fraction(0))
         tail = Fraction(1, 1 << (limit + 1))
         if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
@@ -734,11 +737,10 @@ class Penny(_SpikeFamily):
                 limit += 1
         else:
             limit = self.stop
-        for n, p in self.spikes_in(iv, limit):
-            if rationals_only and not p.is_rational:
-                continue
-            if self.spike_value(n) > y:
-                return Truth.YES, p
+        hit = next(((n, p) for n, p in self._spike_scan(iv, limit)
+                    if p.is_rational or not rationals_only), None)
+        if hit is not None and self.spike_value(hit[0]) > y:
+            return Truth.YES, hit[1]
         if (self.stop is not None or Fraction(1, 1 << (limit + 1)) <= y
                 or self.a_set.scan_is_exhaustive(iv, limit)):
             return Truth.NO, None

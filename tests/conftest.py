@@ -5,6 +5,7 @@ check)."""
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,29 @@ from abyss.universe import ScalarMultiple, Sum, RestrictedView
 @pytest.fixture(scope="session")
 def canonical():
     return sqrt2_family()
+
+
+@pytest.fixture
+def deadline():
+    """`deadline(seconds)` fails the test once it has run that long, so an
+    unbounded search fails quickly instead of stalling the suite.  Built on
+    SIGALRM (main thread, POSIX); the timer is cleared at teardown."""
+
+    def on_alarm(signum, frame):
+        pytest.fail("test ran past its %s s deadline" % armed[0])
+
+    armed = []
+    old = signal.signal(signal.SIGALRM, on_alarm)
+
+    def arm(seconds):
+        armed[:] = [seconds]
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    try:
+        yield arm
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ from fractions import Fraction as F
 import pytest
 
 from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
-                   DyadicInterval, FinitePointSet, Indicator, Q2, R2Rep,
+                   DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
+                   FuelExhausted, Indicator, Q2, R2Rep,
                    RepresentationInsufficient, Truth, ball, build_cover_psi,
                    build_penny, build_pennyk, constant,
-                   cousin_subcover, fn_difference, indicator_baire1,
-                   inf_usco, is_continuous_at, linear,
+                   cousin_subcover, fn_difference, fn_sum, indicator_baire1,
+                   inf_usco, is_continuous_at, linear, mu_search,
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
                    natural_usco_modulus, osc_point, pennyk_limit,
                    point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, restrict_tags, rm_code_from_r2_baire1,
-                   sqrt2_family, sup_baire1, sup_qc, thomae,
+                   sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
                    usco_separator)
 from abyss.universe import CLIQUISH
 
@@ -60,6 +61,47 @@ def test_sup_monotone_in_interval():
         outer = sup_qc(t, max(F(0), a - pad), min(F(1), b + pad), 10)
         inner = sup_qc(t, a, b, 10)
         assert inner.lower <= outer.upper + F(1, 1 << 9)
+
+
+# Staircase-plus-linear draws (jumps, slope, p, q) whose suprema are only
+# approached.  Every YES of the value halving once ran a witness scan of ever
+# finer grids (up to 2^40 points) that no caller used: the first two took
+# seconds, the third stands for the slow path on every approached supremum.
+APPROACHED_SUP_DRAWS = [
+    ([(F(1, 64), F(1, 2)), (F(5, 64), F(-1, 2)), (F(31, 64), F(-5, 8)), (F(5, 8), F(3, 4))],
+     F(1, 2), F(0), F(3, 8)),
+    ([(F(15, 64), F(-7, 8)), (F(25, 32), F(-7, 8)), (F(61, 64), F(7, 8))],
+     F(3, 4), F(3, 16), F(29, 32)),
+    # the left limit 1/8 at the downward jump at 1/2
+    ([(F(1, 2), F(-1, 2))], F(1, 4), F(1, 4), F(3, 4)),
+]
+
+
+@pytest.mark.parametrize("jumps,slope,p,q", APPROACHED_SUP_DRAWS)
+def test_sup_qc_bounded_on_approached_suprema(jumps, slope, p, q, deadline, monkeypatch):
+    deadline(3)
+    f = fn_sum(staircase(jumps), linear(slope))
+    iv = DyadicInterval(p, q)
+    got = sup_qc(f, p, q, 10)
+    assert got.contains(exact_symbolic_sup(f, iv)) and got.width <= F(1, 1024)
+    # a YES decided by the range carries no point and evaluates nothing
+    evals = []
+    for name in ("eval", "_eval"):
+        def counted(x, inner=getattr(f, name)):
+            evals.append(x)
+            return inner(x)
+        monkeypatch.setattr(f, name, counted)
+    y = got.lower - F(1, 1024)
+    assert f.witness_above(iv, y) == (Truth.YES, None)
+    assert evals == []
+    monkeypatch.undo()
+    # the witness search a caller may ask for is bounded by its fuel
+    assert isinstance(mu_search(ExistsValueAbove(f, iv, y)), Found)
+    try:
+        short = mu_search(ExistsValueAbove(f, iv, y, fuel=2))
+    except FuelExhausted:
+        short = None
+    assert short is None or isinstance(short, Found)
 
 
 def test_sup_refused_for_spike_function():

@@ -1,16 +1,19 @@
 """Exact substrate: rationals, Q(sqrt2) order, intervals, grids, fueled truth."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from abyss import (DyadicInterval, FueledBool, Q2, ball, halve,
+from abyss import (DyadicInterval, FueledBool, Q2, Thomae, Truth, ball, halve,
                    rational_grid, unit_rationals)
-from abyss.exact import (Bracket, DegenerateInterval, signed_unit_rationals,
-                         sqrt2_bracket)
+from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
+                         signed_unit_rationals, sqrt2_bracket)
+
+from conftest import exact_symbolic_sup
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=512)
 small_nat = st.integers(min_value=0, max_value=12)
@@ -205,3 +208,76 @@ def test_bracket_contains_irrational_value():
     assert not Bracket(0, F(7, 10)).contains(x)
     assert not Bracket(F(71, 100), 1).contains(x)
     assert Bracket(0, 1).contains(F(1, 2)) and Bracket(0, 1).contains(Q2(1))
+
+
+# --- least denominators ------------------------------------------------------
+
+
+def plain_min_denominator_in(lo, hi, cap):
+    """The plain loop: the first reduced p/q in [lo, hi] cap [0,1] by
+    denominator q <= cap, then numerator p."""
+    for q in range(1, cap + 1):
+        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1):
+            if math.gcd(abs(p), q) == 1 and 0 <= F(p, q) <= 1:
+                return F(p, q), q
+    return None
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
+
+
+@given(unit, unit)
+@example(F(0), F(0))          # degenerate, at 0
+@example(F(1), F(1))          # degenerate, at 1
+@example(F(2, 7), F(2, 7))    # degenerate, inside
+@example(F(0), F(1))          # two integers: the least numerator wins
+@example(F(0), F(1, 1000))    # end at 0
+@example(F(999, 1000), F(1))  # end at 1
+@example(F(1, 3), F(1, 2))    # the simplest is the upper end
+@example(F(1001, 2048), F(1023, 2048))
+def test_least_denominator_matches_plain_loop(a, b):
+    lo, hi = min(a, b), max(a, b)
+    p, q = least_denominator_in(lo, hi)
+    want = plain_min_denominator_in(lo, hi, lo.denominator)  # lo is a candidate
+    assert (F(p, q), q) == want and math.gcd(p, q) == 1
+    iv = DyadicInterval(lo, hi)
+    assert Thomae().min_denominator_in(iv, q) == want  # denominator == cap
+    assert Thomae().min_denominator_in(iv, q - 1) is None  # denominator == cap + 1
+
+
+@given(st.fractions(min_value=-1, max_value=2, max_denominator=256),
+       st.fractions(min_value=-1, max_value=2, max_denominator=256),
+       st.integers(min_value=0, max_value=64))
+def test_min_denominator_clips_to_unit_interval(a, b, cap):
+    lo, hi = min(a, b), max(a, b)
+    got = Thomae().min_denominator_in(DyadicInterval(lo, hi), cap)
+    assert got == plain_min_denominator_in(lo, hi, cap)
+
+
+def test_least_denominator_rejects_bad_intervals():
+    for lo, hi in ((F(-1, 2), F(1, 2)), (F(1, 2), F(1, 3))):
+        with pytest.raises(ValueError):
+            least_denominator_in(lo, hi)
+
+
+dyadic_ends = st.builds(lambda i, d: F(i % ((1 << d) + 1), 1 << d),
+                        st.integers(min_value=0), st.integers(min_value=0, max_value=14))
+
+
+@given(dyadic_ends, dyadic_ends, st.integers(min_value=0, max_value=12))
+def test_thomae_range_and_witness_match_exact_sup(a, b, k):
+    lo, hi = min(a, b), max(a, b)
+    iv, t = DyadicInterval(lo, hi), Thomae()
+    want = exact_symbolic_sup(t, iv).as_rational()  # 1/q for the least q
+    _, sup_b = t.range_on(iv, k)
+    if lo == hi or want >= F(1, 1 << (k + 2)):
+        assert sup_b.exact and sup_b.lo == want
+    else:
+        assert sup_b.lo <= want <= sup_b.hi and sup_b.width <= F(1, 1 << k)
+    q = want.denominator
+    for y in (want, want - F(1, 1 << 14), want / 2, F(1, q + 1), F(1, max(1, q - 1)),
+              F(0), F(-1, 8), F(1)):
+        truth, point = t.witness_above(iv, y)
+        assert truth is (Truth.YES if want > y else Truth.NO)
+        if truth is Truth.YES:
+            assert iv.contains(point) and t.eval(point) > y

@@ -6,19 +6,21 @@ from fractions import Fraction as F
 
 import pytest
 from abyss import (CoverPsi, DomainError, DyadicInterval, FinitePointSet,
-                   Indicator, NotPointwiseEvaluable, Q2, R2Rep, TildePenny,
+                   Indicator, NotPointwiseEvaluable, Penny, PennyK, Q2, R2Rep,
+                   TildePenny, Truth,
                    UnsupportedVariant, build_cover_psi, build_penny,
                    build_pennyk, build_tilde, constant, finite_set,
                    fn_difference, fn_sum, linear, osc_exact, osc_selfcheck,
                    pennyk_limit, rational_grid, restrict_tags, sqrt2_family,
                    staircase, thomae, tilde_set)
-from abyss.exact import signed_unit_rationals
+from abyss.exact import Bracket, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.universe import (BAIRE1, BV, CLIQUISH, NORMALISED_BV,
                             QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS,
                             USCO)
 
-from conftest import brute_ball_osc, brute_max, brute_min, probe_basis
+from conftest import (brute_ball_osc, brute_max, brute_min, probe_basis,
+                      random_finite_set, random_subinterval)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -473,6 +475,71 @@ def test_osc_selfcheck():
     assert osc_selfcheck(TildePenny(A))
     with pytest.raises(UnsupportedVariant):
         osc_selfcheck(constant(0))
+
+
+def _plain_spikes(f, iv, limit):
+    """Every spike of f in iv below limit: the whole member list, filtered."""
+    if f.stop is not None:
+        limit = min(limit, f.stop)
+    return [(n, p) for n, p in f.a_set.members_in(iv, limit) if n >= f.start]
+
+
+def _plain_sup(f, iv, k, rationals_only):
+    limit = f._spike_scan_limit(k) if f.stop is None else f.stop
+    best = max((f.spike_value(n) for n, p in _plain_spikes(f, iv, limit)
+                if p.is_rational or not rationals_only), default=F(0))
+    tail = F(1, 1 << (limit + 1))
+    if f.stop is not None or best >= tail or f.a_set.scan_is_exhaustive(iv, limit):
+        return best, best
+    return best, tail
+
+
+def _plain_witness_above(f, iv, y, rationals_only):
+    if y < 0:
+        return Truth.YES, Q2.of(iv.lower)
+    limit = f.stop
+    if limit is None:
+        limit = 1
+        while F(1, 1 << (limit + 1)) > y and limit < 4096:
+            limit += 1
+    for n, p in _plain_spikes(f, iv, limit):
+        if (p.is_rational or not rationals_only) and f.spike_value(n) > y:
+            return Truth.YES, p
+    if (f.stop is not None or F(1, 1 << (limit + 1)) <= y
+            or f.a_set.scan_is_exhaustive(iv, limit)):
+        return Truth.NO, None
+    return Truth.UNKNOWN, None
+
+
+def test_first_hit_spike_scans_match_plain_filter():
+    from abyss.reductions import _PennyTail
+    rng = random.Random(517)
+    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
+    seeds = [A, random_finite_set(rng), random_finite_set(rng), mixed]
+    fns = []
+    for a_set in seeds:
+        fns += [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3)]
+        fns += [_PennyTail(a_set, start) for start in range(1, 6)]
+        if a_set.all_irrational:
+            fns.append(TildePenny(a_set))
+    for f in fns:
+        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(16)]
+        for _, p in f.a_set.members_upto(6):  # tight intervals around members
+            j = rng.randrange(2, 12)
+            lo, hi = p.bracket(j + 1)
+            w = F(1, 1 << (j + 1))
+            ivs.append(DyadicInterval(max(F(0), lo - w), min(F(1), hi + w)))
+        for iv in ivs:
+            for rationals_only in (False, True):
+                for k in range(13):
+                    inf_b, sup_b = f.range_on(iv, k, rationals_only)
+                    assert inf_b == Bracket.point(0)
+                    assert (sup_b.lo, sup_b.hi) == _plain_sup(f, iv, k, rationals_only)
+                for j in range(-1, 14):
+                    for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
+                        y = y if j >= 0 else -y
+                        assert (f.witness_above(iv, y, rationals_only)
+                                == _plain_witness_above(f, iv, y, rationals_only))
 
 
 def test_osc_exact_matches_brute_limit():
