@@ -8,8 +8,8 @@ computation (floats appear only to make the output readable).
 
 from fractions import Fraction as F
 
-from abyss import (Q2, build_cover_psi, build_penny, build_pennyk, build_tilde,
-                   sqrt2_family, thomae)
+from abyss import (Penny, PennyK, Q2, TildePenny, build_cover_psi, sqrt2_family,
+                   thomae)
 
 A = sqrt2_family()
 
@@ -31,7 +31,7 @@ print("  (cliquish and usco, but not quasi-continuous: around any rational,")
 print("   every subinterval contains values near 0, never near f(x))")
 print()
 
-f = build_penny(A)
+f = Penny(A)
 print("The adversarial spike function: 1/2^(Y(x)+1) on the seed set, else 0")
 print("  f(sqrt2/2) =", f.eval(A.member(0)))
 print("  f(sqrt2/4) =", f.eval(A.member(1)))
@@ -39,12 +39,13 @@ print("  f(1/2)     =", f.eval(F(1, 2)), " <- rational sampling sees only this")
 print("  tags:", ", ".join(sorted(f.tags)))
 print()
 
-fk = build_pennyk(A, 1)
+fk = PennyK(A, 1)
 print("Truncation at index 1 keeps two spikes:")
 print("  f_1(sqrt2/2) =", fk.eval(A.member(0)), "  f_1(sqrt2/8) =", fk.eval(A.member(2)))
 print()
 
-til_set, til = build_tilde(A)
+til = TildePenny(A)
+til_set = til.a_set
 print("The banded copy: one point per band [2^-(n+1), 2^-n); nowhere dense.")
 print("For this seed set the minimal shift is 0, so the copy is the set itself:")
 for n in range(3):

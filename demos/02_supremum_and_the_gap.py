@@ -10,7 +10,7 @@ the true supremum is 1/2.  That gap never closes at any depth.
 
 from fractions import Fraction as F
 
-from abyss import (ClassRefusal, build_penny, demo_abyss, exhaustive_sup_oracle,
+from abyss import (ClassRefusal, Penny, demo_abyss, exhaustive_sup_oracle,
                    naive_rational_sup, sqrt2_family, sup_qc, thomae)
 
 A = sqrt2_family()
@@ -26,7 +26,7 @@ iv = sup_qc(t, F(0), F(1), 10)
 print("  [%s, %s]" % (iv.lower, iv.upper))
 print()
 
-f = build_penny(A)
+f = Penny(A)
 print("The same request on the spike function is refused, not answered:")
 try:
     sup_qc(f, F(0), F(1), 10)

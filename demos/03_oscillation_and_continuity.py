@@ -4,12 +4,12 @@ identity of the spike function."""
 
 from fractions import Fraction as F
 
-from abyss import (build_penny, is_continuous_at, osc_point, osc_selfcheck,
+from abyss import (Penny, is_continuous_at, osc_point, osc_selfcheck,
                    sqrt2_family, thomae)
 
 A = sqrt2_family()
 t = thomae()
-f = build_penny(A)
+f = Penny(A)
 
 print("Oscillation of the rational-spike map (width 2^-8 brackets):")
 for x, label in ((F(1, 2), "1/2"), (F(2, 3), "2/3"), (A.member(0), "sqrt2/2")):

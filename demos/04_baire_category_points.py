@@ -5,7 +5,7 @@ ending in a point with a checkable oscillation certificate."""
 
 from fractions import Fraction as F
 
-from abyss import (FinitePointSet, Indicator, build_penny, is_continuous_at,
+from abyss import (FinitePointSet, Indicator, Penny, is_continuous_at,
                    natural_usco_modulus, osc_point, point_of_continuity_qc,
                    point_of_continuity_usco, sqrt2_family, thomae)
 
@@ -21,7 +21,7 @@ print("  (a dyadic standing in for a nearby irrational; the contract is the")
 print("   certificate, not membership in the true continuity set)")
 print()
 
-f = build_penny(A)
+f = Penny(A)
 print("Same machinery through the threshold sets of the spike function,")
 print("using its canonical upper-semicontinuity modulus:")
 psi = natural_usco_modulus(f)

@@ -4,7 +4,7 @@ enumeration, running total variation, and the monotone decomposition."""
 
 from fractions import Fraction as F
 
-from abyss import (ClassRefusal, build_penny, fn_sum, jordan_nbv, jump_enum,
+from abyss import (ClassRefusal, Penny, fn_sum, jordan_nbv, jump_enum,
                    limits_lr, linear, modulus_regulation, rational_grid,
                    sqrt2_family, staircase, total_variation_nbv)
 from abyss.exact import DyadicInterval
@@ -31,7 +31,7 @@ for x in rational_grid(DyadicInterval(0, 1), 2):
     print("  x=%-4s g=%-8s h=%-8s g-h=%s" % (x, jp.g(x), jp.h(x), jp.g(x) - jp.h(x)))
 print()
 
-penny = build_penny(A)
+penny = Penny(A)
 print("The spike function is bounded-variation but has removable jumps, so")
 print("the running-variation route is refused rather than silently wrong:")
 try:

@@ -4,17 +4,17 @@ Baire category, finite subcovers, Jordan decomposition, and the realiser
 reductions that separate what rational sampling can and cannot see.
 """
 
-from .exact import (Bracket, DyadicInterval, FueledBool, Q2, Rational, Truth,
-                    ball, halve, rational_grid, unit_rationals)
+from .exact import (Bracket, DyadicInterval, FueledBool, Q2, Truth, ball, halve,
+                    rational_grid, unit_rationals)
 from .sets import (ComplementOfR2Open, CountableSet, FinitePointSet, R2Rep,
                    RMCode, finite_set, sqrt2_family, tilde_set)
 from .universe import (Baire1Limit, CoverPsi, CoverPsiUsco, Indicator, Penny,
                        PennyK, PiecewiseRational, Poly, SymbolicFn, Thomae,
-                       TildePenny, build_cover_psi, build_penny, build_pennyk,
-                       build_tilde, constant, constant_seq_limit, fn_difference,
-                       fn_sum, indicator_baire1, linear, osc_exact,
-                       osc_selfcheck, pennyk_limit, restrict_tags,
-                       scalar_multiple, staircase, thomae)
+                       TildePenny, build_cover_psi, constant,
+                       constant_seq_limit, fn_difference, fn_sum,
+                       indicator_baire1, linear, osc_exact, osc_selfcheck,
+                       pennyk_limit, restrict_tags, scalar_multiple, staircase,
+                       thomae)
 from .oracle import (Baire1Above, CollapseRule, ExistsValueAbove,
                      ExistsValueBelow, Found, MuWitness, NotFoundBelow,
                      OscBelow, ValueBelowOnBall, admitting_rule,

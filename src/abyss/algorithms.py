@@ -10,7 +10,7 @@ result comes with a certificate the caller can re-verify.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import (ClassRefusal, FuelExhausted, RepresentationInsufficient)
 from .exact import (DyadicInterval, FueledBool, Q2, Truth,
@@ -18,7 +18,7 @@ from .exact import (DyadicInterval, FueledBool, Q2, Truth,
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, ValueBelowOnBall,
                      _ball_clipped, ball_oscillation, grid_depth_cap,
                      mu_search, require_rule)
-from .sets import FinitePointSet, R2Rep, RMCode
+from .sets import R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
                        SymbolicFn, osc_exact, probe_points)
 
@@ -117,16 +117,12 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
 # ---------------------------------------------------------------------------
 
 
-def _admit_osc(f: SymbolicFn, operation: str):
-    require_rule("OscBelow", f, operation)
-
-
 def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
     """Width-2^-k interval containing the oscillation of f at x, computed as
     the decreasing limit of ball suprema minus ball infima and pinned by the
     exact cluster analysis of the universe."""
     _check_precision(k)
-    _admit_osc(f, "osc_point")
+    require_rule("OscBelow", f, "osc_point")
     p = Q2.of(x)
     limit_b = osc_exact(f, p, k + 1)  # width <= 2^-(k+2)
     lo = max(Fraction(0), limit_b.lo)
@@ -142,7 +138,7 @@ def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInter
 def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
     """Decide osc_f(x) = 0 through the collapsed formulas; YES and NO are
     exact on the built-in universe."""
-    _admit_osc(f, "is_continuous_at")
+    require_rule("OscBelow", f, "is_continuous_at")
     prec = min(fuel, 48)
     b = osc_exact(f, Q2.of(x), prec)
     if b.lo > 0:
@@ -179,7 +175,7 @@ class ContinuityModulus:
 
 
 def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> ContinuityModulus:
-    _admit_osc(f, "modulus_continuity_qc")
+    require_rule("OscBelow", f, "modulus_continuity_qc")
     return ContinuityModulus(f, fuel)
 
 
@@ -248,7 +244,7 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     """A dyadic point whose oscillation is certified <= 2^-k, found by nested
     rational balls drawn from the small-oscillation open sets."""
     _check_precision(k)
-    _admit_osc(f, "point_of_continuity_qc")
+    require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(Fraction(0), Fraction(1))
     for m in range(k + 1):
         placed = False
@@ -303,21 +299,26 @@ class UscoModulus:
         return self._memo[key]
 
 
+def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optional[int]:
+    """Least n <= fuel whose clipped ball B(p, 2^-n) has its supremum,
+    bracketed to 2^-(k+6), strictly below cap; None if there is none."""
+    for n in range(fuel + 1):
+        _, sup_b = f.range_on(_ball_clipped(p, n), k + 6)
+        if Q2.of(sup_b.hi) < cap:
+            return n
+    return None
+
+
 def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> UscoModulus:
     """The canonical modulus computed from exact ball suprema."""
-    require = USCO in f.tags
-    if not require:
+    if USCO not in f.tags:
         raise ClassRefusal("natural_usco_modulus", USCO, f)
 
     def radius(p, k):
-        fx = f.eval(p)
-        cap = Q2.of(Fraction(1, 1 << k)) + fx
-        for n in range(fuel + 1):
-            iv = _ball_clipped(p, n)
-            _, sup_b = f.range_on(iv, k + 6)
-            if Q2.of(sup_b.hi) < cap:
-                return Fraction(1, 1 << n)
-        raise FuelExhausted("no witnessing ball found within fuel", fuel=fuel)
+        n = _least_ball_below(f, p, Q2.of(Fraction(1, 1 << k)) + f.eval(p), k, fuel)
+        if n is None:
+            raise FuelExhausted("no witnessing ball found within fuel", fuel=fuel)
+        return Fraction(1, 1 << n)
 
     return UscoModulus(radius)
 
@@ -394,12 +395,8 @@ class LscoOnCfModulus:
     def __call__(self, x, k: int) -> int:
         p = Q2.of(x)
         cap = self.f.eval(p) + Q2.of(Fraction(1, 1 << (k + 1)))
-        for n in range(self.fuel + 1):
-            iv = _ball_clipped(p, n)
-            _, sup_b = self.f.range_on(iv, k + 6)
-            if Q2.of(sup_b.hi) < cap:
-                return n
-        return self.fuel
+        n = _least_ball_below(self.f, p, cap, k, self.fuel)
+        return self.fuel if n is None else n
 
 
 def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> LscoOnCfModulus:
@@ -464,15 +461,9 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
 
 
 def _closed_sets_intersect(c0, c1) -> bool:
-    if isinstance(c0, FinitePointSet):
-        return any(c1.contains(p) for p in c0.points)
-    if isinstance(c1, FinitePointSet):
-        return any(c0.contains(p) for p in c1.points)
-    for a, b in c0.component_intervals():
-        for c, d in c1.component_intervals():
-            if max(a, c) <= min(b, d):
-                return True
-    return False
+    return any(max(a, c) <= min(b, d)
+               for a, b in c0.component_intervals()
+               for c, d in c1.component_intervals())
 
 
 def usco_separator(c0, c1) -> Indicator:

@@ -48,6 +48,14 @@ def default_fuel() -> int:
     return 64
 
 
+def parse_fuel(text: str) -> int:
+    """--fuel: an integer n >= 0; 0 is a budget like any other."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("fuel must be >= 0, got %d" % n)
+    return n
+
+
 def parse_fn(spec: str):
     """Function spec: inline JSON, @file, or a shorthand name."""
     spec = spec.strip()
@@ -86,12 +94,7 @@ def parse_closed_set(spec: str):
     if kind == "points":
         return FinitePointSet.of([parse_point(s) for s in arg.split(",") if s])
     if kind == "complement":
-        spans = []
-        for chunk in arg.split(";"):
-            if chunk:
-                a, b = chunk.split(",")
-                spans.append((Fraction(a), Fraction(b)))
-        return ComplementOfR2Open(R2Rep.from_intervals(spans))
+        return ComplementOfR2Open(parse_open_set(arg))
     raise ValueError("unknown closed-set spec %r" % (spec,))
 
 
@@ -111,10 +114,6 @@ def _emit(payload: dict, out_path=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _interval_doc(iv: DyadicInterval) -> dict:
-    return ser.interval_json(iv)
 
 
 def _plot_data(f, path: str, depth: int) -> None:
@@ -141,7 +140,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--interval", nargs=2, metavar=("P", "Q"), required=True)
         if prec:
             sp.add_argument("--k", type=int, default=8, help="target accuracy 2^-k")
-        sp.add_argument("--fuel", type=int, default=None)
+        sp.add_argument("--fuel", type=parse_fuel, default=None)
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sp = sub.add_parser("eval", help="exact evaluation")
@@ -187,7 +186,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("rm-code", help="rational-ball code of a radius-function open set")
     sp.add_argument("--open", required=True, dest="open_spec",
                     help="semicolon-separated rational interval pairs a,b;c,d")
-    sp.add_argument("--fuel", type=int, default=None)
+    sp.add_argument("--fuel", type=parse_fuel, default=None)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("separator", help="usco separating function of closed sets")
@@ -198,7 +197,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("realiser", help="point outside the seed set from an oracle")
     sp.add_argument("--family", choices=("sup", "cliq", "regulation"), default="sup")
     sp.add_argument("--k", type=int, default=16)
-    sp.add_argument("--fuel", type=int, default=None)
+    sp.add_argument("--fuel", type=parse_fuel, default=None)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("demo-abyss", help="baseline vs oracle on the spike instance")
@@ -212,7 +211,7 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> dict:
-    fuel = args.fuel if getattr(args, "fuel", None) else default_fuel()
+    fuel = default_fuel() if getattr(args, "fuel", None) is None else args.fuel
     cmd = args.command
 
     if cmd == "selftest":
@@ -251,7 +250,7 @@ def _run(args) -> dict:
 
     if cmd == "separator":
         sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
-        return {"separator": ser.fn_json(sep)}
+        return {"separator": sep.to_jsonable()}
 
     f = parse_fn(args.fn)
 
@@ -268,15 +267,15 @@ def _run(args) -> dict:
             iv = alg.sup_baire1(f, p, q, args.k, fuel=fuel)
         else:
             iv = alg.sup_qc(f, p, q, args.k, fuel=fuel)
-        return {"interval": _interval_doc(iv)}
+        return {"interval": ser.interval_json(iv)}
 
     if cmd == "inf":
         p, q = Fraction(args.interval[0]), Fraction(args.interval[1])
-        return {"interval": _interval_doc(alg.inf_usco(f, p, q, args.k, fuel=fuel))}
+        return {"interval": ser.interval_json(alg.inf_usco(f, p, q, args.k, fuel=fuel))}
 
     if cmd == "osc":
         iv = alg.osc_point(f, parse_point(args.x), args.k, fuel=fuel)
-        return {"interval": _interval_doc(iv)}
+        return {"interval": ser.interval_json(iv)}
 
     if cmd == "continuity":
         ans = alg.is_continuous_at(f, parse_point(args.x), fuel=fuel)
@@ -315,7 +314,7 @@ def _run(args) -> dict:
         else:
             x = alg.point_of_continuity_qc(f, args.k, fuel=fuel)
         cert = alg.osc_point(f, x, args.k, fuel=fuel)
-        return {"point": ser.rat_json(x), "certificate": _interval_doc(cert)}
+        return {"point": ser.rat_json(x), "certificate": ser.interval_json(cert)}
 
     if cmd == "cousin":
         balls = alg.cousin_subcover(f, fuel=fuel)
@@ -325,8 +324,8 @@ def _run(args) -> dict:
 
     if cmd == "limits":
         lr = var.limits_lr(f, parse_point(args.x), args.k, fuel=fuel)
-        return {"left": None if lr.left is None else _interval_doc(lr.left),
-                "right": None if lr.right is None else _interval_doc(lr.right)}
+        return {"left": None if lr.left is None else ser.interval_json(lr.left),
+                "right": None if lr.right is None else ser.interval_json(lr.right)}
 
     if cmd == "jumps":
         pts = var.jump_enum(f, limit=args.limit, fuel=fuel)
@@ -334,7 +333,7 @@ def _run(args) -> dict:
 
     if cmd == "variation":
         iv = var.total_variation_nbv(f, parse_point(args.x), args.k, fuel=fuel)
-        return {"interval": _interval_doc(iv)}
+        return {"interval": ser.interval_json(iv)}
 
     if cmd == "jordan":
         jp = var.jordan_nbv(f, fuel=fuel)

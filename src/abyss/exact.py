@@ -10,9 +10,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
-
-Rational = Fraction
+from typing import Iterator
 
 _SQRT2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
 
@@ -243,13 +241,6 @@ class Q2:
         return "%s + %s*sqrt2" % (self.a, self.b)
 
 
-Point = Union[Q2, Fraction]
-
-
-def as_point(x) -> Q2:
-    return Q2.of(x)
-
-
 # --- dyadic intervals -----------------------------------------------------
 
 
@@ -297,9 +288,6 @@ class DyadicInterval:
         elif x.__class__ is not Fraction:
             x = Fraction(x)
         return self.lower < x < self.upper
-
-    def intersects(self, other: "DyadicInterval") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
 
     def intersection(self, other: "DyadicInterval") -> "DyadicInterval":
         lo = max(self.lower, other.lower)
@@ -451,10 +439,6 @@ def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
 
 def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # --- value brackets ---------------------------------------------------------

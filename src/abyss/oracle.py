@@ -301,17 +301,10 @@ def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int,
 def mu_search(query, trace=None):
     """Least-witness search for a collapsed query; Found answers carry the
     minimal index, NotFoundBelow records an exact empty search up to fuel."""
-    if isinstance(query, OscBelow):
-        return _mu_osc_below(query, trace)
-    if isinstance(query, ValueBelowOnBall):
-        return _mu_value_below_on_ball(query, trace)
-    if isinstance(query, ExistsValueAbove):
-        return _mu_exists(query, above=True, trace=trace)
-    if isinstance(query, ExistsValueBelow):
-        return _mu_exists(query, above=False, trace=trace)
-    if isinstance(query, Baire1Above):
-        return _mu_baire1_above(query, trace)
-    raise ValueError("unknown query shape %r" % (query,))
+    run = _RUNNERS.get(type(query))
+    if run is None:
+        raise ValueError("unknown query shape %r" % (query,))
+    return run(query, trace)
 
 
 def _mu_osc_below(q: OscBelow, trace):
@@ -350,8 +343,9 @@ def _mu_value_below_on_ball(q: ValueBelowOnBall, trace):
     return NotFoundBelow(q.fuel)
 
 
-def _mu_exists(q, above: bool, trace):
-    shape = "ExistsValueAbove" if above else "ExistsValueBelow"
+def _mu_exists(q, trace):
+    shape = type(q).__name__
+    above = type(q) is ExistsValueAbove
     require_rule(shape, q.f, "mu_search/" + shape)
     y = Fraction(q.threshold)
     truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
@@ -361,8 +355,9 @@ def _mu_exists(q, above: bool, trace):
         return NotFoundBelow(q.fuel)
     if truth is Truth.UNKNOWN:
         raise FuelExhausted("threshold query undecided on this family", fuel=q.fuel)
-    # find the least probe depth at which a witness appears
-    for d in range(q.fuel + 1):
+    # find the least probe depth at which a witness appears; past the cap
+    # every depth probes the same basis
+    for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
         pts = basis_at(q.f, q.interval, d)
         if trace is not None:
             trace.record(shape, d, len(pts), "scan")
@@ -415,3 +410,13 @@ def _mu_baire1_above(q: Baire1Above, trace):
         raise FuelExhausted("non-positive threshold cannot be refuted on a "
                             "limit representation", fuel=q.fuel)
     return NotFoundBelow(q.fuel)
+
+
+# query shape -> its least-witness search
+_RUNNERS = {
+    OscBelow: _mu_osc_below,
+    ValueBelowOnBall: _mu_value_below_on_ball,
+    ExistsValueAbove: _mu_exists,
+    ExistsValueBelow: _mu_exists,
+    Baire1Above: _mu_baire1_above,
+}

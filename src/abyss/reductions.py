@@ -163,7 +163,12 @@ def cantor_diagonal(xs: Callable[[int], Q2], k: int, fuel: int = 16) -> Fraction
         n += 1
         if n > 4 * (fuel + k + 8):
             break
-    # dyadic representative strictly inside the final interval
+    return _dyadic_inside(lo, hi, k)
+
+
+def _dyadic_inside(lo: Fraction, hi: Fraction, k: int) -> Fraction:
+    """A dyadic point strictly inside (lo, hi): the midpoint rounded down to
+    the first grid 2^-j, j >= k + 2, that keeps it inside."""
     j = k + 2
     while True:
         step = Fraction(1, 1 << j)
@@ -292,13 +297,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
         level = min(i + 1, len(intervals) - 1)
         if intervals[level].contains(p):
             raise InvalidModulus("member %d survived to level %d" % (i, level))
-    j = k + 2
-    while True:
-        step = Fraction(1, 1 << j)
-        cand = (((lo + hi) / 2) // step) * step
-        if lo < cand < hi:
-            return cand
-        j += 1
+    return _dyadic_inside(lo, hi, k)
 
 
 def _spot_check_cliq(f: Penny, a_set: CountableSet, c: Fraction, d: Fraction, k: int):
@@ -351,13 +350,7 @@ def realiser_from_regulation_modulus(modulus: RegulationModulus,
         level = min(i + 2, len(intervals) - 1)
         if intervals[level].contains(p):
             raise InvalidModulus("member %d survived to level %d" % (i, level))
-    j = k + 2
-    while True:
-        step = Fraction(1, 1 << j)
-        cand = (((lo + hi) / 2) // step) * step
-        if lo < cand < hi:
-            return cand
-        j += 1
+    return _dyadic_inside(lo, hi, k)
 
 
 def _spot_check_regulation(modulus, f: Penny, a_set: CountableSet):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from . import (ClassRefusal, DyadicInterval, FinitePointSet, Q2, R2Rep, ball,
-               build_cover_psi, build_penny, canonical_cliq_modulus,
+from . import (ClassRefusal, DyadicInterval, FinitePointSet, Penny, Q2, R2Rep,
+               ball, build_cover_psi, canonical_cliq_modulus,
                canonical_regulation_modulus, constant, cousin_subcover,
                demo_abyss, exhaustive_sup_oracle, halve, indicator_baire1,
                inf_usco, is_continuous_at, jordan_nbv, jump_enum, limits_lr,
@@ -27,7 +27,7 @@ from .serialize import rat_json
 
 def _checks():
     A = sqrt2_family()
-    penny = build_penny(A)
+    penny = Penny(A)
     t = thomae()
 
     yield ("ball-arithmetic",

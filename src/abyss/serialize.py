@@ -21,10 +21,6 @@ def rat_json(q) -> str:
     return format_rational(Fraction(q))
 
 
-def rat_from_json(s) -> Fraction:
-    return Fraction(s)
-
-
 def q2_json(x):
     p = Q2.of(x)
     if p.is_rational:
@@ -67,15 +63,6 @@ def set_from_json(doc) -> CountableSet:
     raise ValueError("unknown set generator %r" % (doc.get("generator"),))
 
 
-def closed_set_json(cs) -> dict:
-    if isinstance(cs, FinitePointSet):
-        return {"rep": "finite-points", "points": [q2_json(p) for p in cs.points]}
-    if isinstance(cs, ComplementOfR2Open):
-        return {"rep": "complement-of-r2-open",
-                "intervals": [[rat_json(a), rat_json(b)] for a, b in cs.open_rep.intervals]}
-    raise ValueError("unknown closed-set representation %r" % (cs,))
-
-
 def closed_set_from_json(doc):
     if doc["rep"] == "finite-points":
         return FinitePointSet.of([q2_from_json(p) for p in doc["points"]])
@@ -83,10 +70,6 @@ def closed_set_from_json(doc):
         return ComplementOfR2Open(R2Rep.from_intervals(
             [(Fraction(a), Fraction(b)) for a, b in doc["intervals"]]))
     raise ValueError("unknown closed-set representation %r" % (doc.get("rep"),))
-
-
-def fn_json(f) -> dict:
-    return f.to_jsonable()
 
 
 def _piecewise_from_json(doc):

@@ -135,16 +135,7 @@ def band_of(x, half_open=True) -> Optional[int]:
     and for x >= 1 in the half-open reading (x = 1 maps to band 0 otherwise).
     """
     p = Q2.of(x)
-    if p.sign() <= 0:
-        return None
-    if half_open:
-        if p >= 1:
-            return None
-        n = 0
-        while p < Fraction(1, 1 << (n + 1)):
-            n += 1
-        return n
-    if p > 1:
+    if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
         return None
     n = 0
     while p < Fraction(1, 1 << (n + 1)):
@@ -280,8 +271,13 @@ class FinitePointSet:
         p = Q2.of(x)
         return any(p == q for q in self.points)
 
-    def boundary_candidates(self):
-        return list(self.points)
+    def component_intervals(self) -> list[tuple[Q2, Q2]]:
+        """Each point as a degenerate closed component (p, p)."""
+        return [(p, p) for p in self.points]
+
+    def to_jsonable(self) -> dict:
+        from .serialize import q2_json
+        return {"rep": "finite-points", "points": [q2_json(p) for p in self.points]}
 
 
 @dataclass(frozen=True)
@@ -295,9 +291,6 @@ class ComplementOfR2Open:
         if p < 0 or p > 1:
             return False
         return not self.open_rep.contains(p)
-
-    def boundary_candidates(self):
-        return self.open_rep.boundary_points()
 
     def component_intervals(self) -> list[tuple[Fraction, Fraction]]:
         """Closed components of the complement inside [0,1] (single points
@@ -318,8 +311,10 @@ class ComplementOfR2Open:
             out.append((cursor, Fraction(1)))
         return out
 
-
-ClosedSetRep = object  # FinitePointSet | ComplementOfR2Open (duck-typed)
+    def to_jsonable(self) -> dict:
+        from .serialize import rat_json
+        return {"rep": "complement-of-r2-open",
+                "intervals": [[rat_json(a), rat_json(b)] for a, b in self.open_rep.intervals]}
 
 
 # --- RM-codes: open sets as unions of rational balls -----------------------

@@ -21,8 +21,7 @@ from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
 from .exact import (Bracket, DyadicInterval, Q2, least_denominator_in,
                     rational_grid)
-from .sets import (ComplementOfR2Open, CountableSet, FinitePointSet,
-                   band_of, tilde_set)
+from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
 # class tags (vocabulary fixed by the glossary of notions in play)
 CONTINUOUS = "continuous"
@@ -427,19 +426,7 @@ class PiecewiseRational(SymbolicFn):
 
     def variation_points(self, iv):
         iv = _clip_unit(iv)
-        pts = set()
-        pts.add(Q2.of(iv.lower))
-        pts.add(Q2.of(iv.upper))
-        for c in self.cuts:
-            if iv.contains(c):
-                pts.add(c)
-        for j, piece in enumerate(self.pieces):
-            v = piece.vertex()
-            if v is not None:
-                p = Q2.of(v)
-                if p > self.cuts[j] and p < self.cuts[j + 1] and iv.contains(p):
-                    pts.add(p)
-        return sorted(pts)
+        return sorted({Q2.of(iv.lower), Q2.of(iv.upper), *self.special_points(iv, 0)})
 
     def grid_max(self, iv, depth):
         # a piece attains its grid max next to a cut, a vertex or an end
@@ -473,7 +460,7 @@ class PiecewiseRational(SymbolicFn):
     def to_jsonable(self):
         from .serialize import q2_json
         return {
-            "kind": "piecewise",
+            "kind": self.kind,
             "cuts": [q2_json(c) for c in self.cuts],
             "pieces": [[str(c) for c in piece.coeffs()] for piece in self.pieces],
             "values": [q2_json(v) for v in self.bp_values],
@@ -548,8 +535,6 @@ class Thomae(SymbolicFn):
         iv = _clip_unit(iv)
         if iv.width == 0:
             v = self._eval(Q2.of(iv.lower))
-            if rationals_only and not Q2.of(iv.lower).is_rational:
-                raise DomainError("no rational point in the degenerate interval")
             return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
         # infimum: rational values 1/q get arbitrarily small, irrationals give 0
         inf_b = Bracket.point(0)
@@ -628,7 +613,7 @@ class Thomae(SymbolicFn):
         return Bracket.point(0)
 
     def to_jsonable(self):
-        return {"kind": "thomae"}
+        return {"kind": self.kind}
 
 
 class _SpikeFamily(SymbolicFn):
@@ -641,6 +626,7 @@ class _SpikeFamily(SymbolicFn):
 
     def __init__(self, a_set: CountableSet, tags, certificates=()):
         self.a_set = a_set
+        self.source = a_set  # the seed set a banded variant was built from
         super().__init__(tags, certificates)
 
     def spike_value(self, n: int) -> Fraction:
@@ -665,6 +651,10 @@ class _SpikeFamily(SymbolicFn):
             if p.is_rational and (p.as_rational() * (1 << depth)).denominator == 1:
                 best = max(best, self.spike_value(n))
         return best
+
+    def to_jsonable(self):
+        from .serialize import set_json
+        return {"kind": self.kind, "set": set_json(self.source)}
 
 
 class Penny(_SpikeFamily):
@@ -770,10 +760,6 @@ class Penny(_SpikeFamily):
             return None
         return Bracket.point(0)
 
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": "penny", "set": set_json(self.a_set)}
-
 
 class PennyK(Penny):
     """The index-truncated variant: spikes only up to index cutoff."""
@@ -788,8 +774,7 @@ class PennyK(Penny):
         self.stop = cutoff + 1
 
     def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": "pennyk", "set": set_json(self.a_set), "cutoff": self.cutoff}
+        return {**super().to_jsonable(), "cutoff": self.cutoff}
 
 
 class TildePenny(Penny):
@@ -802,10 +787,6 @@ class TildePenny(Penny):
         super().__init__(tilde_set(a_set))  # validates irrationality of the source
         self.tags = self.tags | {SIMPLY_CONTINUOUS}
         self.source = a_set
-
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": "tilde-penny", "set": set_json(self.source)}
 
 
 class CoverPsi(_SpikeFamily):
@@ -869,10 +850,6 @@ class CoverPsi(_SpikeFamily):
         if p == 0 and self.a_set.size is None:
             return Bracket.point(0), Bracket.point(self.BASE)
         return super().cluster_bounds(x, k)
-
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": "cover-psi", "set": set_json(self.source)}
 
 
 class CoverPsiUsco(_SpikeFamily):
@@ -974,10 +951,6 @@ class CoverPsiUsco(_SpikeFamily):
     def jump_candidates(self, limit):
         return [Q2.of(Fraction(1, 1 << (n + 1))) for n in range(limit)]
 
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": "cover-psi-usco", "set": set_json(self.source)}
-
 
 # ---------------------------------------------------------------------------
 # indicators of closed sets
@@ -986,21 +959,21 @@ class CoverPsiUsco(_SpikeFamily):
 
 class Indicator(SymbolicFn):
     """Characteristic function of a closed set: the usco (and cliquish)
-    separating function of two disjoint closed sets."""
+    separating function of two disjoint closed sets.
+
+    The set answers through its closed components (a, b), a <= b; a point
+    of a finite set is the degenerate component (p, p)."""
 
     kind = "indicator"
 
     def __init__(self, closed_set):
         self.closed_set = closed_set
+        self.components = closed_set.component_intervals()
         tags = {USCO, CLIQUISH, BV, REGULATED, BAIRE1}
-        if isinstance(closed_set, ComplementOfR2Open):
-            comps = closed_set.component_intervals()
-            if comps and all(a < b for a, b in comps):
-                tags.add(QUASI_CONTINUOUS)
-            if not closed_set.open_rep.intervals:
-                tags |= {CONTINUOUS, LSCO}
-        elif isinstance(closed_set, FinitePointSet) and not closed_set.points:
-            tags |= {CONTINUOUS, QUASI_CONTINUOUS, LSCO}
+        if all(a < b for a, b in self.components):
+            tags.add(QUASI_CONTINUOUS)
+        if self.components in ([], [(0, 1)]):
+            tags |= {CONTINUOUS, LSCO}
         super().__init__(tags)
 
     def _eval(self, x):
@@ -1009,70 +982,40 @@ class Indicator(SymbolicFn):
     def range_bound(self):
         return Fraction(0), Fraction(1)
 
-    def _components_in(self, iv):
-        if isinstance(self.closed_set, ComplementOfR2Open):
-            out = []
-            for a, b in self.closed_set.component_intervals():
-                lo, hi = max(a, iv.lower), min(b, iv.upper)
-                if lo <= hi:
-                    out.append((lo, hi))
-            return out
-        return None
-
     def range_on(self, iv, k, rationals_only=False):
         iv = _clip_unit(iv)
         if iv.width == 0:
             v = self._eval(Q2.of(iv.lower))
             return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
-        if isinstance(self.closed_set, FinitePointSet):
-            hits = [p for p in self.closed_set.points if iv.contains(p)
-                    and not (rationals_only and not p.is_rational)]
-            sup_b = Bracket.point(1 if hits else 0)
-            return Bracket.point(0), sup_b
-        comps = self._components_in(iv)
-        sup_b = Bracket.point(1 if comps else 0)
-        covered = any(a <= iv.lower and b >= iv.upper for a, b in comps) if comps else False
-        inf_b = Bracket.point(1 if covered else 0)
-        return inf_b, sup_b
+        meets = [(a, b) for a, b in self.components if a <= iv.upper and b >= iv.lower]
+        # a nondegenerate component that meets iv meets it at a rational
+        hit = any(not rationals_only or a < b or Q2.of(a).is_rational for a, b in meets)
+        covered = any(a <= iv.lower and b >= iv.upper for a, b in meets)
+        return Bracket.point(1 if covered else 0), Bracket.point(1 if hit else 0)
 
     def special_points(self, iv, depth):
-        out = []
-        for p in self.closed_set.boundary_candidates():
-            q = Q2.of(p)
-            if iv.contains(q):
-                out.append(q)
-        if isinstance(self.closed_set, FinitePointSet):
-            out.extend(p for p in self.closed_set.points if iv.contains(p))
-        return out
+        return [Q2.of(e) for a, b in self.components for e in (a, b) if iv.contains(e)]
 
     def one_sided_limit(self, x, side, k):
         p = Q2.of(x)
         if (p <= 0 and side < 0) or (p >= 1 and side > 0):
             return None
-        if isinstance(self.closed_set, FinitePointSet):
-            return Bracket.point(0)
-        inside = False
-        for a, b in self.closed_set.component_intervals():
-            if side > 0 and Q2.of(a) <= p and p < Q2.of(b):
-                inside = True
-            if side < 0 and Q2.of(a) < p and p <= Q2.of(b):
-                inside = True
+        if side > 0:
+            inside = any(a <= p and p < b for a, b in self.components)
+        else:
+            inside = any(a < p and p <= b for a, b in self.components)
         return Bracket.point(1 if inside else 0)
 
     def jump_candidates(self, limit):
-        if isinstance(self.closed_set, ComplementOfR2Open):
-            out = []
-            for a, b in self.closed_set.component_intervals():
-                if a > 0:
-                    out.append(Q2.of(a))
-                if b < 1 and b != a:
-                    out.append(Q2.of(b))
-            return out[:limit]
-        return []
+        # a jump sits only at an end of a nondegenerate component
+        out = []
+        for a, b in self.components:
+            if a < b:
+                out.extend(Q2.of(e) for e in (a, b) if 0 < e < 1)
+        return out[:limit]
 
     def to_jsonable(self):
-        from .serialize import closed_set_json
-        return {"kind": "indicator", "closed_set": closed_set_json(self.closed_set)}
+        return {"kind": self.kind, "closed_set": self.closed_set.to_jsonable()}
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1094,7 @@ class Baire1Limit(SymbolicFn):
             raise ValueError("the %s representation does not serialize; only "
                              "built-in pointwise-limit representations do" % self.label)
         from .serialize import set_json
-        return {"kind": "pennyk-limit", "set": set_json(self.seed_set)}
+        return {"kind": self.label, "set": set_json(self.seed_set)}
 
 
 def pennyk_limit(a_set: CountableSet) -> Baire1Limit:
@@ -1311,7 +1254,7 @@ class Sum(SymbolicFn):
         return lo > 0
 
     def to_jsonable(self):
-        return {"kind": "sum", "f": self.f.to_jsonable(), "g": self.g.to_jsonable()}
+        return {"kind": self.kind, "f": self.f.to_jsonable(), "g": self.g.to_jsonable()}
 
 
 class ScalarMultiple(SymbolicFn):
@@ -1339,10 +1282,7 @@ class ScalarMultiple(SymbolicFn):
                 swapped.add(LSCO)
             if LSCO in tags:
                 swapped.add(USCO)
-            tags = swapped
-            tags.discard(NORMALISED_BV)
-            if NORMALISED_BV in f.tags:
-                tags.add(NORMALISED_BV)  # scaling keeps f(0)=0 and right-continuity
+            tags = swapped  # normalised-BV stays: c*f keeps f(0)=0 and right-continuity
         if self.c == 0:
             tags = {CONTINUOUS, QUASI_CONTINUOUS, CLIQUISH, SIMPLY_CONTINUOUS,
                     USCO, LSCO, BV, NORMALISED_BV, REGULATED, BAIRE1}
@@ -1392,7 +1332,7 @@ class ScalarMultiple(SymbolicFn):
         return hi * self.c > 0
 
     def to_jsonable(self):
-        return {"kind": "scalar-multiple", "c": str(self.c), "f": self.f.to_jsonable()}
+        return {"kind": self.kind, "c": str(self.c), "f": self.f.to_jsonable()}
 
 
 class RestrictedView(SymbolicFn):
@@ -1443,7 +1383,7 @@ class RestrictedView(SymbolicFn):
         return self.f.is_positive()
 
     def to_jsonable(self):
-        return {"kind": "restricted", "tags": sorted(self.tags), "f": self.f.to_jsonable()}
+        return {"kind": self.kind, "tags": sorted(self.tags), "f": self.f.to_jsonable()}
 
 
 def restrict_tags(f: SymbolicFn, tags) -> RestrictedView:
@@ -1453,19 +1393,6 @@ def restrict_tags(f: SymbolicFn, tags) -> RestrictedView:
 # ---------------------------------------------------------------------------
 # constructors named for what they build
 # ---------------------------------------------------------------------------
-
-
-def build_penny(a_set: CountableSet) -> Penny:
-    return Penny(a_set)
-
-
-def build_pennyk(a_set: CountableSet, cutoff: int) -> PennyK:
-    return PennyK(a_set, cutoff)
-
-
-def build_tilde(a_set: CountableSet) -> tuple[CountableSet, TildePenny]:
-    f = TildePenny(a_set)
-    return f.a_set, f
 
 
 def build_cover_psi(a_set: CountableSet, usco_variant: bool) -> SymbolicFn:

@@ -16,8 +16,8 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-from abyss import (ClassRefusal, DyadicInterval, Q2, build_cover_psi,
-                   build_penny, build_pennyk, canonical_cliq_modulus,
+from abyss import (ClassRefusal, DyadicInterval, Penny, PennyK, Q2,
+                   build_cover_psi, canonical_cliq_modulus,
                    canonical_regulation_modulus, constant, cousin_subcover,
                    exhaustive_sup_oracle, extract_enumeration_from_sup,
                    finite_set, inf_usco, jordan_nbv, linear, mu_search,
@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence_suprema():
     def check_sup_limit(seed_set, p, q):
         nonlocal checked, ok
         iv = sup_baire1(pennyk_limit(seed_set), p, q, 10)
-        want = exact_symbolic_sup(build_penny(seed_set), DyadicInterval(p, q))
+        want = exact_symbolic_sup(Penny(seed_set), DyadicInterval(p, q))
         ok = ok and iv.width <= TOL["k10"] and Q2.of(iv.lower) <= want <= Q2.of(iv.upper)
         checked += 1
 
@@ -90,10 +90,10 @@ def test_criterion_1_oracle_equivalence_suprema():
     for _ in range(35):
         B = random_finite_set(rng)
         p, q = random_subinterval(rng)
-        check_inf(build_penny(B), p, q)
+        check_inf(Penny(B), p, q)
     for _ in range(20):
         p, q = random_subinterval(rng)
-        check_inf(build_pennyk(A, rng.randrange(0, 12)), p, q)
+        check_inf(PennyK(A, rng.randrange(0, 12)), p, q)
     for _ in range(15):
         p, q = random_subinterval(rng)
         check_inf(random_continuous_piecewise(rng), p, q)
@@ -112,7 +112,7 @@ def test_criterion_1_oracle_equivalence_suprema():
 def test_criterion_2_oscillation_identity():
     """The spike function equals its own oscillation: osc_point brackets the
     value at 25 members and 25 rationals, width 2^-8."""
-    f = build_penny(A)
+    f = Penny(A)
     probes = [A.member(n) for n in range(25)]
     probes += [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 4)[:25]]
     ok = True
@@ -221,7 +221,7 @@ def test_criterion_5_jordan_decomposition():
 def test_criterion_6_abyss_demonstration():
     """Grid sampling returns exactly 0 at depths 8, 16, 24 while the exact
     oracle returns exactly 1/2."""
-    f = build_penny(A)
+    f = Penny(A)
     oracle = exhaustive_sup_oracle()
     baselines = [naive_rational_sup(f, 0, 1, d) for d in (8, 16, 24)]
     exact = oracle(f, F(0), F(1))
@@ -329,7 +329,7 @@ def _symbolic_predicate(query):
                 return m
         return None
     if isinstance(query, Baire1Above):
-        limit = build_penny(query.f_rep.seed_set)
+        limit = Penny(query.f_rep.seed_set)
         return any(limit.eval(p) > Q2.of(query.threshold)
                    for p in probe_basis(limit, query.interval, 7))
     raise AssertionError(query)
@@ -340,7 +340,7 @@ def test_criterion_8_collapse_rule_soundness():
     rational-collapsed and exhaustive symbolic evaluations; every unruled
     pair is exercised by a concrete refusal."""
     rng = random.Random(108)
-    penny = build_penny(A)
+    penny = Penny(A)
     t = thomae()
     ok = True
 

@@ -8,9 +8,9 @@ import pytest
 
 from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
-                   FuelExhausted, Indicator, Q2, R2Rep,
+                   FuelExhausted, Indicator, Penny, PennyK, Q2, R2Rep,
                    RepresentationInsufficient, Truth, ball, build_cover_psi,
-                   build_penny, build_pennyk, constant,
+                   constant,
                    cousin_subcover, fn_difference, fn_sum, indicator_baire1,
                    inf_usco, is_continuous_at, linear, mu_search,
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
@@ -106,15 +106,15 @@ def test_sup_qc_bounded_on_approached_suprema(jumps, slope, p, q, deadline, monk
 
 def test_sup_refused_for_spike_function():
     with pytest.raises(ClassRefusal):
-        sup_qc(build_penny(A), F(0), F(1), 8)
+        sup_qc(Penny(A), F(0), F(1), 8)
 
 
 def test_inf_examples():
-    assert inf_usco(build_penny(A), F(0), F(1), 8).contains(F(0))
+    assert inf_usco(Penny(A), F(0), F(1), 8).contains(F(0))
     ind = Indicator(FinitePointSet.of([F(1, 2)]))
     assert inf_usco(ind, F(0), F(1), 4).contains(F(0))
     with pytest.raises(ClassRefusal):
-        inf_usco(fn_difference(constant(1), build_penny(A)), F(0), F(1), 4)
+        inf_usco(fn_difference(constant(1), Penny(A)), F(0), F(1), 4)
 
 
 def test_sup_baire1_examples():
@@ -124,7 +124,7 @@ def test_sup_baire1_examples():
     iv2 = sup_baire1(constant_seq_limit(constant(F(1, 4))), F(0), F(1), 8)
     assert iv2.contains(F(1, 4))
     with pytest.raises(RepresentationInsufficient):
-        sup_baire1(Baire1Limit(lambda n: build_pennyk(A, n)), F(0), F(1), 6)
+        sup_baire1(Baire1Limit(lambda n: PennyK(A, n)), F(0), F(1), 6)
 
 
 def test_sup_baire1_subinterval():
@@ -156,7 +156,7 @@ def test_osc_point_constant():
 
 
 def test_osc_point_penny_brackets_eval():
-    f = build_penny(A)
+    f = Penny(A)
     for n in range(6):
         iv = osc_point(f, A.member(n), 8)
         v = f.eval(A.member(n)).as_rational()
@@ -165,11 +165,11 @@ def test_osc_point_penny_brackets_eval():
 
 def test_osc_point_refused_cliquish_only():
     with pytest.raises(ClassRefusal):
-        osc_point(restrict_tags(build_penny(A), {CLIQUISH}), F(1, 2), 6)
+        osc_point(restrict_tags(Penny(A), {CLIQUISH}), F(1, 2), 6)
 
 
 def test_is_continuous_at_examples():
-    f = build_penny(A)
+    f = Penny(A)
     assert is_continuous_at(f, S2(0), 64).value is Truth.NO
     assert is_continuous_at(f, F(1, 3), 64).value is Truth.YES
     assert is_continuous_at(thomae(), F(2, 3), 64).value is Truth.NO
@@ -223,7 +223,7 @@ def test_modulus_qc_thomae():
 def test_modulus_qc_constant_and_penny():
     c, d = modulus_qc(constant(F(1, 5)), F(1, 2), 4, 3)
     assert F(3, 8) <= c < d <= F(5, 8)
-    f = build_penny(A)
+    f = Penny(A)
     c, d = modulus_qc(f, S2(0), 0, 1)  # range bound 1/2 < 1 makes any interval fine
     assert c < d
 
@@ -233,13 +233,13 @@ def test_point_of_continuity_qc_certified():
     cert = osc_point(thomae(), x, 6, fuel=128)  # doubled fuel re-verification
     assert cert.upper <= F(1, 64)
     assert point_of_continuity_qc(constant(5 * F(1, 7)), 8) == F(1, 2)
-    xp = point_of_continuity_qc(build_penny(A), 8)
-    cert2 = osc_point(build_penny(A), xp, 8, fuel=128)
+    xp = point_of_continuity_qc(Penny(A), 8)
+    cert2 = osc_point(Penny(A), xp, 8, fuel=128)
     assert cert2.upper <= F(1, 256)
 
 
 def test_point_of_continuity_usco():
-    f = build_penny(A)
+    f = Penny(A)
     x = point_of_continuity_usco(f, natural_usco_modulus(f), 8)
     assert bool(is_continuous_at(f, x, 64))
     assert A.index_of(Q2.of(x)) is None
@@ -251,7 +251,7 @@ def test_point_of_continuity_usco():
 
 
 def test_usco_modulus_defining_bound():
-    f = build_penny(A)
+    f = Penny(A)
     psi = natural_usco_modulus(f)
     for x in (F(1, 3), S2(0), F(0)):
         for k in (2, 4):
@@ -266,7 +266,7 @@ def test_usco_modulus_defining_bound():
 
 
 def test_lsco_modulus_on_cf():
-    f = build_penny(A)
+    f = Penny(A)
     g0 = lsco_modulus_on_cf(f)
     n = g0(F(1, 3), 4)
     iv = ball(F(1, 3), n).intersection(DyadicInterval(0, 1))

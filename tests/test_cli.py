@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON output, determinism, env fuel."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -61,6 +62,33 @@ def test_env_fuel_vs_default():
     assert ok.returncode == 0
     doc = payload(ok)
     assert doc["cover"]["count"] == len(doc["cover"]["balls"]) > 0
+
+
+def test_fuel_zero_is_honoured_and_negative_fuel_refused():
+    r = run("continuity", "--fn", "penny", "--x", "member:0", "--fuel", "0")
+    assert r.returncode == 0
+    assert payload(r)["fuel_spent"] == 0
+    for cmd in (["cousin", "--fn", "const:1/8"], ["osc", "--fn", "thomae", "--x", "1/2"],
+                ["rm-code", "--open", "1/4,3/4"], ["realiser"]):
+        r = run(*cmd, "--fuel", "-1")
+        assert r.returncode == 1 and r.stdout == ""
+        assert "--fuel" in r.stderr
+
+
+def test_golden_digests_in_process(monkeypatch, capsys):
+    """The benchmark's recorded CLI outputs, reproduced through cli.main in
+    this process: each stdout digest and exit code, and the selftest hash."""
+    from abyss import cli, serialize
+    from abyss.selftest import run_selftest
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    monkeypatch.delenv("ABYSS_FUEL", raising=False)
+    assert len(golden["cli"]) == 18
+    for invocation, want in golden["cli"].items():
+        code = cli.main(invocation.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (code, digest) == (want["exit"], want["sha256"]), invocation
+    selftest = serialize.dumps(run_selftest()).encode()
+    assert hashlib.sha256(selftest).hexdigest() == golden["selftest_sha256"]
 
 
 def test_usage_errors():

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from abyss import (Baire1Above, ClassRefusal, DyadicInterval, ExistsValueAbove,
-                   ExistsValueBelow, Found, NotFoundBelow, OscBelow, Q2,
-                   RepresentationInsufficient, ValueBelowOnBall,
-                   admitting_rule, build_penny, build_pennyk, collapse_rules_for,
+                   ExistsValueBelow, Found, NotFoundBelow, OscBelow, Penny,
+                   PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall,
+                   admitting_rule, collapse_rules_for,
                    constant, fn_difference, mu_search, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
 from abyss.oracle import QueryTrace, grid_depth_cap
@@ -23,10 +23,10 @@ UNIT = DyadicInterval(0, 1)
 
 
 def test_rule_lookup():
-    assert admitting_rule("ExistsValueBelow", build_penny(A)) is not None
-    assert admitting_rule("ExistsValueAbove", build_penny(A)) is None
+    assert admitting_rule("ExistsValueBelow", Penny(A)) is not None
+    assert admitting_rule("ExistsValueAbove", Penny(A)) is None
     assert admitting_rule("ExistsValueAbove", thomae()) is not None  # certificate
-    assert admitting_rule("OscBelow", restrict_tags(build_penny(A), {CLIQUISH})) is None
+    assert admitting_rule("OscBelow", restrict_tags(Penny(A), {CLIQUISH})) is None
     with pytest.raises(ValueError):
         collapse_rules_for("NoSuchShape")
 
@@ -40,7 +40,7 @@ def test_rule_records_carry_statements():
 def test_mu_osc_below_penny_least_exponent():
     """Frozen from the independent oracle: brute-force the ball oscillation
     over exponents; members near 1/2 bound the answer."""
-    f = build_penny(A)
+    f = Penny(A)
     expected = None
     for n in range(0, 20):
         if brute_ball_osc(f, F(1, 2), n, depth=6) <= Q2.of(F(1, 8)):
@@ -67,7 +67,7 @@ def test_mu_exists_above_thomae():
 
 
 def test_mu_exists_below_usco():
-    f = build_penny(A)
+    f = Penny(A)
     res = mu_search(ExistsValueBelow(f, UNIT, F(1, 4)))
     assert isinstance(res, Found)
     res = mu_search(ExistsValueBelow(f, UNIT, F(-1)))
@@ -75,7 +75,7 @@ def test_mu_exists_below_usco():
 
 
 def test_mu_value_below_on_ball():
-    f = build_penny(A)
+    f = Penny(A)
     res = mu_search(ValueBelowOnBall(f, F(1, 3), F(0)))
     assert isinstance(res, Found) and res.witness.value == 0
     res = mu_search(ValueBelowOnBall(f, F(1, 3), F(1, 4), fuel=6))
@@ -92,7 +92,7 @@ def test_mu_baire1_above():
     res = mu_search(Baire1Above(rep, UNIT, F(3, 4)))
     assert isinstance(res, NotFoundBelow)
     from abyss import Baire1Limit
-    bare = Baire1Limit(lambda n: build_pennyk(A, n))
+    bare = Baire1Limit(lambda n: PennyK(A, n))
     with pytest.raises(RepresentationInsufficient):
         mu_search(Baire1Above(bare, UNIT, F(1, 4)))
 
@@ -100,7 +100,7 @@ def test_mu_baire1_above():
 def test_monotone_fuel_soundness():
     """Found(n) at fuel F stays Found(n) at every higher fuel; NotFoundBelow
     only ever turns into Found beyond the old bound."""
-    f = build_penny(A)
+    f = Penny(A)
     queries = [
         lambda fuel: OscBelow(f, F(1, 2), 3, fuel=fuel),
         lambda fuel: OscBelow(f, S2(0), 1, fuel=fuel),
@@ -121,7 +121,7 @@ def test_monotone_fuel_soundness():
 
 def test_refusal_completeness():
     """Every shape refuses a function whose declared class grants no rule."""
-    penny = build_penny(A)
+    penny = Penny(A)
     cliq_only = restrict_tags(penny, {CLIQUISH})
     one_minus = fn_difference(constant(1), penny)
     with pytest.raises(ClassRefusal):
@@ -160,7 +160,7 @@ def test_collapse_soundness_sampled():
     rng = random.Random(23)
     t = thomae()
     st = staircase([(F(1, 3), F(1, 2))])
-    penny = build_penny(A)
+    penny = Penny(A)
     for _ in range(30):
         a, b = sorted((F(rng.randrange(0, 32), 32), F(rng.randrange(1, 33), 32)))
         if a == b:
@@ -178,7 +178,7 @@ def test_collapse_soundness_sampled():
 
 
 def test_trace_determinism():
-    f = build_penny(A)
+    f = Penny(A)
     t1, t2 = QueryTrace(), QueryTrace()
     mu_search(OscBelow(f, F(1, 2), 3), trace=t1)
     mu_search(OscBelow(f, F(1, 2), 3), trace=t2)
@@ -189,3 +189,17 @@ def test_grid_depth_cap_bounded():
     assert grid_depth_cap(UNIT) == 12
     tiny = DyadicInterval(F(1, 3), F(1, 3) + F(1, 1 << 20))
     assert grid_depth_cap(tiny) == 32
+
+
+def test_mu_exists_stops_once_the_basis_stops_growing(deadline):
+    """Past grid_depth_cap every depth probes the same basis, so the witness
+    search ends there instead of rescanning it until the fuel runs out.  The
+    sup 1/8 is approached, not attained, and the first grid witness lies at
+    depth 29, below the cap of 13 on this interval."""
+    from abyss import FuelExhausted, fn_sum, linear
+    deadline(1)
+    f = fn_sum(staircase([(F(1, 2), F(-1, 2))]), linear(F(1, 4)))
+    iv = DyadicInterval(F(1, 4), F(3, 4))
+    assert grid_depth_cap(iv) == 13
+    with pytest.raises(FuelExhausted):
+        mu_search(ExistsValueAbove(f, iv, F(1, 8) - F(1, 1 << 30)))

@@ -15,7 +15,7 @@ from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
                    finite_set, fn_sum, linear, naive_rational_sup,
                    rational_grid, realiser_from_cliq_modulus,
                    realiser_from_regulation_modulus, realiser_from_sup,
-                   build_penny, restrict_tags, sqrt2_family, staircase, thomae,
+                   restrict_tags, sqrt2_family, staircase, thomae,
                    SupOracle)
 from abyss.reductions import adversarial_wide_modulus
 from abyss.universe import CLIQUISH, ScalarMultiple
@@ -115,7 +115,7 @@ def test_regulation_zero_modulus_rejected():
 
 
 def test_naive_sup_baseline():
-    f = build_penny(A)
+    f = Penny(A)
     for depth in (8, 16, 24):
         assert naive_rational_sup(f, 0, 1, depth) == 0
     assert naive_rational_sup(thomae(), F(1, 4), F(3, 4), 8) == F(1, 2)
@@ -166,7 +166,7 @@ def test_grid_max_matches_plain_scan(make):
 def test_baseline_gap_invariant():
     """The strict, checkable gap: grid sampling 0, exact oracle 1/2."""
     oracle = exhaustive_sup_oracle()
-    f = build_penny(A)
+    f = Penny(A)
     exact = oracle(f, F(0), F(1))
     assert exact == F(1, 2)
     for depth in (8, 16, 24):

@@ -5,11 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (ComplementOfR2Open, FinitePointSet, Indicator, Q2, R2Rep,
-                   TildePenny, build_cover_psi, build_penny, build_pennyk,
-                   constant, finite_set, fn_difference, pennyk_limit,
+from abyss import (ComplementOfR2Open, FinitePointSet, Indicator, Penny, PennyK,
+                   Q2, R2Rep, TildePenny, build_cover_psi, constant, finite_set, fn_difference, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
-from abyss.serialize import (dumps, fn_from_json, fn_json, interval_from_json,
+from abyss.serialize import (dumps, fn_from_json, interval_from_json,
                              interval_json, q2_from_json, q2_json, rat_json,
                              set_from_json, set_json)
 from abyss.exact import DyadicInterval
@@ -42,26 +41,26 @@ def test_set_roundtrip():
 
 FUNCTIONS = [
     thomae(),
-    build_penny(A),
-    build_pennyk(A, 5),
+    Penny(A),
+    PennyK(A, 5),
     TildePenny(A),
     build_cover_psi(A, False),
     build_cover_psi(A, True),
     Indicator(FinitePointSet.of([F(1, 2)])),
     Indicator(ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(3, 4))]))),
     staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))]),
-    fn_difference(constant(1), build_penny(A)),
-    restrict_tags(build_penny(A), {"cliquish"}),
+    fn_difference(constant(1), Penny(A)),
+    restrict_tags(Penny(A), {"cliquish"}),
     pennyk_limit(A),
 ]
 
 
 @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.kind)
 def test_fn_roundtrip_exact(f):
-    doc = fn_json(f)
+    doc = f.to_jsonable()
     text = json.dumps(doc)
     g = fn_from_json(json.loads(text))
-    assert fn_json(g) == doc
+    assert g.to_jsonable() == doc
     probes = [F(0), F(1, 3), F(1, 2), F(7, 8), F(1), Q2.sqrt2_scaled(0), Q2.sqrt2_scaled(3)]
     for x in probes:
         assert f.eval(x) == g.eval(x)

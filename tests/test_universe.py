@@ -8,16 +8,16 @@ import pytest
 from abyss import (CoverPsi, DomainError, DyadicInterval, FinitePointSet,
                    Indicator, NotPointwiseEvaluable, Penny, PennyK, Q2, R2Rep,
                    TildePenny, Truth,
-                   UnsupportedVariant, build_cover_psi, build_penny,
-                   build_pennyk, build_tilde, constant, finite_set,
-                   fn_difference, fn_sum, linear, osc_exact, osc_selfcheck,
-                   pennyk_limit, rational_grid, restrict_tags, sqrt2_family,
-                   staircase, thomae, tilde_set)
+                   UnsupportedVariant, build_cover_psi, constant, finite_set,
+                   fn_difference, fn_sum, jump_enum, linear, osc_exact,
+                   osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
+                   sqrt2_family, staircase, thomae, tilde_set, usco_separator)
 from abyss.exact import Bracket, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
-from abyss.universe import (BAIRE1, BV, CLIQUISH, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS,
-                            USCO)
+from abyss.serialize import fn_from_json
+from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
+                            NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
+                            SIMPLY_CONTINUOUS, USCO)
 
 from conftest import (brute_ball_osc, brute_max, brute_min, probe_basis,
                       random_finite_set, random_subinterval)
@@ -42,7 +42,7 @@ def test_thomae_values():
 
 
 def test_penny_values():
-    f = build_penny(A)
+    f = Penny(A)
     assert f.eval(F(1, 2)) == Q2.of(0)  # all members are irrational
     assert f.eval(S2(0)) == Q2.of(F(1, 2))
     assert f.eval(S2(1)) == Q2.of(F(1, 4))
@@ -52,7 +52,7 @@ def test_penny_values():
 
 def test_penny_constructors():
     single = finite_set([S2(0)])
-    f = build_penny(single)
+    f = Penny(single)
     assert f.eval(S2(0)) == Q2.of(F(1, 2))
     assert f.eval(F(1, 3)) == Q2.of(0)
     assert f.tags == frozenset({CLIQUISH, USCO, BV, REGULATED, BAIRE1})
@@ -63,7 +63,7 @@ def test_penny_constructors():
 
 
 def test_penny_positive_exactly_on_members():
-    f = build_penny(A)
+    f = Penny(A)
     probes = [A.member(n) for n in range(8)]
     probes += [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 4)]
     probes += [Q2(F(1, 3), F(1, 64))]
@@ -80,7 +80,7 @@ def test_penny_finitely_many_above_threshold():
 
 
 def test_pennyk_truncation():
-    f = build_pennyk(A, 1)
+    f = PennyK(A, 1)
     assert f.eval(S2(0)) == Q2.of(F(1, 2))
     assert f.eval(S2(1)) == Q2.of(F(1, 4))
     assert f.eval(S2(2)) == Q2.of(0)  # truncated index
@@ -88,20 +88,20 @@ def test_pennyk_truncation():
 
 def test_pennyk_pointwise_limit_modulus():
     """The truncations converge with modulus m(x, j) = j."""
-    full = build_penny(A)
+    full = Penny(A)
     probes = [p for _, p in A.members_upto(10)] + \
              [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 3)]
     for x in probes:
         want = full.eval(x)
         for j in range(1, 12):
             for n in range(j, j + 4):
-                got = build_pennyk(A, n).eval(x)
+                got = PennyK(A, n).eval(x)
                 assert abs(got - want) < Q2.of(F(1, 1 << j))
 
 
 def test_baire1_limit_needs_modulus():
     from abyss import Baire1Limit
-    rep = Baire1Limit(lambda n: build_pennyk(A, n))
+    rep = Baire1Limit(lambda n: PennyK(A, n))
     with pytest.raises(NotPointwiseEvaluable):
         rep.eval(F(1, 2))
     good = pennyk_limit(A)
@@ -145,7 +145,8 @@ def test_minimal_shift_matches_plain_scan():
 
 
 def test_tilde_of_canonical_is_itself():
-    til, f = build_tilde(A)
+    f = TildePenny(A)
+    til = f.a_set
     for n in range(8):
         assert til.member(n) == A.member(n)
         assert f.eval(A.member(n)) == Q2.of(F(1, 1 << (n + 1)))
@@ -173,7 +174,7 @@ def test_tilde_rejects_rational_members():
     with pytest.raises(ValueError):
         tilde_set(finite_set([F(1, 3)]))
     with pytest.raises(ValueError):
-        build_tilde(finite_set([Q2(F(1, 4), F(1, 8)), F(1, 2)]))
+        TildePenny(finite_set([Q2(F(1, 4), F(1, 8)), F(1, 2)]))
 
 
 def test_cover_psi_values():
@@ -263,7 +264,7 @@ def _cliquish_witness(f, x, k, big_n=2) -> bool:
 
 @pytest.mark.parametrize("fn_builder", [
     thomae,
-    lambda: build_penny(A),
+    lambda: Penny(A),
     lambda: build_cover_psi(A, False),
     lambda: build_cover_psi(A, True),
     lambda: TildePenny(A),
@@ -277,7 +278,7 @@ def test_cliquish_tag_witnessed(fn_builder):
 
 
 def test_usco_tag_witnessed_penny_thomae():
-    for f in (build_penny(A), thomae()):
+    for f in (Penny(A), thomae()):
         for x in [F(0), F(1, 3), F(1, 2), S2(0), S2(1), F(1)]:
             fx = f.eval(x)
             for k in (2, 5):
@@ -318,7 +319,7 @@ def test_qc_tag_witnessed_on_staircase():
 
 def test_bv_tag_witnessed_random_partitions():
     rng = random.Random(11)
-    f = build_penny(A)
+    f = Penny(A)
     for _ in range(40):
         pts = sorted(rng.sample(
             [F(i, 256) for i in range(257)], rng.randrange(2, 12)))
@@ -335,11 +336,11 @@ def test_normalised_bv_tag_staircase():
     assert st.eval(F(0)) == Q2.of(0)
     lr_val = st.pieces[1](Q2.of(F(1, 2)))
     assert st.eval(F(1, 2)) == lr_val  # right-continuous at the jump
-    assert NORMALISED_BV not in build_penny(A).tags  # removable jumps break it
+    assert NORMALISED_BV not in Penny(A).tags  # removable jumps break it
 
 
 def test_regulated_tag_witnessed():
-    f = build_penny(A)
+    f = Penny(A)
     for x in [F(1, 3), S2(0), F(0)]:
         for side in (-1, 1):
             b = f.one_sided_limit(x, side, 20)
@@ -362,13 +363,13 @@ def test_regulated_tag_witnessed():
 
 
 def test_simply_continuous_tag_tilde():
-    _, f = build_tilde(A)
+    f = TildePenny(A)
     assert SIMPLY_CONTINUOUS in f.tags
     assert SIMPLY_CONTINUOUS not in thomae().tags  # the classic non-example
 
 
 def test_restricted_view():
-    f = build_penny(A)
+    f = Penny(A)
     g = restrict_tags(f, {CLIQUISH})
     assert g.tags == frozenset({CLIQUISH})
     assert g.certificates == frozenset()
@@ -384,14 +385,16 @@ def test_restricted_view():
 
 @pytest.mark.parametrize("fn_builder", [
     thomae,
-    lambda: build_penny(A),
-    lambda: build_pennyk(A, 4),
+    lambda: Penny(A),
+    lambda: PennyK(A, 4),
     lambda: TildePenny(A),
     lambda: build_cover_psi(A, False),
     lambda: build_cover_psi(A, True),
     lambda: Indicator(FinitePointSet.of([F(1, 2), S2(2)])),
+    lambda: Indicator(ComplementOfR2Open(R2Rep.from_intervals(
+        [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))]))),
     lambda: staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))]),
-    lambda: fn_difference(constant(1), build_penny(A)),
+    lambda: fn_difference(constant(1), Penny(A)),
 ])
 def test_range_brackets_brute_force(fn_builder):
     f = fn_builder()
@@ -411,7 +414,7 @@ def test_range_brackets_brute_force(fn_builder):
 
 
 def test_cluster_bounds_examples():
-    f = build_penny(A)
+    f = Penny(A)
     li, ls = f.cluster_bounds(S2(0), 20)
     assert li.exact and ls.exact and li.lo == 0 and ls.lo == 0
     t = thomae()
@@ -470,8 +473,8 @@ def test_cover_usco_regulation_modulus():
 
 
 def test_osc_selfcheck():
-    assert osc_selfcheck(build_penny(A))
-    assert osc_selfcheck(build_penny(finite_set([S2(0)])))
+    assert osc_selfcheck(Penny(A))
+    assert osc_selfcheck(Penny(finite_set([S2(0)])))
     assert osc_selfcheck(TildePenny(A))
     with pytest.raises(UnsupportedVariant):
         osc_selfcheck(constant(0))
@@ -543,7 +546,7 @@ def test_first_hit_spike_scans_match_plain_filter():
 
 
 def test_osc_exact_matches_brute_limit():
-    f = build_penny(A)
+    f = Penny(A)
     for x in [S2(0), S2(3), F(1, 3), F(0)]:
         b = osc_exact(f, x, 20)
         # brute: decreasing ball oscillations bound the exact value from above
@@ -554,7 +557,7 @@ def test_osc_exact_matches_brute_limit():
 def test_sum_and_scalar():
     f = fn_sum(linear(1), constant(F(1, 4)))
     assert f.eval(F(1, 2)) == Q2.of(F(3, 4))
-    g = fn_difference(constant(1), build_penny(A))
+    g = fn_difference(constant(1), Penny(A))
     assert g.eval(S2(0)) == Q2.of(F(1, 2))
     assert g.eval(F(1, 3)) == Q2.of(1)
     assert USCO not in g.tags and "lsco" in {t for t in g.tags}
@@ -563,7 +566,6 @@ def test_sum_and_scalar():
 def test_piecewise_irrational_breakpoint():
     """Breakpoints may be field elements; evaluation and limits stay exact."""
     from abyss import PiecewiseRational, Poly
-    from abyss.serialize import fn_from_json, fn_json
     c = S2(0)
     f = PiecewiseRational([Q2.of(0), c, Q2.of(1)],
                           [Poly(0), Poly(1)],
@@ -575,7 +577,7 @@ def test_piecewise_irrational_breakpoint():
     right = f.one_sided_limit(c, 1, 30)
     assert left.contains(F(0)) and right.contains(F(1))
     assert f.jump_candidates(4) == [c]
-    g = fn_from_json(fn_json(f))
+    g = fn_from_json(f.to_jsonable())
     assert g.eval(c) == Q2.of(1) and g.eval(F(1, 2)) == Q2.of(0)
     inf_b, sup_b = f.range_on(DyadicInterval(F(1, 2), F(3, 4)), 12)
     assert inf_b.lo == 0 and sup_b.hi == 1
@@ -590,3 +592,101 @@ def test_indicator_variants():
     fin = Indicator(FinitePointSet.of([F(1, 2)]))
     assert fin.eval(F(1, 2)) == Q2.of(1) and fin.eval(F(1, 4)) == Q2.of(0)
     assert QUASI_CONTINUOUS not in fin.tags
+    # constant indicators are continuous whichever form states the set: an
+    # open set covering [0,1] leaves nothing, one off [0,1] leaves all of it
+    for spans, value in (([(F(-1), F(2))], 0), ([(F(-1), F(0)), (F(1), F(2))], 1)):
+        const = Indicator(ComplementOfR2Open(R2Rep.from_intervals(spans)))
+        assert {CONTINUOUS, QUASI_CONTINUOUS, LSCO} <= const.tags
+        assert all(const.eval(x) == Q2.of(value) for x in (F(0), F(1, 2), F(1)))
+
+
+def test_indicator_closed_set_forms_pinned():
+    """Both closed-set forms behind Indicator: tags, ranges, one-sided limits,
+    jumps, JSON and separator decisions, including a degenerate component
+    (touching open intervals), open intervals reaching outside [0,1], an
+    irrational point and the empty point set."""
+    base = {USCO, CLIQUISH, BV, REGULATED, BAIRE1}
+    empty = FinitePointSet.of([])
+    pts = FinitePointSet.of([F(1, 2), S2(1)])  # sqrt2/4 is about 0.354
+    # components [1/4, 1/4] (where two open intervals touch) and [5/8, 3/4]
+    touch = ComplementOfR2Open(R2Rep.from_intervals(
+        [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))]))
+    gap = ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))]))
+    whole = ComplementOfR2Open(R2Rep.empty())
+    for cs, extra in ((empty, {CONTINUOUS, QUASI_CONTINUOUS, LSCO}), (pts, set()),
+                      (touch, set()), (gap, {QUASI_CONTINUOUS}),
+                      (whole, {CONTINUOUS, QUASI_CONTINUOUS, LSCO})):
+        assert Indicator(cs).tags == frozenset(base | extra)
+
+    def ranges(cs, lo, hi, rationals_only):
+        inf_b, sup_b = Indicator(cs).range_on(DyadicInterval(lo, hi), 8, rationals_only)
+        assert inf_b.exact and sup_b.exact
+        return inf_b.lo, sup_b.lo
+
+    for r in (False, True):
+        assert ranges(empty, F(0), F(1), r) == (0, 0)
+        assert ranges(pts, F(0), F(1, 2), r) == (0, 1)
+        assert ranges(pts, F(3, 4), F(1), r) == (0, 0)
+        assert ranges(touch, F(0), F(1, 2), r) == (0, 1)
+        assert ranges(touch, F(0), F(1, 8), r) == (0, 0)
+        assert ranges(touch, F(5, 8), F(3, 4), r) == (1, 1)
+        assert ranges(touch, F(11, 16), F(7, 8), r) == (0, 1)
+        assert ranges(gap, F(0), F(1, 4), r) == (1, 1)
+        assert ranges(gap, F(5, 16), F(7, 16), r) == (0, 0)
+        assert ranges(whole, F(1, 3), F(2, 3), r) == (1, 1)
+    # only the irrational point lies in [1/4, 3/8]
+    assert ranges(pts, F(1, 4), F(3, 8), False) == (0, 1)
+    assert ranges(pts, F(1, 4), F(3, 8), True) == (0, 0)
+
+    def limits(cs, x):
+        f = Indicator(cs)
+        return tuple(None if b is None else b.lo
+                     for b in (f.one_sided_limit(x, -1, 8), f.one_sided_limit(x, 1, 8)))
+
+    assert limits(touch, F(1, 4)) == (0, 0)
+    assert limits(touch, F(5, 8)) == (0, 1)
+    assert limits(touch, F(3, 4)) == (1, 0)
+    assert limits(gap, F(0)) == (None, 1)
+    assert limits(gap, F(1, 4)) == (1, 0)
+    assert limits(gap, F(1, 2)) == (0, 1)
+    assert limits(gap, F(1)) == (1, None)
+    assert limits(pts, F(1, 2)) == (0, 0)
+    assert limits(pts, S2(1)) == (0, 0)
+
+    assert jump_enum(Indicator(touch)) == [Q2.of(F(5, 8)), Q2.of(F(3, 4))]
+    assert jump_enum(Indicator(gap)) == [Q2.of(F(1, 4)), Q2.of(F(1, 2))]
+    assert jump_enum(Indicator(pts)) == [] and jump_enum(Indicator(empty)) == []
+
+    probes = [F(0), F(1, 4), F(1, 3), F(1, 2), F(5, 8), F(3, 4), F(1), S2(1)]
+    for cs in (empty, pts, touch, gap, whole):
+        f = Indicator(cs)
+        doc = f.to_jsonable()
+        g = fn_from_json(doc)
+        assert g.to_jsonable() == doc and g.tags == f.tags
+        assert all(g.eval(x) == f.eval(x) for x in probes)
+    assert Indicator(pts).to_jsonable()["closed_set"] == {
+        "rep": "finite-points", "points": ["1/2", {"a": "0/1", "b": "1/4"}]}
+    assert Indicator(touch).to_jsonable()["closed_set"] == {
+        "rep": "complement-of-r2-open",
+        "intervals": [["-1/8", "1/4"], ["1/4", "5/8"], ["3/4", "9/8"]]}
+
+    def separable(c0, c1):
+        try:
+            sep = usco_separator(c0, c1)
+        except ValueError:
+            return False
+        assert sep.closed_set is c1
+        return True
+
+    meets = [(FinitePointSet.of([F(1, 4)]), touch),  # the degenerate component
+             (FinitePointSet.of([F(3, 4)]), touch),  # a component end
+             (touch, gap),                           # they share 1/4
+             (pts, FinitePointSet.of([S2(1)])),
+             (gap, pts)]
+    apart = [(pts, touch), (empty, whole),
+             (touch, ComplementOfR2Open(R2Rep.from_intervals([(F(0), F(1))]))),
+             (FinitePointSet.of([F(5, 16)]), gap)]
+    for c0, c1 in meets:
+        assert not separable(c0, c1) and not separable(c1, c0)
+    for c0, c1 in apart:
+        assert separable(c0, c1) and separable(c1, c0)

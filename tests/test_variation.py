@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (ClassRefusal, DyadicInterval, Q2, build_cover_psi,
-                   build_penny, build_tilde, fn_sum, jordan_nbv,
+from abyss import (ClassRefusal, DyadicInterval, Penny, Q2, TildePenny,
+                   build_cover_psi, fn_sum, jordan_nbv,
                    jump_enum, limits_lr, linear, modulus_regulation,
                    rational_grid, sqrt2_family, staircase, thomae,
                    total_variation_nbv)
@@ -25,7 +25,7 @@ def test_limits_step():
 
 
 def test_limits_penny_member():
-    lr = limits_lr(build_penny(A), S2(0), 8)
+    lr = limits_lr(Penny(A), S2(0), 8)
     assert lr.left.contains(F(0)) and lr.right.contains(F(0))
 
 
@@ -46,7 +46,7 @@ def test_limits_refused_without_tag():
 
 def test_jump_enum_examples():
     assert [str(j) for j in jump_enum(staircase([(F(1, 2), 1)]))] == ["1/2"]
-    assert jump_enum(build_penny(A)) == []  # removable only
+    assert jump_enum(Penny(A)) == []  # removable only
     st = staircase([(F(1, 2), F(1, 2)), (F(3, 4), F(5, 4))])
     assert [str(j) for j in jump_enum(st)] == ["1/2", "3/4"]
     assert jump_enum(thomae()) == []
@@ -58,7 +58,7 @@ def test_jump_enum_completeness_on_universe():
     got = jump_enum(usco_cover, limit=10)
     want = [Q2.of(F(1, 1 << (n + 1))) for n in range(10)]
     assert got == want
-    _, tilde = build_tilde(A)
+    tilde = TildePenny(A)
     assert jump_enum(tilde) == []
 
 
@@ -138,7 +138,7 @@ def test_variation_matches_partition_brute_force():
 
 def test_variation_refusals():
     with pytest.raises(ClassRefusal):
-        total_variation_nbv(build_penny(A), F(1), 8)  # removable jumps
+        total_variation_nbv(Penny(A), F(1), 8)  # removable jumps
     with pytest.raises(ClassRefusal):
         total_variation_nbv(thomae(), F(1), 8)
 
@@ -167,7 +167,7 @@ def test_jordan_monotone_and_exact():
 
 def test_jordan_refused_for_spikes():
     with pytest.raises(ClassRefusal):
-        jordan_nbv(build_penny(A))
+        jordan_nbv(Penny(A))
 
 
 def test_regulation_modulus_bounds():
@@ -175,7 +175,7 @@ def test_regulation_modulus_bounds():
     cases = [
         (linear(1), [F(1, 3), F(1, 2)]),
         (staircase([(F(1, 2), 1)]), [F(1, 2), F(1, 4)]),
-        (build_penny(A), [F(1, 3), S2(0)]),
+        (Penny(A), [F(1, 3), S2(0)]),
     ]
     for f, xs in cases:
         M = modulus_regulation(f)
@@ -199,7 +199,7 @@ def test_regulation_modulus_bounds():
 
 
 def test_regulation_modulus_penny_avoids_visible_spikes():
-    M = modulus_regulation(build_penny(A))
+    M = modulus_regulation(Penny(A))
     m = M(F(1, 3), 5)
     r = F(1, 1 << (m + 1))
     window = DyadicInterval(F(1, 3), F(1, 3) + r)
