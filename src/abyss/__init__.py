@@ -16,19 +16,17 @@ from .universe import (Baire1Limit, CoverPsi, CoverPsiUsco, Indicator, Penny,
                        pennyk_limit, restrict_tags, scalar_multiple, staircase,
                        thomae)
 from .oracle import (Baire1Above, CollapseRule, ExistsValueAbove,
-                     ExistsValueBelow, Found, MuWitness, NotFoundBelow,
-                     OscBelow, ValueBelowOnBall, admitting_rule,
+                     ExistsValueBelow, Found, Modulus, MuWitness,
+                     NotFoundBelow, OscBelow, ValueBelowOnBall, admitting_rule,
                      collapse_rules_for, mu_search)
-from .algorithms import (ContinuityModulus, LscoOnCfModulus, UscoModulus,
-                         cousin_subcover, inf_usco, is_continuous_at,
+from .algorithms import (cousin_subcover, inf_usco, is_continuous_at,
                          lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
                          natural_usco_modulus, osc_point,
                          point_of_continuity_qc, point_of_continuity_usco,
                          rm_code_from_r2_baire1, sup_baire1, sup_qc,
                          usco_separator)
-from .variation import (JordanPair, OneSidedLimits, RegulationModulus,
-                        jordan_nbv, jump_enum, limits_lr, modulus_regulation,
-                        total_variation_nbv)
+from .variation import (JordanPair, OneSidedLimits, jordan_nbv, jump_enum,
+                        limits_lr, modulus_regulation, total_variation_nbv)
 from .reductions import (AbyssReport, CliqModulusOracle, SupOracle,
                          adversarial_cliq_modulus, canonical_cliq_modulus,
                          canonical_regulation_modulus, cantor_diagonal,

@@ -12,12 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import (ClassRefusal, FuelExhausted, RepresentationInsufficient)
+from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
+                     RepresentationInsufficient)
 from .exact import (DyadicInterval, FueledBool, Q2, Truth,
                     rational_grid, unit_rationals)
-from .oracle import (DEFAULT_FUEL, Baire1Above, Found, ValueBelowOnBall,
-                     _ball_clipped, ball_oscillation, grid_depth_cap,
-                     mu_search, require_rule)
+from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
+                     ValueBelowOnBall, _ball_clipped, ball_oscillation,
+                     grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
                        SymbolicFn, osc_exact, probe_points)
@@ -40,55 +41,46 @@ def _subinterval(p, q) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
-_NEGATED = {Truth.YES: Truth.NO, Truth.NO: Truth.YES}
-
-
 def _halve_values(lo: Fraction, hi: Fraction, k: int,
-                  above_mid: Callable[[Fraction], FueledBool]) -> DyadicInterval:
-    """Shrink [lo, hi] around the target value: test the upper half first and
-    keep the lower half on a NO (deterministic tie-break)."""
+                  decide: Callable[[Fraction], Truth],
+                  keep_upper_on: Truth = Truth.YES) -> DyadicInterval:
+    """Shrink [lo, hi] around the target value: keep the upper half when
+    decide(mid) answers `keep_upper_on`, else the lower half (deterministic
+    tie-break)."""
     width = Fraction(1, 1 << k)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        answer = above_mid(mid)
-        if answer.value is Truth.UNKNOWN:
+        answer = decide(mid)
+        if answer is Truth.UNKNOWN:
             raise FuelExhausted("value search undecided below the target width",
                                 best=DyadicInterval(lo, hi))
-        if answer:
+        if answer is keep_upper_on:
             lo = mid
         else:
             hi = mid
     return DyadicInterval(lo, hi)
 
 
-def sup_qc(f: SymbolicFn, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
+def sup_qc(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     """Width-2^-k interval containing sup f over [p,q]; admitted for functions
     whose class collapses 'exists a value above y' to rational points."""
     _check_precision(k)
     iv = _subinterval(p, q)
     require_rule("ExistsValueAbove", f, "sup_qc")
     lo, hi = f.range_bound()
-
-    def above(mid):
-        truth, _ = f.witness_above(iv, mid)
-        return FueledBool(truth, 1)
-
-    return _halve_values(lo, hi, k, above)
+    return _halve_values(lo, hi, k, lambda mid: f.witness_above(iv, mid)[0])
 
 
-def inf_usco(f: SymbolicFn, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
+def inf_usco(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     """Width-2^-k interval containing inf f over [p,q] for upper
-    semicontinuous (bounded below) functions."""
+    semicontinuous (bounded below) functions: no value below mid keeps the
+    upper half."""
     _check_precision(k)
     iv = _subinterval(p, q)
     require_rule("ExistsValueBelow", f, "inf_usco")
     lo, hi = f.range_bound()
-
-    def not_below(mid):
-        truth, _ = f.witness_below(iv, mid)
-        return FueledBool(_NEGATED.get(truth, truth), 1)
-
-    return _halve_values(lo, hi, k, not_below)
+    return _halve_values(lo, hi, k, lambda mid: f.witness_below(iv, mid)[0],
+                         keep_upper_on=Truth.NO)
 
 
 def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
@@ -106,8 +98,8 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
     lo, hi = f_rep.range_bound()
 
     def above(mid):
-        res = mu_search(Baire1Above(f_rep, iv, mid, fuel))
-        return FueledBool.yes(1) if isinstance(res, Found) else FueledBool.no(1)
+        found = isinstance(mu_search(Baire1Above(f_rep, iv, mid, fuel)), Found)
+        return Truth.YES if found else Truth.NO
 
     return _halve_values(lo, hi, k, above)
 
@@ -148,35 +140,18 @@ def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
     return FueledBool.unknown(fuel)
 
 
-class ContinuityModulus:
+def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     """G(x, m): least ball exponent at which the oscillation around x drops
     to 2^-(m+1); satisfies the strict continuity-modulus bound at continuity
     points.  Total map: points outside every small-oscillation set get 0."""
-
-    def __init__(self, f: SymbolicFn, fuel: int):
-        self.f = f
-        self.fuel = fuel
-        self._memo: dict = {}
-
-    def __call__(self, x, m: int) -> int:
-        p = Q2.of(x)
-        key = (p.a, p.b, m)
-        if key in self._memo:
-            return self._memo[key]
-        bound = Fraction(1, 1 << (m + 1))
-        result = 0
-        for n in range(self.fuel + 1):
-            w = ball_oscillation(self.f, p, n, m + 6)
-            if w.hi <= bound:
-                result = n
-                break
-        self._memo[key] = result
-        return result
-
-
-def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> ContinuityModulus:
     require_rule("OscBelow", f, "modulus_continuity_qc")
-    return ContinuityModulus(f, fuel)
+
+    def least(p, m):
+        bound = Fraction(1, 1 << (m + 1))
+        return next((n for n in range(fuel + 1)
+                     if ball_oscillation(f, p, n, m + 6).hi <= bound), 0)
+
+    return Modulus(least)
 
 
 def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
@@ -240,6 +215,23 @@ def _interior_candidates(iv: DyadicInterval, depth: int) -> list[Fraction]:
     return sorted(pts, key=lambda g: (abs(g - mid), g))
 
 
+def _next_ball(j: DyadicInterval,
+               place: Callable[[Fraction], Optional[DyadicInterval]]
+               ) -> Optional[DyadicInterval]:
+    """The first ball place(c) grants at an interior candidate c of j, over
+    twelve grid depths from the first one finer than j/4; None if none is
+    granted."""
+    depth0 = 1
+    while Fraction(1, 1 << depth0) > j.width / 4:
+        depth0 += 1
+    for depth in range(depth0, depth0 + 12):
+        for c in _interior_candidates(j, depth):
+            ball = place(c)
+            if ball is not None:
+                return ball
+    return None
+
+
 def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> Fraction:
     """A dyadic point whose oscillation is certified <= 2^-k, found by nested
     rational balls drawn from the small-oscillation open sets."""
@@ -247,56 +239,28 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(Fraction(0), Fraction(1))
     for m in range(k + 1):
-        placed = False
         bound = Fraction(1, 1 << m)
-        depth0 = 1
-        while Fraction(1, 1 << depth0) > j.width / 4:
-            depth0 += 1
-        for depth in range(depth0, depth0 + 12):
-            for c in _interior_candidates(j, depth):
-                n_size = 0
-                margin = min(c - j.lower, j.upper - c)
-                while Fraction(1, 1 << n_size) > min(j.width / 4, margin):
-                    n_size += 1
-                hit = None
-                for n in range(n_size, fuel + 1):
-                    w = ball_oscillation(f, Q2.of(c), n, m + 6)
-                    if w.hi <= bound:
-                        hit = n
-                        break
-                    if w.lo > bound and n > n_size + 24:
-                        break  # oscillation provably too large here
-                if hit is not None:
-                    r = Fraction(1, 1 << (hit + 1))
-                    j = DyadicInterval(c - r, c + r)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+
+        def place(c):
+            n_size = 0
+            margin = min(c - j.lower, j.upper - c)
+            while Fraction(1, 1 << n_size) > min(j.width / 4, margin):
+                n_size += 1
+            for n in range(n_size, fuel + 1):
+                w = ball_oscillation(f, Q2.of(c), n, m + 6)
+                if w.hi <= bound:
+                    r = Fraction(1, 1 << (n + 1))
+                    return DyadicInterval(c - r, c + r)
+                if w.lo > bound and n > n_size + 24:
+                    return None  # oscillation provably too large here
+            return None
+
+        ball = _next_ball(j, place)
+        if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
                                 "current interval", best=j, fuel=fuel)
+        j = ball
     return j.midpoint
-
-
-class UscoModulus:
-    """Radius map witnessing upper semicontinuity: all values on
-    B(x, radius(x,k)) stay below f(x) + 2^-k."""
-
-    def __init__(self, radius: Callable, label="usco-modulus"):
-        self._radius = radius
-        self.label = label
-        self._memo: dict = {}
-
-    def __call__(self, x, k: int) -> Fraction:
-        p = Q2.of(x)
-        key = (p.a, p.b, k)
-        if key not in self._memo:
-            r = Fraction(self._radius(p, k))
-            if r <= 0:
-                raise ValueError("usco modulus must return positive radii")
-            self._memo[key] = r
-        return self._memo[key]
 
 
 def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optional[int]:
@@ -309,10 +273,11 @@ def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optio
     return None
 
 
-def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> UscoModulus:
-    """The canonical modulus computed from exact ball suprema."""
-    if USCO not in f.tags:
-        raise ClassRefusal("natural_usco_modulus", USCO, f)
+def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
+    """Radius map witnessing upper semicontinuity: all values on
+    B(x, radius(x,k)) stay below f(x) + 2^-k; the canonical one, computed
+    from exact ball suprema."""
+    require_tag(f, USCO, "natural_usco_modulus")
 
     def radius(p, k):
         n = _least_ball_below(f, p, Q2.of(Fraction(1, 1 << k)) + f.eval(p), k, fuel)
@@ -320,58 +285,53 @@ def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> UscoModulus
             raise FuelExhausted("no witnessing ball found within fuel", fuel=fuel)
         return Fraction(1, 1 << n)
 
-    return UscoModulus(radius)
+    return Modulus(radius)
 
 
-def point_of_continuity_usco(f: SymbolicFn, psi: UscoModulus, k: int,
+def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
                              fuel: int = DEFAULT_FUEL) -> Fraction:
     """Nested construction through the dense open threshold sets
     O_t = {x : f(x) < t or f >= t on a whole rational ball around x}, with
     radii drawn from the usco modulus or the least-exponent ball witness.
 
     Thresholds run down the dyadic subfamily t_i = inf + (range+1) 2^-i,
-    which is cofinal for the oscillation certificate.
+    which is cofinal for the oscillation certificate.  A radius psi gives
+    that is not positive raises InvalidModulus.
     """
     _check_precision(k)
-    if USCO not in f.tags:
-        raise ClassRefusal("point_of_continuity_usco", USCO, f)
+    require_tag(f, USCO, "point_of_continuity_usco")
     rl, rh = f.range_bound()
     span = rh - rl + 1
     j = DyadicInterval(Fraction(0), Fraction(1))
     stage = 1
     while True:
         t = rl + span * Fraction(1, 1 << stage)
-        placed = False
-        depth0 = 1
-        while Fraction(1, 1 << depth0) > j.width / 4:
-            depth0 += 1
-        for depth in range(depth0, depth0 + 12):
-            for c in _interior_candidates(j, depth):
-                radius = None
-                fc = f.eval(Q2.of(c))
-                if fc < Q2.of(t):
-                    k0 = 0
-                    while not (fc + Q2.of(Fraction(1, 1 << k0)) <= Q2.of(t)):
-                        k0 += 1
-                        if k0 > fuel:
-                            break
-                    if k0 <= fuel:
-                        radius = psi(c, k0)
-                else:
-                    res = mu_search(ValueBelowOnBall(f, Q2.of(c), t, min(fuel, 24)))
-                    if isinstance(res, Found):
-                        radius = Fraction(1, 1 << res.witness.value)
-                if radius is not None:
-                    margin = min(c - j.lower, j.upper - c)
-                    s = min(radius, j.width / 4, margin) / 2
-                    j = DyadicInterval(c - s, c + s)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+
+        def place(c):
+            fc = f.eval(Q2.of(c))
+            if fc < Q2.of(t):
+                k0 = 0
+                while not (fc + Q2.of(Fraction(1, 1 << k0)) <= Q2.of(t)):
+                    k0 += 1
+                    if k0 > fuel:
+                        return None
+                radius = psi(c, k0)
+                if radius <= 0:
+                    raise InvalidModulus("usco modulus gave the radius %s at %s"
+                                         % (radius, c))
+            else:
+                res = mu_search(ValueBelowOnBall(f, Q2.of(c), t, min(fuel, 24)))
+                if not isinstance(res, Found):
+                    return None
+                radius = Fraction(1, 1 << res.witness.value)
+            s = min(radius, j.width / 4, c - j.lower, j.upper - c) / 2
+            return DyadicInterval(c - s, c + s)
+
+        ball = _next_ball(j, place)
+        if ball is None:
             raise FuelExhausted("no threshold-set ball found inside the current "
                                 "interval", best=j, fuel=fuel)
+        j = ball
         if span * Fraction(1, 1 << stage) <= Fraction(1, 1 << (k + 1)):
             out = j.midpoint
             cert = osc_exact(f, Q2.of(out), k + 1)
@@ -383,26 +343,18 @@ def point_of_continuity_usco(f: SymbolicFn, psi: UscoModulus, k: int,
                                 best=j, fuel=fuel)
 
 
-class LscoOnCfModulus:
+def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     """G0(x, k): least ball exponent with the ball supremum strictly below
     f(x) + 2^-(k+1); a semicontinuity modulus whenever x is a continuity
     point.  Total: falls back to the fuel bound."""
+    require_tag(f, USCO, "lsco_modulus_on_cf")
 
-    def __init__(self, f: SymbolicFn, fuel: int):
-        self.f = f
-        self.fuel = fuel
+    def least(p, k):
+        cap = f.eval(p) + Q2.of(Fraction(1, 1 << (k + 1)))
+        n = _least_ball_below(f, p, cap, k, fuel)
+        return fuel if n is None else n
 
-    def __call__(self, x, k: int) -> int:
-        p = Q2.of(x)
-        cap = self.f.eval(p) + Q2.of(Fraction(1, 1 << (k + 1)))
-        n = _least_ball_below(self.f, p, cap, k, self.fuel)
-        return self.fuel if n is None else n
-
-
-def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> LscoOnCfModulus:
-    if USCO not in f.tags:
-        raise ClassRefusal("lsco_modulus_on_cf", USCO, f)
-    return LscoOnCfModulus(f, fuel)
+    return Modulus(least)
 
 
 # ---------------------------------------------------------------------------

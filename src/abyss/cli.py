@@ -39,13 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_fuel() -> int:
+    """ABYSS_FUEL, read by the --fuel rule, or 64 when it is unset or empty."""
     env = os.environ.get("ABYSS_FUEL")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 64
+    if not env:
+        return 64
+    try:
+        return parse_fuel(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError("ABYSS_FUEL must be an integer >= 0, got %r" % env) from None
 
 
 def parse_fuel(text: str) -> int:
@@ -211,7 +212,6 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> dict:
-    fuel = default_fuel() if getattr(args, "fuel", None) is None else args.fuel
     cmd = args.command
 
     if cmd == "selftest":
@@ -221,6 +221,13 @@ def _run(args) -> dict:
         depths = sorted({8, 16, min(args.depth, 24), args.depth})
         rep = red.demo_abyss(sqrt2_family(), depths=tuple(depths))
         return {"demo": rep.to_jsonable()}
+
+    if cmd == "separator":
+        sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
+        return {"separator": sep.to_jsonable()}
+
+    # the subcommands above take no fuel, so a bad ABYSS_FUEL cannot stop them
+    fuel = default_fuel() if args.fuel is None else args.fuel
 
     if cmd == "realiser":
         A = sqrt2_family()
@@ -248,10 +255,6 @@ def _run(args) -> dict:
                       for c, r in code.prefix],
             "prefix_of_infinite": code.prefix_of_infinite}}
 
-    if cmd == "separator":
-        sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
-        return {"separator": sep.to_jsonable()}
-
     f = parse_fn(args.fn)
 
     if cmd == "eval":
@@ -266,12 +269,12 @@ def _run(args) -> dict:
         if isinstance(f, Baire1Limit):
             iv = alg.sup_baire1(f, p, q, args.k, fuel=fuel)
         else:
-            iv = alg.sup_qc(f, p, q, args.k, fuel=fuel)
+            iv = alg.sup_qc(f, p, q, args.k)
         return {"interval": ser.interval_json(iv)}
 
     if cmd == "inf":
         p, q = Fraction(args.interval[0]), Fraction(args.interval[1])
-        return {"interval": ser.interval_json(alg.inf_usco(f, p, q, args.k, fuel=fuel))}
+        return {"interval": ser.interval_json(alg.inf_usco(f, p, q, args.k))}
 
     if cmd == "osc":
         iv = alg.osc_point(f, parse_point(args.x), args.k, fuel=fuel)
@@ -323,20 +326,20 @@ def _run(args) -> dict:
                           "count": len(balls)}}
 
     if cmd == "limits":
-        lr = var.limits_lr(f, parse_point(args.x), args.k, fuel=fuel)
+        lr = var.limits_lr(f, parse_point(args.x), args.k)
         return {"left": None if lr.left is None else ser.interval_json(lr.left),
                 "right": None if lr.right is None else ser.interval_json(lr.right)}
 
     if cmd == "jumps":
-        pts = var.jump_enum(f, limit=args.limit, fuel=fuel)
+        pts = var.jump_enum(f, limit=args.limit)
         return {"jumps": [ser.q2_json(p) for p in pts]}
 
     if cmd == "variation":
-        iv = var.total_variation_nbv(f, parse_point(args.x), args.k, fuel=fuel)
+        iv = var.total_variation_nbv(f, parse_point(args.x), args.k)
         return {"interval": ser.interval_json(iv)}
 
     if cmd == "jordan":
-        jp = var.jordan_nbv(f, fuel=fuel)
+        jp = var.jordan_nbv(f)
         rows = []
         for g in rational_grid(DyadicInterval(0, 1), args.depth):
             rows.append({"x": ser.rat_json(g),

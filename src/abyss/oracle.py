@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
-from .exact import Bracket, DyadicInterval, FueledBool, Truth
+from .exact import Bracket, DyadicInterval, FueledBool, Q2, Truth
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
                        USCO, Baire1Limit, SymbolicFn, probe_points)
 
@@ -219,6 +219,27 @@ def require_rule(shape: str, f: SymbolicFn, operation: str) -> CollapseRule:
     return rule
 
 
+def require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
+    if tag not in f.tags:
+        raise ClassRefusal(operation, tag, f, statement=statement)
+
+
+class Modulus:
+    """A modulus (x, k) -> least exponent or radius, computed by fn(p, k) at
+    the exact point p = Q2.of(x) and memoised on (p, k)."""
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._memo: dict = {}
+
+    def __call__(self, x, k: int):
+        p = Q2.of(x)
+        key = (p.a, p.b, k)
+        if key not in self._memo:
+            self._memo[key] = self._fn(p, k)
+        return self._memo[key]
+
+
 # --- probe bases ------------------------------------------------------------
 
 
@@ -275,7 +296,6 @@ def exists_value_below(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
 
 
 def _ball_clipped(x, exponent: int) -> DyadicInterval:
-    from .exact import Q2
     p = Q2.of(x)
     if p.is_rational:
         c = p.as_rational()

@@ -17,10 +17,10 @@ from typing import Callable, Optional
 
 from .errors import InvalidModulus, OracleInconsistency
 from .exact import DyadicInterval, Q2, rational_grid
-from .oracle import DEFAULT_FUEL, _ball_clipped
+from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
-from .variation import RegulationModulus, modulus_regulation
+from .variation import modulus_regulation
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def _spot_check_cliq(f: Penny, a_set: CountableSet, c: Fraction, d: Fraction, k:
                 % (c, d, i, Fraction(1, 1 << (i + 1)), k))
 
 
-def realiser_from_regulation_modulus(modulus: RegulationModulus,
+def realiser_from_regulation_modulus(modulus: Modulus,
                                      a_set: CountableSet, k: int,
                                      fuel: int = 16) -> Fraction:
     """Regulation radii turn the cofinite-spike sets into represented dense
@@ -374,7 +374,7 @@ def _spot_check_regulation(modulus, f: Penny, a_set: CountableSet):
                         "spike %s" % (p, i, Fraction(1, 1 << (i + 1))))
 
 
-def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> RegulationModulus:
+def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> Modulus:
     return modulus_regulation(Penny(a_set), fuel)
 
 

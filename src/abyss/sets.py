@@ -101,15 +101,22 @@ def sqrt2_family() -> CountableSet:
                         all_irrational=True)
 
 
+def _unit_points(points) -> list[Q2]:
+    """The points as Q2, refusing any outside [0,1]."""
+    pts = [Q2.of(p) for p in points]
+    for p in pts:
+        if p < 0 or p > 1:
+            raise ValueError("point %s outside [0,1]" % (p,))
+    return pts
+
+
 def finite_set(points, surjective=False, name="finite") -> CountableSet:
     """A finite countable set from explicit points; rejects duplicates and
     points outside [0,1]."""
-    pts = [Q2.of(p) for p in points]
+    pts = _unit_points(points)
     if not pts:
         raise ValueError("countable set must be nonempty")
     for i, p in enumerate(pts):
-        if p < 0 or p > 1:
-            raise ValueError("point %s outside [0,1]" % (p,))
         for q in pts[i + 1:]:
             if p == q:
                 raise ValueError("duplicate point %s (index map must be injective)" % (p,))
@@ -264,8 +271,7 @@ class FinitePointSet:
 
     @staticmethod
     def of(points) -> "FinitePointSet":
-        pts = tuple(Q2.of(p) for p in points)
-        return FinitePointSet(pts)
+        return FinitePointSet(tuple(_unit_points(points)))
 
     def contains(self, x) -> bool:
         p = Q2.of(x)

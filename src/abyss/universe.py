@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
-from .exact import (Bracket, DyadicInterval, Q2, least_denominator_in,
+from .exact import (Bracket, DyadicInterval, Q2, Truth, least_denominator_in,
                     rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
@@ -152,6 +152,13 @@ class SymbolicFn:
     def one_sided_limit(self, x, side: int, k: int) -> Optional[Bracket]:
         """Bracket of f(x+) (side=+1) or f(x-) (side=-1); None when the point
         has no approach from that side within [0,1] or no limit exists."""
+        p = Q2.of(x)
+        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
+            return None
+        return self._one_sided_limit(p, side, k)
+
+    def _one_sided_limit(self, p: Q2, side: int, k: int) -> Optional[Bracket]:
+        """`one_sided_limit` at a point of [0,1] approached from that side."""
         raise UnsupportedVariant("%s has no one-sided limit data" % self.kind)
 
     def cluster_bounds(self, x, k: int) -> tuple[Bracket, Bracket]:
@@ -199,7 +206,6 @@ class SymbolicFn:
         return self._witness_via_range(iv, y, rationals_only, above=False)
 
     def _witness_via_range(self, iv, y, rationals_only, above):
-        from .exact import Truth
         y = Fraction(y)
         prec = max(8, y.denominator.bit_length() + 4)
         # retry finer once: a quadratic-irrational extremum sits at distance
@@ -404,10 +410,7 @@ class PiecewiseRational(SymbolicFn):
                     out.append(p)
         return out
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         where, i = self._locate(p)
         if where == "cut":
             left, right = self._limits_at_cut(i)
@@ -547,7 +550,6 @@ class Thomae(SymbolicFn):
         return inf_b, sup_b
 
     def witness_above(self, iv, y, rationals_only=False):
-        from .exact import Truth
         iv = _clip_unit(iv)
         y = Fraction(y)
         if y < 0:
@@ -567,7 +569,6 @@ class Thomae(SymbolicFn):
         return Truth.NO, None  # all spikes above y were enumerated
 
     def witness_below(self, iv, y, rationals_only=False):
-        from .exact import Truth
         iv = _clip_unit(iv)
         y = Fraction(y)
         if y <= 0:
@@ -606,10 +607,7 @@ class Thomae(SymbolicFn):
                 return max(_ends_max(self, iv), step)
         return _ends_max(self, iv)
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         return Bracket.point(0)
 
     def to_jsonable(self):
@@ -715,7 +713,6 @@ class Penny(_SpikeFamily):
         return Bracket.point(0), self._sup_on(iv, k, rationals_only)
 
     def witness_above(self, iv, y, rationals_only=False):
-        from .exact import Truth
         iv = _clip_unit(iv)
         y = Fraction(y)
         if y < 0:
@@ -737,7 +734,6 @@ class Penny(_SpikeFamily):
         return Truth.UNKNOWN, None
 
     def witness_below(self, iv, y, rationals_only=False):
-        from .exact import Truth
         iv = _clip_unit(iv)
         y = Fraction(y)
         if y <= 0:
@@ -754,10 +750,7 @@ class Penny(_SpikeFamily):
                     return Truth.YES, p
             d += 1
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         return Bracket.point(0)
 
 
@@ -837,10 +830,7 @@ class CoverPsi(_SpikeFamily):
             inf_b = Bracket(Fraction(0), min([self.BASE] + vals))
         return inf_b, sup_b
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         if p == 0 and side > 0 and self.a_set.size is None:
             return None  # values oscillate between 1/8 and the vanishing spikes
         return Bracket.point(self.BASE)
@@ -934,10 +924,7 @@ class CoverPsiUsco(_SpikeFamily):
             inf_b = Bracket.point(min(vals))
         return inf_b, sup_b
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         if p == 0:
             return Bracket.point(0)
         if p == 1:
@@ -996,10 +983,7 @@ class Indicator(SymbolicFn):
     def special_points(self, iv, depth):
         return [Q2.of(e) for a, b in self.components for e in (a, b) if iv.contains(e)]
 
-    def one_sided_limit(self, x, side, k):
-        p = Q2.of(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
-            return None
+    def _one_sided_limit(self, p, side, k):
         if side > 0:
             inside = any(a <= p and p < b for a, b in self.components)
         else:
@@ -1231,9 +1215,9 @@ class Sum(SymbolicFn):
     def special_points(self, iv, depth):
         return self.f.special_points(iv, depth) + self.g.special_points(iv, depth)
 
-    def one_sided_limit(self, x, side, k):
-        a = self.f.one_sided_limit(x, side, k + 1)
-        b = self.g.one_sided_limit(x, side, k + 1)
+    def _one_sided_limit(self, p, side, k):
+        a = self.f.one_sided_limit(p, side, k + 1)
+        b = self.g.one_sided_limit(p, side, k + 1)
         if a is None or b is None:
             return None
         return a + b
@@ -1305,9 +1289,9 @@ class ScalarMultiple(SymbolicFn):
     def special_points(self, iv, depth):
         return self.f.special_points(iv, depth)
 
-    def one_sided_limit(self, x, side, k):
+    def _one_sided_limit(self, p, side, k):
         extra = max(0, self.c.numerator.bit_length() - self.c.denominator.bit_length() + 1)
-        b = self.f.one_sided_limit(x, side, k + extra)
+        b = self.f.one_sided_limit(p, side, k + extra)
         return None if b is None else b.scale(self.c)
 
     def jump_candidates(self, limit):
@@ -1361,8 +1345,8 @@ class RestrictedView(SymbolicFn):
     def special_points(self, iv, depth):
         return self.f.special_points(iv, depth)
 
-    def one_sided_limit(self, x, side, k):
-        return self.f.one_sided_limit(x, side, k)
+    def _one_sided_limit(self, p, side, k):
+        return self.f.one_sided_limit(p, side, k)
 
     def cluster_bounds(self, x, k):
         return self.f.cluster_bounds(x, k)

@@ -15,14 +15,9 @@ from typing import Callable, Optional
 
 from .errors import ClassRefusal, FuelExhausted
 from .exact import Bracket, DyadicInterval, Q2
-from .oracle import DEFAULT_FUEL
+from .oracle import DEFAULT_FUEL, Modulus, require_tag
 from .universe import (NORMALISED_BV, REGULATED, PiecewiseRational,
                        SymbolicFn)
-
-
-def _require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
-    if tag not in f.tags:
-        raise ClassRefusal(operation, tag, f, statement=statement)
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +33,8 @@ class OneSidedLimits:
     right: Optional[DyadicInterval]
 
 
-def limits_lr(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> OneSidedLimits:
-    _require_tag(f, REGULATED, "limits_lr")
+def limits_lr(f: SymbolicFn, x, k: int) -> OneSidedLimits:
+    require_tag(f, REGULATED, "limits_lr")
     p = Q2.of(x)
     out = []
     for side in (-1, 1):
@@ -48,11 +43,11 @@ def limits_lr(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> OneSidedLim
     return OneSidedLimits(out[0], out[1])
 
 
-def jump_enum(f: SymbolicFn, limit: int = 64, fuel: int = DEFAULT_FUEL) -> list[Q2]:
+def jump_enum(f: SymbolicFn, limit: int = 64) -> list[Q2]:
     """Duplicate-free list of the points where the one-sided limits differ,
     drawn from the function's own candidate structure (complete on the
     universe: every jump of a built-in family sits at a carried point)."""
-    _require_tag(f, REGULATED, "jump_enum")
+    require_tag(f, REGULATED, "jump_enum")
     jumps = []
     for c in f.jump_candidates(limit):
         left = f.one_sided_limit(c, -1, 40)
@@ -63,7 +58,7 @@ def jump_enum(f: SymbolicFn, limit: int = 64, fuel: int = DEFAULT_FUEL) -> list[
         if gap.lo > 0 or gap.hi < 0:
             jumps.append(c)
         elif not (gap.exact and gap.lo == 0):
-            raise FuelExhausted("one-sided limits too close to separate", fuel=fuel)
+            raise FuelExhausted("one-sided limits too close to separate")
     return jumps
 
 
@@ -96,10 +91,9 @@ def _variation_exact(f: PiecewiseRational, bound: Q2) -> Q2:
     return total
 
 
-def total_variation_nbv(f: SymbolicFn, x, k: int,
-                        fuel: int = DEFAULT_FUEL) -> DyadicInterval:
+def total_variation_nbv(f: SymbolicFn, x, k: int) -> DyadicInterval:
     """Width-2^-k interval containing the total variation of f on [0, x]."""
-    _require_tag(f, NORMALISED_BV, "total_variation_nbv", statement=_NBV_REFUSAL)
+    require_tag(f, NORMALISED_BV, "total_variation_nbv", statement=_NBV_REFUSAL)
     if not isinstance(f, PiecewiseRational):
         raise ClassRefusal("total_variation_nbv",
                            "a piecewise representation with carried breakpoints",
@@ -124,8 +118,8 @@ class JordanPair:
         return self.g(x) - self.h(x) == f.eval(x)
 
 
-def jordan_nbv(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> JordanPair:
-    _require_tag(f, NORMALISED_BV, "jordan_nbv", statement=_NBV_REFUSAL)
+def jordan_nbv(f: SymbolicFn) -> JordanPair:
+    require_tag(f, NORMALISED_BV, "jordan_nbv", statement=_NBV_REFUSAL)
     if not isinstance(f, PiecewiseRational):
         raise ClassRefusal("jordan_nbv",
                            "a piecewise representation with carried breakpoints",
@@ -146,74 +140,43 @@ def jordan_nbv(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> JordanPair:
 # ---------------------------------------------------------------------------
 
 
-class RegulationModulus:
+def _regulated_within(f: SymbolicFn, p: Q2, m: int, tol: Fraction, k: int) -> bool:
+    r = Fraction(1, 1 << (m + 1))
+    for side in (-1, 1):
+        lim = f.one_sided_limit(p, side, k + 6)
+        if lim is None:
+            continue
+        lo_pt, hi_pt = p.bracket(m + k + 8)
+        if side > 0:
+            lo, hi = hi_pt, min(Fraction(1), lo_pt + r)
+        else:
+            lo, hi = max(Fraction(0), hi_pt - r), lo_pt
+        if lo >= hi:
+            continue
+        if p.is_rational:
+            # the window ends at p; leave p itself out unless that empties it
+            eps = Fraction(1, 1 << (k + 24))
+            if side > 0 and lo + eps < hi:
+                lo += eps
+            elif side < 0 and lo < hi - eps:
+                hi -= eps
+        inf_b, sup_b = f.range_on(DyadicInterval(lo, hi), k + 6)
+        if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
+            return False
+    return True
+
+
+def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     """M(x, k): on (x, x + 2^-(M+1)) values stay within 2^-k of f(x+), and
     symmetrically on the left; the convergence modulus of both one-sided
     limits."""
+    require_tag(f, REGULATED, "modulus_regulation")
 
-    def __init__(self, f: SymbolicFn, fuel: int):
-        self.f = f
-        self.fuel = fuel
-        self._memo: dict = {}
-
-    def __call__(self, x, k: int) -> int:
-        p = Q2.of(x)
-        key = (p.a, p.b, k)
-        if key in self._memo:
-            return self._memo[key]
+    def least(p, k):
         tol = Fraction(1, 1 << k)
-        for m in range(self.fuel + 1):
-            if self._ok(p, m, tol, k):
-                self._memo[key] = m
+        for m in range(fuel + 1):
+            if _regulated_within(f, p, m, tol, k):
                 return m
-        raise FuelExhausted("no regulation exponent found within fuel",
-                            fuel=self.fuel)
+        raise FuelExhausted("no regulation exponent found within fuel", fuel=fuel)
 
-    def _ok(self, p: Q2, m: int, tol: Fraction, k: int) -> bool:
-        r = Fraction(1, 1 << (m + 1))
-        for side in (-1, 1):
-            lim = self.f.one_sided_limit(p, side, k + 6)
-            if lim is None:
-                continue
-            lo_pt, hi_pt = p.bracket(m + k + 8)
-            if side > 0:
-                lo, hi = hi_pt, min(Fraction(1), lo_pt + r)
-            else:
-                lo, hi = max(Fraction(0), hi_pt - r), lo_pt
-            if lo >= hi:
-                continue
-            iv = DyadicInterval(lo, hi)
-            inf_b, sup_b = self.f.range_on(iv, k + 6)
-            if p.is_rational and iv.contains(p):
-                # one-sided window must not include the point itself
-                inf_b2, sup_b2 = self._punctured_range(iv, p, k)
-                inf_b, sup_b = inf_b2, sup_b2
-            if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
-                return False
-        return True
-
-    def _punctured_range(self, iv, p, k):
-        eps = Fraction(1, 1 << (k + 24))
-        q = p.as_rational()
-        parts = []
-        if iv.lower < q - eps:
-            parts.append(DyadicInterval(iv.lower, q - eps))
-        if q + eps < iv.upper:
-            parts.append(DyadicInterval(q + eps, iv.upper))
-        if not parts:
-            parts = [iv]
-        infs, sups = [], []
-        for part in parts:
-            i_b, s_b = self.f.range_on(part, k + 6)
-            infs.append(i_b)
-            sups.append(s_b)
-        inf_b, sup_b = infs[0], sups[0]
-        for i_b, s_b in zip(infs[1:], sups[1:]):
-            inf_b = inf_b.join_min(i_b)
-            sup_b = sup_b.join_max(s_b)
-        return inf_b, sup_b
-
-
-def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> RegulationModulus:
-    _require_tag(f, REGULATED, "modulus_regulation")
-    return RegulationModulus(f, fuel)
+    return Modulus(least)

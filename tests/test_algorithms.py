@@ -8,13 +8,14 @@ import pytest
 
 from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
-                   FuelExhausted, Indicator, Penny, PennyK, Q2, R2Rep,
+                   FuelExhausted, Indicator, InvalidModulus, Penny, PennyK, Q2, R2Rep,
                    RepresentationInsufficient, Truth, ball, build_cover_psi,
                    constant,
                    cousin_subcover, fn_difference, fn_sum, indicator_baire1,
                    inf_usco, is_continuous_at, linear, mu_search,
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
-                   natural_usco_modulus, osc_point, pennyk_limit,
+                   modulus_regulation, natural_usco_modulus, osc_point,
+                   pennyk_limit,
                    point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, restrict_tags, rm_code_from_r2_baire1,
                    sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
@@ -250,6 +251,15 @@ def test_point_of_continuity_usco():
     assert point_of_continuity_usco(c, natural_usco_modulus(c), 6) == F(1, 2)
 
 
+@pytest.mark.parametrize("radius", [F(0), F(-1)])
+def test_point_of_continuity_usco_refuses_nonpositive_radius(radius, deadline):
+    # a zero radius makes the nested interval degenerate, so the candidate
+    # search cannot end; a negative one inverts the interval's endpoints
+    deadline(5)
+    with pytest.raises(InvalidModulus):
+        point_of_continuity_usco(Penny(sqrt2_family()), lambda x, k: radius, 6)
+
+
 def test_usco_modulus_defining_bound():
     f = Penny(A)
     psi = natural_usco_modulus(f)
@@ -278,6 +288,77 @@ def test_lsco_modulus_on_cf():
     assert lsco_modulus_on_cf(constant(F(1, 3)))(F(1, 2), 5) == 0
     # total at a member too, no guarantee asserted there
     assert isinstance(g0(S2(0), 3), int)
+
+
+_PIN_FAMILIES = {
+    "thomae": thomae,
+    "penny": lambda: Penny(sqrt2_family()),
+    "staircase": lambda: staircase([(F(1, 3), 1), (F(2, 3), F(1, 2))]),
+    "indicator": lambda: Indicator(FinitePointSet.of([F(1, 2)])),
+}
+_PIN_PROBES = (F(1, 3), F(1, 2), S2(0), F(0), F(1))
+_PIN_MODULI = {"continuity": modulus_continuity_qc, "usco": natural_usco_modulus,
+               "lsco-on-cf": lsco_modulus_on_cf, "regulation": modulus_regulation}
+# per family and modulus, one row per probe (1/3, 1/2, member 0, 0, 1) of the
+# values at k = 2, 4, 6; usco radii are listed as n for the radius 2^-n
+_PINNED_MODULI = {
+    "thomae": {
+        "continuity": [[0, 0, 0], [0, 0, 0], [8, 10, 15], [0, 0, 0], [0, 0, 0]],
+        "usco": [[2, 3, 3], [2, 2, 2], [5, 8, 13], [0, 0, 0], [0, 0, 0]],
+        "lsco-on-cf": [[3, 3, 3], [2, 2, 2], [8, 10, 15], [0, 0, 0], [0, 0, 0]],
+        "regulation": [[3, 5, 7], [2, 4, 6], [4, 7, 12], [2, 4, 6], [2, 4, 6]],
+    },
+    "penny": {
+        "continuity": [[6, 6, 6], [3, 3, 3], [0, 0, 0], [2, 4, 6], [2, 2, 2]],
+        "usco": [[6, 6, 6], [3, 3, 3], [0, 0, 0], [2, 4, 6], [2, 2, 2]],
+        "lsco-on-cf": [[6, 6, 6], [3, 3, 3], [0, 0, 0], [3, 5, 7], [2, 2, 2]],
+        "regulation": [[5, 5, 5], [2, 2, 2], [1, 1, 1], [1, 3, 5], [1, 1, 1]],
+    },
+    "staircase": {
+        "continuity": [[0, 0, 0], [3, 3, 3], [5, 5, 5], [2, 2, 2], [2, 2, 2]],
+        "regulation": [[1, 1, 1], [2, 2, 2], [4, 4, 4], [1, 1, 1], [1, 1, 1]],
+    },
+    "indicator": {
+        "continuity": [[3, 3, 3], [0, 0, 0], [3, 3, 3], [2, 2, 2], [2, 2, 2]],
+        "usco": [[3, 3, 3], [0, 0, 0], [3, 3, 3], [2, 2, 2], [2, 2, 2]],
+        "lsco-on-cf": [[3, 3, 3], [0, 0, 0], [3, 3, 3], [2, 2, 2], [2, 2, 2]],
+        "regulation": [[2, 2, 2], [0, 0, 0], [2, 2, 2], [1, 1, 1], [1, 1, 1]],
+    },
+}
+# (point_of_continuity_qc, point_of_continuity_usco) at k = 2, 4, 6
+_PINNED_POINTS = {
+    "thomae": ([F(31, 64)] * 3, [F(7, 16), F(895, 2048), F(895, 2048)]),
+    "penny": ([F(1, 2)] * 3, [F(1, 2)] * 3),
+    "staircase": ([F(1, 2)] * 3, None),
+    "indicator": ([F(7, 16)] * 3, [F(1, 4)] * 3),
+}
+
+
+def test_moduli_and_continuity_points_pinned():
+    """Every modulus factory, both continuity-point constructions, and the
+    memo (each modulus is asked twice) against values recorded before the
+    moduli shared one class; a family a factory refuses is left out."""
+    for name, make in _PIN_FAMILIES.items():
+        for kind, factory in _PIN_MODULI.items():
+            want = _PINNED_MODULI[name].get(kind)
+            if want is None:
+                with pytest.raises(ClassRefusal):
+                    factory(make())
+                continue
+            M = factory(make())
+            for x, row in zip(_PIN_PROBES, want):
+                for k, v in zip((2, 4, 6), row):
+                    expect = F(1, 1 << v) if kind == "usco" else v
+                    assert M(x, k) == expect and M(x, k) == expect, (name, kind, x, k)
+        qc, usco = _PINNED_POINTS[name]
+        for i, k in enumerate((2, 4, 6)):
+            assert point_of_continuity_qc(make(), k) == qc[i], (name, k)
+            f = make()
+            if usco is None:
+                with pytest.raises(ClassRefusal):
+                    point_of_continuity_usco(f, lambda x, k: F(1), k)
+            else:
+                assert point_of_continuity_usco(f, natural_usco_modulus(f), k) == usco[i]
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,26 @@ def test_fuel_zero_is_honoured_and_negative_fuel_refused():
         assert "--fuel" in r.stderr
 
 
+def test_env_fuel_follows_the_fuel_rule(monkeypatch, capsys):
+    from abyss import cli
+    argv = ["continuity", "--fn", "penny", "--x", "member:0"]
+    monkeypatch.setenv("ABYSS_FUEL", "0")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["fuel_spent"] == 0
+    for bad in ("-3", "abc", "2.5"):
+        monkeypatch.setenv("ABYSS_FUEL", bad)
+        assert cli.main(argv) == 1, bad
+        out, err = capsys.readouterr()
+        assert out == "" and "ABYSS_FUEL" in err, bad
+    assert cli.main(["separator", "--c0", "points:0", "--c1", "points:1"]) == 0
+
+
+def test_points_outside_the_unit_interval_are_usage_errors():
+    r = run("separator", "--c0", "points:2", "--c1", "points:1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert "outside [0,1]" in r.stderr
+
+
 def test_golden_digests_in_process(monkeypatch, capsys):
     """The benchmark's recorded CLI outputs, reproduced through cli.main in
     this process: each stdout digest and exit code, and the selftest hash."""

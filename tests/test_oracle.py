@@ -1,6 +1,8 @@
 """Oracle simulation: collapse-rule table, least-witness search, soundness of
 the rational collapse against exhaustive symbolic evaluation, refusals."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -203,3 +205,23 @@ def test_mu_exists_stops_once_the_basis_stops_growing(deadline):
     assert grid_depth_cap(iv) == 13
     with pytest.raises(FuelExhausted):
         mu_search(ExistsValueAbove(f, iv, F(1, 8) - F(1, 1 << 30)))
+
+
+def test_every_fuel_parameter_is_read():
+    """A public function of the search modules that takes `fuel` reads it in
+    its body (nested functions included): a budget that bounds nothing is
+    deleted, not carried."""
+    from abyss import algorithms, oracle, reductions, variation
+    unread = []
+    for mod in (algorithms, variation, reductions, oracle):
+        for node in ast.parse(inspect.getsource(mod)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "fuel" not in [a.arg for a in args]:
+                continue
+            if not any(isinstance(n, ast.Name) and n.id == "fuel"
+                       and isinstance(n.ctx, ast.Load)
+                       for stmt in node.body for n in ast.walk(stmt)):
+                unread.append("%s.%s" % (mod.__name__, node.name))
+    assert unread == []

@@ -583,6 +583,16 @@ def test_piecewise_irrational_breakpoint():
     assert inf_b.lo == 0 and sup_b.hi == 1
 
 
+def test_finite_point_set_rejects_points_outside_unit_interval():
+    for points in ([F(2)], [F(1, 2), F(-1, 3)], [S2(0) + Q2.of(1)]):
+        with pytest.raises(ValueError) as fin:
+            FinitePointSet.of(points)
+        with pytest.raises(ValueError) as ref:
+            finite_set(points)
+        assert str(fin.value) == str(ref.value)
+    assert FinitePointSet.of([F(0), F(1), S2(0)]).contains(F(1))
+
+
 def test_indicator_variants():
     c = ComplementOfR2Open(R2Rep.from_intervals([(F(-1, 8), F(3, 4))]))
     ind = Indicator(c)

@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from abyss import (ClassRefusal, DyadicInterval, Penny, Q2, TildePenny,
-                   build_cover_psi, fn_sum, jordan_nbv,
+                   UnsupportedVariant, build_cover_psi, fn_sum, jordan_nbv,
                    jump_enum, limits_lr, linear, modulus_regulation,
-                   rational_grid, sqrt2_family, staircase, thomae,
-                   total_variation_nbv)
+                   pennyk_limit, rational_grid, sqrt2_family, staircase,
+                   thomae, total_variation_nbv)
 
 from conftest import probe_basis, random_staircase_plus_linear
 
@@ -37,6 +37,18 @@ def test_limits_identity():
 def test_limits_flag_at_zero():
     lr = limits_lr(linear(1), F(0), 8)
     assert lr.left is None and lr.right is not None
+
+
+def test_limits_of_a_limit_representation_at_the_edges():
+    # the side outside [0,1] is None for every family; the inside side of a
+    # pointwise limit has no limit data, so limits and cluster bounds refuse
+    f = pennyk_limit(A)
+    assert f.one_sided_limit(F(0), -1, 6) is None
+    assert f.one_sided_limit(F(1), 1, 6) is None
+    for run in (lambda: f.one_sided_limit(F(0), 1, 6), lambda: limits_lr(f, F(0), 6),
+                lambda: limits_lr(f, F(1), 6), lambda: f.cluster_bounds(F(1), 6)):
+        with pytest.raises(UnsupportedVariant):
+            run()
 
 
 def test_limits_refused_without_tag():
