@@ -254,8 +254,8 @@ def grid_depth_cap(iv: DyadicInterval) -> int:
     return 12 + extra
 
 
-def basis_at(f: SymbolicFn, iv: DyadicInterval, depth: int, rationals_only=False):
-    return probe_points(f, iv, min(depth, grid_depth_cap(iv)), rationals_only)
+def basis_at(f: SymbolicFn, iv: DyadicInterval, depth: int):
+    return probe_points(f, iv, min(depth, grid_depth_cap(iv)))
 
 
 class QueryTrace:
@@ -273,23 +273,17 @@ class QueryTrace:
 # --- exact threshold queries (the workhorses) --------------------------------
 
 
-def exists_value_above(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
-                       operation="exists_value_above", trace=None) -> FueledBool:
-    require_rule("ExistsValueAbove", f, operation)
-    truth, _ = f.witness_above(iv, Fraction(y), rationals_only)
-    if trace is not None:
-        trace.record("ExistsValueAbove", fuel, 0, truth.value)
-    if truth is Truth.UNKNOWN:
-        return FueledBool.unknown(fuel)
-    return FueledBool(truth, 1)
+def exists_value_above(f, iv, y, fuel=DEFAULT_FUEL) -> FueledBool:
+    require_rule("ExistsValueAbove", f, "exists_value_above")
+    return _fueled(f.witness_above(iv, y)[0], fuel)
 
 
-def exists_value_below(f, iv, y, fuel=DEFAULT_FUEL, rationals_only=False,
-                       operation="exists_value_below", trace=None) -> FueledBool:
-    require_rule("ExistsValueBelow", f, operation)
-    truth, _ = f.witness_below(iv, Fraction(y), rationals_only)
-    if trace is not None:
-        trace.record("ExistsValueBelow", fuel, 0, truth.value)
+def exists_value_below(f, iv, y, fuel=DEFAULT_FUEL) -> FueledBool:
+    require_rule("ExistsValueBelow", f, "exists_value_below")
+    return _fueled(f.witness_below(iv, y)[0], fuel)
+
+
+def _fueled(truth: Truth, fuel: int) -> FueledBool:
     if truth is Truth.UNKNOWN:
         return FueledBool.unknown(fuel)
     return FueledBool(truth, 1)
@@ -307,11 +301,10 @@ def _ball_clipped(x, exponent: int) -> DyadicInterval:
     return DyadicInterval(lo, hi)
 
 
-def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int,
-                     rationals_only=False) -> Bracket:
+def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:
     """Bracket of sup - inf of f over the (clipped) ball around x."""
     iv = _ball_clipped(x, exponent)
-    inf_b, sup_b = f.range_on(iv, k + 2, rationals_only)
+    inf_b, sup_b = f.range_on(iv, k + 2)
     return sup_b - inf_b
 
 

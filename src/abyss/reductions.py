@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .algorithms import _interior_candidates
 from .errors import InvalidModulus, OracleInconsistency
 from .exact import DyadicInterval, Q2, rational_grid
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
@@ -325,26 +326,18 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     levels = max(k + 2, fuel + 1)
     for j in range(levels):
         width = hi - lo
-        placed = False
         depth = 2
         while Fraction(1, 1 << depth) > width / 8:
             depth += 1
-        iv = DyadicInterval(lo, hi)
-        mid = iv.midpoint
-        for g in sorted(rational_grid(iv, depth), key=lambda g: (abs(g - mid), g)):
-            if g - lo < width / 8 or hi - g < width / 8:
-                continue
+        for g in _interior_candidates(DyadicInterval(lo, hi), depth):
             v = f.eval(Q2.of(g))
-            if not (v.is_rational and v.as_rational() < Fraction(1, 1 << j)):
-                continue
-            m = modulus(Q2.of(g), j + 2)
-            r = Fraction(1, 1 << (m + 1))
-            s = min(r, width / 8)
-            lo, hi = g - s / 2, g + s / 2
-            intervals.append(DyadicInterval(lo, hi))
-            placed = True
-            break
-        if not placed:
+            if v.is_rational and v.as_rational() < Fraction(1, 1 << j):
+                m = modulus(Q2.of(g), j + 2)
+                s = min(Fraction(1, 1 << (m + 1)), width / 8)
+                lo, hi = g - s / 2, g + s / 2
+                intervals.append(DyadicInterval(lo, hi))
+                break
+        else:
             raise InvalidModulus("no admissible centre found at level %d" % j)
     for i, p in a_set.members_upto(fuel):
         level = min(i + 2, len(intervals) - 1)

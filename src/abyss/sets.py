@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .exact import Q2, DyadicInterval
 
@@ -210,12 +210,10 @@ class R2Rep:
     x gets a positive radius with B(x, radius(x)) inside the set.
 
     Concrete instances are backed by a finite union of disjoint open rational
-    intervals, from which the canonical radius map is derived; a custom
-    radius map may override it (it must still witness the same set).
+    intervals, from which the canonical radius map is derived.
     """
 
     intervals: tuple  # ((lo, hi), ...) open, disjoint, sorted
-    radius_fn: Optional[Callable] = None
 
     @staticmethod
     def from_intervals(spans) -> "R2Rep":
@@ -237,11 +235,6 @@ class R2Rep:
         p = Q2.of(x)
         for a, b in self.intervals:
             if p > a and p < b:
-                if self.radius_fn is not None:
-                    r = Fraction(self.radius_fn(p))
-                    if r <= 0:
-                        raise ValueError("radius map returned a non-positive radius on the set")
-                    return r
                 gap = min(p - a, b - p)
                 if gap.is_rational:
                     return gap.as_rational()

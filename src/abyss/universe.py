@@ -45,6 +45,13 @@ CERT_INF = "inf-collapses-to-rationals"
 CERT_OSC = "oscillation-collapses-to-rationals"
 
 
+def _unit_point(x) -> Q2:
+    p = Q2.of(x)
+    if p < 0 or p > 1:
+        raise DomainError("point %s outside [0,1]" % (p,))
+    return p
+
+
 def _clip_unit(iv: DyadicInterval) -> DyadicInterval:
     lo = max(iv.lower, Fraction(0))
     hi = min(iv.upper, Fraction(1))
@@ -120,10 +127,7 @@ class SymbolicFn:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x) -> Q2:
-        p = Q2.of(x)
-        if p < 0 or p > 1:
-            raise DomainError("point %s outside [0,1]" % (p,))
-        return self._eval(p)
+        return self._eval(_unit_point(x))
 
     def _eval(self, x: Q2) -> Q2:
         raise NotImplementedError
@@ -140,8 +144,18 @@ class SymbolicFn:
 
     def range_on(self, iv: DyadicInterval, k: int,
                  rationals_only: bool = False) -> tuple[Bracket, Bracket]:
-        """(inf, sup) brackets over iv (restricted to rational points when
-        asked), each of width at most 2^-k; exact whenever attainable."""
+        """(inf, sup) brackets over the part of iv inside [0,1] (restricted
+        to rational points when asked), each of width at most 2^-k; exact
+        whenever attainable.  A single point is read off its value."""
+        iv = _clip_unit(iv)
+        if iv.width == 0:
+            v = Bracket.of_q2(self._eval(Q2.of(iv.lower)), k)
+            return v, v
+        return self._range_on(iv, k, rationals_only)
+
+    def _range_on(self, iv: DyadicInterval, k: int,
+                  rationals_only: bool) -> tuple[Bracket, Bracket]:
+        """`range_on` over a nondegenerate subinterval of [0,1]."""
         raise NotImplementedError
 
     def special_points(self, iv: DyadicInterval, depth: int) -> list[Q2]:
@@ -152,7 +166,7 @@ class SymbolicFn:
     def one_sided_limit(self, x, side: int, k: int) -> Optional[Bracket]:
         """Bracket of f(x+) (side=+1) or f(x-) (side=-1); None when the point
         has no approach from that side within [0,1] or no limit exists."""
-        p = Q2.of(x)
+        p = _unit_point(x)
         if (p <= 0 and side < 0) or (p >= 1 and side > 0):
             return None
         return self._one_sided_limit(p, side, k)
@@ -190,28 +204,47 @@ class SymbolicFn:
 
     # -- exact existential witnesses ----------------------------------------
 
-    def witness_above(self, iv, y, rationals_only=False):
-        """Decide (exactly where possible) whether some point of iv has value
-        strictly above y; returns (Truth, witness point or None).
+    def witness_above(self, iv, y):
+        """Decide (exactly where possible) whether some point of the part of
+        iv inside [0,1] has value strictly above y; returns (Truth, witness
+        point or None).
 
-        The answer is decided from `range_on`, which gives no point, so a YES
-        carries the witness None here; families that locate their witness
-        directly (the spike families, Thomae) return it.  A caller that needs
-        a point runs `oracle.mu_search` on `ExistsValueAbove`: that search is
-        bounded by its fuel and ends in `FuelExhausted`."""
-        return self._witness_via_range(iv, y, rationals_only, above=True)
+        A single point is decided from its exact value, and a YES carries
+        it.  Otherwise the answer is decided from `range_on`, which gives no
+        point, so a YES carries the witness None here; families that locate
+        their witness directly (the spike families, Thomae) return it.  A
+        caller that needs a point runs `oracle.mu_search` on
+        `ExistsValueAbove`: that search is bounded by its fuel and ends in
+        `FuelExhausted`."""
+        return self._witness(iv, y, above=True)
 
-    def witness_below(self, iv, y, rationals_only=False):
+    def witness_below(self, iv, y):
         """The mirror of `witness_above` for a value strictly below y."""
-        return self._witness_via_range(iv, y, rationals_only, above=False)
+        return self._witness(iv, y, above=False)
 
-    def _witness_via_range(self, iv, y, rationals_only, above):
+    def _witness(self, iv, y, above):
+        iv = _clip_unit(iv)
         y = Fraction(y)
+        if iv.width == 0:
+            p = Q2.of(iv.lower)
+            v = self._eval(p)
+            return (Truth.YES, p) if (v > y if above else v < y) else (Truth.NO, None)
+        return self._witness_above(iv, y) if above else self._witness_below(iv, y)
+
+    def _witness_above(self, iv: DyadicInterval, y: Fraction):
+        """`witness_above` over a nondegenerate subinterval of [0,1]."""
+        return self._witness_via_range(iv, y, above=True)
+
+    def _witness_below(self, iv: DyadicInterval, y: Fraction):
+        """`witness_below` over a nondegenerate subinterval of [0,1]."""
+        return self._witness_via_range(iv, y, above=False)
+
+    def _witness_via_range(self, iv, y, above):
         prec = max(8, y.denominator.bit_length() + 4)
         # retry finer once: a quadratic-irrational extremum sits at distance
         # at least ~1/denominator(y)^2 from y, so doubling the bits decides
         for attempt in range(2):
-            inf_b, sup_b = self.range_on(iv, prec, rationals_only)
+            inf_b, sup_b = self.range_on(iv, prec)
             target = sup_b if above else inf_b
             if above:
                 if target.hi <= y:
@@ -376,27 +409,19 @@ class PiecewiseRational(SymbolicFn):
         return all(v > 0 for v in self._value_candidates(DyadicInterval(0, 1), False))
 
     def _value_candidates(self, iv, rationals_only):
-        iv = _clip_unit(iv)
         vals = []
         lo, hi = Q2.of(iv.lower), Q2.of(iv.upper)
         for j, piece in enumerate(self.pieces):
             a, b = self.cuts[j], self.cuts[j + 1]
             s, t = max(a, lo), min(b, hi)
-            if s > t or (s == t and (s == a or s == b)):
-                continue
-            if s == t:
-                vals.append(piece(s))
-            else:
-                mn, mx = piece.range_on(s, t)
-                vals.extend((mn, mx))
+            if s < t:
+                vals.extend(piece.range_on(s, t))
         for i, c in enumerate(self.cuts):
             if iv.contains(c) and not (rationals_only and not c.is_rational):
                 vals.append(self.bp_values[i])
-        if not vals:  # degenerate interval sitting on a cut
-            vals.append(self._eval(lo))
         return vals
 
-    def range_on(self, iv, k, rationals_only=False):
+    def _range_on(self, iv, k, rationals_only):
         vals = self._value_candidates(iv, rationals_only)
         return Bracket.of_q2(min(vals), k), Bracket.of_q2(max(vals), k)
 
@@ -482,22 +507,19 @@ def linear(slope, intercept=0) -> PiecewiseRational:
     return PiecewiseRational([0, 1], [p], [p(Q2.of(0)), p(Q2.of(1))])
 
 
-def staircase(jumps, right_continuous=True, start=0) -> PiecewiseRational:
-    """Step function: value `start` on [0, first jump), then each (pos, value)
-    in order; cadlag by default."""
+def staircase(jumps) -> PiecewiseRational:
+    """Cadlag step function: value 0 on [0, first jump), then each
+    (pos, value) in order."""
     cuts = [Q2.of(0)]
     pieces = []
-    level = start
-    policy = ["right"]
+    level = 0
     for pos, value in jumps:
         cuts.append(Q2.of(pos))
         pieces.append(Poly(level))
-        policy.append("right" if right_continuous else "left")
         level = value
     cuts.append(Q2.of(1))
     pieces.append(Poly(level))
-    policy.append("right")
-    return PiecewiseRational.from_polys(cuts, pieces, policy)
+    return PiecewiseRational.from_polys(cuts, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +556,7 @@ class Thomae(SymbolicFn):
         p, q = least_denominator_in(lo, hi)
         return (Fraction(p, q), q) if q <= cap else None
 
-    def range_on(self, iv, k, rationals_only=False):
-        iv = _clip_unit(iv)
-        if iv.width == 0:
-            v = self._eval(Q2.of(iv.lower))
-            return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
+    def _range_on(self, iv, k, rationals_only):
         # infimum: rational values 1/q get arbitrarily small, irrationals give 0
         inf_b = Bracket.point(0)
         cap = 1 << (k + 2)
@@ -549,44 +567,22 @@ class Thomae(SymbolicFn):
             sup_b = Bracket.point(Fraction(1, hit[1]))
         return inf_b, sup_b
 
-    def witness_above(self, iv, y, rationals_only=False):
-        iv = _clip_unit(iv)
-        y = Fraction(y)
-        if y < 0:
+    def _witness_above(self, iv, y):
+        if y <= 0:
+            # every rational has a positive value, and endpoints are rational
             return Truth.YES, Q2.of(iv.lower)
         if y >= 1:
             return Truth.NO, None
-        if y == 0:
-            # every rational has a positive value, and endpoints are rational
-            p = Q2.of(iv.lower)
-            if iv.width == 0 and not p.is_rational:
-                return Truth.NO, None
-            return Truth.YES, p
         cap = int(1 / y)
         hit = self.min_denominator_in(iv, cap)
         if hit is not None and Fraction(1, hit[1]) > y:
             return Truth.YES, Q2.of(hit[0])
         return Truth.NO, None  # all spikes above y were enumerated
 
-    def witness_below(self, iv, y, rationals_only=False):
-        iv = _clip_unit(iv)
-        y = Fraction(y)
+    def _witness_below(self, iv, y):
         if y <= 0:
             return Truth.NO, None
-        if iv.width == 0:
-            v = self._eval(Q2.of(iv.lower))
-            return (Truth.YES, Q2.of(iv.lower)) if v < y else (Truth.NO, None)
-        if not rationals_only:
-            return Truth.YES, irrational_inside(iv)
-        # a rational with denominator above 1/y
-        d = 1
-        while Fraction(1, 1 << d) >= y or Fraction(1, 1 << d) >= iv.width / 4:
-            d += 1
-        grid = rational_grid(iv, d)
-        for p in grid:
-            if self._eval(Q2.of(p)) < y:
-                return Truth.YES, Q2.of(p)
-        return Truth.UNKNOWN, None
+        return Truth.YES, irrational_inside(iv)
 
     def special_points(self, iv, depth):
         # spikes with denominator up to depth (the grid supplies dyadics)
@@ -695,26 +691,16 @@ class Penny(_SpikeFamily):
     def range_bound(self):
         return Fraction(0), Fraction(1, 2)
 
-    def _sup_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k, rationals_only):
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
         best = next((self.spike_value(n) for n, p in self._spike_scan(iv, limit)
                      if p.is_rational or not rationals_only), Fraction(0))
         tail = Fraction(1, 1 << (limit + 1))
         if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
-            return Bracket.point(best)
-        return Bracket(best, tail)
+            return Bracket.point(0), Bracket.point(best)
+        return Bracket.point(0), Bracket(best, tail)
 
-    def range_on(self, iv, k, rationals_only=False):
-        iv = _clip_unit(iv)
-        if iv.width == 0:
-            p = Q2.of(iv.lower)
-            v = self._eval(p)
-            return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
-        return Bracket.point(0), self._sup_on(iv, k, rationals_only)
-
-    def witness_above(self, iv, y, rationals_only=False):
-        iv = _clip_unit(iv)
-        y = Fraction(y)
+    def _witness_above(self, iv, y):
         if y < 0:
             return Truth.YES, Q2.of(iv.lower)
         if self.stop is None:
@@ -724,8 +710,7 @@ class Penny(_SpikeFamily):
                 limit += 1
         else:
             limit = self.stop
-        hit = next(((n, p) for n, p in self._spike_scan(iv, limit)
-                    if p.is_rational or not rationals_only), None)
+        hit = next(self._spike_scan(iv, limit), None)
         if hit is not None and self.spike_value(hit[0]) > y:
             return Truth.YES, hit[1]
         if (self.stop is not None or Fraction(1, 1 << (limit + 1)) <= y
@@ -733,14 +718,9 @@ class Penny(_SpikeFamily):
             return Truth.NO, None
         return Truth.UNKNOWN, None
 
-    def witness_below(self, iv, y, rationals_only=False):
-        iv = _clip_unit(iv)
-        y = Fraction(y)
+    def _witness_below(self, iv, y):
         if y <= 0:
             return Truth.NO, None
-        if iv.width == 0:
-            p = Q2.of(iv.lower)
-            return (Truth.YES, p) if self._eval(p) < y else (Truth.NO, None)
         # any off-set point evaluates to 0 < y; dyadic rationals are dense
         d = 2
         while True:
@@ -812,11 +792,7 @@ class CoverPsi(_SpikeFamily):
     def is_positive(self):
         return True
 
-    def range_on(self, iv, k, rationals_only=False):
-        iv = _clip_unit(iv)
-        if iv.width == 0:
-            v = self._eval(Q2.of(iv.lower))
-            return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
+    def _range_on(self, iv, k, rationals_only):
         sup_b = Bracket.point(self.BASE)
         if rationals_only:
             return Bracket.point(self.BASE), sup_b  # members are irrational
@@ -896,11 +872,7 @@ class CoverPsiUsco(_SpikeFamily):
             n += 1
         return out
 
-    def range_on(self, iv, k, rationals_only=False):
-        iv = _clip_unit(iv)
-        if iv.width == 0:
-            v = self._eval(Q2.of(iv.lower))
-            return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
+    def _range_on(self, iv, k, rationals_only):
         cap = max(k + 6, 8)
         bands = self._bands_meeting(iv, cap)
         vals = []
@@ -969,11 +941,7 @@ class Indicator(SymbolicFn):
     def range_bound(self):
         return Fraction(0), Fraction(1)
 
-    def range_on(self, iv, k, rationals_only=False):
-        iv = _clip_unit(iv)
-        if iv.width == 0:
-            v = self._eval(Q2.of(iv.lower))
-            return Bracket.of_q2(v, k), Bracket.of_q2(v, k)
+    def _range_on(self, iv, k, rationals_only):
         meets = [(a, b) for a, b in self.components if a <= iv.upper and b >= iv.lower]
         # a nondegenerate component that meets iv meets it at a rational
         hit = any(not rationals_only or a < b or Q2.of(a).is_rational for a, b in meets)
@@ -1192,7 +1160,7 @@ class Sum(SymbolicFn):
                 return c, b
         return None, None
 
-    def range_on(self, iv, k, rationals_only=False):
+    def _range_on(self, iv, k, rationals_only):
         c, other = self._const_side()
         if c is not None:
             io, so = other.range_on(iv, k + 1, rationals_only)
@@ -1280,7 +1248,7 @@ class ScalarMultiple(SymbolicFn):
         lo, hi = self.f.range_bound()
         return (lo * self.c, hi * self.c) if self.c >= 0 else (hi * self.c, lo * self.c)
 
-    def range_on(self, iv, k, rationals_only=False):
+    def _range_on(self, iv, k, rationals_only):
         extra = max(0, self.c.numerator.bit_length() - self.c.denominator.bit_length() + 1)
         i_b, s_b = self.f.range_on(iv, k + extra, rationals_only)
         i2, s2 = i_b.scale(self.c), s_b.scale(self.c)
@@ -1339,7 +1307,7 @@ class RestrictedView(SymbolicFn):
     def range_bound(self):
         return self.f.range_bound()
 
-    def range_on(self, iv, k, rationals_only=False):
+    def _range_on(self, iv, k, rationals_only):
         return self.f.range_on(iv, k, rationals_only)
 
     def special_points(self, iv, depth):
@@ -1357,11 +1325,11 @@ class RestrictedView(SymbolicFn):
     def grid_max(self, iv, depth):
         return self.f.grid_max(iv, depth)
 
-    def witness_above(self, iv, y, rationals_only=False):
-        return self.f.witness_above(iv, y, rationals_only)
+    def _witness_above(self, iv, y):
+        return self.f.witness_above(iv, y)
 
-    def witness_below(self, iv, y, rationals_only=False):
-        return self.f.witness_below(iv, y, rationals_only)
+    def _witness_below(self, iv, y):
+        return self.f.witness_below(iv, y)
 
     def is_positive(self):
         return self.f.is_positive()

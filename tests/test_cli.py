@@ -90,9 +90,14 @@ def test_env_fuel_follows_the_fuel_rule(monkeypatch, capsys):
 
 
 def test_points_outside_the_unit_interval_are_usage_errors():
-    r = run("separator", "--c0", "points:2", "--c1", "points:1")
-    assert r.returncode == 1 and r.stdout == ""
-    assert "outside [0,1]" in r.stderr
+    for args in (("separator", "--c0", "points:2", "--c1", "points:1"),
+                 ("limits", "--fn", "step:1/2", "--x=-1/4"),
+                 ("limits", "--fn", "penny", "--x", "3/2"),
+                 ("modulus", "--fn", "penny", "--kind", "regulation", "--probe", "3/2",
+                  "--k", "3")):
+        r = run(*args)
+        assert r.returncode == 1 and r.stdout == "", args
+        assert "outside [0,1]" in r.stderr, args
 
 
 def test_golden_digests_in_process(monkeypatch, capsys):

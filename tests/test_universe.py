@@ -1,12 +1,15 @@
 """Function universe: exact evaluation, constructors, witnessed class tags,
 ranges against brute force, serialization."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 
 import pytest
 from abyss import (CoverPsi, DomainError, DyadicInterval, FinitePointSet,
-                   Indicator, NotPointwiseEvaluable, Penny, PennyK, Q2, R2Rep,
+                   Indicator, NotPointwiseEvaluable, Penny, PennyK,
+                   PiecewiseRational, Poly, Q2, R2Rep,
                    TildePenny, Truth,
                    UnsupportedVariant, build_cover_psi, constant, finite_set,
                    fn_difference, fn_sum, jump_enum, linear, osc_exact,
@@ -17,7 +20,7 @@ from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
-                            SIMPLY_CONTINUOUS, USCO)
+                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple)
 
 from conftest import (brute_ball_osc, brute_max, brute_min, probe_basis,
                       random_finite_set, random_subinterval)
@@ -497,7 +500,7 @@ def _plain_sup(f, iv, k, rationals_only):
     return best, tail
 
 
-def _plain_witness_above(f, iv, y, rationals_only):
+def _plain_witness_above(f, iv, y):
     if y < 0:
         return Truth.YES, Q2.of(iv.lower)
     limit = f.stop
@@ -506,7 +509,7 @@ def _plain_witness_above(f, iv, y, rationals_only):
         while F(1, 1 << (limit + 1)) > y and limit < 4096:
             limit += 1
     for n, p in _plain_spikes(f, iv, limit):
-        if (p.is_rational or not rationals_only) and f.spike_value(n) > y:
+        if f.spike_value(n) > y:
             return Truth.YES, p
     if (f.stop is not None or F(1, 1 << (limit + 1)) <= y
             or f.a_set.scan_is_exhaustive(iv, limit)):
@@ -538,11 +541,10 @@ def test_first_hit_spike_scans_match_plain_filter():
                     inf_b, sup_b = f.range_on(iv, k, rationals_only)
                     assert inf_b == Bracket.point(0)
                     assert (sup_b.lo, sup_b.hi) == _plain_sup(f, iv, k, rationals_only)
-                for j in range(-1, 14):
-                    for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
-                        y = y if j >= 0 else -y
-                        assert (f.witness_above(iv, y, rationals_only)
-                                == _plain_witness_above(f, iv, y, rationals_only))
+            for j in range(-1, 14):
+                for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
+                    y = y if j >= 0 else -y
+                    assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y)
 
 
 def test_osc_exact_matches_brute_limit():
@@ -700,3 +702,92 @@ def test_indicator_closed_set_forms_pinned():
         assert not separable(c0, c1) and not separable(c1, c0)
     for c0, c1 in apart:
         assert separable(c0, c1) and separable(c1, c0)
+
+
+# ---------------------------------------------------------------------------
+# the interval contract: clip to [0,1], single points from their value
+# ---------------------------------------------------------------------------
+
+
+RATIONAL_SPIKES = finite_set([Q2(F(1, 4), F(1, 16)), F(3, 8), F(1, 2), F(5, 7)])
+CONTRACT_FAMILIES = [
+    ("thomae", thomae),
+    ("penny", lambda: Penny(A)),
+    ("penny-rational", lambda: Penny(RATIONAL_SPIKES)),
+    ("pennyk", lambda: PennyK(RATIONAL_SPIKES, 2)),
+    ("tilde-penny", lambda: TildePenny(A)),
+    ("cover-psi", lambda: CoverPsi(A)),
+    ("cover-psi-usco", lambda: build_cover_psi(A, True)),
+    ("indicator-points", lambda: Indicator(FinitePointSet.of([F(1, 2), S2(2)]))),
+    ("indicator-complement", lambda: Indicator(ComplementOfR2Open(
+        R2Rep.from_intervals([(F(-1, 8), F(1, 4)), (F(3, 4), F(9, 8))])))),
+    ("staircase", lambda: staircase([(F(1, 3), F(1, 2)), (F(5, 8), F(-1, 4))])),
+    # a lone value 1 at the cut 5/32 and a vertex at 5/7
+    ("piecewise", lambda: PiecewiseRational.from_polys(
+        [0, F(5, 32), 1], [Poly(0, 1), Poly(0, F(10, 7), -1)], ["right", 1, "right"])),
+    ("sum-step-penny", lambda: fn_sum(staircase([(F(1, 2), 5)]), Penny(A))),
+    ("sum-thomae-linear", lambda: fn_sum(thomae(), linear(F(1, 4)))),
+    ("difference", lambda: fn_difference(constant(1), Penny(RATIONAL_SPIKES))),
+    ("scalar-negative", lambda: ScalarMultiple(F(-2), thomae())),
+    ("scalar-positive", lambda: ScalarMultiple(F(3, 2), Penny(RATIONAL_SPIKES))),
+    ("restricted", lambda: restrict_tags(Penny(RATIONAL_SPIKES), {CLIQUISH})),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in CONTRACT_FAMILIES],
+                         ids=[name for name, _ in CONTRACT_FAMILIES])
+def test_intervals_are_read_on_their_part_inside_unit_interval(make):
+    f = make()
+    for lo, hi in ((F(-1, 4), F(1, 4)), (F(-1), F(3, 8)), (F(5, 8), F(3, 2)),
+                   (F(-1, 2), F(2)), (F(-1, 4), F(0)), (F(1), F(5, 4))):
+        clip = DyadicInterval(max(lo, F(0)), min(hi, F(1)))
+        iv = DyadicInterval(lo, hi)
+        for k in (0, 4, 10):
+            for rationals_only in (False, True):
+                assert (f.range_on(iv, k, rationals_only)
+                        == f.range_on(clip, k, rationals_only)), (lo, hi, k)
+        for y in (F(0), F(1, 8), F(1, 2)):
+            assert f.witness_above(iv, y) == f.witness_above(clip, y), (lo, hi, y)
+            assert f.witness_below(iv, y) == f.witness_below(clip, y), (lo, hi, y)
+
+
+@pytest.mark.parametrize("make", [m for _, m in CONTRACT_FAMILIES],
+                         ids=[name for name, _ in CONTRACT_FAMILIES])
+def test_single_points_answer_from_their_value(make):
+    f = make()
+    for x in (F(0), F(1, 4), F(1, 3), F(3, 8), F(1, 2), F(5, 8), F(5, 7), F(1)):
+        p = Q2.of(x)
+        v = f.eval(p)
+        point = DyadicInterval(x, x)
+        for k in (0, 6, 20):
+            for rationals_only in (False, True):
+                b = Bracket.of_q2(v, k)
+                assert f.range_on(point, k, rationals_only) == (b, b), (x, k)
+        for y in (F(-1), F(0), F(1, 64), F(1, 8), F(1, 2), F(1), F(5)):
+            assert f.witness_above(point, y) == ((Truth.YES, p) if v > y
+                                                 else (Truth.NO, None)), (x, y)
+            assert f.witness_below(point, y) == ((Truth.YES, p) if v < y
+                                                 else (Truth.NO, None)), (x, y)
+
+
+def test_single_point_off_the_seed_set_is_decided():
+    """Once UNKNOWN: no member of the sqrt2 family sits at the rational 0."""
+    for f in (Penny(A), TildePenny(A), restrict_tags(Penny(A), {CLIQUISH})):
+        assert f.witness_above(DyadicInterval(0, 0), 0) == (Truth.NO, None)
+
+
+def test_interval_contract_lives_on_the_base_class():
+    """Families answer through the `_range_on`, `_witness_above`,
+    `_witness_below` and `_one_sided_limit` hooks, so the clip to [0,1] and
+    the single-point answers stay in the base class's templates."""
+    from abyss import reductions, universe
+    public = {"range_on", "witness_above", "witness_below", "one_sided_limit"}
+    allowed = {("SymbolicFn", name) for name in public}
+    allowed |= {("Poly", "range_on"), ("Baire1Limit", "range_on")}
+    found = set()
+    for mod in (universe, reductions):
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.ClassDef):
+                found |= {(node.name, item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name in public}
+    assert found <= allowed, sorted(found - allowed)
