@@ -12,22 +12,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-_SQRT2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
+_SQRT2_FLOOR: dict[int, int] = {}
+
+
+def _sqrt2_floor(k: int) -> int:
+    """floor(sqrt(2) * 2^k)."""
+    n = _SQRT2_FLOOR.get(k)
+    if n is None:
+        n = _SQRT2_FLOOR[k] = math.isqrt(2 << (2 * k))
+    return n
 
 
 def sqrt2_bracket(k: int) -> tuple[Fraction, Fraction]:
     """Dyadic bracket (lo, hi) of sqrt(2) with hi - lo = 2^-k."""
     if k < 0:
         raise ValueError("precision must be >= 0")
-    got = _SQRT2_CACHE.get(k)
-    if got is None:
-        n = math.isqrt(2 << (2 * k))
-        got = (Fraction(n, 1 << k), Fraction(n + 1, 1 << k))
-        _SQRT2_CACHE[k] = got
-    return got
-
-
-_ZERO = Fraction(0)
+    n = _sqrt2_floor(k)
+    return Fraction(n, 1 << k), Fraction(n + 1, 1 << k)
 
 
 def _sign_int(x: int, y: int) -> int:
@@ -45,6 +46,44 @@ def _sign_int(x: int, y: int) -> int:
     return sx if x * x > 2 * y * y else sy
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction.  Fraction() would take a float's binary value too,
+    so floats are refused here: no float gets into the exact kernel."""
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError("float %r refused: exact arithmetic takes int, Fraction or Q2" % (x,))
+    return Fraction(x)
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """A rational operand (int, Fraction, or a string Fraction() reads) as
+    the Q2 integers (n, 0, d) of n/d in lowest terms."""
+    if x.__class__ is int:
+        return x, 0, 1
+    if x.__class__ is not Fraction:
+        x = _rational(x)
+    n, d = x.as_integer_ratio()
+    return n, 0, d
+
+
+_new = object.__new__
+
+
+def _reduced(p: int, q: int, d: int) -> "Q2":
+    """The Q2 (p + q*sqrt2)/d for d > 0, brought to lowest terms."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    x = _new(Q2)
+    x.p = p
+    x.q = q
+    x.d = d
+    return x
+
+
 class Q2:
     """An element a + b*sqrt(2) of the field Q(sqrt2), with exact total order.
 
@@ -52,16 +91,24 @@ class Q2:
     function universe (sqrt2/2^(n+1) and its rational shifts) lives here,
     so membership and order questions are decided symbolically.
 
-    Invariant: `a` and `b` are reduced `Fraction`s (positive denominators).
-    Order is decided by integer cross-multiplication of their numerators
-    and denominators, so a comparison builds no `Q2` and no `Fraction`.
+    Invariant: a Q2 is three integers (p, q, d) with value (p + q*sqrt2)/d,
+    d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.  It
+    holds no `Fraction`: arithmetic and order work on the integers, and a
+    comparison builds no `Q2` and no `Fraction`.  `a` and `b` read the
+    value back as reduced `Fraction`s.  Floats are refused.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a, b=_ZERO):
-        self.a = a if a.__class__ is Fraction else Fraction(a)
-        self.b = b if b.__class__ is Fraction else Fraction(b)
+    def __init__(self, a, b=0):
+        an, _, ad = _parts(a)
+        if b.__class__ is int and not b:
+            self.p, self.q, self.d = an, 0, ad
+            return
+        bn, _, bd = _parts(b)
+        p, q, d = an * bd, bn * ad, ad * bd
+        g = math.gcd(p, q, d)
+        self.p, self.q, self.d = p // g, q // g, d // g
 
     # --- constructors ---------------------------------------------------
 
@@ -70,7 +117,7 @@ class Q2:
         """The carrier sqrt(2)/2^(n+1)."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        return Q2(_ZERO, Fraction(1, 1 << (n + 1)))
+        return _reduced(0, 1, 1 << (n + 1))
 
     @staticmethod
     def of(x) -> "Q2":
@@ -78,65 +125,73 @@ class Q2:
             return x
         return Q2(x)
 
+    # --- the rational parts ---------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     # --- predicates -----------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     def as_rational(self) -> Fraction:
-        if self.b != 0:
+        if self.q:
             raise ValueError("not a rational number: %s" % (self,))
-        return self.a
+        return Fraction(self.p, self.d)
 
     # --- arithmetic -----------------------------------------------------
-    # A rational operand (or one with b == 0) has no sqrt2 cross terms.
-    # Every non-Q2 operand goes through Fraction(), so no float gets in.
+    # A rational operand n/m enters as (n, 0, m); equal denominators add
+    # without cross products.
 
     def __add__(self, other) -> "Q2":
-        if other.__class__ is not Q2:
-            return Q2(self.a + Fraction(other), self.b)
-        if not other.b:
-            return Q2(self.a + other.a, self.b)
-        return Q2(self.a + other.a, self.b + other.b)
+        p, q, d = (other.p, other.q, other.d) if other.__class__ is Q2 else _parts(other)
+        if d == self.d:
+            return _reduced(self.p + p, self.q + q, d)
+        return _reduced(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Q2":
-        if other.__class__ is not Q2:
-            return Q2(self.a - Fraction(other), self.b)
-        if not other.b:
-            return Q2(self.a - other.a, self.b)
-        return Q2(self.a - other.a, self.b - other.b)
+        p, q, d = (other.p, other.q, other.d) if other.__class__ is Q2 else _parts(other)
+        if d == self.d:
+            return _reduced(self.p - p, self.q - q, d)
+        return _reduced(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
     def __rsub__(self, other) -> "Q2":
         return Q2.of(other) - self
 
     def __mul__(self, other) -> "Q2":
-        a, b = self.a, self.b
-        if other.__class__ is not Q2:
-            c = Fraction(other)
-        elif not other.b:
-            c = other.a
-        elif not b:
-            return Q2(a * other.a, a * other.b)
+        if other.__class__ is Q2:
+            p, q, d = other.p, other.q, other.d
+            if q:
+                sp, sq = self.p, self.q
+                return _reduced(sp * p + 2 * sq * q, sp * q + sq * p, self.d * d)
         else:
-            c, d = other.a, other.b
-            return Q2(a * c + 2 * b * d, a * d + b * c)
-        return Q2(a * c, b * c) if b else Q2(a * c)
+            p, _, d = _parts(other)
+        return _reduced(self.p * p, self.q * p, self.d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Q2":
-        o = Q2.of(other)
-        norm = o.a * o.a - 2 * o.b * o.b
+        # multiply by the conjugate: 1/((p + q sqrt2)/d) = d (p - q sqrt2)/(p^2 - 2 q^2)
+        p, q, d = (other.p, other.q, other.d) if other.__class__ is Q2 else _parts(other)
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        # multiply by the conjugate (o.a - o.b*sqrt2) / norm
-        return self * Q2(o.a / norm, -o.b / norm)
+        if norm < 0:
+            norm, d = -norm, -d
+        sp, sq = self.p, self.q
+        return _reduced(d * (sp * p - 2 * sq * q), d * (sq * p - sp * q), self.d * norm)
 
     def __neg__(self) -> "Q2":
-        return Q2(-self.a, -self.b)
+        return _reduced(-self.p, -self.q, self.d)
 
     def __abs__(self) -> "Q2":
         return -self if self.sign() < 0 else self
@@ -145,45 +200,46 @@ class Q2:
 
     def sign(self) -> int:
         """Exact sign, decided by squaring when the two parts compete."""
-        an, ad = self.a.as_integer_ratio()
-        bn, bd = self.b.as_integer_ratio()
-        return _sign_int(an * bd, bn * ad)
+        return _sign_int(self.p, self.q)
 
     def _cmp(self, other) -> int:
         """The sign of self - other, from integer cross products.
 
-        With self = an/ad + (bn/bd) sqrt2 and other = on/od + (pn/pd) sqrt2,
-        self - other = x/(ad od) + (y/(bd pd)) sqrt2 for the integers x and y
-        below, and clearing the positive denominators leaves the sign of
-        x bd pd + y ad od sqrt2.
+        With self = (p + q sqrt2)/d and other = (r + s sqrt2)/e, clearing
+        the positive denominators leaves the sign of
+        (p e - r d) + (q e - s d) sqrt2.
         """
-        an, ad = self.a.as_integer_ratio()
-        bn, bd = self.b.as_integer_ratio()
         if other.__class__ is Q2:
-            on, od = other.a.as_integer_ratio()
-            pn, pd = other.b.as_integer_ratio()
+            r, s, e = other.p, other.q, other.d
+        elif other.__class__ is int:
+            r, s, e = other, 0, 1
         else:
-            if other.__class__ is not int and other.__class__ is not Fraction:
-                other = Fraction(other)
-            on, od = other.as_integer_ratio()
-            pn, pd = 0, 1
-        x = an * od - on * ad
-        y = bn * pd - pn * bd
+            r, s, e = _parts(other)
+        d = self.d
+        if e == d:
+            x, y = self.p - r, self.q - s
+        else:
+            x, y = self.p * e - r * d, self.q * e - s * d
         if not y:
             return (x > 0) - (x < 0)
-        return _sign_int(x * bd * pd, y * ad * od)
+        return _sign_int(x, y)
 
     def __eq__(self, other):
         if other.__class__ is Q2:
-            return self.a == other.a and self.b == other.b
+            return self.p == other.p and self.q == other.q and self.d == other.d
         if isinstance(other, (Fraction, int)):
-            return not self.b and self.a == other
+            if self.q:
+                return False
+            n, d = other.as_integer_ratio()
+            return self.p == n and self.d == d
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        if self.d == 1:
+            return hash(self.p)
+        return hash(Fraction(self.p, self.d))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -201,24 +257,26 @@ class Q2:
 
     def bracket(self, k: int) -> tuple[Fraction, Fraction]:
         """Rational bracket [lo, hi] containing self, with hi - lo <= 2^-k."""
-        if self.b == 0:
-            return (self.a, self.a)
-        extra = max(0, self.b.numerator.bit_length() - self.b.denominator.bit_length() + 1)
-        lo2, hi2 = sqrt2_bracket(k + extra + 1)
-        if self.b > 0:
-            return (self.a + self.b * lo2, self.a + self.b * hi2)
-        return (self.a + self.b * hi2, self.a + self.b * lo2)
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            a = Fraction(p, d)
+            return (a, a)
+        # sqrt2 to 2^-j with j = k + 1 + the bit excess of |b|, b = q/d reduced
+        g = math.gcd(q, d)
+        j = k + 1 + max(0, (q // g).bit_length() - (d // g).bit_length() + 1)
+        n = _sqrt2_floor(j)
+        lo = Fraction((p << j) + q * n, d << j)
+        hi = Fraction((p << j) + q * (n + 1), d << j)
+        return (lo, hi) if q > 0 else (hi, lo)
 
     def __floor__(self) -> int:
-        """The exact floor: refine the bracket until both ends agree (an
-        irrational value is never an integer, so this ends)."""
-        k = 4
-        while True:
-            lo, hi = self.bracket(k)
-            f = math.floor(lo)
-            if f == math.floor(hi):
-                return f
-            k *= 2
+        """The exact floor: floor((p + q sqrt2)/d) = floor((p + floor(q sqrt2))/d),
+        and q sqrt2 is irrational unless q = 0."""
+        p, q = self.p, self.q
+        if q:
+            r = math.isqrt(2 * q * q)
+            p += r if q > 0 else -r - 1
+        return p // self.d
 
     def approx(self, k: int) -> Fraction:
         """A rational within 2^-k of self."""
@@ -229,14 +287,14 @@ class Q2:
         return float(self.approx(60))
 
     def __repr__(self):
-        if self.b == 0:
+        if not self.q:
             return "Q2(%s)" % (self.a,)
         return "Q2(%s, %s)" % (self.a, self.b)
 
     def __str__(self):
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
-        if self.a == 0:
+        if not self.p:
             return "%s*sqrt2" % (self.b,)
         return "%s + %s*sqrt2" % (self.a, self.b)
 
@@ -257,9 +315,9 @@ class DyadicInterval:
 
     def __post_init__(self):
         if self.lower.__class__ is not Fraction:
-            object.__setattr__(self, "lower", Fraction(self.lower))
+            object.__setattr__(self, "lower", _rational(self.lower))
         if self.upper.__class__ is not Fraction:
-            object.__setattr__(self, "upper", Fraction(self.upper))
+            object.__setattr__(self, "upper", _rational(self.upper))
         if self.lower > self.upper:
             raise ValueError("interval endpoints out of order: [%s, %s]" % (self.lower, self.upper))
 
@@ -273,20 +331,14 @@ class DyadicInterval:
 
     def contains(self, x) -> bool:
         if x.__class__ is Q2:
-            if x.b:
-                return x >= self.lower and x <= self.upper
-            x = x.a
-        elif x.__class__ is not Fraction:
-            x = Fraction(x)
+            return x._cmp(self.lower) >= 0 and x._cmp(self.upper) <= 0
+        x = _rational(x)
         return self.lower <= x <= self.upper
 
     def contains_interior(self, x) -> bool:
         if x.__class__ is Q2:
-            if x.b:
-                return x > self.lower and x < self.upper
-            x = x.a
-        elif x.__class__ is not Fraction:
-            x = Fraction(x)
+            return x._cmp(self.lower) > 0 and x._cmp(self.upper) < 0
+        x = _rational(x)
         return self.lower < x < self.upper
 
     def intersection(self, other: "DyadicInterval") -> "DyadicInterval":
@@ -304,7 +356,7 @@ def ball(x, k: int) -> DyadicInterval:
     """The interval (x - 2^-k, x + 2^-k), recorded by its rational endpoints."""
     if k < 0:
         raise ValueError("radius exponent must be >= 0")
-    c = Fraction(x)
+    c = _rational(x)
     r = Fraction(1, 1 << k)
     return DyadicInterval(c - r, c + r)
 
@@ -453,15 +505,15 @@ class Bracket:
 
     def __post_init__(self):
         if self.lo.__class__ is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "lo", _rational(self.lo))
         if self.hi.__class__ is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
+            object.__setattr__(self, "hi", _rational(self.hi))
         if self.lo > self.hi:
             raise ValueError("bracket out of order: [%s, %s]" % (self.lo, self.hi))
 
     @staticmethod
     def point(v) -> "Bracket":
-        v = Fraction(v)
+        v = _rational(v)
         return Bracket(v, v)
 
     @staticmethod
@@ -487,7 +539,7 @@ class Bracket:
         return Bracket(-self.hi, -self.lo)
 
     def scale(self, c) -> "Bracket":
-        c = Fraction(c)
+        c = _rational(c)
         if c >= 0:
             return Bracket(self.lo * c, self.hi * c)
         return Bracket(self.hi * c, self.lo * c)
@@ -500,8 +552,8 @@ class Bracket:
 
     def contains(self, v) -> bool:
         if v.__class__ is Q2:
-            return v >= self.lo and v <= self.hi
-        return self.lo <= Fraction(v) <= self.hi
+            return v._cmp(self.lo) >= 0 and v._cmp(self.hi) <= 0
+        return self.lo <= _rational(v) <= self.hi
 
     def to_interval(self) -> "DyadicInterval":
         return DyadicInterval(self.lo, self.hi)

@@ -234,7 +234,7 @@ class Modulus:
 
     def __call__(self, x, k: int):
         p = Q2.of(x)
-        key = (p.a, p.b, k)
+        key = (p, k)
         if key not in self._memo:
             self._memo[key] = self._fn(p, k)
         return self._memo[key]

@@ -88,9 +88,10 @@ def sqrt2_family() -> CountableSet:
         return Q2.sqrt2_scaled(n)
 
     def index_of(x: Q2) -> Optional[int]:
-        if x.a != 0 or x.b <= 0 or x.b.numerator != 1:
+        # sqrt2/2^(n+1) in lowest terms is (0, 1, 2^(n+1))
+        if x.p or x.q != 1:
             return None
-        den = x.b.denominator
+        den = x.d
         if den & (den - 1) != 0:  # not a power of two
             return None
         n = den.bit_length() - 2

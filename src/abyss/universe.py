@@ -14,6 +14,7 @@ sound way to simulate number-quantifier oracles against a black box.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -53,6 +54,8 @@ def _unit_point(x) -> Q2:
 
 
 def _clip_unit(iv: DyadicInterval) -> DyadicInterval:
+    if iv.lower >= 0 and iv.upper <= 1:
+        return iv
     lo = max(iv.lower, Fraction(0))
     hi = min(iv.upper, Fraction(1))
     if lo > hi:
@@ -83,7 +86,7 @@ class Poly:
 
     def __call__(self, x) -> Q2:
         p = Q2.of(x)
-        return Q2.of(self.c0) + p * self.c1 + p * p * self.c2
+        return (p * self.c2 + self.c1) * p + self.c0
 
     @property
     def is_constant(self) -> bool:
@@ -284,7 +287,9 @@ def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
 def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int,
                  rationals_only: bool = False) -> list[Q2]:
     """Deterministic probe basis: dyadic grid of iv at `depth`, interval
-    endpoints, and the function's own special points, sorted ascending."""
+    endpoints, and the function's own special points, sorted ascending.  iv
+    is read on its part inside [0,1], as `range_on` reads it."""
+    iv = _clip_unit(iv)
     pts: list[Q2] = [Q2.of(q) for q in rational_grid(iv, depth)]
     for p in f.special_points(iv, depth):
         pts.append(Q2.of(p))
@@ -381,13 +386,14 @@ class PiecewiseRational(SymbolicFn):
         return tags
 
     def _locate(self, x: Q2):
-        """('cut', i) or ('piece', j)."""
-        for i, c in enumerate(self.cuts):
-            if x == c:
-                return ("cut", i)
-            if x < c:
-                return ("piece", i - 1)
-        raise DomainError("point %s outside [0,1]" % (x,))
+        """('cut', i) or ('piece', j), by bisection on the sorted cuts."""
+        cuts = self.cuts
+        i = bisect_left(cuts, x)
+        if i < len(cuts) and cuts[i] == x:
+            return ("cut", i)
+        if i == 0 or i == len(cuts):
+            raise DomainError("point %s outside [0,1]" % (x,))
+        return ("piece", i - 1)
 
     def _eval(self, x):
         where, i = self._locate(x)

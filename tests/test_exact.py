@@ -1,6 +1,9 @@
 """Exact substrate: rationals, Q(sqrt2) order, intervals, grids, fueled truth."""
 
+import cProfile
+import fractions
 import math
+import pstats
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +15,7 @@ from abyss import (DyadicInterval, FueledBool, Q2, Thomae, Truth, ball, halve,
                    rational_grid, unit_rationals)
 from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
                          signed_unit_rationals, sqrt2_bracket)
+from abyss.serialize import q2_from_json, q2_json
 
 from conftest import exact_symbolic_sup
 
@@ -208,6 +212,79 @@ def test_bracket_contains_irrational_value():
     assert not Bracket(0, F(7, 10)).contains(x)
     assert not Bracket(F(71, 100), 1).contains(x)
     assert Bracket(0, 1).contains(F(1, 2)) and Bracket(0, 1).contains(Q2(1))
+
+
+# --- the representation: (p + q*sqrt2)/d over one denominator ----------------
+
+
+def check_canonical(x):
+    """x is three integers (p, q, d) in lowest terms with d > 0, and a, b
+    read them back as the reduced Fractions p/d and q/d."""
+    assert type(x) is Q2 and all(type(v) is int for v in (x.p, x.q, x.d))
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    assert type(x.a) is F and type(x.b) is F
+    assert x.a == F(x.p, x.d) and x.b == F(x.q, x.d)
+    assert q2_from_json(q2_json(x)) == x
+    if x.is_rational:
+        assert hash(x) == hash(x.a) and x == x.a
+
+
+@given(q2s, operands, st.integers(min_value=0, max_value=40))
+def test_q2_results_keep_the_representation(x, y, k):
+    yq = Q2.of(y)
+    results = [x, yq, -x, abs(x), x + y, y + x, x - y, y - x, x * y, y * x,
+               Q2(x.a, x.b), Q2.of(x.a) + Q2(0, x.b), x + yq - yq, yq * x]
+    if yq != 0:
+        results += [x / y, x / y * y]
+    results += [Q2.of(v) for v in x.bracket(k)]
+    for r in results:
+        check_canonical(r)
+    # equal values built by different routes are equal and hash equal
+    for u, v in ((x + yq - yq, x), (x * y, y * x), (Q2.of(x.a) + Q2(0, x.b), x),
+                 (x - x, Q2(0)), (x + y, y + x)):
+        assert u == v and hash(u) == hash(v)
+    if yq != 0:
+        assert x / y * y == x and hash(x / y * y) == hash(x)
+
+
+@given(st.one_of(rationals, st.integers(min_value=-10 ** 30, max_value=10 ** 30)))
+def test_rational_q2_hashes_as_its_fraction(v):
+    assert hash(Q2(v)) == hash(F(v)) and Q2(v) == F(v)
+    assert hash(Q2(v, 0) + Q2(0, 1) - Q2(0, 1)) == hash(F(v))
+
+
+def fraction_news(fn) -> int:
+    """How often fn() calls Fraction.__new__, counted by the profiler."""
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(nc for (filename, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
+               if filename == fractions.__file__ and name == "__new__")
+
+
+def test_q2_by_q2_arithmetic_and_order_build_no_fraction():
+    xs = [Q2(0), Q2(3), Q2(F(1, 3)), Q2(F(-5, 12)), Q2.sqrt2_scaled(0), Q2.sqrt2_scaled(9),
+          Q2(F(1, 2), F(1, 64)), Q2(F(-7, 3), F(5, 9)), Q2(F(2, 3), F(-1, 3))]
+
+    def ops():
+        for x in xs:
+            for y in xs:
+                x + y, x * y, x < y, x == y
+    assert fraction_news(lambda: F(1, 3)) == 1  # the counter sees a Fraction
+    assert fraction_news(ops) == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Q2(0.1), lambda: Q2(1, 0.5), lambda: Q2.of(0.5),
+    lambda: Q2(1) + 0.1, lambda: 0.1 + Q2(1), lambda: Q2(1) - 0.5, lambda: 0.5 - Q2(1),
+    lambda: Q2(1) * 0.5, lambda: Q2(1) / 0.5, lambda: Q2(1) < 0.5, lambda: 0.5 <= Q2(1),
+    lambda: DyadicInterval(0.0, 1), lambda: DyadicInterval(0, 1.0),
+    lambda: DyadicInterval(0, 1).contains(0.3),
+    lambda: DyadicInterval(0, 1).contains_interior(0.3),
+    lambda: Bracket.point(0.1), lambda: Bracket(0, 0.5), lambda: Bracket(0, 1).contains(0.5),
+    lambda: Bracket(0, 1).scale(0.5), lambda: ball(0.5, 2)])
+def test_floats_are_refused_at_the_kernel_boundary(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 # --- least denominators ------------------------------------------------------

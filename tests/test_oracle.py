@@ -76,6 +76,19 @@ def test_mu_exists_below_usco():
     assert isinstance(res, NotFoundBelow)
 
 
+def test_mu_exists_reads_the_interval_on_its_clip():
+    # the witnesses read an interval reaching outside [0,1] on its clip, so
+    # the probe basis must too: no probe point outside [0,1] reaches eval
+    cases = [(DyadicInterval(F(-1, 4), F(1, 4)), DyadicInterval(0, F(1, 4))),
+             (DyadicInterval(F(3, 4), F(5, 4)), DyadicInterval(F(3, 4), 1))]
+    for f in (staircase([(F(1, 8), F(1, 2)), (F(7, 8), 0)]), thomae()):
+        for iv, clip in cases:
+            for shape in (ExistsValueAbove, ExistsValueBelow):
+                res = mu_search(shape(f, iv, F(1, 4)))
+                assert isinstance(res, Found)
+                assert res == mu_search(shape(f, clip, F(1, 4)))
+
+
 def test_mu_value_below_on_ball():
     f = Penny(A)
     res = mu_search(ValueBelowOnBall(f, F(1, 3), F(0)))

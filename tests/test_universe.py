@@ -20,10 +20,11 @@ from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
-                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple)
+                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple, irrational_inside)
 
 from conftest import (brute_ball_osc, brute_max, brute_min, probe_basis,
-                      random_finite_set, random_subinterval)
+                      random_continuous_piecewise, random_finite_set, random_staircase,
+                      random_subinterval)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -583,6 +584,37 @@ def test_piecewise_irrational_breakpoint():
     assert g.eval(c) == Q2.of(1) and g.eval(F(1, 2)) == Q2.of(0)
     inf_b, sup_b = f.range_on(DyadicInterval(F(1, 2), F(3, 4)), 12)
     assert inf_b.lo == 0 and sup_b.hi == 1
+
+
+def _linear_locate(f, x):
+    """The plain scan over the cuts that `_locate`'s bisection replaces."""
+    for i, c in enumerate(f.cuts):
+        if x == c:
+            return ("cut", i)
+        if x < c:
+            return ("piece", i - 1)
+    raise DomainError("point %s outside [0,1]" % (x,))
+
+
+def test_locate_by_bisection_matches_linear_scan():
+    rng = random.Random(383)
+    fns = [random_continuous_piecewise(rng) for _ in range(6)]
+    fns += [random_staircase(rng) for _ in range(6)]
+    fns += [fn_sum(random_staircase(rng), random_staircase(rng)) for _ in range(4)]
+    fns += [staircase([(S2(j), F(j + 1, 8)) for j in range(7, -1, -1)]),  # irrational cuts
+            staircase([(F(i, 64), F(i, 64)) for i in range(1, 64)]),
+            linear(1)]
+    for f in fns:
+        cuts = list(f.cuts)
+        pts = cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
+        pts += [c + S2(j) for c in cuts[:-1] for j in (20, 40)]  # just right of each cut
+        pts += [c - S2(j) for c in cuts[1:] for j in (20, 40)]   # just left of each cut
+        pts += [irrational_inside(DyadicInterval(*random_subinterval(rng))) for _ in range(8)]
+        for x in pts:
+            assert f._locate(x) == _linear_locate(f, x), (f.cuts, x)
+        for x in (Q2(-1, 0), -S2(30), Q2(1) + S2(30), Q2(2)):
+            with pytest.raises(DomainError):
+                f._locate(x)
 
 
 def test_finite_point_set_rejects_points_outside_unit_interval():
