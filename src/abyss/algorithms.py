@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
                      RepresentationInsufficient)
-from .exact import (DyadicInterval, FueledBool, Q2, Truth,
+from .exact import (DyadicInterval, FueledBool, Q2, Truth, _rational,
                     rational_grid, unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, ball_oscillation,
@@ -30,7 +30,7 @@ def _check_precision(k: int):
 
 
 def _subinterval(p, q) -> DyadicInterval:
-    p, q = Fraction(p), Fraction(q)
+    p, q = _rational(p), _rational(q)
     if not (0 <= p < q <= 1):
         raise ValueError("need rational endpoints 0 <= p < q <= 1")
     return DyadicInterval(p, q)

@@ -19,7 +19,7 @@ from . import serialize as ser
 from . import variation as var
 from .errors import (ClassRefusal, ConstructionError, DomainError,
                      FuelExhausted, InvalidModulus, NotPointwiseEvaluable,
-                     RepresentationInsufficient, UnsupportedVariant)
+                     RepresentationInsufficient)
 from .exact import DyadicInterval, Q2, rational_grid
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
 from .selftest import run_selftest
@@ -211,6 +211,12 @@ def build_parser() -> _Parser:
     return p
 
 
+# modulus kinds sampled as (x, k, value) rows
+_VALUE_MODULI = {"continuity": alg.modulus_continuity_qc,
+                 "lsco-on-cf": alg.lsco_modulus_on_cf,
+                 "regulation": var.modulus_regulation}
+
+
 def _run(args) -> dict:
     cmd = args.command
 
@@ -286,27 +292,18 @@ def _run(args) -> dict:
 
     if cmd == "modulus":
         probes = [parse_point(s) for s in (args.probe or ["1/3", "1/2", "2/3"])]
-        rows = []
-        if args.kind == "continuity":
-            G = alg.modulus_continuity_qc(f, fuel=fuel)
-            rows = [{"x": ser.q2_json(x), "k": args.k, "value": G(x, args.k)}
+        if args.kind == "quasi":
+            rows = [{"x": ser.q2_json(x), "k": args.k, "N": args.ball_exp,
+                     "interval": [ser.rat_json(e) for e in
+                                  alg.modulus_qc(f, x, args.k, args.ball_exp, fuel=fuel)]}
                     for x in probes]
-        elif args.kind == "quasi":
-            for x in probes:
-                c, d = alg.modulus_qc(f, x, args.k, args.ball_exp, fuel=fuel)
-                rows.append({"x": ser.q2_json(x), "k": args.k, "N": args.ball_exp,
-                             "interval": [ser.rat_json(c), ser.rat_json(d)]})
         elif args.kind == "usco":
             psi = alg.natural_usco_modulus(f, fuel=fuel)
             rows = [{"x": ser.q2_json(x), "k": args.k,
                      "radius": ser.rat_json(psi(x, args.k))} for x in probes]
-        elif args.kind == "lsco-on-cf":
-            G0 = alg.lsco_modulus_on_cf(f, fuel=fuel)
-            rows = [{"x": ser.q2_json(x), "k": args.k, "value": G0(x, args.k)}
-                    for x in probes]
         else:
-            M = var.modulus_regulation(f, fuel=fuel)
-            rows = [{"x": ser.q2_json(x), "k": args.k, "value": M(x, args.k)}
+            G = _VALUE_MODULI[args.kind](f, fuel=fuel)
+            rows = [{"x": ser.q2_json(x), "k": args.k, "value": G(x, args.k)}
                     for x in probes]
         return {"modulus": {"kind": args.kind, "samples": rows}}
 
@@ -367,7 +364,7 @@ def main(argv=None) -> int:
         _emit({"fuel_exhausted": {"message": str(e)}}, getattr(args, "out", None))
         return EXIT_FUEL
     except (DomainError, ConstructionError, NotPointwiseEvaluable,
-            RepresentationInsufficient, InvalidModulus, UnsupportedVariant,
+            RepresentationInsufficient, InvalidModulus, TypeError,
             ValueError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE

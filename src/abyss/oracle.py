@@ -4,9 +4,12 @@ shapes the algorithms issue.
 General number quantification over function values is not computable; each
 shape here is paired with a quantifier-collapse rule that replaces real
 quantifiers by rational-grid quantifiers, sound under a class precondition.
-Queries on functions whose declared class (or structural certificate) admits
-no rule are refused rather than answered: a grid answer without the collapse
-theorem behind it is exactly the mistake this package exists to exhibit.
+Every shape computes its real form from the family's exact structure
+(`range_on`, the threshold witnesses); the admitting rule is what licenses
+reading that answer as the rational form.  Queries on functions whose
+declared class (or structural certificate) admits no rule are refused rather
+than answered: a grid answer without the collapse theorem behind it is
+exactly the mistake this package exists to exhibit.
 
 Grid quantifiers additionally probe the function's own carried points
 (set members, spikes, breakpoints) up to the fuel bound, which makes answers
@@ -20,9 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
-from .exact import Bracket, DyadicInterval, FueledBool, Q2, Truth
+from .exact import Bracket, DyadicInterval, FueledBool, Q2, Truth, _rational
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
-                       USCO, Baire1Limit, SymbolicFn, probe_points)
+                       USCO, Baire1Limit, SymbolicFn, _unit_point, probe_points)
 
 DEFAULT_FUEL = 64
 
@@ -43,7 +46,9 @@ class OscBelow:
 @dataclass(frozen=True)
 class ValueBelowOnBall:
     """Least ball exponent M with f >= q at every rational of the ball
-    around x (the arithmetical ball formula of the semicontinuity analysis)."""
+    around x (the arithmetical ball formula of the semicontinuity analysis).
+    The search reads the infimum over every point of the ball; the usco rule
+    licenses it, since a value below q spreads onto rationals."""
     f: SymbolicFn
     x: object
     q: Fraction
@@ -226,14 +231,14 @@ def require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
 
 class Modulus:
     """A modulus (x, k) -> least exponent or radius, computed by fn(p, k) at
-    the exact point p = Q2.of(x) and memoised on (p, k)."""
+    the exact point p of [0,1] that x names and memoised on (p, k)."""
 
     def __init__(self, fn):
         self._fn = fn
         self._memo: dict = {}
 
     def __call__(self, x, k: int):
-        p = Q2.of(x)
+        p = _unit_point(x)
         key = (p, k)
         if key not in self._memo:
             self._memo[key] = self._fn(p, k)
@@ -342,16 +347,16 @@ def _mu_osc_below(q: OscBelow, trace):
 
 def _mu_value_below_on_ball(q: ValueBelowOnBall, trace):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
-    target = Fraction(q.q)
+    target = _rational(q.q)
     for m in range(q.fuel + 1):
         iv = _ball_clipped(q.x, m)
-        inf_b, _ = q.f.range_on(iv, 8, rationals_only=True)
+        inf_b, _ = q.f.range_on(iv, 8)
         if trace is not None:
-            trace.record("ValueBelowOnBall", m, 0, "rational inf>=%s" % (inf_b.lo,))
+            trace.record("ValueBelowOnBall", m, 0, "inf>=%s" % (inf_b.lo,))
         if inf_b.lo >= target:
             return Found(MuWitness(m))
         if not inf_b.exact and inf_b.hi >= target:
-            raise FuelExhausted("rational infimum bracket straddles the target "
+            raise FuelExhausted("ball infimum bracket straddles the target "
                                 "at exponent %d" % m, fuel=q.fuel)
     return NotFoundBelow(q.fuel)
 
@@ -360,7 +365,7 @@ def _mu_exists(q, trace):
     shape = type(q).__name__
     above = type(q) is ExistsValueAbove
     require_rule(shape, q.f, "mu_search/" + shape)
-    y = Fraction(q.threshold)
+    y = _rational(q.threshold)
     truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
     if truth is Truth.NO:
         if trace is not None:
@@ -405,7 +410,7 @@ def _mu_baire1_above(q: Baire1Above, trace):
         raise RepresentationInsufficient(
             "representation insufficient: no convergence modulus")
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
-    y = Fraction(q.threshold)
+    y = _rational(q.threshold)
     shadow = getattr(f, "seed_set", None)
     for d in range(q.fuel + 1):
         pts = basis_at(f, q.interval, d)

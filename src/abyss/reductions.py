@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .algorithms import _interior_candidates
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import DyadicInterval, Q2, rational_grid
+from .exact import DyadicInterval, Q2, _rational, rational_grid
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
@@ -34,10 +34,9 @@ class SupOracle:
     """Exact supremum functional over the built-in universe."""
 
     sup: Callable[[SymbolicFn, Fraction, Fraction], Fraction]
-    name: str = "exhaustive-symbolic"
 
     def __call__(self, f, p, q) -> Fraction:
-        return self.sup(f, Fraction(p), Fraction(q))
+        return self.sup(f, _rational(p), _rational(q))
 
 
 def exhaustive_sup_oracle() -> SupOracle:
@@ -61,7 +60,6 @@ class CliqModulusOracle:
     the 2^-N ball around x on which values vary by less than 2^-k."""
 
     fn: Callable[[Q2, int, int], tuple[Fraction, Fraction]]
-    name: str = "canonical"
 
     def __call__(self, x, k, n):
         return self.fn(Q2.of(x), k, n)
@@ -95,8 +93,7 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
 def adversarial_cliq_modulus() -> CliqModulusOracle:
     """Always answers the whole interval; fails the ball-containment check of
     its defining bound immediately."""
-    return CliqModulusOracle(lambda x, k, n: (Fraction(0), Fraction(1)),
-                             name="adversarial-constant")
+    return CliqModulusOracle(lambda x, k, n: (Fraction(0), Fraction(1)))
 
 
 def adversarial_wide_modulus() -> CliqModulusOracle:
@@ -108,7 +105,7 @@ def adversarial_wide_modulus() -> CliqModulusOracle:
         w = iv.width / 8
         return (iv.lower + w, iv.upper - w)
 
-    return CliqModulusOracle(fn, name="adversarial-wide")
+    return CliqModulusOracle(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,9 @@ def naive_rational_sup(f: SymbolicFn, p, q, depth: int) -> Fraction:
     `grid_max` when its structure decides it without touching any off-grid
     point; otherwise the grid is scanned point by point.
     """
-    iv = DyadicInterval(Fraction(p), Fraction(q))
+    if depth < 0:
+        raise ValueError("grid depth must be >= 0, got %d" % depth)
+    iv = DyadicInterval(p, q)
     fast = f.grid_max(iv, depth)
     if fast is not None:
         return fast
@@ -270,7 +269,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     # around a member must not keep the member's own spike inside
     for i, p in a_set.members_upto(min(4, fuel)):
         c, d = modulus(p, i + 2, 3)
-        c, d = Fraction(c), Fraction(d)
+        c, d = _rational(c), _rational(d)
         probe_ball = _ball_clipped(p, 3)
         if not (probe_ball.lower <= c < d <= probe_ball.upper):
             raise InvalidModulus("returned interval escapes the prescribed ball")
@@ -284,7 +283,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
         while Fraction(1, 1 << n_j) >= (hi - lo) / 2:
             n_j += 1
         c, d = modulus(Q2.of(mid), j + 1, n_j)
-        c, d = Fraction(c), Fraction(d)
+        c, d = _rational(c), _rational(d)
         ball_iv = _ball_clipped(Q2.of(mid), n_j)
         if not (ball_iv.lower <= c < d <= ball_iv.upper):
             raise InvalidModulus("returned interval escapes the prescribed ball")

@@ -30,8 +30,8 @@ def q2_json(x):
 
 def q2_from_json(doc) -> Q2:
     if isinstance(doc, str):
-        return Q2.of(Fraction(doc))
-    return Q2(Fraction(doc["a"]), Fraction(doc["b"]))
+        return Q2.of(doc)
+    return Q2(doc["a"], doc["b"])
 
 
 def interval_json(iv: DyadicInterval) -> dict:
@@ -39,7 +39,7 @@ def interval_json(iv: DyadicInterval) -> dict:
 
 
 def interval_from_json(doc) -> DyadicInterval:
-    return DyadicInterval(Fraction(doc["lower"]), Fraction(doc["upper"]))
+    return DyadicInterval(doc["lower"], doc["upper"])
 
 
 def set_json(a_set: CountableSet) -> dict:
@@ -67,14 +67,13 @@ def closed_set_from_json(doc):
     if doc["rep"] == "finite-points":
         return FinitePointSet.of([q2_from_json(p) for p in doc["points"]])
     if doc["rep"] == "complement-of-r2-open":
-        return ComplementOfR2Open(R2Rep.from_intervals(
-            [(Fraction(a), Fraction(b)) for a, b in doc["intervals"]]))
+        return ComplementOfR2Open(R2Rep.from_intervals(doc["intervals"]))
     raise ValueError("unknown closed-set representation %r" % (doc.get("rep"),))
 
 
 def _piecewise_from_json(doc):
     return u.PiecewiseRational([q2_from_json(c) for c in doc["cuts"]],
-                               [u.Poly(*(Fraction(c) for c in cs)) for cs in doc["pieces"]],
+                               [u.Poly(*cs) for cs in doc["pieces"]],
                                [q2_from_json(v) for v in doc["values"]])
 
 
@@ -94,7 +93,7 @@ FN_KINDS = {
     "indicator": lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"])),
     "piecewise": _piecewise_from_json,
     "sum": lambda doc: u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"])),
-    "scalar-multiple": lambda doc: u.ScalarMultiple(Fraction(doc["c"]), fn_from_json(doc["f"])),
+    "scalar-multiple": lambda doc: u.ScalarMultiple(doc["c"], fn_from_json(doc["f"])),
     "restricted": lambda doc: u.restrict_tags(fn_from_json(doc["f"]), doc["tags"]),
 }
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import Q2, DyadicInterval
+from .exact import Q2, DyadicInterval, _rational
 
 
 class CountableSet:
@@ -218,7 +218,8 @@ class R2Rep:
 
     @staticmethod
     def from_intervals(spans) -> "R2Rep":
-        cleaned = sorted((Fraction(a), Fraction(b)) for a, b in spans if Fraction(a) < Fraction(b))
+        cleaned = sorted((_rational(a), _rational(b)) for a, b in spans
+                         if _rational(a) < _rational(b))
         for (a1, b1), (a2, b2) in zip(cleaned, cleaned[1:]):
             if b1 > a2:
                 raise ValueError("intervals must be disjoint")
@@ -334,5 +335,5 @@ class RMCode:
 
     @staticmethod
     def from_balls(balls, prefix_of_infinite=False) -> "RMCode":
-        return RMCode(tuple((Fraction(c), Fraction(r)) for c, r in balls),
+        return RMCode(tuple((_rational(c), _rational(r)) for c, r in balls),
                       prefix_of_infinite)

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
-from .exact import (Bracket, DyadicInterval, Q2, Truth, least_denominator_in,
-                    rational_grid)
+from .exact import (Bracket, DyadicInterval, Q2, Truth, _rational,
+                    least_denominator_in, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
 # class tags (vocabulary fixed by the glossary of notions in play)
@@ -80,9 +80,9 @@ class Poly:
     __slots__ = ("c0", "c1", "c2")
 
     def __init__(self, c0, c1=0, c2=0):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
+        self.c0 = _rational(c0)
+        self.c1 = _rational(c1)
+        self.c2 = _rational(c2)
 
     def __call__(self, x) -> Q2:
         p = Q2.of(x)
@@ -145,19 +145,17 @@ class SymbolicFn:
         """Exact check: f(x) > 0 for every x in [0,1]."""
         return False
 
-    def range_on(self, iv: DyadicInterval, k: int,
-                 rationals_only: bool = False) -> tuple[Bracket, Bracket]:
-        """(inf, sup) brackets over the part of iv inside [0,1] (restricted
-        to rational points when asked), each of width at most 2^-k; exact
-        whenever attainable.  A single point is read off its value."""
+    def range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
+        """(inf, sup) brackets over every point of the part of iv inside
+        [0,1], each of width at most 2^-k; exact whenever attainable.  A
+        single point is read off its value."""
         iv = _clip_unit(iv)
         if iv.width == 0:
             v = Bracket.of_q2(self._eval(Q2.of(iv.lower)), k)
             return v, v
-        return self._range_on(iv, k, rationals_only)
+        return self._range_on(iv, k)
 
-    def _range_on(self, iv: DyadicInterval, k: int,
-                  rationals_only: bool) -> tuple[Bracket, Bracket]:
+    def _range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
         """`range_on` over a nondegenerate subinterval of [0,1]."""
         raise NotImplementedError
 
@@ -196,9 +194,6 @@ class SymbolicFn:
     def jump_candidates(self, limit: int) -> list[Q2]:
         return []
 
-    def variation_points(self, iv: DyadicInterval) -> Optional[list[Q2]]:
-        return None
-
     def grid_max(self, iv: DyadicInterval, depth: int) -> Optional[Fraction]:
         """Exact max of f over rational_grid(iv, depth), read off the
         family's structure without visiting every grid point; None asks the
@@ -227,7 +222,7 @@ class SymbolicFn:
 
     def _witness(self, iv, y, above):
         iv = _clip_unit(iv)
-        y = Fraction(y)
+        y = _rational(y)
         if iv.width == 0:
             p = Q2.of(iv.lower)
             v = self._eval(p)
@@ -284,8 +279,7 @@ def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
     return max(_eval_rat(f, iv.lower), _eval_rat(f, iv.upper))
 
 
-def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int,
-                 rationals_only: bool = False) -> list[Q2]:
+def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
     """Deterministic probe basis: dyadic grid of iv at `depth`, interval
     endpoints, and the function's own special points, sorted ascending.  iv
     is read on its part inside [0,1], as `range_on` reads it."""
@@ -293,8 +287,6 @@ def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int,
     pts: list[Q2] = [Q2.of(q) for q in rational_grid(iv, depth)]
     for p in f.special_points(iv, depth):
         pts.append(Q2.of(p))
-    if rationals_only:
-        pts = [p for p in pts if p.is_rational]
     pts.sort()
     out = []
     for p in pts:
@@ -328,18 +320,15 @@ class PiecewiseRational(SymbolicFn):
 
     @staticmethod
     def from_polys(cuts, pieces, policy=None):
-        """policy: per-cut entry 'left' | 'right' | explicit value; defaults
-        to 'right' (cadlag) at interior cuts, piece limits at 0 and 1."""
+        """policy: per-cut entry 'right' | explicit value; defaults to
+        'right' (cadlag) at interior cuts, piece limits at 0 and 1."""
         cuts = [Q2.of(c) for c in cuts]
         m = len(cuts)
         if policy is None:
             policy = ["right"] * m
         vals = []
         for i, rule in enumerate(policy):
-            if rule == "left":
-                j = i - 1 if i > 0 else 0
-                vals.append(pieces[j](cuts[i]))
-            elif rule == "right":
+            if rule == "right":
                 j = i if i < len(pieces) else len(pieces) - 1
                 vals.append(pieces[j](cuts[i]))
             else:
@@ -412,9 +401,9 @@ class PiecewiseRational(SymbolicFn):
         if inf_b.exact:
             return False
         # irrational infimum: compare the exact candidates directly
-        return all(v > 0 for v in self._value_candidates(DyadicInterval(0, 1), False))
+        return all(v > 0 for v in self._value_candidates(DyadicInterval(0, 1)))
 
-    def _value_candidates(self, iv, rationals_only):
+    def _value_candidates(self, iv):
         vals = []
         lo, hi = Q2.of(iv.lower), Q2.of(iv.upper)
         for j, piece in enumerate(self.pieces):
@@ -423,12 +412,12 @@ class PiecewiseRational(SymbolicFn):
             if s < t:
                 vals.extend(piece.range_on(s, t))
         for i, c in enumerate(self.cuts):
-            if iv.contains(c) and not (rationals_only and not c.is_rational):
+            if iv.contains(c):
                 vals.append(self.bp_values[i])
         return vals
 
-    def _range_on(self, iv, k, rationals_only):
-        vals = self._value_candidates(iv, rationals_only)
+    def _range_on(self, iv, k):
+        vals = self._value_candidates(iv)
         return Bracket.of_q2(min(vals), k), Bracket.of_q2(max(vals), k)
 
     def special_points(self, iv, depth):
@@ -457,10 +446,6 @@ class PiecewiseRational(SymbolicFn):
             if left != right:
                 out.append(self.cuts[i])
         return out[:limit]
-
-    def variation_points(self, iv):
-        iv = _clip_unit(iv)
-        return sorted({Q2.of(iv.lower), Q2.of(iv.upper), *self.special_points(iv, 0)})
 
     def grid_max(self, iv, depth):
         # a piece attains its grid max next to a cut, a vertex or an end
@@ -504,7 +489,8 @@ class PiecewiseRational(SymbolicFn):
 def constant(c) -> PiecewiseRational:
     v = Q2.of(c)
     if not v.is_rational:
-        return PiecewiseRational([0, 1], [Poly(0)], [v, v])  # pragma: no cover
+        raise ConstructionError("constant %s is irrational; Poly coefficients "
+                                "are rational" % (v,))
     return PiecewiseRational([0, 1], [Poly(v.as_rational())], [v, v])
 
 
@@ -562,7 +548,7 @@ class Thomae(SymbolicFn):
         p, q = least_denominator_in(lo, hi)
         return (Fraction(p, q), q) if q <= cap else None
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         # infimum: rational values 1/q get arbitrarily small, irrationals give 0
         inf_b = Bracket.point(0)
         cap = 1 << (k + 2)
@@ -697,10 +683,10 @@ class Penny(_SpikeFamily):
     def range_bound(self):
         return Fraction(0), Fraction(1, 2)
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
-        best = next((self.spike_value(n) for n, p in self._spike_scan(iv, limit)
-                     if p.is_rational or not rationals_only), Fraction(0))
+        best = next((self.spike_value(n) for n, _ in self._spike_scan(iv, limit)),
+                    Fraction(0))
         tail = Fraction(1, 1 << (limit + 1))
         if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
             return Bracket.point(0), Bracket.point(best)
@@ -798,10 +784,8 @@ class CoverPsi(_SpikeFamily):
     def is_positive(self):
         return True
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         sup_b = Bracket.point(self.BASE)
-        if rationals_only:
-            return Bracket.point(self.BASE), sup_b  # members are irrational
         limit = self._spike_scan_limit(k)
         vals = [self.spike_value(n) for n, _ in self.spikes_in(iv, limit)]
         if self.a_set.scan_is_exhaustive(iv, limit):
@@ -878,7 +862,7 @@ class CoverPsiUsco(_SpikeFamily):
             n += 1
         return out
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         cap = max(k + 6, 8)
         bands = self._bands_meeting(iv, cap)
         vals = []
@@ -890,7 +874,7 @@ class CoverPsiUsco(_SpikeFamily):
             member_here = [m for m, _ in self.spikes_in(band_iv, n + 1) if m == n]
             if band_iv.width > 0 or not member_here:
                 vals.append(self.band_value(n))
-            if member_here and not rationals_only:
+            if member_here:
                 vals.append(self.spike_value(n))
         truncated = bands and Fraction(1, 1 << (bands[-1] + 1)) > iv.lower and iv.lower > 0
         sup_b = Bracket.point(max(vals))
@@ -947,12 +931,10 @@ class Indicator(SymbolicFn):
     def range_bound(self):
         return Fraction(0), Fraction(1)
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         meets = [(a, b) for a, b in self.components if a <= iv.upper and b >= iv.lower]
-        # a nondegenerate component that meets iv meets it at a rational
-        hit = any(not rationals_only or a < b or Q2.of(a).is_rational for a, b in meets)
         covered = any(a <= iv.lower and b >= iv.upper for a, b in meets)
-        return Bracket.point(1 if covered else 0), Bracket.point(1 if hit else 0)
+        return Bracket.point(1 if covered else 0), Bracket.point(1 if meets else 0)
 
     def special_points(self, iv, depth):
         return [Q2.of(e) for a, b in self.components for e in (a, b) if iv.contains(e)]
@@ -1037,7 +1019,7 @@ class Baire1Limit(SymbolicFn):
         lo, hi = self.term(0).range_bound()
         return min(lo, Fraction(0)), max(hi, Fraction(1))
 
-    def range_on(self, iv, k, rationals_only=False):
+    def range_on(self, iv, k):
         raise UnsupportedVariant(
             "interval ranges of a pointwise limit are consumed through its "
             "representation, not directly")
@@ -1124,7 +1106,7 @@ def fn_difference(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
 
 def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:
     if isinstance(f, PiecewiseRational):
-        c = Fraction(c)
+        c = _rational(c)
         pieces = [Poly(*(c * x for x in p.coeffs())) for p in f.pieces]
         vals = [Q2.of(c) * v for v in f.bp_values]
         return PiecewiseRational(f.cuts, pieces, vals)
@@ -1166,18 +1148,18 @@ class Sum(SymbolicFn):
                 return c, b
         return None, None
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         c, other = self._const_side()
         if c is not None:
-            io, so = other.range_on(iv, k + 1, rationals_only)
+            io, so = other.range_on(iv, k + 1)
             cb = Bracket.of_q2(c, k + 1)
             return io + cb, so + cb
-        fi, fs = self.f.range_on(iv, k + 2, rationals_only)
-        gi, gs = self.g.range_on(iv, k + 2, rationals_only)
+        fi, fs = self.f.range_on(iv, k + 2)
+        gi, gs = self.g.range_on(iv, k + 2)
         inf_b, sup_b = fi + gi, fs + gs
         # tighten with actual evaluations (sound: values are inside the range)
         best_hi, best_lo = None, None
-        for p in probe_points(self, iv, 4, rationals_only):
+        for p in probe_points(self, iv, 4):
             v = self._eval(p).approx(k + 4)
             best_hi = v if best_hi is None else max(best_hi, v)
             best_lo = v if best_lo is None else min(best_lo, v)
@@ -1215,36 +1197,23 @@ class Sum(SymbolicFn):
         return {"kind": self.kind, "f": self.f.to_jsonable(), "g": self.g.to_jsonable()}
 
 
+# what a negative factor turns each tag or certificate into
+_MIRROR = {USCO: LSCO, LSCO: USCO, CERT_SUP: CERT_INF, CERT_INF: CERT_SUP}
+
+
 class ScalarMultiple(SymbolicFn):
     kind = "scalar-multiple"
 
     def __init__(self, c, f: SymbolicFn):
-        self.c = Fraction(c)
+        self.c = _rational(c)
         self.f = f
-        tags = set(f.tags)
-        certs = set()
-        if self.c > 0:
-            certs = set(f.certificates)
-        elif self.c < 0:
-            if CERT_SUP in f.certificates:
-                certs.add(CERT_INF)
-            if CERT_INF in f.certificates:
-                certs.add(CERT_SUP)
-            if CERT_OSC in f.certificates:
-                certs.add(CERT_OSC)
-        if self.c < 0:
-            swapped = set(tags)
-            swapped.discard(USCO)
-            swapped.discard(LSCO)
-            if USCO in tags:
-                swapped.add(LSCO)
-            if LSCO in tags:
-                swapped.add(USCO)
-            tags = swapped  # normalised-BV stays: c*f keeps f(0)=0 and right-continuity
         if self.c == 0:
-            tags = {CONTINUOUS, QUASI_CONTINUOUS, CLIQUISH, SIMPLY_CONTINUOUS,
-                    USCO, LSCO, BV, NORMALISED_BV, REGULATED, BAIRE1}
-            certs = {CERT_SUP, CERT_INF, CERT_OSC}
+            tags, certs = ALL_TAGS, {CERT_SUP, CERT_INF, CERT_OSC}
+        else:
+            # normalised-BV stays: c*f keeps f(0)=0 and right-continuity
+            mirror = _MIRROR if self.c < 0 else {}
+            tags = {mirror.get(t, t) for t in f.tags}
+            certs = {mirror.get(t, t) for t in f.certificates}
         super().__init__(tags, certs)
 
     def _eval(self, x):
@@ -1254,9 +1223,9 @@ class ScalarMultiple(SymbolicFn):
         lo, hi = self.f.range_bound()
         return (lo * self.c, hi * self.c) if self.c >= 0 else (hi * self.c, lo * self.c)
 
-    def _range_on(self, iv, k, rationals_only):
+    def _range_on(self, iv, k):
         extra = max(0, self.c.numerator.bit_length() - self.c.denominator.bit_length() + 1)
-        i_b, s_b = self.f.range_on(iv, k + extra, rationals_only)
+        i_b, s_b = self.f.range_on(iv, k + extra)
         i2, s2 = i_b.scale(self.c), s_b.scale(self.c)
         return (i2, s2) if self.c >= 0 else (s2, i2)
 
@@ -1313,8 +1282,8 @@ class RestrictedView(SymbolicFn):
     def range_bound(self):
         return self.f.range_bound()
 
-    def _range_on(self, iv, k, rationals_only):
-        return self.f.range_on(iv, k, rationals_only)
+    def _range_on(self, iv, k):
+        return self.f.range_on(iv, k)
 
     def special_points(self, iv, depth):
         return self.f.special_points(iv, depth)

@@ -48,6 +48,8 @@ def jump_enum(f: SymbolicFn, limit: int = 64) -> list[Q2]:
     drawn from the function's own candidate structure (complete on the
     universe: every jump of a built-in family sits at a carried point)."""
     require_tag(f, REGULATED, "jump_enum")
+    if limit < 0:
+        raise ValueError("limit must be >= 0, got %d" % limit)
     jumps = []
     for c in f.jump_candidates(limit):
         left = f.one_sided_limit(c, -1, 40)
@@ -80,7 +82,7 @@ def _variation_exact(f: PiecewiseRational, bound: Q2) -> Q2:
     and monotone (vertices are critical points), so each cell contributes the
     right-jump at its left end, the run, and the left-jump at its right end.
     """
-    pts = [c for c in f.variation_points(DyadicInterval(0, 1)) if c < bound]
+    pts = [c for c in sorted(f.special_points(DyadicInterval(0, 1), 0)) if c < bound]
     pts.append(bound)
     total = Q2.of(0)
     for u, v in zip(pts, pts[1:]):

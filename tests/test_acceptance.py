@@ -16,11 +16,12 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-from abyss import (ClassRefusal, DyadicInterval, Penny, PennyK, Q2,
-                   build_cover_psi, canonical_cliq_modulus,
+from abyss import (ClassRefusal, ComplementOfR2Open, CoverPsi, CoverPsiUsco,
+                   DyadicInterval, FinitePointSet, Found, Indicator, Penny,
+                   PennyK, Q2, R2Rep, build_cover_psi, canonical_cliq_modulus,
                    canonical_regulation_modulus, constant, cousin_subcover,
                    exhaustive_sup_oracle, extract_enumeration_from_sup,
-                   finite_set, inf_usco, jordan_nbv, linear, mu_search,
+                   finite_set, fn_sum, inf_usco, jordan_nbv, linear, mu_search,
                    naive_rational_sup, osc_point, pennyk_limit,
                    point_of_continuity_qc, rational_grid,
                    realiser_from_cliq_modulus, realiser_from_regulation_modulus,
@@ -28,7 +29,7 @@ from abyss import (ClassRefusal, DyadicInterval, Penny, PennyK, Q2,
                    sup_baire1, sup_qc, thomae, total_variation_nbv)
 from abyss.oracle import (Baire1Above, ExistsValueAbove, ExistsValueBelow,
                           OscBelow, ValueBelowOnBall)
-from abyss.universe import CLIQUISH
+from abyss.universe import CLIQUISH, USCO, ScalarMultiple
 
 from conftest import (exact_symbolic_inf, exact_symbolic_sup,
                       partition_brute_variation, probe_basis,
@@ -324,8 +325,7 @@ def _symbolic_predicate(query):
     if isinstance(query, ValueBelowOnBall):
         for m in range(24):
             iv = _ball(query.x, m)
-            pts = [p for p in probe_basis(query.f, iv, 7) if p.is_rational]
-            if all(query.f.eval(p) >= Q2.of(query.q) for p in pts):
+            if all(query.f.eval(p) >= Q2.of(query.q) for p in probe_basis(query.f, iv, 7)):
                 return m
         return None
     if isinstance(query, Baire1Above):
@@ -393,6 +393,32 @@ def test_criterion_8_collapse_rule_soundness():
     ok = ok and refusals == 2
     _report(8, "collapsed and symbolic evaluations agree on 1000 queries; "
             "both unruled pairs refuse", ok)
+
+
+def test_value_below_on_ball_search_matches_every_probe_on_usco_families():
+    """mu_search reads the ball infimum over every point, which the usco rule
+    licenses: on usco families beyond the spike function it finds the same
+    least exponent as the every-probe reading.  Positive thresholds stay
+    above 2^-12, the cover function's value at 1/128, the depth-7 probe
+    nearest 0: below it that reading cannot see the infimum 0 at 0.  The
+    sums' parts share where they approach their infima, as `Sum.range_on`
+    assumes when it adds them (defect 2a, ROADMAP item 1)."""
+    gaps = ComplementOfR2Open(R2Rep.from_intervals([(F(1, 8), F(1, 4)), (F(5, 8), F(3, 4))]))
+    B = finite_set([S2(0), S2(3), S2(6)])
+    fns = [Indicator(gaps), Indicator(FinitePointSet.of([F(1, 3), S2(1)])),
+           CoverPsiUsco(A), CoverPsiUsco(B), fn_sum(constant(F(1, 4)), CoverPsiUsco(B)),
+           fn_sum(Indicator(gaps), Indicator(FinitePointSet.of([F(3, 16), S2(2)]))),
+           ScalarMultiple(-1, CoverPsi(B)), restrict_tags(CoverPsiUsco(A), {USCO})]
+    thresholds = [F(-1, 8), F(0), F(5, 1 << 13), F(3, 1 << 10), F(1, 128), F(1, 64),
+                  F(65, 256), F(1, 2), F(1), F(17, 16)]
+    for f in fns:
+        assert USCO in f.tags, f
+        for x in (F(i, 16) for i in range(17)):
+            for q in thresholds:
+                query = ValueBelowOnBall(f, x, q, fuel=23)
+                res = mu_search(query)
+                got = res.witness.value if isinstance(res, Found) else None
+                assert got == _symbolic_predicate(query), (f, x, q)
 
 
 def test_criterion_9_determinism():

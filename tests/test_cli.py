@@ -94,10 +94,26 @@ def test_points_outside_the_unit_interval_are_usage_errors():
                  ("limits", "--fn", "step:1/2", "--x=-1/4"),
                  ("limits", "--fn", "penny", "--x", "3/2"),
                  ("modulus", "--fn", "penny", "--kind", "regulation", "--probe", "3/2",
+                  "--k", "3"),
+                 ("modulus", "--fn", "thomae", "--kind", "continuity", "--probe", "3/2",
                   "--k", "3")):
         r = run(*args)
         assert r.returncode == 1 and r.stdout == "", args
         assert "outside [0,1]" in r.stderr, args
+
+
+def test_negative_counts_are_usage_errors():
+    from abyss import Penny, jump_enum, naive_rational_sup, sqrt2_family, staircase
+    steps = staircase([(F(1, 3), 1), (F(2, 3), 2)])
+    with pytest.raises(ValueError):
+        jump_enum(steps, limit=-1)
+    with pytest.raises(ValueError):
+        naive_rational_sup(Penny(sqrt2_family()), 0, 1, -3)
+    for args in (("jumps", "--fn", json.dumps(steps.to_jsonable()), "--limit", "-1"),
+                 ("demo-abyss", "--depth", "-3")):
+        r = run(*args)
+        assert r.returncode == 1 and r.stdout == "", args
+        assert "must be >= 0" in r.stderr, args
 
 
 def test_golden_digests_in_process(monkeypatch, capsys):
@@ -120,6 +136,9 @@ def test_usage_errors():
     assert run("no-such-command").returncode == 1
     assert run("sup", "--fn", "mystery", "--interval", "0", "1").returncode == 1
     assert run("eval", "--fn", "thomae", "--x", "5/2").returncode == 1  # domain
+    r = run("eval", "--fn", '{"kind": "scalar-multiple", "c": 0.1, "f": {"kind": "thomae"}}',
+            "--x", "1/2")
+    assert r.returncode == 1 and r.stdout == "" and "float 0.1 refused" in r.stderr
 
 
 def test_eval_and_plot_data(tmp_path):

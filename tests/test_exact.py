@@ -11,11 +11,12 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from abyss import (DyadicInterval, FueledBool, Q2, Thomae, Truth, ball, halve,
-                   rational_grid, unit_rationals)
+from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, Poly, Q2, Thomae,
+                   R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
+                   rational_grid, scalar_multiple, sup_qc, unit_rationals)
 from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
                          signed_unit_rationals, sqrt2_bracket)
-from abyss.serialize import q2_from_json, q2_json
+from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
 from conftest import exact_symbolic_sup
 
@@ -281,7 +282,13 @@ def test_q2_by_q2_arithmetic_and_order_build_no_fraction():
     lambda: DyadicInterval(0, 1).contains(0.3),
     lambda: DyadicInterval(0, 1).contains_interior(0.3),
     lambda: Bracket.point(0.1), lambda: Bracket(0, 0.5), lambda: Bracket(0, 1).contains(0.5),
-    lambda: Bracket(0, 1).scale(0.5), lambda: ball(0.5, 2)])
+    lambda: Bracket(0, 1).scale(0.5), lambda: ball(0.5, 2),
+    lambda: linear(1).witness_above(DyadicInterval(0, 1), 0.1),
+    lambda: sup_qc(linear(1), 0.25, 0.75, 4), lambda: scalar_multiple(0.1, linear(1)),
+    lambda: scalar_multiple(0.1, Thomae()), lambda: Poly(0.1),
+    lambda: mu_search(ExistsValueAbove(linear(1), DyadicInterval(0, 1), 0.1)),
+    lambda: naive_rational_sup(Thomae(), 0.25, 1, 4), lambda: R2Rep.from_intervals([(0.25, 0.5)]),
+    lambda: fn_from_json({"kind": "scalar-multiple", "c": 0.1, "f": {"kind": "thomae"}})])
 def test_floats_are_refused_at_the_kernel_boundary(build):
     with pytest.raises(TypeError):
         build()

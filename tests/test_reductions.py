@@ -74,7 +74,7 @@ def test_realiser_from_sup_certified():
 
 
 def test_realiser_from_sup_inconsistent_oracle():
-    lying = SupOracle(lambda f, p, q: F(1, 2), name="constant-lie")
+    lying = SupOracle(lambda f, p, q: F(1, 2))
     with pytest.raises(OracleInconsistency):
         realiser_from_sup(lying, A, 8, fuel=4)
 

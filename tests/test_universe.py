@@ -7,8 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from abyss import (CoverPsi, DomainError, DyadicInterval, FinitePointSet,
-                   Indicator, NotPointwiseEvaluable, Penny, PennyK,
+from abyss import (ConstructionError, CoverPsi, DomainError, DyadicInterval,
+                   FinitePointSet, Indicator, NotPointwiseEvaluable, Penny, PennyK,
                    PiecewiseRational, Poly, Q2, R2Rep,
                    TildePenny, Truth,
                    UnsupportedVariant, build_cover_psi, constant, finite_set,
@@ -491,10 +491,9 @@ def _plain_spikes(f, iv, limit):
     return [(n, p) for n, p in f.a_set.members_in(iv, limit) if n >= f.start]
 
 
-def _plain_sup(f, iv, k, rationals_only):
+def _plain_sup(f, iv, k):
     limit = f._spike_scan_limit(k) if f.stop is None else f.stop
-    best = max((f.spike_value(n) for n, p in _plain_spikes(f, iv, limit)
-                if p.is_rational or not rationals_only), default=F(0))
+    best = max((f.spike_value(n) for n, _ in _plain_spikes(f, iv, limit)), default=F(0))
     tail = F(1, 1 << (limit + 1))
     if f.stop is not None or best >= tail or f.a_set.scan_is_exhaustive(iv, limit):
         return best, best
@@ -537,15 +536,20 @@ def test_first_hit_spike_scans_match_plain_filter():
             w = F(1, 1 << (j + 1))
             ivs.append(DyadicInterval(max(F(0), lo - w), min(F(1), hi + w)))
         for iv in ivs:
-            for rationals_only in (False, True):
-                for k in range(13):
-                    inf_b, sup_b = f.range_on(iv, k, rationals_only)
-                    assert inf_b == Bracket.point(0)
-                    assert (sup_b.lo, sup_b.hi) == _plain_sup(f, iv, k, rationals_only)
+            for k in range(13):
+                inf_b, sup_b = f.range_on(iv, k)
+                assert inf_b == Bracket.point(0)
+                assert (sup_b.lo, sup_b.hi) == _plain_sup(f, iv, k)
             for j in range(-1, 14):
                 for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
                     y = y if j >= 0 else -y
                     assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y)
+
+
+def test_constant_refuses_an_irrational_value():
+    with pytest.raises(ConstructionError):
+        constant(Q2(0, F(1, 2)))
+    assert constant(F(2, 3)).constant_value() == Q2.of(F(2, 3))
 
 
 def test_osc_exact_matches_brute_limit():
@@ -662,25 +666,22 @@ def test_indicator_closed_set_forms_pinned():
                       (whole, {CONTINUOUS, QUASI_CONTINUOUS, LSCO})):
         assert Indicator(cs).tags == frozenset(base | extra)
 
-    def ranges(cs, lo, hi, rationals_only):
-        inf_b, sup_b = Indicator(cs).range_on(DyadicInterval(lo, hi), 8, rationals_only)
+    def ranges(cs, lo, hi):
+        inf_b, sup_b = Indicator(cs).range_on(DyadicInterval(lo, hi), 8)
         assert inf_b.exact and sup_b.exact
         return inf_b.lo, sup_b.lo
 
-    for r in (False, True):
-        assert ranges(empty, F(0), F(1), r) == (0, 0)
-        assert ranges(pts, F(0), F(1, 2), r) == (0, 1)
-        assert ranges(pts, F(3, 4), F(1), r) == (0, 0)
-        assert ranges(touch, F(0), F(1, 2), r) == (0, 1)
-        assert ranges(touch, F(0), F(1, 8), r) == (0, 0)
-        assert ranges(touch, F(5, 8), F(3, 4), r) == (1, 1)
-        assert ranges(touch, F(11, 16), F(7, 8), r) == (0, 1)
-        assert ranges(gap, F(0), F(1, 4), r) == (1, 1)
-        assert ranges(gap, F(5, 16), F(7, 16), r) == (0, 0)
-        assert ranges(whole, F(1, 3), F(2, 3), r) == (1, 1)
-    # only the irrational point lies in [1/4, 3/8]
-    assert ranges(pts, F(1, 4), F(3, 8), False) == (0, 1)
-    assert ranges(pts, F(1, 4), F(3, 8), True) == (0, 0)
+    assert ranges(empty, F(0), F(1)) == (0, 0)
+    assert ranges(pts, F(0), F(1, 2)) == (0, 1)
+    assert ranges(pts, F(3, 4), F(1)) == (0, 0)
+    assert ranges(touch, F(0), F(1, 2)) == (0, 1)
+    assert ranges(touch, F(0), F(1, 8)) == (0, 0)
+    assert ranges(touch, F(5, 8), F(3, 4)) == (1, 1)
+    assert ranges(touch, F(11, 16), F(7, 8)) == (0, 1)
+    assert ranges(gap, F(0), F(1, 4)) == (1, 1)
+    assert ranges(gap, F(5, 16), F(7, 16)) == (0, 0)
+    assert ranges(whole, F(1, 3), F(2, 3)) == (1, 1)
+    assert ranges(pts, F(1, 4), F(3, 8)) == (0, 1)  # only the irrational point
 
     def limits(cs, x):
         f = Indicator(cs)
@@ -775,9 +776,7 @@ def test_intervals_are_read_on_their_part_inside_unit_interval(make):
         clip = DyadicInterval(max(lo, F(0)), min(hi, F(1)))
         iv = DyadicInterval(lo, hi)
         for k in (0, 4, 10):
-            for rationals_only in (False, True):
-                assert (f.range_on(iv, k, rationals_only)
-                        == f.range_on(clip, k, rationals_only)), (lo, hi, k)
+            assert f.range_on(iv, k) == f.range_on(clip, k), (lo, hi, k)
         for y in (F(0), F(1, 8), F(1, 2)):
             assert f.witness_above(iv, y) == f.witness_above(clip, y), (lo, hi, y)
             assert f.witness_below(iv, y) == f.witness_below(clip, y), (lo, hi, y)
@@ -792,9 +791,8 @@ def test_single_points_answer_from_their_value(make):
         v = f.eval(p)
         point = DyadicInterval(x, x)
         for k in (0, 6, 20):
-            for rationals_only in (False, True):
-                b = Bracket.of_q2(v, k)
-                assert f.range_on(point, k, rationals_only) == (b, b), (x, k)
+            b = Bracket.of_q2(v, k)
+            assert f.range_on(point, k) == (b, b), (x, k)
         for y in (F(-1), F(0), F(1, 64), F(1, 8), F(1, 2), F(1), F(5)):
             assert f.witness_above(point, y) == ((Truth.YES, p) if v > y
                                                  else (Truth.NO, None)), (x, y)
