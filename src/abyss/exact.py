@@ -388,6 +388,15 @@ def rational_grid(i: DyadicInterval, n: int) -> list[Fraction]:
     return pts
 
 
+def grid_depth_cap(iv: DyadicInterval) -> int:
+    """Deepest grid that stays around 4k points on this interval: 12 plus
+    the least e <= 80 with 2^-e <= width, read off ceil(1/width)."""
+    w = iv.width
+    if w == 0:
+        return 0
+    return 12 + min((-(-w.denominator // w.numerator) - 1).bit_length(), 80)
+
+
 # --- fueled truth values ---------------------------------------------------
 
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
-from .exact import Bracket, DyadicInterval, FueledBool, Q2, Truth, _rational
+from .exact import (Bracket, DyadicInterval, FueledBool, Q2, Truth, _rational,
+                    grid_depth_cap)
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
                        USCO, Baire1Limit, SymbolicFn, _unit_point, probe_points)
 
@@ -248,17 +249,6 @@ class Modulus:
 # --- probe bases ------------------------------------------------------------
 
 
-def grid_depth_cap(iv: DyadicInterval) -> int:
-    """Deepest grid that stays around 4k points on this interval."""
-    w = iv.width
-    if w == 0:
-        return 0
-    extra = 0
-    while Fraction(1, 1 << extra) > w and extra < 80:
-        extra += 1
-    return 12 + extra
-
-
 def basis_at(f: SymbolicFn, iv: DyadicInterval, depth: int):
     return probe_points(f, iv, min(depth, grid_depth_cap(iv)))
 
@@ -411,7 +401,7 @@ def _mu_baire1_above(q: Baire1Above, trace):
             "representation insufficient: no convergence modulus")
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
     y = _rational(q.threshold)
-    shadow = getattr(f, "seed_set", None)
+    last = f.witness_depth(y)
     for d in range(q.fuel + 1):
         pts = basis_at(f, q.interval, d)
         if trace is not None:
@@ -419,10 +409,7 @@ def _mu_baire1_above(q: Baire1Above, trace):
         for p in pts:
             if _baire1_value_above(f, p, y, q.fuel):
                 return Found(MuWitness(d))
-        # exact refusal of deeper witnesses: remaining carried spikes are below y
-        if shadow is not None and Fraction(1, 1 << (d + 1)) <= y:
-            return NotFoundBelow(q.fuel)
-        if shadow is None and d >= grid_depth_cap(q.interval):
+        if d >= (grid_depth_cap(q.interval) if last is None else last):
             break
     if y <= 0:
         raise FuelExhausted("non-positive threshold cannot be refuted on a "

@@ -72,7 +72,7 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
     def fn(x, k, n):
         iv = _ball_clipped(x, n)
         blockers = sorted(p for i, p in a_set.members_in(iv, max(k, 1))
-                          if Fraction(1, 1 << (i + 1)) >= Fraction(1, 1 << k))
+                          if Penny.spike_value(i) >= Fraction(1, 1 << k))
         walls = [Q2.of(iv.lower)] + blockers + [Q2.of(iv.upper)]
         best = None
         for lo, hi in zip(walls, walls[1:]):
@@ -219,9 +219,9 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         s = oracle(f, Fraction(0), Fraction(1))
         if s == 0:
             break
-        if s.numerator != 1 or (s.denominator & (s.denominator - 1)) != 0:
+        idx = Penny.spikes_above(abs(s))
+        if f.spike_value(idx) != s:
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
-        idx = s.denominator.bit_length() - 2
         lo, hi = Fraction(0), Fraction(1)
         bits = []
         while hi - lo > Fraction(1, 1 << k):
@@ -306,11 +306,11 @@ def _spot_check_cliq(f: Penny, a_set: CountableSet, c: Fraction, d: Fraction, k:
     iv = DyadicInterval(c, d)
     tol = Fraction(1, 1 << k)
     for i, p in a_set.members_in(iv, max(k + 2, 8)):
-        if p > Q2.of(c) and p < Q2.of(d) and Fraction(1, 1 << (i + 1)) >= tol:
+        if p > Q2.of(c) and p < Q2.of(d) and f.spike_value(i) >= tol:
             # pair (member, any rational in the interval) violates the bound
             raise InvalidModulus(
                 "interval (%s, %s) contains member %d with spike %s >= 2^-%d"
-                % (c, d, i, Fraction(1, 1 << (i + 1)), k))
+                % (c, d, i, f.spike_value(i), k))
 
 
 def realiser_from_regulation_modulus(modulus: Modulus,
@@ -360,10 +360,10 @@ def _spot_check_regulation(modulus, f: Penny, a_set: CountableSet):
             if lo >= hi:
                 continue
             for i, w in a_set.members_in(DyadicInterval(lo, hi), k + 4):
-                if w != p and Fraction(1, 1 << (i + 1)) >= tol:
+                if w != p and f.spike_value(i) >= tol:
                     raise InvalidModulus(
                         "regulation window around %s contains member %d with "
-                        "spike %s" % (p, i, Fraction(1, 1 << (i + 1))))
+                        "spike %s" % (p, i, f.spike_value(i)))
 
 
 def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> Modulus:

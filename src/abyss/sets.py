@@ -145,10 +145,10 @@ def band_of(x, half_open=True) -> Optional[int]:
     p = Q2.of(x)
     if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
         return None
-    n = 0
-    while p < Fraction(1, 1 << (n + 1)):
-        n += 1
-    return n
+    # the least n >= 0 with 2^(n+1) >= t = 1/p, read off floor(t)
+    t = Q2.of(1) / p
+    m = math.floor(t)
+    return max(m.bit_length() - 1 - (t == m and m & (m - 1) == 0), 0)
 
 
 # --- the shifted, banded copy of a set (one point per band) ----------------
@@ -190,16 +190,15 @@ def tilde_set(a_set: CountableSet) -> CountableSet:
 
     def index_of(x: Q2) -> Optional[int]:
         n = band_of(x, half_open=True)
-        if n is None:
+        if n is None or (a_set.size is not None and n >= a_set.size):
             return None
-        if a_set.size is not None and n >= a_set.size:
-            return None
-        return n if member(n) == x else None
+        return n if banded.member(n) == x else None
 
-    return CountableSet(member, index_of, size=a_set.size,
-                        surjective=a_set.surjective,
-                        name="tilde(%s)" % a_set.name,
-                        values_descend=True, all_irrational=True)
+    banded = CountableSet(member, index_of, size=a_set.size,
+                          surjective=a_set.surjective,
+                          name="tilde(%s)" % a_set.name,
+                          values_descend=True, all_irrational=True)
+    return banded
 
 
 # --- closed sets and open-set representations ------------------------------

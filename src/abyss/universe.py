@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
 from .exact import (Bracket, DyadicInterval, Q2, Truth, _rational,
-                    least_denominator_in, rational_grid)
+                    grid_depth_cap, least_denominator_in, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
 # class tags (vocabulary fixed by the glossary of notions in play)
@@ -608,21 +608,36 @@ class _SpikeFamily(SymbolicFn):
 
     Off the set each family is constant, or (cover-psi-usco) nondecreasing
     on (0,1] and largest at 0, so the off-set values on any grid peak at an
-    end of the interval: `grid_max` relies on it."""
+    end of the interval: `grid_max` relies on it.
 
-    def __init__(self, a_set: CountableSet, tags, certificates=()):
-        self.a_set = a_set
-        self.source = a_set  # the seed set a banded variant was built from
-        super().__init__(tags, certificates)
+    Spikes sit at the members of `a_set` with index in the window [start,
+    stop) (stop None: unbounded).  A banded family's `a_set` is the banded
+    copy of its seed set `source`: member n is its one point in band n."""
 
-    def spike_value(self, n: int) -> Fraction:
+    start = 0
+    stop: Optional[int] = None
+    banded = False
+
+    def __init__(self, source: CountableSet, tags):
+        self.source = source
+        self.a_set = tilde_set(source) if self.banded else source
+        super().__init__(tags)
+
+    @staticmethod
+    def spike_value(n: int) -> Fraction:
         raise NotImplementedError
 
     def _spike_scan_limit(self, k: int) -> int:
         return max(k + 4, 8)
 
+    def _spike_scan(self, iv, limit):
+        """Lazily, the spikes in iv with index below limit, in index order."""
+        if self.stop is not None:
+            limit = min(limit, self.stop)
+        return self.a_set.iter_members_in(iv, limit, self.start)
+
     def spikes_in(self, iv: DyadicInterval, limit: int):
-        return self.a_set.members_in(iv, limit)
+        return list(self._spike_scan(iv, limit))
 
     def special_points(self, iv, depth):
         return [p for _, p in self.spikes_in(iv, max(depth, 8))]
@@ -647,32 +662,27 @@ class Penny(_SpikeFamily):
     """Value 1/2^(Y(x)+1) on the seed set, 0 elsewhere: the canonical
     adversarial instance.  Equal to its own oscillation function.
 
-    Spikes sit at the members whose index lies in the window [start, stop)
-    (stop None: unbounded); the truncated, banded and stripped variants only
-    move the window or the seed set.  A bounded window is scanned whole, so
-    every answer over it is exact."""
+    The truncated, banded and stripped variants only move the window or band
+    the seed set.  A scan's first hit is the largest spike, and a bounded
+    window is scanned whole, so every answer over it is exact."""
 
     kind = "penny"
-    start = 0
-    stop: Optional[int] = None
+    TAGS = frozenset({CLIQUISH, USCO, BV, REGULATED, BAIRE1})
 
     def __init__(self, a_set: CountableSet):
         if a_set.size == 0:
             raise ConstructionError("seed set must be nonempty")
-        super().__init__(a_set, {CLIQUISH, USCO, BV, REGULATED, BAIRE1})
+        super().__init__(a_set, self.TAGS)
 
-    def spike_value(self, n):
+    @staticmethod
+    def spike_value(n):
         return Fraction(1, 1 << (n + 1))
 
-    def _spike_scan(self, iv, limit):
-        """Lazily, the spikes in iv with index below limit, in index order,
-        so in decreasing value: the first allowed hit is the largest."""
-        if self.stop is not None:
-            limit = min(limit, self.stop)
-        return self.a_set.iter_members_in(iv, limit, self.start)
-
-    def spikes_in(self, iv, limit):
-        return list(self._spike_scan(iv, limit))
+    @staticmethod
+    def spikes_above(y: Fraction) -> int:
+        """For y > 0, how many leading indices carry a spike above y: the
+        least n with 2^-(n+1) <= y, which is the band of y."""
+        return band_of(min(y, 1), half_open=False)
 
     def _eval(self, x):
         n = self.a_set.index_of(x)
@@ -687,7 +697,7 @@ class Penny(_SpikeFamily):
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
         best = next((self.spike_value(n) for n, _ in self._spike_scan(iv, limit)),
                     Fraction(0))
-        tail = Fraction(1, 1 << (limit + 1))
+        tail = self.spike_value(limit)
         if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
             return Bracket.point(0), Bracket.point(best)
         return Bracket.point(0), Bracket(best, tail)
@@ -695,32 +705,31 @@ class Penny(_SpikeFamily):
     def _witness_above(self, iv, y):
         if y < 0:
             return Truth.YES, Q2.of(iv.lower)
-        if self.stop is None:
-            # spikes above y have bounded index: 1/2^(n+1) > y
-            limit = 1
-            while Fraction(1, 1 << (limit + 1)) > y and limit < 4096:
-                limit += 1
-        else:
+        if self.stop is not None:
             limit = self.stop
+        elif y > 0:
+            limit = self.spikes_above(y)  # no later spike exceeds y
+        else:
+            limit = 4096  # every spike exceeds 0: a bounded prefix decides
         hit = next(self._spike_scan(iv, limit), None)
         if hit is not None and self.spike_value(hit[0]) > y:
             return Truth.YES, hit[1]
-        if (self.stop is not None or Fraction(1, 1 << (limit + 1)) <= y
-                or self.a_set.scan_is_exhaustive(iv, limit)):
+        if self.stop is not None or y > 0 or self.a_set.scan_is_exhaustive(iv, limit):
             return Truth.NO, None
         return Truth.UNKNOWN, None
 
     def _witness_below(self, iv, y):
         if y <= 0:
             return Truth.NO, None
-        # any off-set point evaluates to 0 < y; dyadic rationals are dense
-        d = 2
-        while True:
+        # any off-set point evaluates to 0 < y: bounded dyadic grids, then an
+        # irrational point (the seed set may hold every dyadic rational)
+        for d in range(2, grid_depth_cap(iv) + 1):
             for g in rational_grid(iv, d):
                 p = Q2.of(g)
                 if self.a_set.index_of(p) is None:
                     return Truth.YES, p
-            d += 1
+        p = irrational_inside(iv)
+        return (Truth.YES, p) if self.a_set.index_of(p) is None else (Truth.UNKNOWN, None)
 
     def _one_sided_limit(self, p, side, k):
         return Bracket.point(0)
@@ -747,11 +756,8 @@ class TildePenny(Penny):
     of the shifted set, 0 elsewhere.  Simply continuous."""
 
     kind = "tilde-penny"
-
-    def __init__(self, a_set: CountableSet):
-        super().__init__(tilde_set(a_set))  # validates irrationality of the source
-        self.tags = self.tags | {SIMPLY_CONTINUOUS}
-        self.source = a_set
+    banded = True
+    TAGS = Penny.TAGS | {SIMPLY_CONTINUOUS}
 
 
 class CoverPsi(_SpikeFamily):
@@ -760,16 +766,16 @@ class CoverPsi(_SpikeFamily):
     on the copy (plus 0) has total length below 1."""
 
     kind = "cover-psi"
+    banded = True
 
     def __init__(self, a_set: CountableSet):
-        tilde = tilde_set(a_set)
         tags = {CLIQUISH}
         if a_set.size is not None:
             tags |= {BV, REGULATED, BAIRE1, LSCO}
-        super().__init__(tilde, tags)
-        self.source = a_set
+        super().__init__(a_set, tags)
 
-    def spike_value(self, n):
+    @staticmethod
+    def spike_value(n):
         return Fraction(1, 1 << (n + 5))
 
     BASE = Fraction(1, 8)
@@ -814,16 +820,14 @@ class CoverPsiUsco(_SpikeFamily):
     usco there; band boundaries take the larger-value band)."""
 
     kind = "cover-psi-usco"
+    banded = True
 
     ZERO_VALUE = Fraction(1, 64)
 
     def __init__(self, a_set: CountableSet):
-        tilde = tilde_set(a_set)
-        super().__init__(tilde, {USCO, CLIQUISH, BV, REGULATED})
-        self.source = a_set
+        super().__init__(a_set, {USCO, CLIQUISH, BV, REGULATED})
 
-    def spike_value(self, n):
-        return Fraction(1, 1 << (n + 5))
+    spike_value = staticmethod(CoverPsi.spike_value)
 
     @staticmethod
     def band_value(n):
@@ -844,43 +848,26 @@ class CoverPsiUsco(_SpikeFamily):
     def is_positive(self):
         return True
 
-    def _bands_meeting(self, iv: DyadicInterval, cap: int):
-        if iv.upper <= 0:
-            return []
-        n0 = band_of(min(iv.upper, Fraction(1)), half_open=False)
-        out = []
-        n = n0
-        while n - n0 <= cap:
-            lo_band = Fraction(1, 1 << (n + 1))
-            hi_band = Fraction(1, 1 << n)
-            if hi_band < iv.lower:
-                break
-            if lo_band <= iv.upper and hi_band >= iv.lower:
-                out.append(n)
-            if lo_band <= iv.lower:
-                break
-            n += 1
-        return out
-
     def _range_on(self, iv, k):
-        cap = max(k + 6, 8)
-        bands = self._bands_meeting(iv, cap)
-        vals = []
-        if iv.lower <= 0:
-            vals.append(self.ZERO_VALUE)
-        for n in bands:
+        # the bands from upper's down to lower's, at most cap + 1 of them;
+        # member n of the banded copy is the only point of it in band n
+        first = band_of(iv.upper, half_open=False)
+        last = first + max(k + 6, 8)
+        bottom = band_of(iv.lower, half_open=False)
+        vals = [self.ZERO_VALUE] if bottom is None else []
+        size = self.a_set.size
+        for n in range(first, last + 1 if bottom is None else min(last, bottom) + 1):
             band_iv = DyadicInterval(max(iv.lower, Fraction(1, 1 << (n + 1))),
                                      min(iv.upper, Fraction(1, 1 << n)))
-            member_here = [m for m, _ in self.spikes_in(band_iv, n + 1) if m == n]
+            member_here = (size is None or n < size) and band_iv.contains(self.a_set.member(n))
             if band_iv.width > 0 or not member_here:
                 vals.append(self.band_value(n))
             if member_here:
                 vals.append(self.spike_value(n))
-        truncated = bands and Fraction(1, 1 << (bands[-1] + 1)) > iv.lower and iv.lower > 0
         sup_b = Bracket.point(max(vals))
-        if iv.lower <= 0:
+        if bottom is None:
             inf_b = Bracket.point(0)  # band values vanish towards 0
-        elif truncated:
+        elif last < bottom:
             inf_b = Bracket(Fraction(0), min(vals))
         else:
             inf_b = Bracket.point(min(vals))
@@ -976,7 +963,6 @@ class Baire1Limit(SymbolicFn):
     """
 
     kind = "baire1-limit"
-    seed_set: Optional[CountableSet] = None  # set by pennyk_limit
 
     def __init__(self, terms: Callable[[int], SymbolicFn], conv_modulus=None,
                  stabilizer=None, tags=(BAIRE1,), special=None, label="baire1"):
@@ -1029,31 +1015,39 @@ class Baire1Limit(SymbolicFn):
             return self._special(iv, depth)
         return self.term(min(depth, 8)).special_points(iv, depth)
 
+    def witness_depth(self, y: Fraction) -> Optional[int]:
+        """The probe depth past which no value above y lies; None: unknown."""
+        return None
+
     def to_jsonable(self):
-        if self.seed_set is None:
-            raise ValueError("the %s representation does not serialize; only "
-                             "built-in pointwise-limit representations do" % self.label)
-        from .serialize import set_json
-        return {"kind": self.label, "set": set_json(self.seed_set)}
+        raise ValueError("the %s representation does not serialize; only "
+                         "built-in pointwise-limit representations do" % self.label)
 
 
-def pennyk_limit(a_set: CountableSet) -> Baire1Limit:
+class PennyKLimit(Baire1Limit):
     """The truncation sequence converging pointwise to the spike function,
     with convergence modulus m(x, j) = j and exact stabilization at the
     member's index."""
-    penny_tags = (CLIQUISH, USCO, BV, REGULATED, BAIRE1)
 
-    def stabilizer(x):
-        n = a_set.index_of(x)
-        return 0 if n is None else n
+    def __init__(self, a_set: CountableSet):
+        super().__init__(lambda n: PennyK(a_set, n),
+                         conv_modulus=lambda x, j: j,
+                         stabilizer=lambda x: a_set.index_of(x) or 0,
+                         tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1),
+                         label="pennyk-limit")
+        self.a_set = a_set
 
-    f = Baire1Limit(lambda n: PennyK(a_set, n),
-                    conv_modulus=lambda x, j: j,
-                    stabilizer=stabilizer,
-                    tags=penny_tags,
-                    label="pennyk-limit")
-    f.seed_set = a_set
-    return f
+    def witness_depth(self, y):
+        # depth d carries the spikes up to index d, and none past the
+        # spikes above y exceeds it
+        return Penny.spikes_above(y) if y > 0 else None
+
+    def to_jsonable(self):
+        from .serialize import set_json
+        return {"kind": self.label, "set": set_json(self.a_set)}
+
+
+pennyk_limit = PennyKLimit
 
 
 def constant_seq_limit(f: SymbolicFn, label="constant-seq") -> Baire1Limit:

@@ -329,7 +329,7 @@ def _symbolic_predicate(query):
                 return m
         return None
     if isinstance(query, Baire1Above):
-        limit = Penny(query.f_rep.seed_set)
+        limit = Penny(query.f_rep.a_set)
         return any(limit.eval(p) > Q2.of(query.threshold)
                    for p in probe_basis(limit, query.interval, 7))
     raise AssertionError(query)

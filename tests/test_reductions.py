@@ -79,6 +79,16 @@ def test_realiser_from_sup_inconsistent_oracle():
         realiser_from_sup(lying, A, 8, fuel=4)
 
 
+def test_extraction_refuses_a_supremum_that_is_no_spike_value(deadline):
+    """Once an IndexError: 1 passed for a spike value with index -1."""
+    deadline(5)
+    with pytest.raises(OracleInconsistency):
+        realiser_from_sup(SupOracle(lambda f, p, q: F(1)), A, 4, fuel=2)
+    for s in (F(-1, 2), F(3, 8), F(2)):
+        with pytest.raises(OracleInconsistency):
+            extract_enumeration_from_sup(SupOracle(lambda f, p, q, s=s: s), A, 4)
+
+
 def test_realiser_from_cliq_modulus():
     z = realiser_from_cliq_modulus(canonical_cliq_modulus(A), A, 10, fuel=16)
     for n in range(16):

@@ -7,14 +7,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from abyss import (ConstructionError, CoverPsi, DomainError, DyadicInterval,
+from abyss import (ConstructionError, CountableSet, CoverPsi, CoverPsiUsco,
+                   DomainError, DyadicInterval, ExistsValueBelow, Found,
                    FinitePointSet, Indicator, NotPointwiseEvaluable, Penny, PennyK,
                    PiecewiseRational, Poly, Q2, R2Rep,
                    TildePenny, Truth,
                    UnsupportedVariant, build_cover_psi, constant, finite_set,
-                   fn_difference, fn_sum, jump_enum, linear, osc_exact,
-                   osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
-                   sqrt2_family, staircase, thomae, tilde_set, usco_separator)
+                   fn_difference, fn_sum, inf_usco, jump_enum, linear, mu_search,
+                   osc_exact, osc_selfcheck, pennyk_limit, rational_grid,
+                   restrict_tags, sqrt2_family, staircase, thomae, tilde_set,
+                   unit_rationals, usco_separator)
 from abyss.exact import Bracket, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json
@@ -821,3 +823,168 @@ def test_interval_contract_lives_on_the_base_class():
                 found |= {(node.name, item.name) for item in node.body
                           if isinstance(item, ast.FunctionDef) and item.name in public}
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_spike_count_answers_witness_above_as_the_capped_loop():
+    """`Penny.spikes_above` reads the spikes above y off y's integers, where
+    a loop capped at index 4096 once counted them; the cap never binds at
+    these thresholds, so every answer is the loop's."""
+    from abyss.reductions import _PennyTail
+    rng = random.Random(1101)
+    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
+    ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
+    for y in ys + [F(1, 1 << j) for j in range(1, 12)] + [F(5, 1 << j) for j in range(3, 12)]:
+        assert Penny.spikes_above(y) == next(n for n in range(4096) if Penny.spike_value(n) <= y)
+    for a_set in (A, random_finite_set(rng), mixed):
+        fns = [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3), _PennyTail(a_set, 2)]
+        if a_set.all_irrational:
+            fns.append(TildePenny(a_set))
+        for f in fns:
+            ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(8)]
+            ivs += [DyadicInterval(0, 1), DyadicInterval(0, F(1, 1 << 40))]
+            for iv in ivs:
+                for y in ys:
+                    assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y), (f, iv, y)
+            for n, p in f.a_set.members_upto(6):  # just below the spike, tight around it
+                lo, hi = p.bracket(n + 8)
+                iv, y = DyadicInterval(lo, hi), Penny.spike_value(n) * F(3, 4)
+                assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y), (f, iv, y)
+
+
+def _loop_band_of(x, half_open=True):
+    """`band_of` as a loop over the bands."""
+    p = Q2.of(x)
+    if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
+        return None
+    n = 0
+    while p < F(1, 1 << (n + 1)):
+        n += 1
+    return n
+
+
+def test_band_of_reads_the_band_off_the_integers():
+    rng = random.Random(1102)
+    pts = [F(0), F(1), F(-1, 3), F(3, 2), Q2(1, F(1, 8)), Q2(0, -1)]
+    pts += [F(a, d) for d in range(1, 300) for a in (1, 2, 3)]
+    for n in range(72):
+        edge = F(1, 1 << n)
+        pts += [edge, edge - F(1, 1 << (n + 5)), edge + F(1, 1 << (n + 5)), S2(n),
+                Q2(edge, F(-1, 1 << (n + 3))), Q2(F(3, 1 << (n + 2)), F(1, 1 << (n + 40)))]
+    for _ in range(300):
+        pts.append(F(rng.randrange(1, 1 << 20), rng.randrange(1, 1 << 24)))
+        pts.append(Q2(F(rng.randrange(0, 64), 64), F(rng.randrange(-9, 10), 1 << rng.randrange(1, 30))))
+    for x in pts:
+        for half_open in (True, False):
+            assert band_of(x, half_open) == _loop_band_of(x, half_open), (x, half_open)
+
+
+def _plain_cover_usco_range(f, iv, k):
+    """CoverPsiUsco's range as a band walk that scans members 0..n for each
+    band n it meets."""
+    cap = max(k + 6, 8)
+    n0 = _loop_band_of(min(iv.upper, F(1)), half_open=False)
+    bands, n = [], n0
+    while n - n0 <= cap:
+        lo_band, hi_band = F(1, 1 << (n + 1)), F(1, 1 << n)
+        if hi_band < iv.lower:
+            break
+        if lo_band <= iv.upper and hi_band >= iv.lower:
+            bands.append(n)
+        if lo_band <= iv.lower:
+            break
+        n += 1
+    vals = [f.ZERO_VALUE] if iv.lower <= 0 else []
+    for n in bands:
+        band_iv = DyadicInterval(max(iv.lower, F(1, 1 << (n + 1))), min(iv.upper, F(1, 1 << n)))
+        member_here = [m for m, _ in f.a_set.members_in(band_iv, n + 1) if m == n]
+        if band_iv.width > 0 or not member_here:
+            vals.append(f.band_value(n))
+        if member_here:
+            vals.append(f.spike_value(n))
+    sup_b = Bracket.point(max(vals))
+    if iv.lower <= 0:
+        return Bracket.point(0), sup_b
+    if F(1, 1 << (bands[-1] + 1)) > iv.lower:
+        return Bracket(F(0), min(vals)), sup_b
+    return Bracket.point(min(vals)), sup_b
+
+
+def test_cover_usco_range_reads_member_n_in_band_n():
+    rng = random.Random(1103)
+    seeds = [A, random_finite_set(rng), random_finite_set(rng, 3), finite_set([S2(0), S2(5)])]
+    for a_set in seeds:
+        f = CoverPsiUsco(a_set)
+        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 12))) for _ in range(12)]
+        for n in range(0, 52, 4):  # band boundaries, whole bands, runs of bands
+            edge = F(1, 1 << (n + 1))
+            ivs += [DyadicInterval(edge, 2 * edge), DyadicInterval(edge / 4, edge),
+                    DyadicInterval(0, edge), DyadicInterval(edge, edge + edge / 8),
+                    DyadicInterval(edge - edge / 8, edge)]
+            if n % 12 == 0:  # runs of bands reaching past the cap
+                ivs += [DyadicInterval(edge / (1 << j), edge) for j in (8, 9, 10, 20)]
+        for n, p in a_set.members_upto(6):  # tight intervals around members
+            lo, hi = p.bracket(n + 8)
+            ivs.append(DyadicInterval(max(F(0), lo), min(F(1), hi)))
+        for iv in ivs:
+            for k in list(range(13)) + [24, 48]:
+                assert f.range_on(iv, k) == _plain_cover_usco_range(f, iv, k), (a_set.name, iv, k)
+
+
+def _all_unit_rationals() -> CountableSet:
+    """Q cap [0,1] in `unit_rationals` order with its exact inverse: a seed
+    set that holds every dyadic rational.  Fraction p/d (d >= 2) has index
+    2 + phi(2) + ... + phi(d - 1) + #{1 <= p' < p : gcd(p', d) = 1}."""
+    gen, listed = unit_rationals(), []
+    phi_sums = [0, 0, 0]  # phi_sums[d] = phi(2) + ... + phi(d - 1)
+
+    def member(n):
+        while len(listed) <= n:
+            listed.append(next(gen))
+        return listed[n]
+
+    def coprime_below(p, d):
+        primes, m, f = [], d, 2
+        while f * f <= m:
+            if m % f == 0:
+                primes.append(f)
+                while m % f == 0:
+                    m //= f
+            f += 1
+        if m > 1:
+            primes.append(m)
+        total = 0
+        for mask in range(1 << len(primes)):
+            prod, sign = 1, 1
+            for i, q in enumerate(primes):
+                if mask >> i & 1:
+                    prod, sign = prod * q, -sign
+            total += sign * ((p - 1) // prod)
+        return total
+
+    def index_of(x):
+        if not x.is_rational or x < 0 or x > 1:
+            return None
+        r = x.as_rational()
+        p, d = r.numerator, r.denominator
+        if d == 1:
+            return p
+        while len(phi_sums) <= d:
+            j = len(phi_sums) - 1
+            phi_sums.append(phi_sums[-1] + coprime_below(j + 1, j))
+        return 2 + phi_sums[d] + coprime_below(p, d)
+
+    return CountableSet(member, index_of, name="unit-rationals")
+
+
+def test_penny_below_witness_ends_when_the_seed_set_holds_every_dyadic(deadline):
+    """Once a hang: the grid search never left the seed set."""
+    deadline(10)
+    s = _all_unit_rationals()
+    assert all(s.index_of(s.member(n)) == n for n in range(400))
+    f = Penny(s)
+    iv = DyadicInterval(F(1, 4), F(1, 2))
+    y = F(1, 1000)
+    truth, p = f.witness_below(iv, y)
+    assert truth is Truth.YES and iv.contains(p) and f.eval(p) < y
+    assert inf_usco(f, F(1, 4), F(1, 2), 4).lower == 0
+    assert isinstance(mu_search(ExistsValueBelow(f, iv, y)), Found)

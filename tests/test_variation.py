@@ -6,11 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (ClassRefusal, DyadicInterval, Penny, Q2, TildePenny,
-                   UnsupportedVariant, build_cover_psi, fn_sum, jordan_nbv,
-                   jump_enum, limits_lr, linear, modulus_regulation,
-                   pennyk_limit, rational_grid, sqrt2_family, staircase,
+from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, Q2, TildePenny,
+                   UnsupportedVariant, build_cover_psi, constant, finite_set,
+                   fn_sum, jordan_nbv,
+                   jump_enum, limits_lr, linear, modulus_regulation, osc_exact,
+                   pennyk_limit, rational_grid, restrict_tags, sqrt2_family, staircase,
                    thomae, total_variation_nbv)
+
+from abyss.sets import ComplementOfR2Open, R2Rep
+from abyss.universe import Indicator, ScalarMultiple, Sum, probe_points
 
 from conftest import probe_basis, random_staircase_plus_linear
 
@@ -62,6 +66,38 @@ def test_jump_enum_examples():
     st = staircase([(F(1, 2), F(1, 2)), (F(3, 4), F(5, 4))])
     assert [str(j) for j in jump_enum(st)] == ["1/2", "3/4"]
     assert jump_enum(thomae()) == []
+
+
+# the indicator of the complement of (1/4, 1/2), and its sum with a step at 3/4
+_HOLE = Indicator(ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))])))
+_HOLE_STEP = Sum(_HOLE, staircase([(F(3, 4), 2)]))
+_STEP_LIMITS = {F(1, 4): (1, 0), F(1, 2): (0, 1), F(3, 4): (1, 3), F(0): (None, 1)}
+
+
+@pytest.mark.parametrize("f, jumps, limits, positive", [
+    (_HOLE_STEP, [F(1, 4), F(1, 2), F(3, 4)], _STEP_LIMITS, False),
+    (restrict_tags(_HOLE_STEP, _HOLE_STEP.tags), [F(1, 4), F(1, 2), F(3, 4)], _STEP_LIMITS, False),
+    (ScalarMultiple(-2, _HOLE), [F(1, 4), F(1, 2)], {F(1, 4): (-2, 0), F(1): (-2, None)}, False),
+    (Sum(ScalarMultiple(-2, _HOLE), constant(3)), [F(1, 4), F(1, 2)], {F(1, 2): (3, 1)}, True),
+    (CoverPsi(finite_set([S2(0)])), [], {F(0): (None, F(1, 8)), F(1, 3): (F(1, 8), F(1, 8))}, True),
+], ids=["sum", "restricted-sum", "scalar-multiple", "sum-with-constant", "cover-psi"])
+def test_composite_limits_jumps_and_oscillation(f, jumps, limits, positive):
+    """Sums, scalar multiples and restricted views answer through their
+    parts: jumps, one-sided limits, the oscillation they imply, positivity."""
+    assert jump_enum(f) == [Q2.of(j) for j in jumps]
+    lo, hi = f.range_bound()
+    basis = probe_points(f, DyadicInterval(0, 1), 0)
+    for x, sides in limits.items():
+        got = limits_lr(f, x, 20)
+        assert (got.left, got.right) == tuple(None if v is None else DyadicInterval(v, v)
+                                              for v in sides)
+        seen = [f.eval(x).as_rational()] + [v for v in sides if v is not None]
+        assert all(lo <= v <= hi for v in seen)
+        osc = osc_exact(f, x, 20)
+        assert osc.lo <= max(seen) - min(seen) <= osc.hi
+        assert osc.hi - osc.lo <= F(1, 1 << 21)
+    assert all(Q2.of(j) in basis for j in jumps)
+    assert f.is_positive() is positive
 
 
 def test_jump_enum_completeness_on_universe():
