@@ -14,8 +14,9 @@ from typing import Callable, Optional
 
 from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
                      RepresentationInsufficient)
-from .exact import (DyadicInterval, FueledBool, Q2, Truth, _rational,
-                    rational_grid, unit_rationals)
+from .exact import (DyadicInterval, FueledBool, Q2, Truth, _ratio, _rational,
+                    _reduced, _sign_int, least_exponent, rational_grid,
+                    unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, ball_oscillation,
                      grid_depth_cap, mu_search, require_rule, require_tag)
@@ -46,19 +47,21 @@ def _halve_values(lo: Fraction, hi: Fraction, k: int,
                   keep_upper_on: Truth = Truth.YES) -> DyadicInterval:
     """Shrink [lo, hi] around the target value: keep the upper half when
     decide(mid) answers `keep_upper_on`, else the lower half (deterministic
-    tie-break)."""
-    width = Fraction(1, 1 << k)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        answer = decide(mid)
+    tie-break).  The ends are ln/d and un/d, and each step doubles d."""
+    (ln, d), (un, e) = _ratio(lo), _ratio(hi)
+    ln, un, d = ln * e, un * d, d * e
+    while (un - ln) << k > d:
+        mid = ln + un
+        answer = decide(Fraction(mid, 2 * d))
         if answer is Truth.UNKNOWN:
             raise FuelExhausted("value search undecided below the target width",
-                                best=DyadicInterval(lo, hi))
+                                best=DyadicInterval._of(ln, un, d))
         if answer is keep_upper_on:
-            lo = mid
+            ln, un = mid, 2 * un
         else:
-            hi = mid
-    return DyadicInterval(lo, hi)
+            ln, un = 2 * ln, mid
+        d *= 2
+    return DyadicInterval._of(ln, un, d)
 
 
 def sup_qc(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
@@ -207,26 +210,41 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
 # ---------------------------------------------------------------------------
 
 
+def _interior_numerators(iv: DyadicInterval, depth: int) -> list[int]:
+    """The numerators j of the grid points j/2^depth at least width/8 from
+    both ends of iv, nearest the midpoint first (the lower one on a tie)."""
+    ln, un, d = iv.ln, iv.un, iv.d
+    if ln == un:
+        return []
+    first = -(-((7 * ln + un) << depth) // (8 * d))
+    last = ((ln + 7 * un) << depth) // (8 * d)
+    mid = (ln + un) << depth  # 2d 2^depth times the midpoint
+    return sorted(range(first, last + 1), key=lambda j: (abs(2 * d * j - mid), j))
+
+
 def _interior_candidates(iv: DyadicInterval, depth: int) -> list[Fraction]:
-    pts = [g for g in rational_grid(iv, depth)
-           if iv.contains_interior(g)
-           and min(g - iv.lower, iv.upper - g) >= iv.width / 8]
-    mid = iv.midpoint
-    return sorted(pts, key=lambda g: (abs(g - mid), g))
+    den = 1 << depth
+    return [Fraction(j, den) for j in _interior_numerators(iv, depth)]
+
+
+def _room(j: DyadicInterval, cn: int, cd: int) -> tuple[int, int]:
+    """min(width/4, c - lower, upper - c) for c = cn/cd inside j, as (n, d)."""
+    ln, un, d = j.ln, j.un, j.d
+    return (min((un - ln) * cd, 4 * (cn * d - ln * cd), 4 * (un * cd - cn * d)),
+            4 * d * cd)
 
 
 def _next_ball(j: DyadicInterval,
-               place: Callable[[Fraction], Optional[DyadicInterval]]
+               place: Callable[[int, int], Optional[DyadicInterval]]
                ) -> Optional[DyadicInterval]:
-    """The first ball place(c) grants at an interior candidate c of j, over
-    twelve grid depths from the first one finer than j/4; None if none is
-    granted."""
-    depth0 = 1
-    while Fraction(1, 1 << depth0) > j.width / 4:
-        depth0 += 1
+    """The first ball place(cn, cd) grants at an interior candidate cn/cd of
+    j, over twelve grid depths from the first one finer than j/4; None if
+    none is granted."""
+    depth0 = max(1, least_exponent(j.un - j.ln, 4 * j.d))
     for depth in range(depth0, depth0 + 12):
-        for c in _interior_candidates(j, depth):
-            ball = place(c)
+        den = 1 << depth
+        for cn in _interior_numerators(j, depth):
+            ball = place(cn, den)
             if ball is not None:
                 return ball
     return None
@@ -239,19 +257,15 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(Fraction(0), Fraction(1))
     for m in range(k + 1):
-        bound = Fraction(1, 1 << m)
-
-        def place(c):
-            n_size = 0
-            margin = min(c - j.lower, j.upper - c)
-            while Fraction(1, 1 << n_size) > min(j.width / 4, margin):
-                n_size += 1
+        def place(cn, cd):
+            n_size = least_exponent(*_room(j, cn, cd))
+            c = _reduced(cn, 0, cd)
             for n in range(n_size, fuel + 1):
-                w = ball_oscillation(f, Q2.of(c), n, m + 6)
-                if w.hi <= bound:
-                    r = Fraction(1, 1 << (n + 1))
-                    return DyadicInterval(c - r, c + r)
-                if w.lo > bound and n > n_size + 24:
+                w = ball_oscillation(f, c, n, m + 6)
+                if w.un << m <= w.d:  # oscillation <= 2^-m
+                    s = n + 1
+                    return DyadicInterval._of((cn << s) - cd, (cn << s) + cd, cd << s)
+                if w.ln << m > w.d and n > n_size + 24:
                     return None  # oscillation provably too large here
             return None
 
@@ -306,26 +320,35 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
     stage = 1
     while True:
         t = rl + span * Fraction(1, 1 << stage)
+        tq = Q2.of(t)
 
-        def place(c):
-            fc = f.eval(Q2.of(c))
-            if fc < Q2.of(t):
+        def place(cn, cd):
+            p = _reduced(cn, 0, cd)
+            fc = f.eval(p)
+            if fc < tq:
+                gap = tq - fc
                 k0 = 0
-                while not (fc + Q2.of(Fraction(1, 1 << k0)) <= Q2.of(t)):
+                while _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:  # 2^-k0 > gap
                     k0 += 1
                     if k0 > fuel:
                         return None
+                c = Fraction(cn, cd)
                 radius = psi(c, k0)
                 if radius <= 0:
                     raise InvalidModulus("usco modulus gave the radius %s at %s"
                                          % (radius, c))
+                rn, rd = _ratio(radius)
             else:
-                res = mu_search(ValueBelowOnBall(f, Q2.of(c), t, min(fuel, 24)))
+                res = mu_search(ValueBelowOnBall(f, p, t, min(fuel, 24)))
                 if not isinstance(res, Found):
                     return None
-                radius = Fraction(1, 1 << res.witness.value)
-            s = min(radius, j.width / 4, c - j.lower, j.upper - c) / 2
-            return DyadicInterval(c - s, c + s)
+                rn, rd = 1, 1 << res.witness.value
+            # the half-width s = min(radius, width/4, c - lower, upper - c) / 2
+            sn, sd = _room(j, cn, cd)
+            if rn * sd < sn * rd:
+                sn, sd = rn, rd
+            sd *= 2
+            return DyadicInterval._of(cn * sd - sn * cd, cn * sd + sn * cd, cd * sd)
 
         ball = _next_ball(j, place)
         if ball is None:

@@ -56,6 +56,15 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """A rational operand as the integers (n, d) of n/d in lowest terms."""
+    if x.__class__ is int:
+        return x, 1
+    if x.__class__ is not Fraction:
+        x = _rational(x)
+    return x.as_integer_ratio()
+
+
 def _parts(x) -> tuple[int, int, int]:
     """A rational operand (int, Fraction, or a string Fraction() reads) as
     the Q2 integers (n, 0, d) of n/d in lowest terms."""
@@ -255,19 +264,22 @@ class Q2:
 
     # --- dyadic approximation -------------------------------------------
 
-    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
-        """Rational bracket [lo, hi] containing self, with hi - lo <= 2^-k."""
+    def _bracket_ints(self, k: int) -> tuple[int, int, int]:
+        """(lo, hi, e) with [lo/e, hi/e] the bracket `bracket(k)` gives."""
         p, q, d = self.p, self.q, self.d
         if not q:
-            a = Fraction(p, d)
-            return (a, a)
+            return p, p, d
         # sqrt2 to 2^-j with j = k + 1 + the bit excess of |b|, b = q/d reduced
         g = math.gcd(q, d)
         j = k + 1 + max(0, (q // g).bit_length() - (d // g).bit_length() + 1)
-        n = _sqrt2_floor(j)
-        lo = Fraction((p << j) + q * n, d << j)
-        hi = Fraction((p << j) + q * (n + 1), d << j)
-        return (lo, hi) if q > 0 else (hi, lo)
+        lo = (p << j) + q * _sqrt2_floor(j)
+        hi = lo + q
+        return (lo, hi, d << j) if q > 0 else (hi, lo, d << j)
+
+    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
+        """Rational bracket [lo, hi] containing self, with hi - lo <= 2^-k."""
+        lo, hi, e = self._bracket_ints(k)
+        return Fraction(lo, e), Fraction(hi, e)
 
     def __floor__(self) -> int:
         """The exact floor: floor((p + q sqrt2)/d) = floor((p + floor(q sqrt2))/d),
@@ -279,9 +291,9 @@ class Q2:
         return p // self.d
 
     def approx(self, k: int) -> Fraction:
-        """A rational within 2^-k of self."""
-        lo, hi = self.bracket(k + 1)
-        return (lo + hi) / 2
+        """A rational within 2^-k of self: the midpoint of `bracket(k + 1)`."""
+        lo, hi, e = self._bracket_ints(k + 1)
+        return Fraction(lo + hi, 2 * e)
 
     def __float__(self):
         return float(self.approx(60))
@@ -306,67 +318,151 @@ class DegenerateInterval(ValueError):
     """Raised when an operation needs a nondegenerate interval."""
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """A closed rational interval [lower, upper]; endpoints usually dyadic."""
+def _vs(x: "Q2", n: int, d: int) -> int:
+    """The sign of x - n/d for a Q2 x and d > 0, on the integers."""
+    e = x.d
+    if e == d:
+        a, b = x.p - n, x.q
+    else:
+        a, b = x.p * d - n * e, x.q * d
+    if not b:
+        return (a > 0) - (a < 0)
+    return _sign_int(a, b)
 
-    lower: Fraction
-    upper: Fraction
 
-    def __post_init__(self):
-        if self.lower.__class__ is not Fraction:
-            object.__setattr__(self, "lower", _rational(self.lower))
-        if self.upper.__class__ is not Fraction:
-            object.__setattr__(self, "upper", _rational(self.upper))
-        if self.lower > self.upper:
-            raise ValueError("interval endpoints out of order: [%s, %s]" % (self.lower, self.upper))
+class _Ends:
+    """Two rational ends ln/d <= un/d over one denominator: the core that
+    `DyadicInterval` and `Bracket` share.
+
+    Invariant: d > 0 and gcd(ln, un, d) = 1, so equal values have equal
+    triples.  The ends are read back as reduced `Fraction`s by each class's
+    own views; containment, arithmetic and the grids work on the integers.
+    Equality holds within one class, and the hash is that of the pair of
+    `Fraction` ends.
+    """
+
+    __slots__ = ("ln", "un", "d")
+    _ORDER: str  # the order error's text, "...[%s, %s]"
+    _NAMES: tuple[str, str]  # the names of the two ends in repr
+
+    def __init__(self, lo, hi):
+        ln, d = _ratio(lo)
+        un, e = _ratio(hi)
+        if d != e:
+            # over lcm(d, e): both ends are in lowest terms, so the triple is too
+            g = math.gcd(d, e)
+            ln *= e // g
+            un *= d // g
+            d = d // g * e
+        if ln > un:
+            raise ValueError(self._ORDER % (Fraction(ln, d), Fraction(un, d)))
+        self.ln, self.un, self.d = ln, un, d
+
+    @classmethod
+    def _of(cls, ln: int, un: int, d: int):
+        """The canonical [ln/d, un/d] for d > 0, order checked."""
+        if ln > un:
+            raise ValueError(cls._ORDER % (Fraction(ln, d), Fraction(un, d)))
+        g = math.gcd(ln, un, d)
+        if g != 1:
+            ln //= g
+            un //= g
+            d //= g
+        x = _new(cls)
+        x.ln, x.un, x.d = ln, un, d
+        return x
+
+    def _lo(self) -> Fraction:
+        return Fraction(self.ln, self.d)
+
+    def _hi(self) -> Fraction:
+        return Fraction(self.un, self.d)
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
+        return Fraction(self.un - self.ln, self.d)
 
     def contains(self, x) -> bool:
         if x.__class__ is Q2:
-            return x._cmp(self.lower) >= 0 and x._cmp(self.upper) <= 0
-        x = _rational(x)
-        return self.lower <= x <= self.upper
+            return _vs(x, self.ln, self.d) >= 0 and _vs(x, self.un, self.d) <= 0
+        n, e = _ratio(x)
+        d = self.d
+        return self.ln * e <= n * d <= self.un * e
 
     def contains_interior(self, x) -> bool:
         if x.__class__ is Q2:
-            return x._cmp(self.lower) > 0 and x._cmp(self.upper) < 0
-        x = _rational(x)
-        return self.lower < x < self.upper
+            return _vs(x, self.ln, self.d) > 0 and _vs(x, self.un, self.d) < 0
+        n, e = _ratio(x)
+        d = self.d
+        return self.ln * e < n * d < self.un * e
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ln == other.ln and self.un == other.un and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._lo(), self._hi()))
+
+    def __repr__(self):
+        lo, hi = self._NAMES
+        return "%s(%s=%r, %s=%r)" % (self.__class__.__qualname__, lo, self._lo(),
+                                     hi, self._hi())
+
+
+class DegenerateInterval(ValueError):
+    """Raised when an operation needs a nondegenerate interval."""
+
+
+class DyadicInterval(_Ends):
+    """A closed rational interval [lower, upper]; endpoints usually dyadic."""
+
+    __slots__ = ()
+    _ORDER = "interval endpoints out of order: [%s, %s]"
+    _NAMES = ("lower", "upper")
+
+    lower = property(_Ends._lo)
+    upper = property(_Ends._hi)
+
+    @property
+    def midpoint(self) -> Fraction:
+        return Fraction(self.ln + self.un, 2 * self.d)
 
     def intersection(self, other: "DyadicInterval") -> "DyadicInterval":
-        lo = max(self.lower, other.lower)
-        hi = min(self.upper, other.upper)
+        d, e = self.d, other.d
+        lo = max(self.ln * e, other.ln * d)
+        hi = min(self.un * e, other.un * d)
         if lo > hi:
             raise ValueError("empty intersection")
-        return DyadicInterval(lo, hi)
+        return DyadicInterval._of(lo, hi, d * e)
 
     def __str__(self):
-        return "[%s, %s]" % (self.lower, self.upper)
+        return "[%s, %s]" % (self._lo(), self._hi())
 
 
 def ball(x, k: int) -> DyadicInterval:
     """The interval (x - 2^-k, x + 2^-k), recorded by its rational endpoints."""
     if k < 0:
         raise ValueError("radius exponent must be >= 0")
-    c = _rational(x)
-    r = Fraction(1, 1 << k)
-    return DyadicInterval(c - r, c + r)
+    n, d = _ratio(x)
+    return DyadicInterval._of((n << k) - d, (n << k) + d, d << k)
 
 
 def halve(i: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
     """Split an interval at its midpoint; the halves share exactly one point."""
-    if i.lower == i.upper:
+    ln, un, d = i.ln, i.un, i.d
+    if ln == un:
         raise DegenerateInterval("cannot halve the degenerate interval %s" % (i,))
-    m = i.midpoint
-    return DyadicInterval(i.lower, m), DyadicInterval(m, i.upper)
+    m = ln + un
+    return DyadicInterval._of(2 * ln, m, 2 * d), DyadicInterval._of(m, 2 * un, 2 * d)
+
+
+def grid_span(i: DyadicInterval, n: int) -> tuple[int, int]:
+    """(first, last): the multiples j/2^n inside i are those with
+    first <= j <= last (none when first > last)."""
+    if n < 0:
+        raise ValueError("grid depth must be >= 0")
+    return -((-i.ln << n) // i.d), (i.un << n) // i.d
 
 
 def rational_grid(i: DyadicInterval, n: int) -> list[Fraction]:
@@ -375,26 +471,44 @@ def rational_grid(i: DyadicInterval, n: int) -> list[Fraction]:
     Grids are nested in n; endpoints are always included so every grid is
     nonempty even when the mesh skips the interval.
     """
-    if n < 0:
-        raise ValueError("grid depth must be >= 0")
-    step = Fraction(1, 1 << n)
-    first = math.ceil(i.lower / step)
-    last = math.floor(i.upper / step)
-    pts = [step * j for j in range(first, last + 1)]
-    if not pts or pts[0] != i.lower:
-        pts.insert(0, i.lower)
-    if pts[-1] != i.upper:
-        pts.append(i.upper)
+    return _grid(i, n, Fraction)
+
+
+def grid_q2(i: DyadicInterval, n: int) -> list["Q2"]:
+    """`rational_grid(i, n)` as Q2 points, built from the integers."""
+    return _grid(i, n, _rational_q2)
+
+
+def _rational_q2(n: int, d: int) -> "Q2":
+    return _reduced(n, 0, d)
+
+
+def _grid(i: DyadicInterval, n: int, point) -> list:
+    """The grid of `rational_grid`, each point built as point(numerator,
+    denominator)."""
+    first, last = grid_span(i, n)
+    den = 1 << n
+    pts = [point(j, den) for j in range(first, last + 1)]
+    ln, un, d = i.ln, i.un, i.d
+    if first > last or first * d != ln << n:
+        pts.insert(0, point(ln, d))
+    if un != ln and (first > last or last * d != un << n):
+        pts.append(point(un, d))
     return pts
+
+
+def least_exponent(n: int, d: int) -> int:
+    """The least e >= 0 with 2^-e <= n/d, for n, d > 0: read off ceil(d/n)."""
+    return (-(-d // n) - 1).bit_length()
 
 
 def grid_depth_cap(iv: DyadicInterval) -> int:
     """Deepest grid that stays around 4k points on this interval: 12 plus
-    the least e <= 80 with 2^-e <= width, read off ceil(1/width)."""
-    w = iv.width
-    if w == 0:
+    the least e <= 80 with 2^-e <= width."""
+    w = iv.un - iv.ln
+    if not w:
         return 0
-    return 12 + min((-(-w.denominator // w.numerator) - 1).bit_length(), 80)
+    return 12 + min(least_exponent(w, iv.d), 80)
 
 
 # --- fueled truth values ---------------------------------------------------
@@ -484,6 +598,11 @@ def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
     hn, hd = hi.as_integer_ratio()
     if ln < 0 or ln * hd > hn * ld:
         raise ValueError("need 0 <= lo <= hi, got [%s, %s]" % (lo, hi))
+    return _least_denominator(ln, ld, hn, hd)
+
+
+def _least_denominator(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """`least_denominator_in` on [ln/ld, hn/hd], 0 <= ln/ld <= hn/hd."""
     a, b, c, d = 1, 0, 0, 1
     while True:
         f = ln // ld
@@ -498,6 +617,32 @@ def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
         return a * t + b, c * t + d
 
 
+def least_denominator_between(lo, hi, lo_open: bool = False) -> tuple[int, int]:
+    """(p, q) with p/q the simplest rational of [lo, hi], or of (lo, hi] when
+    lo_open, for ends lo <= hi that are Q2s or rationals of either sign: the
+    least denominator q, then the least numerator p.  p/q is in lowest terms.
+
+    The walk of `least_denominator_in` on Q2 ends.  Its reciprocal step
+    swaps which end is open, and an open integer lower end f sends the
+    upper end to infinity (None).
+    """
+    lo, hi = Q2.of(lo), Q2.of(hi)
+    s = lo._cmp(hi)
+    if s > 0 or (s == 0 and lo_open):
+        raise ValueError("empty interval between %s and %s" % (lo, hi))
+    one, hi_open = Q2.of(1), False
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        f = math.floor(lo)
+        on_f = lo == f
+        t = f if on_f and not lo_open else f + 1  # the least integer past the lower end
+        if hi is None or (hi > t if hi_open else hi >= t):
+            return a * t + b, c * t + d
+        a, b, c, d = a * f + b, a, c * f + d, c
+        lo, hi = one / (hi - f), None if on_f else one / (lo - f)
+        lo_open, hi_open = hi_open, lo_open
+
+
 def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
@@ -505,64 +650,53 @@ def format_rational(q: Fraction) -> str:
 # --- value brackets ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(_Ends):
     """A rational enclosure [lo, hi] of an exact real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
+    _ORDER = "bracket out of order: [%s, %s]"
+    _NAMES = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo.__class__ is not Fraction:
-            object.__setattr__(self, "lo", _rational(self.lo))
-        if self.hi.__class__ is not Fraction:
-            object.__setattr__(self, "hi", _rational(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("bracket out of order: [%s, %s]" % (self.lo, self.hi))
+    lo = property(_Ends._lo)
+    hi = property(_Ends._hi)
 
     @staticmethod
     def point(v) -> "Bracket":
-        v = _rational(v)
-        return Bracket(v, v)
+        n, d = _ratio(v)
+        return Bracket._of(n, n, d)
 
     @staticmethod
     def of_q2(x, k: int) -> "Bracket":
-        lo, hi = Q2.of(x).bracket(k)
-        return Bracket(lo, hi)
+        return Bracket._of(*Q2.of(x)._bracket_ints(k))
 
     @property
     def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        return self.ln == self.un
 
     def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
+        d, e = self.d, other.d
+        return Bracket._of(self.ln * e + other.ln * d, self.un * e + other.un * d, d * e)
 
     def __sub__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo - other.hi, self.hi - other.lo)
+        d, e = self.d, other.d
+        return Bracket._of(self.ln * e - other.un * d, self.un * e - other.ln * d, d * e)
 
     def __neg__(self) -> "Bracket":
-        return Bracket(-self.hi, -self.lo)
+        return Bracket._of(-self.un, -self.ln, self.d)
 
     def scale(self, c) -> "Bracket":
-        c = _rational(c)
-        if c >= 0:
-            return Bracket(self.lo * c, self.hi * c)
-        return Bracket(self.hi * c, self.lo * c)
+        n, e = _ratio(c)
+        if n >= 0:
+            return Bracket._of(self.ln * n, self.un * n, self.d * e)
+        return Bracket._of(self.un * n, self.ln * n, self.d * e)
 
     def join_max(self, other: "Bracket") -> "Bracket":
-        return Bracket(max(self.lo, other.lo), max(self.hi, other.hi))
+        d, e = self.d, other.d
+        return Bracket._of(max(self.ln * e, other.ln * d), max(self.un * e, other.un * d), d * e)
 
     def join_min(self, other: "Bracket") -> "Bracket":
-        return Bracket(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def contains(self, v) -> bool:
-        if v.__class__ is Q2:
-            return v._cmp(self.lo) >= 0 and v._cmp(self.hi) <= 0
-        return self.lo <= _rational(v) <= self.hi
+        d, e = self.d, other.d
+        return Bracket._of(min(self.ln * e, other.ln * d), min(self.un * e, other.un * d), d * e)
 
     def to_interval(self) -> "DyadicInterval":
-        return DyadicInterval(self.lo, self.hi)
+        return DyadicInterval._of(self.ln, self.un, self.d)

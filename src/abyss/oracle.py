@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
-from .exact import (Bracket, DyadicInterval, FueledBool, Q2, Truth, _rational,
-                    grid_depth_cap)
+from .exact import (Bracket, DyadicInterval, FueledBool, Truth, _ratio,
+                    _rational, grid_depth_cap)
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
                        USCO, Baire1Limit, SymbolicFn, _unit_point, probe_points)
 
@@ -285,15 +285,17 @@ def _fueled(truth: Truth, fuel: int) -> FueledBool:
 
 
 def _ball_clipped(x, exponent: int) -> DyadicInterval:
-    p = Q2.of(x)
-    if p.is_rational:
-        c = p.as_rational()
+    """The ball of radius 2^-exponent around the point x of [0,1], clipped
+    to [0,1]; an irrational x is centred at `x.approx(exponent + 4)`."""
+    p = _unit_point(x)
+    if p.q:
+        lo, hi, e = p._bracket_ints(exponent + 5)
+        c, e = lo + hi, 2 * e  # the midpoint, as approx gives it
     else:
-        c = p.approx(exponent + 4)
-    r = Fraction(1, 1 << exponent)
-    lo = max(Fraction(0), c - r)
-    hi = min(Fraction(1), c + r)
-    return DyadicInterval(lo, hi)
+        c, e = p.p, p.d
+    c <<= exponent
+    den = e << exponent
+    return DyadicInterval._of(max(c - e, 0), min(c + e, den), den)
 
 
 def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:
@@ -317,19 +319,20 @@ def mu_search(query, trace=None):
 
 def _mu_osc_below(q: OscBelow, trace):
     require_rule("OscBelow", q.f, "mu_search/OscBelow")
-    bound = Fraction(1, 1 << q.m)
+    m = q.m
     for n in range(q.fuel + 1):
-        osc = ball_oscillation(q.f, q.x, n, q.m + 4)
+        osc = ball_oscillation(q.f, q.x, n, m + 4)
         if trace is not None:
             trace.record("OscBelow", n, 0, "osc<=%s..%s" % (osc.lo, osc.hi))
-        if osc.hi <= bound:
+        # the ends against the bound 2^-m, on the integers
+        if osc.un << m <= osc.d:
             return Found(MuWitness(n))
-        if osc.lo <= bound:
+        if osc.ln << m <= osc.d:
             # bracket straddles the bound; refine once, then give up honestly
-            osc = ball_oscillation(q.f, q.x, n, q.m + 12)
-            if osc.hi <= bound:
+            osc = ball_oscillation(q.f, q.x, n, m + 12)
+            if osc.un << m <= osc.d:
                 return Found(MuWitness(n))
-            if osc.lo <= bound:
+            if osc.ln << m <= osc.d:
                 raise FuelExhausted("ball oscillation bracket straddles 2^-%d at "
                                     "exponent %d" % (q.m, n), fuel=q.fuel)
     return NotFoundBelow(q.fuel)
@@ -337,15 +340,16 @@ def _mu_osc_below(q: OscBelow, trace):
 
 def _mu_value_below_on_ball(q: ValueBelowOnBall, trace):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
-    target = _rational(q.q)
+    tn, td = _ratio(q.q)
     for m in range(q.fuel + 1):
         iv = _ball_clipped(q.x, m)
         inf_b, _ = q.f.range_on(iv, 8)
         if trace is not None:
             trace.record("ValueBelowOnBall", m, 0, "inf>=%s" % (inf_b.lo,))
-        if inf_b.lo >= target:
+        # the ends against the target tn/td, on the integers
+        if inf_b.ln * td >= tn * inf_b.d:
             return Found(MuWitness(m))
-        if not inf_b.exact and inf_b.hi >= target:
+        if not inf_b.exact and inf_b.un * td >= tn * inf_b.d:
             raise FuelExhausted("ball infimum bracket straddles the target "
                                 "at exponent %d" % m, fuel=q.fuel)
     return NotFoundBelow(q.fuel)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import Q2, DyadicInterval, _rational
+from .exact import Q2, DyadicInterval, _rational, _vs, least_denominator_between
 
 
 class CountableSet:
@@ -60,11 +60,14 @@ class CountableSet:
         """Lazily, the members inside iv with index in [start, limit), in
         index order; a caller that wants only the first hit stops there."""
         hi = limit if self.size is None else min(limit, self.size)
+        ln, un, d = iv.ln, iv.un, iv.d
+        descend = self.values_descend
         for n in range(start, hi):
             p = self.member(n)
-            if self.values_descend and p < iv.lower:
-                return
-            if iv.contains(p):
+            if _vs(p, ln, d) < 0:
+                if descend:
+                    return
+            elif _vs(p, un, d) <= 0:
                 yield n, p
 
     def members_in(self, iv: DyadicInterval, limit: int) -> list[tuple[int, Q2]]:
@@ -77,7 +80,7 @@ class CountableSet:
         if self.size is not None and self.size <= limit:
             return True
         if self.values_descend:
-            return self.member(limit) < iv.lower if self.size is None else True
+            return self.size is not None or _vs(self.member(limit), iv.ln, iv.d) < 0
         return False
 
 
@@ -161,19 +164,16 @@ def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     fixed enumeration `signed_unit_rationals` orders [-1,1] by denominator,
     then numerator, so the minimal index belongs to the least denominator d
     with an integer p in (lo d, hi d] cap [-d, d], and to the least such p.
-    That p/d is already in lowest terms: p/g over d/g would lie in the same
-    interval at a smaller denominator.
+    The continued-fraction walk of `least_denominator_between` finds them
+    in O(n) steps.
     """
     lo = a - Fraction(1, 1 << n)       # exclusive
     hi = a - Fraction(1, 1 << (n + 1))  # inclusive
     if lo >= 1 or hi < -1:
         raise ValueError("no rational of [-1,1] shifts %s into band %d" % (a, n))
-    d = 1
-    while True:
-        p = max(math.floor(lo * d) + 1, -d)
-        if p <= d and hi * d >= p:
-            return Fraction(p, d)
-        d += 1
+    lo_open = lo >= -1
+    p, d = least_denominator_between(lo if lo_open else -1, min(hi, Q2.of(1)), lo_open)
+    return Fraction(p, d)
 
 
 def tilde_set(a_set: CountableSet) -> CountableSet:

@@ -20,8 +20,9 @@ from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
-from .exact import (Bracket, DyadicInterval, Q2, Truth, _rational,
-                    grid_depth_cap, least_denominator_in, rational_grid)
+from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator,
+                    _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
+                    grid_span, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
 # class tags (vocabulary fixed by the glossary of notions in play)
@@ -54,23 +55,27 @@ def _unit_point(x) -> Q2:
 
 
 def _clip_unit(iv: DyadicInterval) -> DyadicInterval:
-    if iv.lower >= 0 and iv.upper <= 1:
+    ln, un, d = iv.ln, iv.un, iv.d
+    if ln >= 0 and un <= d:
         return iv
-    lo = max(iv.lower, Fraction(0))
-    hi = min(iv.upper, Fraction(1))
+    lo, hi = max(ln, 0), min(un, d)
     if lo > hi:
         raise DomainError("interval %s lies outside [0,1]" % (iv,))
-    return DyadicInterval(lo, hi)
+    return DyadicInterval._of(lo, hi, d)
 
 
 def irrational_inside(iv: DyadicInterval) -> Q2:
     """A point of iv that is provably irrational (midpoint + tiny sqrt2)."""
-    if iv.width == 0:
+    ln, un, d = iv.ln, iv.un, iv.d
+    w = un - ln
+    if not w:
         raise ValueError("degenerate interval has no irrational point")
-    j = max(2, (iv.width.denominator.bit_length() - iv.width.numerator.bit_length()) + 3)
-    while Q2(iv.midpoint, Fraction(1, 1 << j)) > iv.upper:
+    g = math.gcd(w, d)  # the width in lowest terms is (w/g)/(d/g)
+    j = max(2, ((d // g).bit_length() - (w // g).bit_length()) + 3)
+    # midpoint + sqrt2/2^j > upper  iff  2d sqrt2 > w 2^j
+    while _sign_int(-w << j, 2 * d) > 0:
         j += 1
-    return Q2(iv.midpoint, Fraction(1, 1 << j))
+    return _reduced((ln + un) << j, 2 * d, 2 * d << j)
 
 
 class Poly:
@@ -150,8 +155,8 @@ class SymbolicFn:
         [0,1], each of width at most 2^-k; exact whenever attainable.  A
         single point is read off its value."""
         iv = _clip_unit(iv)
-        if iv.width == 0:
-            v = Bracket.of_q2(self._eval(Q2.of(iv.lower)), k)
+        if iv.ln == iv.un:
+            v = Bracket.of_q2(self._eval(_reduced(iv.ln, 0, iv.d)), k)
             return v, v
         return self._range_on(iv, k)
 
@@ -223,8 +228,8 @@ class SymbolicFn:
     def _witness(self, iv, y, above):
         iv = _clip_unit(iv)
         y = _rational(y)
-        if iv.width == 0:
-            p = Q2.of(iv.lower)
+        if iv.ln == iv.un:
+            p = _reduced(iv.ln, 0, iv.d)
             v = self._eval(p)
             return (Truth.YES, p) if (v > y if above else v < y) else (Truth.NO, None)
         return self._witness_above(iv, y) if above else self._witness_below(iv, y)
@@ -284,7 +289,7 @@ def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
     endpoints, and the function's own special points, sorted ascending.  iv
     is read on its part inside [0,1], as `range_on` reads it."""
     iv = _clip_unit(iv)
-    pts: list[Q2] = [Q2.of(q) for q in rational_grid(iv, depth)]
+    pts = grid_q2(iv, depth)
     for p in f.special_points(iv, depth):
         pts.append(Q2.of(p))
     pts.sort()
@@ -405,7 +410,7 @@ class PiecewiseRational(SymbolicFn):
 
     def _value_candidates(self, iv):
         vals = []
-        lo, hi = Q2.of(iv.lower), Q2.of(iv.upper)
+        lo, hi = _reduced(iv.ln, 0, iv.d), _reduced(iv.un, 0, iv.d)
         for j, piece in enumerate(self.pieces):
             a, b = self.cuts[j], self.cuts[j + 1]
             s, t = max(a, lo), min(b, hi)
@@ -541,11 +546,12 @@ class Thomae(SymbolicFn):
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
         p/q in iv cap [0,1] (the least such p); None if there is none up to
-        cap.  `exact.least_denominator_in` finds it in O(log) steps."""
-        lo, hi = max(iv.lower, Fraction(0)), min(iv.upper, Fraction(1))
+        cap.  The walk of `exact.least_denominator_in` finds it in O(log)
+        steps."""
+        lo, hi, d = max(iv.ln, 0), min(iv.un, iv.d), iv.d
         if lo > hi:
             return None
-        p, q = least_denominator_in(lo, hi)
+        p, q = _least_denominator(lo, d, hi, d)
         return (Fraction(p, q), q) if q <= cap else None
 
     def _range_on(self, iv, k):
@@ -580,19 +586,19 @@ class Thomae(SymbolicFn):
         # spikes with denominator up to depth (the grid supplies dyadics)
         out = []
         for q in range(1, max(2, depth) + 1):
-            lo = math.ceil(iv.lower * q)
-            hi = math.floor(iv.upper * q)
+            lo = max(-(-iv.ln * q // iv.d), 0)
+            hi = min(iv.un * q // iv.d, q)
             for p in range(lo, hi + 1):
-                if math.gcd(abs(p), q) == 1 and 0 <= Fraction(p, q) <= 1:
-                    out.append(Q2.of(Fraction(p, q)))
+                if math.gcd(p, q) == 1:
+                    out.append(_reduced(p, 0, q))
         return out
 
     def grid_max(self, iv, depth):
         # the first dyadic level with a multiple inside wins: T there is 2^-j
         for j in range(depth + 1):
-            step = Fraction(1, 1 << j)
-            if math.floor(iv.upper / step) >= math.ceil(iv.lower / step):
-                return max(_ends_max(self, iv), step)
+            first, last = grid_span(iv, j)
+            if first <= last:
+                return max(_ends_max(self, iv), Fraction(1, 1 << j))
         return _ends_max(self, iv)
 
     def _one_sided_limit(self, p, side, k):
@@ -649,7 +655,7 @@ class _SpikeFamily(SymbolicFn):
         if self.a_set.size is None:
             return None
         for n, p in self.spikes_in(iv, self.a_set.size):
-            if p.is_rational and (p.as_rational() * (1 << depth)).denominator == 1:
+            if p.is_rational and not (1 << depth) % p.d:
                 best = max(best, self.spike_value(n))
         return best
 
@@ -722,14 +728,21 @@ class Penny(_SpikeFamily):
         if y <= 0:
             return Truth.NO, None
         # any off-set point evaluates to 0 < y: bounded dyadic grids, then an
-        # irrational point (the seed set may hold every dyadic rational)
-        for d in range(2, grid_depth_cap(iv) + 1):
-            for g in rational_grid(iv, d):
-                p = Q2.of(g)
-                if self.a_set.index_of(p) is None:
+        # irrational point (the seed set may hold every dyadic rational).
+        # Grid d holds grid d - 1, so past the first depth only the odd
+        # multiples of 2^-d are new.
+        index_of = self.a_set.index_of
+        for p in grid_q2(iv, 2):
+            if index_of(p) is None:
+                return Truth.YES, p
+        for d in range(3, grid_depth_cap(iv) + 1):
+            first, last = grid_span(iv, d)
+            for j in range(first | 1, last + 1, 2):
+                p = _reduced(j, 0, 1 << d)
+                if index_of(p) is None:
                     return Truth.YES, p
         p = irrational_inside(iv)
-        return (Truth.YES, p) if self.a_set.index_of(p) is None else (Truth.UNKNOWN, None)
+        return (Truth.YES, p) if index_of(p) is None else (Truth.UNKNOWN, None)
 
     def _one_sided_limit(self, p, side, k):
         return Bracket.point(0)
@@ -857,10 +870,10 @@ class CoverPsiUsco(_SpikeFamily):
         vals = [self.ZERO_VALUE] if bottom is None else []
         size = self.a_set.size
         for n in range(first, last + 1 if bottom is None else min(last, bottom) + 1):
-            band_iv = DyadicInterval(max(iv.lower, Fraction(1, 1 << (n + 1))),
-                                     min(iv.upper, Fraction(1, 1 << n)))
+            band_iv = DyadicInterval._of(max(iv.ln << (n + 1), iv.d),
+                                         min(iv.un << (n + 1), 2 * iv.d), iv.d << (n + 1))
             member_here = (size is None or n < size) and band_iv.contains(self.a_set.member(n))
-            if band_iv.width > 0 or not member_here:
+            if band_iv.ln < band_iv.un or not member_here:
                 vals.append(self.band_value(n))
             if member_here:
                 vals.append(self.spike_value(n))

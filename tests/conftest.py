@@ -4,6 +4,9 @@ check)."""
 
 from __future__ import annotations
 
+import cProfile
+import fractions
+import pstats
 import random
 import signal
 from fractions import Fraction as F
@@ -47,6 +50,14 @@ def deadline():
 # ---------------------------------------------------------------------------
 # independent evaluation oracles
 # ---------------------------------------------------------------------------
+
+
+def fraction_news(fn) -> int:
+    """How often fn() calls Fraction.__new__, counted by the profiler."""
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(nc for (filename, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
+               if filename == fractions.__file__ and name == "__new__")
 
 
 def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):

@@ -1,9 +1,6 @@
 """Exact substrate: rationals, Q(sqrt2) order, intervals, grids, fueled truth."""
 
-import cProfile
-import fractions
 import math
-import pstats
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +15,7 @@ from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
                          signed_unit_rationals, sqrt2_bracket)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
-from conftest import exact_symbolic_sup
+from conftest import exact_symbolic_sup, fraction_news
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=512)
 small_nat = st.integers(min_value=0, max_value=12)
@@ -252,14 +249,6 @@ def test_q2_results_keep_the_representation(x, y, k):
 def test_rational_q2_hashes_as_its_fraction(v):
     assert hash(Q2(v)) == hash(F(v)) and Q2(v) == F(v)
     assert hash(Q2(v, 0) + Q2(0, 1) - Q2(0, 1)) == hash(F(v))
-
-
-def fraction_news(fn) -> int:
-    """How often fn() calls Fraction.__new__, counted by the profiler."""
-    prof = cProfile.Profile()
-    prof.runcall(fn)
-    return sum(nc for (filename, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
-               if filename == fractions.__file__ and name == "__new__")
 
 
 def test_q2_by_q2_arithmetic_and_order_build_no_fraction():

@@ -8,13 +8,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (Baire1Above, ClassRefusal, DyadicInterval, ExistsValueAbove,
-                   ExistsValueBelow, Found, NotFoundBelow, OscBelow, Penny,
+from abyss import (Baire1Above, ClassRefusal, DomainError, DyadicInterval,
+                   ExistsValueAbove, ExistsValueBelow, Found, NotFoundBelow, OscBelow, Penny,
                    PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall,
                    admitting_rule, collapse_rules_for,
                    constant, fn_difference, mu_search, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
-from abyss.oracle import QueryTrace, grid_depth_cap
+from abyss.oracle import QueryTrace, ball_oscillation, grid_depth_cap
 from abyss.universe import CLIQUISH
 
 from conftest import brute_ball_osc, probe_basis
@@ -238,3 +238,14 @@ def test_every_fuel_parameter_is_read():
                        for stmt in node.body for n in ast.walk(stmt)):
                 unread.append("%s.%s" % (mod.__name__, node.name))
     assert unread == []
+
+
+@pytest.mark.parametrize("x", [F(3, 2), F(-1, 2), Q2(1) + S2(4)])
+def test_ball_queries_refuse_points_outside_unit_interval(x):
+    # once answered Found(1) or raised "interval endpoints out of order"
+    with pytest.raises(DomainError):
+        mu_search(OscBelow(thomae(), x, 3, 8))
+    with pytest.raises(DomainError):
+        mu_search(ValueBelowOnBall(thomae(), x, F(1, 2), 8))
+    with pytest.raises(DomainError):
+        ball_oscillation(thomae(), x, 3, 4)

@@ -3,10 +3,14 @@ ranges against brute force, serialization."""
 
 import ast
 import inspect
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from abyss import (ConstructionError, CountableSet, CoverPsi, CoverPsiUsco,
                    DomainError, DyadicInterval, ExistsValueBelow, Found,
                    FinitePointSet, Indicator, NotPointwiseEvaluable, Penny, PennyK,
@@ -17,7 +21,7 @@ from abyss import (ConstructionError, CountableSet, CoverPsi, CoverPsiUsco,
                    osc_exact, osc_selfcheck, pennyk_limit, rational_grid,
                    restrict_tags, sqrt2_family, staircase, thomae, tilde_set,
                    unit_rationals, usco_separator)
-from abyss.exact import Bracket, signed_unit_rationals
+from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
@@ -988,3 +992,95 @@ def test_penny_below_witness_ends_when_the_seed_set_holds_every_dyadic(deadline)
     assert truth is Truth.YES and iv.contains(p) and f.eval(p) < y
     assert inf_usco(f, F(1, 4), F(1, 2), 4).lower == 0
     assert isinstance(mu_search(ExistsValueBelow(f, iv, y)), Found)
+
+
+def _grid_below_witness(f, iv):
+    """The earlier loop of `Penny._witness_below`: every grid in full at each
+    depth, so the points of the coarser grids are tested again."""
+    for d in range(2, grid_depth_cap(iv) + 1):
+        for g in rational_grid(iv, d):
+            p = Q2.of(g)
+            if f.a_set.index_of(p) is None:
+                return Truth.YES, p
+    p = irrational_inside(iv)
+    return (Truth.YES, p) if f.a_set.index_of(p) is None else (Truth.UNKNOWN, None)
+
+
+def test_penny_below_witness_visits_new_points_as_the_full_grid_loop():
+    rng = random.Random(1201)
+
+    def intervals(den):
+        """Six intervals with ends over den: an end off the seed set is the
+        witness at once, so ends on the set's grid reach the deeper grids."""
+        ends = [sorted(F(rng.randrange(0, den + 1), den) for _ in range(2)) for _ in range(6)]
+        return [DyadicInterval(lo, hi) for lo, hi in ends if lo < hi]
+
+    # every grid point of this set is a member, so both loops run to the cap;
+    # its index map costs more the deeper the grid, so the intervals are wide
+    cases = [(_all_unit_rationals(), [DyadicInterval(0, 1), DyadicInterval(F(1, 3), F(5, 6))])]
+    for _ in range(12):
+        k = rng.randrange(1, 7)
+        pts = [F(j, 1 << k) for j in range((1 << k) + 1) if rng.random() < 0.9]
+        pts += [F(rng.randrange(1, 9), 9) for _ in range(3)]
+        cases.append((finite_set(sorted(set(pts))), intervals(rng.choice([96, 1 << k]))))
+    for k in range(2, 6):
+        # the whole grid at depth k and part of depth k + 1: the witness lies deeper
+        pts = [F(j, 1 << k) for j in range((1 << k) + 1)]
+        pts += [F(j, 2 << k) for j in range(1, 2 << k, 2) if rng.random() < 0.7]
+        cases.append((finite_set(pts), intervals(1 << k)))
+    for s, ivs in cases:
+        f = Penny(s)
+        for iv in ivs:
+            assert f._witness_below(iv, F(1, 8)) == _grid_below_witness(f, iv), (s.name, iv)
+
+
+def _shift_by_denominators(a, n):
+    """The scan `minimal_shift_into_band` replaced: one denominator at a time."""
+    lo, hi = a - F(1, 1 << n), a - F(1, 1 << (n + 1))
+    if lo >= 1 or hi < -1:
+        raise ValueError("empty")
+    d = 1
+    while True:
+        p = max(math.floor(lo * d) + 1, -d)
+        if p <= d and hi * d >= p:
+            return F(p, d)
+        d += 1
+
+
+shift_points = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=200).map(Q2.of),
+    st.builds(lambda a, s, k: Q2(a, F(s, 1 << k)),
+              st.fractions(min_value=-1, max_value=2, max_denominator=64),
+              st.sampled_from([-1, 1]), st.integers(0, 40)))
+
+
+# the scan needs up to about 2^(n+1) denominators near a simple rational, so
+# drawn bands stop at 14; the pinned examples reach band 22
+@settings(max_examples=40, deadline=None)
+@given(shift_points, st.integers(0, 14))
+@example(Q2(F(3, 7), F(1, 32)), 22)
+@example(Q2(F(5, 9), F(-1, 64)), 21)
+@example(Q2(-1), 0)
+@example(Q2(F(5, 2)), 1)
+def test_minimal_shift_matches_denominator_scan(a, n):
+    try:
+        want = _shift_by_denominators(a, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            minimal_shift_into_band(a, n)
+        return
+    assert minimal_shift_into_band(a, n) == want
+
+
+def test_minimal_shift_at_band_22_is_fast():
+    # the denominator scan needed d = 6187 here (about 20-30 ms)
+    a = Q2(F(3, 7), F(1, 32))
+    assert minimal_shift_into_band(a, 22) == F(2925, 6187)
+    best = min(_timed(lambda: minimal_shift_into_band(a, 22)) for _ in range(5))
+    assert best < 0.002, best
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
