@@ -17,13 +17,11 @@ from . import algorithms as alg
 from . import reductions as red
 from . import serialize as ser
 from . import variation as var
-from .errors import (ClassRefusal, ConstructionError, DomainError,
-                     FuelExhausted, InvalidModulus, NotPointwiseEvaluable,
-                     RepresentationInsufficient)
+from .errors import ClassRefusal, FuelExhausted
 from .exact import DyadicInterval, Q2, rational_grid
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
 from .selftest import run_selftest
-from .universe import Baire1Limit, constant, linear, staircase
+from .universe import Baire1Limit, PennyK, constant, indicator_baire1, linear, staircase
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +55,13 @@ def parse_fuel(text: str) -> int:
     return n
 
 
+# shorthand name -> builder from the text after its ':'
+_SHORTHANDS = {"identity": lambda arg: linear(1),
+               "const": lambda arg: constant(Fraction(arg or "0")),
+               "step": lambda arg: staircase([(Fraction(arg or "1/2"), 1)]),
+               "pennyk": lambda arg: PennyK(sqrt2_family(), int(arg or 4))}
+
+
 def parse_fn(spec: str):
     """Function spec: inline JSON, @file, or a shorthand name."""
     spec = spec.strip()
@@ -66,17 +71,10 @@ def parse_fn(spec: str):
     if spec.startswith("{"):
         return ser.fn_from_json(json.loads(spec))
     name, _, arg = spec.partition(":")
-    if name == "identity":
-        return linear(1)
-    if name == "const":
-        return constant(Fraction(arg or "0"))
-    if name == "step":
-        return staircase([(Fraction(arg or "1/2"), 1)])
+    if name in _SHORTHANDS:
+        return _SHORTHANDS[name](arg)
     # any other name is a function kind over the canonical seed set
-    doc = {"kind": name, "set": ser.set_json(sqrt2_family())}
-    if name == "pennyk":
-        doc["cutoff"] = int(arg or 4)
-    return ser.fn_from_json(doc)
+    return ser.fn_from_json({"kind": name, "set": ser.set_json(sqrt2_family())})
 
 
 def parse_point(text: str) -> Q2:
@@ -86,7 +84,10 @@ def parse_point(text: str) -> Q2:
     if text.startswith("{"):
         return ser.q2_from_json(json.loads(text))
     if text.startswith("member:"):
-        return sqrt2_family().member(int(text.split(":", 1)[1]))
+        n = int(text.split(":", 1)[1])
+        if n < 0:
+            raise ValueError("member index must be >= 0, got %d" % n)
+        return sqrt2_family().member(n)
     return Q2.of(Fraction(text))
 
 
@@ -117,240 +118,242 @@ def _emit(payload: dict, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-def _plot_data(f, path: str, depth: int) -> None:
+def _sample_grid(depth: int) -> list[Fraction]:
+    """The dyadic grid of [0,1] at a sample depth in 0..20: at most 2^20 + 1
+    points, the bound of `naive_rational_sup`'s plain scan."""
+    if not 0 <= depth <= 20:
+        raise ValueError("sample depth must be in 0..20, got %d" % depth)
+    return rational_grid(DyadicInterval(0, 1), depth)
+
+
+def _plot_data(f, path: str, grid: list[Fraction]) -> None:
     with open(path, "w") as fh:
         fh.write("x,f(x)\n")
-        for g in rational_grid(DyadicInterval(0, 1), depth):
+        for g in grid:
             v = f.eval(Q2.of(g))
             r = v.approx(48) if not v.is_rational else v.as_rational()
             fh.write("%s,%s\n" % (float(g), float(r)))
 
 
+# name -> (summary, arguments, handler), in parser order; each also takes --out
+SUBCOMMANDS = {}
+
+
+def subcommand(name: str, summary: str, *arguments):
+    """Register the decorated handler(args) -> payload as subcommand `name`;
+    each argument is a (flags, keywords) pair for `add_argument`."""
+    def register(handler):
+        SUBCOMMANDS[name] = (summary, arguments, handler)
+        return handler
+    return register
+
+
+def _arg(*flags, **keywords):
+    return flags, keywords
+
+
+# _run parses --fn into args.f and resolves --fuel before the handler runs
+FN = _arg("--fn", required=True, help="function spec: shorthand name, inline JSON, or @file")
+FUEL = _arg("--fuel", type=parse_fuel, default=None)
+X = _arg("--x", required=True, help="point: rational, member:N, or JSON {a,b}")
+INTERVAL = _arg("--interval", nargs=2, metavar=("P", "Q"), required=True)
+K = _arg("--k", type=int, default=8, help="target accuracy 2^-k")
+
+
+@subcommand("eval", "exact evaluation", FN, X, FUEL,
+            _arg("--plot-data", default=None, help="CSV of (x, f(x)) on a dyadic grid"),
+            _arg("--plot-depth", type=int, default=8))
+def _evaluate(args):
+    v = args.f.eval(parse_point(args.x))
+    if args.plot_data:
+        _plot_data(args.f, args.plot_data, _sample_grid(args.plot_depth))
+    return {"value": ser.q2_json(v)}
+
+
+@subcommand("sup", "supremum over an interval", FN, INTERVAL, K, FUEL)
+def _supremum(args):
+    p, q = map(Fraction, args.interval)
+    if isinstance(args.f, Baire1Limit):
+        iv = alg.sup_baire1(args.f, p, q, args.k, fuel=args.fuel)
+    else:
+        iv = alg.sup_qc(args.f, p, q, args.k)
+    return {"interval": ser.interval_json(iv)}
+
+
+@subcommand("inf", "infimum over an interval", FN, INTERVAL, K, FUEL)
+def _infimum(args):
+    p, q = map(Fraction, args.interval)
+    return {"interval": ser.interval_json(alg.inf_usco(args.f, p, q, args.k))}
+
+
+@subcommand("osc", "pointwise oscillation", FN, X, K, FUEL)
+def _oscillation(args):
+    iv = alg.osc_point(args.f, parse_point(args.x), args.k, fuel=args.fuel)
+    return {"interval": ser.interval_json(iv)}
+
+
+@subcommand("continuity", "decide continuity at a point", FN, X, FUEL)
+def _continuity(args):
+    ans = alg.is_continuous_at(args.f, parse_point(args.x), fuel=args.fuel)
+    return {"continuous": ans.value.value, "fuel_spent": ans.fuel_spent}
+
+
+def _sampler(modulus, field, to_json=lambda v: v):
+    def sampler(f, args):
+        G = modulus(f, fuel=args.fuel)
+        return lambda x: {field: to_json(G(x, args.k))}
+    return sampler
+
+
+# modulus kind -> sampler(f, args), which gives the fields of one probe's row
+_MODULUS_KINDS = {"continuity": _sampler(alg.modulus_continuity_qc, "value"),
+                  "quasi": lambda f, args: lambda x: {"N": args.ball_exp, "interval": [
+                      ser.rat_json(e) for e in
+                      alg.modulus_qc(f, x, args.k, args.ball_exp, fuel=args.fuel)]},
+                  "usco": _sampler(alg.natural_usco_modulus, "radius", ser.rat_json),
+                  "lsco-on-cf": _sampler(alg.lsco_modulus_on_cf, "value"),
+                  "regulation": _sampler(var.modulus_regulation, "value")}
+
+
+@subcommand("modulus", "sample a modulus at probe points", FN, K, FUEL,
+            _arg("--kind", choices=_MODULUS_KINDS, default="continuity"),
+            _arg("--probe", action="append", default=None, help="probe point (repeatable)"),
+            _arg("--ball-exp", type=int, default=3, help="ball exponent N for the quasi kind"))
+def _modulus(args):
+    probes = [parse_point(s) for s in (args.probe or ["1/3", "1/2", "2/3"])]
+    sample = _MODULUS_KINDS[args.kind](args.f, args)
+    rows = [{"x": ser.q2_json(x), "k": args.k, **sample(x)} for x in probes]
+    return {"modulus": {"kind": args.kind, "samples": rows}}
+
+
+_POINT_METHODS = {"qc": alg.point_of_continuity_qc,
+                  "usco": lambda f, k, fuel: alg.point_of_continuity_usco(
+                      f, alg.natural_usco_modulus(f, fuel=fuel), k, fuel=fuel)}
+
+
+@subcommand("point-of-continuity", "certified small-oscillation point", FN, K, FUEL,
+            _arg("--method", choices=_POINT_METHODS, default="qc"))
+def _point_of_continuity(args):
+    x = _POINT_METHODS[args.method](args.f, args.k, fuel=args.fuel)
+    cert = alg.osc_point(args.f, x, args.k, fuel=args.fuel)
+    return {"point": ser.rat_json(x), "certificate": ser.interval_json(cert)}
+
+
+@subcommand("cousin", "finite subcover from a gauge", FN, FUEL)
+def _cousin(args):
+    balls = alg.cousin_subcover(args.f, fuel=args.fuel)
+    return {"cover": {"balls": [{"center": ser.rat_json(c),
+                                 "radius": ser.rat_json(r)} for c, r in balls],
+                      "count": len(balls)}}
+
+
+@subcommand("limits", "one-sided limits", FN, X, K, FUEL)
+def _limits(args):
+    lr = var.limits_lr(args.f, parse_point(args.x), args.k)
+    return {"left": None if lr.left is None else ser.interval_json(lr.left),
+            "right": None if lr.right is None else ser.interval_json(lr.right)}
+
+
+@subcommand("jumps", "enumerate jump discontinuities", FN, FUEL,
+            _arg("--limit", type=int, default=16))
+def _jumps(args):
+    return {"jumps": [ser.q2_json(p) for p in var.jump_enum(args.f, limit=args.limit)]}
+
+
+@subcommand("variation", "total variation on [0,x]", FN, X, K, FUEL)
+def _variation(args):
+    iv = var.total_variation_nbv(args.f, parse_point(args.x), args.k)
+    return {"interval": ser.interval_json(iv)}
+
+
+@subcommand("jordan", "monotone decomposition, sampled", FN, FUEL,
+            _arg("--depth", type=int, default=4))
+def _jordan(args):
+    jp = var.jordan_nbv(args.f)
+    rows = [{"x": ser.rat_json(g), "g": ser.q2_json(jp.g(g)), "h": ser.q2_json(jp.h(g))}
+            for g in _sample_grid(args.depth)]
+    return {"jordan": {"samples": rows}}
+
+
+@subcommand("rm-code", "rational-ball code of a radius-function open set",
+            _arg("--open", required=True, dest="open_spec",
+                 help="semicolon-separated rational interval pairs a,b;c,d"), FUEL)
+def _rm_code(args):
+    o = parse_open_set(args.open_spec)
+    code = alg.rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=args.fuel)
+    return {"rm_code": {
+        "balls": [{"center": ser.rat_json(c), "radius": ser.rat_json(r)}
+                  for c, r in code.prefix],
+        "prefix_of_infinite": code.prefix_of_infinite}}
+
+
+@subcommand("separator", "usco separating function of closed sets",
+            _arg("--c0", required=True), _arg("--c1", required=True))
+def _separator(args):
+    sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
+    return {"separator": sep.to_jsonable()}
+
+
+# realiser family -> (reduction, the canonical oracle it takes for a seed set)
+_REALISERS = {"sup": (red.realiser_from_sup, lambda A: red.exhaustive_sup_oracle()),
+              "cliq": (red.realiser_from_cliq_modulus, red.canonical_cliq_modulus),
+              "regulation": (red.realiser_from_regulation_modulus,
+                             red.canonical_regulation_modulus)}
+
+
+@subcommand("realiser", "point outside the seed set from an oracle",
+            _arg("--family", choices=_REALISERS, default="sup"),
+            _arg("--k", type=int, default=16), FUEL)
+def _realiser(args):
+    A = sqrt2_family()
+    rounds = min(args.fuel, 16)
+    realise, oracle = _REALISERS[args.family]
+    z = realise(oracle(A), A, args.k, fuel=rounds)
+    certified = all(A.index_of(A.member(i)) == i and
+                    A.member(i) != Q2.of(z) for i in range(rounds))
+    return {"realiser": {"family": args.family, "point": ser.rat_json(z),
+                         "certified_outside_prefix": certified,
+                         "prefix_checked": rounds}}
+
+
+@subcommand("demo-abyss", "baseline vs oracle on the spike instance",
+            _arg("--family", choices=("penny",), default="penny"),
+            _arg("--depth", type=int, default=20))
+def _demo_abyss(args):
+    depths = sorted({8, 16, min(args.depth, 24), args.depth})
+    return {"demo": red.demo_abyss(sqrt2_family(), depths=tuple(depths)).to_jsonable()}
+
+
+@subcommand("selftest", "deterministic battery over every subsystem")
+def _selftest(args):
+    return run_selftest()
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="abyss", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, fn=True, point=False, interval=False, prec=True):
-        if fn:
-            sp.add_argument("--fn", required=True, help="function spec: shorthand "
-                            "name, inline JSON, or @file")
-        if point:
-            sp.add_argument("--x", required=True, help="point: rational, member:N, "
-                            "or JSON {a,b}")
-        if interval:
-            sp.add_argument("--interval", nargs=2, metavar=("P", "Q"), required=True)
-        if prec:
-            sp.add_argument("--k", type=int, default=8, help="target accuracy 2^-k")
-        sp.add_argument("--fuel", type=parse_fuel, default=None)
+    for name, (summary, arguments, _) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            sp.add_argument(*flags, **keywords)
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-    sp = sub.add_parser("eval", help="exact evaluation")
-    common(sp, point=True, prec=False)
-    sp.add_argument("--plot-data", default=None, help="CSV of (x, f(x)) on a dyadic grid")
-    sp.add_argument("--plot-depth", type=int, default=8)
-
-    common(sub.add_parser("sup", help="supremum over an interval"), interval=True)
-    common(sub.add_parser("inf", help="infimum over an interval"), interval=True)
-    common(sub.add_parser("osc", help="pointwise oscillation"), point=True)
-
-    sp = sub.add_parser("continuity", help="decide continuity at a point")
-    common(sp, point=True, prec=False)
-
-    sp = sub.add_parser("modulus", help="sample a modulus at probe points")
-    common(sp)
-    sp.add_argument("--kind", choices=("continuity", "quasi", "usco",
-                                       "lsco-on-cf", "regulation"),
-                    default="continuity")
-    sp.add_argument("--probe", action="append", default=None,
-                    help="probe point (repeatable)")
-    sp.add_argument("--ball-exp", type=int, default=3,
-                    help="ball exponent N for the quasi kind")
-
-    sp = sub.add_parser("point-of-continuity", help="certified small-oscillation point")
-    common(sp)
-    sp.add_argument("--method", choices=("qc", "usco"), default="qc")
-
-    common(sub.add_parser("cousin", help="finite subcover from a gauge"), prec=False)
-
-    common(sub.add_parser("limits", help="one-sided limits"), point=True)
-
-    sp = sub.add_parser("jumps", help="enumerate jump discontinuities")
-    common(sp, prec=False)
-    sp.add_argument("--limit", type=int, default=16)
-
-    common(sub.add_parser("variation", help="total variation on [0,x]"), point=True)
-
-    sp = sub.add_parser("jordan", help="monotone decomposition, sampled")
-    common(sp, prec=False)
-    sp.add_argument("--depth", type=int, default=4)
-
-    sp = sub.add_parser("rm-code", help="rational-ball code of a radius-function open set")
-    sp.add_argument("--open", required=True, dest="open_spec",
-                    help="semicolon-separated rational interval pairs a,b;c,d")
-    sp.add_argument("--fuel", type=parse_fuel, default=None)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("separator", help="usco separating function of closed sets")
-    sp.add_argument("--c0", required=True)
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("realiser", help="point outside the seed set from an oracle")
-    sp.add_argument("--family", choices=("sup", "cliq", "regulation"), default="sup")
-    sp.add_argument("--k", type=int, default=16)
-    sp.add_argument("--fuel", type=parse_fuel, default=None)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("demo-abyss", help="baseline vs oracle on the spike instance")
-    sp.add_argument("--family", choices=("penny",), default="penny")
-    sp.add_argument("--depth", type=int, default=20)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("selftest", help="deterministic battery over every subsystem")
-    sp.add_argument("--out", default=None)
     return p
 
 
-# modulus kinds sampled as (x, k, value) rows
-_VALUE_MODULI = {"continuity": alg.modulus_continuity_qc,
-                 "lsco-on-cf": alg.lsco_modulus_on_cf,
-                 "regulation": var.modulus_regulation}
-
-
 def _run(args) -> dict:
-    cmd = args.command
-
-    if cmd == "selftest":
-        return run_selftest()
-
-    if cmd == "demo-abyss":
-        depths = sorted({8, 16, min(args.depth, 24), args.depth})
-        rep = red.demo_abyss(sqrt2_family(), depths=tuple(depths))
-        return {"demo": rep.to_jsonable()}
-
-    if cmd == "separator":
-        sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
-        return {"separator": sep.to_jsonable()}
-
-    # the subcommands above take no fuel, so a bad ABYSS_FUEL cannot stop them
-    fuel = default_fuel() if args.fuel is None else args.fuel
-
-    if cmd == "realiser":
-        A = sqrt2_family()
-        rounds = min(fuel, 16)
-        if args.family == "sup":
-            z = red.realiser_from_sup(red.exhaustive_sup_oracle(), A, args.k, fuel=rounds)
-        elif args.family == "cliq":
-            z = red.realiser_from_cliq_modulus(red.canonical_cliq_modulus(A), A,
-                                               args.k, fuel=rounds)
-        else:
-            z = red.realiser_from_regulation_modulus(
-                red.canonical_regulation_modulus(A), A, args.k, fuel=rounds)
-        certified = all(A.index_of(A.member(i)) == i and
-                        A.member(i) != Q2.of(z) for i in range(rounds))
-        return {"realiser": {"family": args.family, "point": ser.rat_json(z),
-                             "certified_outside_prefix": certified,
-                             "prefix_checked": rounds}}
-
-    if cmd == "rm-code":
-        o = parse_open_set(args.open_spec)
-        from .universe import indicator_baire1
-        code = alg.rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=fuel)
-        return {"rm_code": {
-            "balls": [{"center": ser.rat_json(c), "radius": ser.rat_json(r)}
-                      for c, r in code.prefix],
-            "prefix_of_infinite": code.prefix_of_infinite}}
-
-    f = parse_fn(args.fn)
-
-    if cmd == "eval":
-        x = parse_point(args.x)
-        v = f.eval(x)
-        if getattr(args, "plot_data", None):
-            _plot_data(f, args.plot_data, args.plot_depth)
-        return {"value": ser.q2_json(v)}
-
-    if cmd == "sup":
-        p, q = Fraction(args.interval[0]), Fraction(args.interval[1])
-        if isinstance(f, Baire1Limit):
-            iv = alg.sup_baire1(f, p, q, args.k, fuel=fuel)
-        else:
-            iv = alg.sup_qc(f, p, q, args.k)
-        return {"interval": ser.interval_json(iv)}
-
-    if cmd == "inf":
-        p, q = Fraction(args.interval[0]), Fraction(args.interval[1])
-        return {"interval": ser.interval_json(alg.inf_usco(f, p, q, args.k))}
-
-    if cmd == "osc":
-        iv = alg.osc_point(f, parse_point(args.x), args.k, fuel=fuel)
-        return {"interval": ser.interval_json(iv)}
-
-    if cmd == "continuity":
-        ans = alg.is_continuous_at(f, parse_point(args.x), fuel=fuel)
-        return {"continuous": ans.value.value, "fuel_spent": ans.fuel_spent}
-
-    if cmd == "modulus":
-        probes = [parse_point(s) for s in (args.probe or ["1/3", "1/2", "2/3"])]
-        if args.kind == "quasi":
-            rows = [{"x": ser.q2_json(x), "k": args.k, "N": args.ball_exp,
-                     "interval": [ser.rat_json(e) for e in
-                                  alg.modulus_qc(f, x, args.k, args.ball_exp, fuel=fuel)]}
-                    for x in probes]
-        elif args.kind == "usco":
-            psi = alg.natural_usco_modulus(f, fuel=fuel)
-            rows = [{"x": ser.q2_json(x), "k": args.k,
-                     "radius": ser.rat_json(psi(x, args.k))} for x in probes]
-        else:
-            G = _VALUE_MODULI[args.kind](f, fuel=fuel)
-            rows = [{"x": ser.q2_json(x), "k": args.k, "value": G(x, args.k)}
-                    for x in probes]
-        return {"modulus": {"kind": args.kind, "samples": rows}}
-
-    if cmd == "point-of-continuity":
-        if args.method == "usco":
-            psi = alg.natural_usco_modulus(f, fuel=fuel)
-            x = alg.point_of_continuity_usco(f, psi, args.k, fuel=fuel)
-        else:
-            x = alg.point_of_continuity_qc(f, args.k, fuel=fuel)
-        cert = alg.osc_point(f, x, args.k, fuel=fuel)
-        return {"point": ser.rat_json(x), "certificate": ser.interval_json(cert)}
-
-    if cmd == "cousin":
-        balls = alg.cousin_subcover(f, fuel=fuel)
-        return {"cover": {"balls": [{"center": ser.rat_json(c),
-                                     "radius": ser.rat_json(r)} for c, r in balls],
-                          "count": len(balls)}}
-
-    if cmd == "limits":
-        lr = var.limits_lr(f, parse_point(args.x), args.k)
-        return {"left": None if lr.left is None else ser.interval_json(lr.left),
-                "right": None if lr.right is None else ser.interval_json(lr.right)}
-
-    if cmd == "jumps":
-        pts = var.jump_enum(f, limit=args.limit)
-        return {"jumps": [ser.q2_json(p) for p in pts]}
-
-    if cmd == "variation":
-        iv = var.total_variation_nbv(f, parse_point(args.x), args.k)
-        return {"interval": ser.interval_json(iv)}
-
-    if cmd == "jordan":
-        jp = var.jordan_nbv(f)
-        rows = []
-        for g in rational_grid(DyadicInterval(0, 1), args.depth):
-            rows.append({"x": ser.rat_json(g),
-                         "g": ser.q2_json(jp.g(g)),
-                         "h": ser.q2_json(jp.h(g))})
-        return {"jordan": {"samples": rows}}
-
-    raise ValueError("unknown subcommand %r" % (cmd,))
+    _, arguments, handler = SUBCOMMANDS[args.command]
+    # fuel is read first and only where it is taken, so a bad ABYSS_FUEL
+    # cannot stop selftest, demo-abyss or separator
+    if FUEL in arguments and args.fuel is None:
+        args.fuel = default_fuel()
+    if FN in arguments:
+        args.f = parse_fn(args.fn)
+    return handler(args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
@@ -358,20 +361,17 @@ def main(argv=None) -> int:
     except ClassRefusal as e:
         _emit({"refusal": {"operation": e.operation, "needed": e.needed,
                            "function": e.fn_kind, "tags": e.tags,
-                           "statement": e.statement}}, getattr(args, "out", None))
+                           "statement": e.statement}}, args.out)
         return EXIT_REFUSED
     except FuelExhausted as e:
-        _emit({"fuel_exhausted": {"message": str(e)}}, getattr(args, "out", None))
+        _emit({"fuel_exhausted": {"message": str(e)}}, args.out)
         return EXIT_FUEL
-    except (DomainError, ConstructionError, NotPointwiseEvaluable,
-            RepresentationInsufficient, InvalidModulus, TypeError,
-            ValueError, OSError, json.JSONDecodeError) as e:
+    except (TypeError, ValueError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    _emit(payload, getattr(args, "out", None))
-    if args.command == "selftest" and not payload.get("all_pass", False):
-        return EXIT_USAGE
-    return EXIT_OK
+    _emit(payload, args.out)
+    # only the selftest transcript carries all_pass
+    return EXIT_OK if payload.get("all_pass", True) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -314,10 +314,6 @@ class Q2:
 # --- dyadic intervals -----------------------------------------------------
 
 
-class DegenerateInterval(ValueError):
-    """Raised when an operation needs a nondegenerate interval."""
-
-
 def _vs(x: "Q2", n: int, d: int) -> int:
     """The sign of x - n/d for a Q2 x and d > 0, on the integers."""
     e = x.d

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .algorithms import _interior_candidates
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import DyadicInterval, Q2, _rational, rational_grid
+from .exact import DyadicInterval, Q2, _rational, least_exponent, rational_grid
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
@@ -71,8 +71,8 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
 
     def fn(x, k, n):
         iv = _ball_clipped(x, n)
-        blockers = sorted(p for i, p in a_set.members_in(iv, max(k, 1))
-                          if Penny.spike_value(i) >= Fraction(1, 1 << k))
+        # member i's spike 2^-(i+1) reaches 2^-k exactly when i < k
+        blockers = sorted(p for _, p in a_set.members_in(iv, k))
         walls = [Q2.of(iv.lower)] + blockers + [Q2.of(iv.upper)]
         best = None
         for lo, hi in zip(walls, walls[1:]):
@@ -264,53 +264,52 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     """Nested closed intervals through the modulus: any member caught in the
     level-j interval would force a variation the modulus has ruled out, so
     the limit avoids the whole enumeration."""
-    f = Penny(a_set)
     # upfront validity probes at the carried members: an interval answered
     # around a member must not keep the member's own spike inside
     for i, p in a_set.members_upto(min(4, fuel)):
-        c, d = modulus(p, i + 2, 3)
-        c, d = _rational(c), _rational(d)
-        probe_ball = _ball_clipped(p, 3)
-        if not (probe_ball.lower <= c < d <= probe_ball.upper):
-            raise InvalidModulus("returned interval escapes the prescribed ball")
-        _spot_check_cliq(f, a_set, c, d, i + 2)
+        _checked_cliq_answer(modulus, a_set, p, i + 2, 3)
     lo, hi = Fraction(0), Fraction(1)
     intervals = [DyadicInterval(lo, hi)]
-    levels = max(k + 2, fuel + 1)
-    for j in range(levels):
-        mid = (lo + hi) / 2
+    for j in range(max(k + 2, fuel + 1)):
         n_j = 0
         while Fraction(1, 1 << n_j) >= (hi - lo) / 2:
             n_j += 1
-        c, d = modulus(Q2.of(mid), j + 1, n_j)
-        c, d = _rational(c), _rational(d)
-        ball_iv = _ball_clipped(Q2.of(mid), n_j)
-        if not (ball_iv.lower <= c < d <= ball_iv.upper):
-            raise InvalidModulus("returned interval escapes the prescribed ball")
-        _spot_check_cliq(f, a_set, c, d, j + 1)
+        c, d = _checked_cliq_answer(modulus, a_set, Q2.of((lo + hi) / 2), j + 1, n_j)
         quarter = (d - c) / 4
         center = (c + d) / 2
         lo, hi = center - quarter, center + quarter
         intervals.append(DyadicInterval(lo, hi))
-    # certification: member i cannot survive past level i+1
-    for i, p in a_set.members_upto(fuel):
-        level = min(i + 1, len(intervals) - 1)
-        if intervals[level].contains(p):
-            raise InvalidModulus("member %d survived to level %d" % (i, level))
-    return _dyadic_inside(lo, hi, k)
+    return _certified_limit(intervals, a_set, fuel, 1, k)
 
 
-def _spot_check_cliq(f: Penny, a_set: CountableSet, c: Fraction, d: Fraction, k: int):
-    """Verify the defining variation bound of the returned interval on the
-    carried points; a member with a large spike inside is a refutation."""
-    iv = DyadicInterval(c, d)
-    tol = Fraction(1, 1 << k)
-    for i, p in a_set.members_in(iv, max(k + 2, 8)):
-        if p > Q2.of(c) and p < Q2.of(d) and f.spike_value(i) >= tol:
+def _checked_cliq_answer(modulus: CliqModulusOracle, a_set: CountableSet, x: Q2,
+                         k: int, n: int) -> tuple[Fraction, Fraction]:
+    """The modulus's interval (c, d) for (x, k, n), checked against its
+    defining bound: it lies in the prescribed ball, and no member whose spike
+    reaches 2^-k (index below k) lies strictly inside it."""
+    c, d = (_rational(e) for e in modulus(x, k, n))
+    ball = _ball_clipped(x, n)
+    if not (ball.lower <= c < d <= ball.upper):
+        raise InvalidModulus("returned interval escapes the prescribed ball")
+    for i, p in a_set.members_in(DyadicInterval(c, d), k):
+        if p > Q2.of(c) and p < Q2.of(d):
             # pair (member, any rational in the interval) violates the bound
             raise InvalidModulus(
                 "interval (%s, %s) contains member %d with spike %s >= 2^-%d"
-                % (c, d, i, f.spike_value(i), k))
+                % (c, d, i, Penny.spike_value(i), k))
+    return c, d
+
+
+def _certified_limit(intervals: list[DyadicInterval], a_set: CountableSet,
+                     fuel: int, lag: int, k: int) -> Fraction:
+    """Certify a nested construction, member i outside its level-(i + lag)
+    interval for every carried member, and return a dyadic point inside the
+    last interval."""
+    for i, p in a_set.members_upto(fuel):
+        level = min(i + lag, len(intervals) - 1)
+        if intervals[level].contains(p):
+            raise InvalidModulus("member %d survived to level %d" % (i, level))
+    return _dyadic_inside(intervals[-1].lower, intervals[-1].upper, k)
 
 
 def realiser_from_regulation_modulus(modulus: Modulus,
@@ -319,15 +318,12 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     """Regulation radii turn the cofinite-spike sets into represented dense
     opens; the nested construction walks through them."""
     f = Penny(a_set)
-    _spot_check_regulation(modulus, f, a_set)
+    _spot_check_regulation(modulus, a_set)
     lo, hi = Fraction(0), Fraction(1)
     intervals = [DyadicInterval(lo, hi)]
-    levels = max(k + 2, fuel + 1)
-    for j in range(levels):
+    for j in range(max(k + 2, fuel + 1)):
         width = hi - lo
-        depth = 2
-        while Fraction(1, 1 << depth) > width / 8:
-            depth += 1
+        depth = max(2, least_exponent(width.numerator, 8 * width.denominator))
         for g in _interior_candidates(DyadicInterval(lo, hi), depth):
             v = f.eval(Q2.of(g))
             if v.is_rational and v.as_rational() < Fraction(1, 1 << j):
@@ -338,20 +334,15 @@ def realiser_from_regulation_modulus(modulus: Modulus,
                 break
         else:
             raise InvalidModulus("no admissible centre found at level %d" % j)
-    for i, p in a_set.members_upto(fuel):
-        level = min(i + 2, len(intervals) - 1)
-        if intervals[level].contains(p):
-            raise InvalidModulus("member %d survived to level %d" % (i, level))
-    return _dyadic_inside(lo, hi, k)
+    return _certified_limit(intervals, a_set, fuel, 2, k)
 
 
-def _spot_check_regulation(modulus, f: Penny, a_set: CountableSet):
+def _spot_check_regulation(modulus, a_set: CountableSet):
     """Refute obviously invalid moduli: the one-sided window at a member must
-    not contain another member with a visible spike."""
+    not contain another member with a visible spike (2^-3 or more, so index
+    below 3)."""
     k = 3
-    tol = Fraction(1, 1 << k)
-    probes = [p for _, p in a_set.members_upto(4)]
-    for p in probes:
+    for _, p in a_set.members_upto(4):
         m = modulus(p, k)
         r = Fraction(1, 1 << (m + 1))
         plo, phi = p.bracket(m + k + 10)
@@ -359,11 +350,11 @@ def _spot_check_regulation(modulus, f: Penny, a_set: CountableSet):
                        (max(Fraction(0), phi - r), plo)):
             if lo >= hi:
                 continue
-            for i, w in a_set.members_in(DyadicInterval(lo, hi), k + 4):
-                if w != p and f.spike_value(i) >= tol:
+            for i, w in a_set.members_in(DyadicInterval(lo, hi), k):
+                if w != p:
                     raise InvalidModulus(
                         "regulation window around %s contains member %d with "
-                        "spike %s" % (p, i, f.spike_value(i)))
+                        "spike %s" % (p, i, Penny.spike_value(i)))
 
 
 def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> Modulus:

@@ -701,12 +701,12 @@ class Penny(_SpikeFamily):
 
     def _range_on(self, iv, k):
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
-        best = next((self.spike_value(n) for n, _ in self._spike_scan(iv, limit)),
-                    Fraction(0))
-        tail = self.spike_value(limit)
-        if self.stop is not None or best >= tail or self.a_set.scan_is_exhaustive(iv, limit):
-            return Bracket.point(0), Bracket.point(best)
-        return Bracket.point(0), Bracket(best, tail)
+        hit = next(self._spike_scan(iv, limit), None)
+        if hit is not None:  # index below limit: no later spike reaches it
+            return Bracket.point(0), Bracket.point(self.spike_value(hit[0]))
+        if self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
+            return Bracket.point(0), Bracket.point(0)
+        return Bracket.point(0), Bracket(0, self.spike_value(limit))
 
     def _witness_above(self, iv, y):
         if y < 0:
@@ -1085,7 +1085,7 @@ def indicator_baire1(open_rep) -> Baire1Limit:
 # ---------------------------------------------------------------------------
 
 
-def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational, gscale=1) -> PiecewiseRational:
+def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRational:
     cuts = sorted(set(f.cuts) | set(g.cuts))
     pieces = []
     for a, b in zip(cuts, cuts[1:]):
@@ -1094,21 +1094,19 @@ def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational, gscale=1) -> Pi
         gj = g._locate(mid)[1]
         cf = f.pieces[fj].coeffs()
         cg = g.pieces[gj].coeffs()
-        pieces.append(Poly(*(x + gscale * y for x, y in zip(cf, cg))))
-    vals = [f.eval(c) + Q2.of(gscale) * g.eval(c) for c in cuts]
+        pieces.append(Poly(*(x + y for x, y in zip(cf, cg))))
+    vals = [f.eval(c) + g.eval(c) for c in cuts]
     return PiecewiseRational(cuts, pieces, vals)
 
 
 def fn_sum(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
     if isinstance(f, PiecewiseRational) and isinstance(g, PiecewiseRational):
-        return _merge_piecewise(f, g, 1)
+        return _merge_piecewise(f, g)
     return Sum(f, g)
 
 
 def fn_difference(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
-    if isinstance(f, PiecewiseRational) and isinstance(g, PiecewiseRational):
-        return _merge_piecewise(f, g, -1)
-    return Sum(f, scalar_multiple(-1, g))
+    return fn_sum(f, scalar_multiple(-1, g))
 
 
 def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:

@@ -139,6 +139,8 @@ def test_usage_errors():
     r = run("eval", "--fn", '{"kind": "scalar-multiple", "c": 0.1, "f": {"kind": "thomae"}}',
             "--x", "1/2")
     assert r.returncode == 1 and r.stdout == "" and "float 0.1 refused" in r.stderr
+    r = run("eval", "--fn", "penny", "--x", "member:-1")
+    assert r.returncode == 1 and r.stdout == "" and r.stderr.startswith("error: ")
 
 
 def test_eval_and_plot_data(tmp_path):
@@ -149,6 +151,36 @@ def test_eval_and_plot_data(tmp_path):
     assert payload(r)["value"] == "1/2"
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "x,f(x)" and len(lines) == 18  # 2^4 + 1 points + header
+
+
+@pytest.mark.parametrize("args", [("eval", "--fn", "thomae", "--x", "1/2", "--plot-data", "CSV",
+                                   "--plot-depth"),
+                                  ("jordan", "--fn", "step:1/2", "--depth")],
+                         ids=("plot-depth", "jordan-depth"))
+def test_sample_depth_outside_0_to_20_is_refused(tmp_path, args):
+    """A sample grid has 2^depth + 1 points: a depth outside 0..20 is refused
+    before the grid is built, and the plot file is never opened."""
+    csv = tmp_path / "plot.csv"
+    args = [str(csv) if a == "CSV" else a for a in args]
+    for depth in ("-1", "21", "64"):
+        r = run(*args, depth)
+        assert r.returncode == 1 and r.stdout == "", depth
+        assert "sample depth must be in 0..20" in r.stderr, depth
+        assert not csv.exists(), depth
+
+
+def test_subcommands_are_documented_and_recorded():
+    """The table's subcommands are those of the README's command-line examples
+    and of the benchmark's recorded invocations."""
+    from abyss import cli
+    readme = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    readme = readme.split("\n## ", 1)[0]
+    documented = {line.split()[1] for line in readme.splitlines()
+                  if line.startswith("abyss ")}
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    recorded = {invocation.split()[0] for invocation in golden["cli"]}
+    assert len(cli.SUBCOMMANDS) == 17
+    assert set(cli.SUBCOMMANDS) == documented == recorded
 
 
 def test_eval_member_point():
