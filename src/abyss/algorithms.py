@@ -488,10 +488,8 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
     for _ in range(1 << 12):
         x0 = next(gen)
         if o_rep.contains(x0):
-            m0 = 0
-            while Fraction(1, 1 << m0) > o_rep.radius(x0):
-                m0 += 1
-            seed = (x0, Fraction(1, 1 << m0))
+            r = o_rep.radius(x0)
+            seed = (x0, Fraction(1, 1 << least_exponent(r.numerator, r.denominator)))
             break
     if seed is None:
         raise FuelExhausted("no rational seed point found in the set", fuel=fuel)

@@ -291,7 +291,7 @@ def _rm_code(args):
             _arg("--c0", required=True), _arg("--c1", required=True))
 def _separator(args):
     sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
-    return {"separator": sep.to_jsonable()}
+    return {"separator": ser.fn_json(sep)}
 
 
 # realiser family -> (reduction, the canonical oracle it takes for a seed set)

@@ -639,10 +639,6 @@ def least_denominator_between(lo, hi, lo_open: bool = False) -> tuple[int, int]:
         lo_open, hi_open = hi_open, lo_open
 
 
-def format_rational(q: Fraction) -> str:
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 # --- value brackets ---------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from .algorithms import _interior_candidates
 from .errors import InvalidModulus, OracleInconsistency
 from .exact import DyadicInterval, Q2, _rational, least_exponent, rational_grid
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
+from .serialize import rat_json
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
 from .variation import modulus_regulation
@@ -193,10 +194,6 @@ class _PennyTail(Penny):
         super().__init__(a_set)
         self.start = start
 
-    def to_jsonable(self):
-        raise ValueError("a stripped spike function exists only inside an "
-                         "extraction and does not serialize")
-
 
 @dataclass
 class SupExtraction:
@@ -271,9 +268,9 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     lo, hi = Fraction(0), Fraction(1)
     intervals = [DyadicInterval(lo, hi)]
     for j in range(max(k + 2, fuel + 1)):
-        n_j = 0
-        while Fraction(1, 1 << n_j) >= (hi - lo) / 2:
-            n_j += 1
+        half = (hi - lo) / 2  # n_j: the least n with 2^-n strictly below it
+        n_j = least_exponent(half.numerator, half.denominator)
+        n_j += half == Fraction(1, 1 << n_j)
         c, d = _checked_cliq_answer(modulus, a_set, Q2.of((lo + hi) / 2), j + 1, n_j)
         quarter = (d - c) / 4
         center = (c + d) / 2
@@ -379,7 +376,6 @@ class AbyssReport:
     realiser_bits: Optional[str] = None
 
     def to_jsonable(self):
-        from .serialize import rat_json
         out = {
             "instance": self.instance,
             "depths": self.depths,

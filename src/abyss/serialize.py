@@ -2,7 +2,9 @@
 
 Rationals always travel as "num/den" strings; points of Q(sqrt2) as
 {"a": "...", "b": "..."}.  Function documents are a tagged union keyed by
-"kind".  The envelope carries the schema marker "abyss/1".
+"kind", closed sets one keyed by "rep"; each kind is registered once, with
+its type, the fields of its document and its loader.  The envelope carries
+the schema marker "abyss/1".
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ import json
 from fractions import Fraction
 
 from . import universe as u
-from .exact import DyadicInterval, Q2, format_rational
+from .exact import DyadicInterval, Q2
 from .sets import ComplementOfR2Open, CountableSet, FinitePointSet, R2Rep, finite_set, sqrt2_family
 
 SCHEMA = "abyss/1"
 
 
 def rat_json(q) -> str:
-    return format_rational(Fraction(q))
+    q = Fraction(q)
+    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def q2_json(x):
@@ -63,12 +66,41 @@ def set_from_json(doc) -> CountableSet:
     raise ValueError("unknown set generator %r" % (doc.get("generator"),))
 
 
+def _document(table, key, obj) -> dict:
+    """obj's document from the table entry registered for its exact type, so
+    a subclass the table does not name refuses rather than pass as its base."""
+    for tag, (typ, fields, _) in table.items():
+        if type(obj) is typ:
+            return {key: tag, **fields(obj)}
+    raise ValueError("%s has no %s document" % (type(obj).__name__, SCHEMA))
+
+
+# rep -> (type, its document's fields, loader)
+CLOSED_SET_REPS = {
+    "finite-points": (FinitePointSet, lambda c: {"points": [q2_json(p) for p in c.points]},
+                      lambda doc: FinitePointSet.of([q2_from_json(p) for p in doc["points"]])),
+    "complement-of-r2-open": (
+        ComplementOfR2Open,
+        lambda c: {"intervals": [[rat_json(a), rat_json(b)] for a, b in c.open_rep.intervals]},
+        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(doc["intervals"]))),
+}
+
+
+def closed_set_json(c) -> dict:
+    return _document(CLOSED_SET_REPS, "rep", c)
+
+
 def closed_set_from_json(doc):
-    if doc["rep"] == "finite-points":
-        return FinitePointSet.of([q2_from_json(p) for p in doc["points"]])
-    if doc["rep"] == "complement-of-r2-open":
-        return ComplementOfR2Open(R2Rep.from_intervals(doc["intervals"]))
-    raise ValueError("unknown closed-set representation %r" % (doc.get("rep"),))
+    entry = CLOSED_SET_REPS.get(doc["rep"])
+    if entry is None:
+        raise ValueError("unknown closed-set representation %r" % (doc.get("rep"),))
+    return entry[2](doc)
+
+
+def _piecewise_json(f) -> dict:
+    return {"cuts": [q2_json(c) for c in f.cuts],
+            "pieces": [[str(c) for c in piece.coeffs()] for piece in f.pieces],
+            "values": [q2_json(v) for v in f.bp_values]}
 
 
 def _piecewise_from_json(doc):
@@ -77,34 +109,47 @@ def _piecewise_from_json(doc):
                                [q2_from_json(v) for v in doc["values"]])
 
 
-def _seeded(make):
-    return lambda doc: make(set_from_json(doc["set"]))
+def _seeded(cls):
+    """The entry of a spike family built from its seed set alone."""
+    return (cls, lambda f: {"set": set_json(f.source)},
+            lambda doc: cls(set_from_json(doc["set"])))
 
 
-# kind -> constructor from the document: the one list of loadable kinds
+# kind -> (type, its document's fields, loader): the one list of kinds that
+# serialize, read by kind and written by exact type
 FN_KINDS = {
-    "thomae": lambda doc: u.Thomae(),
+    "thomae": (u.Thomae, lambda f: {}, lambda doc: u.Thomae()),
     "penny": _seeded(u.Penny),
-    "pennyk": lambda doc: u.PennyK(set_from_json(doc["set"]), doc["cutoff"]),
+    "pennyk": (u.PennyK, lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
+               lambda doc: u.PennyK(set_from_json(doc["set"]), doc["cutoff"])),
     "tilde-penny": _seeded(u.TildePenny),
     "cover-psi": _seeded(u.CoverPsi),
     "cover-psi-usco": _seeded(u.CoverPsiUsco),
-    "pennyk-limit": _seeded(u.pennyk_limit),
-    "indicator": lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"])),
-    "piecewise": _piecewise_from_json,
-    "sum": lambda doc: u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"])),
-    "scalar-multiple": lambda doc: u.ScalarMultiple(doc["c"], fn_from_json(doc["f"])),
-    "restricted": lambda doc: u.restrict_tags(fn_from_json(doc["f"]), doc["tags"]),
+    "pennyk-limit": (u.PennyKLimit, lambda f: {"set": set_json(f.a_set)},
+                     lambda doc: u.PennyKLimit(set_from_json(doc["set"]))),
+    "indicator": (u.Indicator, lambda f: {"closed_set": closed_set_json(f.closed_set)},
+                  lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"]))),
+    "piecewise": (u.PiecewiseRational, _piecewise_json, _piecewise_from_json),
+    "sum": (u.Sum, lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
+            lambda doc: u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"]))),
+    "scalar-multiple": (u.ScalarMultiple, lambda f: {"c": str(f.c), "f": fn_json(f.f)},
+                        lambda doc: u.ScalarMultiple(doc["c"], fn_from_json(doc["f"]))),
+    "restricted": (u.RestrictedView, lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
+                   lambda doc: u.restrict_tags(fn_from_json(doc["f"]), doc["tags"])),
 }
+
+
+def fn_json(f) -> dict:
+    return _document(FN_KINDS, "kind", f)
 
 
 def fn_from_json(doc):
     kind = doc.get("kind")
-    make = FN_KINDS.get(kind)
-    if make is None:
+    entry = FN_KINDS.get(kind)
+    if entry is None:
         raise ValueError("unknown function kind %r" % (kind,))
     try:
-        return make(doc)
+        return entry[2](doc)
     except KeyError as e:
         raise ValueError("%s document lacks the field %s" % (kind, e)) from None
 

@@ -275,10 +275,6 @@ class FinitePointSet:
         """Each point as a degenerate closed component (p, p)."""
         return [(p, p) for p in self.points]
 
-    def to_jsonable(self) -> dict:
-        from .serialize import q2_json
-        return {"rep": "finite-points", "points": [q2_json(p) for p in self.points]}
-
 
 @dataclass(frozen=True)
 class ComplementOfR2Open:
@@ -310,11 +306,6 @@ class ComplementOfR2Open:
         if cursor <= 1:
             out.append((cursor, Fraction(1)))
         return out
-
-    def to_jsonable(self) -> dict:
-        from .serialize import rat_json
-        return {"rep": "complement-of-r2-open",
-                "intervals": [[rat_json(a), rat_json(b)] for a, b in self.open_rep.intervals]}
 
 
 # --- RM-codes: open sets as unions of rational balls -----------------------

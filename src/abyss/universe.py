@@ -267,9 +267,6 @@ class SymbolicFn:
     def constant_value(self) -> Optional[Q2]:
         return None
 
-    def to_jsonable(self) -> dict:
-        raise NotImplementedError
-
     def __repr__(self):
         return "<%s tags={%s}>" % (self.kind, ",".join(sorted(self.tags)))
 
@@ -481,15 +478,6 @@ class PiecewiseRational(SymbolicFn):
         vals.update(self.bp_values)
         return self.bp_values[0] if len(vals) == 1 else None
 
-    def to_jsonable(self):
-        from .serialize import q2_json
-        return {
-            "kind": self.kind,
-            "cuts": [q2_json(c) for c in self.cuts],
-            "pieces": [[str(c) for c in piece.coeffs()] for piece in self.pieces],
-            "values": [q2_json(v) for v in self.bp_values],
-        }
-
 
 def constant(c) -> PiecewiseRational:
     v = Q2.of(c)
@@ -604,9 +592,6 @@ class Thomae(SymbolicFn):
     def _one_sided_limit(self, p, side, k):
         return Bracket.point(0)
 
-    def to_jsonable(self):
-        return {"kind": self.kind}
-
 
 class _SpikeFamily(SymbolicFn):
     """Shared machinery for families that are 0 (or a base value) off a
@@ -658,10 +643,6 @@ class _SpikeFamily(SymbolicFn):
             if p.is_rational and not (1 << depth) % p.d:
                 best = max(best, self.spike_value(n))
         return best
-
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": self.kind, "set": set_json(self.source)}
 
 
 class Penny(_SpikeFamily):
@@ -754,14 +735,13 @@ class PennyK(Penny):
     kind = "pennyk"
 
     def __init__(self, a_set: CountableSet, cutoff: int):
+        if type(cutoff) is not int:
+            raise TypeError("cutoff %r refused: an index cutoff takes int" % (cutoff,))
         if cutoff < 0:
             raise ConstructionError("cutoff must be >= 0")
         super().__init__(a_set)
         self.cutoff = cutoff
         self.stop = cutoff + 1
-
-    def to_jsonable(self):
-        return {**super().to_jsonable(), "cutoff": self.cutoff}
 
 
 class TildePenny(Penny):
@@ -954,9 +934,6 @@ class Indicator(SymbolicFn):
                 out.extend(Q2.of(e) for e in (a, b) if 0 < e < 1)
         return out[:limit]
 
-    def to_jsonable(self):
-        return {"kind": self.kind, "closed_set": self.closed_set.to_jsonable()}
-
 
 # ---------------------------------------------------------------------------
 # pointwise limits with representations
@@ -978,13 +955,11 @@ class Baire1Limit(SymbolicFn):
     kind = "baire1-limit"
 
     def __init__(self, terms: Callable[[int], SymbolicFn], conv_modulus=None,
-                 stabilizer=None, tags=(BAIRE1,), special=None, label="baire1"):
+                 stabilizer=None, tags=(BAIRE1,)):
         super().__init__(tags)
         self._terms = terms
         self.conv_modulus = conv_modulus
         self.stabilizer = stabilizer
-        self._special = special
-        self.label = label
         self._term_cache: dict[int, SymbolicFn] = {}
 
     def term(self, n: int) -> SymbolicFn:
@@ -1024,17 +999,11 @@ class Baire1Limit(SymbolicFn):
             "representation, not directly")
 
     def special_points(self, iv, depth):
-        if self._special is not None:
-            return self._special(iv, depth)
         return self.term(min(depth, 8)).special_points(iv, depth)
 
     def witness_depth(self, y: Fraction) -> Optional[int]:
         """The probe depth past which no value above y lies; None: unknown."""
         return None
-
-    def to_jsonable(self):
-        raise ValueError("the %s representation does not serialize; only "
-                         "built-in pointwise-limit representations do" % self.label)
 
 
 class PennyKLimit(Baire1Limit):
@@ -1046,8 +1015,7 @@ class PennyKLimit(Baire1Limit):
         super().__init__(lambda n: PennyK(a_set, n),
                          conv_modulus=lambda x, j: j,
                          stabilizer=lambda x: a_set.index_of(x) or 0,
-                         tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1),
-                         label="pennyk-limit")
+                         tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1))
         self.a_set = a_set
 
     def witness_depth(self, y):
@@ -1055,29 +1023,23 @@ class PennyKLimit(Baire1Limit):
         # spikes above y exceeds it
         return Penny.spikes_above(y) if y > 0 else None
 
-    def to_jsonable(self):
-        from .serialize import set_json
-        return {"kind": self.label, "set": set_json(self.a_set)}
-
 
 pennyk_limit = PennyKLimit
 
 
-def constant_seq_limit(f: SymbolicFn, label="constant-seq") -> Baire1Limit:
+def constant_seq_limit(f: SymbolicFn) -> Baire1Limit:
     """The constant representation of an already-constructed function."""
     return Baire1Limit(lambda n: f,
                        conv_modulus=lambda x, j: 0,
                        stabilizer=lambda x: 0,
-                       tags=tuple(f.tags | {BAIRE1}),
-                       special=f.special_points,
-                       label=label)
+                       tags=tuple(f.tags | {BAIRE1}))
 
 
 def indicator_baire1(open_rep) -> Baire1Limit:
     """Constant-sequence representation of the indicator of a radius-function
     open set (1 - indicator of the closed complement)."""
     ind = fn_sum(constant(1), scalar_multiple(-1, Indicator(ComplementOfR2Open(open_rep))))
-    return constant_seq_limit(ind, label="open-indicator")
+    return constant_seq_limit(ind)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,9 +1160,6 @@ class Sum(SymbolicFn):
         lo, _ = self.range_bound()
         return lo > 0
 
-    def to_jsonable(self):
-        return {"kind": self.kind, "f": self.f.to_jsonable(), "g": self.g.to_jsonable()}
-
 
 # what a negative factor turns each tag or certificate into
 _MIRROR = {USCO: LSCO, LSCO: USCO, CERT_SUP: CERT_INF, CERT_INF: CERT_SUP}
@@ -1263,9 +1222,6 @@ class ScalarMultiple(SymbolicFn):
         hi = self.f.range_bound()[1]
         return hi * self.c > 0
 
-    def to_jsonable(self):
-        return {"kind": self.kind, "c": str(self.c), "f": self.f.to_jsonable()}
-
 
 class RestrictedView(SymbolicFn):
     """The same function presented as a member of a weaker class: tags are cut
@@ -1313,9 +1269,6 @@ class RestrictedView(SymbolicFn):
 
     def is_positive(self):
         return self.f.is_positive()
-
-    def to_jsonable(self):
-        return {"kind": self.kind, "tags": sorted(self.tags), "f": self.f.to_jsonable()}
 
 
 def restrict_tags(f: SymbolicFn, tags) -> RestrictedView:

@@ -9,6 +9,7 @@ instances in this package exist precisely to demonstrate that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -17,7 +18,7 @@ from .errors import ClassRefusal, FuelExhausted
 from .exact import Bracket, DyadicInterval, Q2
 from .oracle import DEFAULT_FUEL, Modulus, require_tag
 from .universe import (NORMALISED_BV, REGULATED, PiecewiseRational,
-                       SymbolicFn)
+                       SymbolicFn, _unit_point)
 
 
 # ---------------------------------------------------------------------------
@@ -74,38 +75,49 @@ _NBV_REFUSAL = ("total variation collapses to a countable partition search "
                 "are bounded-variation counterexamples")
 
 
-def _variation_exact(f: PiecewiseRational, bound: Q2) -> Q2:
-    """Exact total variation of a piecewise function on [0, bound]: monotone
-    runs between critical points plus one-sided gaps at every discontinuity.
+def _nbv_piecewise(f: SymbolicFn, operation: str) -> PiecewiseRational:
+    require_tag(f, NORMALISED_BV, operation, statement=_NBV_REFUSAL)
+    if not isinstance(f, PiecewiseRational):
+        raise ClassRefusal(operation, "a piecewise representation with carried breakpoints",
+                           f, statement=_NBV_REFUSAL)
+    return f
 
-    Between consecutive critical points the function is one polynomial piece
-    and monotone (vertices are critical points), so each cell contributes the
-    right-jump at its left end, the run, and the left-jump at its right end.
-    """
-    pts = [c for c in sorted(f.special_points(DyadicInterval(0, 1), 0)) if c < bound]
-    pts.append(bound)
+
+def _running_variation(f: PiecewiseRational) -> Callable[[object], Q2]:
+    """x -> the exact total variation of f on [0, x]: one bisection into a
+    table of the critical points, built once, plus one partial cell.
+
+    Between consecutive critical points f is one polynomial piece and
+    monotone (vertices are critical points), so each cell contributes the
+    right-jump at its left end u, the run, and the left-jump at its right
+    end.  A cell holds the variation on [0, u] plus the right-jump at u, its
+    piece, and the piece's limit at u."""
+    pts = sorted(f.special_points(DyadicInterval(0, 1), 0))
+    cells = []
     total = Q2.of(0)
     for u, v in zip(pts, pts[1:]):
-        mid = (u + v) / Q2.of(2)
-        piece = f.pieces[f._locate(mid)[1]]
+        piece = f.pieces[f._locate((u + v) / Q2.of(2))[1]]
         ru, lv = piece(u), piece(v)  # one-sided limits from inside (u, v)
-        total = total + abs(f.eval(u) - ru) + abs(lv - ru) + abs(f.eval(v) - lv)
-    return total
+        cells.append((total + abs(f.eval(u) - ru), piece, ru))
+        total = cells[-1][0] + abs(lv - ru) + abs(f.eval(v) - lv)
+
+    def g(x) -> Q2:
+        xq = _unit_point(x)
+        j = bisect_left(pts, xq)
+        if j == 0:
+            return Q2.of(0)
+        base, piece, ru = cells[j - 1]
+        lx = piece(xq)
+        if pts[j] != xq:
+            return base + abs(lx - ru)  # strictly inside the cell f is its piece
+        return base + abs(lx - ru) + abs(f.eval(xq) - lx)
+
+    return g
 
 
 def total_variation_nbv(f: SymbolicFn, x, k: int) -> DyadicInterval:
     """Width-2^-k interval containing the total variation of f on [0, x]."""
-    require_tag(f, NORMALISED_BV, "total_variation_nbv", statement=_NBV_REFUSAL)
-    if not isinstance(f, PiecewiseRational):
-        raise ClassRefusal("total_variation_nbv",
-                           "a piecewise representation with carried breakpoints",
-                           f, statement=_NBV_REFUSAL)
-    xq = Q2.of(x)
-    if xq < 0 or xq > 1:
-        raise ValueError("endpoint outside [0,1]")
-    if xq == Q2.of(0):
-        return DyadicInterval(0, 0)
-    v = _variation_exact(f, xq)
+    v = _running_variation(_nbv_piecewise(f, "total_variation_nbv"))(x)
     return Bracket.of_q2(v, k + 1).to_interval()
 
 
@@ -121,20 +133,9 @@ class JordanPair:
 
 
 def jordan_nbv(f: SymbolicFn) -> JordanPair:
-    require_tag(f, NORMALISED_BV, "jordan_nbv", statement=_NBV_REFUSAL)
-    if not isinstance(f, PiecewiseRational):
-        raise ClassRefusal("jordan_nbv",
-                           "a piecewise representation with carried breakpoints",
-                           f, statement=_NBV_REFUSAL)
-
-    def g(x) -> Q2:
-        xq = Q2.of(x)
-        return Q2.of(0) if xq == Q2.of(0) else _variation_exact(f, xq)
-
-    def h(x) -> Q2:
-        return g(x) - f.eval(x)
-
-    return JordanPair(g, h)
+    f = _nbv_piecewise(f, "jordan_nbv")
+    g = _running_variation(f)
+    return JordanPair(g, lambda x: g(x) - f.eval(x))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, restrict_tags, rm_code_from_r2_baire1,
                    sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
-                   usco_separator)
+                   unit_rationals, usco_separator)
 from abyss.universe import CLIQUISH
 
 from conftest import brute_ball_osc, exact_symbolic_sup, probe_basis
@@ -458,6 +458,26 @@ def test_rm_code_empty_and_split():
     o = R2Rep.from_intervals([(F(0), F(1, 2)), (F(1, 2), F(1))])
     code = rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=64)
     assert not code.covers(F(1, 2))
+
+
+def test_rm_code_seed_radius_matches_its_loop():
+    """The seed ball's radius is the largest 2^-m within the seed point's
+    radius, as the loop it replaces counted it down, also where that radius
+    is itself a power of two and the bound is met with equality."""
+    rng = random.Random(97)
+    exact_powers = 0
+    for i in range(12):
+        a = F(rng.randrange(0, 16), 16)
+        b = a + F(rng.randrange(1, 8), 16) if i % 2 else a + F(1, 1 << rng.randrange(1, 5))
+        o = R2Rep.from_intervals([(a, b)])
+        x0 = next(x for x in unit_rationals() if o.contains(x))
+        m0 = 0
+        while F(1, 1 << m0) > o.radius(x0):
+            m0 += 1
+        code = rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=16)
+        assert (x0, F(1, 1 << m0)) in code.prefix, (a, b)
+        exact_powers += F(1, 1 << m0) == o.radius(x0)
+    assert exact_powers >= 2
 
 
 def test_rm_code_needs_modulus():

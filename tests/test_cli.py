@@ -96,7 +96,8 @@ def test_points_outside_the_unit_interval_are_usage_errors():
                  ("modulus", "--fn", "penny", "--kind", "regulation", "--probe", "3/2",
                   "--k", "3"),
                  ("modulus", "--fn", "thomae", "--kind", "continuity", "--probe", "3/2",
-                  "--k", "3")):
+                  "--k", "3"),
+                 ("variation", "--fn", "step:1/2", "--x", "3/2")):
         r = run(*args)
         assert r.returncode == 1 and r.stdout == "", args
         assert "outside [0,1]" in r.stderr, args
@@ -104,12 +105,13 @@ def test_points_outside_the_unit_interval_are_usage_errors():
 
 def test_negative_counts_are_usage_errors():
     from abyss import Penny, jump_enum, naive_rational_sup, sqrt2_family, staircase
+    from abyss.serialize import fn_json
     steps = staircase([(F(1, 3), 1), (F(2, 3), 2)])
     with pytest.raises(ValueError):
         jump_enum(steps, limit=-1)
     with pytest.raises(ValueError):
         naive_rational_sup(Penny(sqrt2_family()), 0, 1, -3)
-    for args in (("jumps", "--fn", json.dumps(steps.to_jsonable()), "--limit", "-1"),
+    for args in (("jumps", "--fn", json.dumps(fn_json(steps)), "--limit", "-1"),
                  ("demo-abyss", "--depth", "-3")):
         r = run(*args)
         assert r.returncode == 1 and r.stdout == "", args

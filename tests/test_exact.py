@@ -8,9 +8,9 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, Poly, Q2, Thomae,
+from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q2, Thomae,
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
-                   rational_grid, scalar_multiple, sup_qc, unit_rationals)
+                   rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
 from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
                          signed_unit_rationals, sqrt2_bracket)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
@@ -277,7 +277,12 @@ def test_q2_by_q2_arithmetic_and_order_build_no_fraction():
     lambda: scalar_multiple(0.1, Thomae()), lambda: Poly(0.1),
     lambda: mu_search(ExistsValueAbove(linear(1), DyadicInterval(0, 1), 0.1)),
     lambda: naive_rational_sup(Thomae(), 0.25, 1, 4), lambda: R2Rep.from_intervals([(0.25, 0.5)]),
-    lambda: fn_from_json({"kind": "scalar-multiple", "c": 0.1, "f": {"kind": "thomae"}})])
+    lambda: fn_from_json({"kind": "scalar-multiple", "c": 0.1, "f": {"kind": "thomae"}}),
+    lambda: PennyK(sqrt2_family(), 2.5),
+    lambda: fn_from_json({"kind": "pennyk", "set": {"generator": "sqrt2-halving"},
+                          "cutoff": 2.5}),
+    lambda: fn_from_json({"kind": "pennyk", "set": {"generator": "sqrt2-halving"},
+                          "cutoff": True})])
 def test_floats_are_refused_at_the_kernel_boundary(build):
     with pytest.raises(TypeError):
         build()

@@ -98,6 +98,30 @@ def test_realiser_from_cliq_modulus():
     assert Q2.of(z2) != S2(0)
 
 
+def test_cliq_ball_exponent_matches_its_loop():
+    """Each level asks the modulus for the least n with 2^-n strictly below
+    half the interval's width, as the loop it replaces counted it up."""
+    rng = random.Random(83)
+    for a_set, k, fuel in ((A, 10, 16), (finite_set([S2(0)]), 8, 4),
+                           (random_finite_set(rng), 6, 8), (random_finite_set(rng), 9, 12)):
+        honest = canonical_cliq_modulus(a_set)
+        calls = []
+
+        def spy(x, k, n):
+            calls.append((n, honest(x, k, n)))
+            return calls[-1][1]
+
+        realiser_from_cliq_modulus(spy, a_set, k, fuel=fuel)
+        lo, hi = F(0), F(1)
+        for n, (c, d) in calls[-max(k + 2, fuel + 1):]:
+            want = 0
+            while F(1, 1 << want) >= (hi - lo) / 2:
+                want += 1
+            assert n == want
+            c, d = F(c), F(d)
+            lo, hi = (c + d) / 2 - (d - c) / 4, (c + d) / 2 + (d - c) / 4
+
+
 def test_cliq_modulus_adversaries_rejected():
     with pytest.raises(InvalidModulus):
         realiser_from_cliq_modulus(adversarial_cliq_modulus(), A, 6)

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (ComplementOfR2Open, FinitePointSet, Indicator, Penny, PennyK,
-                   Q2, R2Rep, TildePenny, build_cover_psi, constant, finite_set, fn_difference, pennyk_limit,
+from abyss import (Baire1Limit, ComplementOfR2Open, FinitePointSet, Indicator, Penny, PennyK,
+                   Q2, R2Rep, TildePenny, build_cover_psi, constant, constant_seq_limit,
+                   finite_set, fn_difference, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
-from abyss.serialize import (dumps, fn_from_json, interval_from_json,
+from abyss.serialize import (dumps, fn_from_json, fn_json, interval_from_json,
                              interval_json, q2_from_json, q2_json, rat_json,
                              set_from_json, set_json)
 from abyss.exact import DyadicInterval
@@ -57,14 +58,24 @@ FUNCTIONS = [
 
 @pytest.mark.parametrize("f", FUNCTIONS, ids=lambda f: f.kind)
 def test_fn_roundtrip_exact(f):
-    doc = f.to_jsonable()
+    doc = fn_json(f)
     text = json.dumps(doc)
     g = fn_from_json(json.loads(text))
-    assert g.to_jsonable() == doc
+    assert fn_json(g) == doc
     probes = [F(0), F(1, 3), F(1, 2), F(7, 8), F(1), Q2.sqrt2_scaled(0), Q2.sqrt2_scaled(3)]
     for x in probes:
         assert f.eval(x) == g.eval(x)
     assert g.tags == f.tags
+
+
+def test_only_registered_types_serialize():
+    """`fn_json` finds a document by exact type: a subclass or a bare
+    representation the table does not name refuses, not passes as its base."""
+    from abyss.reductions import _PennyTail
+    for f in (Baire1Limit(lambda n: PennyK(A, n)), constant_seq_limit(constant(1)),
+              _PennyTail(A, 2)):
+        with pytest.raises(ValueError):
+            fn_json(f)
 
 
 def test_unknown_kind_rejected():

@@ -23,7 +23,7 @@ from abyss import (ConstructionError, CountableSet, CoverPsi, CoverPsiUsco,
                    unit_rationals, usco_separator)
 from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
-from abyss.serialize import fn_from_json
+from abyss.serialize import fn_from_json, fn_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
                             SIMPLY_CONTINUOUS, USCO, ScalarMultiple, irrational_inside)
@@ -590,7 +590,7 @@ def test_piecewise_irrational_breakpoint():
     right = f.one_sided_limit(c, 1, 30)
     assert left.contains(F(0)) and right.contains(F(1))
     assert f.jump_candidates(4) == [c]
-    g = fn_from_json(f.to_jsonable())
+    g = fn_from_json(fn_json(f))
     assert g.eval(c) == Q2.of(1) and g.eval(F(1, 2)) == Q2.of(0)
     inf_b, sup_b = f.range_on(DyadicInterval(F(1, 2), F(3, 4)), 12)
     assert inf_b.lo == 0 and sup_b.hi == 1
@@ -711,13 +711,13 @@ def test_indicator_closed_set_forms_pinned():
     probes = [F(0), F(1, 4), F(1, 3), F(1, 2), F(5, 8), F(3, 4), F(1), S2(1)]
     for cs in (empty, pts, touch, gap, whole):
         f = Indicator(cs)
-        doc = f.to_jsonable()
+        doc = fn_json(f)
         g = fn_from_json(doc)
-        assert g.to_jsonable() == doc and g.tags == f.tags
+        assert fn_json(g) == doc and g.tags == f.tags
         assert all(g.eval(x) == f.eval(x) for x in probes)
-    assert Indicator(pts).to_jsonable()["closed_set"] == {
+    assert fn_json(Indicator(pts))["closed_set"] == {
         "rep": "finite-points", "points": ["1/2", {"a": "0/1", "b": "1/4"}]}
-    assert Indicator(touch).to_jsonable()["closed_set"] == {
+    assert fn_json(Indicator(touch))["closed_set"] == {
         "rep": "complement-of-r2-open",
         "intervals": [["-1/8", "1/4"], ["1/4", "5/8"], ["3/4", "9/8"]]}
 
@@ -827,6 +827,21 @@ def test_interval_contract_lives_on_the_base_class():
                 found |= {(node.name, item.name) for item in node.body
                           if isinstance(item, ast.FunctionDef) and item.name in public}
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_documents_live_in_serialize_alone():
+    """`serialize` writes and reads every function and closed-set document;
+    the modules that define the types neither import it nor write one."""
+    from abyss import sets, universe
+    for mod in (universe, sets):
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "serialize", mod.__name__
+                assert "serialize" not in (a.name for a in node.names), mod.__name__
+            elif isinstance(node, ast.Import):
+                assert not any("serialize" in a.name for a in node.names), mod.__name__
+            elif isinstance(node, ast.FunctionDef):
+                assert node.name != "to_jsonable", (mod.__name__, node.lineno)
 
 
 def test_spike_count_answers_witness_above_as_the_capped_loop():
