@@ -19,6 +19,7 @@ from . import serialize as ser
 from . import variation as var
 from .errors import ClassRefusal, FuelExhausted
 from .exact import DyadicInterval, Q2, rational_grid
+from .oracle import DEFAULT_FUEL
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
 from .selftest import run_selftest
 from .universe import Baire1Limit, PennyK, constant, indicator_baire1, linear, staircase
@@ -37,10 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_fuel() -> int:
-    """ABYSS_FUEL, read by the --fuel rule, or 64 when it is unset or empty."""
+    """ABYSS_FUEL, read by the --fuel rule, or DEFAULT_FUEL when it is unset
+    or empty."""
     env = os.environ.get("ABYSS_FUEL")
     if not env:
-        return 64
+        return DEFAULT_FUEL
     try:
         return parse_fuel(env)
     except (ValueError, argparse.ArgumentTypeError):

@@ -268,20 +268,14 @@ class QueryTrace:
 # --- exact threshold queries (the workhorses) --------------------------------
 
 
-def exists_value_above(f, iv, y, fuel=DEFAULT_FUEL) -> FueledBool:
+def exists_value_above(f, iv, y) -> FueledBool:
     require_rule("ExistsValueAbove", f, "exists_value_above")
-    return _fueled(f.witness_above(iv, y)[0], fuel)
+    return FueledBool(f.witness_above(iv, y)[0], 1)
 
 
-def exists_value_below(f, iv, y, fuel=DEFAULT_FUEL) -> FueledBool:
+def exists_value_below(f, iv, y) -> FueledBool:
     require_rule("ExistsValueBelow", f, "exists_value_below")
-    return _fueled(f.witness_below(iv, y)[0], fuel)
-
-
-def _fueled(truth: Truth, fuel: int) -> FueledBool:
-    if truth is Truth.UNKNOWN:
-        return FueledBool.unknown(fuel)
-    return FueledBool(truth, 1)
+    return FueledBool(f.witness_below(iv, y)[0], 1)
 
 
 def _ball_clipped(x, exponent: int) -> DyadicInterval:

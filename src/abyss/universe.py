@@ -304,7 +304,11 @@ def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
 
 class PiecewiseRational(SymbolicFn):
     """Finitely many polynomial pieces on (cut_i, cut_{i+1}) with an explicit
-    value at every cut; cut_0 = 0 and cut_m = 1."""
+    value at every cut; cut_0 = 0 and cut_m = 1.
+
+    The breakpoint table is built once: `sides[i]` is (left limit, value,
+    right limit) at cut i, a side off [0,1] being None, and `critical` holds
+    the cuts and each vertex strictly inside its own piece, ascending."""
 
     kind = "piecewise"
 
@@ -318,6 +322,16 @@ class PiecewiseRational(SymbolicFn):
             raise ConstructionError("cuts must be strictly increasing")
         if len(self.pieces) != len(self.cuts) - 1 or len(self.bp_values) != len(self.cuts):
             raise ConstructionError("pieces/values do not match cuts")
+        around = zip((None,) + self.pieces, self.cuts, self.bp_values, self.pieces + (None,))
+        self.sides = tuple((left(c) if left else None, v, right(c) if right else None)
+                           for left, c, v, right in around)
+        critical = [self.cuts[0]]
+        for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:]):
+            v = piece.vertex()
+            if v is not None and a < Q2.of(v) < b:
+                critical.append(Q2.of(v))
+            critical.append(b)
+        self.critical = tuple(critical)
         super().__init__(self._compute_tags())
 
     @staticmethod
@@ -337,11 +351,6 @@ class PiecewiseRational(SymbolicFn):
                 vals.append(Q2.of(rule))
         return PiecewiseRational(cuts, pieces, vals)
 
-    def _limits_at_cut(self, i):
-        left = self.pieces[i - 1](self.cuts[i]) if i > 0 else None
-        right = self.pieces[i](self.cuts[i]) if i < len(self.pieces) else None
-        return left, right
-
     def _compute_tags(self):
         tags = {CLIQUISH, SIMPLY_CONTINUOUS, BV, REGULATED, BAIRE1}
         continuous = True
@@ -349,17 +358,15 @@ class PiecewiseRational(SymbolicFn):
         usco = True
         lsco = True
         cadlag = True
-        for i in range(len(self.cuts)):
-            left, right = self._limits_at_cut(i)
-            v = self.bp_values[i]
-            sides = [s for s in (left, right) if s is not None]
-            if any(s != v for s in sides):
+        for left, v, right in self.sides:
+            limits = [s for s in (left, right) if s is not None]
+            if any(s != v for s in limits):
                 continuous = False
-            if all(s != v for s in sides):
+            if all(s != v for s in limits):
                 qc = False
-            if any(s > v for s in sides):
+            if any(s > v for s in limits):
                 usco = False
-            if any(s < v for s in sides):
+            if any(s < v for s in limits):
                 lsco = False
             if right is not None and right != v:
                 cadlag = False
@@ -397,13 +404,13 @@ class PiecewiseRational(SymbolicFn):
         return inf_b.lo, sup_b.hi
 
     def is_positive(self):
-        inf_b, _ = self.range_on(DyadicInterval(0, 1), 16)
-        if inf_b.lo > 0:
-            return True
-        if inf_b.exact:
-            return False
-        # irrational infimum: compare the exact candidates directly
-        return all(v > 0 for v in self._value_candidates(DyadicInterval(0, 1)))
+        # a piece of degree <= 2 whose end limits are >= 0 is positive on its
+        # open interval unless it is <= 0 at an inside vertex or everywhere
+        limits = [s for left, _, right in self.sides for s in (left, right) if s is not None]
+        return (all(s >= 0 for s in limits)
+                and all(self._eval(p) > 0 for p in self.critical)
+                and all(piece((a + b) / Q2.of(2)) > 0
+                        for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:])))
 
     def _value_candidates(self, iv):
         vals = []
@@ -423,43 +430,26 @@ class PiecewiseRational(SymbolicFn):
         return Bracket.of_q2(min(vals), k), Bracket.of_q2(max(vals), k)
 
     def special_points(self, iv, depth):
-        out = [c for c in self.cuts if iv.contains(c)]
-        for j, piece in enumerate(self.pieces):
-            v = piece.vertex()
-            if v is not None:
-                p = Q2.of(v)
-                if p > self.cuts[j] and p < self.cuts[j + 1] and iv.contains(p):
-                    out.append(p)
-        return out
+        return [p for p in self.critical if iv.contains(p)]
 
     def _one_sided_limit(self, p, side, k):
         where, i = self._locate(p)
         if where == "cut":
-            left, right = self._limits_at_cut(i)
-            val = left if side < 0 else right
+            val = self.sides[i][0 if side < 0 else 2]
         else:
             val = self.pieces[i](p)
         return Bracket.of_q2(val, k)
 
     def jump_candidates(self, limit):
-        out = []
-        for i in range(1, len(self.cuts) - 1):
-            left, right = self._limits_at_cut(i)
-            if left != right:
-                out.append(self.cuts[i])
-        return out[:limit]
+        return [c for c, (left, _, right) in zip(self.cuts[1:-1], self.sides[1:-1])
+                if left != right][:limit]
 
     def grid_max(self, iv, depth):
         # a piece attains its grid max next to a cut, a vertex or an end
         step = Fraction(1, 1 << depth)
         marks = [iv.lower, iv.upper]
-        for c in self.cuts:
-            if iv.contains(c):
-                marks.append(c.as_rational() if c.is_rational else c.approx(depth + 4))
-        for piece in self.pieces:
-            v = piece.vertex()
-            if v is not None and iv.contains(v):
-                marks.append(v)
+        for p in self.special_points(iv, depth):
+            marks.append(p.as_rational() if p.is_rational else p.approx(depth + 4))
         candidates = set(rational_grid(iv, min(depth, 4)))
         for mark in marks:
             base = math.floor(mark / step)

@@ -85,32 +85,34 @@ def _nbv_piecewise(f: SymbolicFn, operation: str) -> PiecewiseRational:
 
 def _running_variation(f: PiecewiseRational) -> Callable[[object], Q2]:
     """x -> the exact total variation of f on [0, x]: one bisection into a
-    table of the critical points, built once, plus one partial cell.
+    table of the critical points, built once from f's breakpoint table, plus
+    one partial cell.
 
     Between consecutive critical points f is one polynomial piece and
     monotone (vertices are critical points), so each cell contributes the
     right-jump at its left end u, the run, and the left-jump at its right
     end.  A cell holds the variation on [0, u] plus the right-jump at u, its
-    piece, and the piece's limit at u."""
-    pts = sorted(f.special_points(DyadicInterval(0, 1), 0))
-    cells = []
-    total = Q2.of(0)
+    piece, and the piece's limit at u; `ends[i]` is the variation on [0, pts[i]]."""
+    pts, cuts, sides = f.critical, f.cuts, f.sides
+    cells, ends = [], [Q2.of(0)]
+    j = 0  # the piece on the cell (u, v)
     for u, v in zip(pts, pts[1:]):
-        piece = f.pieces[f._locate((u + v) / Q2.of(2))[1]]
+        piece = f.pieces[j]
         ru, lv = piece(u), piece(v)  # one-sided limits from inside (u, v)
-        cells.append((total + abs(f.eval(u) - ru), piece, ru))
-        total = cells[-1][0] + abs(lv - ru) + abs(f.eval(v) - lv)
+        fu = sides[j][1] if u == cuts[j] else ru
+        if v == cuts[j + 1]:
+            j += 1
+        fv = sides[j][1] if v == cuts[j] else lv
+        cells.append((ends[-1] + abs(fu - ru), piece, ru))
+        ends.append(cells[-1][0] + abs(lv - ru) + abs(fv - lv))
 
     def g(x) -> Q2:
         xq = _unit_point(x)
         j = bisect_left(pts, xq)
-        if j == 0:
-            return Q2.of(0)
+        if pts[j] == xq:
+            return ends[j]
         base, piece, ru = cells[j - 1]
-        lx = piece(xq)
-        if pts[j] != xq:
-            return base + abs(lx - ru)  # strictly inside the cell f is its piece
-        return base + abs(lx - ru) + abs(f.eval(xq) - lx)
+        return base + abs(piece(xq) - ru)  # strictly inside the cell f is its piece
 
     return g
 

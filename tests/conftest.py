@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import cProfile
 import fractions
+import os
 import pstats
 import random
 import signal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ from abyss import (Baire1Limit, CountableSet, DyadicInterval, Penny, PennyK,
                    PiecewiseRational, Poly, Q2, Thomae, finite_set, linear,
                    rational_grid, sqrt2_family, staircase)
 from abyss.universe import ScalarMultiple, Sum, RestrictedView
+
+# the CLI and demo subprocesses find the package where pytest's `pythonpath`
+# setting finds it, so the suite runs in a checkout without an install
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")
@@ -245,6 +252,22 @@ def random_staircase_plus_linear(rng) -> PiecewiseRational:
     st = random_staircase(rng)
     slope = F(rng.randrange(0, 5), 4)
     return fn_sum(st, linear(slope))
+
+
+def irrational_cut_staircase() -> PiecewiseRational:
+    """A normalised-BV staircase on a falling line, its first jump at the
+    irrational cut sqrt2/4: past the jump the grid max sits at the first grid
+    point after the cut, which no coarse grid holds."""
+    from abyss import fn_sum
+    return fn_sum(staircase([(Q2(0, F(1, 4)), F(1, 2)), (F(5, 8), F(-1, 4))]),
+                  linear(F(-1, 2)))
+
+
+def vertex_off_its_piece() -> PiecewiseRational:
+    """A quadratic piece on (0, 5/16) whose vertex 2/5 lies past the piece,
+    inside [0,1] and most test intervals, then a falling line."""
+    return PiecewiseRational.from_polys(
+        [0, F(5, 16), 1], [Poly(0, F(16, 5), -4), Poly(F(1, 4), F(-1, 4))])
 
 
 def random_finite_set(rng, max_size=12) -> CountableSet:

@@ -8,7 +8,8 @@ import pytest
 
 from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
-                   FuelExhausted, Indicator, InvalidModulus, Penny, PennyK, Q2, R2Rep,
+                   FuelExhausted, Indicator, InvalidModulus, Penny, PennyK,
+                   PiecewiseRational, Poly, Q2, R2Rep,
                    RepresentationInsufficient, Truth, ball, build_cover_psi,
                    constant,
                    cousin_subcover, fn_difference, fn_sum, indicator_baire1,
@@ -20,7 +21,7 @@ from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    rational_grid, restrict_tags, rm_code_from_r2_baire1,
                    sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
                    unit_rationals, usco_separator)
-from abyss.universe import CLIQUISH
+from abyss.universe import CLIQUISH, QUASI_CONTINUOUS
 
 from conftest import brute_ball_osc, exact_symbolic_sup, probe_basis
 
@@ -391,6 +392,16 @@ def test_cousin_uniform_gauge():
 def test_cousin_linear_gauge():
     balls = cousin_subcover(linear(F(1, 2), F(1, 16)))
     assert _verify_cover(balls)
+
+
+def test_cousin_gauge_with_an_unattained_zero_limit():
+    """1 on [0, 1/2] and x - 1/2 on (1/2, 1] is a positive quasi-continuous
+    gauge although its right limit at 1/2 is 0; the ball at 1/2 alone
+    covers [0,1]."""
+    psi = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)],
+                                       ["right", 1, "right"])
+    assert QUASI_CONTINUOUS in psi.tags and psi.is_positive()
+    assert _verify_cover(cousin_subcover(psi))
 
 
 def test_cousin_refusals():

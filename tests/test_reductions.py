@@ -20,7 +20,7 @@ from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
 from abyss.reductions import adversarial_wide_modulus
 from abyss.universe import CLIQUISH, ScalarMultiple
 
-from conftest import random_finite_set
+from conftest import irrational_cut_staircase, random_finite_set, vertex_off_its_piece
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -181,6 +181,8 @@ GRID_FAMILIES = [
     ("scalar-negative", lambda: ScalarMultiple(F(-2), thomae())),
     ("restricted", lambda: restrict_tags(Penny(RATIONAL_SEEDS), {CLIQUISH})),
     ("sum", lambda: fn_sum(thomae(), linear(F(1, 4)))),
+    ("staircase-irrational-cut", irrational_cut_staircase),
+    ("piecewise-vertex-off-its-piece", vertex_off_its_piece),
 ]
 
 

@@ -28,9 +28,9 @@ from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
                             SIMPLY_CONTINUOUS, USCO, ScalarMultiple, irrational_inside)
 
-from conftest import (brute_ball_osc, brute_max, brute_min, probe_basis,
-                      random_continuous_piecewise, random_finite_set, random_staircase,
-                      random_subinterval)
+from conftest import (brute_ball_osc, brute_max, brute_min, irrational_cut_staircase,
+                      probe_basis, random_continuous_piecewise, random_finite_set,
+                      random_staircase, random_subinterval, vertex_off_its_piece)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -278,6 +278,8 @@ def _cliquish_witness(f, x, k, big_n=2) -> bool:
     lambda: build_cover_psi(A, False),
     lambda: build_cover_psi(A, True),
     lambda: TildePenny(A),
+    irrational_cut_staircase,
+    vertex_off_its_piece,
 ])
 def test_cliquish_tag_witnessed(fn_builder):
     f = fn_builder()
@@ -594,6 +596,27 @@ def test_piecewise_irrational_breakpoint():
     assert g.eval(c) == Q2.of(1) and g.eval(F(1, 2)) == Q2.of(0)
     inf_b, sup_b = f.range_on(DyadicInterval(F(1, 2), F(3, 4)), 12)
     assert inf_b.lo == 0 and sup_b.hi == 1
+
+
+@pytest.mark.parametrize("cuts, pieces, policy, positive", [
+    # 1 on [0, 1/2], x - 1/2 on (1/2, 1]: the right limit 0 at 1/2 is never attained
+    ([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)], ["right", 1, "right"], True),
+    # 1/2 - x on [0, 1/2), 1 on [1/2, 1]: the left limit 0 is never attained
+    ([0, F(1, 2), 1], [Poly(F(1, 2), -1), Poly(1)], ["right", "right", "right"], True),
+    ([0, 1], [Poly(F(17, 64), -1, 1)], None, True),  # (x - 1/2)^2 + 1/64
+    ([0, F(1, 2), 1], [Poly(1), Poly(0)], ["right", 1, 1], False),  # a piece equal to 0
+    ([0, 1], [Poly(F(1, 4), -1, 1)], None, False),  # (x - 1/2)^2 touches 0 at its vertex
+    ([0, 1], [Poly(F(15, 64), -1, 1)], None, False),  # dips below 0 between positive ends
+    ([0, F(1, 2), 1], [Poly(1), Poly(1)], ["right", 0, "right"], False),  # a cut value 0
+    # 3x - 2 on (1/2, 1]: positive at every cut and midpoint, negative just after 1/2
+    ([0, F(1, 2), 1], [Poly(1), Poly(-2, 3)], ["right", 1, "right"], False),
+], ids=["right-limit-0", "left-limit-0", "vertex-above-0", "piece-0", "vertex-at-0",
+        "vertex-below-0", "cut-value-0", "negative-limit"])
+def test_piecewise_is_positive_is_exact(cuts, pieces, policy, positive):
+    """f > 0 on [0,1] exactly: a one-sided limit of 0 that no point attains
+    keeps f positive; a zero value anywhere does not."""
+    f = PiecewiseRational.from_polys(cuts, pieces, policy)
+    assert f.is_positive() is positive
 
 
 def _linear_locate(f, x):

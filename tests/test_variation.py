@@ -1,6 +1,8 @@
 """Regulated and bounded-variation operations: one-sided limits, jumps,
 total variation vs partition search, Jordan decomposition, regulation moduli."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -17,7 +19,7 @@ from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, PiecewiseRatio
 from abyss.sets import ComplementOfR2Open, R2Rep
 from abyss.universe import Indicator, ScalarMultiple, Sum, probe_points
 
-from conftest import probe_basis, random_staircase_plus_linear
+from conftest import irrational_cut_staircase, probe_basis, random_staircase_plus_linear
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -247,7 +249,8 @@ def test_running_variation_matches_the_cell_walk():
     pieces = [Poly(0, 2, -2), Poly(1, -3, 3), Poly(F(1, 2), 1)]
     bumps = PiecewiseRational.from_polys(cuts, pieces)
     assert Q2.of(F(1, 2)) in bumps.special_points(DyadicInterval(0, 1), 0)  # a vertex
-    for f in [random_staircase_plus_linear(rng) for _ in range(12)] + [bumps]:
+    nbv = [random_staircase_plus_linear(rng) for _ in range(12)]
+    for f in nbv + [bumps, irrational_cut_staircase()]:
         jp = jordan_nbv(f)
         for x in _cell_probes(f):
             want = Q2.of(0) if x == Q2.of(0) else _walked_variation(f, x)
@@ -258,6 +261,17 @@ def test_running_variation_matches_the_cell_walk():
         g = _running_variation(f)
         for x in _cell_probes(f):
             assert g(x) == (Q2.of(0) if x == Q2.of(0) else _walked_variation(f, x)), x
+
+
+def test_variation_reads_functions_through_public_data():
+    """`variation` reads a function's breakpoint table and public methods,
+    never an underscore attribute, so the family stays the one home of its
+    structure."""
+    from abyss import variation
+    private = sorted((node.attr, node.lineno)
+                     for node in ast.walk(ast.parse(inspect.getsource(variation)))
+                     if isinstance(node, ast.Attribute) and node.attr.startswith("_"))
+    assert private == [], private
 
 
 def test_jordan_refused_for_spikes():
