@@ -27,7 +27,7 @@ from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
 
 def _check_precision(k: int):
     if k < 0:
-        raise ValueError("precision exponent must be >= 0")
+        raise ValueError("precision exponent k must be >= 0, got %d" % k)
 
 
 def _subinterval(p, q) -> DyadicInterval:
@@ -55,13 +55,13 @@ def _halve_values(lo: Fraction, hi: Fraction, k: int,
         answer = decide(Fraction(mid, 2 * d))
         if answer is Truth.UNKNOWN:
             raise FuelExhausted("value search undecided below the target width",
-                                best=DyadicInterval._of(ln, un, d))
+                                best=DyadicInterval.of_ints(ln, un, d))
         if answer is keep_upper_on:
             ln, un = mid, 2 * un
         else:
             ln, un = 2 * ln, mid
         d *= 2
-    return DyadicInterval._of(ln, un, d)
+    return DyadicInterval.of_ints(ln, un, d)
 
 
 def sup_qc(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
@@ -222,11 +222,6 @@ def _interior_numerators(iv: DyadicInterval, depth: int) -> list[int]:
     return sorted(range(first, last + 1), key=lambda j: (abs(2 * d * j - mid), j))
 
 
-def _interior_candidates(iv: DyadicInterval, depth: int) -> list[Fraction]:
-    den = 1 << depth
-    return [Fraction(j, den) for j in _interior_numerators(iv, depth)]
-
-
 def _room(j: DyadicInterval, cn: int, cd: int) -> tuple[int, int]:
     """min(width/4, c - lower, upper - c) for c = cn/cd inside j, as (n, d)."""
     ln, un, d = j.ln, j.un, j.d
@@ -264,7 +259,7 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
                 w = ball_oscillation(f, c, n, m + 6)
                 if w.un << m <= w.d:  # oscillation <= 2^-m
                     s = n + 1
-                    return DyadicInterval._of((cn << s) - cd, (cn << s) + cd, cd << s)
+                    return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
                 if w.ln << m > w.d and n > n_size + 24:
                     return None  # oscillation provably too large here
             return None
@@ -348,7 +343,7 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
             if rn * sd < sn * rd:
                 sn, sd = rn, rd
             sd *= 2
-            return DyadicInterval._of(cn * sd - sn * cd, cn * sd + sn * cd, cd * sd)
+            return DyadicInterval.of_ints(cn * sd - sn * cd, cn * sd + sn * cd, cd * sd)
 
         ball = _next_ball(j, place)
         if ball is None:

@@ -355,7 +355,7 @@ class _Ends:
         self.ln, self.un, self.d = ln, un, d
 
     @classmethod
-    def _of(cls, ln: int, un: int, d: int):
+    def of_ints(cls, ln: int, un: int, d: int):
         """The canonical [ln/d, un/d] for d > 0, order checked."""
         if ln > un:
             raise ValueError(cls._ORDER % (Fraction(ln, d), Fraction(un, d)))
@@ -430,7 +430,7 @@ class DyadicInterval(_Ends):
         hi = min(self.un * e, other.un * d)
         if lo > hi:
             raise ValueError("empty intersection")
-        return DyadicInterval._of(lo, hi, d * e)
+        return DyadicInterval.of_ints(lo, hi, d * e)
 
     def __str__(self):
         return "[%s, %s]" % (self._lo(), self._hi())
@@ -441,7 +441,7 @@ def ball(x, k: int) -> DyadicInterval:
     if k < 0:
         raise ValueError("radius exponent must be >= 0")
     n, d = _ratio(x)
-    return DyadicInterval._of((n << k) - d, (n << k) + d, d << k)
+    return DyadicInterval.of_ints((n << k) - d, (n << k) + d, d << k)
 
 
 def halve(i: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
@@ -450,7 +450,7 @@ def halve(i: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
     if ln == un:
         raise DegenerateInterval("cannot halve the degenerate interval %s" % (i,))
     m = ln + un
-    return DyadicInterval._of(2 * ln, m, 2 * d), DyadicInterval._of(m, 2 * un, 2 * d)
+    return DyadicInterval.of_ints(2 * ln, m, 2 * d), DyadicInterval.of_ints(m, 2 * un, 2 * d)
 
 
 def grid_span(i: DyadicInterval, n: int) -> tuple[int, int]:
@@ -655,11 +655,11 @@ class Bracket(_Ends):
     @staticmethod
     def point(v) -> "Bracket":
         n, d = _ratio(v)
-        return Bracket._of(n, n, d)
+        return Bracket.of_ints(n, n, d)
 
     @staticmethod
     def of_q2(x, k: int) -> "Bracket":
-        return Bracket._of(*Q2.of(x)._bracket_ints(k))
+        return Bracket.of_ints(*Q2.of(x)._bracket_ints(k))
 
     @property
     def exact(self) -> bool:
@@ -667,28 +667,30 @@ class Bracket(_Ends):
 
     def __add__(self, other: "Bracket") -> "Bracket":
         d, e = self.d, other.d
-        return Bracket._of(self.ln * e + other.ln * d, self.un * e + other.un * d, d * e)
+        return Bracket.of_ints(self.ln * e + other.ln * d, self.un * e + other.un * d, d * e)
 
     def __sub__(self, other: "Bracket") -> "Bracket":
         d, e = self.d, other.d
-        return Bracket._of(self.ln * e - other.un * d, self.un * e - other.ln * d, d * e)
+        return Bracket.of_ints(self.ln * e - other.un * d, self.un * e - other.ln * d, d * e)
 
     def __neg__(self) -> "Bracket":
-        return Bracket._of(-self.un, -self.ln, self.d)
+        return Bracket.of_ints(-self.un, -self.ln, self.d)
 
     def scale(self, c) -> "Bracket":
         n, e = _ratio(c)
         if n >= 0:
-            return Bracket._of(self.ln * n, self.un * n, self.d * e)
-        return Bracket._of(self.un * n, self.ln * n, self.d * e)
+            return Bracket.of_ints(self.ln * n, self.un * n, self.d * e)
+        return Bracket.of_ints(self.un * n, self.ln * n, self.d * e)
 
     def join_max(self, other: "Bracket") -> "Bracket":
         d, e = self.d, other.d
-        return Bracket._of(max(self.ln * e, other.ln * d), max(self.un * e, other.un * d), d * e)
+        return Bracket.of_ints(max(self.ln * e, other.ln * d), max(self.un * e, other.un * d),
+                               d * e)
 
     def join_min(self, other: "Bracket") -> "Bracket":
         d, e = self.d, other.d
-        return Bracket._of(min(self.ln * e, other.ln * d), min(self.un * e, other.un * d), d * e)
+        return Bracket.of_ints(min(self.ln * e, other.ln * d), min(self.un * e, other.un * d),
+                               d * e)
 
     def to_interval(self) -> "DyadicInterval":
-        return DyadicInterval._of(self.ln, self.un, self.d)
+        return DyadicInterval.of_ints(self.ln, self.un, self.d)

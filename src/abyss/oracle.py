@@ -289,7 +289,7 @@ def _ball_clipped(x, exponent: int) -> DyadicInterval:
         c, e = p.p, p.d
     c <<= exponent
     den = e << exponent
-    return DyadicInterval._of(max(c - e, 0), min(c + e, den), den)
+    return DyadicInterval.of_ints(max(c - e, 0), min(c + e, den), den)
 
 
 def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:

@@ -7,6 +7,13 @@ The hypothetical functionals are realised as exact oracles over the symbolic
 universe, so each reduction is an honest program; the impossibility content
 survives as the measured gap between those oracles and every rational-grid
 baseline.
+
+The walks run on integer triples (ln, un, d), the interval [ln/d, un/d]:
+the bisection on a/2^j, the Cantor walk on a/3^n, and the nested intervals
+of the cliquishness and regulation realisers as `DyadicInterval`s.  A
+`Fraction` is built only at the API: the ends handed to a `SupOracle`, the
+answers of the oracles and moduli, the returned points and the reports.
+A precision k below 0 is refused with a `ValueError` that names it.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algorithms import _interior_candidates
+from .algorithms import _check_precision, _interior_numerators
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import DyadicInterval, Q2, _rational, least_exponent, rational_grid
+from .exact import (DyadicInterval, Q2, _rational, _reduced, _vs, least_exponent,
+                    rational_grid)
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .serialize import rat_json
 from .sets import CountableSet
@@ -74,7 +82,7 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
         iv = _ball_clipped(x, n)
         # member i's spike 2^-(i+1) reaches 2^-k exactly when i < k
         blockers = sorted(p for _, p in a_set.members_in(iv, k))
-        walls = [Q2.of(iv.lower)] + blockers + [Q2.of(iv.upper)]
+        walls = [_reduced(iv.ln, 0, iv.d)] + blockers + [_reduced(iv.un, 0, iv.d)]
         best = None
         for lo, hi in zip(walls, walls[1:]):
             width = hi - lo
@@ -82,13 +90,21 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
                 best = ((lo, hi), width)
         (lo, hi), _ = best
         prec = n + k + 12
-        c = lo.bracket(prec)[1] if not lo.is_rational else lo.as_rational() + Fraction(1, 1 << prec)
-        d = hi.bracket(prec)[0] if not hi.is_rational else hi.as_rational() - Fraction(1, 1 << prec)
+        c, d = _nudged(lo, prec, 1), _nudged(hi, prec, -1)
         if not (c < d):
             raise InvalidModulus("gap too small to fit a rational interval")
         return (c, d)
 
     return CliqModulusOracle(fn)
+
+
+def _nudged(x: Q2, prec: int, side: int) -> Fraction:
+    """A rational within 2^-prec of x, strictly above it for side 1 and
+    below it for side -1: an end of x's bracket, or x moved by 2^-prec."""
+    lo, hi, e = x._bracket_ints(prec)
+    if lo == hi:  # x is the rational lo/e
+        return Fraction((lo << prec) + side * e, e << prec)
+    return Fraction(hi if side > 0 else lo, e)
 
 
 def adversarial_cliq_modulus() -> CliqModulusOracle:
@@ -147,35 +163,35 @@ def naive_rational_sup(f: SymbolicFn, p, q, depth: int) -> Fraction:
 def cantor_diagonal(xs: Callable[[int], Q2], k: int, fuel: int = 16) -> Fraction:
     """A dyadic point (precision 2^-k) avoiding each enumerated point by a
     third-of-the-current-interval margin: nested closed intervals, stepping
-    away from xs(n) at stage n."""
-    lo, hi = Fraction(0), Fraction(1)
+    away from xs(n) at stage n, until there are fuel stages and the width is
+    at most 2^-(k+2).
+
+    Stage n's interval is [a/3^n, (a + 1)/3^n], so each stage appends one
+    ternary digit to a: 2 (the right third) when xs(n) is at or left of the
+    midpoint, 0 (the left third) when it is right of it, and 1 (the middle
+    third) once the fuel is spent."""
+    _check_precision(k)
+    a, d = 0, 1  # d = 3^n at stage n
     n = 0
-    while n < fuel or hi - lo > Fraction(1, 1 << (k + 2)):
-        width = hi - lo
+    while n < fuel or d < 1 << (k + 2):
         if n < fuel:
-            x = Q2.of(xs(n))
-            mid = (lo + hi) / 2
-            if x <= mid:
-                lo = hi - width / 3  # take the right third
-            else:
-                hi = lo + width / 3  # take the left third
+            t = 2 if _vs(Q2.of(xs(n)), 2 * a + 1, 2 * d) <= 0 else 0
         else:
-            lo, hi = lo + width / 3, hi - width / 3
+            t = 1
+        a, d = 3 * a + t, 3 * d
         n += 1
-        if n > 4 * (fuel + k + 8):
-            break
-    return _dyadic_inside(lo, hi, k)
+    return _dyadic_inside(DyadicInterval.of_ints(a, a + 1, d), k)
 
 
-def _dyadic_inside(lo: Fraction, hi: Fraction, k: int) -> Fraction:
-    """A dyadic point strictly inside (lo, hi): the midpoint rounded down to
-    the first grid 2^-j, j >= k + 2, that keeps it inside."""
+def _dyadic_inside(iv: DyadicInterval, k: int) -> Fraction:
+    """A dyadic point strictly inside the nondegenerate iv: the midpoint
+    rounded down to the first grid 2^-j, j >= k + 2, that keeps it inside."""
+    ln, un, d = iv.ln, iv.un, iv.d
     j = k + 2
     while True:
-        step = Fraction(1, 1 << j)
-        cand = (((lo + hi) / 2) // step) * step
-        if lo < cand < hi:
-            return cand
+        c = ((ln + un) << j) // (2 * d)
+        if ln << j < c * d < un << j:
+            return Fraction(c, 1 << j)
         j += 1
 
 
@@ -205,43 +221,52 @@ class SupExtraction:
     interval: DyadicInterval
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
                                  rounds: int = 16) -> list[SupExtraction]:
     """Locate maxima of the spike function by interval comparison, strip, and
-    repeat: recovers the seed enumeration in decreasing-value order."""
+    repeat: recovers the seed enumeration in decreasing-value order.
+
+    Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j];
+    the oracle, a caller's function, takes `Fraction` ends."""
+    _check_precision(k)
     out = []
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = _PennyTail(a_set, out[-1].index + 1) if out else Penny(a_set)
-        s = oracle(f, Fraction(0), Fraction(1))
+        s = oracle(f, _ZERO, _ONE)
         if s == 0:
             break
         idx = Penny.spikes_above(abs(s))
         if f.spike_value(idx) != s:
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
-        lo, hi = Fraction(0), Fraction(1)
+        a, lo, hi = 0, _ZERO, _ONE
         bits = []
-        while hi - lo > Fraction(1, 1 << k):
-            mid = (lo + hi) / 2
+        for j in range(k):
+            mid = Fraction(2 * a + 1, 2 << j)
             s_left = oracle(f, lo, mid)
             if s_left > s:
                 raise OracleInconsistency("supremum grew on a subinterval")
             if s_left == s:
-                hi = mid  # ties break toward the left half
+                a, hi = 2 * a, mid  # ties break toward the left half
                 bits.append("0")
             else:
                 s_right = oracle(f, mid, hi)
                 if s_right != s:
                     raise OracleInconsistency("supremum vanished on both halves")
-                lo = mid
+                a, lo = 2 * a + 1, mid
                 bits.append("1")
-        out.append(SupExtraction(idx, s, "".join(bits), DyadicInterval(lo, hi)))
+        out.append(SupExtraction(idx, s, "".join(bits),
+                                 DyadicInterval.of_ints(a, a + 1, 1 << k)))
     return out
 
 
 def realiser_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
                       fuel: int = 16) -> Fraction:
     """From an exact supremum functional to a point outside the seed set."""
+    _check_precision(k)
     extraction = extract_enumeration_from_sup(oracle, a_set, k, rounds=fuel)
     for step in extraction:
         member = a_set.member(step.index)
@@ -261,40 +286,42 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     """Nested closed intervals through the modulus: any member caught in the
     level-j interval would force a variation the modulus has ruled out, so
     the limit avoids the whole enumeration."""
+    _check_precision(k)
     # upfront validity probes at the carried members: an interval answered
     # around a member must not keep the member's own spike inside
     for i, p in a_set.members_upto(min(4, fuel)):
         _checked_cliq_answer(modulus, a_set, p, i + 2, 3)
-    lo, hi = Fraction(0), Fraction(1)
-    intervals = [DyadicInterval(lo, hi)]
+    iv = DyadicInterval.of_ints(0, 1, 1)
+    intervals = [iv]
     for j in range(max(k + 2, fuel + 1)):
-        half = (hi - lo) / 2  # n_j: the least n with 2^-n strictly below it
-        n_j = least_exponent(half.numerator, half.denominator)
-        n_j += half == Fraction(1, 1 << n_j)
-        c, d = _checked_cliq_answer(modulus, a_set, Q2.of((lo + hi) / 2), j + 1, n_j)
-        quarter = (d - c) / 4
-        center = (c + d) / 2
-        lo, hi = center - quarter, center + quarter
-        intervals.append(DyadicInterval(lo, hi))
+        # n_j: the least n with 2^-n strictly below half the width w/d
+        w, d = iv.un - iv.ln, 2 * iv.d
+        n_j = least_exponent(w, d)
+        n_j += w << n_j == d
+        cd = _checked_cliq_answer(modulus, a_set, _reduced(iv.ln + iv.un, 0, d), j + 1, n_j)
+        # the middle half of the answer [c, d]: [(3c + d)/4, (c + 3d)/4]
+        iv = DyadicInterval.of_ints(3 * cd.ln + cd.un, cd.ln + 3 * cd.un, 4 * cd.d)
+        intervals.append(iv)
     return _certified_limit(intervals, a_set, fuel, 1, k)
 
 
 def _checked_cliq_answer(modulus: CliqModulusOracle, a_set: CountableSet, x: Q2,
-                         k: int, n: int) -> tuple[Fraction, Fraction]:
-    """The modulus's interval (c, d) for (x, k, n), checked against its
+                         k: int, n: int) -> DyadicInterval:
+    """The modulus's interval [c, d] for (x, k, n), checked against its
     defining bound: it lies in the prescribed ball, and no member whose spike
     reaches 2^-k (index below k) lies strictly inside it."""
     c, d = (_rational(e) for e in modulus(x, k, n))
     ball = _ball_clipped(x, n)
-    if not (ball.lower <= c < d <= ball.upper):
+    if not (c < d and ball.contains(c) and ball.contains(d)):
         raise InvalidModulus("returned interval escapes the prescribed ball")
-    for i, p in a_set.members_in(DyadicInterval(c, d), k):
-        if p > Q2.of(c) and p < Q2.of(d):
+    answer = DyadicInterval(c, d)
+    for i, p in a_set.members_in(answer, k):
+        if answer.contains_interior(p):
             # pair (member, any rational in the interval) violates the bound
             raise InvalidModulus(
                 "interval (%s, %s) contains member %d with spike %s >= 2^-%d"
                 % (c, d, i, Penny.spike_value(i), k))
-    return c, d
+    return answer
 
 
 def _certified_limit(intervals: list[DyadicInterval], a_set: CountableSet,
@@ -306,7 +333,7 @@ def _certified_limit(intervals: list[DyadicInterval], a_set: CountableSet,
         level = min(i + lag, len(intervals) - 1)
         if intervals[level].contains(p):
             raise InvalidModulus("member %d survived to level %d" % (i, level))
-    return _dyadic_inside(intervals[-1].lower, intervals[-1].upper, k)
+    return _dyadic_inside(intervals[-1], k)
 
 
 def realiser_from_regulation_modulus(modulus: Modulus,
@@ -314,20 +341,25 @@ def realiser_from_regulation_modulus(modulus: Modulus,
                                      fuel: int = 16) -> Fraction:
     """Regulation radii turn the cofinite-spike sets into represented dense
     opens; the nested construction walks through them."""
+    _check_precision(k)
     f = Penny(a_set)
     _spot_check_regulation(modulus, a_set)
-    lo, hi = Fraction(0), Fraction(1)
-    intervals = [DyadicInterval(lo, hi)]
+    iv = DyadicInterval.of_ints(0, 1, 1)
+    intervals = [iv]
     for j in range(max(k + 2, fuel + 1)):
-        width = hi - lo
-        depth = max(2, least_exponent(width.numerator, 8 * width.denominator))
-        for g in _interior_candidates(DyadicInterval(lo, hi), depth):
-            v = f.eval(Q2.of(g))
-            if v.is_rational and v.as_rational() < Fraction(1, 1 << j):
-                m = modulus(Q2.of(g), j + 2)
-                s = min(Fraction(1, 1 << (m + 1)), width / 8)
-                lo, hi = g - s / 2, g + s / 2
-                intervals.append(DyadicInterval(lo, hi))
+        w, d = iv.un - iv.ln, iv.d  # the width is w/d
+        depth = max(2, least_exponent(w, 8 * d))
+        for gn in _interior_numerators(iv, depth):
+            g = _reduced(gn, 0, 1 << depth)
+            v = f.eval(g)
+            if not v.q and v.p << j < v.d:  # f(g) < 2^-j
+                m = modulus(g, j + 2)
+                # the ball around g of radius s/2 = hn/hd, where
+                # s = min(2^-(m+1), width/8)
+                hn, hd = (1, 1 << (m + 2)) if 8 * d <= w << (m + 1) else (w, 16 * d)
+                iv = DyadicInterval.of_ints(gn * hd - (hn << depth), gn * hd + (hn << depth),
+                                            hd << depth)
+                intervals.append(iv)
                 break
         else:
             raise InvalidModulus("no admissible centre found at level %d" % j)

@@ -46,6 +46,8 @@ CERT_SUP = "sup-collapses-to-rationals"
 CERT_INF = "inf-collapses-to-rationals"
 CERT_OSC = "oscillation-collapses-to-rationals"
 
+_ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
+
 
 def _unit_point(x) -> Q2:
     p = Q2.of(x)
@@ -61,7 +63,7 @@ def _clip_unit(iv: DyadicInterval) -> DyadicInterval:
     lo, hi = max(ln, 0), min(un, d)
     if lo > hi:
         raise DomainError("interval %s lies outside [0,1]" % (iv,))
-    return DyadicInterval._of(lo, hi, d)
+    return DyadicInterval.of_ints(lo, hi, d)
 
 
 def irrational_inside(iv: DyadicInterval) -> Q2:
@@ -534,7 +536,7 @@ class Thomae(SymbolicFn):
 
     def _range_on(self, iv, k):
         # infimum: rational values 1/q get arbitrarily small, irrationals give 0
-        inf_b = Bracket.point(0)
+        inf_b = _ZERO
         cap = 1 << (k + 2)
         hit = self.min_denominator_in(iv, cap)
         if hit is None:
@@ -580,7 +582,7 @@ class Thomae(SymbolicFn):
         return _ends_max(self, iv)
 
     def _one_sided_limit(self, p, side, k):
-        return Bracket.point(0)
+        return _ZERO
 
 
 class _SpikeFamily(SymbolicFn):
@@ -671,13 +673,14 @@ class Penny(_SpikeFamily):
         return Fraction(0), Fraction(1, 2)
 
     def _range_on(self, iv, k):
+        # spike n is 1/(2 << n): the brackets are built from the index
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
         hit = next(self._spike_scan(iv, limit), None)
         if hit is not None:  # index below limit: no later spike reaches it
-            return Bracket.point(0), Bracket.point(self.spike_value(hit[0]))
+            return _ZERO, Bracket.of_ints(1, 1, 2 << hit[0])
         if self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
-            return Bracket.point(0), Bracket.point(0)
-        return Bracket.point(0), Bracket(0, self.spike_value(limit))
+            return _ZERO, _ZERO
+        return _ZERO, Bracket.of_ints(0, 1, 2 << limit)
 
     def _witness_above(self, iv, y):
         if y < 0:
@@ -716,7 +719,7 @@ class Penny(_SpikeFamily):
         return (Truth.YES, p) if index_of(p) is None else (Truth.UNKNOWN, None)
 
     def _one_sided_limit(self, p, side, k):
-        return Bracket.point(0)
+        return _ZERO
 
 
 class PennyK(Penny):
@@ -780,7 +783,7 @@ class CoverPsi(_SpikeFamily):
         if self.a_set.scan_is_exhaustive(iv, limit):
             inf_b = Bracket.point(min([self.BASE] + vals))
         elif self.a_set.size is None and iv.lower <= 0:
-            inf_b = Bracket.point(0)  # spike values decrease to 0 near 0
+            inf_b = _ZERO  # spike values decrease to 0 near 0
         else:
             inf_b = Bracket(Fraction(0), min([self.BASE] + vals))
         return inf_b, sup_b
@@ -793,7 +796,7 @@ class CoverPsi(_SpikeFamily):
     def cluster_bounds(self, x, k):
         p = Q2.of(x)
         if p == 0 and self.a_set.size is None:
-            return Bracket.point(0), Bracket.point(self.BASE)
+            return _ZERO, Bracket.point(self.BASE)
         return super().cluster_bounds(x, k)
 
 
@@ -840,7 +843,7 @@ class CoverPsiUsco(_SpikeFamily):
         vals = [self.ZERO_VALUE] if bottom is None else []
         size = self.a_set.size
         for n in range(first, last + 1 if bottom is None else min(last, bottom) + 1):
-            band_iv = DyadicInterval._of(max(iv.ln << (n + 1), iv.d),
+            band_iv = DyadicInterval.of_ints(max(iv.ln << (n + 1), iv.d),
                                          min(iv.un << (n + 1), 2 * iv.d), iv.d << (n + 1))
             member_here = (size is None or n < size) and band_iv.contains(self.a_set.member(n))
             if band_iv.ln < band_iv.un or not member_here:
@@ -849,7 +852,7 @@ class CoverPsiUsco(_SpikeFamily):
                 vals.append(self.spike_value(n))
         sup_b = Bracket.point(max(vals))
         if bottom is None:
-            inf_b = Bracket.point(0)  # band values vanish towards 0
+            inf_b = _ZERO  # band values vanish towards 0
         elif last < bottom:
             inf_b = Bracket(Fraction(0), min(vals))
         else:
@@ -858,7 +861,7 @@ class CoverPsiUsco(_SpikeFamily):
 
     def _one_sided_limit(self, p, side, k):
         if p == 0:
-            return Bracket.point(0)
+            return _ZERO
         if p == 1:
             return Bracket.point(self.band_value(0))
         n = band_of(p, half_open=False)
@@ -1144,6 +1147,8 @@ class Sum(SymbolicFn):
 
     def is_positive(self):
         c, other = self._const_side()
+        if c is not None and c.sign() >= 0 and other.is_positive():
+            return True  # decided even where the other part's infimum 0 is unattained
         if c is not None and c.is_rational:
             inf_b, _ = other.range_on(DyadicInterval(0, 1), 16)
             return inf_b.lo + c.as_rational() > 0

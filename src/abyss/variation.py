@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ClassRefusal, FuelExhausted
@@ -145,28 +144,36 @@ def jordan_nbv(f: SymbolicFn) -> JordanPair:
 # ---------------------------------------------------------------------------
 
 
-def _regulated_within(f: SymbolicFn, p: Q2, m: int, tol: Fraction, k: int) -> bool:
-    r = Fraction(1, 1 << (m + 1))
+def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int) -> bool:
+    """Whether f stays within 2^-k of each one-sided limit at p on the
+    window of radius 2^-(m+1) on that side.  The windows are built on
+    integers over one denominator: p's bracket of width 2^-(m+k+8), the
+    radius, and the trim 2^-(k+24) that keeps a rational p out."""
+    pb = Bracket.of_q2(p, m + k + 8)
+    s = max(m + 1, k + 24)
+    den = pb.d << s
+    lo_pt, hi_pt = pb.ln << s, pb.un << s
+    r = pb.d << (s - m - 1)
+    eps = pb.d << (s - k - 24)
     for side in (-1, 1):
         lim = f.one_sided_limit(p, side, k + 6)
         if lim is None:
             continue
-        lo_pt, hi_pt = p.bracket(m + k + 8)
         if side > 0:
-            lo, hi = hi_pt, min(Fraction(1), lo_pt + r)
+            lo, hi = hi_pt, min(den, lo_pt + r)
         else:
-            lo, hi = max(Fraction(0), hi_pt - r), lo_pt
+            lo, hi = max(0, hi_pt - r), lo_pt
         if lo >= hi:
             continue
         if p.is_rational:
             # the window ends at p; leave p itself out unless that empties it
-            eps = Fraction(1, 1 << (k + 24))
             if side > 0 and lo + eps < hi:
                 lo += eps
             elif side < 0 and lo < hi - eps:
                 hi -= eps
-        inf_b, sup_b = f.range_on(DyadicInterval(lo, hi), k + 6)
-        if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
+        inf_b, sup_b = f.range_on(DyadicInterval.of_ints(lo, hi, den), k + 6)
+        above, below = sup_b - lim, lim - inf_b  # their hi ends are the gaps
+        if above.un << k >= above.d or below.un << k >= below.d:
             return False
     return True
 
@@ -178,9 +185,8 @@ def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, REGULATED, "modulus_regulation")
 
     def least(p, k):
-        tol = Fraction(1, 1 << k)
         for m in range(fuel + 1):
-            if _regulated_within(f, p, m, tol, k):
+            if _regulated_within(f, p, m, k):
                 return m
         raise FuelExhausted("no regulation exponent found within fuel", fuel=fuel)
 

@@ -21,7 +21,7 @@ from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    rational_grid, restrict_tags, rm_code_from_r2_baire1,
                    sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
                    unit_rationals, usco_separator)
-from abyss.universe import CLIQUISH, QUASI_CONTINUOUS
+from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, Sum
 
 from conftest import brute_ball_osc, exact_symbolic_sup, probe_basis
 
@@ -402,6 +402,16 @@ def test_cousin_gauge_with_an_unattained_zero_limit():
                                        ["right", 1, "right"])
     assert QUASI_CONTINUOUS in psi.tags and psi.is_positive()
     assert _verify_cover(cousin_subcover(psi))
+
+
+def test_cousin_gauge_plus_constant_zero():
+    """The same gauge plus the constant 0 is positive too: once `Sum`
+    answered from the gauge's infimum bracket [0, 0] and was refused."""
+    psi = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)],
+                                       ["right", 1, "right"])
+    gauge = fn_sum(constant(0), restrict_tags(psi, psi.tags))
+    assert isinstance(gauge, Sum) and gauge.is_positive()
+    assert _verify_cover(cousin_subcover(gauge))
 
 
 def test_cousin_refusals():

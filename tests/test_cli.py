@@ -118,6 +118,15 @@ def test_negative_counts_are_usage_errors():
         assert "must be >= 0" in r.stderr, args
 
 
+def test_realiser_refuses_a_negative_k_in_every_family():
+    """Once `--family sup` printed "negative shift count" and `cliq` and
+    `regulation` answered as if k were 0."""
+    for family in ("sup", "cliq", "regulation"):
+        r = run("realiser", "--family", family, "--k", "-1")
+        assert r.returncode == 1 and r.stdout == "", family
+        assert "k must be >= 0, got -1" in r.stderr, family
+
+
 def test_golden_digests_in_process(monkeypatch, capsys):
     """The benchmark's recorded CLI outputs, reproduced through cli.main in
     this process: each stdout digest and exit code, and the selftest hash."""

@@ -17,10 +17,12 @@ from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
                    realiser_from_regulation_modulus, realiser_from_sup,
                    restrict_tags, sqrt2_family, staircase, thomae,
                    SupOracle)
-from abyss.reductions import adversarial_wide_modulus
+from abyss.reductions import _dyadic_inside, _PennyTail, adversarial_wide_modulus
 from abyss.universe import CLIQUISH, ScalarMultiple
+from abyss.variation import _regulated_within
 
-from conftest import irrational_cut_staircase, random_finite_set, vertex_off_its_piece
+from conftest import (fraction_news, irrational_cut_staircase, random_finite_set,
+                      vertex_off_its_piece)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -230,3 +232,173 @@ def test_random_instances_realisers():
         for z in (z1, z2, z3):
             for n in range(B.size):
                 assert B.member(n) != Q2.of(z)
+
+
+def test_negative_precision_is_refused_by_name():
+    """Once the sup path raised "negative shift count" and the cliq and
+    regulation realisers answered as if k were 0."""
+    oracle = exhaustive_sup_oracle()
+    calls = [lambda: cantor_diagonal(A.member, -1),
+             lambda: extract_enumeration_from_sup(oracle, A, -1),
+             lambda: realiser_from_sup(oracle, A, -1),
+             lambda: realiser_from_cliq_modulus(canonical_cliq_modulus(A), A, -1),
+             lambda: realiser_from_regulation_modulus(canonical_regulation_modulus(A), A, -1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            call()
+
+
+def test_realiser_from_sup_builds_few_fractions():
+    """The bisection and the spike brackets run on integers: the sup realiser
+    builds at most half of the 1,902 Fractions its Fraction walk built."""
+    assert fraction_news(lambda: realiser_from_sup(
+        exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)) <= 951
+
+
+# ---------------------------------------------------------------------------
+# the integer walks against the Fraction computations they replace
+# ---------------------------------------------------------------------------
+
+
+def _fraction_cantor_diagonal(xs, k, fuel):
+    lo, hi = F(0), F(1)
+    n = 0
+    while n < fuel or hi - lo > F(1, 1 << (k + 2)):
+        width = hi - lo
+        if n < fuel:
+            if Q2.of(xs(n)) <= (lo + hi) / 2:
+                lo = hi - width / 3  # take the right third
+            else:
+                hi = lo + width / 3  # take the left third
+        else:
+            lo, hi = lo + width / 3, hi - width / 3
+        n += 1
+    return _fraction_dyadic_inside(lo, hi, k)
+
+
+def _fraction_dyadic_inside(lo, hi, k):
+    j = k + 2
+    while True:
+        step = F(1, 1 << j)
+        cand = (((lo + hi) / 2) // step) * step
+        if lo < cand < hi:
+            return cand
+        j += 1
+
+
+def _random_q2(rng):
+    """A rational, an irrational a + b sqrt2, or the midpoint of a stage of
+    the Cantor walk, (2a + 1)/(2 3^n), where the walk breaks a tie."""
+    n = rng.randrange(0, 8)
+    roll = rng.random()
+    if roll < 0.3:
+        return Q2.of(F(2 * rng.randrange(3 ** n) + 1, 2 * 3 ** n))
+    a = F(rng.randrange(0, 65), 64)
+    return Q2(a, F(rng.randrange(-8, 9), 1 << rng.randrange(4, 12))) if roll < 0.7 else Q2.of(a)
+
+
+def test_cantor_diagonal_matches_the_fraction_walk():
+    rng = random.Random(61)
+    enumerations = [A.member, lambda n: S2(0),
+                    lambda n: RATIONAL_SEEDS.member(n % RATIONAL_SEEDS.size)]
+    for _ in range(40):
+        xs = [_random_q2(rng) for _ in range(rng.randrange(1, 20))]
+        enumerations.append(lambda n, xs=xs: xs[n % len(xs)])
+    for xs in enumerations:
+        for k in (0, 1, 5, 12, 20):
+            for fuel in (0, 1, 3, 16):
+                assert cantor_diagonal(xs, k, fuel) == _fraction_cantor_diagonal(xs, k, fuel)
+
+
+def test_dyadic_inside_matches_the_fraction_rounding():
+    rng = random.Random(67)
+    for _ in range(400):
+        d = rng.randrange(1, 1 << rng.randrange(1, 30))
+        ln = rng.randrange(0, 4 * d)
+        un = ln + rng.randrange(1, 3 * d)
+        k = rng.randrange(0, 24)
+        want = _fraction_dyadic_inside(F(ln, d), F(un, d), k)
+        assert _dyadic_inside(DyadicInterval(F(ln, d), F(un, d)), k) == want
+
+
+def _fraction_bisection(oracle, f, s, k):
+    """The bits and the interval the Fraction bisection located s at."""
+    lo, hi = F(0), F(1)
+    bits = ""
+    while hi - lo > F(1, 1 << k):
+        mid = (lo + hi) / 2
+        if oracle(f, lo, mid) == s:
+            hi, bits = mid, bits + "0"  # ties break toward the left half
+        else:
+            lo, bits = mid, bits + "1"
+    return bits, DyadicInterval(lo, hi)
+
+
+def test_extraction_matches_the_fraction_bisection():
+    rng = random.Random(71)
+    oracle = exhaustive_sup_oracle()
+    seed_sets = [A, finite_set([S2(0)]), RATIONAL_SEEDS, IRRATIONAL_SEEDS]
+    seed_sets += [random_finite_set(rng, max_size=6) for _ in range(4)]
+    for a_set in seed_sets:
+        for k in (0, 1, 7, 16):
+            steps = extract_enumeration_from_sup(oracle, a_set, k, rounds=5)
+            assert steps
+            for r, step in enumerate(steps):
+                f = _PennyTail(a_set, steps[r - 1].index + 1) if r else Penny(a_set)
+                assert (step.bits, step.interval) == _fraction_bisection(oracle, f, step.value, k)
+                assert len(step.bits) == k
+
+
+def _fraction_regulated_within(f, p, m, k):
+    tol, r = F(1, 1 << k), F(1, 1 << (m + 1))
+    for side in (-1, 1):
+        lim = f.one_sided_limit(p, side, k + 6)
+        if lim is None:
+            continue
+        lo_pt, hi_pt = p.bracket(m + k + 8)
+        if side > 0:
+            lo, hi = hi_pt, min(F(1), lo_pt + r)
+        else:
+            lo, hi = max(F(0), hi_pt - r), lo_pt
+        if lo >= hi:
+            continue
+        if p.is_rational:
+            eps = F(1, 1 << (k + 24))
+            if side > 0 and lo + eps < hi:
+                lo += eps
+            elif side < 0 and lo < hi - eps:
+                hi -= eps
+        inf_b, sup_b = f.range_on(DyadicInterval(lo, hi), k + 6)
+        if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
+            return False
+    return True
+
+
+def _windows(regulated, f, p, m, k):
+    """regulated(f, p, m, k) and the (window, precision) pairs it read."""
+    seen = []
+    read = f.range_on
+
+    def spy(iv, prec):
+        seen.append((iv, prec))
+        return read(iv, prec)
+
+    f.range_on = spy
+    try:
+        return regulated(f, p, m, k), seen
+    finally:
+        del f.range_on
+
+
+def test_regulation_windows_match_the_fraction_windows():
+    """The same windows read and the same answer, at rational and irrational
+    points (the ends of [0,1] included) over a grid of (m, k)."""
+    functions = [Penny(A), Penny(RATIONAL_SEEDS), staircase([(F(1, 2), 1)]), linear(1)]
+    points = [Q2.of(x) for x in (0, 1, F(1, 2), F(1, 3), F(5, 7), F(3, 8))]
+    points += [S2(0), S2(3), Q2(F(1, 3), F(1, 32)), RATIONAL_SEEDS.member(0)]
+    for f in functions:
+        for p in points:
+            for m in range(0, 12, 2):
+                for k in (0, 1, 3, 6):
+                    assert _windows(_regulated_within, f, p, m, k) == \
+                        _windows(_fraction_regulated_within, f, p, m, k), (f.kind, p, m, k)
