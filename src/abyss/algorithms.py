@@ -9,14 +9,16 @@ result comes with a certificate the caller can re-verify.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
                      RepresentationInsufficient)
-from .exact import (DyadicInterval, FueledBool, Q2, Truth, _ratio, _rational,
-                    _reduced, _sign_int, least_exponent, rational_grid,
-                    unit_rationals)
+from .exact import (DyadicInterval, FueledBool, Q2, Truth, _grid, _ratio,
+                    _rational, _reduced, _sign_int, _vs, least_exponent,
+                    rational_grid, unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, ball_oscillation,
                      grid_depth_cap, mu_search, require_rule, require_tag)
@@ -166,42 +168,47 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
     interval ranges) when f is tagged quasi-continuous, at grid level
     (depth 12, including the function's own carried points) otherwise, which
     is the strongest check certificate-admitted families can pass.
+
+    Candidates are integer numerators over one denominator; the ends of the
+    one returned are the only `Fraction`s built.
     """
     _check_precision(k)
     p = Q2.of(x)
     fx = f.eval(p)
-    tol = Fraction(1, 1 << k)
+    tol = _reduced(1, 0, 1 << k)
+    lo_cap, hi_cap = fx - tol, fx + tol  # values must lie strictly between
     exact_mode = QUASI_CONTINUOUS in f.tags
 
-    def candidate_ok(c, d) -> bool:
-        if not (c < d):
-            return False
-        iv = DyadicInterval(c, d)
+    def candidate_ok(cn: int, dn: int, den: int) -> bool:
+        """Whether f stays strictly between the caps on (cn/den, dn/den)."""
+        iv = DyadicInterval.of_ints(cn, dn, den)
         if exact_mode:
             inf_b, sup_b = f.range_on(iv, k + 4)
-            return (Q2.of(sup_b.hi) - fx < tol) and (fx - Q2.of(inf_b.lo) < tol)
-        for pt in probe_points(f, iv, 12):
-            if pt <= c or pt >= d:
-                continue
-            if abs(f.eval(pt) - fx) >= tol:
-                return False
-        return True
+            return _vs(hi_cap, sup_b.un, sup_b.d) > 0 and _vs(lo_cap, inf_b.ln, inf_b.d) < 0
+        return all(lo_cap < f.eval(pt) < hi_cap for pt in probe_points(f, iv, 12)
+                   if iv.contains_interior(pt))
 
     ball_iv = _ball_clipped(p, big_n)
+    bn, bu, bd = ball_iv.ln, ball_iv.un, ball_iv.d
     for j in range(big_n + 2, big_n + 2 + min(fuel, 24)):
-        r = Fraction(1, 1 << j)
-        # first, an interval straddling x itself
-        blo, bhi = p.bracket(j + 2)
-        c, d = max(ball_iv.lower, blo - r), min(ball_iv.upper, bhi + r)
-        if c < d and candidate_ok(c, d):
-            return (c, d)
-        # then grid pairs, nearest to x first
-        pts = rational_grid(ball_iv, min(j, grid_depth_cap(ball_iv)))
-        pairs = sorted(zip(pts, pts[1:]),
-                       key=lambda cd: (abs((cd[0] + cd[1]) / 2 - blo), cd[0]))
-        for c, d in pairs:
-            if candidate_ok(c, d):
-                return (c, d)
+        # first, an interval straddling x itself: the bracket [lo/e, hi/e] of
+        # x widened by 2^-j on each side, cut to the ball, over bd e 2^j
+        lo, hi, e = p._bracket_ints(j + 2)
+        den = bd * e << j
+        cn = max(bn * e << j, ((lo << j) - e) * bd)
+        dn = min(bu * e << j, ((hi << j) + e) * bd)
+        if cn < dn and candidate_ok(cn, dn, den):
+            return Fraction(cn, den), Fraction(dn, den)
+        # then the pairs of `rational_grid(ball_iv, n)` as numerators over
+        # bd 2^n, nearest to x first: by |(c + d)/2 - lo/e|, then by c
+        n = min(j, grid_depth_cap(ball_iv))
+        den = bd << n
+        nums = _grid(ball_iv, n, lambda num, d: num * (den // d))
+        t = 2 * lo * den
+        for c, d in sorted(zip(nums, nums[1:]),
+                           key=lambda cd: (abs((cd[0] + cd[1]) * e - t), cd[0])):
+            if candidate_ok(c, d, den):
+                return Fraction(c, den), Fraction(d, den)
     raise FuelExhausted("no certified subinterval found within fuel", fuel=fuel)
 
 
@@ -380,27 +387,27 @@ def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
 # ---------------------------------------------------------------------------
 
 
-def _covers_unit(spans: list[tuple[Fraction, Fraction]]) -> bool:
-    """Exact check that the open intervals cover [0,1]."""
-    reach = Fraction(0)
-    started = False
-    for lo, hi in sorted(spans):
-        if not started:
-            if lo < 0 <= hi:
-                if hi > reach:
-                    reach = hi
-                started = True
-            continue
-        if lo >= reach:
-            break
-        if hi > reach:
-            reach = hi
-    return started and reach > 1
+def _merge_open(components: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction):
+    """Merge the open interval (lo, hi), lo < hi, into the sorted disjoint
+    open intervals `components`, in place.  Two that only touch stay apart:
+    their common end is covered by neither."""
+    # components[i:j] are those that overlap (lo, hi): upper end past lo, lower end before hi
+    i = bisect_right(components, lo, key=itemgetter(1))
+    j = bisect_left(components, hi, lo=i, key=itemgetter(0))
+    if i < j:
+        lo = min(lo, components[i][0])
+        hi = max(hi, components[j - 1][1])
+    components[i:j] = [(lo, hi)]
+    return lo, hi
 
 
 def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fraction, Fraction]]:
     """A finite prefix of the fixed rational enumeration whose gauge balls
-    cover [0,1], verified by exact interval arithmetic."""
+    cover [0,1], verified by exact interval arithmetic.
+
+    The union of the open balls is kept incrementally, as sorted disjoint
+    components into which each new ball is merged by bisection; the prefix
+    ends when one component holds [0,1]."""
     if not (QUASI_CONTINUOUS in psi.tags or LSCO in psi.tags):
         raise ClassRefusal(
             "cousin_subcover", "quasi-continuous or lsco tag", psi,
@@ -410,7 +417,7 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
     if not psi.is_positive():
         raise ClassRefusal("cousin_subcover", "a strictly positive gauge", psi)
     balls: list[tuple[Fraction, Fraction]] = []
-    spans: list[tuple[Fraction, Fraction]] = []
+    union: list[tuple[Fraction, Fraction]] = []
     gen = unit_rationals()
     bound = 1 << min(fuel, 12)
     for n in range(bound):
@@ -418,9 +425,10 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
         v = psi.eval(q)
         r = v.as_rational() if v.is_rational else v.bracket(24)[0]
         balls.append((q, r))
-        spans.append((q - r, q + r))
-        if _covers_unit(spans):
-            return balls
+        if r > 0:  # a ball of radius <= 0 is empty
+            lo, hi = _merge_open(union, q - r, q + r)
+            if lo < 0 and hi > 1:
+                return balls
     raise FuelExhausted("enumeration prefix did not cover the interval",
                         best=balls, fuel=fuel)
 

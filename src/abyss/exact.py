@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -77,6 +78,26 @@ def _parts(x) -> tuple[int, int, int]:
 
 
 _new = object.__new__
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms, d > 0, by the rule of
+    `Fraction.__hash__`: |n|/d modulo the prime 2^61 - 1 (infinite when the
+    prime divides d), with the sign of n.  A -1 needs no fix-up here:
+    `hash()` sends it to -2, both for a `__hash__` result and for a tuple
+    item."""
+    if d == 1:
+        return hash(n)
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(n)) * dinv)
+    return -h if n < 0 else h
 
 
 def _reduced(p: int, q: int, d: int) -> "Q2":
@@ -246,9 +267,7 @@ class Q2:
     def __hash__(self):
         if self.q:
             return hash((self.p, self.q, self.d))
-        if self.d == 1:
-            return hash(self.p)
-        return hash(Fraction(self.p, self.d))
+        return _rational_hash(self.p, self.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -334,7 +353,7 @@ class _Ends:
     triples.  The ends are read back as reduced `Fraction`s by each class's
     own views; containment, arithmetic and the grids work on the integers.
     Equality holds within one class, and the hash is that of the pair of
-    `Fraction` ends.
+    `Fraction` ends, computed from the integers.
     """
 
     __slots__ = ("ln", "un", "d")
@@ -398,7 +417,9 @@ class _Ends:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._lo(), self._hi()))
+        ln, un, d = self.ln, self.un, self.d
+        g, h = math.gcd(ln, d), math.gcd(un, d)
+        return hash((_rational_hash(ln // g, d // g), _rational_hash(un // h, d // h)))
 
     def __repr__(self):
         lo, hi = self._NAMES

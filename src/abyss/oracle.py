@@ -281,6 +281,8 @@ def exists_value_below(f, iv, y) -> FueledBool:
 def _ball_clipped(x, exponent: int) -> DyadicInterval:
     """The ball of radius 2^-exponent around the point x of [0,1], clipped
     to [0,1]; an irrational x is centred at `x.approx(exponent + 4)`."""
+    if exponent < 0:
+        raise ValueError("radius exponent must be >= 0")
     p = _unit_point(x)
     if p.q:
         lo, hi, e = p._bracket_ints(exponent + 5)
@@ -363,16 +365,33 @@ def _mu_exists(q, trace):
         raise FuelExhausted("threshold query undecided on this family", fuel=q.fuel)
     # find the least probe depth at which a witness appears; past the cap
     # every depth probes the same basis
+    fresh = _unseen()
     for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
         pts = basis_at(q.f, q.interval, d)
         if trace is not None:
             trace.record(shape, d, len(pts), "scan")
-        for p in pts:
+        for p in fresh(pts):
             v = q.f.eval(p)
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
     raise FuelExhausted("a witness exists but did not appear in the probe "
                         "basis within fuel", fuel=q.fuel)
+
+
+def _unseen():
+    """A filter over successive probe bases that passes each point once,
+    keyed by its integers (p, q, d): a point a shallower depth refuted
+    needs no second evaluation."""
+    seen = set()
+
+    def fresh(pts):
+        for p in pts:
+            key = (p.p, p.q, p.d)
+            if key not in seen:
+                seen.add(key)
+                yield p
+
+    return fresh
 
 
 def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
@@ -400,11 +419,12 @@ def _mu_baire1_above(q: Baire1Above, trace):
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
     y = _rational(q.threshold)
     last = f.witness_depth(y)
+    fresh = _unseen()
     for d in range(q.fuel + 1):
         pts = basis_at(f, q.interval, d)
         if trace is not None:
             trace.record("Baire1Above", d, len(pts), "scan")
-        for p in pts:
+        for p in fresh(pts):
             if _baire1_value_above(f, p, y, q.fuel):
                 return Found(MuWitness(d))
         if d >= (grid_depth_cap(q.interval) if last is None else last):

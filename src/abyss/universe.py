@@ -14,14 +14,14 @@ sound way to simulate number-quantifier oracles against a black box.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
                      UnsupportedVariant)
 from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator,
-                    _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
+                    _ratio, _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
                     grid_span, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
@@ -82,44 +82,84 @@ def irrational_inside(iv: DyadicInterval) -> Q2:
 
 class Poly:
     """Polynomial with rational coefficients, degree at most 2, so every
-    extremum is rational and interval ranges are exact."""
+    extremum is rational and interval ranges are exact.
 
-    __slots__ = ("c0", "c1", "c2")
+    Invariant: the coefficients are integer numerators n0, n1, n2 over one
+    denominator d > 0 with gcd(n0, n1, n2, d) = 1, so equal polynomials have
+    equal integers, and the vertex of a quadratic is computed once, as a
+    `Q2`, when the polynomial is built.  An evaluation at a rational or
+    Q(sqrt2) point works on those integers and reduces once."""
+
+    __slots__ = ("n0", "n1", "n2", "d", "_vertex")
 
     def __init__(self, c0, c1=0, c2=0):
-        self.c0 = _rational(c0)
-        self.c1 = _rational(c1)
-        self.c2 = _rational(c2)
+        (n0, d0), (n1, d1), (n2, d2) = _ratio(c0), _ratio(c1), _ratio(c2)
+        d = math.lcm(d0, d1, d2)
+        self.n0, self.n1, self.n2, self.d = n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), d
+        self._vertex = _vertex_of(self.n1, self.n2) if n2 else None
 
     def __call__(self, x) -> Q2:
-        p = Q2.of(x)
-        return (p * self.c2 + self.c1) * p + self.c0
+        x = Q2.of(x)
+        p, q, e = x.p, x.q, x.d
+        n0, n1, n2 = self.n0, self.n1, self.n2
+        if not n2:
+            if not n1:
+                return _reduced(n0, 0, self.d)
+            return _reduced(n0 * e + n1 * p, n1 * q, self.d * e)
+        # (n0 e^2 + n1 e x + n2 (e x)^2) / (d e^2), with e x = p + q sqrt2
+        if not q:
+            return _reduced((n2 * p + n1 * e) * p + n0 * e * e, 0, self.d * e * e)
+        return _reduced((n2 * p + n1 * e) * p + 2 * n2 * q * q + n0 * e * e,
+                        (2 * n2 * p + n1 * e) * q, self.d * e * e)
 
     @property
     def is_constant(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0
+        return not self.n1 and not self.n2
 
     def vertex(self) -> Optional[Fraction]:
-        if self.c2 == 0:
-            return None
-        return -self.c1 / (2 * self.c2)
+        v = self._vertex
+        return None if v is None else v.as_rational()
 
     def range_on(self, lo: Q2, hi: Q2) -> tuple[Q2, Q2]:
         """Exact (min, max) over the closed interval [lo, hi]."""
-        vals = [self(lo), self(hi)]
-        v = self.vertex()
-        if v is not None and Q2.of(v) > lo and Q2.of(v) < hi:
-            vals.append(self(v))
-        return min(vals), max(vals)
+        a, b = self(lo), self(hi)
+        if b < a:
+            a, b = b, a
+        v = self._vertex
+        if v is not None and lo < v < hi:
+            w = self(v)
+            if w < a:
+                a = w
+            elif w > b:
+                b = w
+        return a, b
 
     def coeffs(self):
-        return (self.c0, self.c1, self.c2)
+        d = self.d
+        return (Fraction(self.n0, d), Fraction(self.n1, d), Fraction(self.n2, d))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs() == other.coeffs()
+        return (isinstance(other, Poly) and self.d == other.d and self.n0 == other.n0
+                and self.n1 == other.n1 and self.n2 == other.n2)
 
     def __repr__(self):
         return "Poly(%s, %s, %s)" % self.coeffs()
+
+
+def _poly_of_ints(n0: int, n1: int, n2: int, d: int) -> Poly:
+    """The Poly (n0 + n1 x + n2 x^2)/d for d > 0, brought to lowest terms."""
+    g = math.gcd(n0, n1, n2, d)
+    x = object.__new__(Poly)
+    x.n0, x.n1, x.n2, x.d = n0 // g, n1 // g, n2 // g, d // g
+    x._vertex = _vertex_of(x.n1, x.n2) if n2 else None
+    return x
+
+
+def _vertex_of(n1: int, n2: int) -> Q2:
+    """The vertex -n1/(2 n2) of a quadratic, n2 != 0."""
+    if n2 < 0:
+        n1, n2 = -n1, -n2
+    return _reduced(-n1, 0, 2 * n2)
 
 
 class SymbolicFn:
@@ -245,21 +285,25 @@ class SymbolicFn:
         return self._witness_via_range(iv, y, above=False)
 
     def _witness_via_range(self, iv, y, above):
-        prec = max(8, y.denominator.bit_length() + 4)
+        yn, yd = y.as_integer_ratio()
+        prec = max(8, yd.bit_length() + 4)
         # retry finer once: a quadratic-irrational extremum sits at distance
         # at least ~1/denominator(y)^2 from y, so doubling the bits decides
         for attempt in range(2):
             inf_b, sup_b = self.range_on(iv, prec)
             target = sup_b if above else inf_b
+            # the signs of lo - y and hi - y, on the integers
+            lo = target.ln * yd - yn * target.d
+            hi = target.un * yd - yn * target.d
             if above:
-                if target.hi <= y:
+                if hi <= 0:
                     return Truth.NO, None
-                if target.lo > y:
+                if lo > 0:
                     return Truth.YES, None
             else:
-                if target.lo >= y:
+                if lo >= 0:
                     return Truth.NO, None
-                if target.hi < y:
+                if hi < 0:
                     return Truth.YES, None
             prec = 2 * prec + 16
         return Truth.UNKNOWN, None
@@ -329,9 +373,9 @@ class PiecewiseRational(SymbolicFn):
                            for left, c, v, right in around)
         critical = [self.cuts[0]]
         for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:]):
-            v = piece.vertex()
-            if v is not None and a < Q2.of(v) < b:
-                critical.append(Q2.of(v))
+            v = piece._vertex
+            if v is not None and a < v < b:
+                critical.append(v)
             critical.append(b)
         self.critical = tuple(critical)
         super().__init__(self._compute_tags())
@@ -361,16 +405,16 @@ class PiecewiseRational(SymbolicFn):
         lsco = True
         cadlag = True
         for left, v, right in self.sides:
-            limits = [s for s in (left, right) if s is not None]
-            if any(s != v for s in limits):
+            signs = [s._cmp(v) for s in (left, right) if s is not None]  # limit vs value
+            if any(signs):
                 continuous = False
-            if all(s != v for s in limits):
+            if all(signs):
                 qc = False
-            if any(s > v for s in limits):
+            if 1 in signs:
                 usco = False
-            if any(s < v for s in limits):
+            if -1 in signs:
                 lsco = False
-            if right is not None and right != v:
+            if right is not None and signs[-1]:
                 cadlag = False
         if continuous:
             tags |= {CONTINUOUS, QUASI_CONTINUOUS, USCO, LSCO}
@@ -415,16 +459,20 @@ class PiecewiseRational(SymbolicFn):
                         for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:])))
 
     def _value_candidates(self, iv):
-        vals = []
+        """The values whose min and max are f's inf and sup on iv: each
+        piece's range on its part of iv and the value at each cut in iv.
+        Only the pieces and cuts that meet iv are visited, found by
+        bisection on the cuts."""
         lo, hi = _reduced(iv.ln, 0, iv.d), _reduced(iv.un, 0, iv.d)
-        for j, piece in enumerate(self.pieces):
-            a, b = self.cuts[j], self.cuts[j + 1]
-            s, t = max(a, lo), min(b, hi)
-            if s < t:
-                vals.extend(piece.range_on(s, t))
-        for i, c in enumerate(self.cuts):
-            if iv.contains(c):
-                vals.append(self.bp_values[i])
+        cuts, pieces = self.cuts, self.pieces
+        first, stop = bisect_left(cuts, lo), bisect_right(cuts, hi)
+        vals = list(self.bp_values[first:stop])
+        # piece j meets (lo, hi) iff cuts[j] < hi and cuts[j + 1] > lo
+        start = bisect_right(cuts, lo) - 1
+        last = bisect_left(cuts, hi, first) - 1
+        for j in range(start, last + 1):
+            a, b = cuts[j], cuts[j + 1]
+            vals.extend(pieces[j].range_on(lo if lo > a else a, hi if hi < b else b))
         return vals
 
     def _range_on(self, iv, k):
@@ -1043,13 +1091,13 @@ def indicator_baire1(open_rep) -> Baire1Limit:
 def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRational:
     cuts = sorted(set(f.cuts) | set(g.cuts))
     pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / Q2.of(2)
-        fj = f._locate(mid)[1]
-        gj = g._locate(mid)[1]
-        cf = f.pieces[fj].coeffs()
-        cg = g.pieces[gj].coeffs()
-        pieces.append(Poly(*(x + y for x, y in zip(cf, cg))))
+    for a in cuts[:-1]:
+        # the pieces of f and g on (a, next cut) start at or before a
+        pf = f.pieces[bisect_right(f.cuts, a) - 1]
+        pg = g.pieces[bisect_right(g.cuts, a) - 1]
+        fd, gd = pf.d, pg.d
+        pieces.append(_poly_of_ints(pf.n0 * gd + pg.n0 * fd, pf.n1 * gd + pg.n1 * fd,
+                                    pf.n2 * gd + pg.n2 * fd, fd * gd))
     vals = [f.eval(c) + g.eval(c) for c in cuts]
     return PiecewiseRational(cuts, pieces, vals)
 
@@ -1067,7 +1115,8 @@ def fn_difference(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
 def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:
     if isinstance(f, PiecewiseRational):
         c = _rational(c)
-        pieces = [Poly(*(c * x for x in p.coeffs())) for p in f.pieces]
+        cn, cd = c.as_integer_ratio()
+        pieces = [_poly_of_ints(cn * p.n0, cn * p.n1, cn * p.n2, cd * p.d) for p in f.pieces]
         vals = [Q2.of(c) * v for v in f.bp_values]
         return PiecewiseRational(f.cuts, pieces, vals)
     return ScalarMultiple(c, f)

@@ -59,12 +59,18 @@ def deadline():
 # ---------------------------------------------------------------------------
 
 
-def fraction_news(fn) -> int:
-    """How often fn() calls Fraction.__new__, counted by the profiler."""
+def calls_to(fn, filename: str, name: str) -> int:
+    """How often fn() calls the function `name` defined in `filename`,
+    counted by the profiler."""
     prof = cProfile.Profile()
     prof.runcall(fn)
-    return sum(nc for (filename, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
-               if filename == fractions.__file__ and name == "__new__")
+    return sum(nc for (file, _, func), (_, nc, *_) in pstats.Stats(prof).stats.items()
+               if file == filename and func == name)
+
+
+def fraction_news(fn) -> int:
+    """How often fn() calls Fraction.__new__, counted by the profiler."""
+    return calls_to(fn, fractions.__file__, "__new__")
 
 
 def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):

@@ -127,6 +127,13 @@ def test_realiser_refuses_a_negative_k_in_every_family():
         assert "k must be >= 0, got -1" in r.stderr, family
 
 
+def test_negative_ball_exponent_is_a_usage_error():
+    r = run("modulus", "--fn", "identity", "--kind", "quasi", "--probe", "1/2", "--k", "3",
+            "--ball-exp", "-1")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == "error: radius exponent must be >= 0\n"
+
+
 def test_golden_digests_in_process(monkeypatch, capsys):
     """The benchmark's recorded CLI outputs, reproduced through cli.main in
     this process: each stdout digest and exit code, and the selftest hash."""

@@ -1,6 +1,7 @@
 """Exact substrate: rationals, Q(sqrt2) order, intervals, grids, fueled truth."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -249,6 +250,29 @@ def test_q2_results_keep_the_representation(x, y, k):
 def test_rational_q2_hashes_as_its_fraction(v):
     assert hash(Q2(v)) == hash(F(v)) and Q2(v) == F(v)
     assert hash(Q2(v, 0) + Q2(0, 1) - Q2(0, 1)) == hash(F(v))
+
+
+def test_rational_hashes_follow_the_fraction_rule_without_a_fraction():
+    """The hash of a rational Q2 and of an interval is computed from the
+    integers by `Fraction.__hash__`'s rule, at its edges too: a negative
+    numerator, a denominator the modulus 2^61 - 1 divides, and a value whose
+    rule gives -1 (sent to -2)."""
+    m = sys.hash_info.modulus
+    values = [F(-1, 3), F(-7), F(-1), F(1, m), F(-5, 3 * m), F(m + 1, m * m), F(m, 7),
+              F(-(m + 2), 2), F(2 * m + 3, 3)]
+    assert hash(F(-(m + 2), 2)) == -2
+    for v in values:
+        assert hash(Q2(v)) == hash(v), v
+    for lo, hi in zip(values, values[1:]):
+        iv = DyadicInterval(min(lo, hi), max(lo, hi))
+        assert hash(iv) == hash((iv.lower, iv.upper)), iv
+        b = Bracket(iv.lower, iv.upper)
+        assert hash(b) == hash((b.lo, b.hi)), b
+    iv = DyadicInterval.of_ints(-(m + 2), 6 * m, 2 * m)  # ends reduce apart
+    assert hash(iv) == hash((iv.lower, iv.upper))
+    xs = [Q2(v) for v in values]
+    ivs = [DyadicInterval(v, v + 1) for v in values]
+    assert fraction_news(lambda: [hash(x) for x in xs] + [hash(i) for i in ivs]) == 0
 
 
 def test_q2_by_q2_arithmetic_and_order_build_no_fraction():

@@ -1,0 +1,305 @@
+"""Each fast path of the positive side against the plain computation it
+replaces, kept here as a test-local reference: the integer `Poly`, the
+bisected piece lookup, the integer-ordered `modulus_qc` candidates, the
+incremental Cousin cover and the skip-seen probe searches.  Two cost guards
+count the work a fast path may do."""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove,
+                   ExistsValueBelow, Found, FuelExhausted, MuWitness, NotFoundBelow,
+                   PiecewiseRational, Poly, Q2, constant, cousin_subcover, exact,
+                   fn_sum, linear, modulus_qc, mu_search, pennyk_limit,
+                   restrict_tags, sqrt2_family, staircase, thomae)
+from abyss.exact import Truth, rational_grid
+from abyss.oracle import (DEFAULT_FUEL, QueryTrace,
+                          _ball_clipped, _baire1_value_above, basis_at,
+                          grid_depth_cap)
+from abyss.universe import QUASI_CONTINUOUS, probe_points
+
+from conftest import (calls_to, fraction_news, irrational_cut_staircase,
+                      random_continuous_piecewise, random_staircase_plus_linear,
+                      vertex_off_its_piece)
+
+S2 = Q2.sqrt2_scaled
+RATIONAL_POINTS = [F(0), F(1), F(1, 3), F(-2, 7), F(5, 8), F(22, 7)]
+IRRATIONAL_POINTS = [S2(0), Q2(F(1, 3), F(1, 8)), Q2(1, F(-1, 4)), Q2(F(-3, 5), F(7, 3))]
+COEFFS = [F(0), F(1), F(-1), F(3, 4), F(-5, 6), F(7, 2)]
+
+
+def four_piece():
+    """Continuous: 2x, then 1/2, a quadratic with its vertex 11/16 inside
+    (1/2, 3/4), then x - 1/2."""
+    return PiecewiseRational([0, F(1, 4), F(1, 2), F(3, 4), 1],
+                             [Poly(0, 2), Poly(F(1, 2)), Poly(4, -11, 8), Poly(F(-1, 2), 1)],
+                             [0, F(1, 2), F(1, 2), F(1, 4), F(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# Poly: integers over one denominator against Fraction Horner
+# ---------------------------------------------------------------------------
+
+
+def horner(cs, x) -> Q2:
+    c0, c1, c2 = cs
+    p = Q2.of(x)
+    return (p * c2 + c1) * p + c0
+
+
+def plain_range(cs, lo, hi):
+    vals = [horner(cs, lo), horner(cs, hi)]
+    c0, c1, c2 = cs
+    if c2:
+        v = Q2.of(-c1 / (2 * c2))
+        if lo < v < hi:
+            vals.append(horner(cs, v))
+    return min(vals), max(vals)
+
+
+def test_poly_evaluates_and_ranges_as_fraction_horner():
+    points = sorted(Q2.of(x) for x in RATIONAL_POINTS + IRRATIONAL_POINTS)
+    for cs in itertools.product(COEFFS, repeat=3):
+        poly = Poly(*cs)
+        assert poly.coeffs() == cs and poly == Poly(*cs)
+        assert poly.is_constant == (cs[1] == cs[2] == 0)
+        assert poly.vertex() == (-cs[1] / (2 * cs[2]) if cs[2] else None)
+        for x in points:
+            assert poly(x) == horner(cs, x), (cs, x)
+        for lo, hi in itertools.combinations(points, 2):
+            assert poly.range_on(lo, hi) == plain_range(cs, lo, hi), (cs, lo, hi)
+
+
+def test_poly_integers_are_canonical():
+    assert Poly(F(2, 4), F(3, 6), 0) == Poly(F(1, 2), F(1, 2))
+    assert Poly(F(2, 4)).coeffs() == (F(1, 2), 0, 0)
+    p = Poly(F(1, 6), F(-3, 4), F(5, 2))
+    assert (p.n0, p.n1, p.n2, p.d) == (2, -9, 30, 12)
+    with pytest.raises(TypeError):
+        Poly(F(1, 2), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# bisected piece lookup against the scan over every piece and cut
+# ---------------------------------------------------------------------------
+
+
+def full_scan_candidates(f, iv):
+    vals = []
+    lo, hi = Q2.of(iv.lower), Q2.of(iv.upper)
+    for j, piece in enumerate(f.pieces):
+        a, b = f.cuts[j], f.cuts[j + 1]
+        s, t = max(a, lo), min(b, hi)
+        if s < t:
+            vals.extend(plain_range(piece.coeffs(), s, t))
+    for i, c in enumerate(f.cuts):
+        if iv.contains(c):
+            vals.append(f.bp_values[i])
+    return vals
+
+
+def test_bisected_value_candidates_match_the_full_scan():
+    rng = random.Random(17)
+    fns = [irrational_cut_staircase(), vertex_off_its_piece(), constant(F(3, 7)), four_piece()]
+    fns += [random_continuous_piecewise(rng) for _ in range(6)]
+    fns += [random_staircase_plus_linear(rng) for _ in range(6)]
+    grid = rational_grid(DyadicInterval(0, 1), 4)
+    for f in fns:
+        ivs = [DyadicInterval(a, b) for a, b in itertools.combinations(grid, 2)]
+        # ends on the rational cuts, and an interval inside each piece
+        for c in f.cuts:
+            if c.is_rational and 0 < c < 1:
+                c = c.as_rational()
+                ivs += [DyadicInterval(c, 1), DyadicInterval(0, c),
+                        DyadicInterval(c - F(1, 64), c), DyadicInterval(c, c + F(1, 64))]
+        for a, b in zip(f.cuts, f.cuts[1:]):
+            lo, hi = a.approx(12), b.approx(12)
+            ivs.append(DyadicInterval(lo + (hi - lo) / 3, hi - (hi - lo) / 3))
+        for iv in ivs:
+            ref = full_scan_candidates(f, iv)
+            assert sorted(f._value_candidates(iv)) == sorted(ref), (f.cuts, iv)
+            assert f.range_on(iv, 10) == (Bracket.of_q2(min(ref), 10),
+                                          Bracket.of_q2(max(ref), 10))
+
+
+# ---------------------------------------------------------------------------
+# modulus_qc against the order of sorted Fraction keys
+# ---------------------------------------------------------------------------
+
+
+def sorted_fraction_modulus_qc(f, x, k, big_n, fuel=DEFAULT_FUEL):
+    p = Q2.of(x)
+    fx = f.eval(p)
+    tol = F(1, 1 << k)
+    exact_mode = QUASI_CONTINUOUS in f.tags
+
+    def candidate_ok(c, d):
+        if not c < d:
+            return False
+        iv = DyadicInterval(c, d)
+        if exact_mode:
+            inf_b, sup_b = f.range_on(iv, k + 4)
+            return Q2.of(sup_b.hi) - fx < tol and fx - Q2.of(inf_b.lo) < tol
+        return all(abs(f.eval(pt) - fx) < tol for pt in probe_points(f, iv, 12)
+                   if c < pt < d)
+
+    ball_iv = _ball_clipped(p, big_n)
+    for j in range(big_n + 2, big_n + 2 + min(fuel, 24)):
+        r = F(1, 1 << j)
+        blo, bhi = p.bracket(j + 2)
+        c, d = max(ball_iv.lower, blo - r), min(ball_iv.upper, bhi + r)
+        if candidate_ok(c, d):
+            return (c, d)
+        pts = rational_grid(ball_iv, min(j, grid_depth_cap(ball_iv)))
+        pairs = sorted(zip(pts, pts[1:]), key=lambda cd: (abs((cd[0] + cd[1]) / 2 - blo), cd[0]))
+        for c, d in pairs:
+            if candidate_ok(c, d):
+                return (c, d)
+    raise FuelExhausted("no certified subinterval found within fuel", fuel=fuel)
+
+
+def twin_bumps():
+    """0 at 1/2 and away from it, with a tent of height 1 on each side of
+    1/2: the two grid pairs next to 1/2 fail, the next two tie and pass."""
+    knots = [(0, 0), (F(3, 8), 0), (F(7, 16), 1), (F(1, 2), 0), (F(9, 16), 1), (F(5, 8), 0), (1, 0)]
+    pieces = [Poly(ya - (yb - ya) / (b - a) * a, (yb - ya) / (b - a))
+              for (a, ya), (b, yb) in zip(knots, knots[1:])]
+    return PiecewiseRational([a for a, _ in knots], pieces, [y for _, y in knots])
+
+
+def outcome(run):
+    try:
+        return run()
+    except FuelExhausted as e:
+        return ("FuelExhausted", str(e))
+
+
+@pytest.mark.parametrize("x", [F(1, 2), F(5, 16), F(1, 3), S2(0)],
+                         ids=["dyadic", "dyadic-off-grid", "1/3", "sqrt2/2"])
+def test_modulus_qc_orders_candidates_as_sorted_fractions(x):
+    f = four_piece()
+    fns = [f, twin_bumps(), staircase([(F(1, 3), F(1, 4)), (F(3, 4), F(-1, 2))]),
+           restrict_tags(f, f.tags - {QUASI_CONTINUOUS})]  # the probe-point check
+    for g, n, k in itertools.product(fns, (0, 1, 3, 5), (0, 3, 6, 9)):
+        got = outcome(lambda: modulus_qc(g, x, k, n, fuel=8))
+        assert got == outcome(lambda: sorted_fraction_modulus_qc(g, x, k, n, fuel=8)), (g, n, k)
+
+
+def test_modulus_qc_builds_few_fractions():
+    """Candidates ordered by `Fraction` keys made 57 `Fraction.__new__`
+    calls here."""
+    f = four_piece()
+    assert modulus_qc(f, F(1, 2), 6, 3) == (F(15, 32), F(1, 2))
+    assert modulus_qc(twin_bumps(), F(1, 2), 3, 1) == (F(1, 4), F(3, 8))  # the lower of a tie
+    assert fraction_news(lambda: modulus_qc(f, F(1, 2), 6, 3)) <= 25
+
+
+def test_poly_evaluation_reduces_once_and_builds_no_fraction():
+    """Fraction Horner made four reductions per evaluation, 256 here."""
+    poly = Poly(F(1, 3), F(-5, 4), F(7, 2))
+    pts = [Q2.of(F(j, 64)) for j in range(64)]
+
+    def run():
+        return [poly(x) for x in pts]
+
+    assert fraction_news(run) == 0
+    assert calls_to(run, exact.__file__, "_reduced") == 64
+
+
+# ---------------------------------------------------------------------------
+# the incremental Cousin cover against the re-sorted span check
+# ---------------------------------------------------------------------------
+
+
+def covers_unit(spans):
+    reach = F(0)
+    started = False
+    for lo, hi in sorted(spans):
+        if not started:
+            if lo < 0 <= hi:
+                reach = max(reach, hi)
+                started = True
+            continue
+        if lo >= reach:
+            break
+        reach = max(reach, hi)
+    return started and reach > 1
+
+
+def test_cousin_prefix_is_the_least_covering_one():
+    gauges = [constant(F(1, 32)), constant(F(7, 32)), constant(F(1, 2)), linear(F(1, 2), F(1, 16)),
+              fn_sum(staircase([(F(1, 4), F(3, 8)), (F(5, 8), F(-1, 8))]), constant(F(1, 6))),
+              PiecewiseRational.from_polys([0, 1], [Poly(F(17, 64), -1, 1)])]
+    for psi in gauges:
+        balls = cousin_subcover(psi)
+        spans = [(q - r, q + r) for q, r in balls]
+        assert covers_unit(spans) and not covers_unit(spans[:-1]), psi
+
+
+# ---------------------------------------------------------------------------
+# the skip-seen probe searches against the searches that re-evaluate
+# ---------------------------------------------------------------------------
+
+
+def plain_exists(q, trace):
+    above = type(q) is ExistsValueAbove
+    shape = type(q).__name__
+    y = F(q.threshold)
+    truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
+    if truth is Truth.NO:
+        trace.record(shape, q.fuel, 0, "no")
+        return NotFoundBelow(q.fuel)
+    for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
+        pts = basis_at(q.f, q.interval, d)
+        trace.record(shape, d, len(pts), "scan")
+        for p in pts:
+            v = q.f.eval(p)
+            if (v > y) if above else (v < y):
+                return Found(MuWitness(d))
+    raise FuelExhausted("a witness exists but did not appear in the probe "
+                        "basis within fuel", fuel=q.fuel)
+
+
+def plain_baire1_above(q, trace):
+    f, y = q.f_rep, F(q.threshold)
+    last = f.witness_depth(y)
+    for d in range(q.fuel + 1):
+        pts = basis_at(f, q.interval, d)
+        trace.record("Baire1Above", d, len(pts), "scan")
+        for p in pts:
+            if _baire1_value_above(f, p, y, q.fuel):
+                return Found(MuWitness(d))
+        if d >= (grid_depth_cap(q.interval) if last is None else last):
+            break
+    if y <= 0:
+        raise FuelExhausted("non-positive threshold cannot be refuted on a "
+                            "limit representation", fuel=q.fuel)
+    return NotFoundBelow(q.fuel)
+
+
+def traced(search, q):
+    trace = QueryTrace()
+    try:
+        res = search(q, trace)
+    except FuelExhausted as e:
+        res = ("FuelExhausted", str(e))
+    return res, trace.lines
+
+
+def test_skip_seen_searches_answer_and_trace_as_the_plain_ones():
+    unit, mid = DyadicInterval(0, 1), DyadicInterval(F(1, 8), F(7, 8))
+    steps = fn_sum(staircase([(F(1, 2), F(-1, 2))]), linear(F(1, 4)))
+    queries = [ExistsValueAbove(thomae(), mid, F(1, 5)),
+               ExistsValueAbove(thomae(), unit, F(3, 2)),
+               ExistsValueAbove(four_piece(), unit, F(11, 32)),
+               ExistsValueBelow(four_piece(), mid, F(1, 4) + F(1, 1 << 12)),
+               ExistsValueAbove(steps, DyadicInterval(F(1, 4), F(3, 4)), F(1, 8) - F(1, 1 << 30),
+                                fuel=6)]
+    rep = pennyk_limit(sqrt2_family())
+    limits = [Baire1Above(rep, unit, y) for y in (F(1, 4), F(1, 16), F(3, 4), F(0))]
+    for q, plain in [(q, plain_exists) for q in queries] + [(q, plain_baire1_above) for q in limits]:
+        got = traced(lambda q, t: mu_search(q, t), q)
+        assert got == traced(plain, q), q

@@ -112,6 +112,18 @@ def test_mu_baire1_above():
         mu_search(Baire1Above(bare, UNIT, F(1, 4)))
 
 
+def test_negative_ball_exponent_is_refused_by_name():
+    """A negative exponent once fell through to a bare "negative shift
+    count"; the ball refuses it as `exact.ball` does."""
+    from abyss import linear, modulus_qc
+    from abyss.oracle import _ball_clipped
+    for run in (lambda: _ball_clipped(F(1, 2), -1),
+                lambda: modulus_qc(linear(1), F(1, 2), 3, -1),
+                lambda: ball_oscillation(linear(1), F(1, 2), -2, 4)):
+        with pytest.raises(ValueError, match="radius exponent must be >= 0"):
+            run()
+
+
 def test_monotone_fuel_soundness():
     """Found(n) at fuel F stays Found(n) at every higher fuel; NotFoundBelow
     only ever turns into Found beyond the old bound."""
