@@ -30,7 +30,7 @@ from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .serialize import rat_json
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
-from .variation import modulus_regulation
+from .variation import _regulated_within, modulus_regulation
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     opens; the nested construction walks through them."""
     _check_precision(k)
     f = Penny(a_set)
-    _spot_check_regulation(modulus, a_set)
+    _spot_check_regulation(modulus, f)
     iv = DyadicInterval.of_ints(0, 1, 1)
     intervals = [iv]
     for j in range(max(k + 2, fuel + 1)):
@@ -366,24 +366,15 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     return _certified_limit(intervals, a_set, fuel, 2, k)
 
 
-def _spot_check_regulation(modulus, a_set: CountableSet):
-    """Refute obviously invalid moduli: the one-sided window at a member must
-    not contain another member with a visible spike (2^-3 or more, so index
-    below 3)."""
+def _spot_check_regulation(modulus, f: Penny):
+    """Refute obviously invalid moduli: at each of the first members, f must
+    stay within 2^-3 of both one-sided limits on the window the modulus
+    names, the window `variation.modulus_regulation` itself checks."""
     k = 3
-    for _, p in a_set.members_upto(4):
-        m = modulus(p, k)
-        r = Fraction(1, 1 << (m + 1))
-        plo, phi = p.bracket(m + k + 10)
-        for lo, hi in ((phi, min(Fraction(1), plo + r)),
-                       (max(Fraction(0), phi - r), plo)):
-            if lo >= hi:
-                continue
-            for i, w in a_set.members_in(DyadicInterval(lo, hi), k):
-                if w != p:
-                    raise InvalidModulus(
-                        "regulation window around %s contains member %d with "
-                        "spike %s" % (p, i, Penny.spike_value(i)))
+    for _, p in f.a_set.members_upto(4):
+        if not _regulated_within(f, p, modulus(p, k), k):
+            raise InvalidModulus("values stray 2^-%d or more from a one-sided limit "
+                                 "on the regulation window around %s" % (k, p))
 
 
 def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> Modulus:

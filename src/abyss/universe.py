@@ -184,13 +184,25 @@ class SymbolicFn:
 
     # -- structural data -----------------------------------------------------
 
-    def range_bound(self) -> tuple[Fraction, Fraction]:
-        """Cheap a-priori bounds on values over [0,1]."""
+    def _hull(self) -> tuple[Q2, Q2, bool, bool]:
+        """(lo, hi, lo_open, hi_open), what the family's structure proves
+        about its values: every value on [0,1] lies in [lo, hi], and an end
+        marked open is proven never taken.  `range_bound` and `is_positive`
+        read it."""
         raise NotImplementedError
 
+    def range_bound(self) -> tuple[Fraction, Fraction]:
+        """Rational bounds on the values over [0,1], where value halving
+        starts: the hull's ends rounded outward at 2^-8."""
+        lo, hi, _, _ = self._hull()
+        return Bracket.of_q2(lo, 8).lo, Bracket.of_q2(hi, 8).hi
+
     def is_positive(self) -> bool:
-        """Exact check: f(x) > 0 for every x in [0,1]."""
-        return False
+        """Exact check: f(x) > 0 for every x in [0,1].  The hull's low end
+        is above 0, or is 0 and never taken."""
+        lo, _, lo_open, _ = self._hull()
+        sign = lo.sign()
+        return sign > 0 or (sign == 0 and lo_open)
 
     def range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
         """(inf, sup) brackets over every point of the part of iv inside
@@ -445,18 +457,16 @@ class PiecewiseRational(SymbolicFn):
             return self.bp_values[i]
         return self.pieces[i](x)
 
-    def range_bound(self):
-        inf_b, sup_b = self.range_on(DyadicInterval(0, 1), 8)
-        return inf_b.lo, sup_b.hi
-
-    def is_positive(self):
-        # a piece of degree <= 2 whose end limits are >= 0 is positive on its
-        # open interval unless it is <= 0 at an inside vertex or everywhere
-        limits = [s for left, _, right in self.sides for s in (left, right) if s is not None]
-        return (all(s >= 0 for s in limits)
-                and all(self._eval(p) > 0 for p in self.critical)
-                and all(piece((a + b) / Q2.of(2)) > 0
-                        for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:])))
+    def _hull(self):
+        # the extremes are among the one-sided limits and the values at the
+        # critical points, and are taken only at a critical point or on a
+        # constant piece: inside a piece of degree <= 2 only the vertex is one
+        taken = [self._eval(p) for p in self.critical]
+        limits = []
+        for piece, before, after in zip(self.pieces, self.sides, self.sides[1:]):
+            (taken if piece.is_constant else limits).extend((before[2], after[0]))
+        lo, hi = min(taken + limits), max(taken + limits)
+        return lo, hi, lo not in taken, hi not in taken
 
     def _value_candidates(self, iv):
         """The values whose min and max are f's inf and sup on iv: each
@@ -568,8 +578,8 @@ class Thomae(SymbolicFn):
             return Q2.of(0)
         return Q2.of(Fraction(1, x.as_rational().denominator))
 
-    def range_bound(self):
-        return Fraction(0), Fraction(1)
+    def _hull(self):
+        return Q2.of(0), Q2.of(1), False, False
 
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
@@ -717,8 +727,8 @@ class Penny(_SpikeFamily):
             return Q2.of(0)
         return Q2.of(self.spike_value(n))
 
-    def range_bound(self):
-        return Fraction(0), Fraction(1, 2)
+    def _hull(self):
+        return Q2.of(0), Q2.of(self.spike_value(0)), False, False
 
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are built from the index
@@ -818,11 +828,11 @@ class CoverPsi(_SpikeFamily):
         n = self.a_set.index_of(x)
         return Q2.of(self.BASE) if n is None else Q2.of(self.spike_value(n))
 
-    def range_bound(self):
-        return Fraction(0), self.BASE
-
-    def is_positive(self):
-        return True
+    def _hull(self):
+        size = self.a_set.size
+        if size is None:
+            return Q2.of(0), Q2.of(self.BASE), True, False  # spikes shrink to 0
+        return Q2.of(self.spike_value(size - 1)), Q2.of(self.BASE), False, False
 
     def _range_on(self, iv, k):
         sup_b = Bracket.point(self.BASE)
@@ -876,11 +886,8 @@ class CoverPsiUsco(_SpikeFamily):
             return Q2.of(self.ZERO_VALUE)  # x == 0
         return Q2.of(self.band_value(m))
 
-    def range_bound(self):
-        return Fraction(0), Fraction(1, 32)
-
-    def is_positive(self):
-        return True
+    def _hull(self):
+        return Q2.of(0), Q2.of(self.spike_value(0)), True, False  # band values shrink to 0
 
     def _range_on(self, iv, k):
         # the bands from upper's down to lower's, at most cap + 1 of them;
@@ -949,8 +956,10 @@ class Indicator(SymbolicFn):
     def _eval(self, x):
         return Q2.of(1) if self.closed_set.contains(x) else Q2.of(0)
 
-    def range_bound(self):
-        return Fraction(0), Fraction(1)
+    def _hull(self):
+        lo = 1 if self.components == [(0, 1)] else 0  # the set is all of [0,1]
+        hi = 1 if self.components else 0
+        return Q2.of(lo), Q2.of(hi), False, False
 
     def _range_on(self, iv, k):
         meets = [(a, b) for a, b in self.components if a <= iv.upper and b >= iv.lower]
@@ -1030,9 +1039,9 @@ class Baire1Limit(SymbolicFn):
         v = self.term(n).eval(x)
         return v.approx(k + 2) if not v.is_rational else v.as_rational()
 
-    def range_bound(self):
+    def _hull(self):
         lo, hi = self.term(0).range_bound()
-        return min(lo, Fraction(0)), max(hi, Fraction(1))
+        return Q2.of(min(lo, 0)), Q2.of(max(hi, 1)), False, False
 
     def range_on(self, iv, k):
         raise UnsupportedVariant(
@@ -1145,10 +1154,10 @@ class Sum(SymbolicFn):
     def _eval(self, x):
         return self.f._eval(x) + self.g._eval(x)
 
-    def range_bound(self):
-        fl, fh = self.f.range_bound()
-        gl, gh = self.g.range_bound()
-        return fl + gl, fh + gh
+    def _hull(self):
+        fl, fh, fl_open, fh_open = self.f._hull()
+        gl, gh, gl_open, gh_open = self.g._hull()
+        return fl + gl, fh + gh, fl_open or gl_open, fh_open or gh_open
 
     def _const_side(self):
         for a, b in ((self.f, self.g), (self.g, self.f)):
@@ -1194,16 +1203,6 @@ class Sum(SymbolicFn):
                 seen.append(p)
         return sorted(seen)[:limit]
 
-    def is_positive(self):
-        c, other = self._const_side()
-        if c is not None and c.sign() >= 0 and other.is_positive():
-            return True  # decided even where the other part's infimum 0 is unattained
-        if c is not None and c.is_rational:
-            inf_b, _ = other.range_on(DyadicInterval(0, 1), 16)
-            return inf_b.lo + c.as_rational() > 0
-        lo, _ = self.range_bound()
-        return lo > 0
-
 
 # what a negative factor turns each tag or certificate into
 _MIRROR = {USCO: LSCO, LSCO: USCO, CERT_SUP: CERT_INF, CERT_INF: CERT_SUP}
@@ -1227,9 +1226,13 @@ class ScalarMultiple(SymbolicFn):
     def _eval(self, x):
         return self.f._eval(x) * self.c
 
-    def range_bound(self):
-        lo, hi = self.f.range_bound()
-        return (lo * self.c, hi * self.c) if self.c >= 0 else (hi * self.c, lo * self.c)
+    def _hull(self):
+        if self.c == 0:
+            return Q2.of(0), Q2.of(0), False, False
+        lo, hi, lo_open, hi_open = self.f._hull()
+        if self.c > 0:
+            return lo * self.c, hi * self.c, lo_open, hi_open
+        return hi * self.c, lo * self.c, hi_open, lo_open
 
     def _range_on(self, iv, k):
         extra = max(0, self.c.numerator.bit_length() - self.c.denominator.bit_length() + 1)
@@ -1258,14 +1261,6 @@ class ScalarMultiple(SymbolicFn):
         v = self.f.constant_value()
         return None if v is None else v * self.c
 
-    def is_positive(self):
-        if self.c == 0:
-            return False
-        if self.c > 0:
-            return self.f.is_positive()
-        hi = self.f.range_bound()[1]
-        return hi * self.c > 0
-
 
 class RestrictedView(SymbolicFn):
     """The same function presented as a member of a weaker class: tags are cut
@@ -1284,8 +1279,8 @@ class RestrictedView(SymbolicFn):
     def _eval(self, x):
         return self.f._eval(x)
 
-    def range_bound(self):
-        return self.f.range_bound()
+    def _hull(self):
+        return self.f._hull()
 
     def _range_on(self, iv, k):
         return self.f.range_on(iv, k)
@@ -1310,9 +1305,6 @@ class RestrictedView(SymbolicFn):
 
     def _witness_below(self, iv, y):
         return self.f.witness_below(iv, y)
-
-    def is_positive(self):
-        return self.f.is_positive()
 
 
 def restrict_tags(f: SymbolicFn, tags) -> RestrictedView:

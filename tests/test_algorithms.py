@@ -414,6 +414,22 @@ def test_cousin_gauge_plus_constant_zero():
     assert _verify_cover(cousin_subcover(gauge))
 
 
+def test_cousin_gauges_through_composites():
+    """The same gauge behind a double mirror is covered too; summed with
+    Thomae it is positive, but the sum is neither quasi-continuous nor lsco,
+    so the tag rule refuses it."""
+    from abyss import scalar_multiple
+    psi = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)],
+                                       ["right", 1, "right"])
+    view = restrict_tags(psi, psi.tags)
+    gauge = scalar_multiple(-1, scalar_multiple(-1, view))
+    assert gauge.is_positive() and _verify_cover(cousin_subcover(gauge))
+    spiky = fn_sum(view, thomae())
+    assert spiky.is_positive()
+    with pytest.raises(ClassRefusal, match="quasi-continuous or lsco"):
+        cousin_subcover(spiky)
+
+
 def test_cousin_refusals():
     with pytest.raises(ClassRefusal):
         cousin_subcover(build_cover_psi(A, False))

@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from abyss import (Baire1Above, ClassRefusal, DomainError, DyadicInterval,
-                   ExistsValueAbove, ExistsValueBelow, Found, NotFoundBelow, OscBelow, Penny,
-                   PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall,
+                   ExistsValueAbove, ExistsValueBelow, Found, MuWitness, NotFoundBelow,
+                   OscBelow, Penny, PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall,
                    admitting_rule, collapse_rules_for,
                    constant, fn_difference, mu_search, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
@@ -110,6 +110,53 @@ def test_mu_baire1_above():
     bare = Baire1Limit(lambda n: PennyK(A, n))
     with pytest.raises(RepresentationInsufficient):
         mu_search(Baire1Above(bare, UNIT, F(1, 4)))
+
+
+def _modulus_only_limit():
+    """The truncations of the spike function with their convergence modulus
+    and no stabilization witness: values come only through the modulus."""
+    from abyss import Baire1Limit
+    from abyss.universe import BAIRE1, BV, REGULATED, USCO
+    return Baire1Limit(lambda n: PennyK(A, n), conv_modulus=lambda x, j: j,
+                       stabilizer=None, tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1))
+
+
+@pytest.mark.parametrize("y", [F(3, 8), F(1, 3), F(1, 5), F(-1, 4)])
+def test_modulus_only_limit_agrees_with_the_stabilised_one(y):
+    """Without a stabilization witness each value is decided through the
+    convergence modulus; where the gap to y is visible it answers as the
+    stabilised representation does."""
+    for rep in (_modulus_only_limit(), pennyk_limit(A)):
+        assert mu_search(Baire1Above(rep, UNIT, y)) == Found(MuWitness(0))
+
+
+def test_modulus_only_limit_at_a_spike_value_runs_out_of_fuel(deadline):
+    """At y = 1/2, the largest spike, the approximations never leave the
+    threshold's neighbourhood: the modulus-only search ends in
+    `FuelExhausted` and does not hang, while the stabilised one refutes."""
+    from abyss import FuelExhausted
+    deadline(10)
+    with pytest.raises(FuelExhausted, match="limit value indistinguishable"):
+        mu_search(Baire1Above(_modulus_only_limit(), UNIT, F(1, 2)))
+    assert isinstance(mu_search(Baire1Above(pennyk_limit(A), UNIT, F(1, 2))), NotFoundBelow)
+
+
+def test_exists_value_queries_answer_the_witness_truth():
+    """`exists_value_above`/`below` return the truth of the family's
+    threshold witness, behind the collapse rule for that query."""
+    from abyss.oracle import exists_value_above, exists_value_below
+    rng = random.Random(1802)
+    fs = [Penny(A), staircase([(F(1, 3), F(1, 2)), (F(3, 4), -1)]), thomae()]
+    for _ in range(40):
+        f = rng.choice(fs)
+        a, b = sorted(rng.sample(range(0, 17), 2))
+        iv = DyadicInterval(F(a, 16), F(b, 16))
+        y = F(rng.randrange(-4, 9), 8)
+        assert exists_value_below(f, iv, y).value is f.witness_below(iv, y)[0]
+        if not isinstance(f, Penny):  # the above query is refused for it
+            assert exists_value_above(f, iv, y).value is f.witness_above(iv, y)[0]
+    with pytest.raises(ClassRefusal):
+        exists_value_above(Penny(A), UNIT, F(1, 4))
 
 
 def test_negative_ball_exponent_is_refused_by_name():

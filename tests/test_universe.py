@@ -619,6 +619,107 @@ def test_piecewise_is_positive_is_exact(cuts, pieces, policy, positive):
     assert f.is_positive() is positive
 
 
+def _unattained_zero_gauge():
+    """1 on [0, 1/2] and x - 1/2 on (1/2, 1]: positive, with an unattained
+    right limit 0 at 1/2."""
+    return PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)],
+                                        ["right", 1, "right"])
+
+
+def _viewed_gauge():
+    g = _unattained_zero_gauge()
+    return restrict_tags(g, g.tags)
+
+
+def _hull_instances():
+    """One instance or more of every family and composite kind, with the
+    degenerate indicators and a finite-set covering instance."""
+    from abyss.reductions import _PennyTail
+    mixed = finite_set([S2(1), F(1, 3), Q2(F(1, 2), F(1, 64))])
+    irr = finite_set([S2(0), Q2(F(1, 8), F(1, 32))])
+    hole = Indicator(ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))])))
+    everything = Indicator(ComplementOfR2Open(R2Rep.from_intervals([])))
+    rng = random.Random(1801)
+    pieces = [random_continuous_piecewise(rng) for _ in range(3)]
+    pieces += [random_staircase(rng), irrational_cut_staircase(), vertex_off_its_piece(),
+               _unattained_zero_gauge()]
+    leaves = pieces + [
+        thomae(), Penny(A), Penny(mixed), PennyK(mixed, 1), TildePenny(irr),
+        _PennyTail(A, 2), CoverPsi(A), CoverPsi(irr), CoverPsiUsco(A), CoverPsiUsco(irr),
+        Indicator(FinitePointSet.of([F(1, 3), F(3, 4)])), Indicator(FinitePointSet.of([])),
+        hole, everything, pennyk_limit(mixed)]
+    composites = [fn_sum(hole, CoverPsi(irr)), fn_sum(irrational_cut_staircase(), thomae()),
+                  fn_difference(everything, CoverPsiUsco(A)), ScalarMultiple(-2, hole),
+                  ScalarMultiple(0, CoverPsi(A)), ScalarMultiple(F(3, 2), Penny(mixed)),
+                  restrict_tags(CoverPsi(A), {CLIQUISH}),
+                  fn_sum(ScalarMultiple(F(-1, 2), irrational_cut_staircase()), everything)]
+    return leaves + composites
+
+
+def test_hull_holds_every_exact_value():
+    """Every exact value at the depth-8 grid points and the special points
+    lies in the hull [lo, hi], and none equals an end marked open; the
+    instances cover every kind a document can name."""
+    from abyss.serialize import FN_KINDS
+    from abyss.universe import probe_points
+    instances = _hull_instances()
+    assert {entry[0] for entry in FN_KINDS.values()} <= {type(f) for f in instances}
+    for f in instances:
+        lo, hi, lo_open, hi_open = f._hull()
+        for p in probe_points(f, DyadicInterval(0, 1), 8):
+            v = f.eval(p)
+            assert lo <= v <= hi, (f, p, v)
+            assert not (lo_open and v == lo) and not (hi_open and v == hi), (f, p, v)
+        rl, rh = f.range_bound()
+        assert rl <= lo and hi <= rh and rh - rl <= (hi - lo).approx(8) + F(1, 64)
+
+
+@pytest.mark.parametrize("make, positive", [
+    (lambda: fn_sum(constant(0), _viewed_gauge()), True),
+    (lambda: ScalarMultiple(-1, ScalarMultiple(-1, _viewed_gauge())), True),
+    (lambda: fn_sum(_viewed_gauge(), thomae()), True),  # > 0 plus >= 0
+    (lambda: fn_sum(constant(F(-1, 64)), CoverPsi(finite_set([S2(0)]))), True),
+    (lambda: fn_sum(constant(F(-1, 2)),
+                    Indicator(ComplementOfR2Open(R2Rep.from_intervals([])))), True),
+    # the member's spike 1/32 is taken, so 1/32 - 1/32 = 0 is too
+    (lambda: fn_sum(constant(F(-1, 32)), CoverPsi(finite_set([S2(0)]))), False),
+    (lambda: ScalarMultiple(-1, CoverPsi(A)), False),
+    (lambda: ScalarMultiple(0, CoverPsiUsco(A)), False),
+], ids=["plus-constant-0", "double-mirror", "plus-thomae", "cover-psi-finite",
+        "indicator-of-everything", "cover-psi-finite-touches-0", "mirrored-cover-psi",
+        "zero-multiple"])
+def test_is_positive_reads_the_hull(make, positive):
+    """Sums and scalar multiples combine their parts' hulls, open ends
+    included: an unattained infimum 0 stays unattained through them."""
+    assert make().is_positive() is positive
+
+
+@pytest.mark.parametrize("c", [F(-2), F(0), F(3, 2)])
+@pytest.mark.parametrize("f, vertex", [
+    (staircase([(F(1, 4), F(1, 2)), (F(1, 2), 1)]), None),
+    (PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0, F(3, 2), -2), Poly(F(1, 4))]),
+     F(3, 8)),
+], ids=["staircase", "quadratic"])
+def test_scalar_multiple_of_a_piecewise_stays_piecewise(f, vertex, c):
+    """c*f of a piecewise function is rebuilt piece by piece on integers:
+    its values are c times f's at the cuts, a vertex and an irrational
+    point, and a negative factor swaps usco and lsco."""
+    from abyss import jordan_nbv, scalar_multiple
+    g = scalar_multiple(c, f)
+    assert isinstance(g, PiecewiseRational)
+    points = list(f.cuts) + [S2(0)] + ([Q2.of(vertex)] if vertex is not None else [])
+    for x in points:
+        assert g.eval(x) == f.eval(x) * c
+    if c < 0:
+        assert (USCO in g.tags, LSCO in g.tags) == (LSCO in f.tags, USCO in f.tags)
+    if NORMALISED_BV in f.tags:
+        jp = jordan_nbv(g)
+        assert all(jp.check_point(g, x) for x in points)
+    h = fn_difference(linear(1), f)
+    assert isinstance(h, PiecewiseRational)
+    assert all(h.eval(x) == Q2.of(x) - f.eval(x) for x in points)
+
+
 def _linear_locate(f, x):
     """The plain scan over the cuts that `_locate`'s bisection replaces."""
     for i, c in enumerate(f.cuts):
@@ -837,10 +938,12 @@ def test_single_point_off_the_seed_set_is_decided():
 
 def test_interval_contract_lives_on_the_base_class():
     """Families answer through the `_range_on`, `_witness_above`,
-    `_witness_below` and `_one_sided_limit` hooks, so the clip to [0,1] and
-    the single-point answers stay in the base class's templates."""
+    `_witness_below`, `_one_sided_limit` and `_hull` hooks, so the clip to
+    [0,1], the single-point answers, the rounding of the value bounds and
+    the positivity rule stay in the base class's templates."""
     from abyss import reductions, universe
-    public = {"range_on", "witness_above", "witness_below", "one_sided_limit"}
+    public = {"range_on", "witness_above", "witness_below", "one_sided_limit",
+              "range_bound", "is_positive"}
     allowed = {("SymbolicFn", name) for name in public}
     allowed |= {("Poly", "range_on"), ("Baire1Limit", "range_on")}
     found = set()
