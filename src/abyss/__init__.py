@@ -2,41 +2,59 @@
 real functions: suprema, oscillation, moduli, continuity points via effective
 Baire category, finite subcovers, Jordan decomposition, and the realiser
 reductions that separate what rational sampling can and cannot see.
+
+The names below are exported lazily (PEP 562): `import abyss` loads no
+module, and each name imports its home module on first use.
 """
 
-from .exact import (Bracket, DyadicInterval, FueledBool, Q2, Truth, ball, halve,
-                    rational_grid, unit_rationals)
-from .sets import (ComplementOfR2Open, CountableSet, FinitePointSet, R2Rep,
-                   RMCode, finite_set, sqrt2_family, tilde_set)
-from .universe import (Baire1Limit, CoverPsi, CoverPsiUsco, Indicator, Penny,
-                       PennyK, PiecewiseRational, Poly, SymbolicFn, Thomae,
-                       TildePenny, build_cover_psi, constant,
-                       constant_seq_limit, fn_difference, fn_sum,
-                       indicator_baire1, linear, osc_exact, osc_selfcheck,
-                       pennyk_limit, restrict_tags, scalar_multiple, staircase,
-                       thomae)
-from .oracle import (Baire1Above, CollapseRule, ExistsValueAbove,
-                     ExistsValueBelow, Found, Modulus, MuWitness,
-                     NotFoundBelow, OscBelow, ValueBelowOnBall, admitting_rule,
-                     collapse_rules_for, mu_search)
-from .algorithms import (cousin_subcover, inf_usco, is_continuous_at,
-                         lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
-                         natural_usco_modulus, osc_point,
-                         point_of_continuity_qc, point_of_continuity_usco,
-                         rm_code_from_r2_baire1, sup_baire1, sup_qc,
-                         usco_separator)
-from .variation import (JordanPair, OneSidedLimits, jordan_nbv, jump_enum,
-                        limits_lr, modulus_regulation, total_variation_nbv)
-from .reductions import (AbyssReport, CliqModulusOracle, SupOracle,
-                         adversarial_cliq_modulus, canonical_cliq_modulus,
-                         canonical_regulation_modulus, cantor_diagonal,
-                         demo_abyss, exhaustive_sup_oracle,
-                         extract_enumeration_from_sup, naive_rational_sup,
-                         realiser_from_cliq_modulus,
-                         realiser_from_regulation_modulus, realiser_from_sup)
-from .errors import (ClassRefusal, ConstructionError, DomainError,
-                     FuelExhausted, InvalidModulus, NotPointwiseEvaluable,
-                     OracleInconsistency, RepresentationInsufficient,
-                     UnsupportedVariant)
+from importlib import import_module
 
+# home module -> the names it exports
+_EXPORTS = {
+    "exact": "Bracket DyadicInterval FueledBool Q2 Truth ball halve rational_grid "
+             "unit_rationals",
+    "sets": "ComplementOfR2Open CountableSet FinitePointSet R2Rep RMCode finite_set "
+            "sqrt2_family tilde_set",
+    "universe": "Baire1Limit CoverPsi CoverPsiUsco Indicator Penny PennyK "
+                "PiecewiseRational Poly SymbolicFn Thomae TildePenny build_cover_psi "
+                "constant constant_seq_limit fn_difference fn_sum indicator_baire1 "
+                "linear osc_exact osc_selfcheck pennyk_limit restrict_tags "
+                "scalar_multiple staircase thomae",
+    "oracle": "Baire1Above CollapseRule ExistsValueAbove ExistsValueBelow Found Modulus "
+              "MuWitness NotFoundBelow OscBelow ValueBelowOnBall admitting_rule "
+              "collapse_rules_for mu_search",
+    "algorithms": "cousin_subcover inf_usco is_continuous_at lsco_modulus_on_cf "
+                  "modulus_continuity_qc modulus_qc natural_usco_modulus osc_point "
+                  "point_of_continuity_qc point_of_continuity_usco "
+                  "rm_code_from_r2_baire1 sup_baire1 sup_qc usco_separator",
+    "variation": "JordanPair OneSidedLimits jordan_nbv jump_enum limits_lr "
+                 "modulus_regulation total_variation_nbv",
+    "reductions": "AbyssReport CliqModulusOracle SupOracle adversarial_cliq_modulus "
+                  "canonical_cliq_modulus canonical_regulation_modulus cantor_diagonal "
+                  "demo_abyss exhaustive_sup_oracle extract_enumeration_from_sup "
+                  "naive_rational_sup realiser_from_cliq_modulus "
+                  "realiser_from_regulation_modulus realiser_from_sup",
+    "errors": "ClassRefusal ConstructionError DomainError FuelExhausted InvalidModulus "
+              "NotPointwiseEvaluable OracleInconsistency RepresentationInsufficient "
+              "UnsupportedVariant",
+}
+# exported name -> its home module; each module is also reachable by its name
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_HOME.update((module, module) for module in ("serialize", "selftest", *_EXPORTS))
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    home = import_module("." + module, __name__)
+    value = home if module == name else getattr(home, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

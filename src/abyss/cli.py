@@ -12,17 +12,18 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
-from . import algorithms as alg
-from . import reductions as red
+import abyss
+
 from . import serialize as ser
-from . import variation as var
 from .errors import ClassRefusal, FuelExhausted
-from .exact import DyadicInterval, Q2, rational_grid
-from .oracle import DEFAULT_FUEL
+from .exact import Q2
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
-from .selftest import run_selftest
 from .universe import Baire1Limit, PennyK, constant, indicator_baire1, linear, staircase
+
+# Handlers reach algorithms, variation, reductions and selftest through the
+# package's lazy exports, so a process imports only what its subcommand runs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,7 +43,7 @@ def default_fuel() -> int:
     or empty."""
     env = os.environ.get("ABYSS_FUEL")
     if not env:
-        return DEFAULT_FUEL
+        return abyss.oracle.DEFAULT_FUEL
     try:
         return parse_fuel(env)
     except (ValueError, argparse.ArgumentTypeError):
@@ -112,23 +113,25 @@ def parse_open_set(spec: str) -> R2Rep:
 
 
 def _emit(payload: dict, out_path=None) -> None:
-    text = ser.dumps(payload)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            ser.dump(payload, fh)
     else:
-        sys.stdout.write(text)
+        ser.dump(payload, sys.stdout)
 
 
-def _sample_grid(depth: int) -> list[Fraction]:
-    """The dyadic grid of [0,1] at a sample depth in 0..20: at most 2^20 + 1
-    points, the bound of `naive_rational_sup`'s plain scan."""
+def _sample_grid(depth: int) -> Iterator[Fraction]:
+    """The dyadic grid of [0,1] at a sample depth in 0..20, point by point:
+    `rational_grid(DyadicInterval(0, 1), depth)`, at most 2^20 + 1 points,
+    the bound of `naive_rational_sup`'s plain scan.  The depth is checked
+    on the call, before any point is made."""
     if not 0 <= depth <= 20:
         raise ValueError("sample depth must be in 0..20, got %d" % depth)
-    return rational_grid(DyadicInterval(0, 1), depth)
+    den = 1 << depth
+    return (Fraction(j, den) for j in range(den + 1))
 
 
-def _plot_data(f, path: str, grid: list[Fraction]) -> None:
+def _plot_data(f, path: str, grid: Iterator[Fraction]) -> None:
     with open(path, "w") as fh:
         fh.write("x,f(x)\n")
         for g in grid:
@@ -176,45 +179,46 @@ def _evaluate(args):
 def _supremum(args):
     p, q = map(Fraction, args.interval)
     if isinstance(args.f, Baire1Limit):
-        iv = alg.sup_baire1(args.f, p, q, args.k, fuel=args.fuel)
+        iv = abyss.sup_baire1(args.f, p, q, args.k, fuel=args.fuel)
     else:
-        iv = alg.sup_qc(args.f, p, q, args.k)
+        iv = abyss.sup_qc(args.f, p, q, args.k)
     return {"interval": ser.interval_json(iv)}
 
 
 @subcommand("inf", "infimum over an interval", FN, INTERVAL, K, FUEL)
 def _infimum(args):
     p, q = map(Fraction, args.interval)
-    return {"interval": ser.interval_json(alg.inf_usco(args.f, p, q, args.k))}
+    return {"interval": ser.interval_json(abyss.inf_usco(args.f, p, q, args.k))}
 
 
 @subcommand("osc", "pointwise oscillation", FN, X, K, FUEL)
 def _oscillation(args):
-    iv = alg.osc_point(args.f, parse_point(args.x), args.k, fuel=args.fuel)
+    iv = abyss.osc_point(args.f, parse_point(args.x), args.k, fuel=args.fuel)
     return {"interval": ser.interval_json(iv)}
 
 
 @subcommand("continuity", "decide continuity at a point", FN, X, FUEL)
 def _continuity(args):
-    ans = alg.is_continuous_at(args.f, parse_point(args.x), fuel=args.fuel)
+    ans = abyss.is_continuous_at(args.f, parse_point(args.x), fuel=args.fuel)
     return {"continuous": ans.value.value, "fuel_spent": ans.fuel_spent}
 
 
 def _sampler(modulus, field, to_json=lambda v: v):
+    """The sampler of the exported modulus builder named `modulus`."""
     def sampler(f, args):
-        G = modulus(f, fuel=args.fuel)
+        G = getattr(abyss, modulus)(f, fuel=args.fuel)
         return lambda x: {field: to_json(G(x, args.k))}
     return sampler
 
 
 # modulus kind -> sampler(f, args), which gives the fields of one probe's row
-_MODULUS_KINDS = {"continuity": _sampler(alg.modulus_continuity_qc, "value"),
+_MODULUS_KINDS = {"continuity": _sampler("modulus_continuity_qc", "value"),
                   "quasi": lambda f, args: lambda x: {"N": args.ball_exp, "interval": [
                       ser.rat_json(e) for e in
-                      alg.modulus_qc(f, x, args.k, args.ball_exp, fuel=args.fuel)]},
-                  "usco": _sampler(alg.natural_usco_modulus, "radius", ser.rat_json),
-                  "lsco-on-cf": _sampler(alg.lsco_modulus_on_cf, "value"),
-                  "regulation": _sampler(var.modulus_regulation, "value")}
+                      abyss.modulus_qc(f, x, args.k, args.ball_exp, fuel=args.fuel)]},
+                  "usco": _sampler("natural_usco_modulus", "radius", ser.rat_json),
+                  "lsco-on-cf": _sampler("lsco_modulus_on_cf", "value"),
+                  "regulation": _sampler("modulus_regulation", "value")}
 
 
 @subcommand("modulus", "sample a modulus at probe points", FN, K, FUEL,
@@ -228,22 +232,22 @@ def _modulus(args):
     return {"modulus": {"kind": args.kind, "samples": rows}}
 
 
-_POINT_METHODS = {"qc": alg.point_of_continuity_qc,
-                  "usco": lambda f, k, fuel: alg.point_of_continuity_usco(
-                      f, alg.natural_usco_modulus(f, fuel=fuel), k, fuel=fuel)}
+_POINT_METHODS = {"qc": lambda f, k, fuel: abyss.point_of_continuity_qc(f, k, fuel=fuel),
+                  "usco": lambda f, k, fuel: abyss.point_of_continuity_usco(
+                      f, abyss.natural_usco_modulus(f, fuel=fuel), k, fuel=fuel)}
 
 
 @subcommand("point-of-continuity", "certified small-oscillation point", FN, K, FUEL,
             _arg("--method", choices=_POINT_METHODS, default="qc"))
 def _point_of_continuity(args):
     x = _POINT_METHODS[args.method](args.f, args.k, fuel=args.fuel)
-    cert = alg.osc_point(args.f, x, args.k, fuel=args.fuel)
+    cert = abyss.osc_point(args.f, x, args.k, fuel=args.fuel)
     return {"point": ser.rat_json(x), "certificate": ser.interval_json(cert)}
 
 
 @subcommand("cousin", "finite subcover from a gauge", FN, FUEL)
 def _cousin(args):
-    balls = alg.cousin_subcover(args.f, fuel=args.fuel)
+    balls = abyss.cousin_subcover(args.f, fuel=args.fuel)
     return {"cover": {"balls": [{"center": ser.rat_json(c),
                                  "radius": ser.rat_json(r)} for c, r in balls],
                       "count": len(balls)}}
@@ -251,7 +255,7 @@ def _cousin(args):
 
 @subcommand("limits", "one-sided limits", FN, X, K, FUEL)
 def _limits(args):
-    lr = var.limits_lr(args.f, parse_point(args.x), args.k)
+    lr = abyss.limits_lr(args.f, parse_point(args.x), args.k)
     return {"left": None if lr.left is None else ser.interval_json(lr.left),
             "right": None if lr.right is None else ser.interval_json(lr.right)}
 
@@ -259,21 +263,22 @@ def _limits(args):
 @subcommand("jumps", "enumerate jump discontinuities", FN, FUEL,
             _arg("--limit", type=int, default=16))
 def _jumps(args):
-    return {"jumps": [ser.q2_json(p) for p in var.jump_enum(args.f, limit=args.limit)]}
+    return {"jumps": [ser.q2_json(p) for p in abyss.jump_enum(args.f, limit=args.limit)]}
 
 
 @subcommand("variation", "total variation on [0,x]", FN, X, K, FUEL)
 def _variation(args):
-    iv = var.total_variation_nbv(args.f, parse_point(args.x), args.k)
+    iv = abyss.total_variation_nbv(args.f, parse_point(args.x), args.k)
     return {"interval": ser.interval_json(iv)}
 
 
 @subcommand("jordan", "monotone decomposition, sampled", FN, FUEL,
             _arg("--depth", type=int, default=4))
 def _jordan(args):
-    jp = var.jordan_nbv(args.f)
-    rows = [{"x": ser.rat_json(g), "g": ser.q2_json(jp.g(g)), "h": ser.q2_json(jp.h(g))}
-            for g in _sample_grid(args.depth)]
+    jp = abyss.jordan_nbv(args.f)
+    # an iterator: _emit writes each row as it is computed
+    rows = ({"x": ser.rat_json(g), "g": ser.q2_json(jp.g(g)), "h": ser.q2_json(jp.h(g))}
+            for g in _sample_grid(args.depth))
     return {"jordan": {"samples": rows}}
 
 
@@ -282,7 +287,7 @@ def _jordan(args):
                  help="semicolon-separated rational interval pairs a,b;c,d"), FUEL)
 def _rm_code(args):
     o = parse_open_set(args.open_spec)
-    code = alg.rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=args.fuel)
+    code = abyss.rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=args.fuel)
     return {"rm_code": {
         "balls": [{"center": ser.rat_json(c), "radius": ser.rat_json(r)}
                   for c, r in code.prefix],
@@ -292,15 +297,18 @@ def _rm_code(args):
 @subcommand("separator", "usco separating function of closed sets",
             _arg("--c0", required=True), _arg("--c1", required=True))
 def _separator(args):
-    sep = alg.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
+    sep = abyss.usco_separator(parse_closed_set(args.c0), parse_closed_set(args.c1))
     return {"separator": ser.fn_json(sep)}
 
 
-# realiser family -> (reduction, the canonical oracle it takes for a seed set)
-_REALISERS = {"sup": (red.realiser_from_sup, lambda A: red.exhaustive_sup_oracle()),
-              "cliq": (red.realiser_from_cliq_modulus, red.canonical_cliq_modulus),
-              "regulation": (red.realiser_from_regulation_modulus,
-                             red.canonical_regulation_modulus)}
+# realiser family -> realise(A, k, fuel): its reduction, run on the canonical
+# oracle for the seed set A
+_REALISERS = {"sup": lambda A, k, fuel: abyss.realiser_from_sup(
+                  abyss.exhaustive_sup_oracle(), A, k, fuel=fuel),
+              "cliq": lambda A, k, fuel: abyss.realiser_from_cliq_modulus(
+                  abyss.canonical_cliq_modulus(A), A, k, fuel=fuel),
+              "regulation": lambda A, k, fuel: abyss.realiser_from_regulation_modulus(
+                  abyss.canonical_regulation_modulus(A), A, k, fuel=fuel)}
 
 
 @subcommand("realiser", "point outside the seed set from an oracle",
@@ -309,8 +317,7 @@ _REALISERS = {"sup": (red.realiser_from_sup, lambda A: red.exhaustive_sup_oracle
 def _realiser(args):
     A = sqrt2_family()
     rounds = min(args.fuel, 16)
-    realise, oracle = _REALISERS[args.family]
-    z = realise(oracle(A), A, args.k, fuel=rounds)
+    z = _REALISERS[args.family](A, args.k, rounds)
     certified = all(A.index_of(A.member(i)) == i and
                     A.member(i) != Q2.of(z) for i in range(rounds))
     return {"realiser": {"family": args.family, "point": ser.rat_json(z),
@@ -323,12 +330,12 @@ def _realiser(args):
             _arg("--depth", type=int, default=20))
 def _demo_abyss(args):
     depths = sorted({8, 16, min(args.depth, 24), args.depth})
-    return {"demo": red.demo_abyss(sqrt2_family(), depths=tuple(depths)).to_jsonable()}
+    return {"demo": abyss.demo_abyss(sqrt2_family(), depths=tuple(depths)).to_jsonable()}
 
 
 @subcommand("selftest", "deterministic battery over every subsystem")
 def _selftest(args):
-    return run_selftest()
+    return abyss.selftest.run_selftest()
 
 
 def build_parser() -> _Parser:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+from .records import record
 
 _SQRT2_FLOOR: dict[int, int] = {}
 
@@ -537,7 +538,7 @@ class Truth(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FueledBool:
     """Three-valued answer of a simulated oracle query.
 

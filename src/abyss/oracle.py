@@ -18,13 +18,13 @@ exact - not merely grid-sound - on the built-in families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
 from .exact import (Bracket, DyadicInterval, FueledBool, Truth, _ratio,
                     _rational, grid_depth_cap)
+from .records import record
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
                        USCO, Baire1Limit, SymbolicFn, _unit_point, probe_points)
 
@@ -34,7 +34,7 @@ DEFAULT_FUEL = 64
 # --- query shapes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OscBelow:
     """Least ball exponent at which the oscillation over the ball around x
     drops to 2^-m or below."""
@@ -44,7 +44,7 @@ class OscBelow:
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValueBelowOnBall:
     """Least ball exponent M with f >= q at every rational of the ball
     around x (the arithmetical ball formula of the semicontinuity analysis).
@@ -56,7 +56,7 @@ class ValueBelowOnBall:
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExistsValueAbove:
     f: SymbolicFn
     interval: DyadicInterval
@@ -64,7 +64,7 @@ class ExistsValueAbove:
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExistsValueBelow:
     f: SymbolicFn
     interval: DyadicInterval
@@ -72,7 +72,7 @@ class ExistsValueBelow:
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Baire1Above:
     f_rep: Baire1Limit
     interval: DyadicInterval
@@ -80,18 +80,18 @@ class Baire1Above:
     fuel: int = DEFAULT_FUEL
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MuWitness:
     value: int
     minimal: bool = True
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Found:
     witness: MuWitness
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotFoundBelow:
     fuel: int
 
@@ -99,7 +99,7 @@ class NotFoundBelow:
 # --- the collapse-rule table ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CollapseRule:
     shape: str
     requires: str  # class tag or structural certificate granting admission

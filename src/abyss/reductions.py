@@ -18,7 +18,6 @@ A precision k below 0 is refused with a `ValueError` that names it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -27,6 +26,7 @@ from .errors import InvalidModulus, OracleInconsistency
 from .exact import (DyadicInterval, Q2, _rational, _reduced, _vs, least_exponent,
                     rational_grid)
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
+from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
 from .universe import Penny, SymbolicFn
@@ -38,7 +38,7 @@ from .variation import _regulated_within, modulus_regulation
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SupOracle:
     """Exact supremum functional over the built-in universe."""
 
@@ -63,7 +63,7 @@ def exhaustive_sup_oracle() -> SupOracle:
     return SupOracle(sup)
 
 
-@dataclass
+@record
 class CliqModulusOracle:
     """Interval-valued modulus: F(x, k, N) is an open rational subinterval of
     the 2^-N ball around x on which values vary by less than 2^-k."""
@@ -211,7 +211,7 @@ class _PennyTail(Penny):
         self.start = start
 
 
-@dataclass
+@record
 class SupExtraction:
     """Transcript of one extraction round: the located spike."""
 
@@ -386,7 +386,7 @@ def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class AbyssReport:
     """Baseline vs. exact oracle on one adversarial instance."""
 

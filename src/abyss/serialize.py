@@ -9,7 +9,9 @@ the schema marker "abyss/1".
 
 from __future__ import annotations
 
+import io
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import universe as u
@@ -162,4 +164,34 @@ def envelope(payload: dict) -> dict:
 
 def dumps(payload: dict) -> str:
     """Canonical JSON: sorted keys, no whitespace variance, trailing newline."""
-    return json.dumps(envelope(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    buf = io.StringIO()
+    dump(payload, buf)
+    return buf.getvalue()
+
+
+def dump(payload: dict, fh) -> None:
+    """Write `dumps(payload)` to the text file fh.  An iterator among the
+    values of the payload's dicts is written as a JSON array one element at
+    a time, as it yields, so a long list of rows never sits in memory."""
+    _write(fh, envelope(payload))
+    fh.write("\n")
+
+
+def _write(fh, doc) -> None:
+    if isinstance(doc, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):  # documents are keyed by strings
+            fh.write("%s%s:" % ("," if i else "", json.dumps(key)))
+            _write(fh, doc[key])
+        fh.write("}")
+    elif isinstance(doc, Iterator):
+        fh.write("[")
+        for i, item in enumerate(doc):
+            fh.write(("," if i else "") + _canonical(item))
+        fh.write("]")
+    else:
+        fh.write(_canonical(doc))
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

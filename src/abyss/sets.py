@@ -9,11 +9,11 @@ exactly decidable over Q(sqrt2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .exact import Q2, DyadicInterval, _rational, _vs, least_denominator_between
+from .records import record
 
 
 class CountableSet:
@@ -204,7 +204,7 @@ def tilde_set(a_set: CountableSet) -> CountableSet:
 # --- closed sets and open-set representations ------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class R2Rep:
     """An open subset of [0,1] represented by a radius function: every member
     x gets a positive radius with B(x, radius(x)) inside the set.
@@ -259,7 +259,7 @@ def gap_precision(a: Fraction, b: Fraction) -> int:
     return max(4, width.denominator.bit_length() + 4)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinitePointSet:
     points: tuple
 
@@ -276,7 +276,7 @@ class FinitePointSet:
         return [(p, p) for p in self.points]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComplementOfR2Open:
     """The closed complement (within [0,1]) of an R2-represented open set."""
 
@@ -311,7 +311,7 @@ class ComplementOfR2Open:
 # --- RM-codes: open sets as unions of rational balls -----------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RMCode:
     """An open set coded as a countable union of rational balls; only a
     finite prefix is ever materialised."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
-                     UnsupportedVariant)
+                     RepresentationInsufficient, UnsupportedVariant)
 from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator,
                     _ratio, _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
                     grid_span, rational_grid)
@@ -1040,8 +1040,11 @@ class Baire1Limit(SymbolicFn):
         return v.approx(k + 2) if not v.is_rational else v.as_rational()
 
     def _hull(self):
-        lo, hi = self.term(0).range_bound()
-        return Q2.of(min(lo, 0)), Q2.of(max(hi, 1)), False, False
+        # no term of a generic sequence bounds the limit: a bound read off
+        # term(0) could exclude every value the limit takes
+        raise RepresentationInsufficient(
+            "value bounds of a pointwise limit need a representation whose "
+            "terms carry them (pennyk_limit, constant_seq_limit)")
 
     def range_on(self, iv, k):
         raise UnsupportedVariant(
@@ -1068,6 +1071,10 @@ class PennyKLimit(Baire1Limit):
                          tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1))
         self.a_set = a_set
 
+    def _hull(self):
+        # every spike value lies in [0, 1/2], so [0, 1] bounds the limit
+        return Q2.of(0), Q2.of(1), False, False
+
     def witness_depth(self, y):
         # depth d carries the spikes up to index d, and none past the
         # spikes above y exceeds it
@@ -1077,12 +1084,22 @@ class PennyKLimit(Baire1Limit):
 pennyk_limit = PennyKLimit
 
 
-def constant_seq_limit(f: SymbolicFn) -> Baire1Limit:
-    """The constant representation of an already-constructed function."""
-    return Baire1Limit(lambda n: f,
-                       conv_modulus=lambda x, j: 0,
-                       stabilizer=lambda x: 0,
-                       tags=tuple(f.tags | {BAIRE1}))
+class ConstantSeqLimit(Baire1Limit):
+    """The constant representation of an already-constructed function f:
+    every term is f, so the limit is f and f's bounds are its bounds."""
+
+    def __init__(self, f: SymbolicFn):
+        super().__init__(lambda n: f,
+                         conv_modulus=lambda x, j: 0,
+                         stabilizer=lambda x: 0,
+                         tags=tuple(f.tags | {BAIRE1}))
+
+    def _hull(self):
+        lo, hi = self.term(0).range_bound()
+        return Q2.of(min(lo, 0)), Q2.of(max(hi, 1)), False, False
+
+
+constant_seq_limit = ConstantSeqLimit
 
 
 def indicator_baire1(open_rep) -> Baire1Limit:

@@ -10,12 +10,12 @@ instances in this package exist precisely to demonstrate that.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ClassRefusal, FuelExhausted
 from .exact import Bracket, DyadicInterval, Q2
 from .oracle import DEFAULT_FUEL, Modulus, require_tag
+from .records import record
 from .universe import (NORMALISED_BV, REGULATED, PiecewiseRational,
                        SymbolicFn, _unit_point)
 
@@ -25,7 +25,7 @@ from .universe import (NORMALISED_BV, REGULATED, PiecewiseRational,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OneSidedLimits:
     """Brackets of f(x-) and f(x+); a side is None outside the domain."""
 
@@ -122,7 +122,7 @@ def total_variation_nbv(f: SymbolicFn, x, k: int) -> DyadicInterval:
     return Bracket.of_q2(v, k + 1).to_interval()
 
 
-@dataclass
+@record
 class JordanPair:
     """Non-decreasing g, h with f = g - h; g is the running total variation."""
 

@@ -129,6 +129,23 @@ def test_sup_baire1_examples():
         sup_baire1(Baire1Limit(lambda n: PennyK(A, n)), F(0), F(1), 6)
 
 
+def test_sup_baire1_refuses_a_limit_whose_terms_carry_no_bound():
+    """term(0) is 0 and every later term 5: bounds read off term(0) would put
+    the supremum of a function that is 5 everywhere inside [0, 1]."""
+    f = Baire1Limit(lambda n: constant(5 if n else 0), conv_modulus=lambda x, j: 1,
+                    stabilizer=lambda x: 1)
+    assert f.eval(F(1, 3)) == Q2.of(5)
+    with pytest.raises(RepresentationInsufficient):
+        f.range_bound()
+    with pytest.raises(RepresentationInsufficient):
+        sup_baire1(f, F(0), F(1), 4)
+    # the built-in representations keep their bounds
+    assert pennyk_limit(A).range_bound() == (F(0), F(1))
+    from abyss import constant_seq_limit
+    assert constant_seq_limit(constant(5)).range_bound() == (F(0), F(5))
+    assert sup_baire1(constant_seq_limit(constant(5)), F(0), F(1), 4).contains(F(5))
+
+
 def test_sup_baire1_subinterval():
     # on [0, 3/8] the largest surviving spike is the index-1 member
     iv = sup_baire1(pennyk_limit(A), F(0), F(3, 8), 8)

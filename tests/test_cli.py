@@ -284,3 +284,80 @@ def test_demo_runs(demo):
                                                       env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
+
+
+def _loaded_after(code):
+    """The abyss modules and `dataclasses` loaded once a fresh interpreter
+    has run `code`."""
+    probe = code + ("\nimport sys\nsys.stderr.write(' '.join(m for m in sys.modules "
+                    "if m.startswith('abyss') or m == 'dataclasses'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+HEAVY = {"abyss.algorithms", "abyss.variation", "abyss.reductions", "abyss.selftest",
+         "dataclasses"}
+
+
+def test_start_up_loads_only_what_the_subcommand_runs():
+    """`import abyss` and `import abyss.cli` load none of the modules that
+    only some subcommands run, nor `dataclasses`; `eval` runs without the
+    algorithms, and each subcommand that needs a module loads it."""
+    assert not _loaded_after("import abyss") & HEAVY
+    assert not _loaded_after("import abyss.cli") & HEAVY
+    run_eval = "from abyss import cli; cli.main(['eval', '--fn', 'penny', '--x', 'member:0'])"
+    assert not _loaded_after(run_eval) & HEAVY
+    run_jumps = "from abyss import cli; cli.main(['jumps', '--fn', 'step:1/2'])"
+    assert _loaded_after(run_jumps) & HEAVY == {"abyss.variation"}
+
+
+def test_no_abyss_module_imports_dataclasses():
+    loaded = _loaded_after("import abyss.cli, abyss.selftest")
+    assert {"abyss.algorithms", "abyss.reductions", "abyss.variation"} <= loaded
+    assert "dataclasses" not in loaded
+
+
+def test_jordan_rows_stream_the_bytes_of_the_whole_payload(capsys, tmp_path):
+    """The streamed `jordan` output equals `dumps` of the payload built as one
+    list, on stdout and in an --out file."""
+    from abyss import DyadicInterval, cli, jordan_nbv, rational_grid, staircase
+    from abyss.serialize import dumps, q2_json, rat_json
+    jp = jordan_nbv(staircase([(F(1, 2), 1)]))
+    for depth in range(11):
+        rows = [{"x": rat_json(g), "g": q2_json(jp.g(g)), "h": q2_json(jp.h(g))}
+                for g in rational_grid(DyadicInterval(0, 1), depth)]
+        want = dumps({"jordan": {"samples": rows}})
+        argv = ["jordan", "--fn", "step:1/2", "--depth", str(depth)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want, depth
+        out = tmp_path / "jordan.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == want, depth
+
+
+def _jordan_peak_kib(depth, out):
+    """Peak resident memory of a fresh `jordan` process at a sample depth.
+    A small interpreter starts it and reads its peak: a process keeps its
+    parent's peak across exec, and the test process is large."""
+    waiter = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:]); "
+              "_, status, usage = os.wait4(child.pid, 0); print(status, usage.ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", waiter] + CLI +
+                          ["jordan", "--fn", "step:1/2", "--depth", str(depth), "--out", str(out)],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    status, peak = map(int, done.stdout.split())
+    assert status == 0
+    return peak
+
+
+def test_jordan_memory_stays_flat_in_the_depth(tmp_path):
+    """Depth 14 writes 16,385 rows; the rows stream to the file, so the
+    process peaks within a few MiB of depth 2 (28 MiB against 19 MiB when
+    the rows and the JSON text were built whole)."""
+    shallow = _jordan_peak_kib(2, tmp_path / "d2.json")
+    deep = _jordan_peak_kib(14, tmp_path / "d14.json")
+    assert (tmp_path / "d14.json").stat().st_size > 16385 * 30
+    assert deep - shallow < 3 * 1024, (shallow, deep)

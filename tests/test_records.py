@@ -1,0 +1,161 @@
+"""The package surface: lazy exports and the record classes.
+
+`abyss/__init__` resolves its names on first use, and the record classes are
+built by `abyss.records` from their annotations; both must behave as the
+eager imports and generated dataclass methods did."""
+
+import pytest
+
+import abyss
+from abyss import exact, oracle, reductions, sets, variation
+from abyss.exact import Truth
+
+# home module -> the names `abyss` exports from it
+EXPORTS = {
+    "exact": ["Bracket", "DyadicInterval", "FueledBool", "Q2", "Truth", "ball", "halve",
+              "rational_grid", "unit_rationals"],
+    "sets": ["ComplementOfR2Open", "CountableSet", "FinitePointSet", "R2Rep", "RMCode",
+             "finite_set", "sqrt2_family", "tilde_set"],
+    "universe": ["Baire1Limit", "CoverPsi", "CoverPsiUsco", "Indicator", "Penny", "PennyK",
+                 "PiecewiseRational", "Poly", "SymbolicFn", "Thomae", "TildePenny",
+                 "build_cover_psi", "constant", "constant_seq_limit", "fn_difference",
+                 "fn_sum", "indicator_baire1", "linear", "osc_exact", "osc_selfcheck",
+                 "pennyk_limit", "restrict_tags", "scalar_multiple", "staircase", "thomae"],
+    "oracle": ["Baire1Above", "CollapseRule", "ExistsValueAbove", "ExistsValueBelow", "Found",
+               "Modulus", "MuWitness", "NotFoundBelow", "OscBelow", "ValueBelowOnBall",
+               "admitting_rule", "collapse_rules_for", "mu_search"],
+    "algorithms": ["cousin_subcover", "inf_usco", "is_continuous_at", "lsco_modulus_on_cf",
+                   "modulus_continuity_qc", "modulus_qc", "natural_usco_modulus", "osc_point",
+                   "point_of_continuity_qc", "point_of_continuity_usco",
+                   "rm_code_from_r2_baire1", "sup_baire1", "sup_qc", "usco_separator"],
+    "variation": ["JordanPair", "OneSidedLimits", "jordan_nbv", "jump_enum", "limits_lr",
+                  "modulus_regulation", "total_variation_nbv"],
+    "reductions": ["AbyssReport", "CliqModulusOracle", "SupOracle", "adversarial_cliq_modulus",
+                   "canonical_cliq_modulus", "canonical_regulation_modulus",
+                   "cantor_diagonal", "demo_abyss", "exhaustive_sup_oracle",
+                   "extract_enumeration_from_sup", "naive_rational_sup",
+                   "realiser_from_cliq_modulus", "realiser_from_regulation_modulus",
+                   "realiser_from_sup"],
+    "errors": ["ClassRefusal", "ConstructionError", "DomainError", "FuelExhausted",
+               "InvalidModulus", "NotPointwiseEvaluable", "OracleInconsistency",
+               "RepresentationInsufficient", "UnsupportedVariant"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_export_is_its_home_modules_object(module):
+    home = getattr(abyss, module)
+    listed = dir(abyss)
+    for name in EXPORTS[module]:
+        assert getattr(abyss, name) is getattr(home, name), name
+        assert name in listed, name
+
+
+def test_exports_and_star_import_agree():
+    assert sorted(abyss.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    namespace = {}
+    exec("from abyss import *", namespace)
+    assert all(namespace[name] is getattr(abyss, name) for name in abyss.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(abyss, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from abyss import no_such_name", {})
+
+
+# (record class, its fields in order, the defaults of the trailing ones)
+RECORDS = [
+    (exact.FueledBool, ("value", "fuel_spent"), {"fuel_spent": 0}),
+    (oracle.OscBelow, ("f", "x", "m", "fuel"), {"fuel": 64}),
+    (oracle.ValueBelowOnBall, ("f", "x", "q", "fuel"), {"fuel": 64}),
+    (oracle.ExistsValueAbove, ("f", "interval", "threshold", "fuel"), {"fuel": 64}),
+    (oracle.ExistsValueBelow, ("f", "interval", "threshold", "fuel"), {"fuel": 64}),
+    (oracle.Baire1Above, ("f_rep", "interval", "threshold", "fuel"), {"fuel": 64}),
+    (oracle.MuWitness, ("value", "minimal"), {"minimal": True}),
+    (oracle.Found, ("witness",), {}),
+    (oracle.NotFoundBelow, ("fuel",), {}),
+    (oracle.CollapseRule, ("shape", "requires", "real_form", "rational_form",
+                           "precondition", "justification"), {}),
+    (reductions.SupOracle, ("sup",), {}),
+    (reductions.CliqModulusOracle, ("fn",), {}),
+    (reductions.SupExtraction, ("index", "value", "bits", "interval"), {}),
+    (reductions.AbyssReport, ("instance", "depths", "baseline_values", "oracle_value", "gap",
+                              "realiser_point", "realiser_bits"),
+     {"realiser_point": None, "realiser_bits": None}),
+    (sets.R2Rep, ("intervals",), {}),
+    (sets.FinitePointSet, ("points",), {}),
+    (sets.ComplementOfR2Open, ("open_rep",), {}),
+    (sets.RMCode, ("prefix", "prefix_of_infinite"), {"prefix_of_infinite": False}),
+    (variation.OneSidedLimits, ("left", "right"), {}),
+    (variation.JordanPair, ("g", "h"), {}),
+]
+MUTABLE = {reductions.SupOracle, reductions.CliqModulusOracle, reductions.SupExtraction,
+           reductions.AbyssReport, variation.JordanPair}
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_record_construction(cls, fields, defaults):
+    values = list(range(1, len(fields) + 1))
+    by_position = cls(*values)
+    assert [getattr(by_position, f) for f in fields] == values
+    assert cls(**dict(zip(fields, values))) == by_position
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == by_position
+    required = len(fields) - len(defaults)
+    short = cls(*values[:required])
+    assert [getattr(short, f) for f in fields] == values[:required] + list(defaults.values())
+    assert repr(by_position) == "%s(%s)" % (cls.__name__, ", ".join(
+        "%s=%d" % fv for fv in zip(fields, values)))
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: 0})
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=0)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[:required - 1])
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_record_equality_and_hash(cls, fields, defaults):
+    values = list(range(1, len(fields) + 1))
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    assert a != cls(*values[:-1], 0)
+    for other, other_fields, _ in RECORDS:
+        if other is not cls and len(other_fields) == len(fields):
+            assert a != other(*values) and not a == other(*values)
+    assert a != tuple(values)
+    if cls in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, fields[0], 0)
+        assert getattr(a, fields[0]) == 0 and a != b
+    else:
+        assert hash(a) == hash(b) == hash(tuple(values))
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls, fields, defaults",
+                         [r for r in RECORDS if r[0] not in MUTABLE],
+                         ids=[i for i, r in zip(IDS, RECORDS) if r[0] not in MUTABLE])
+def test_frozen_records_refuse_assignment(cls, fields, defaults):
+    rec = cls(*range(1, len(fields) + 1))
+    for name in (fields[0], fields[-1], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(rec, fields[0])
+    assert getattr(rec, fields[0]) == 1
+
+
+def test_record_repr_text():
+    assert repr(oracle.Found(oracle.MuWitness(3))) == \
+        "Found(witness=MuWitness(value=3, minimal=True))"
+    assert repr(exact.FueledBool.yes(2)) == \
+        "FueledBool(value=<Truth.YES: 'yes'>, fuel_spent=2)"
+    assert repr(sets.RMCode.from_balls([(0, 1)])) == \
+        "RMCode(prefix=((Fraction(0, 1), Fraction(1, 1)),), prefix_of_infinite=False)"
+    assert exact.FueledBool(Truth.NO) == exact.FueledBool.no()
