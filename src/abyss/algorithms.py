@@ -139,10 +139,10 @@ def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
     prec = min(fuel, 48)
     b = osc_exact(f, Q2.of(x), prec)
     if b.lo > 0:
-        return FueledBool.no(prec)
+        return FueledBool(Truth.NO, prec)
     if b.hi == 0 or (b.exact and b.lo == 0):
-        return FueledBool.yes(prec)
-    return FueledBool.unknown(fuel)
+        return FueledBool(Truth.YES, prec)
+    return FueledBool(Truth.UNKNOWN, fuel)
 
 
 def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:

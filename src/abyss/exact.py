@@ -25,14 +25,6 @@ def _sqrt2_floor(k: int) -> int:
     return n
 
 
-def sqrt2_bracket(k: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bracket (lo, hi) of sqrt(2) with hi - lo = 2^-k."""
-    if k < 0:
-        raise ValueError("precision must be >= 0")
-    n = _sqrt2_floor(k)
-    return Fraction(n, 1 << k), Fraction(n + 1, 1 << k)
-
-
 def _sign_int(x: int, y: int) -> int:
     """The sign of x + y*sqrt(2) for integers x and y.
 
@@ -446,14 +438,6 @@ class DyadicInterval(_Ends):
     def midpoint(self) -> Fraction:
         return Fraction(self.ln + self.un, 2 * self.d)
 
-    def intersection(self, other: "DyadicInterval") -> "DyadicInterval":
-        d, e = self.d, other.d
-        lo = max(self.ln * e, other.ln * d)
-        hi = min(self.un * e, other.un * d)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return DyadicInterval.of_ints(lo, hi, d * e)
-
     def __str__(self):
         return "[%s, %s]" % (self._lo(), self._hi())
 
@@ -549,18 +533,6 @@ class FueledBool:
     value: Truth
     fuel_spent: int = 0
 
-    @staticmethod
-    def yes(fuel: int = 0) -> "FueledBool":
-        return FueledBool(Truth.YES, fuel)
-
-    @staticmethod
-    def no(fuel: int = 0) -> "FueledBool":
-        return FueledBool(Truth.NO, fuel)
-
-    @staticmethod
-    def unknown(fuel: int = 0) -> "FueledBool":
-        return FueledBool(Truth.UNKNOWN, fuel)
-
     def __bool__(self):
         if self.value is Truth.UNKNOWN:
             raise ValueError("UNKNOWN truth value has no boolean meaning")
@@ -601,10 +573,10 @@ def signed_unit_rationals() -> Iterator[Fraction]:
         d += 1
 
 
-def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-    """(p, q) with p/q the simplest rational of the closed interval [lo, hi],
-    0 <= lo <= hi: the least denominator q, then the least numerator p (ties
-    arise only at q = 1).  p/q is in lowest terms.
+def _least_denominator(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """(p, q) with p/q the simplest rational of the closed interval
+    [ln/ld, hn/hd], 0 <= ln/ld <= hn/hd: the least denominator q, then the
+    least numerator p (ties arise only at q = 1).  p/q is in lowest terms.
 
     The Stern-Brocot walk by continued fractions: take the least integer of
     the interval if there is one, else strip the common integer part f and
@@ -612,15 +584,6 @@ def least_denominator_in(lo: Fraction, hi: Fraction) -> tuple[int, int]:
     t -> (a t + b)/(c t + d) carries the current interval back to the first,
     so each step costs a few integer operations and there are O(log) steps.
     """
-    ln, ld = lo.as_integer_ratio()
-    hn, hd = hi.as_integer_ratio()
-    if ln < 0 or ln * hd > hn * ld:
-        raise ValueError("need 0 <= lo <= hi, got [%s, %s]" % (lo, hi))
-    return _least_denominator(ln, ld, hn, hd)
-
-
-def _least_denominator(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
-    """`least_denominator_in` on [ln/ld, hn/hd], 0 <= ln/ld <= hn/hd."""
     a, b, c, d = 1, 0, 0, 1
     while True:
         f = ln // ld
@@ -640,7 +603,7 @@ def least_denominator_between(lo, hi, lo_open: bool = False) -> tuple[int, int]:
     lo_open, for ends lo <= hi that are Q2s or rationals of either sign: the
     least denominator q, then the least numerator p.  p/q is in lowest terms.
 
-    The walk of `least_denominator_in` on Q2 ends.  Its reciprocal step
+    The walk of `_least_denominator` on Q2 ends.  Its reciprocal step
     swaps which end is open, and an open integer lower end f sends the
     upper end to infinity (None).
     """

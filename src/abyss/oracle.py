@@ -83,7 +83,6 @@ class Baire1Above:
 @record(frozen=True)
 class MuWitness:
     value: int
-    minimal: bool = True
 
 
 @record(frozen=True)
@@ -107,16 +106,6 @@ class CollapseRule:
     rational_form: str
     precondition: str
     justification: str
-
-    def as_dict(self):
-        return {
-            "shape": self.shape,
-            "requires": self.requires,
-            "real_form": self.real_form,
-            "rational_form": self.rational_form,
-            "precondition": self.precondition,
-            "justification": self.justification,
-        }
 
 
 COLLAPSE_RULES = (

@@ -113,18 +113,6 @@ def adversarial_cliq_modulus() -> CliqModulusOracle:
     return CliqModulusOracle(lambda x, k, n: (Fraction(0), Fraction(1)))
 
 
-def adversarial_wide_modulus() -> CliqModulusOracle:
-    """Respects the prescribed ball but ignores the variation bound: the
-    member spot-check refutes it as soon as a visible spike is inside."""
-
-    def fn(x, k, n):
-        iv = _ball_clipped(x, n)
-        w = iv.width / 8
-        return (iv.lower + w, iv.upper - w)
-
-    return CliqModulusOracle(fn)
-
-
 # ---------------------------------------------------------------------------
 # the baseline that falls into the gap
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Rationals always travel as "num/den" strings; points of Q(sqrt2) as
 {"a": "...", "b": "..."}.  Function documents are a tagged union keyed by
 "kind", closed sets one keyed by "rep"; each kind is registered once, with
-its type, the fields of its document and its loader.  The envelope carries
-the schema marker "abyss/1".
+its type, the fields of its document and its loader.  Every dumped payload
+carries the schema marker "abyss/1".
 """
 
 from __future__ import annotations
@@ -36,15 +36,22 @@ def q2_json(x):
 def q2_from_json(doc) -> Q2:
     if isinstance(doc, str):
         return Q2.of(doc)
-    return Q2(doc["a"], doc["b"])
+    return Q2(_field(doc, "a"), _field(doc, "b"))
+
+
+def _field(doc, key, typ=object):
+    """doc[key], refused with a ValueError naming the field when doc lacks
+    it or it is not a typ (dict: a JSON object, list: a JSON array)."""
+    if key not in doc:
+        raise ValueError("document lacks the field %r" % (key,))
+    if not isinstance(doc[key], typ):
+        raise ValueError("field %r must be a JSON %s, got %r"
+                         % (key, "object" if typ is dict else "array", doc[key]))
+    return doc[key]
 
 
 def interval_json(iv: DyadicInterval) -> dict:
     return {"lower": rat_json(iv.lower), "upper": rat_json(iv.upper)}
-
-
-def interval_from_json(doc) -> DyadicInterval:
-    return DyadicInterval(doc["lower"], doc["upper"])
 
 
 def set_json(a_set: CountableSet) -> dict:
@@ -55,7 +62,6 @@ def set_json(a_set: CountableSet) -> dict:
     return {
         "generator": "finite",
         "points": [q2_json(a_set.member(n)) for n in range(a_set.size)],
-        "surjective": a_set.surjective,
     }
 
 
@@ -63,8 +69,7 @@ def set_from_json(doc) -> CountableSet:
     if doc["generator"] == "sqrt2-halving":
         return sqrt2_family()
     if doc["generator"] == "finite":
-        return finite_set([q2_from_json(p) for p in doc["points"]],
-                          surjective=doc.get("surjective", False))
+        return finite_set([q2_from_json(p) for p in doc["points"]])
     raise ValueError("unknown set generator %r" % (doc.get("generator"),))
 
 
@@ -133,11 +138,11 @@ FN_KINDS = {
                   lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"]))),
     "piecewise": (u.PiecewiseRational, _piecewise_json, _piecewise_from_json),
     "sum": (u.Sum, lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
-            lambda doc: u.Sum(fn_from_json(doc["f"]), fn_from_json(doc["g"]))),
+            lambda doc: u.Sum(_fn_field(doc, "f"), _fn_field(doc, "g"))),
     "scalar-multiple": (u.ScalarMultiple, lambda f: {"c": str(f.c), "f": fn_json(f.f)},
-                        lambda doc: u.ScalarMultiple(doc["c"], fn_from_json(doc["f"]))),
+                        lambda doc: u.ScalarMultiple(doc["c"], _fn_field(doc, "f"))),
     "restricted": (u.RestrictedView, lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
-                   lambda doc: u.restrict_tags(fn_from_json(doc["f"]), doc["tags"])),
+                   lambda doc: u.restrict_tags(_fn_field(doc, "f"), _field(doc, "tags", list))),
 }
 
 
@@ -145,7 +150,13 @@ def fn_json(f) -> dict:
     return _document(FN_KINDS, "kind", f)
 
 
+def _fn_field(doc, key):
+    return fn_from_json(_field(doc, key, dict))
+
+
 def fn_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("a function document is a JSON object, got %r" % (doc,))
     kind = doc.get("kind")
     entry = FN_KINDS.get(kind)
     if entry is None:
@@ -154,12 +165,6 @@ def fn_from_json(doc):
         return entry[2](doc)
     except KeyError as e:
         raise ValueError("%s document lacks the field %s" % (kind, e)) from None
-
-
-def envelope(payload: dict) -> dict:
-    out = {"schema": SCHEMA}
-    out.update(payload)
-    return out
 
 
 def dumps(payload: dict) -> str:
@@ -173,7 +178,7 @@ def dump(payload: dict, fh) -> None:
     """Write `dumps(payload)` to the text file fh.  An iterator among the
     values of the payload's dicts is written as a JSON array one element at
     a time, as it yields, so a long list of rows never sits in memory."""
-    _write(fh, envelope(payload))
+    _write(fh, {"schema": SCHEMA, **payload})
     fh.write("\n")
 
 

@@ -25,12 +25,11 @@ class CountableSet:
     interval scans terminate exactly.
     """
 
-    def __init__(self, member, index_of, size=None, surjective=False,
-                 name="custom", values_descend=False, all_irrational=False):
+    def __init__(self, member, index_of, size=None, name="custom",
+                 values_descend=False, all_irrational=False):
         self._member = member
         self._index_of = index_of
         self.size = size
-        self.surjective = surjective
         self.name = name
         self.values_descend = values_descend
         self.all_irrational = all_irrational
@@ -100,9 +99,8 @@ def sqrt2_family() -> CountableSet:
         n = den.bit_length() - 2
         return n if n >= 0 else None
 
-    return CountableSet(member, index_of, size=None, surjective=True,
-                        name="sqrt2-halving", values_descend=True,
-                        all_irrational=True)
+    return CountableSet(member, index_of, size=None, name="sqrt2-halving",
+                        values_descend=True, all_irrational=True)
 
 
 def _unit_points(points) -> list[Q2]:
@@ -114,7 +112,7 @@ def _unit_points(points) -> list[Q2]:
     return pts
 
 
-def finite_set(points, surjective=False, name="finite") -> CountableSet:
+def finite_set(points, name="finite") -> CountableSet:
     """A finite countable set from explicit points; rejects duplicates and
     points outside [0,1]."""
     pts = _unit_points(points)
@@ -132,8 +130,7 @@ def finite_set(points, surjective=False, name="finite") -> CountableSet:
                 return n
         return None
 
-    return CountableSet(lambda n: pts[n], index_of, size=len(pts),
-                        surjective=surjective, name=name,
+    return CountableSet(lambda n: pts[n], index_of, size=len(pts), name=name,
                         all_irrational=all_irr)
 
 
@@ -195,7 +192,6 @@ def tilde_set(a_set: CountableSet) -> CountableSet:
         return n if banded.member(n) == x else None
 
     banded = CountableSet(member, index_of, size=a_set.size,
-                          surjective=a_set.surjective,
                           name="tilde(%s)" % a_set.name,
                           values_descend=True, all_irrational=True)
     return banded
@@ -223,10 +219,6 @@ class R2Rep:
             if b1 > a2:
                 raise ValueError("intervals must be disjoint")
         return R2Rep(tuple(cleaned))
-
-    @staticmethod
-    def empty() -> "R2Rep":
-        return R2Rep(())
 
     def contains(self, x) -> bool:
         p = Q2.of(x)

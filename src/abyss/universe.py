@@ -584,7 +584,7 @@ class Thomae(SymbolicFn):
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
         p/q in iv cap [0,1] (the least such p); None if there is none up to
-        cap.  The walk of `exact.least_denominator_in` finds it in O(log)
+        cap.  The walk of `exact._least_denominator` finds it in O(log)
         steps."""
         lo, hi, d = max(iv.ln, 0), min(iv.un, iv.d), iv.d
         if lo > hi:
@@ -1095,8 +1095,7 @@ class ConstantSeqLimit(Baire1Limit):
                          tags=tuple(f.tags | {BAIRE1}))
 
     def _hull(self):
-        lo, hi = self.term(0).range_bound()
-        return Q2.of(min(lo, 0)), Q2.of(max(hi, 1)), False, False
+        return self.term(0)._hull()
 
 
 constant_seq_limit = ConstantSeqLimit

@@ -142,7 +142,8 @@ def test_sup_baire1_refuses_a_limit_whose_terms_carry_no_bound():
     # the built-in representations keep their bounds
     assert pennyk_limit(A).range_bound() == (F(0), F(1))
     from abyss import constant_seq_limit
-    assert constant_seq_limit(constant(5)).range_bound() == (F(0), F(5))
+    assert constant_seq_limit(constant(5)).range_bound() == (F(5), F(5))
+    assert constant_seq_limit(constant(5)).is_positive()
     assert sup_baire1(constant_seq_limit(constant(5)), F(0), F(1), 4).contains(F(5))
 
 
@@ -199,6 +200,12 @@ def test_is_continuous_at_examples():
 # ---------------------------------------------------------------------------
 
 
+def unit_ball(x, n):
+    """ball(x, n) with its ends clipped to [0, 1]."""
+    b = ball(x, n)
+    return DyadicInterval(max(b.lower, 0), min(b.upper, 1))
+
+
 def test_modulus_continuity_identity_fn():
     f = linear(1)
     G = modulus_continuity_qc(f)
@@ -206,7 +213,7 @@ def test_modulus_continuity_identity_fn():
         for k in (2, 5):
             n = G(x, k)
             # continuity-modulus bound, checked on a grid
-            for y in rational_grid(ball(x, n).intersection(DyadicInterval(0, 1)), 8):
+            for y in rational_grid(unit_ball(x, n), 8):
                 assert abs(f.eval(y) - f.eval(x)) < Q2.of(F(1, 1 << k))
 
 
@@ -218,7 +225,7 @@ def test_modulus_continuity_thomae_irrational():
     expected = next(m for m in range(64)
                     if brute_ball_osc(thomae(), S2(0), m, depth=8) <= Q2.of(F(1, 16)))
     assert n == expected == 8
-    iv = ball(S2(0).approx(20), n).intersection(DyadicInterval(0, 1))
+    iv = unit_ball(S2(0).approx(20), n)
     for y in rational_grid(iv, 8):
         assert thomae().eval(y) < Q2.of(F(1, 8))
 
@@ -297,7 +304,7 @@ def test_lsco_modulus_on_cf():
     f = Penny(A)
     g0 = lsco_modulus_on_cf(f)
     n = g0(F(1, 3), 4)
-    iv = ball(F(1, 3), n).intersection(DyadicInterval(0, 1))
+    iv = unit_ball(F(1, 3), n)
     # the guarantee at a continuity point: all values below f(x) + 2^-4
     for pt in probe_basis(f, iv, 7):
         assert f.eval(pt) < Q2.of(F(1, 16))
@@ -507,8 +514,7 @@ def test_rm_code_membership_grid():
 
 
 def test_rm_code_empty_and_split():
-    assert rm_code_from_r2_baire1(R2Rep.empty(),
-                                  indicator_baire1(R2Rep.empty()), 8).prefix == ()
+    assert rm_code_from_r2_baire1(R2Rep(()), indicator_baire1(R2Rep(())), 8).prefix == ()
     o = R2Rep.from_intervals([(F(0), F(1, 2)), (F(1, 2), F(1))])
     code = rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=64)
     assert not code.covers(F(1, 2))

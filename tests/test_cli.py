@@ -103,6 +103,23 @@ def test_points_outside_the_unit_interval_are_usage_errors():
         assert "outside [0,1]" in r.stderr, args
 
 
+def test_malformed_json_documents_are_usage_errors(capsys):
+    """A point object without a or b, a sub-document that is not an object
+    and a tag string each name their field instead of a traceback."""
+    from abyss import cli
+    thomae = '{"kind":"thomae"}'
+    for argv, field in (
+            (["eval", "--fn", "penny", "--x", '{"a":"1/2"}'], "'b'"),
+            (["modulus", "--fn", "thomae", "--probe", '{"b":"1/2"}', "--k", "3"], "'a'"),
+            (["separator", "--c0", 'points:{"a":"1/2"}', "--c1", "points:1"], "'b'"),
+            (["eval", "--fn", '{"kind":"sum","f":1,"g":%s}' % thomae, "--x", "1/2"], "'f'"),
+            (["eval", "--fn", '{"kind":"restricted","tags":"usco","f":%s}' % thomae,
+              "--x", "1/2"], "'tags'")):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and field in err, argv
+
+
 def test_negative_counts_are_usage_errors():
     from abyss import Penny, jump_enum, naive_rational_sup, sqrt2_family, staircase
     from abyss.serialize import fn_json

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q2, Thomae,
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
                    rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
-from abyss.exact import (Bracket, DegenerateInterval, least_denominator_in,
-                         signed_unit_rationals, sqrt2_bracket)
+from abyss.exact import (Bracket, DegenerateInterval, _least_denominator,
+                         least_denominator_between, signed_unit_rationals)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
 from conftest import exact_symbolic_sup, fraction_news
@@ -85,9 +85,9 @@ def test_q2_bracket_contains(a, b, k):
 
 @given(st.integers(min_value=0, max_value=60))
 def test_sqrt2_bracket(k):
-    lo, hi = sqrt2_bracket(k)
+    lo, hi = Q2(0, 1).bracket(k)
     assert lo * lo <= 2 <= hi * hi
-    assert hi - lo == F(1, 1 << k)
+    assert hi - lo <= F(1, 1 << k)
 
 
 def test_sqrt2_sign_decided_by_squaring():
@@ -142,10 +142,10 @@ def test_grid_nested_and_increasing(a, b, n):
 
 
 def test_fueled_bool():
-    assert bool(FueledBool.yes(3))
-    assert not bool(FueledBool.no(3))
+    assert bool(FueledBool(Truth.YES, 3))
+    assert not bool(FueledBool(Truth.NO, 3))
     with pytest.raises(ValueError):
-        bool(FueledBool.unknown(5))
+        bool(FueledBool(Truth.UNKNOWN, 5))
 
 
 def test_unit_rational_enumeration_prefix():
@@ -339,7 +339,7 @@ unit = st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
 @example(F(1001, 2048), F(1023, 2048))
 def test_least_denominator_matches_plain_loop(a, b):
     lo, hi = min(a, b), max(a, b)
-    p, q = least_denominator_in(lo, hi)
+    p, q = _least_denominator(*lo.as_integer_ratio(), *hi.as_integer_ratio())
     want = plain_min_denominator_in(lo, hi, lo.denominator)  # lo is a candidate
     assert (F(p, q), q) == want and math.gcd(p, q) == 1
     iv = DyadicInterval(lo, hi)
@@ -357,9 +357,10 @@ def test_min_denominator_clips_to_unit_interval(a, b, cap):
 
 
 def test_least_denominator_rejects_bad_intervals():
-    for lo, hi in ((F(-1, 2), F(1, 2)), (F(1, 2), F(1, 3))):
-        with pytest.raises(ValueError):
-            least_denominator_in(lo, hi)
+    with pytest.raises(ValueError):
+        least_denominator_between(F(1, 2), F(1, 3))
+    with pytest.raises(ValueError):
+        least_denominator_between(F(1, 2), F(1, 2), lo_open=True)
 
 
 dyadic_ends = st.builds(lambda i, d: F(i % ((1 << d) + 1), 1 << d),

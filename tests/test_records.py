@@ -72,7 +72,7 @@ RECORDS = [
     (oracle.ExistsValueAbove, ("f", "interval", "threshold", "fuel"), {"fuel": 64}),
     (oracle.ExistsValueBelow, ("f", "interval", "threshold", "fuel"), {"fuel": 64}),
     (oracle.Baire1Above, ("f_rep", "interval", "threshold", "fuel"), {"fuel": 64}),
-    (oracle.MuWitness, ("value", "minimal"), {"minimal": True}),
+    (oracle.MuWitness, ("value",), {}),
     (oracle.Found, ("witness",), {}),
     (oracle.NotFoundBelow, ("fuel",), {}),
     (oracle.CollapseRule, ("shape", "requires", "real_form", "rational_form",
@@ -153,9 +153,9 @@ def test_frozen_records_refuse_assignment(cls, fields, defaults):
 
 def test_record_repr_text():
     assert repr(oracle.Found(oracle.MuWitness(3))) == \
-        "Found(witness=MuWitness(value=3, minimal=True))"
-    assert repr(exact.FueledBool.yes(2)) == \
+        "Found(witness=MuWitness(value=3))"
+    assert repr(exact.FueledBool(Truth.YES, 2)) == \
         "FueledBool(value=<Truth.YES: 'yes'>, fuel_spent=2)"
     assert repr(sets.RMCode.from_balls([(0, 1)])) == \
         "RMCode(prefix=((Fraction(0, 1), Fraction(1, 1)),), prefix_of_infinite=False)"
-    assert exact.FueledBool(Truth.NO) == exact.FueledBool.no()
+    assert exact.FueledBool(Truth.NO) == exact.FueledBool(Truth.NO, 0)

@@ -17,7 +17,8 @@ from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
                    realiser_from_regulation_modulus, realiser_from_sup,
                    restrict_tags, sqrt2_family, staircase, thomae,
                    SupOracle)
-from abyss.reductions import _dyadic_inside, _PennyTail, adversarial_wide_modulus
+from abyss.oracle import _ball_clipped
+from abyss.reductions import CliqModulusOracle, _dyadic_inside, _PennyTail
 from abyss.universe import CLIQUISH, ScalarMultiple
 from abyss.variation import _regulated_within
 
@@ -122,6 +123,18 @@ def test_cliq_ball_exponent_matches_its_loop():
             assert n == want
             c, d = F(c), F(d)
             lo, hi = (c + d) / 2 - (d - c) / 4, (c + d) / 2 + (d - c) / 4
+
+
+def adversarial_wide_modulus() -> CliqModulusOracle:
+    """Respects the prescribed ball but ignores the variation bound: the
+    member spot-check refutes it as soon as a visible spike is inside."""
+
+    def fn(x, k, n):
+        iv = _ball_clipped(x, n)
+        w = iv.width / 8
+        return (iv.lower + w, iv.upper - w)
+
+    return CliqModulusOracle(fn)
 
 
 def test_cliq_modulus_adversaries_rejected():

@@ -790,7 +790,7 @@ def test_indicator_closed_set_forms_pinned():
     touch = ComplementOfR2Open(R2Rep.from_intervals(
         [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))]))
     gap = ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))]))
-    whole = ComplementOfR2Open(R2Rep.empty())
+    whole = ComplementOfR2Open(R2Rep(()))
     for cs, extra in ((empty, {CONTINUOUS, QUASI_CONTINUOUS, LSCO}), (pts, set()),
                       (touch, set()), (gap, {QUASI_CONTINUOUS}),
                       (whole, {CONTINUOUS, QUASI_CONTINUOUS, LSCO})):
