@@ -123,9 +123,11 @@ def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInter
     p = Q2.of(x)
     limit_b = osc_exact(f, p, k + 1)  # width <= 2^-(k+2)
     lo = max(Fraction(0), limit_b.lo)
+    # w.hi <= limit_b.hi + 2^-(k+2), cross-multiplied over w.d limit_b.d 2^(k+2)
+    bound, e = (limit_b.un << (k + 2)) + limit_b.d, limit_b.d << (k + 2)
     for n in range(fuel + 1):
         w = ball_oscillation(f, p, n, k + 4)
-        if w.hi <= limit_b.hi + Fraction(1, 1 << (k + 2)):
+        if w.un * e <= bound * w.d:
             hi = max(lo, min(w.hi, limit_b.hi))
             return DyadicInterval(lo, hi)
     raise FuelExhausted("ball oscillation did not close onto the cluster value",
@@ -284,7 +286,7 @@ def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optio
     bracketed to 2^-(k+6), strictly below cap; None if there is none."""
     for n in range(fuel + 1):
         _, sup_b = f.range_on(_ball_clipped(p, n), k + 6)
-        if Q2.of(sup_b.hi) < cap:
+        if _vs(cap, sup_b.un, sup_b.d) > 0:  # the bracket's upper end below cap
             return n
     return None
 

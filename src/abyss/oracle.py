@@ -384,10 +384,9 @@ def _unseen():
 
 
 def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
-    """Does the limit exceed y at p?  Exact with a stabilization witness,
-    else decided through the convergence modulus when the gap is visible."""
-    if f_rep.stabilizer is not None:
-        return f_rep.eval(p) > y
+    """Does the limit exceed y at p?  Decided through the convergence
+    modulus when the gap is visible; a limit with a stabilizer is read
+    exactly by `_ProbeState` instead."""
     for j in range(2, fuel + 1):
         v = f_rep.eval_limit_approx(p, j)
         gap = Fraction(1, 1 << j)
@@ -396,6 +395,67 @@ def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
         if v + gap <= y:
             return False
     raise FuelExhausted("limit value indistinguishable from the threshold", fuel=fuel)
+
+
+class _ProbeState:
+    """What the `Baire1Above` searches on one limit and interval have
+    learned, so that no threshold of a halving run rebuilds a basis.  Per
+    probe depth, built when a search first reaches it: the full basis size
+    (for the trace) and the points that depth adds to the shallower bases,
+    in basis order; for a limit with a stabilizer, also how many of those
+    points have been evaluated and the largest exact value among them.  A
+    depth past the grid cap probes the cap's basis again and adds nothing.
+    The limit is passed to each call, not held, so the state it keeps makes
+    no reference cycle."""
+
+    def __init__(self, iv: DyadicInterval):
+        self.iv = iv
+        self.cap = grid_depth_cap(iv)
+        self.sizes: list[int] = []
+        self.added: list[list] = []
+        self.evaluated: list[int] = []
+        self.tops: list = []  # None until a point of the depth is evaluated
+        self._fresh = _unseen()
+
+    def basis_size(self, f: Baire1Limit, d: int) -> int:
+        """The full basis size at depth d, building the depths up to it."""
+        while len(self.sizes) <= min(d, self.cap):
+            pts = basis_at(f, self.iv, len(self.sizes))
+            self.sizes.append(len(pts))
+            self.added.append(list(self._fresh(pts)))
+            self.evaluated.append(0)
+            self.tops.append(None)
+        return self.sizes[min(d, self.cap)]
+
+    def exceeds(self, f: Baire1Limit, d: int, y: Fraction, fuel: int) -> bool:
+        """Whether a point that depth d (already built) adds has a limit
+        value above y, the points read in basis order as a fresh scan reads
+        them."""
+        if d > self.cap:
+            return False
+        pts = self.added[d]
+        if f.stabilizer is None:
+            return any(_baire1_value_above(f, p, y, fuel) for p in pts)
+        top = self.tops[d]
+        if top is not None and top > y:
+            return True
+        for i in range(self.evaluated[d], len(pts)):
+            v = f.eval(pts[i])
+            self.evaluated[d] = i + 1
+            if top is None or v > top:
+                top = self.tops[d] = v
+            if v > y:
+                return True
+        return False
+
+
+def _probe_state(f: Baire1Limit, iv: DyadicInterval) -> _ProbeState:
+    """f's probe state on iv, kept on f for the last interval asked."""
+    key = (iv.ln, iv.un, iv.d)
+    memo = f._probe_memo
+    if memo is None or memo[0] != key:
+        memo = f._probe_memo = key, _ProbeState(iv)
+    return memo[1]
 
 
 def _mu_baire1_above(q: Baire1Above, trace):
@@ -408,15 +468,14 @@ def _mu_baire1_above(q: Baire1Above, trace):
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
     y = _rational(q.threshold)
     last = f.witness_depth(y)
-    fresh = _unseen()
+    state = _probe_state(f, q.interval)
     for d in range(q.fuel + 1):
-        pts = basis_at(f, q.interval, d)
+        size = state.basis_size(f, d)
         if trace is not None:
-            trace.record("Baire1Above", d, len(pts), "scan")
-        for p in fresh(pts):
-            if _baire1_value_above(f, p, y, q.fuel):
-                return Found(MuWitness(d))
-        if d >= (grid_depth_cap(q.interval) if last is None else last):
+            trace.record("Baire1Above", d, size, "scan")
+        if state.exceeds(f, d, y, q.fuel):
+            return Found(MuWitness(d))
+        if d >= (state.cap if last is None else last):
             break
     if y <= 0:
         raise FuelExhausted("non-positive threshold cannot be refuted on a "

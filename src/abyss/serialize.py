@@ -36,17 +36,26 @@ def q2_json(x):
 def q2_from_json(doc) -> Q2:
     if isinstance(doc, str):
         return Q2.of(doc)
+    if not isinstance(doc, dict):
+        raise ValueError('a point is a "num/den" string or an object with the '
+                         'fields a and b, got %r' % (doc,))
     return Q2(_field(doc, "a"), _field(doc, "b"))
+
+
+# a rational field: a "num/den" string or a JSON number, whose value the
+# exact kernel then reads (refusing a float)
+_RATIONAL = (str, int, float)
+_JSON_TYPES = {dict: "object", list: "array", str: "string", _RATIONAL: "string or number"}
 
 
 def _field(doc, key, typ=object):
     """doc[key], refused with a ValueError naming the field when doc lacks
-    it or it is not a typ (dict: a JSON object, list: a JSON array)."""
+    it or it is not a typ (a key of `_JSON_TYPES`)."""
     if key not in doc:
         raise ValueError("document lacks the field %r" % (key,))
     if not isinstance(doc[key], typ):
         raise ValueError("field %r must be a JSON %s, got %r"
-                         % (key, "object" if typ is dict else "array", doc[key]))
+                         % (key, _JSON_TYPES[typ], doc[key]))
     return doc[key]
 
 
@@ -66,11 +75,16 @@ def set_json(a_set: CountableSet) -> dict:
 
 
 def set_from_json(doc) -> CountableSet:
-    if doc["generator"] == "sqrt2-halving":
+    generator = _field(doc, "generator", str)
+    if generator == "sqrt2-halving":
         return sqrt2_family()
-    if doc["generator"] == "finite":
-        return finite_set([q2_from_json(p) for p in doc["points"]])
-    raise ValueError("unknown set generator %r" % (doc.get("generator"),))
+    if generator == "finite":
+        return finite_set([q2_from_json(p) for p in _field(doc, "points", list)])
+    raise ValueError("unknown set generator %r" % (generator,))
+
+
+def _set_field(doc):
+    return set_from_json(_field(doc, "set", dict))
 
 
 def _document(table, key, obj) -> dict:
@@ -85,11 +99,12 @@ def _document(table, key, obj) -> dict:
 # rep -> (type, its document's fields, loader)
 CLOSED_SET_REPS = {
     "finite-points": (FinitePointSet, lambda c: {"points": [q2_json(p) for p in c.points]},
-                      lambda doc: FinitePointSet.of([q2_from_json(p) for p in doc["points"]])),
+                      lambda doc: FinitePointSet.of([q2_from_json(p)
+                                                     for p in _field(doc, "points", list)])),
     "complement-of-r2-open": (
         ComplementOfR2Open,
         lambda c: {"intervals": [[rat_json(a), rat_json(b)] for a, b in c.open_rep.intervals]},
-        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(doc["intervals"]))),
+        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(_field(doc, "intervals", list)))),
 }
 
 
@@ -98,9 +113,10 @@ def closed_set_json(c) -> dict:
 
 
 def closed_set_from_json(doc):
-    entry = CLOSED_SET_REPS.get(doc["rep"])
+    rep = _field(doc, "rep", str)
+    entry = CLOSED_SET_REPS.get(rep)
     if entry is None:
-        raise ValueError("unknown closed-set representation %r" % (doc.get("rep"),))
+        raise ValueError("unknown closed-set representation %r" % (rep,))
     return entry[2](doc)
 
 
@@ -111,15 +127,19 @@ def _piecewise_json(f) -> dict:
 
 
 def _piecewise_from_json(doc):
-    return u.PiecewiseRational([q2_from_json(c) for c in doc["cuts"]],
-                               [u.Poly(*cs) for cs in doc["pieces"]],
-                               [q2_from_json(v) for v in doc["values"]])
+    pieces = _field(doc, "pieces", list)
+    if not all(isinstance(cs, list) for cs in pieces):  # a string would pass as its characters
+        raise ValueError("field 'pieces' must hold a JSON array of coefficients per "
+                         "piece, got %r" % (pieces,))
+    return u.PiecewiseRational([q2_from_json(c) for c in _field(doc, "cuts", list)],
+                               [u.Poly(*cs) for cs in pieces],
+                               [q2_from_json(v) for v in _field(doc, "values", list)])
 
 
 def _seeded(cls):
     """The entry of a spike family built from its seed set alone."""
     return (cls, lambda f: {"set": set_json(f.source)},
-            lambda doc: cls(set_from_json(doc["set"])))
+            lambda doc: cls(_set_field(doc)))
 
 
 # kind -> (type, its document's fields, loader): the one list of kinds that
@@ -128,19 +148,20 @@ FN_KINDS = {
     "thomae": (u.Thomae, lambda f: {}, lambda doc: u.Thomae()),
     "penny": _seeded(u.Penny),
     "pennyk": (u.PennyK, lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
-               lambda doc: u.PennyK(set_from_json(doc["set"]), doc["cutoff"])),
+               lambda doc: u.PennyK(_set_field(doc), _field(doc, "cutoff"))),
     "tilde-penny": _seeded(u.TildePenny),
     "cover-psi": _seeded(u.CoverPsi),
     "cover-psi-usco": _seeded(u.CoverPsiUsco),
     "pennyk-limit": (u.PennyKLimit, lambda f: {"set": set_json(f.a_set)},
-                     lambda doc: u.PennyKLimit(set_from_json(doc["set"]))),
+                     lambda doc: u.PennyKLimit(_set_field(doc))),
     "indicator": (u.Indicator, lambda f: {"closed_set": closed_set_json(f.closed_set)},
-                  lambda doc: u.Indicator(closed_set_from_json(doc["closed_set"]))),
+                  lambda doc: u.Indicator(closed_set_from_json(_field(doc, "closed_set", dict)))),
     "piecewise": (u.PiecewiseRational, _piecewise_json, _piecewise_from_json),
     "sum": (u.Sum, lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
             lambda doc: u.Sum(_fn_field(doc, "f"), _fn_field(doc, "g"))),
     "scalar-multiple": (u.ScalarMultiple, lambda f: {"c": str(f.c), "f": fn_json(f.f)},
-                        lambda doc: u.ScalarMultiple(doc["c"], _fn_field(doc, "f"))),
+                        lambda doc: u.ScalarMultiple(_field(doc, "c", _RATIONAL),
+                                                     _fn_field(doc, "f"))),
     "restricted": (u.RestrictedView, lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
                    lambda doc: u.restrict_tags(_fn_field(doc, "f"), _field(doc, "tags", list))),
 }
@@ -161,10 +182,7 @@ def fn_from_json(doc):
     entry = FN_KINDS.get(kind)
     if entry is None:
         raise ValueError("unknown function kind %r" % (kind,))
-    try:
-        return entry[2](doc)
-    except KeyError as e:
-        raise ValueError("%s document lacks the field %s" % (kind, e)) from None
+    return entry[2](doc)
 
 
 def dumps(payload: dict) -> str:

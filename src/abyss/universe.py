@@ -166,6 +166,9 @@ class SymbolicFn:
     """Base of the closed variant type; subclasses are the function families."""
 
     kind = "abstract"
+    # (interval integers, inf bracket, sup bracket) of the last `range_on`
+    # a threshold question read; see `_witness_via_range`
+    _range_memo = None
 
     def __init__(self, tags, certificates=()):
         bad = set(tags) - ALL_TAGS
@@ -297,12 +300,20 @@ class SymbolicFn:
         return self._witness_via_range(iv, y, above=False)
 
     def _witness_via_range(self, iv, y, above):
+        """Decide from the range bracket the side needs (the sup above, the
+        inf below).  The last interval's brackets are kept, so the thresholds
+        of one halving run call `range_on` once when that bracket is exact;
+        an inexact one is asked again at each threshold's precision."""
         yn, yd = y.as_integer_ratio()
         prec = max(8, yd.bit_length() + 4)
+        key = (iv.ln, iv.un, iv.d)
         # retry finer once: a quadratic-irrational extremum sits at distance
         # at least ~1/denominator(y)^2 from y, so doubling the bits decides
         for attempt in range(2):
-            inf_b, sup_b = self.range_on(iv, prec)
+            memo = self._range_memo
+            if memo is None or memo[0] != key or not memo[2 if above else 1].exact:
+                memo = self._range_memo = key, *self.range_on(iv, prec)
+            _, inf_b, sup_b = memo
             target = sup_b if above else inf_b
             # the signs of lo - y and hi - y, on the integers
             lo = target.ln * yd - yn * target.d
@@ -1011,6 +1022,9 @@ class Baire1Limit(SymbolicFn):
         self.conv_modulus = conv_modulus
         self.stabilizer = stabilizer
         self._term_cache: dict[int, SymbolicFn] = {}
+        # (interval integers, probe state) of the last interval a
+        # `Baire1Above` search asked; built and read by the oracle
+        self._probe_memo = None
 
     def term(self, n: int) -> SymbolicFn:
         got = self._term_cache.get(n)
@@ -1028,7 +1042,7 @@ class Baire1Limit(SymbolicFn):
                 "exact evaluation needs a stabilization witness; "
                 "use eval_limit_approx for a certified approximation")
         n0 = max(0, self.stabilizer(x))
-        return self.term(n0).eval(x)
+        return self.term(n0)._eval(x)
 
     def eval_limit_approx(self, x, k: int) -> Fraction:
         """A rational within 2^-k of the limit, via the convergence modulus."""

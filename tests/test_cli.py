@@ -104,8 +104,9 @@ def test_points_outside_the_unit_interval_are_usage_errors():
 
 
 def test_malformed_json_documents_are_usage_errors(capsys):
-    """A point object without a or b, a sub-document that is not an object
-    and a tag string each name their field instead of a traceback."""
+    """A point object without a or b, a sub-document that is not an object,
+    a missing field and a field of the wrong JSON type each name their field
+    instead of a traceback or a Python message."""
     from abyss import cli
     thomae = '{"kind":"thomae"}'
     for argv, field in (
@@ -114,7 +115,31 @@ def test_malformed_json_documents_are_usage_errors(capsys):
             (["separator", "--c0", 'points:{"a":"1/2"}', "--c1", "points:1"], "'b'"),
             (["eval", "--fn", '{"kind":"sum","f":1,"g":%s}' % thomae, "--x", "1/2"], "'f'"),
             (["eval", "--fn", '{"kind":"restricted","tags":"usco","f":%s}' % thomae,
-              "--x", "1/2"], "'tags'")):
+              "--x", "1/2"], "'tags'"),
+            (["eval", "--fn", '{"kind":"penny","set":1}', "--x", "1/2"], "'set'"),
+            (["eval", "--fn", '{"kind":"penny","set":{}}', "--x", "1/2"], "'generator'"),
+            (["eval", "--fn", '{"kind":"penny","set":{"generator":"finite",'
+              '"points":{"a":"1/2"}}}', "--x", "1/2"], "'points'"),
+            (["eval", "--fn", '{"kind":"pennyk","set":{"generator":"sqrt2-halving"}}',
+              "--x", "1/2"], "'cutoff'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":[1]}', "--x", "1/2"],
+             "'closed_set'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":{"rep":["finite-points"]}}',
+              "--x", "1/2"], "'rep'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":{"rep":"finite-points"}}',
+              "--x", "1/2"], "'points'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":'
+              '{"rep":"complement-of-r2-open","intervals":"0 1"}}', "--x", "1/2"], "'intervals'"),
+            (["eval", "--fn", '{"kind":"scalar-multiple","c":[2],"f":%s}' % thomae,
+              "--x", "1/2"], "'c'"),
+            (["eval", "--fn", '{"kind":"piecewise","cuts":"0 1","pieces":[],"values":[]}',
+              "--x", "1/2"], "'cuts'"),
+            (["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":{},"values":[]}',
+              "--x", "1/2"], "'pieces'"),
+            (["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":["012"],'
+              '"values":["0","2"]}', "--x", "1/2"], "'pieces'"),
+            (["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":[["0"]]}',
+              "--x", "1/2"], "'values'")):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and field in err, argv

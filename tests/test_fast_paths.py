@@ -1,8 +1,9 @@
 """Each fast path of the positive side against the plain computation it
 replaces, kept here as a test-local reference: the integer `Poly`, the
 bisected piece lookup, the integer-ordered `modulus_qc` candidates, the
-incremental Cousin cover and the skip-seen probe searches.  Two cost guards
-count the work a fast path may do."""
+incremental Cousin cover, the skip-seen probe searches and the work a
+halving run keeps for its interval.  Cost guards count the work a fast path
+may do."""
 
 import itertools
 import random
@@ -10,15 +11,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove,
-                   ExistsValueBelow, Found, FuelExhausted, MuWitness, NotFoundBelow,
-                   PiecewiseRational, Poly, Q2, constant, cousin_subcover, exact,
-                   fn_sum, linear, modulus_qc, mu_search, pennyk_limit,
-                   restrict_tags, sqrt2_family, staircase, thomae)
+from abyss import (Baire1Above, Baire1Limit, Bracket, DyadicInterval, ExistsValueAbove,
+                   ExistsValueBelow, Found, FuelExhausted, Indicator, MuWitness,
+                   NotFoundBelow, Penny, PennyK, PiecewiseRational, Poly, Q2, constant,
+                   constant_seq_limit, cousin_subcover, exact, finite_set, fn_sum, inf_usco,
+                   linear, modulus_qc, mu_search, pennyk_limit, restrict_tags, sqrt2_family,
+                   staircase, sup_baire1, sup_qc, thomae, universe)
+from abyss.algorithms import _halve_values
 from abyss.exact import Truth, rational_grid
 from abyss.oracle import (DEFAULT_FUEL, QueryTrace,
                           _ball_clipped, _baire1_value_above, basis_at,
                           grid_depth_cap)
+from abyss.sets import FinitePointSet
 from abyss.universe import QUASI_CONTINUOUS, probe_points
 
 from conftest import (calls_to, fraction_news, irrational_cut_staircase,
@@ -270,7 +274,8 @@ def plain_baire1_above(q, trace):
         pts = basis_at(f, q.interval, d)
         trace.record("Baire1Above", d, len(pts), "scan")
         for p in pts:
-            if _baire1_value_above(f, p, y, q.fuel):
+            if (f.eval(p) > y if f.stabilizer is not None
+                    else _baire1_value_above(f, p, y, q.fuel)):
                 return Found(MuWitness(d))
         if d >= (grid_depth_cap(q.interval) if last is None else last):
             break
@@ -303,3 +308,144 @@ def test_skip_seen_searches_answer_and_trace_as_the_plain_ones():
     for q, plain in [(q, plain_exists) for q in queries] + [(q, plain_baire1_above) for q in limits]:
         got = traced(lambda q, t: mu_search(q, t), q)
         assert got == traced(plain, q), q
+
+
+# ---------------------------------------------------------------------------
+# a halving run's kept work against the searches that start afresh
+# ---------------------------------------------------------------------------
+
+
+def halve_comparing(f, iv, lo, hi, k, fuel=DEFAULT_FUEL):
+    """The value halving of `sup_baire1` over [lo, hi], each threshold asked
+    through `mu_search`, which keeps one probe state on f, and through
+    `plain_baire1_above`, query by query; the thresholds asked and the
+    halving's outcome."""
+    asked = []
+
+    def decide(mid):
+        q = Baire1Above(f, iv, mid, fuel)
+        got = traced(mu_search, q)
+        assert got == traced(plain_baire1_above, q), q
+        asked.append(mid)
+        return {Found: Truth.YES, NotFoundBelow: Truth.NO}.get(type(got[0]), Truth.UNKNOWN)
+
+    return asked, outcome(lambda: _halve_values(lo, hi, k, decide))
+
+
+def generic_limit(a_set):
+    """The truncations of the spike function with the convergence modulus
+    alone: no stabilizer, so each value is decided through the modulus."""
+    return Baire1Limit(lambda n: PennyK(a_set, n), conv_modulus=lambda x, j: j)
+
+
+def test_one_probe_state_answers_and_traces_as_the_plain_search(deadline):
+    deadline(20)
+    finite = finite_set([F(1, 3), Q2(0, F(1, 3)), F(5, 8), F(9, 10)])
+    cases = [(pennyk_limit(sqrt2_family()), (0, 1), (0, F(1, 4)), (F(3, 4), 1),
+              (F(1, 32), F(1, 8))),
+             (pennyk_limit(finite), (0, 1), (F(1, 2), 1), (F(1, 4), F(3, 8))),
+             (constant_seq_limit(four_piece()), (0, 1), (F(1, 8), F(5, 8))),
+             (constant_seq_limit(irrational_cut_staircase()), (F(1, 4), F(3, 4)))]
+    for f, *intervals in cases:
+        for p, q in intervals:
+            iv = DyadicInterval(p, q)
+            lo, hi = f.range_bound()
+            run = halve_comparing(f, iv, lo, hi, 12)
+            assert len(run[0]) > 8 and f._probe_memo[0] == (iv.ln, iv.un, iv.d), (f, iv)
+            state = f._probe_memo[1]
+            # a second run on the same interval reads the same state
+            assert halve_comparing(f, iv, lo, hi, 12) == run
+            assert f._probe_memo[1] is state
+            assert outcome(lambda: sup_baire1(f, p, q, 12)) == run[1]
+    # no stabilizer: every value through the modulus, a threshold on a spike
+    # value undecided; the ends keep the thresholds off the spike values
+    f = generic_limit(finite)
+    for p, q in ((F(1, 2), 1), (0, 1)):
+        asked, _ = halve_comparing(f, DyadicInterval(p, q), F(0), F(3, 4), 10, fuel=8)
+        assert len(asked) > 4
+    asked, (tag, _) = halve_comparing(f, DyadicInterval(0, 1), F(0), F(1), 4, fuel=8)
+    assert asked == [F(1, 2)] and tag == "FuelExhausted"
+    # a threshold <= 0 with no value above it runs out of fuel, between
+    # positive thresholds on one state; no seed point lies in iv.  Past the
+    # grid cap (15 here) a search of pennyk_limit runs on to the depth its
+    # threshold names (18 for 2^-18)
+    iv = DyadicInterval(F(11, 16), F(7, 8))
+    for f, deep in ((pennyk_limit(finite), [(F(1, 1 << 18), 24)]), (generic_limit(finite), [])):
+        for y, fuel in [(F(1, 8), 8), (F(0), 8), (F(1, 2), 8), (F(-1, 4), 8)] + deep + [
+                (F(0), 8), (F(1, 4), 8)]:
+            q = Baire1Above(f, iv, y, fuel)
+            got = traced(mu_search, q)
+            assert got == traced(plain_baire1_above, q), (f, y)
+        assert traced(mu_search, Baire1Above(f, iv, F(0), 8))[0][0] == "FuelExhausted"
+
+
+def fresh_range_witness(f, iv, y, above):
+    """The threshold answer read off `range_on`, asked afresh at every call."""
+    yn, yd = y.as_integer_ratio()
+    prec = max(8, yd.bit_length() + 4)
+    for _ in range(2):
+        inf_b, sup_b = f.range_on(iv, prec)
+        t = sup_b if above else inf_b
+        lo, hi = t.ln * yd - yn * t.d, t.un * yd - yn * t.d
+        if (hi <= 0) if above else (lo >= 0):
+            return Truth.NO
+        if (lo > 0) if above else (hi < 0):
+            return Truth.YES
+        prec = 2 * prec + 16
+    return Truth.UNKNOWN
+
+
+def fresh_halving(f, p, q, k, above):
+    iv = DyadicInterval(p, q)
+    lo, hi = f.range_bound()
+    return _halve_values(lo, hi, k, lambda mid: fresh_range_witness(f, iv, mid, above),
+                         keep_upper_on=Truth.YES if above else Truth.NO)
+
+
+def test_kept_range_bracket_halves_as_fresh_range_calls(deadline):
+    deadline(20)
+    rng = random.Random(23)
+    spikes = Penny(finite_set([F(1, 3), F(5, 8), Q2(0, F(1, 3))]))
+    sup_fns = [four_piece(), irrational_cut_staircase(), vertex_off_its_piece(),
+               twin_bumps()] + [random_staircase_plus_linear(rng) for _ in range(4)]
+    inf_fns = [four_piece(), vertex_off_its_piece(), fn_sum(constant(F(1, 3)), spikes),
+               Indicator(FinitePointSet.of([F(1, 4), Q2(0, F(1, 2))]))]
+    intervals = [(0, 1), (F(1, 8), F(5, 8)), (F(5, 16), F(3, 4)), (F(1, 2), F(9, 16))]
+    for fns, algorithm, above in ((sup_fns, sup_qc, True), (inf_fns, inf_usco, False)):
+        for f, (p, q), k in itertools.product(fns, intervals, (0, 3, 10, 20)):
+            assert type(f)._witness_via_range is universe.SymbolicFn._witness_via_range
+            got = outcome(lambda: algorithm(f, p, q, k))
+            assert got == outcome(lambda: fresh_halving(f, p, q, k, above)), (f, p, q, k)
+    # the sup bracket of the staircase is inexact at its irrational cut: every
+    # threshold near it asks `range_on` again, as the fresh halving does
+    for k in (10, 20):
+        ranges = [calls_to(lambda: run(irrational_cut_staircase(), 0, 1, k, True),
+                           universe.__file__, "_range_on") for run in (
+                               lambda f, p, q, k, above: sup_qc(f, p, q, k), fresh_halving)]
+        assert ranges[0] == ranges[1] > k // 2, ranges
+
+
+def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
+    """Rebuilding the basis for every threshold made 27, 55 and 34
+    `probe_points` calls for the first three runs, and every threshold of
+    `sup_qc` called `_range_on`: 21 at k = 20."""
+    deadline(20)
+    for p, q in ((0, 1), (0, F(1, 4)), (F(3, 4), 1), (F(1, 32), F(1, 8))):
+        def run():
+            return sup_baire1(pennyk_limit(sqrt2_family()), p, q, 10)
+
+        iv = DyadicInterval(p, q)
+        assert calls_to(run, universe.__file__, "probe_points") <= grid_depth_cap(iv) + 1, (p, q)
+        # each point is evaluated once (one point check per evaluation), and
+        # a second run on the same limit and interval evaluates nothing
+        f = pennyk_limit(sqrt2_family())
+        evaluations = calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, "_unit_point")
+        points = {(x.p, x.q, x.d) for d in range(len(f._probe_memo[1].sizes))
+                  for x in basis_at(f, iv, d)}
+        assert evaluations <= len(points), (p, q)
+        for name in ("probe_points", "_unit_point"):
+            assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
+    for k in (4, 10, 20):
+        assert calls_to(lambda: sup_qc(four_piece(), 0, 1, k), universe.__file__, "_range_on") <= 2
+        assert calls_to(lambda: inf_usco(four_piece(), F(1, 8), 1, k),
+                        universe.__file__, "_range_on") <= 2
