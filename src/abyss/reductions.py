@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .algorithms import _check_precision, _interior_numerators
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import (DyadicInterval, Q2, _rational, _reduced, _vs, least_exponent,
+from .exact import (DyadicInterval, Q2, _ratio, _rational, _reduced, _vs, least_exponent,
                     rational_grid)
 from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .records import record
@@ -50,15 +50,16 @@ class SupOracle:
 
 def exhaustive_sup_oracle() -> SupOracle:
     def sup(f, p, q):
-        if p == q:
-            v = f.eval(Q2.of(p))
-            if not v.is_rational:
+        iv = DyadicInterval(p, q)
+        if iv.ln == iv.un:
+            v = f.eval(_reduced(iv.ln, 0, iv.d))
+            if v.q:
                 raise OracleInconsistency("exact supremum is irrational")
-            return v.as_rational()
-        _, sup_b = f.range_on(DyadicInterval(p, q), 60)
-        if not sup_b.exact:
+            return Fraction(v.p, v.d)
+        _, sup_b = f.range_on(iv, 60)
+        if sup_b.ln != sup_b.un:
             raise OracleInconsistency("supremum not exactly attained on this family")
-        return sup_b.lo
+        return Fraction(sup_b.ln, sup_b.d)
 
     return SupOracle(sup)
 
@@ -218,14 +219,16 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     repeat: recovers the seed enumeration in decreasing-value order.
 
     Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j];
-    the oracle, a caller's function, takes `Fraction` ends."""
+    the oracle, a caller's function, takes `Fraction` ends.  Its answers are
+    compared with the round's supremum sn/sd on their integers."""
     _check_precision(k)
     out = []
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = _PennyTail(a_set, out[-1].index + 1) if out else Penny(a_set)
         s = oracle(f, _ZERO, _ONE)
-        if s == 0:
+        sn, sd = _ratio(s)
+        if not sn:
             break
         idx = Penny.spikes_above(abs(s))
         if f.spike_value(idx) != s:
@@ -234,15 +237,14 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         bits = []
         for j in range(k):
             mid = Fraction(2 * a + 1, 2 << j)
-            s_left = oracle(f, lo, mid)
-            if s_left > s:
+            ln, ld = _ratio(oracle(f, lo, mid))
+            if ln * sd > sn * ld:
                 raise OracleInconsistency("supremum grew on a subinterval")
-            if s_left == s:
+            if ln == sn and ld == sd:
                 a, hi = 2 * a, mid  # ties break toward the left half
                 bits.append("0")
             else:
-                s_right = oracle(f, mid, hi)
-                if s_right != s:
+                if _ratio(oracle(f, mid, hi)) != (sn, sd):
                     raise OracleInconsistency("supremum vanished on both halves")
                 a, lo = 2 * a + 1, mid
                 bits.append("1")
@@ -256,6 +258,13 @@ def realiser_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     """From an exact supremum functional to a point outside the seed set."""
     _check_precision(k)
     extraction = extract_enumeration_from_sup(oracle, a_set, k, rounds=fuel)
+    return _diagonal_past(extraction, a_set, k, fuel)
+
+
+def _diagonal_past(extraction: list[SupExtraction], a_set: CountableSet, k: int,
+                   fuel: int) -> Fraction:
+    """Check that each extracted interval holds the member it located, then
+    diagonalise against the first fuel members."""
     for step in extraction:
         member = a_set.member(step.index)
         if not step.interval.contains(member):
@@ -407,9 +416,11 @@ def demo_abyss(a_set: CountableSet, depths=(8, 16, 24), bits: int = 16) -> Abyss
     f = Penny(a_set)
     oracle = exhaustive_sup_oracle()
     baseline = [naive_rational_sup(f, 0, 1, d) for d in depths]
-    exact = oracle(f, Fraction(0), Fraction(1))
-    extraction = extract_enumeration_from_sup(oracle, a_set, bits, rounds=1)
-    z = realiser_from_sup(oracle, a_set, bits, fuel=8)
+    # one extraction gives the exact value (round 0's supremum; no round
+    # when it is 0), the report's bits and the realiser's 8 rounds
+    extraction = extract_enumeration_from_sup(oracle, a_set, bits, rounds=8)
+    exact = extraction[0].value if extraction else _ZERO
+    z = _diagonal_past(extraction, a_set, bits, 8)
     return AbyssReport(
         instance="spike function over %s" % a_set.name,
         depths=list(depths),

@@ -104,8 +104,17 @@ CLOSED_SET_REPS = {
     "complement-of-r2-open": (
         ComplementOfR2Open,
         lambda c: {"intervals": [[rat_json(a), rat_json(b)] for a, b in c.open_rep.intervals]},
-        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(_field(doc, "intervals", list)))),
+        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(_spans_field(doc)))),
 }
+
+
+def _spans_field(doc):
+    spans = _field(doc, "intervals", list)
+    if not all(isinstance(s, list) and len(s) == 2 and all(isinstance(e, _RATIONAL) for e in s)
+               for s in spans):
+        raise ValueError("field 'intervals' must hold a JSON array of [lower, upper] "
+                         "rational pairs, got %r" % (spans,))
+    return spans
 
 
 def closed_set_json(c) -> dict:
@@ -178,7 +187,7 @@ def _fn_field(doc, key):
 def fn_from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("a function document is a JSON object, got %r" % (doc,))
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", str)
     entry = FN_KINDS.get(kind)
     if entry is None:
         raise ValueError("unknown function kind %r" % (kind,))

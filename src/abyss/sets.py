@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .exact import Q2, DyadicInterval, _rational, _vs, least_denominator_between
 from .records import record
@@ -54,25 +54,35 @@ class CountableSet:
         hi = limit if self.size is None else min(limit, self.size)
         return [(n, self.member(n)) for n in range(hi)]
 
-    def iter_members_in(self, iv: DyadicInterval, limit: int,
-                        start: int = 0) -> Iterator[tuple[int, Q2]]:
-        """Lazily, the members inside iv with index in [start, limit), in
-        index order; a caller that wants only the first hit stops there."""
+    def first_member_in(self, iv: DyadicInterval, limit: int,
+                        start: int = 0) -> Optional[tuple[int, Q2]]:
+        """The first member inside iv with index in [start, limit), as
+        (n, member), or None; a descending enumeration stops at the first
+        member below iv."""
         hi = limit if self.size is None else min(limit, self.size)
         ln, un, d = iv.ln, iv.un, iv.d
         descend = self.values_descend
+        member = self.member
         for n in range(start, hi):
-            p = self.member(n)
+            p = member(n)
             if _vs(p, ln, d) < 0:
                 if descend:
-                    return
+                    return None
             elif _vs(p, un, d) <= 0:
-                yield n, p
+                return n, p
+        return None
 
-    def members_in(self, iv: DyadicInterval, limit: int) -> list[tuple[int, Q2]]:
-        """Members inside iv with index below limit (exhaustive when the
-        enumeration descends below iv or the set is finite)."""
-        return list(self.iter_members_in(iv, limit))
+    def members_in(self, iv: DyadicInterval, limit: int,
+                   start: int = 0) -> list[tuple[int, Q2]]:
+        """Members inside iv with index in [start, limit), in index order
+        (exhaustive when the enumeration descends below iv or the set is
+        finite)."""
+        out = []
+        hit = self.first_member_in(iv, limit, start)
+        while hit is not None:
+            out.append(hit)
+            hit = self.first_member_in(iv, limit, hit[0] + 1)
+        return out
 
     def scan_is_exhaustive(self, iv: DyadicInterval, limit: int) -> bool:
         """Whether members_in(iv, limit) provably saw every member in iv."""
@@ -118,17 +128,15 @@ def finite_set(points, name="finite") -> CountableSet:
     pts = _unit_points(points)
     if not pts:
         raise ValueError("countable set must be nonempty")
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if p == q:
-                raise ValueError("duplicate point %s (index map must be injective)" % (p,))
+    # a Q2 is reduced, so equal points have equal integers
+    index = {}
+    for n, p in enumerate(pts):
+        if index.setdefault((p.p, p.q, p.d), n) != n:
+            raise ValueError("duplicate point %s (index map must be injective)" % (p,))
     all_irr = all(not p.is_rational for p in pts)
 
     def index_of(x: Q2) -> Optional[int]:
-        for n, p in enumerate(pts):
-            if p == x:
-                return n
-        return None
+        return index.get((x.p, x.q, x.d))
 
     return CountableSet(lambda n: pts[n], index_of, size=len(pts), name=name,
                         all_irrational=all_irr)

@@ -682,14 +682,11 @@ class _SpikeFamily(SymbolicFn):
     def _spike_scan_limit(self, k: int) -> int:
         return max(k + 4, 8)
 
-    def _spike_scan(self, iv, limit):
-        """Lazily, the spikes in iv with index below limit, in index order."""
+    def spikes_in(self, iv: DyadicInterval, limit: int):
+        """The spikes in iv with index below limit, in index order."""
         if self.stop is not None:
             limit = min(limit, self.stop)
-        return self.a_set.iter_members_in(iv, limit, self.start)
-
-    def spikes_in(self, iv: DyadicInterval, limit: int):
-        return list(self._spike_scan(iv, limit))
+        return self.a_set.members_in(iv, limit, self.start)
 
     def special_points(self, iv, depth):
         return [p for _, p in self.spikes_in(iv, max(depth, 8))]
@@ -744,7 +741,7 @@ class Penny(_SpikeFamily):
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are built from the index
         limit = self._spike_scan_limit(k) if self.stop is None else self.stop
-        hit = next(self._spike_scan(iv, limit), None)
+        hit = self.a_set.first_member_in(iv, limit, self.start)
         if hit is not None:  # index below limit: no later spike reaches it
             return _ZERO, Bracket.of_ints(1, 1, 2 << hit[0])
         if self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
@@ -760,7 +757,7 @@ class Penny(_SpikeFamily):
             limit = self.spikes_above(y)  # no later spike exceeds y
         else:
             limit = 4096  # every spike exceeds 0: a bounded prefix decides
-        hit = next(self._spike_scan(iv, limit), None)
+        hit = self.a_set.first_member_in(iv, limit, self.start)
         if hit is not None and self.spike_value(hit[0]) > y:
             return Truth.YES, hit[1]
         if self.stop is not None or y > 0 or self.a_set.scan_is_exhaustive(iv, limit):

@@ -130,6 +130,16 @@ def test_malformed_json_documents_are_usage_errors(capsys):
               "--x", "1/2"], "'points'"),
             (["eval", "--fn", '{"kind":"indicator","closed_set":'
               '{"rep":"complement-of-r2-open","intervals":"0 1"}}', "--x", "1/2"], "'intervals'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":'
+              '{"rep":"complement-of-r2-open","intervals":[1]}}', "--x", "1/2"], "'intervals'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":'
+              '{"rep":"complement-of-r2-open","intervals":[["0",[1]]]}}', "--x", "1/2"],
+             "'intervals'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":'
+              '{"rep":"complement-of-r2-open","intervals":[["0"]]}}', "--x", "1/2"],
+             "'intervals'"),
+            (["eval", "--fn", '{"kind":["x"]}', "--x", "1/2"], "'kind'"),
+            (["eval", "--fn", '{"f":"x"}', "--x", "1/2"], "'kind'"),
             (["eval", "--fn", '{"kind":"scalar-multiple","c":[2],"f":%s}' % thomae,
               "--x", "1/2"], "'c'"),
             (["eval", "--fn", '{"kind":"piecewise","cuts":"0 1","pieces":[],"values":[]}',

@@ -554,6 +554,53 @@ def test_first_hit_spike_scans_match_plain_filter():
                     assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y)
 
 
+def test_member_scans_match_a_per_index_reference():
+    """`first_member_in` and `members_in` against a plain test of every
+    index in [start, limit), on descending, finite and mixed sets, from
+    every start offset."""
+    rng = random.Random(523)
+    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
+    finite = [random_finite_set(rng) for _ in range(3)]
+    seeds = [A, tilde_set(A), mixed] + finite + [tilde_set(s) for s in finite]
+    for a_set in seeds:
+        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(10)]
+        for _, p in a_set.members_upto(6):  # tight and degenerate intervals at members
+            lo, hi = p.bracket(rng.randrange(2, 12))
+            ivs.append(DyadicInterval(lo, hi))
+            if p.is_rational:
+                ivs.append(DyadicInterval(p.a, p.a))
+        for iv in ivs:
+            for limit in (0, 1, 3, 8, 20):
+                hi = limit if a_set.size is None else min(limit, a_set.size)
+                for start in range(limit + 2):
+                    want = [(n, a_set.member(n)) for n in range(start, hi)
+                            if iv.contains(a_set.member(n))]
+                    assert a_set.members_in(iv, limit, start) == want, (a_set.name, iv, start)
+                    assert a_set.first_member_in(iv, limit, start) == (want[0] if want else None)
+                assert a_set.members_in(iv, limit) == a_set.members_in(iv, limit, 0)
+
+
+def test_finite_set_index_matches_a_linear_scan():
+    """`index_of` reads the point's integers; a linear scan over the points
+    agrees on members, rational non-members and sqrt2 non-members, and a
+    repeated point is refused with the same message."""
+    rng = random.Random(529)
+    for _ in range(20):
+        s = random_finite_set(rng)
+        pts = [s.member(n) for n in range(s.size)]
+        probes = pts + [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 5)]
+        probes += [S2(n) for n in range(6)] + [p + Q2(0, F(1, 1 << 50)) for p in pts]
+        for x in probes:
+            want = next((n for n, p in enumerate(pts) if p == x), None)
+            assert s.index_of(x) == want
+    rationals = finite_set([F(1, 3), F(0), F(1), S2(1)])
+    assert [rationals.index_of(x) for x in (F(1, 3), F(2, 6), 0, 1, S2(1), F(1, 4))] == \
+        [0, 0, 1, 2, 3, None]
+    with pytest.raises(ValueError, match=r"^duplicate point 1/3 \(index map must be "
+                                         r"injective\)$"):
+        finite_set([F(1, 3), S2(0), Q2.of(F(2, 6))])
+
+
 def test_constant_refuses_an_irrational_value():
     with pytest.raises(ConstructionError):
         constant(Q2(0, F(1, 2)))
