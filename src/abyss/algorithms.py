@@ -479,7 +479,7 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
     if ind_rep.conv_modulus is None:
         raise RepresentationInsufficient("representation insufficient: indicator "
                                          "needs a convergence modulus")
-    if o_rep.is_empty():
+    if not o_rep.intervals:
         # confirm by honest probing before answering with the empty code
         probes = [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 6)]
         probes += ind_rep.special_points(DyadicInterval(0, 1), fuel)
@@ -504,7 +504,7 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
         p, q = next(stream)
         iv = DyadicInterval(p, q)
         probes = [Q2.of(g) for g in rational_grid(iv, 8)]
-        probes += [Q2.of(b) for b in o_rep.boundary_points() if iv.contains(b)]
+        probes += [Q2.of(e) for span in o_rep.intervals for e in span if iv.contains(e)]
         probes += [s for s in ind_rep.special_points(iv, fuel)]
         inf_low = any(ind_rep.eval(pt) < Q2.of(Fraction(1, 2)) for pt in probes
                       if iv.contains(pt))

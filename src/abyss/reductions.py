@@ -189,17 +189,6 @@ def _dyadic_inside(iv: DyadicInterval, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _PennyTail(Penny):
-    """The spike function with all spikes of index below `start` removed:
-    the restriction used to strip an already-extracted maximum."""
-
-    kind = "penny-tail"
-
-    def __init__(self, a_set, start):
-        super().__init__(a_set)
-        self.start = start
-
-
 @record
 class SupExtraction:
     """Transcript of one extraction round: the located spike."""
@@ -225,7 +214,7 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     out = []
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
-        f = _PennyTail(a_set, out[-1].index + 1) if out else Penny(a_set)
+        f = Penny(a_set, out[-1].index + 1 if out else 0)
         s = oracle(f, _ZERO, _ONE)
         sn, sd = _ratio(s)
         if not sn:

@@ -151,14 +151,21 @@ def _seeded(cls):
             lambda doc: cls(_set_field(doc)))
 
 
+def _windowed(cls):
+    """The entry of a spike function built from its seed set and the index
+    of its first spike, `"start"`, which is written only when it is not 0."""
+    return (cls, lambda f: {"set": set_json(f.source), **({"start": f.start} if f.start else {})},
+            lambda doc: cls(_set_field(doc), _field(doc, "start") if "start" in doc else 0))
+
+
 # kind -> (type, its document's fields, loader): the one list of kinds that
 # serialize, read by kind and written by exact type
 FN_KINDS = {
     "thomae": (u.Thomae, lambda f: {}, lambda doc: u.Thomae()),
-    "penny": _seeded(u.Penny),
+    "penny": _windowed(u.Penny),
     "pennyk": (u.PennyK, lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
                lambda doc: u.PennyK(_set_field(doc), _field(doc, "cutoff"))),
-    "tilde-penny": _seeded(u.TildePenny),
+    "tilde-penny": _windowed(u.TildePenny),
     "cover-psi": _seeded(u.CoverPsi),
     "cover-psi-usco": _seeded(u.CoverPsiUsco),
     "pennyk-limit": (u.PennyKLimit, lambda f: {"set": set_json(f.a_set)},

@@ -88,9 +88,7 @@ class CountableSet:
         """Whether members_in(iv, limit) provably saw every member in iv."""
         if self.size is not None and self.size <= limit:
             return True
-        if self.values_descend:
-            return self.size is not None or _vs(self.member(limit), iv.ln, iv.d) < 0
-        return False
+        return self.values_descend and _vs(self.member(limit), iv.ln, iv.d) < 0
 
 
 def sqrt2_family() -> CountableSet:
@@ -239,24 +237,9 @@ class R2Rep:
                 gap = min(p - a, b - p)
                 if gap.is_rational:
                     return gap.as_rational()
-                lo, _ = gap.bracket(gap_precision(a, b))
+                lo, _ = gap.bracket(max(4, (b - a).denominator.bit_length() + 4))
                 return lo
         return Fraction(0)
-
-    def boundary_points(self) -> list[Fraction]:
-        out = []
-        for a, b in self.intervals:
-            out.append(a)
-            out.append(b)
-        return out
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-
-def gap_precision(a: Fraction, b: Fraction) -> int:
-    width = b - a
-    return max(4, width.denominator.bit_length() + 4)
 
 
 @record(frozen=True)

@@ -190,8 +190,8 @@ class SymbolicFn:
     def _hull(self) -> tuple[Q2, Q2, bool, bool]:
         """(lo, hi, lo_open, hi_open), what the family's structure proves
         about its values: every value on [0,1] lies in [lo, hi], and an end
-        marked open is proven never taken.  `range_bound` and `is_positive`
-        read it."""
+        marked open is proven never taken.  `range_bound`, `is_positive`
+        and `constant_value` read it."""
         raise NotImplementedError
 
     def range_bound(self) -> tuple[Fraction, Fraction]:
@@ -206,6 +206,11 @@ class SymbolicFn:
         lo, _, lo_open, _ = self._hull()
         sign = lo.sign()
         return sign > 0 or (sign == 0 and lo_open)
+
+    def constant_value(self) -> Optional[Q2]:
+        """The value of f when the hull's two ends agree, else None."""
+        lo, hi, _, _ = self._hull()
+        return lo if lo == hi else None
 
     def range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
         """(inf, sup) brackets over every point of the part of iv inside
@@ -332,9 +337,6 @@ class SymbolicFn:
         return Truth.UNKNOWN, None
 
     # -- misc ---------------------------------------------------------------
-
-    def constant_value(self) -> Optional[Q2]:
-        return None
 
     def __repr__(self):
         return "<%s tags={%s}>" % (self.kind, ",".join(sorted(self.tags)))
@@ -530,15 +532,6 @@ class PiecewiseRational(SymbolicFn):
                     candidates.add(g)
         return max(_ends_max(self, iv), max(_eval_rat(self, g) for g in candidates))
 
-    def constant_value(self):
-        vals = {self.bp_values[0]}
-        for piece in self.pieces:
-            if not piece.is_constant:
-                return None
-            vals.add(piece(Q2.of(0)))
-        vals.update(self.bp_values)
-        return self.bp_values[0] if len(vals) == 1 else None
-
 
 def constant(c) -> PiecewiseRational:
     v = Q2.of(c)
@@ -679,9 +672,6 @@ class _SpikeFamily(SymbolicFn):
     def spike_value(n: int) -> Fraction:
         raise NotImplementedError
 
-    def _spike_scan_limit(self, k: int) -> int:
-        return max(k + 4, 8)
-
     def spikes_in(self, iv: DyadicInterval, limit: int):
         """The spikes in iv with index below limit, in index order."""
         if self.stop is not None:
@@ -703,20 +693,32 @@ class _SpikeFamily(SymbolicFn):
         return best
 
 
+def _window_index(name: str, n) -> int:
+    """n, refused unless it is an int >= 0: an end of a spike window."""
+    if type(n) is not int:
+        raise TypeError("%r %r refused: a spike index takes int" % (name, n))
+    if n < 0:
+        raise ConstructionError("%r must be >= 0, got %d" % (name, n))
+    return n
+
+
 class Penny(_SpikeFamily):
     """Value 1/2^(Y(x)+1) on the seed set, 0 elsewhere: the canonical
     adversarial instance.  Equal to its own oscillation function.
 
-    The truncated, banded and stripped variants only move the window or band
-    the seed set.  A scan's first hit is the largest spike, and a bounded
-    window is scanned whole, so every answer over it is exact."""
+    Spikes of index below `start` are stripped, as the sup-functional
+    reduction strips each maximum it has located.  The truncated and banded
+    variants only close the window or band the seed set.  A scan's first
+    hit is the largest spike, and a bounded window is scanned whole, so
+    every answer over it is exact."""
 
     kind = "penny"
     TAGS = frozenset({CLIQUISH, USCO, BV, REGULATED, BAIRE1})
 
-    def __init__(self, a_set: CountableSet):
+    def __init__(self, a_set: CountableSet, start: int = 0):
         if a_set.size == 0:
             raise ConstructionError("seed set must be nonempty")
+        self.start = _window_index("start", start)
         super().__init__(a_set, self.TAGS)
 
     @staticmethod
@@ -736,11 +738,11 @@ class Penny(_SpikeFamily):
         return Q2.of(self.spike_value(n))
 
     def _hull(self):
-        return Q2.of(0), Q2.of(self.spike_value(0)), False, False
+        return Q2.of(0), Q2.of(self.spike_value(self.start)), False, False
 
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are built from the index
-        limit = self._spike_scan_limit(k) if self.stop is None else self.stop
+        limit = max(k + 4, 8) if self.stop is None else self.stop
         hit = self.a_set.first_member_in(iv, limit, self.start)
         if hit is not None:  # index below limit: no later spike reaches it
             return _ZERO, Bracket.of_ints(1, 1, 2 << hit[0])
@@ -794,12 +796,8 @@ class PennyK(Penny):
     kind = "pennyk"
 
     def __init__(self, a_set: CountableSet, cutoff: int):
-        if type(cutoff) is not int:
-            raise TypeError("cutoff %r refused: an index cutoff takes int" % (cutoff,))
-        if cutoff < 0:
-            raise ConstructionError("cutoff must be >= 0")
+        self.cutoff = _window_index("cutoff", cutoff)
         super().__init__(a_set)
-        self.cutoff = cutoff
         self.stop = cutoff + 1
 
 
@@ -843,16 +841,14 @@ class CoverPsi(_SpikeFamily):
         return Q2.of(self.spike_value(size - 1)), Q2.of(self.BASE), False, False
 
     def _range_on(self, iv, k):
-        sup_b = Bracket.point(self.BASE)
-        limit = self._spike_scan_limit(k)
-        vals = [self.spike_value(n) for n, _ in self.spikes_in(iv, limit)]
-        if self.a_set.scan_is_exhaustive(iv, limit):
-            inf_b = Bracket.point(min([self.BASE] + vals))
-        elif self.a_set.size is None and iv.lower <= 0:
-            inf_b = _ZERO  # spike values decrease to 0 near 0
-        else:
-            inf_b = Bracket(Fraction(0), min([self.BASE] + vals))
-        return inf_b, sup_b
+        # member n lies in band n, so none past the band of iv's lower end
+        # lies in iv; the spike values fall with the index
+        base = Bracket.point(self.BASE)
+        bottom = band_of(iv.lower, half_open=False)
+        if bottom is None and self.a_set.size is None:
+            return _ZERO, base  # spike values decrease to 0 near 0
+        spikes = self.spikes_in(iv, self.a_set.size if bottom is None else bottom + 1)
+        return (Bracket.point(self.spike_value(spikes[-1][0])) if spikes else base), base
 
     def _one_sided_limit(self, p, side, k):
         if p == 0 and side > 0 and self.a_set.size is None:
@@ -1283,10 +1279,6 @@ class ScalarMultiple(SymbolicFn):
             return None  # max of c*f needs the grid min of f
         inner = self.f.grid_max(iv, depth)
         return None if inner is None else inner * self.c
-
-    def constant_value(self):
-        v = self.f.constant_value()
-        return None if v is None else v * self.c
 
 
 class RestrictedView(SymbolicFn):

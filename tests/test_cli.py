@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, JSON output, determinism, env fuel."""
 
+import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -122,6 +124,9 @@ def test_malformed_json_documents_are_usage_errors(capsys):
               '"points":{"a":"1/2"}}}', "--x", "1/2"], "'points'"),
             (["eval", "--fn", '{"kind":"pennyk","set":{"generator":"sqrt2-halving"}}',
               "--x", "1/2"], "'cutoff'"),
+            *((["eval", "--fn", '{"kind":"%s","set":{"generator":"sqrt2-halving"},'
+                '"start":%s}' % (kind, start), "--x", "1/2"], "'start'")
+              for kind in ("penny", "tilde-penny") for start in ("-1", '"2"', "1.5", "true")),
             (["eval", "--fn", '{"kind":"indicator","closed_set":[1]}', "--x", "1/2"],
              "'closed_set'"),
             (["eval", "--fn", '{"kind":"indicator","closed_set":{"rep":["finite-points"]}}',
@@ -413,3 +418,58 @@ def test_jordan_memory_stays_flat_in_the_depth(tmp_path):
     deep = _jordan_peak_kib(14, tmp_path / "d14.json")
     assert (tmp_path / "d14.json").stat().st_size > 16385 * 30
     assert deep - shallow < 3 * 1024, (shallow, deep)
+
+
+def _abyss_names_read(source: str):
+    """(name, resolved object or None) for every abyss name a module's
+    source reads: each name of a `from abyss... import` line, and each
+    attribute chain off an imported abyss module or object, such as
+    `abyss.X`, `orc.X` or `sets.CountableSet.member`."""
+    tree = ast.parse(source)
+    bound = {}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.partition(".")[0] == "abyss":
+                    module = importlib.import_module(a.name if a.asname else "abyss")
+                    bound[a.asname or "abyss"] = module
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "abyss":
+            home = importlib.import_module(node.module)
+            for a in node.names:
+                obj = getattr(home, a.name, None)
+                name = "%s.%s" % (node.module, a.name)
+                if obj is None and importlib.util.find_spec(name) is not None:
+                    obj = importlib.import_module(name)  # a submodule not yet loaded
+                out.append((name, obj))
+                bound[a.asname or a.name] = obj
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in bound:
+            obj = bound[base.id]
+            for attr in reversed(chain):
+                obj = getattr(obj, attr, None)
+            out.append((".".join([base.id] + chain[::-1]), obj))
+    return out
+
+
+def test_every_abyss_name_the_benchmark_reads_resolves():
+    """The benchmark harness reads abyss by name; a name it reads that a
+    change removes would fail only in the benchmark's set-up, so every one
+    must resolve here, and a name that is gone must show."""
+    gone = "from abyss import oracle as orc\ncall = orc.exists_value_anywhere\n"
+    assert [name for name, obj in _abyss_names_read(gone) if obj is None] == \
+        ["orc.exists_value_anywhere"]
+    read = {}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for name, obj in _abyss_names_read(path.read_text()):
+            assert obj is not None, (path.name, name)
+            read[name] = obj
+    for name in ("orc.exists_value_above", "orc.exists_value_below", "abyss.build_cover_psi",
+                 "abyss.thomae", "oracle.basis_at", "sets.CountableSet.member",
+                 "sets.CountableSet.members_in", "ser.dumps", "abyss.errors.ClassRefusal"):
+        assert name in read, name
+

@@ -18,8 +18,7 @@ from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
                    restrict_tags, sqrt2_family, staircase, thomae, tilde_set,
                    SupOracle)
 from abyss.oracle import _ball_clipped
-from abyss.reductions import (AbyssReport, CliqModulusOracle, SupExtraction, _dyadic_inside,
-                              _PennyTail)
+from abyss.reductions import AbyssReport, CliqModulusOracle, SupExtraction, _dyadic_inside
 from abyss.serialize import dumps
 from abyss.universe import CLIQUISH, ScalarMultiple
 from abyss.variation import _regulated_within
@@ -359,7 +358,7 @@ def test_extraction_matches_the_fraction_bisection():
             steps = extract_enumeration_from_sup(oracle, a_set, k, rounds=5)
             assert steps
             for r, step in enumerate(steps):
-                f = _PennyTail(a_set, steps[r - 1].index + 1) if r else Penny(a_set)
+                f = Penny(a_set, start=steps[r - 1].index + 1 if r else 0)
                 assert (step.bits, step.interval) == _fraction_bisection(oracle, f, step.value, k)
                 assert len(step.bits) == k
 
@@ -387,7 +386,7 @@ def _fraction_extraction(oracle, a_set, k, rounds=16):
     out = []
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for _ in range(bound):
-        f = _PennyTail(a_set, out[-1].index + 1) if out else Penny(a_set)
+        f = Penny(a_set, start=out[-1].index + 1 if out else 0)
         s = oracle(f, F(0), F(1))
         if s == 0:
             break
@@ -448,7 +447,7 @@ def test_sup_oracle_matches_the_fraction_oracle():
     rng = random.Random(89)
     spiky = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0), Poly(F(1, 4))],
                                          ["right", S2(0), "right"])
-    fns = [Penny(A), _PennyTail(A, 3), PennyK(A, 2), Penny(RATIONAL_SEEDS),
+    fns = [Penny(A), Penny(A, start=3), PennyK(A, 2), Penny(RATIONAL_SEEDS),
            TildePenny(IRRATIONAL_SEEDS), spiky]
     ends = [F(0), F(1), F(1, 2), F(3, 8), F(1, 4), F(5, 7), F(-1, 2), F(3, 2)]
     ends += [random_dyadic(rng, 8) for _ in range(12)]

@@ -79,11 +79,35 @@ def test_fn_roundtrip_exact(f):
 def test_only_registered_types_serialize():
     """`fn_json` finds a document by exact type: a subclass or a bare
     representation the table does not name refuses, not passes as its base."""
-    from abyss.reductions import _PennyTail
+    stripped = type("Stripped", (Penny,), {})
     for f in (Baire1Limit(lambda n: PennyK(A, n)), constant_seq_limit(constant(1)),
-              _PennyTail(A, 2)):
+              stripped(A, start=2)):
         with pytest.raises(ValueError):
             fn_json(f)
+
+
+def test_spike_window_start_round_trips():
+    """A `penny` or `tilde-penny` document names the first spike index as
+    `"start"` when it is not 0 and reads it back, with the same values
+    before and past the window; at start 0 the document is the one written
+    without it."""
+    irr = finite_set([Q2(F(1, 4), F(1, 32)), Q2(F(1, 3), F(1, 64)), Q2(0, F(1, 8))])
+    assert dumps(fn_json(Penny(A, start=0))) == \
+        '{"kind":"penny","schema":"abyss/1","set":{"generator":"sqrt2-halving"}}\n'
+    for cls in (Penny, TildePenny):
+        for a_set in (A, irr):
+            whole = cls(a_set)
+            assert dumps(fn_json(cls(a_set, start=0))) == dumps(fn_json(whole))
+            assert fn_json(fn_from_json({**fn_json(whole), "start": 0})) == fn_json(whole)
+            for start in (1, 2, 5):
+                f = cls(a_set, start=start)
+                doc = fn_json(f)
+                assert doc == {**fn_json(whole), "start": start}
+                g = fn_from_json(json.loads(json.dumps(doc)))
+                assert type(g) is cls and fn_json(g) == doc
+                for n, p in f.a_set.members_upto(8):
+                    want = Q2.of(0) if n < start else whole.eval(p)
+                    assert f.eval(p) == g.eval(p) == want, (cls, start, n)
 
 
 def test_unknown_kind_rejected():

@@ -500,7 +500,7 @@ def _plain_spikes(f, iv, limit):
 
 
 def _plain_sup(f, iv, k):
-    limit = f._spike_scan_limit(k) if f.stop is None else f.stop
+    limit = max(k + 4, 8) if f.stop is None else f.stop
     best = max((f.spike_value(n) for n, _ in _plain_spikes(f, iv, limit)), default=F(0))
     tail = F(1, 1 << (limit + 1))
     if f.stop is not None or best >= tail or f.a_set.scan_is_exhaustive(iv, limit):
@@ -526,14 +526,13 @@ def _plain_witness_above(f, iv, y):
 
 
 def test_first_hit_spike_scans_match_plain_filter():
-    from abyss.reductions import _PennyTail
     rng = random.Random(517)
     mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
     seeds = [A, random_finite_set(rng), random_finite_set(rng), mixed]
     fns = []
     for a_set in seeds:
         fns += [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3)]
-        fns += [_PennyTail(a_set, start) for start in range(1, 6)]
+        fns += [Penny(a_set, start=start) for start in range(1, 6)]
         if a_set.all_irrational:
             fns.append(TildePenny(a_set))
     for f in fns:
@@ -552,6 +551,108 @@ def test_first_hit_spike_scans_match_plain_filter():
                 for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
                     y = y if j >= 0 else -y
                     assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y)
+
+
+def _seed_sets():
+    """The sqrt2 family, and per size 1-14 the seeds 1/3 + sqrt2/2^(i+5)
+    and a seeded random irrational set."""
+    rng = random.Random(2301)
+    out = [A]
+    for size in range(1, 15):
+        out.append(finite_set([Q2(F(1, 3), F(1, 1 << (i + 5))) for i in range(size)]))
+        pts = []
+        while len(pts) < size:
+            p = Q2(F(rng.randrange(1, 64), 64), F(rng.choice((1, -1)), 1 << rng.randrange(7, 40)))
+            if all(p != e for e in pts):
+                pts.append(p)
+        out.append(finite_set(pts))
+    return out, rng
+
+
+def _brute_members_in(a_set, iv):
+    """Every index whose member lies in iv: the whole finite set, or the
+    first 64 members of an infinite one, each tested on its own."""
+    n_max = a_set.size if a_set.size is not None else 64
+    return [n for n in range(n_max) if iv.contains(a_set.member(n))]
+
+
+def test_spike_brackets_hold_the_brute_force_extremes():
+    """Soundness of the spike scans against a brute-force reference: every
+    `range_on` bracket of `CoverPsi`, `TildePenny` and `Penny` holds the
+    min or max of the exact values in iv (the off-set value included), and
+    is at most 2^-k wide; every threshold answer agrees with those values.
+    Intervals hug the members, reach 0, or are random; a scan that stopped
+    early on a finite banded set once claimed sup 0 beside a live spike."""
+    seed_sets, rng = _seed_sets()
+    checks = 0
+    for a_set in seed_sets:
+        banded = tilde_set(a_set)
+        ivs = [DyadicInterval(0, 1), DyadicInterval(0, F(1, 1 << rng.randrange(1, 12)))]
+        ivs += [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(3)]
+        for n in range(14 if a_set.size is None else a_set.size):
+            j = rng.choice((n + 3, n + 10, rng.randrange(2, 31)))
+            lo, hi = banded.member(n).bracket(j)
+            w = F(1, 1 << (j + 2))
+            ivs.append(DyadicInterval(max(F(0), lo - w), min(F(1), hi + w)))
+        for iv in ivs:
+            # member n lies below 2^-n, so the first 64 hold every member in iv
+            assert iv.lower == 0 or iv.lower >= F(1, 1 << 40)
+            inside = _brute_members_in(banded, iv)
+            psi = CoverPsi(a_set)
+            vals = [psi.BASE] + [psi.spike_value(n) for n in inside]
+            psi_inf = F(0) if a_set.size is None and iv.lower == 0 else min(vals)
+            spiked = [(TildePenny(a_set, start=s), inside) for s in (0, 2)]
+            spiked += [(Penny(a_set, start=s), _brute_members_in(a_set, iv)) for s in (0, 2)]
+            for k in (0, 2, 4, 7, 11):
+                width = F(1, 1 << k)
+                inf_b, sup_b = psi.range_on(iv, k)
+                assert inf_b.lo <= psi_inf <= inf_b.hi and inf_b.hi - inf_b.lo <= width, \
+                    (a_set.name, iv, k, inf_b, psi_inf)
+                assert sup_b == Bracket.point(psi.BASE)
+                checks += 2
+                for f, members in spiked:
+                    top = max([F(0)] + [f.spike_value(n) for n in members if n >= f.start])
+                    inf_b, sup_b = f.range_on(iv, k)
+                    assert inf_b == Bracket.point(0)
+                    assert sup_b.lo <= top <= sup_b.hi and sup_b.hi - sup_b.lo <= width, \
+                        (f.kind, f.start, a_set.name, iv, k, sup_b, top)
+                    checks += 1
+            for y in (F(0), F(1, 64), F(3, 1 << 12), F(1, 1 << 14)):
+                truth, _ = psi.witness_below(iv, y)
+                assert truth != (Truth.YES if psi_inf >= y else Truth.NO), (a_set.name, iv, y)
+                for f, members in spiked:
+                    top = max([F(0)] + [f.spike_value(n) for n in members if n >= f.start])
+                    truth, p = f.witness_above(iv, y)
+                    assert truth != (Truth.YES if top <= y else Truth.NO), (f.kind, iv, y)
+                    assert p is None or (iv.contains(p) and f.eval(p) > y)
+                    checks += 1
+    assert checks > 15000
+
+
+def test_spike_scans_reach_the_member_they_once_missed():
+    """Three brackets that once missed the exact value: `TildePenny` on 12
+    seeds gave sup [0, 0] beside its member 10 (f = 1/2048 there), and
+    `CoverPsi` gave inf [1/8, 1/8] there (f = 1/32768) and [0, 1/8],
+    wider than 2^-4, beside member 9 of the sqrt2 family."""
+    seeds = finite_set([Q2(F(1, 3), F(1, 1 << (i + 5))) for i in range(12)])
+
+    def around(f, n, j):
+        p = f.a_set.member(n)
+        lo, hi = p.bracket(j)
+        w = F(1, 1 << (j + 2))
+        return DyadicInterval(lo - w, hi + w), p
+
+    f = TildePenny(seeds)
+    iv, p = around(f, 10, 20)
+    _, sup_b = f.range_on(iv, 4)
+    assert f.eval(p) == Q2.of(F(1, 2048)) and sup_b.lo <= F(1, 2048) <= sup_b.hi
+    assert sup_b.hi - sup_b.lo <= F(1, 16)
+    assert f.witness_above(iv, 0) == (Truth.YES, p)
+    for psi, n, j, value in ((CoverPsi(seeds), 10, 20, F(1, 32768)),
+                             (CoverPsi(A), 9, 30, F(1, 16384))):
+        iv, p = around(psi, n, j)
+        assert psi.eval(p) == Q2.of(value)
+        assert psi.range_on(iv, 4) == (Bracket.point(value), Bracket.point(F(1, 8)))
 
 
 def test_member_scans_match_a_per_index_reference():
@@ -605,6 +706,46 @@ def test_constant_refuses_an_irrational_value():
     with pytest.raises(ConstructionError):
         constant(Q2(0, F(1, 2)))
     assert constant(F(2, 3)).constant_value() == Q2.of(F(2, 3))
+
+
+def test_sum_reads_its_constant_side_off_the_hull():
+    """`constant_value` answers when the hull's two ends agree, so a zero
+    multiple, the indicator of the empty set or of all of [0,1], a
+    restricted constant and a constant sequence's limit each send a sum
+    down its exact constant-side path.  A generic limit has no hull, so a
+    sum over it refuses with `RepresentationInsufficient`, except beside a
+    constant, where the limit's own `range_on` refuses."""
+    from abyss import Baire1Limit, RepresentationInsufficient, constant_seq_limit
+    from abyss.universe import Sum
+    zero, third = Q2.of(0), Q2.of(F(1, 3))
+    sides = [(ScalarMultiple(0, thomae()), zero), (Indicator(FinitePointSet.of([])), zero),
+             (Indicator(ComplementOfR2Open(R2Rep.from_intervals([]))), Q2.of(1)),
+             (restrict_tags(constant(F(1, 3)), {CLIQUISH}), third),
+             (constant_seq_limit(constant(F(1, 3))), third),
+             (ScalarMultiple(F(3, 2), restrict_tags(constant(F(1, 3)), {CLIQUISH})),
+              Q2.of(F(1, 2)))]
+    for f in (Penny(A), thomae(), CoverPsi(finite_set([S2(1)])), linear(1), pennyk_limit(A)):
+        assert f.constant_value() is None, f
+    rng = random.Random(2302)
+    ivs = [DyadicInterval(*random_subinterval(rng, 6)) for _ in range(6)]
+    for side, c in sides:
+        assert side.constant_value() == c, side
+        for other in (Penny(A), thomae(), CoverPsi(A)):
+            for s in (Sum(side, other), Sum(other, side)):
+                assert s._const_side() == (c, other)
+                for iv in ivs:
+                    for k in (0, 5, 12):
+                        io, so = other.range_on(iv, k + 1)
+                        cb = Bracket.of_q2(c, k + 1)
+                        assert s.range_on(iv, k) == (io + cb, so + cb)
+    generic = Baire1Limit(lambda n: PennyK(A, n))
+    with pytest.raises(RepresentationInsufficient):
+        generic.constant_value()
+    for s in (Sum(generic, thomae()), Sum(thomae(), generic), Sum(generic, constant(1))):
+        with pytest.raises(RepresentationInsufficient):
+            s.range_on(DyadicInterval(0, 1), 4)
+    with pytest.raises(UnsupportedVariant):
+        Sum(constant(1), generic).range_on(DyadicInterval(0, 1), 4)
 
 
 def test_osc_exact_matches_brute_limit():
@@ -681,7 +822,6 @@ def _viewed_gauge():
 def _hull_instances():
     """One instance or more of every family and composite kind, with the
     degenerate indicators and a finite-set covering instance."""
-    from abyss.reductions import _PennyTail
     mixed = finite_set([S2(1), F(1, 3), Q2(F(1, 2), F(1, 64))])
     irr = finite_set([S2(0), Q2(F(1, 8), F(1, 32))])
     hole = Indicator(ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))])))
@@ -692,7 +832,7 @@ def _hull_instances():
                _unattained_zero_gauge()]
     leaves = pieces + [
         thomae(), Penny(A), Penny(mixed), PennyK(mixed, 1), TildePenny(irr),
-        _PennyTail(A, 2), CoverPsi(A), CoverPsi(irr), CoverPsiUsco(A), CoverPsiUsco(irr),
+        Penny(A, start=2), CoverPsi(A), CoverPsi(irr), CoverPsiUsco(A), CoverPsiUsco(irr),
         Indicator(FinitePointSet.of([F(1, 3), F(3, 4)])), Indicator(FinitePointSet.of([])),
         hole, everything, pennyk_limit(mixed)]
     composites = [fn_sum(hole, CoverPsi(irr)), fn_sum(irrational_cut_staircase(), thomae()),
@@ -986,11 +1126,12 @@ def test_single_point_off_the_seed_set_is_decided():
 def test_interval_contract_lives_on_the_base_class():
     """Families answer through the `_range_on`, `_witness_above`,
     `_witness_below`, `_one_sided_limit` and `_hull` hooks, so the clip to
-    [0,1], the single-point answers, the rounding of the value bounds and
-    the positivity rule stay in the base class's templates."""
+    [0,1], the single-point answers, the rounding of the value bounds, the
+    positivity rule and the constant test stay in the base class's
+    templates."""
     from abyss import reductions, universe
     public = {"range_on", "witness_above", "witness_below", "one_sided_limit",
-              "range_bound", "is_positive"}
+              "range_bound", "is_positive", "constant_value"}
     allowed = {("SymbolicFn", name) for name in public}
     allowed |= {("Poly", "range_on"), ("Baire1Limit", "range_on")}
     found = set()
@@ -1021,14 +1162,13 @@ def test_spike_count_answers_witness_above_as_the_capped_loop():
     """`Penny.spikes_above` reads the spikes above y off y's integers, where
     a loop capped at index 4096 once counted them; the cap never binds at
     these thresholds, so every answer is the loop's."""
-    from abyss.reductions import _PennyTail
     rng = random.Random(1101)
     mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
     ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
     for y in ys + [F(1, 1 << j) for j in range(1, 12)] + [F(5, 1 << j) for j in range(3, 12)]:
         assert Penny.spikes_above(y) == next(n for n in range(4096) if Penny.spike_value(n) <= y)
     for a_set in (A, random_finite_set(rng), mixed):
-        fns = [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3), _PennyTail(a_set, 2)]
+        fns = [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3), Penny(a_set, start=2)]
         if a_set.all_irrational:
             fns.append(TildePenny(a_set))
         for f in fns:
