@@ -20,7 +20,7 @@ from .exact import (DyadicInterval, FueledBool, Q2, Truth, _grid, _ratio,
                     _rational, _reduced, _sign_int, _vs, least_exponent,
                     rational_grid, unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
-                     ValueBelowOnBall, _ball_clipped, ball_oscillation,
+                     ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
@@ -125,8 +125,8 @@ def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInter
     lo = max(Fraction(0), limit_b.lo)
     # w.hi <= limit_b.hi + 2^-(k+2), cross-multiplied over w.d limit_b.d 2^(k+2)
     bound, e = (limit_b.un << (k + 2)) + limit_b.d, limit_b.d << (k + 2)
-    for n in range(fuel + 1):
-        w = ball_oscillation(f, p, n, k + 4)
+    for n, ball in _ball_walk(p, fuel):
+        w = _osc_on(f, ball, k + 4)
         if w.un * e <= bound * w.d:
             hi = max(lo, min(w.hi, limit_b.hi))
             return DyadicInterval(lo, hi)
@@ -154,9 +154,15 @@ def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_rule("OscBelow", f, "modulus_continuity_qc")
 
     def least(p, m):
-        bound = Fraction(1, 1 << (m + 1))
-        return next((n for n in range(fuel + 1)
-                     if ball_oscillation(f, p, n, m + 6).hi <= bound), 0)
+        def gone(ball):  # oscillation above 2^-(m+1) on the smallest ball
+            w = _osc_on(f, ball, m + 6)
+            return w.ln << (m + 1) > w.d
+
+        for n, ball in _ball_walk(p, fuel, gone=gone):
+            w = _osc_on(f, ball, m + 6)
+            if w.un << (m + 1) <= w.d:  # oscillation <= 2^-(m+1)
+                return n
+        return 0
 
     return Modulus(least)
 
@@ -261,16 +267,22 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(Fraction(0), Fraction(1))
     for m in range(k + 1):
+        def gone(ball):  # oscillation above 2^-m on the smallest ball
+            w = _osc_on(f, ball, m + 6)
+            return w.ln << m > w.d
+
         def place(cn, cd):
             n_size = least_exponent(*_room(j, cn, cd))
-            c = _reduced(cn, 0, cd)
-            for n in range(n_size, fuel + 1):
-                w = ball_oscillation(f, c, n, m + 6)
+            for n, ball in _ball_walk(_reduced(cn, 0, cd), fuel, n_size, gone):
+                w = _osc_on(f, ball, m + 6)
                 if w.un << m <= w.d:  # oscillation <= 2^-m
                     s = n + 1
                     return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
+                # a low end above 2^-m proves nothing about a smaller ball,
+                # whose oscillation may be less; the smallest ball's check
+                # is the proof, and past 25 balls the search gives up
                 if w.ln << m > w.d and n > n_size + 24:
-                    return None  # oscillation provably too large here
+                    return None
             return None
 
         ball = _next_ball(j, place)
@@ -284,8 +296,8 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
 def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optional[int]:
     """Least n <= fuel whose clipped ball B(p, 2^-n) has its supremum,
     bracketed to 2^-(k+6), strictly below cap; None if there is none."""
-    for n in range(fuel + 1):
-        _, sup_b = f.range_on(_ball_clipped(p, n), k + 6)
+    for n, ball in _ball_walk(p, fuel):
+        _, sup_b = f.range_on(ball, k + 6)
         if _vs(cap, sup_b.un, sup_b.d) > 0:  # the bracket's upper end below cap
             return n
     return None

@@ -272,7 +272,11 @@ def _ball_clipped(x, exponent: int) -> DyadicInterval:
     to [0,1]; an irrational x is centred at `x.approx(exponent + 4)`."""
     if exponent < 0:
         raise ValueError("radius exponent must be >= 0")
-    p = _unit_point(x)
+    return _ball_around(_unit_point(x), exponent)
+
+
+def _ball_around(p, exponent: int) -> DyadicInterval:
+    """`_ball_clipped` for a point p of [0,1] already read."""
     if p.q:
         lo, hi, e = p._bracket_ints(exponent + 5)
         c, e = lo + hi, 2 * e  # the midpoint, as approx gives it
@@ -283,11 +287,41 @@ def _ball_clipped(x, exponent: int) -> DyadicInterval:
     return DyadicInterval.of_ints(max(c - e, 0), min(c + e, den), den)
 
 
+def _ball_walk(x, fuel: int, start: int = 0, gone=None):
+    """The clipped balls B(x, 2^-n) for n = start..fuel, as (n, ball), with
+    x read once: the one walk over ball exponents.
+
+    The balls are nested: the ball B(x, 2^-n) of an irrational x is
+    centred within 2^-(n+6) of x, and 2^-(n+1) + 2^-(n+7) + 2^-(n+6) <
+    2^-n.  So the smallest ball B(x, 2^-fuel) has the least oscillation
+    and the greatest infimum of them all.  When the first ball has missed,
+    `gone(smallest)` reads it once; if it answers true, the bracket there
+    proves that every ball misses, and the walk ends as a walk to fuel
+    ends.  A `gone` that raises only loses the shortcut: the walk goes on
+    and gives its own answer."""
+    if start > fuel:
+        return
+    p = _unit_point(x)
+    yield start, _ball_around(p, start)
+    if gone is not None and start < fuel:
+        try:
+            if gone(_ball_around(p, fuel)):
+                return
+        except Exception:
+            pass
+    for n in range(start + 1, fuel + 1):
+        yield n, _ball_around(p, n)
+
+
+def _osc_on(f: SymbolicFn, ball: DyadicInterval, k: int) -> Bracket:
+    """Bracket of sup - inf of f over the ball, of width at most 2^-(k+1)."""
+    inf_b, sup_b = f.range_on(ball, k + 2)
+    return sup_b - inf_b
+
+
 def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:
     """Bracket of sup - inf of f over the (clipped) ball around x."""
-    iv = _ball_clipped(x, exponent)
-    inf_b, sup_b = f.range_on(iv, k + 2)
-    return sup_b - inf_b
+    return _osc_on(f, _ball_clipped(x, exponent), k)
 
 
 # --- the least-witness search ------------------------------------------------
@@ -295,7 +329,10 @@ def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:
 
 def mu_search(query, trace=None):
     """Least-witness search for a collapsed query; Found answers carry the
-    minimal index, NotFoundBelow records an exact empty search up to fuel."""
+    minimal index, NotFoundBelow records an exact empty search up to fuel.
+    A ball search may decide its NotFoundBelow from the smallest ball
+    alone, when its bracket there shows that no larger ball can hit (see
+    `_ball_walk`)."""
     run = _RUNNERS.get(type(query))
     if run is None:
         raise ValueError("unknown query shape %r" % (query,))
@@ -304,17 +341,29 @@ def mu_search(query, trace=None):
 
 def _mu_osc_below(q: OscBelow, trace):
     require_rule("OscBelow", q.f, "mu_search/OscBelow")
-    m = q.m
-    for n in range(q.fuel + 1):
-        osc = ball_oscillation(q.f, q.x, n, m + 4)
+    f, m = q.f, q.m
+
+    def read(n, ball, k):
+        osc = _osc_on(f, ball, k)
         if trace is not None:
             trace.record("OscBelow", n, 0, "osc<=%s..%s" % (osc.lo, osc.hi))
+        return osc
+
+    def gone(ball):
+        # a low end above 2^-m + 2^-(m+13) here: every ball's oscillation
+        # is at least that, so its refined bracket, 2^-(m+13) wide, lies
+        # above 2^-m: no ball hits and none straddles
+        osc = read(q.fuel, ball, m + 12)
+        return osc.ln << (m + 13) > ((1 << 13) + 1) * osc.d
+
+    for n, ball in _ball_walk(q.x, q.fuel, gone=gone):
+        osc = read(n, ball, m + 4)
         # the ends against the bound 2^-m, on the integers
         if osc.un << m <= osc.d:
             return Found(MuWitness(n))
         if osc.ln << m <= osc.d:
             # bracket straddles the bound; refine once, then give up honestly
-            osc = ball_oscillation(q.f, q.x, n, m + 12)
+            osc = _osc_on(f, ball, m + 12)
             if osc.un << m <= osc.d:
                 return Found(MuWitness(n))
             if osc.ln << m <= osc.d:
@@ -326,17 +375,28 @@ def _mu_osc_below(q: OscBelow, trace):
 def _mu_value_below_on_ball(q: ValueBelowOnBall, trace):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
     tn, td = _ratio(q.q)
-    for m in range(q.fuel + 1):
-        iv = _ball_clipped(q.x, m)
-        inf_b, _ = q.f.range_on(iv, 8)
+
+    def read(n, ball):
+        inf_b, _ = q.f.range_on(ball, 8)
         if trace is not None:
-            trace.record("ValueBelowOnBall", m, 0, "inf>=%s" % (inf_b.lo,))
+            trace.record("ValueBelowOnBall", n, 0, "inf>=%s" % (inf_b.lo,))
+        return inf_b
+
+    def gone(ball):
+        # the top end + 2^-8 below the target here: every ball's infimum is
+        # at most that top end, so its bracket, 2^-8 wide, lies below the
+        # target: no ball hits and none straddles
+        inf_b = read(q.fuel, ball)
+        return ((inf_b.un << 8) + inf_b.d) * td < (tn * inf_b.d) << 8
+
+    for n, ball in _ball_walk(q.x, q.fuel, gone=gone):
+        inf_b = read(n, ball)
         # the ends against the target tn/td, on the integers
         if inf_b.ln * td >= tn * inf_b.d:
-            return Found(MuWitness(m))
+            return Found(MuWitness(n))
         if not inf_b.exact and inf_b.un * td >= tn * inf_b.d:
             raise FuelExhausted("ball infimum bracket straddles the target "
-                                "at exponent %d" % m, fuel=q.fuel)
+                                "at exponent %d" % n, fuel=q.fuel)
     return NotFoundBelow(q.fuel)
 
 

@@ -1183,10 +1183,12 @@ class Sum(SymbolicFn):
         return fl + gl, fh + gh, fl_open or gl_open, fh_open or gh_open
 
     def _const_side(self):
-        for a, b in ((self.f, self.g), (self.g, self.f)):
-            c = a.constant_value()
-            if c is not None:
-                return c, b
+        # both sides are asked, so a side without a hull refuses in either order
+        cf, cg = self.f.constant_value(), self.g.constant_value()
+        if cf is not None:
+            return cf, self.g
+        if cg is not None:
+            return cg, self.f
         return None, None
 
     def _range_on(self, iv, k):

@@ -5,6 +5,7 @@ import ast
 import inspect
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,32 @@ def test_every_fuel_parameter_is_read():
                        for stmt in node.body for n in ast.walk(stmt)):
                 unread.append("%s.%s" % (mod.__name__, node.name))
     assert unread == []
+
+
+def test_only_the_shared_walk_loops_over_balls():
+    """A ball read inside a loop is a hand-written walk over ball exponents,
+    and `oracle._ball_walk` is the one walk: no other function of the
+    package reads `_ball_clipped`, `_ball_around` or `ball_oscillation`
+    inside a `for` or `while` loop or a comprehension."""
+    import abyss
+    reads = {"_ball_clipped", "_ball_around", "ball_oscillation"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    walks = []
+
+    def visit(node, where, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            where, in_loop = getattr(node, "name", "<lambda>"), False
+        elif isinstance(node, loops):
+            in_loop = True
+        elif (in_loop and isinstance(node, ast.Call) and where != "_ball_walk"
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in reads):
+            walks.append("%s:%d in %s" % (path.name, node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, in_loop)
+
+    for path in sorted(Path(abyss.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>", False)
+    assert walks == []
 
 
 @pytest.mark.parametrize("x", [F(3, 2), F(-1, 2), Q2(1) + S2(4)])
