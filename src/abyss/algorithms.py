@@ -24,7 +24,7 @@ from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
-                       SymbolicFn, osc_exact, probe_points)
+                       SymbolicFn, osc_exact)
 
 
 def _check_precision(k: int):
@@ -172,10 +172,8 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
     """A rational open interval inside B(x, 2^-N) on which values stay within
     2^-k of f(x).
 
-    The returned interval is validated before being returned: exactly (via
-    interval ranges) when f is tagged quasi-continuous, at grid level
-    (depth 12, including the function's own carried points) otherwise, which
-    is the strongest check certificate-admitted families can pass.
+    Each candidate is checked by its interval range, over every point of it,
+    so an interval is returned only when the bound holds on all of it.
 
     Candidates are integer numerators over one denominator; the ends of the
     one returned are the only `Fraction`s built.
@@ -185,16 +183,11 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
     fx = f.eval(p)
     tol = _reduced(1, 0, 1 << k)
     lo_cap, hi_cap = fx - tol, fx + tol  # values must lie strictly between
-    exact_mode = QUASI_CONTINUOUS in f.tags
 
     def candidate_ok(cn: int, dn: int, den: int) -> bool:
         """Whether f stays strictly between the caps on (cn/den, dn/den)."""
-        iv = DyadicInterval.of_ints(cn, dn, den)
-        if exact_mode:
-            inf_b, sup_b = f.range_on(iv, k + 4)
-            return _vs(hi_cap, sup_b.un, sup_b.d) > 0 and _vs(lo_cap, inf_b.ln, inf_b.d) < 0
-        return all(lo_cap < f.eval(pt) < hi_cap for pt in probe_points(f, iv, 12)
-                   if iv.contains_interior(pt))
+        inf_b, sup_b = f.range_on(DyadicInterval.of_ints(cn, dn, den), k + 4)
+        return _vs(hi_cap, sup_b.un, sup_b.d) > 0 and _vs(lo_cap, inf_b.ln, inf_b.d) < 0
 
     ball_iv = _ball_clipped(p, big_n)
     bn, bu, bd = ball_iv.ln, ball_iv.un, ball_iv.d

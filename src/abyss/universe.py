@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
-from .errors import (ConstructionError, DomainError, NotPointwiseEvaluable,
+from .errors import (ConstructionError, DomainError, FuelExhausted, NotPointwiseEvaluable,
                      RepresentationInsufficient, UnsupportedVariant)
 from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator,
                     _ratio, _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
-                    grid_span, rational_grid)
+                    grid_span, halve, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
 
 # class tags (vocabulary fixed by the glossary of notions in play)
@@ -190,8 +191,8 @@ class SymbolicFn:
     def _hull(self) -> tuple[Q2, Q2, bool, bool]:
         """(lo, hi, lo_open, hi_open), what the family's structure proves
         about its values: every value on [0,1] lies in [lo, hi], and an end
-        marked open is proven never taken.  `range_bound`, `is_positive`
-        and `constant_value` read it."""
+        marked open is proven never taken.  `range_bound` and
+        `is_positive` read it."""
         raise NotImplementedError
 
     def range_bound(self) -> tuple[Fraction, Fraction]:
@@ -206,11 +207,6 @@ class SymbolicFn:
         lo, _, lo_open, _ = self._hull()
         sign = lo.sign()
         return sign > 0 or (sign == 0 and lo_open)
-
-    def constant_value(self) -> Optional[Q2]:
-        """The value of f when the hull's two ends agree, else None."""
-        lo, hi, _, _ = self._hull()
-        return lo if lo == hi else None
 
     def range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
         """(inf, sup) brackets over every point of the part of iv inside
@@ -1053,13 +1049,13 @@ class Baire1Limit(SymbolicFn):
             "value bounds of a pointwise limit need a representation whose "
             "terms carry them (pennyk_limit, constant_seq_limit)")
 
-    def range_on(self, iv, k):
+    def _range_on(self, iv, k):
         raise UnsupportedVariant(
             "interval ranges of a pointwise limit are consumed through its "
             "representation, not directly")
 
     def special_points(self, iv, depth):
-        return self.term(min(depth, 8)).special_points(iv, depth)
+        return self.term(depth).special_points(iv, depth)
 
     def witness_depth(self, y: Fraction) -> Optional[int]:
         """The probe depth past which no value above y lies; None: unknown."""
@@ -1103,6 +1099,9 @@ class ConstantSeqLimit(Baire1Limit):
 
     def _hull(self):
         return self.term(0)._hull()
+
+    def _range_on(self, iv, k):
+        return self.term(0).range_on(iv, k)
 
 
 constant_seq_limit = ConstantSeqLimit
@@ -1154,6 +1153,10 @@ def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:
     return ScalarMultiple(c, f)
 
 
+# the cells a sum's `range_on` may halve its interval into before it gives up
+_SUM_CELLS = 256
+
+
 def _sum_tags(tf, tg):
     tags = set()
     for t in (CLIQUISH, BV, REGULATED, BAIRE1, NORMALISED_BV, USCO, LSCO, CONTINUOUS):
@@ -1182,34 +1185,36 @@ class Sum(SymbolicFn):
         gl, gh, gl_open, gh_open = self.g._hull()
         return fl + gl, fh + gh, fl_open or gl_open, fh_open or gh_open
 
-    def _const_side(self):
-        # both sides are asked, so a side without a hull refuses in either order
-        cf, cg = self.f.constant_value(), self.g.constant_value()
-        if cf is not None:
-            return cf, self.g
-        if cg is not None:
-            return cg, self.f
-        return None, None
+    def _cell(self, iv, k):
+        """(iv, inf bracket, sup bracket) of f + g on iv, read off the parts'
+        brackets: inf f + inf g <= inf(f + g) <= min(inf f + sup g, sup f +
+        inf g), and max(sup f + inf g, inf f + sup g) <= sup(f + g) <= sup f
+        + sup g.  So where one part takes a single value, both are within
+        2^-k."""
+        fi, fs = self.f.range_on(iv, k + 1)
+        gi, gs = self.g.range_on(iv, k + 1)
+        return (iv, Bracket(fi.lo + gi.lo, min(fi.hi + gs.hi, fs.hi + gi.hi)),
+                Bracket(max(fs.lo + gi.lo, fi.lo + gs.lo), fs.hi + gs.hi))
 
     def _range_on(self, iv, k):
-        c, other = self._const_side()
-        if c is not None:
-            io, so = other.range_on(iv, k + 1)
-            cb = Bracket.of_q2(c, k + 1)
-            return io + cb, so + cb
-        fi, fs = self.f.range_on(iv, k + 2)
-        gi, gs = self.g.range_on(iv, k + 2)
-        inf_b, sup_b = fi + gi, fs + gs
-        # tighten with actual evaluations (sound: values are inside the range)
-        best_hi, best_lo = None, None
-        for p in probe_points(self, iv, 4):
-            v = self._eval(p).approx(k + 4)
-            best_hi = v if best_hi is None else max(best_hi, v)
-            best_lo = v if best_lo is None else min(best_lo, v)
-        if best_hi is not None:
-            sup_b = Bracket(max(sup_b.lo, best_hi - Fraction(1, 1 << (k + 3))), sup_b.hi)
-            inf_b = Bracket(inf_b.lo, min(inf_b.hi, best_lo + Fraction(1, 1 << (k + 3))))
-        return inf_b, sup_b
+        # branch and bound: while a side is wider than 2^-k, halve the cell
+        # that holds its outer end
+        width = Fraction(1, 1 << k)
+        cells = [self._cell(iv, k)]
+        while True:
+            inf_b = reduce(Bracket.join_min, (c[1] for c in cells))
+            sup_b = reduce(Bracket.join_max, (c[2] for c in cells))
+            if inf_b.width > width:
+                cell = min(cells, key=lambda c: c[1].lo)
+            elif sup_b.width > width:
+                cell = max(cells, key=lambda c: c[2].hi)
+            else:
+                return inf_b, sup_b
+            if len(cells) == _SUM_CELLS:
+                raise FuelExhausted("the range of a sum is not within 2^-%d after %d cells"
+                                    % (k, _SUM_CELLS), best=(inf_b, sup_b))
+            cells.remove(cell)
+            cells += [self._cell(half, k) for half in halve(cell[0])]
 
     def special_points(self, iv, depth):
         return self.f.special_points(iv, depth) + self.g.special_points(iv, depth)

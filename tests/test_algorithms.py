@@ -6,12 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (Baire1Limit, ClassRefusal, ComplementOfR2Open,
+from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open,
                    DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
                    FuelExhausted, Indicator, InvalidModulus, Penny, PennyK,
                    PiecewiseRational, Poly, Q2, R2Rep,
                    RepresentationInsufficient, Truth, ball, build_cover_psi,
-                   constant,
+                   constant, finite_set,
                    cousin_subcover, fn_difference, fn_sum, indicator_baire1,
                    inf_usco, is_continuous_at, linear, mu_search,
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
@@ -153,6 +153,21 @@ def test_sup_baire1_subinterval():
     assert iv.contains(F(1, 4))
 
 
+def test_baire1_probes_reach_members_past_index_8():
+    """A depth-d probe reads term d, so a spike of index 9 or more is seen:
+    member 11 of the sqrt2 family (sqrt2/4096, value 1/4096) lies in
+    [0, 1/2048], and member 10 of i/16 + sqrt2/64, i = 1..12 (value
+    1/2048) lies in [11/16, 3/4].  Probes capped at term 8 gave
+    [0, 1/16384] and `NotFoundBelow`."""
+    assert A.member(11) == S2(11)
+    assert sup_baire1(pennyk_limit(A), F(0), F(1, 2048), 14).contains(F(1, 4096))
+    B = finite_set([F(i, 16) + S2(0) / 32 for i in range(1, 13)])
+    assert B.member(10) == F(11, 16) + S2(0) / 32
+    got = mu_search(Baire1Above(pennyk_limit(B), DyadicInterval(F(11, 16), F(3, 4)),
+                                F(1, 4096)))
+    assert isinstance(got, Found)
+
+
 # ---------------------------------------------------------------------------
 # oscillation and continuity
 # ---------------------------------------------------------------------------
@@ -235,15 +250,21 @@ def test_modulus_continuity_constant():
     assert G(F(1, 2), 6) == 0
 
 
-def test_modulus_qc_thomae():
-    c, d = modulus_qc(thomae(), F(1, 2), 2, 3)
+def test_modulus_qc_thomae(deadline):
+    """Thomae is 0 at every irrational, so no interval keeps it within 1/4
+    of f(1/2) = 1/2 or within 1/8 of f(1/3): each search runs out of fuel.
+    Grid probes passed (2047/4096, 2049/4096), where 1/2 + sqrt2/16384
+    has value 0.  At sqrt2/2 an interval exists, and the one returned holds
+    the bound at every point, by the exact range."""
+    deadline(5)
     t = thomae()
-    fx = t.eval(F(1, 2))
-    # the defining check is at grid level (depth 12), as returned intervals
-    # for certificate-admitted families are grid-validated
-    for pt in probe_basis(t, DyadicInterval(c, d), 12):
-        if Q2.of(c) < pt < Q2.of(d):
-            assert abs(t.eval(pt) - fx) < Q2.of(F(1, 4))
+    for x, k in ((F(1, 2), 2), (F(1, 3), 3)):
+        with pytest.raises(FuelExhausted):
+            modulus_qc(t, x, k, 3)
+    assert t.eval(F(1, 2) + S2(0) / 8192) == 0
+    c, d = modulus_qc(t, S2(0), 10, 3)
+    inf_b, sup_b = t.range_on(DyadicInterval(c, d), 20)
+    assert inf_b.lo == 0 and sup_b.hi < F(1, 1 << 10)
 
 
 def test_modulus_qc_constant_and_penny():

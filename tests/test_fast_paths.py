@@ -23,7 +23,7 @@ from abyss.oracle import (DEFAULT_FUEL, QueryTrace,
                           _ball_clipped, _baire1_value_above, basis_at,
                           grid_depth_cap)
 from abyss.sets import FinitePointSet
-from abyss.universe import QUASI_CONTINUOUS, probe_points
+from abyss.universe import QUASI_CONTINUOUS
 
 from conftest import (calls_to, fraction_news, irrational_cut_staircase,
                       random_continuous_piecewise, random_staircase_plus_linear,
@@ -138,17 +138,12 @@ def sorted_fraction_modulus_qc(f, x, k, big_n, fuel=DEFAULT_FUEL):
     p = Q2.of(x)
     fx = f.eval(p)
     tol = F(1, 1 << k)
-    exact_mode = QUASI_CONTINUOUS in f.tags
 
     def candidate_ok(c, d):
         if not c < d:
             return False
-        iv = DyadicInterval(c, d)
-        if exact_mode:
-            inf_b, sup_b = f.range_on(iv, k + 4)
-            return Q2.of(sup_b.hi) - fx < tol and fx - Q2.of(inf_b.lo) < tol
-        return all(abs(f.eval(pt) - fx) < tol for pt in probe_points(f, iv, 12)
-                   if c < pt < d)
+        inf_b, sup_b = f.range_on(DyadicInterval(c, d), k + 4)
+        return Q2.of(sup_b.hi) - fx < tol and fx - Q2.of(inf_b.lo) < tol
 
     ball_iv = _ball_clipped(p, big_n)
     for j in range(big_n + 2, big_n + 2 + min(fuel, 24)):
@@ -186,7 +181,7 @@ def outcome(run):
 def test_modulus_qc_orders_candidates_as_sorted_fractions(x):
     f = four_piece()
     fns = [f, twin_bumps(), staircase([(F(1, 3), F(1, 4)), (F(3, 4), F(-1, 2))]),
-           restrict_tags(f, f.tags - {QUASI_CONTINUOUS})]  # the probe-point check
+           restrict_tags(f, f.tags - {QUASI_CONTINUOUS})]  # checked by its range too
     for g, n, k in itertools.product(fns, (0, 1, 3, 5), (0, 3, 6, 9)):
         got = outcome(lambda: modulus_qc(g, x, k, n, fuel=8))
         assert got == outcome(lambda: sorted_fraction_modulus_qc(g, x, k, n, fuel=8)), (g, n, k)
