@@ -319,11 +319,6 @@ def _osc_on(f: SymbolicFn, ball: DyadicInterval, k: int) -> Bracket:
     return sup_b - inf_b
 
 
-def ball_oscillation(f: SymbolicFn, x, exponent: int, k: int) -> Bracket:
-    """Bracket of sup - inf of f over the (clipped) ball around x."""
-    return _osc_on(f, _ball_clipped(x, exponent), k)
-
-
 # --- the least-witness search ------------------------------------------------
 
 

@@ -39,13 +39,17 @@ def q2_from_json(doc) -> Q2:
     if not isinstance(doc, dict):
         raise ValueError('a point is a "num/den" string or an object with the '
                          'fields a and b, got %r' % (doc,))
-    return Q2(_field(doc, "a"), _field(doc, "b"))
+    return Q2(_field(doc, "a", _RATIONAL), _field(doc, "b", _RATIONAL))
 
 
 # a rational field: a "num/den" string or a JSON number, whose value the
-# exact kernel then reads (refusing a float)
+# exact kernel then reads (refusing a float); a JSON boolean is no rational
 _RATIONAL = (str, int, float)
 _JSON_TYPES = {dict: "object", list: "array", str: "string", _RATIONAL: "string or number"}
+
+
+def _is_rational(v) -> bool:
+    return isinstance(v, _RATIONAL) and not isinstance(v, bool)
 
 
 def _field(doc, key, typ=object):
@@ -53,7 +57,7 @@ def _field(doc, key, typ=object):
     it or it is not a typ (a key of `_JSON_TYPES`)."""
     if key not in doc:
         raise ValueError("document lacks the field %r" % (key,))
-    if not isinstance(doc[key], typ):
+    if not (_is_rational(doc[key]) if typ is _RATIONAL else isinstance(doc[key], typ)):
         raise ValueError("field %r must be a JSON %s, got %r"
                          % (key, _JSON_TYPES[typ], doc[key]))
     return doc[key]
@@ -110,8 +114,7 @@ CLOSED_SET_REPS = {
 
 def _spans_field(doc):
     spans = _field(doc, "intervals", list)
-    if not all(isinstance(s, list) and len(s) == 2 and all(isinstance(e, _RATIONAL) for e in s)
-               for s in spans):
+    if not all(isinstance(s, list) and len(s) == 2 and all(map(_is_rational, s)) for s in spans):
         raise ValueError("field 'intervals' must hold a JSON array of [lower, upper] "
                          "rational pairs, got %r" % (spans,))
     return spans
@@ -137,9 +140,10 @@ def _piecewise_json(f) -> dict:
 
 def _piecewise_from_json(doc):
     pieces = _field(doc, "pieces", list)
-    if not all(isinstance(cs, list) for cs in pieces):  # a string would pass as its characters
-        raise ValueError("field 'pieces' must hold a JSON array of coefficients per "
-                         "piece, got %r" % (pieces,))
+    if not all(isinstance(cs, list) and 1 <= len(cs) <= 3 and all(map(_is_rational, cs))
+               for cs in pieces):
+        raise ValueError("field 'pieces' must hold a JSON array of 1 to 3 rational "
+                         "coefficients per piece, got %r" % (pieces,))
     return u.PiecewiseRational([q2_from_json(c) for c in _field(doc, "cuts", list)],
                                [u.Poly(*cs) for cs in pieces],
                                [q2_from_json(v) for v in _field(doc, "values", list)])

@@ -16,26 +16,23 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-from abyss import (ClassRefusal, ComplementOfR2Open, CoverPsi, CoverPsiUsco,
-                   DyadicInterval, FinitePointSet, Found, Indicator, Penny,
-                   PennyK, Q2, R2Rep, build_cover_psi, canonical_cliq_modulus,
-                   canonical_regulation_modulus, constant, cousin_subcover,
-                   exhaustive_sup_oracle, extract_enumeration_from_sup,
-                   finite_set, fn_sum, inf_usco, jordan_nbv, linear, mu_search,
-                   naive_rational_sup, osc_point, pennyk_limit,
-                   point_of_continuity_qc, rational_grid,
-                   realiser_from_cliq_modulus, realiser_from_regulation_modulus,
-                   realiser_from_sup, restrict_tags, sqrt2_family, staircase,
-                   sup_baire1, sup_qc, thomae, total_variation_nbv)
+from abyss import (ClassRefusal, ComplementOfR2Open, CoverPsi, CoverPsiUsco, DyadicInterval,
+                   FinitePointSet, Found, Indicator, Penny, PennyK, Q2, R2Rep, build_cover_psi,
+                   canonical_cliq_modulus, canonical_regulation_modulus, constant, cousin_subcover,
+                   exhaustive_sup_oracle, extract_enumeration_from_sup, finite_set, fn_sum,
+                   inf_usco, jordan_nbv, linear, mu_search, naive_rational_sup, osc_point,
+                   pennyk_limit, point_of_continuity_qc, rational_grid, realiser_from_cliq_modulus,
+                   realiser_from_regulation_modulus, realiser_from_sup, restrict_tags,
+                   sqrt2_family, sup_baire1, sup_qc, thomae, total_variation_nbv)
 from abyss.oracle import (Baire1Above, ExistsValueAbove, ExistsValueBelow,
                           OscBelow, ValueBelowOnBall)
 from abyss.universe import CLIQUISH, USCO, ScalarMultiple
 
-from conftest import (exact_symbolic_inf, exact_symbolic_sup,
-                      partition_brute_variation, probe_basis,
-                      random_continuous_piecewise, random_finite_set,
-                      random_staircase, random_staircase_plus_linear,
-                      random_subinterval, verify_cover_exact)
+from catalogue import (build, random_continuous_piecewise, random_finite_set, random_staircase,
+                       random_staircase_plus_linear, random_subinterval)
+from references import (covers_unit, exact_symbolic_inf, exact_symbolic_sup,
+                        partition_brute_variation, probe_predicate,
+                        variation_candidates)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -81,10 +78,10 @@ def test_criterion_1_oracle_equivalence_suprema():
 
     for _ in range(35):
         p, q = random_subinterval(rng)
-        check_sup(random_continuous_piecewise(rng), p, q)
+        check_sup(build(random_continuous_piecewise(rng)), p, q)
     for _ in range(20):
         p, q = random_subinterval(rng)
-        check_sup(random_staircase(rng), p, q)
+        check_sup(build(random_staircase(rng)), p, q)
     for _ in range(15):
         p, q = random_subinterval(rng)
         check_sup(thomae(), p, q)  # restrictions of the spike-at-rationals map
@@ -97,7 +94,7 @@ def test_criterion_1_oracle_equivalence_suprema():
         check_inf(PennyK(A, rng.randrange(0, 12)), p, q)
     for _ in range(15):
         p, q = random_subinterval(rng)
-        check_inf(random_continuous_piecewise(rng), p, q)
+        check_inf(build(random_continuous_piecewise(rng)), p, q)
     for _ in range(40):
         B = random_finite_set(rng)
         p, q = random_subinterval(rng)
@@ -130,9 +127,9 @@ def test_criterion_3_effective_baire_category():
     rng = random.Random(103)
     instances = [thomae()]
     for _ in range(10):
-        instances.append(random_continuous_piecewise(rng))
+        instances.append(build(random_continuous_piecewise(rng)))
     for _ in range(10):
-        instances.append(random_staircase(rng))
+        instances.append(build(random_staircase(rng)))
     ok = True
     for f in instances:
         x = point_of_continuity_qc(f, 8, fuel=64)
@@ -152,7 +149,7 @@ def test_criterion_4_cousin_covering():
     for _ in range(6):
         gauges.append(linear(F(rng.randrange(0, 3), 4), F(rng.randrange(1, 6), 16)))
     for _ in range(6):
-        st = random_staircase(rng)
+        st = build(random_staircase(rng))
         shift = F(1, 8)
         from abyss import fn_sum
         gauges.append(fn_sum(st, constant(shift - min(
@@ -163,7 +160,7 @@ def test_criterion_4_cousin_covering():
         if not psi.is_positive():
             continue
         balls = cousin_subcover(psi)
-        ok = ok and verify_cover_exact(balls)
+        ok = ok and covers_unit(balls)
         count += 1
     ok = ok and count >= 20
 
@@ -193,7 +190,7 @@ def test_criterion_5_jordan_decomposition():
     grid10 = rational_grid(DyadicInterval(0, 1), 10)
     ok = True
     for _ in range(20):
-        f = random_staircase_plus_linear(rng)
+        f = build(random_staircase_plus_linear(rng))
         jp = jordan_nbv(f)
         sample = grid10[:: 8] + [F(1)]  # monotonicity probed across depth 10
         gs = [jp.g(x) for x in sample]
@@ -203,17 +200,7 @@ def test_criterion_5_jordan_decomposition():
         ok = ok and all(abs((jp.g(x) - jp.h(x)) - f.eval(x)) <= Q2.of(TOL["k9"])
                         for x in sample)
         got = total_variation_nbv(f, F(1), 10)
-        cands = set(rational_grid(DyadicInterval(0, 1), 3))
-        for c in f.cuts:
-            qc = c.as_rational()
-            cands.add(qc)
-            if qc > 0:
-                cands.add(qc - F(1, 1 << 12))
-        for piece in f.pieces:
-            v = piece.vertex()
-            if v is not None and 0 < v < 1:
-                cands.add(v)
-        brute = partition_brute_variation(f, F(1), cands, 12)
+        brute = partition_brute_variation(f, F(1), variation_candidates(f), 12)
         ok = ok and brute <= Q2.of(got.upper) and brute >= Q2.of(got.lower - TOL["k8"])
     _report(5, "Jordan pairs monotone and exact; variation matches the "
             "partition search on 20 instances", ok)
@@ -256,85 +243,6 @@ def test_criterion_7_realiser_reductions():
             "extraction matches the integer-sqrt oracle", ok)
 
 
-def _collapsed_predicate(query):
-    """Rational-collapsed evaluation, written out per rule (independent of
-    mu_search): rational probes only, plus the carried data the rule names."""
-    if isinstance(query, ExistsValueAbove):
-        pts = probe_basis(query.f, query.interval, 7)
-        return any(query.f.eval(p) > Q2.of(query.threshold)
-                   for p in pts if p.is_rational)
-    if isinstance(query, ExistsValueBelow):
-        pts = probe_basis(query.f, query.interval, 7)
-        return any(query.f.eval(p) < Q2.of(query.threshold)
-                   for p in pts if p.is_rational)
-    if isinstance(query, OscBelow):
-        bound = Q2.of(F(1, 1 << query.m))
-        for n in range(24):
-            iv = _ball(query.x, n)
-            pts = [p for p in probe_basis(query.f, iv, 7)]
-            use = [query.f.eval(p) for p in pts if p.is_rational]
-            use.append(query.f.eval(query.x))
-            carried = [query.f.eval(p) for p in pts if not p.is_rational]
-            vals = use + carried  # the rule names f(x) and the carried spikes
-            if max(vals) - min(vals) <= bound:
-                return n
-        return None
-    if isinstance(query, ValueBelowOnBall):
-        for m in range(24):
-            iv = _ball(query.x, m)
-            pts = [p for p in probe_basis(query.f, iv, 7) if p.is_rational]
-            if all(query.f.eval(p) >= Q2.of(query.q) for p in pts):
-                return m
-        return None
-    if isinstance(query, Baire1Above):
-        pts = probe_basis(query.f_rep, query.interval, 7)
-        out = False
-        for p in pts:
-            n = query.f_rep.conv_modulus(p, 12)
-            v = query.f_rep.term(max(n, 12)).eval(p)
-            if v - Q2.of(F(1, 1 << 12)) > Q2.of(query.threshold):
-                out = True
-        return out
-    raise AssertionError(query)
-
-
-def _ball(x, exponent):
-    p = Q2.of(x)
-    c = p.as_rational() if p.is_rational else p.approx(exponent + 8)
-    r = F(1, 1 << exponent)
-    return DyadicInterval(max(F(0), c - r), min(F(1), c + r))
-
-
-def _symbolic_predicate(query):
-    """Exhaustive symbolic evaluation: every probe, rational or not."""
-    if isinstance(query, ExistsValueAbove):
-        return any(query.f.eval(p) > Q2.of(query.threshold)
-                   for p in probe_basis(query.f, query.interval, 7))
-    if isinstance(query, ExistsValueBelow):
-        return any(query.f.eval(p) < Q2.of(query.threshold)
-                   for p in probe_basis(query.f, query.interval, 7))
-    if isinstance(query, OscBelow):
-        bound = Q2.of(F(1, 1 << query.m))
-        for n in range(24):
-            iv = _ball(query.x, n)
-            vals = [query.f.eval(p) for p in probe_basis(query.f, iv, 7)]
-            vals.append(query.f.eval(query.x))
-            if max(vals) - min(vals) <= bound:
-                return n
-        return None
-    if isinstance(query, ValueBelowOnBall):
-        for m in range(24):
-            iv = _ball(query.x, m)
-            if all(query.f.eval(p) >= Q2.of(query.q) for p in probe_basis(query.f, iv, 7)):
-                return m
-        return None
-    if isinstance(query, Baire1Above):
-        limit = Penny(query.f_rep.a_set)
-        return any(limit.eval(p) > Q2.of(query.threshold)
-                   for p in probe_basis(limit, query.interval, 7))
-    raise AssertionError(query)
-
-
 def test_criterion_8_collapse_rule_soundness():
     """Every ruled (shape, class) pair: 100 random queries agree between the
     rational-collapsed and exhaustive symbolic evaluations; every unruled
@@ -353,18 +261,18 @@ def test_criterion_8_collapse_rule_soundness():
 
     pair_queries = {
         ("ExistsValueAbove", "quasi-continuous"):
-            lambda: ExistsValueAbove(random_staircase(rng), rand_iv(), rand_threshold()),
+            lambda: ExistsValueAbove(build(random_staircase(rng)), rand_iv(), rand_threshold()),
         ("ExistsValueAbove", "certificate"):
             lambda: ExistsValueAbove(t, rand_iv(), rand_threshold()),
         ("ExistsValueBelow", "usco"):
             lambda: ExistsValueBelow(penny, rand_iv(), rand_threshold()),
         ("ExistsValueBelow", "quasi-continuous"):
-            lambda: ExistsValueBelow(random_continuous_piecewise(rng), rand_iv(),
+            lambda: ExistsValueBelow(build(random_continuous_piecewise(rng)), rand_iv(),
                                      rand_threshold()),
         ("ExistsValueBelow", "certificate"):
             lambda: ExistsValueBelow(t, rand_iv(), rand_threshold()),
         ("OscBelow", "quasi-continuous"):
-            lambda: OscBelow(random_staircase(rng),
+            lambda: OscBelow(build(random_staircase(rng)),
                              F(rng.randrange(0, 33), 32), rng.randrange(1, 6)),
         ("OscBelow", "certificate"):
             lambda: OscBelow(t, F(rng.randrange(0, 33), 32), rng.randrange(1, 6)),
@@ -379,7 +287,7 @@ def test_criterion_8_collapse_rule_soundness():
     for pair, make in pair_queries.items():
         for _ in range(100):
             q = make()
-            assert _collapsed_predicate(q) == _symbolic_predicate(q), (pair, q)
+            assert probe_predicate(q, True) == probe_predicate(q, False), (pair, q)
 
     refusals = 0
     try:
@@ -401,8 +309,10 @@ def test_value_below_on_ball_search_matches_every_probe_on_usco_families():
     least exponent as the every-probe reading.  Positive thresholds stay
     above 2^-12, the cover function's value at 1/128, the depth-7 probe
     nearest 0: below it that reading cannot see the infimum 0 at 0.  The
-    sums' parts share where they approach their infima, as `Sum.range_on`
-    assumes when it adds them (defect 2a, ROADMAP item 1)."""
+    sums' parts approach their infima at shared points.  `Sum.range_on`
+    once assumed that of every sum (defect 2a); it no longer does, and the
+    ball-walk rows of `test_differential.py` also run sums whose parts do
+    not."""
     gaps = ComplementOfR2Open(R2Rep.from_intervals([(F(1, 8), F(1, 4)), (F(5, 8), F(3, 4))]))
     B = finite_set([S2(0), S2(3), S2(6)])
     fns = [Indicator(gaps), Indicator(FinitePointSet.of([F(1, 3), S2(1)])),
@@ -418,7 +328,7 @@ def test_value_below_on_ball_search_matches_every_probe_on_usco_families():
                 query = ValueBelowOnBall(f, x, q, fuel=23)
                 res = mu_search(query)
                 got = res.witness.value if isinstance(res, Found) else None
-                assert got == _symbolic_predicate(query), (f, x, q)
+                assert got == probe_predicate(query, False), (f, x, q)
 
 
 def test_criterion_9_determinism():

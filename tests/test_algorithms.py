@@ -6,32 +6,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open,
-                   DyadicInterval, ExistsValueAbove, FinitePointSet, Found,
-                   FuelExhausted, Indicator, InvalidModulus, Penny, PennyK,
-                   PiecewiseRational, Poly, Q2, R2Rep,
-                   RepresentationInsufficient, Truth, ball, build_cover_psi,
-                   constant, finite_set,
-                   cousin_subcover, fn_difference, fn_sum, indicator_baire1,
-                   inf_usco, is_continuous_at, linear, mu_search,
-                   lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
-                   modulus_regulation, natural_usco_modulus, osc_point,
-                   pennyk_limit,
-                   point_of_continuity_qc, point_of_continuity_usco,
-                   rational_grid, restrict_tags, rm_code_from_r2_baire1,
-                   sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
-                   unit_rationals, usco_separator)
+from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, DyadicInterval,
+                   ExistsValueAbove, FinitePointSet, Found, FuelExhausted, Indicator,
+                   InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
+                   RepresentationInsufficient, Truth, ball, build_cover_psi, constant,
+                   cousin_subcover, finite_set, fn_difference, fn_sum, indicator_baire1, inf_usco,
+                   is_continuous_at, linear, lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
+                   modulus_regulation, mu_search, natural_usco_modulus, osc_point, pennyk_limit,
+                   point_of_continuity_qc, point_of_continuity_usco, rational_grid, restrict_tags,
+                   rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
+                   unit_rationals, universe, usco_separator)
+from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, Sum
 
-from conftest import brute_ball_osc, exact_symbolic_sup, probe_basis
+from catalogue import ENTRIES, make
+from conftest import calls_to, fraction_news
+from references import (brute_ball_osc, covers_unit, exact_symbolic_sup, fresh_halving, halving,
+                        outcome, probe_basis)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
 
 
-# ---------------------------------------------------------------------------
-# suprema / infima
-# ---------------------------------------------------------------------------
+# --- suprema / infima ---
 
 
 def test_sup_thomae_quarters():
@@ -168,9 +165,7 @@ def test_baire1_probes_reach_members_past_index_8():
     assert isinstance(got, Found)
 
 
-# ---------------------------------------------------------------------------
-# oscillation and continuity
-# ---------------------------------------------------------------------------
+# --- oscillation and continuity ---
 
 
 def test_osc_point_thomae_rational():
@@ -210,9 +205,7 @@ def test_is_continuous_at_examples():
     assert is_continuous_at(thomae(), F(2, 3), 64).value is Truth.NO
 
 
-# ---------------------------------------------------------------------------
-# moduli
-# ---------------------------------------------------------------------------
+# --- moduli ---
 
 
 def unit_ball(x, n):
@@ -407,36 +400,18 @@ def test_moduli_and_continuity_points_pinned():
                 assert point_of_continuity_usco(f, natural_usco_modulus(f), k) == usco[i]
 
 
-# ---------------------------------------------------------------------------
-# Cousin subcovers
-# ---------------------------------------------------------------------------
-
-
-def _verify_cover(balls):
-    spans = sorted((c - r, c + r) for c, r in balls)
-    reach = F(0)
-    started = False
-    for lo, hi in spans:
-        if not started:
-            if lo < 0 <= hi:
-                reach = max(reach, hi)
-                started = True
-            continue
-        if lo >= reach:
-            return False if reach <= 1 else True
-        reach = max(reach, hi)
-    return started and reach > 1
+# --- Cousin subcovers ---
 
 
 def test_cousin_uniform_gauge():
     balls = cousin_subcover(constant(F(1, 8)))
-    assert _verify_cover(balls)
+    assert covers_unit(balls)
     assert all(r == F(1, 8) for _, r in balls)
 
 
 def test_cousin_linear_gauge():
     balls = cousin_subcover(linear(F(1, 2), F(1, 16)))
-    assert _verify_cover(balls)
+    assert covers_unit(balls)
 
 
 def test_cousin_gauge_with_an_unattained_zero_limit():
@@ -446,7 +421,7 @@ def test_cousin_gauge_with_an_unattained_zero_limit():
     psi = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(1), Poly(F(-1, 2), 1)],
                                        ["right", 1, "right"])
     assert QUASI_CONTINUOUS in psi.tags and psi.is_positive()
-    assert _verify_cover(cousin_subcover(psi))
+    assert covers_unit(cousin_subcover(psi))
 
 
 def test_cousin_gauge_plus_constant_zero():
@@ -456,7 +431,7 @@ def test_cousin_gauge_plus_constant_zero():
                                        ["right", 1, "right"])
     gauge = fn_sum(constant(0), restrict_tags(psi, psi.tags))
     assert isinstance(gauge, Sum) and gauge.is_positive()
-    assert _verify_cover(cousin_subcover(gauge))
+    assert covers_unit(cousin_subcover(gauge))
 
 
 def test_cousin_gauges_through_composites():
@@ -468,7 +443,7 @@ def test_cousin_gauges_through_composites():
                                        ["right", 1, "right"])
     view = restrict_tags(psi, psi.tags)
     gauge = scalar_multiple(-1, scalar_multiple(-1, view))
-    assert gauge.is_positive() and _verify_cover(cousin_subcover(gauge))
+    assert gauge.is_positive() and covers_unit(cousin_subcover(gauge))
     spiky = fn_sum(view, thomae())
     assert spiky.is_positive()
     with pytest.raises(ClassRefusal, match="quasi-continuous or lsco"):
@@ -502,9 +477,7 @@ def test_cover_psi_measure_bound():
             assert tot < 1
 
 
-# ---------------------------------------------------------------------------
-# separator and code conversion
-# ---------------------------------------------------------------------------
+# --- separator and code conversion ---
 
 
 def test_usco_separator_examples():
@@ -566,3 +539,70 @@ def test_rm_code_needs_modulus():
     bare = Baire1Limit(lambda n: indicator_baire1(o).term(0))
     with pytest.raises(RepresentationInsufficient):
         rm_code_from_r2_baire1(o, bare, 8)
+
+
+# --- what the fast paths may cost (their answers: test_differential) ---
+
+
+def test_modulus_qc_builds_few_fractions():
+    """Candidates ordered by `Fraction` keys made 57 `Fraction.__new__`
+    calls here."""
+    f = make("four-piece")
+    assert modulus_qc(f, F(1, 2), 6, 3) == (F(15, 32), F(1, 2))
+    # the lower of a tie
+    assert modulus_qc(make("twin-bumps"), F(1, 2), 3, 1) == (F(1, 4), F(3, 8))
+    assert fraction_news(lambda: modulus_qc(f, F(1, 2), 6, 3)) <= 25
+
+
+def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
+    """Rebuilding the basis for every threshold made 27, 55 and 34
+    `probe_points` calls for the first three runs, and every threshold of
+    `sup_qc` called `_range_on`: 21 at k = 20.  A halving keeps one probe
+    state per limit and interval, which a second run reads; a threshold on
+    a spike value of a limit with no stabilizer is undecided.  An inexact
+    bracket asks `range_on` as often as the fresh halving, and the kept
+    bracket is what the `sup-qc` and `inf-usco` rows check."""
+    deadline(20)
+    for p, q in ((0, 1), (0, F(1, 4)), (F(3, 4), 1), (F(1, 32), F(1, 8))):
+        def run():
+            return sup_baire1(pennyk_limit(sqrt2_family()), p, q, 10)
+
+        iv = DyadicInterval(p, q)
+        assert calls_to(run, universe.__file__, "probe_points") <= grid_depth_cap(iv) + 1, (p, q)
+        # each point is evaluated once (one point check per evaluation), and
+        # a second run on the same limit and interval evaluates nothing
+        f = pennyk_limit(sqrt2_family())
+        evaluations = calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, "_unit_point")
+        points = {(x.p, x.q, x.d) for d in range(len(f._probe_memo[1].sizes))
+                  for x in basis_at(f, iv, d)}
+        assert evaluations <= len(points), (p, q)
+        for name in ("probe_points", "_unit_point"):
+            assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
+    for k in (4, 10, 20):
+        assert calls_to(lambda: sup_qc(make("four-piece"), 0, 1, k),
+                        universe.__file__, "_range_on") <= 2
+        assert calls_to(lambda: inf_usco(make("four-piece"), F(1, 8), 1, k),
+                        universe.__file__, "_range_on") <= 2
+    for name in ("pennyk-limit(sqrt2)", "pennyk-limit(4 seeds)",
+                 "constant-seq-limit(four-piece)", "constant-seq-limit(irrational-cut)"):
+        f = make(name)
+        for (p, q), *_ in ENTRIES[name]["halving"]:
+            iv = DyadicInterval(p, q)
+            lo, hi = f.range_bound()
+            run = halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search)
+            assert f._probe_memo[0] == (iv.ln, iv.un, iv.d), (name, iv)
+            state = f._probe_memo[1]
+            assert halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search) == run
+            assert f._probe_memo[1] is state
+            assert outcome(lambda: sup_baire1(f, p, q, 12)) == run[1]
+    steps, (tag, _) = halving(make("generic-limit(4 seeds)"), DyadicInterval(0, 1), F(0), F(1),
+                              4, 8, mu_search)
+    assert [mid for mid, _ in steps] == [F(1, 2)] and tag == "FuelExhausted"
+    for k in (10, 20):
+        ranges = [calls_to(lambda: run(make("irrational-cut-staircase"), 0, 1, k),
+                           universe.__file__, "_range_on")
+                  for run in (sup_qc, lambda f, p, q, k: fresh_halving(f, p, q, k, True))]
+        assert ranges[0] == ranges[1] > k // 2, ranges
+    for name, entry in ENTRIES.items():
+        if {"sup-qc", "inf-usco"} & set(entry["groups"]):
+            assert type(make(name))._witness_via_range is universe.SymbolicFn._witness_via_range

@@ -154,7 +154,17 @@ def test_malformed_json_documents_are_usage_errors(capsys):
             (["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":["012"],'
               '"values":["0","2"]}', "--x", "1/2"], "'pieces'"),
             (["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":[["0"]]}',
-              "--x", "1/2"], "'values'")):
+              "--x", "1/2"], "'values'"),
+            *((["eval", "--fn", '{"kind":"piecewise","cuts":["0","1"],"pieces":[%s],'
+                '"values":["0","0"]}' % piece, "--x", "1/2"], "'pieces'")
+              for piece in ("[]", '["0","1","2","3"]', '[{"a":"1"}]', '["0",true]')),
+            (["eval", "--fn", '{"kind":"scalar-multiple","c":true,"f":%s}' % thomae,
+              "--x", "1/2"], "'c'"),
+            (["eval", "--fn", "thomae", "--x", '{"a":true,"b":"0"}'], "'a'"),
+            (["eval", "--fn", "thomae", "--x", '{"a":"1/2","b":false}'], "'b'"),
+            (["eval", "--fn", '{"kind":"indicator","closed_set":'
+              '{"rep":"complement-of-r2-open","intervals":[["0",true]]}}', "--x", "1/2"],
+             "'intervals'")):
         assert cli.main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and field in err, argv

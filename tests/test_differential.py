@@ -1,0 +1,410 @@
+"""Each fast path against the plain computation it shortcuts: one row per
+path gives the path, its reference (`references.py`), the catalogue groups
+it reads (`catalogue.py`) and the arguments it asks of each entry.  A case
+builds its entry afresh and compares the answers, refusals (type and
+message) and trace lines, or asks that the path's brackets hold the exact
+values.  A new fast path adds a reference and a row, not a test file."""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction as F
+from typing import Callable, NamedTuple
+
+import pytest
+
+from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, ExistsValueBelow,
+                   OscBelow, Poly, Q2, SupOracle, Truth, ValueBelowOnBall, cousin_subcover,
+                   exhaustive_sup_oracle, extract_enumeration_from_sup, inf_usco,
+                   modulus_continuity_qc, modulus_qc, mu_search, point_of_continuity_qc,
+                   rational_grid, realiser_from_sup, sup_qc, tilde_set)
+from abyss.oracle import _ball_clipped
+from abyss.universe import USCO, CoverPsi
+
+import references as ref
+from catalogue import A, ENTRIES, S2, make, random_subinterval
+
+POINTS = [F(0), F(1), F(1, 2), F(1, 3), F(5, 16), A.member(1), S2(1), Q2(F(1, 3), F(1, 8))]
+FUELS = (0, 1, 64)
+UNIT = DyadicInterval(0, 1)
+WALK_KINDS = frozenset({"Found", "NotFoundBelow", "FuelExhausted", "ClassRefusal"})
+
+
+class Row(NamedTuple):
+    name: str
+    fast: Callable  # fast(f, *args): the answer of the fast path
+    ref: Callable  # ref(f, *args): the answer of the reference
+    accepts: tuple  # the catalogue groups whose entries it reads
+    grid: Callable  # grid(f, entry, rng): the argument tuples, asked in order
+    agree: Callable = None  # agree(f, got, want, *args); equality when None
+    budget: tuple = None  # (name, seconds): one deadline its cases share with the name's
+    kinds: frozenset = frozenset()  # answer kinds and refusal messages its cases must show
+    min_checks: int = 0  # least number of comparisons over all its cases
+    refusals: bool = False  # whether an answer may be a refusal (an exception)
+
+
+def search(run):
+    """A row side that asks the query q through run(q, trace)."""
+    return lambda f, q: ref.traced(run, q)
+
+
+def random_intervals(rng, count, depth_below):
+    return [DyadicInterval(*random_subinterval(rng, rng.randrange(1, depth_below)))
+            for _ in range(count)]
+
+
+# --- the ball walks ---
+
+
+def value_below_grid(f, entry, rng):
+    """Four targets, and on a usco family but the ball-only sums five at the
+    2^-8 margin: the top end of the smallest ball's inf bracket plus 2^-8,
+    just either side of it, that top end, and its bracket's midpoint."""
+    for x, fuel in itertools.product(POINTS, FUELS):
+        qs = [F(0), F(1, 8), F(1, 2), F(1)]
+        if USCO in f.tags and "ball" not in entry["groups"]:
+            inf_b, _ = f.range_on(_ball_clipped(x, fuel), 8)
+            qs += [inf_b.hi + F(1, 256) + e for e in (F(-1, 1 << 40), F(0), F(1, 1 << 40))]
+            qs += [inf_b.hi, (inf_b.lo + inf_b.hi) / 2]
+        yield from ((ValueBelowOnBall(f, x, q, fuel),) for q in qs)
+
+
+def osc_grid(f, entry, rng):
+    cases = entry.get("margin") or itertools.product(POINTS, (0, 1, 3, 6))
+    return [(OscBelow(f, x, m, fuel),) for (x, m), fuel in itertools.product(cases, FUELS)]
+
+
+# --- the positive side: polynomials, pieces, moduli, covers and searches ---
+
+
+def poly_grid(f, entry, rng):
+    points = sorted(Q2.of(x) for x in [F(0), F(1), F(1, 3), F(-2, 7), F(5, 8), F(22, 7), S2(0),
+                                       Q2(F(1, 3), F(1, 8)), Q2(1, F(-1, 4)),
+                                       Q2(F(-3, 5), F(7, 3))])
+    for i, cs in enumerate(tuple(map(F, cs)) for cs in entry["fn"]["pieces"]):
+        yield from [(i, cs)] + [(i, cs, x) for x in points] + [
+            (i, cs, lo, hi) for lo, hi in itertools.combinations(points, 2)]
+
+
+def poly_fast(f, i, cs, *pts):
+    poly = f.pieces[i]
+    if not pts:
+        return poly.coeffs(), poly == Poly(*cs), poly.is_constant, poly.vertex()
+    return poly(*pts) if len(pts) == 1 else poly.range_on(*pts)
+
+
+def poly_ref(f, i, cs, *pts):
+    if not pts:
+        return cs, True, cs[1] == cs[2] == 0, -cs[1] / (2 * cs[2]) if cs[2] else None
+    return ref.horner(cs, *pts) if len(pts) == 1 else ref.plain_range(cs, *pts)
+
+
+def scan_grid(f, entry, rng):
+    """Intervals between grid points of depth 4, with ends on the rational
+    cuts, and an interval inside each piece."""
+    ivs = [DyadicInterval(a, b) for a, b in itertools.combinations(rational_grid(UNIT, 4), 2)]
+    for c in f.cuts:
+        if c.is_rational and 0 < c < 1:
+            c = c.as_rational()
+            ivs += [DyadicInterval(c, 1), DyadicInterval(0, c),
+                    DyadicInterval(c - F(1, 64), c), DyadicInterval(c, c + F(1, 64))]
+    for a, b in zip(f.cuts, f.cuts[1:]):
+        lo, hi = a.approx(12), b.approx(12)
+        ivs.append(DyadicInterval(lo + (hi - lo) / 3, hi - (hi - lo) / 3))
+    return [(iv,) for iv in ivs]
+
+
+def scan_ref(f, iv):
+    vals = ref.full_scan_candidates(f, iv)
+    return sorted(vals), (Bracket.of_q2(min(vals), 10), Bracket.of_q2(max(vals), 10))
+
+
+def least_covering_prefix(psi):
+    balls = cousin_subcover(psi)
+    return next((balls[:i] for i in range(1, len(balls) + 1) if ref.covers_unit(balls[:i])), None)
+
+
+def exists_grid(f, entry, rng):
+    return [((ExistsValueAbove if side == "above" else ExistsValueBelow)(
+        f, DyadicInterval(p, q), y, fuel),) for side, (p, q), y, fuel in entry["exists"]]
+
+
+def halving_grid(f, entry, rng):
+    """Each halving twice: the second run reads the probe state the first
+    kept on the instance."""
+    for (p, q), values, k, fuel, least in entry["halving"]:
+        yield from [(DyadicInterval(p, q), *(values or f.range_bound()), k, fuel, least)] * 2
+
+
+def halving_side(run):
+    return lambda f, iv, lo, hi, k, fuel, least: ref.halving(f, iv, lo, hi, k, fuel, run)
+
+
+def halving_args(f, entry, rng):
+    return [(p, q, k) for (p, q), k in itertools.product(
+        [(0, 1), (F(1, 8), F(5, 8)), (F(5, 16), F(3, 4)), (F(1, 2), F(9, 16))], (0, 3, 10, 20))]
+
+
+def brackets_hold(f, got, want, iv, k, breaks):
+    (inf_b, sup_b), (lo, hi) = got, want
+    return inf_b.width <= F(1, 1 << k) >= sup_b.width and inf_b.contains(lo) \
+        and sup_b.contains(hi)
+
+
+# --- the spike families ---
+
+
+def member_intervals(a_set, rng, pad, members=6, j_of=lambda n, rng: rng.randrange(2, 12)):
+    """An interval around each of the first members of a_set, its ends a
+    bracket of the member at 2^-j, each widened by 2^-(j + pad)."""
+    for n, p in a_set.members_upto(members):
+        j = j_of(n, rng)
+        lo, hi = p.bracket(j)
+        w = F(1, 1 << (j + pad)) if pad is not None else 0
+        yield DyadicInterval(max(F(0), lo - w), min(F(1), hi + w))
+
+
+def spike_grid(f, entry, rng):
+    """First-hit scans: 16 random intervals and tight ones around the first
+    members, every precision 0..12, thresholds either side of each spike
+    value.  Spike count: thresholds on and off the spike values on random
+    intervals, [0,1], [0, 2^-40], and just below each first spike."""
+    if "spikes" in entry["groups"]:
+        ivs = random_intervals(rng, 16, 9)
+        ivs += member_intervals(f.a_set, rng, 0, j_of=lambda n, rng: rng.randrange(2, 12) + 1)
+        for iv in ivs:
+            yield from ((iv, k, None) for k in range(13))
+            for j in range(-1, 14):
+                for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
+                    yield iv, None, y if j >= 0 else -y
+    if "spike-count" in entry["groups"]:
+        ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
+        ivs = random_intervals(rng, 8, 9) + [UNIT, DyadicInterval(0, F(1, 1 << 40))]
+        yield from ((iv, None, y) for iv, y in itertools.product(ivs, ys))
+        for (n, _), iv in zip(f.a_set.members_upto(6), member_intervals(
+                f.a_set, rng, None, j_of=lambda n, rng: n + 8)):
+            yield iv, None, f.spike_value(n) * F(3, 4)
+
+
+def spike_bracket_grid(f, entry, rng):
+    """Intervals that hug the members of the banded seed set, reach 0, or
+    are random, each with the members in it; a scan that stopped early on a
+    finite banded set once claimed sup 0 beside a live spike."""
+    banded = tilde_set(f.source)
+    ivs = [UNIT, DyadicInterval(0, F(1, 1 << rng.randrange(1, 12)))] + random_intervals(rng, 3, 9)
+    ivs += member_intervals(banded, rng, 2, 14 if banded.size is None else banded.size,
+                            lambda n, rng: rng.choice((n + 3, n + 10, rng.randrange(2, 31))))
+    for iv in ivs:
+        # member n lies below 2^-n, so the first 64 hold every member in iv
+        assert iv.lower == 0 or iv.lower >= F(1, 1 << 40)
+        inside = ref.brute_members_in(f.a_set, iv)
+        yield from ((iv, k, None, inside) for k in (0, 2, 4, 7, 11))
+        yield from ((iv, None, y, inside) for y in (F(0), F(1, 64), F(3, 1 << 12), F(1, 1 << 14)))
+
+
+def spike_bracket_fast(f, iv, k, y, inside):
+    if y is None:
+        return f.range_on(iv, k)
+    return f.witness_below(iv, y) if isinstance(f, CoverPsi) else f.witness_above(iv, y)
+
+
+def spike_bracket_ref(f, iv, k, y, inside):
+    """The exact inf of `CoverPsi` over iv, or the exact sup of a spike
+    function, from the members inside iv, tested one by one."""
+    if not isinstance(f, CoverPsi):
+        return max([F(0)] + [f.spike_value(n) for n in inside if n >= f.start])
+    return F(0) if f.a_set.size is None and iv.lower == 0 else min(
+        [f.BASE] + [f.spike_value(n) for n in inside])
+
+
+def spike_brackets_hold(f, got, want, iv, k, y, inside):
+    """Each bracket holds the exact extreme and is at most 2^-k wide, the
+    other side is exact, and each threshold answer agrees with the extreme
+    (a YES carries a point of iv where f is past y)."""
+    psi = isinstance(f, CoverPsi)
+    if y is None:
+        inner, outer = got if psi else got[::-1]
+        return (inner.lo <= want <= inner.hi and inner.hi - inner.lo <= F(1, 1 << k)
+                and outer == Bracket.point(f.BASE if psi else 0))
+    truth, p = got
+    if psi:
+        return truth != (Truth.YES if want >= y else Truth.NO)
+    return truth != (Truth.YES if want <= y else Truth.NO) and (
+        p is None or (iv.contains(p) and f.eval(p) > y))
+
+
+def cover_usco_grid(f, entry, rng):
+    """Band boundaries, whole bands, runs of bands (some reaching past the
+    cap), random intervals and tight ones around members."""
+    ivs = random_intervals(rng, 12, 12)
+    for n in range(0, 52, 4):
+        edge = F(1, 1 << (n + 1))
+        ivs += [DyadicInterval(edge, 2 * edge), DyadicInterval(edge / 4, edge),
+                DyadicInterval(0, edge), DyadicInterval(edge, edge + edge / 8),
+                DyadicInterval(edge - edge / 8, edge)]
+        if n % 12 == 0:
+            ivs += [DyadicInterval(edge / (1 << j), edge) for j in (8, 9, 10, 20)]
+    ivs += member_intervals(f.a_set, rng, None, j_of=lambda n, rng: n + 8)
+    return itertools.product(ivs, list(range(13)) + [24, 48])
+
+
+# --- the sup-functional reductions ---
+
+# the integer walks over a seed set, and their Fraction references
+WALKS = {"extract": (extract_enumeration_from_sup, ref.fraction_extraction),
+         "realise": (realiser_from_sup, ref.fraction_realiser)}
+HONEST = (exhaustive_sup_oracle, ref.fraction_sup_oracle)
+
+
+def walk_side(side):
+    """A row side that runs the walk (side 0) or its reference (side 1) on a
+    fresh oracle behind a spy: its outcome and the log of queries and answers."""
+    def run(f, walk, oracles, k, rounds):
+        log, oracle = [], oracles[side]()
+
+        def sup(g, p, q):
+            log.append((g.kind, g.start, p, q, oracle(g, p, q)))
+            return log[-1][-1]
+        return ref.outcome(lambda: WALKS[walk][side](SupOracle(sup), f.a_set, k, rounds)), log
+    return run
+
+
+def honest_grid(f, entry, rng):
+    """Every k in 0..16 over 16 rounds, every round count in 1..16, a realiser."""
+    pairs = [(k, 16) for k in range(17)] + [(r % 4, r) for r in range(1, 16)]
+    return [("extract", HONEST, k, rounds) for k, rounds in pairs] + [
+        ("realise", HONEST, 16, 16)]
+
+
+def extracts_every_round(f, got, want, walk, oracles, k, rounds):
+    size, answer = f.a_set.size, got[0]
+    return got == want and not isinstance(answer, tuple) and (
+        walk == "realise" or len(answer) == (rounds if size is None else min(rounds, size)))
+
+
+def liar(at, wrong):
+    """The honest oracle, except that its at-th answer is wrong(answer)."""
+    honest = exhaustive_sup_oracle()
+    calls = []
+
+    def sup(f, p, q):
+        calls.append(None)
+        s = honest(f, p, q)
+        return wrong(s) if len(calls) == at else s
+    return SupOracle(sup)
+
+
+LIARS = [lambda s=s: SupOracle(lambda f, p, q: s)
+         for s in (F(1, 2), F(1), F(-1, 2), F(3, 8), F(2), F(0), F(1, 4), 0)]
+LIARS += [lambda at=at, wrong=wrong: liar(at, wrong) for at in range(1, 30)
+          for wrong in (lambda s: 2 * s, lambda s: s / 2, lambda s: F(0), lambda s: 1 - s,
+                        lambda s: s + F(1, 1024))]
+
+
+def liar_grid(f, entry, rng):
+    """Constant liars and liars that bend one answer, asked by both walks."""
+    return [(walk, (lie, lie), *entry["liars"]) for lie in LIARS for walk in WALKS]
+
+
+# --- the rows ---
+
+ROWS = [
+    Row("value-below-on-ball", search(mu_search), search(ref.plain_value_below_on_ball),
+        ("walk", "ball", "slack-inf"), value_below_grid, ref.same_walk, ("value-below walks", 60),
+        WALK_KINDS),
+    Row("osc-below", search(mu_search), search(ref.plain_osc_below), ("walk", "ball", "margin"),
+        osc_grid, ref.same_walk, ("osc walks", 60), WALK_KINDS),
+    Row("modulus-continuity-qc", lambda f, fuel, x, m: modulus_continuity_qc(f, fuel)(x, m),
+        lambda f, fuel, x, m: ref.plain_modulus_continuity(f, fuel)(x, m),
+        ("walk", "slack-continuity"),
+        lambda f, entry, rng: itertools.product(FUELS, POINTS, (0, 2, 5)),
+        budget=("continuity walks", 60), refusals=True),
+    Row("point-of-continuity-qc", point_of_continuity_qc, ref.plain_point_of_continuity_qc,
+        ("walk", "slack-continuity"), lambda f, entry, rng: itertools.product((0, 2), FUELS),
+        budget=("continuity walks", 60), refusals=True),
+    Row("poly", poly_fast, poly_ref, ("poly",), poly_grid),
+    Row("value-candidates", lambda f, iv: (sorted(f._value_candidates(iv)), f.range_on(iv, 10)),
+        scan_ref, ("scan",), scan_grid),
+    Row("modulus-qc", lambda f, x, n, k: modulus_qc(f, x, k, n, fuel=8),
+        lambda f, x, n, k: ref.sorted_fraction_modulus_qc(f, x, k, n, fuel=8),
+        ("modulus-qc",), lambda f, entry, rng: itertools.product(
+            [F(1, 2), F(5, 16), F(1, 3), S2(0)], (0, 1, 3, 5), (0, 3, 6, 9)), refusals=True),
+    Row("cousin-subcover", lambda psi: cousin_subcover(psi), least_covering_prefix,
+        ("gauge",), lambda f, entry, rng: [()]),
+    Row("exists-value", search(mu_search), search(ref.plain_exists), ("exists",), exists_grid),
+    Row("sup-baire1-halving", halving_side(mu_search), halving_side(ref.plain_baire1_above),
+        ("halving",), halving_grid, lambda f, got, want, *args: got == want
+        and len(got[0]) > args[-1], ("one probe state", 20)),
+    Row("baire1-above", search(mu_search), search(ref.plain_baire1_above), ("baire1",),
+        lambda f, entry, rng: [(Baire1Above(f, DyadicInterval(*iv), y, fuel),)
+                               for iv, y, fuel in entry["baire1"]],
+        budget=("one probe state", 20)),
+    Row("sup-qc", sup_qc, lambda f, p, q, k: ref.fresh_halving(f, p, q, k, True),
+        ("sup-qc",), halving_args, budget=("kept range bracket", 20), refusals=True),
+    Row("inf-usco", inf_usco, lambda f, p, q, k: ref.fresh_halving(f, p, q, k, False),
+        ("inf-usco",), halving_args, budget=("kept range bracket", 20), refusals=True),
+    Row("sum-range", lambda f, iv, k, breaks: f.range_on(iv, k),
+        lambda f, iv, k, breaks: ref.sum_reference(f, breaks, iv), ("sum",),
+        lambda f, entry, rng: [(DyadicInterval(p, q), k, ref.breakpoints(entry["fn"]))
+                               for (p, q), k in itertools.product(entry["sum"], (4, 8))],
+        brackets_hold, ("sum ranges", 5)),
+    Row("spike-scans",
+        lambda f, iv, k, y: f.range_on(iv, k) if y is None else f.witness_above(iv, y),
+        lambda f, iv, k, y: ref.plain_witness_above(f, iv, y) if y is not None
+        else (Bracket.point(0), Bracket(*ref.plain_sup(f, iv, k))), ("spikes", "spike-count"),
+        spike_grid),
+    Row("spike-brackets", spike_bracket_fast, spike_bracket_ref, ("spike-brackets",),
+        spike_bracket_grid, spike_brackets_hold, min_checks=15000),
+    Row("cover-usco-range", lambda f, iv, k: f.range_on(iv, k), ref.plain_cover_usco_range,
+        ("cover-usco",), cover_usco_grid),
+    Row("sup-extraction", walk_side(0), walk_side(1), ("extraction",), honest_grid,
+        extracts_every_round),
+    Row("lying-oracles", walk_side(0), walk_side(1), ("liars",), liar_grid, kinds=frozenset({
+        "supremum grew on a subinterval", "supremum vanished on both halves",
+        "supremum 1 is not a spike value", "extracted interval misses the member it located"})),
+]
+
+CASES = [(row, name) for row in ROWS for name, entry in ENTRIES.items()
+         if set(row.accepts) & set(entry["groups"])]
+COUNT = Counter(row.name for row, _ in CASES)
+# the number of cases that share each budget
+SHARES = Counter(row.budget[0] for row, _ in CASES if row.budget)
+# per row: the kinds and messages its answers showed, its checks, its finished cases
+SEEN = {row.name: [set(), 0, 0] for row in ROWS}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def every_row_shows_its_answers():
+    """After all of a row's cases: its answers showed each kind it names, and enough checks."""
+    yield
+    for row in ROWS:
+        shown, checks, done = SEEN[row.name]
+        if done == COUNT[row.name]:
+            assert row.kinds <= shown and checks >= row.min_checks, (row.name, shown, checks)
+
+
+@pytest.mark.parametrize("row, name", CASES, ids=["%s/%s" % (r.name, name) for r, name in CASES])
+def test_fast_path_answers_as_its_reference(row, name, request):
+    if row.budget:
+        request.getfixturevalue("deadline")(row.budget[1] / SHARES[row.budget[0]])
+    f, entry, seen = make(name), ENTRIES[name], SEEN[row.name]
+    answer = ref.outcome if row.refusals else (lambda run: run())
+    for args in row.grid(f, entry, random.Random("%s/%s" % (row.name, name))):
+        got = answer(lambda: row.fast(f, *args))
+        want = answer(lambda: row.ref(f, *args))
+        assert row.agree(f, got, want, *args) if row.agree else got == want, (args, got, want)
+        if row.kinds:  # a refusal shows its type name and message
+            seen[0] |= set(got[0]) if isinstance(got[0], tuple) else {type(got[0]).__name__}
+        seen[1] += 1
+    seen[2] += 1
+
+
+def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
+    for row in ROWS:
+        assert COUNT[row.name] >= 2, row.name
+    assert {name for _, name in CASES} == set(ENTRIES)
+    # the transcript seed sets: finite sets of 1..12 points and their banded copies
+    sizes = [make(name).a_set.size for name, e in ENTRIES.items() if "extraction" in e["groups"]]
+    assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)

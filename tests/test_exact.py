@@ -16,7 +16,8 @@ from abyss.exact import (Bracket, DegenerateInterval, _least_denominator,
                          least_denominator_between, signed_unit_rationals)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
-from conftest import exact_symbolic_sup, fraction_news
+from conftest import fraction_news
+from references import exact_symbolic_sup
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=512)
 small_nat = st.integers(min_value=0, max_value=12)

@@ -9,16 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from abyss import (Baire1Above, ClassRefusal, DomainError, DyadicInterval,
-                   ExistsValueAbove, ExistsValueBelow, Found, MuWitness, NotFoundBelow,
-                   OscBelow, Penny, PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall,
-                   admitting_rule, collapse_rules_for,
-                   constant, fn_difference, mu_search, pennyk_limit,
-                   restrict_tags, sqrt2_family, staircase, thomae)
-from abyss.oracle import QueryTrace, ball_oscillation, grid_depth_cap
-from abyss.universe import CLIQUISH
+from abyss import (Baire1Above, ClassRefusal, DomainError, DyadicInterval, ExistsValueAbove,
+                   ExistsValueBelow, Found, FuelExhausted, MuWitness, NotFoundBelow, OscBelow,
+                   Penny, PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall, admitting_rule,
+                   collapse_rules_for, constant, fn_difference, modulus_continuity_qc, mu_search,
+                   pennyk_limit, point_of_continuity_qc, restrict_tags, sqrt2_family, staircase,
+                   thomae, universe)
+from abyss.oracle import QueryTrace, _ball_clipped, _ball_walk, grid_depth_cap
+from abyss.universe import BAIRE1, BV, CLIQUISH, REGULATED, USCO
 
-from conftest import brute_ball_osc, probe_basis
+from catalogue import FussyPenny, Slack, generic_limit, make
+from conftest import calls_to
+from references import (brute_ball_osc, plain_modulus_continuity, plain_osc_below,
+                        plain_point_of_continuity_qc, plain_value_below_on_ball,
+                        probe_predicate, same_walk, traced)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -112,13 +116,7 @@ def test_mu_baire1_above():
         mu_search(Baire1Above(bare, UNIT, F(1, 4)))
 
 
-def _modulus_only_limit():
-    """The truncations of the spike function with their convergence modulus
-    and no stabilization witness: values come only through the modulus."""
-    from abyss import Baire1Limit
-    from abyss.universe import BAIRE1, BV, REGULATED, USCO
-    return Baire1Limit(lambda n: PennyK(A, n), conv_modulus=lambda x, j: j,
-                       stabilizer=None, tags=(CLIQUISH, USCO, BV, REGULATED, BAIRE1))
+SPIKE_TAGS = (CLIQUISH, USCO, BV, REGULATED, BAIRE1)  # for a limit with no stabilizer
 
 
 @pytest.mark.parametrize("y", [F(3, 8), F(1, 3), F(1, 5), F(-1, 4)])
@@ -126,7 +124,7 @@ def test_modulus_only_limit_agrees_with_the_stabilised_one(y):
     """Without a stabilization witness each value is decided through the
     convergence modulus; where the gap to y is visible it answers as the
     stabilised representation does."""
-    for rep in (_modulus_only_limit(), pennyk_limit(A)):
+    for rep in (generic_limit(A, SPIKE_TAGS), pennyk_limit(A)):
         assert mu_search(Baire1Above(rep, UNIT, y)) == Found(MuWitness(0))
 
 
@@ -134,10 +132,9 @@ def test_modulus_only_limit_at_a_spike_value_runs_out_of_fuel(deadline):
     """At y = 1/2, the largest spike, the approximations never leave the
     threshold's neighbourhood: the modulus-only search ends in
     `FuelExhausted` and does not hang, while the stabilised one refutes."""
-    from abyss import FuelExhausted
     deadline(10)
     with pytest.raises(FuelExhausted, match="limit value indistinguishable"):
-        mu_search(Baire1Above(_modulus_only_limit(), UNIT, F(1, 2)))
+        mu_search(Baire1Above(generic_limit(A, SPIKE_TAGS), UNIT, F(1, 2)))
     assert isinstance(mu_search(Baire1Above(pennyk_limit(A), UNIT, F(1, 2))), NotFoundBelow)
 
 
@@ -163,10 +160,9 @@ def test_negative_ball_exponent_is_refused_by_name():
     """A negative exponent once fell through to a bare "negative shift
     count"; the ball refuses it as `exact.ball` does."""
     from abyss import linear, modulus_qc
-    from abyss.oracle import _ball_clipped
     for run in (lambda: _ball_clipped(F(1, 2), -1),
                 lambda: modulus_qc(linear(1), F(1, 2), 3, -1),
-                lambda: ball_oscillation(linear(1), F(1, 2), -2, 4)):
+                lambda: _ball_clipped(F(1, 2), -2)):
         with pytest.raises(ValueError, match="radius exponent must be >= 0"):
             run()
 
@@ -214,19 +210,6 @@ def test_refusal_completeness():
     assert refusal.statement and "cliquish" in str(refusal)
 
 
-def _collapsed_above(f, iv, y):
-    """Independent rational-collapsed evaluation: rational probes only."""
-    for pt in probe_basis(f, iv, 8):
-        if pt.is_rational and f.eval(pt) > y:
-            return True
-    return False
-
-
-def _symbolic_above(f, iv, y):
-    """Independent exhaustive symbolic evaluation: grid plus carried points."""
-    return any(f.eval(pt) > y for pt in probe_basis(f, iv, 8))
-
-
 def test_collapse_soundness_sampled():
     """For ruled (shape, class) pairs the rational form agrees with the
     exhaustive symbolic form (smaller sample here; the acceptance suite runs
@@ -241,14 +224,11 @@ def test_collapse_soundness_sampled():
             continue
         iv = DyadicInterval(a, b)
         y = F(rng.randrange(-2, 6), 4)
-        for f in (t, st):  # certificate and quasi-continuous admissions
-            assert _collapsed_above(f, iv, Q2.of(y)) == _symbolic_above(f, iv, Q2.of(y))
-        # usco below-collapse: rational witnesses exist iff symbolic ones do
-        below_rat = any(pt.is_rational and penny.eval(pt) < Q2.of(y)
-                        for pt in probe_basis(penny, iv, 8))
-        below_sym = any(penny.eval(pt) < Q2.of(y)
-                        for pt in probe_basis(penny, iv, 8))
-        assert below_rat == below_sym
+        # certificate and quasi-continuous admissions, and the usco
+        # below-collapse: rational witnesses exist iff symbolic ones do
+        for q in (ExistsValueAbove(t, iv, y), ExistsValueAbove(st, iv, y),
+                  ExistsValueBelow(penny, iv, y)):
+            assert probe_predicate(q, True, 8) == probe_predicate(q, False, 8), q
 
 
 def test_trace_determinism():
@@ -302,10 +282,10 @@ def test_every_fuel_parameter_is_read():
 def test_only_the_shared_walk_loops_over_balls():
     """A ball read inside a loop is a hand-written walk over ball exponents,
     and `oracle._ball_walk` is the one walk: no other function of the
-    package reads `_ball_clipped`, `_ball_around` or `ball_oscillation`
-    inside a `for` or `while` loop or a comprehension."""
+    package reads `_ball_clipped` or `_ball_around` inside a `for` or
+    `while` loop or a comprehension."""
     import abyss
-    reads = {"_ball_clipped", "_ball_around", "ball_oscillation"}
+    reads = {"_ball_clipped", "_ball_around"}
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     walks = []
 
@@ -333,4 +313,85 @@ def test_ball_queries_refuse_points_outside_unit_interval(x):
     with pytest.raises(DomainError):
         mu_search(ValueBelowOnBall(thomae(), x, F(1, 2), 8))
     with pytest.raises(DomainError):
-        ball_oscillation(thomae(), x, 3, 4)
+        _ball_clipped(x, 3)
+
+
+# --- the nested-ball walk (its answers against the plain walks: test_differential) ---
+
+
+def unit_frac(b: int) -> Q2:
+    """The point b sqrt2 - floor(b sqrt2) of (0, 1)."""
+    x = Q2(0, b)
+    return x - Q2.of(x.__floor__())
+
+
+NEST_POINTS = ([F(0), F(1), F(1, 2), F(1, 3), F(5, 7), F((1 << 70) - 1, 1 << 70)]
+               + [A.member(i) for i in (0, 1, 5, 20)]
+               + [S2(40), Q2(F(1, 3), F(1, 8)), unit_frac(10 ** 15 + 3),
+                  unit_frac(-(10 ** 20 + 7)), unit_frac((1 << 90) + 1)])
+
+
+@pytest.mark.parametrize("x", NEST_POINTS, ids=str)
+def test_clipped_balls_are_nested(x):
+    """B(x, 2^-(n+1)) lies inside B(x, 2^-n) for n = 0..70, and the walk
+    yields the balls `_ball_clipped` gives, from any start."""
+    walk = list(_ball_walk(x, 71))
+    assert walk == [(n, _ball_clipped(x, n)) for n in range(72)]
+    assert list(_ball_walk(x, 71, 30)) == walk[30:]
+    for (_, big), (_, small) in zip(walk, walk[1:]):
+        assert big.ln * small.d <= small.ln * big.d, (x, big, small)
+        assert small.un * big.d <= big.un * small.d, (x, big, small)
+
+
+def test_a_search_that_never_hits_reads_two_balls():
+    """A ball search whose answer is no ball reads the first ball and the
+    smallest, and the trace shows both."""
+    for q in (ValueBelowOnBall(Penny(A), F(1, 3), F(1, 4)),
+              ValueBelowOnBall(Penny(A), S2(1), F(1, 8)),
+              OscBelow(thomae(), F(1, 2), 3), OscBelow(thomae(), F(1, 3), 5)):
+        trace = QueryTrace()
+        assert mu_search(q, trace) == NotFoundBelow(64)
+        assert [ln["depth"] for ln in trace.lines] == [0, 64]
+        assert calls_to(lambda: mu_search(q), universe.__file__, "range_on") == 2
+
+
+def test_a_smallest_ball_that_raises_leaves_the_walk_its_answer():
+    """The smallest ball is read only to end a walk early; when reading it
+    raises, the walk goes on and answers as it would without it."""
+    f, fussy = Penny(A), FussyPenny(A)
+    assert mu_search(OscBelow(fussy, F(1, 2), 3)) == mu_search(OscBelow(f, F(1, 2), 3)) \
+        == Found(MuWitness(3))
+    assert (modulus_continuity_qc(fussy)(F(1, 2), 3)
+            == modulus_continuity_qc(f)(F(1, 2), 3) > 0)
+    assert point_of_continuity_qc(fussy, 3) == point_of_continuity_qc(f, 3)
+    with pytest.raises(FuelExhausted, match="narrower than 2"):
+        mu_search(ValueBelowOnBall(fussy, F(1, 3), F(1, 4)))
+
+
+def test_the_early_miss_keeps_its_margins_under_loose_brackets():
+    """Each walk's answer on a family bracketed as loosely as allowed is the
+    plain walk's, at the edge of each margin: the smallest ball's bracket
+    alone would wrongly say "miss" in every case but the last of each."""
+    # inf 1/2 on every ball inside (1/4, 1], 0 on the first: the 2^-8 margin
+    rise = Slack(staircase([(F(1, 4), F(1, 2))]))
+    for y in (F(1, 2) + F(1, 512), F(1, 2) + F(1, 256) + F(1, 1 << 40)):
+        q = ValueBelowOnBall(rise, F(3, 4), y)
+        assert same_walk(rise, traced(mu_search, q), traced(plain_value_below_on_ball, q), q)
+    # oscillation 1/8 + d on every ball inside (1/4, 3/4): the 2^-(m+13) margin
+    for d in (F(1, 1 << 40), F(1, 1 << 16) + F(1, 1 << 40)):
+        f = Slack(staircase([(F(1, 4), F(1, 2)), (F(1, 2), F(5, 8) + d)]))
+        q = OscBelow(f, F(1, 2), 3)
+        assert same_walk(f, traced(mu_search, q), traced(plain_osc_below, q), q)
+    # oscillation exactly 1/2 on every ball inside (7/16, 33/64): a hit
+    # that only the low end of the smallest ball's bracket leaves open
+    f = Slack(staircase([(F(1, 2), F(1, 2)), (F(33, 64), F(1))]))
+    assert modulus_continuity_qc(f)(F(1, 2), 0) == plain_modulus_continuity(f, 64)(F(1, 2), 0) == 7
+    assert point_of_continuity_qc(f, 1) == plain_point_of_continuity_qc(f, 1, 64) == F(1, 2)
+
+
+def test_a_limit_search_below_zero_runs_out_of_fuel():
+    """A threshold <= 0 with no value above it cannot be refuted on a limit
+    representation, with a stabilizer or without one."""
+    iv = DyadicInterval(F(11, 16), F(7, 8))
+    assert {traced(mu_search, Baire1Above(make(name), iv, F(0), 8))[0][0] for name in (
+        "pennyk-limit(4 seeds)", "generic-limit(4 seeds)")} == {"FuelExhausted"}

@@ -6,25 +6,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
-                   OracleInconsistency, Penny, PennyK, PiecewiseRational, Poly,
-                   Q2, TildePenny,
-                   adversarial_cliq_modulus, canonical_cliq_modulus,
-                   canonical_regulation_modulus, cantor_diagonal, demo_abyss,
-                   exhaustive_sup_oracle, extract_enumeration_from_sup,
-                   finite_set, fn_sum, linear, naive_rational_sup,
-                   rational_grid, realiser_from_cliq_modulus,
-                   realiser_from_regulation_modulus, realiser_from_sup,
-                   restrict_tags, sqrt2_family, staircase, thomae, tilde_set,
-                   SupOracle)
+from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus, OracleInconsistency,
+                   Penny, PennyK, PiecewiseRational, Poly, Q2, SupOracle, TildePenny,
+                   adversarial_cliq_modulus, canonical_cliq_modulus, canonical_regulation_modulus,
+                   cantor_diagonal, demo_abyss, exhaustive_sup_oracle,
+                   extract_enumeration_from_sup, finite_set, fn_sum, linear, naive_rational_sup,
+                   rational_grid, realiser_from_cliq_modulus, realiser_from_regulation_modulus,
+                   realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss.oracle import _ball_clipped
-from abyss.reductions import AbyssReport, CliqModulusOracle, SupExtraction, _dyadic_inside
+from abyss.reductions import AbyssReport, CliqModulusOracle, _dyadic_inside
 from abyss.serialize import dumps
 from abyss.universe import CLIQUISH, ScalarMultiple
 from abyss.variation import _regulated_within
 
-from conftest import (calls_to, fraction_news, irrational_cut_staircase, random_dyadic,
-                      random_finite_set, vertex_off_its_piece)
+from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
+from conftest import calls_to, fraction_news
+from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup_oracle,
+                        outcome)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -176,9 +174,6 @@ def test_naive_sup_baseline():
 
 
 # a finite seed set with rational members, one of them past index 1
-RATIONAL_SEEDS = finite_set([Q2(F(1, 4), F(1, 16)), F(3, 8), F(1, 2), F(5, 7)])
-IRRATIONAL_SEEDS = finite_set([Q2(F(3, 4), F(1, 64)), Q2(F(1, 3), F(1, 32)),
-                               Q2(F(1, 8), F(1, 128))])
 GRID_FAMILIES = [
     ("penny-sqrt2", lambda: Penny(A)),
     ("penny-finite", lambda: Penny(RATIONAL_SEEDS)),
@@ -197,8 +192,8 @@ GRID_FAMILIES = [
     ("scalar-negative", lambda: ScalarMultiple(F(-2), thomae())),
     ("restricted", lambda: restrict_tags(Penny(RATIONAL_SEEDS), {CLIQUISH})),
     ("sum", lambda: fn_sum(thomae(), linear(F(1, 4)))),
-    ("staircase-irrational-cut", irrational_cut_staircase),
-    ("piecewise-vertex-off-its-piece", vertex_off_its_piece),
+    ("staircase-irrational-cut", lambda: make("irrational-cut-staircase")),
+    ("piecewise-vertex-off-its-piece", lambda: make("vertex-off-its-piece")),
 ]
 
 
@@ -269,35 +264,7 @@ def test_realiser_from_sup_builds_few_fractions():
         exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)) <= 951
 
 
-# ---------------------------------------------------------------------------
-# the integer walks against the Fraction computations they replace
-# ---------------------------------------------------------------------------
-
-
-def _fraction_cantor_diagonal(xs, k, fuel):
-    lo, hi = F(0), F(1)
-    n = 0
-    while n < fuel or hi - lo > F(1, 1 << (k + 2)):
-        width = hi - lo
-        if n < fuel:
-            if Q2.of(xs(n)) <= (lo + hi) / 2:
-                lo = hi - width / 3  # take the right third
-            else:
-                hi = lo + width / 3  # take the left third
-        else:
-            lo, hi = lo + width / 3, hi - width / 3
-        n += 1
-    return _fraction_dyadic_inside(lo, hi, k)
-
-
-def _fraction_dyadic_inside(lo, hi, k):
-    j = k + 2
-    while True:
-        step = F(1, 1 << j)
-        cand = (((lo + hi) / 2) // step) * step
-        if lo < cand < hi:
-            return cand
-        j += 1
+# --- the integer walks against the Fraction computations they replace ---
 
 
 def _random_q2(rng):
@@ -321,7 +288,7 @@ def test_cantor_diagonal_matches_the_fraction_walk():
     for xs in enumerations:
         for k in (0, 1, 5, 12, 20):
             for fuel in (0, 1, 3, 16):
-                assert cantor_diagonal(xs, k, fuel) == _fraction_cantor_diagonal(xs, k, fuel)
+                assert cantor_diagonal(xs, k, fuel) == fraction_cantor_diagonal(xs, k, fuel)
 
 
 def test_dyadic_inside_matches_the_fraction_rounding():
@@ -331,7 +298,7 @@ def test_dyadic_inside_matches_the_fraction_rounding():
         ln = rng.randrange(0, 4 * d)
         un = ln + rng.randrange(1, 3 * d)
         k = rng.randrange(0, 24)
-        want = _fraction_dyadic_inside(F(ln, d), F(un, d), k)
+        want = fraction_dyadic_inside(F(ln, d), F(un, d), k)
         assert _dyadic_inside(DyadicInterval(F(ln, d), F(un, d)), k) == want
 
 
@@ -363,84 +330,6 @@ def test_extraction_matches_the_fraction_bisection():
                 assert len(step.bits) == k
 
 
-def _fraction_sup_oracle() -> SupOracle:
-    """The exhaustive oracle on Fractions: a Fraction compare decides the
-    degenerate case, and the answer is the bracket's `Fraction` end."""
-    def sup(f, p, q):
-        if p == q:
-            v = f.eval(Q2.of(p))
-            if not v.is_rational:
-                raise OracleInconsistency("exact supremum is irrational")
-            return v.as_rational()
-        _, sup_b = f.range_on(DyadicInterval(p, q), 60)
-        if not sup_b.exact:
-            raise OracleInconsistency("supremum not exactly attained on this family")
-        return sup_b.lo
-
-    return SupOracle(sup)
-
-
-def _fraction_extraction(oracle, a_set, k, rounds=16):
-    """The extraction walk comparing each answer with the round's supremum
-    as a `Fraction`."""
-    out = []
-    bound = rounds if a_set.size is None else min(rounds, a_set.size)
-    for _ in range(bound):
-        f = Penny(a_set, start=out[-1].index + 1 if out else 0)
-        s = oracle(f, F(0), F(1))
-        if s == 0:
-            break
-        idx = Penny.spikes_above(abs(s))
-        if f.spike_value(idx) != s:
-            raise OracleInconsistency("supremum %s is not a spike value" % (s,))
-        a, lo, hi = 0, F(0), F(1)
-        bits = []
-        for j in range(k):
-            mid = F(2 * a + 1, 2 << j)
-            s_left = oracle(f, lo, mid)
-            if s_left > s:
-                raise OracleInconsistency("supremum grew on a subinterval")
-            if s_left == s:
-                a, hi = 2 * a, mid
-                bits.append("0")
-            else:
-                if oracle(f, mid, hi) != s:
-                    raise OracleInconsistency("supremum vanished on both halves")
-                a, lo = 2 * a + 1, mid
-                bits.append("1")
-        out.append(SupExtraction(idx, s, "".join(bits),
-                                 DyadicInterval.of_ints(a, a + 1, 1 << k)))
-    return out
-
-
-def _fraction_realiser(oracle, a_set, k, fuel):
-    """`realiser_from_sup` over the Fraction walk."""
-    extraction = _fraction_extraction(oracle, a_set, k, rounds=fuel)
-    for step in extraction:
-        if not step.interval.contains(a_set.member(step.index)):
-            raise OracleInconsistency("extracted interval misses the member it located")
-    limit = fuel if a_set.size is None else min(fuel, a_set.size)
-    return cantor_diagonal(lambda n: a_set.member(min(n, limit - 1)), k, fuel=limit)
-
-
-def _logged(oracle):
-    """oracle behind a spy that logs each query and its answer."""
-    log = []
-
-    def sup(f, p, q):
-        s = oracle(f, p, q)
-        log.append((f.kind, f.start, p, q, s))
-        return s
-    return SupOracle(sup), log
-
-
-def _outcome(run):
-    try:
-        return run()
-    except (OracleInconsistency, ValueError) as e:
-        return type(e), str(e)
-
-
 def test_sup_oracle_matches_the_fraction_oracle():
     """Answers, and refusals with their messages, on spike families and on
     a function with an irrational value at a rational cut."""
@@ -451,89 +340,12 @@ def test_sup_oracle_matches_the_fraction_oracle():
            TildePenny(IRRATIONAL_SEEDS), spiky]
     ends = [F(0), F(1), F(1, 2), F(3, 8), F(1, 4), F(5, 7), F(-1, 2), F(3, 2)]
     ends += [random_dyadic(rng, 8) for _ in range(12)]
-    new, old = exhaustive_sup_oracle(), _fraction_sup_oracle()
+    new, old = exhaustive_sup_oracle(), fraction_sup_oracle()
     for f in fns:
         for p in ends:
             for q in ends:
-                assert _outcome(lambda: new(f, p, q)) == _outcome(lambda: old(f, p, q)), \
+                assert outcome(lambda: new(f, p, q)) == outcome(lambda: old(f, p, q)), \
                     (f.kind, p, q)
-
-
-def _transcript_seed_sets():
-    """The sqrt2 family, finite sets of 1..12 irrational points, and the
-    banded copy of each."""
-    rng = random.Random(73)
-    finite = []
-    for n in range(1, 13):
-        pts = []
-        while len(pts) < n:
-            p = Q2(random_dyadic(rng, 7), F(1, 1 << rng.randrange(2, 40)))
-            if 0 < p < 1 and p not in pts:
-                pts.append(p)
-        finite.append(finite_set(pts))
-    return [A] + finite + [tilde_set(s) for s in [A] + finite]
-
-
-def test_extraction_matches_the_fraction_walk():
-    """The integer walk over the integer oracle asks the same queries, gets
-    the same answers and writes the same transcript as the Fraction walk
-    over the Fraction oracle: every k in 0..16 over 16 rounds, and every
-    round count in 1..16."""
-    sizes = []
-    for a_set in _transcript_seed_sets():
-        sizes.append(a_set.size)
-        for k, rounds in [(k, 16) for k in range(17)] + [(r % 4, r) for r in range(1, 16)]:
-            new, new_log = _logged(exhaustive_sup_oracle())
-            old, old_log = _logged(_fraction_sup_oracle())
-            got = extract_enumeration_from_sup(new, a_set, k, rounds)
-            assert got == _fraction_extraction(old, a_set, k, rounds), (a_set.name, k, rounds)
-            assert new_log == old_log
-            assert len(got) == (rounds if a_set.size is None else min(rounds, a_set.size))
-        z = realiser_from_sup(exhaustive_sup_oracle(), a_set, 16, fuel=16)
-        assert z == _fraction_realiser(_fraction_sup_oracle(), a_set, 16, 16)
-    assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)
-
-
-def _liar(at, wrong):
-    """The honest oracle, except that its at-th answer is wrong(answer)."""
-    honest = exhaustive_sup_oracle()
-    calls = []
-
-    def sup(f, p, q):
-        calls.append(None)
-        s = honest(f, p, q)
-        return wrong(s) if len(calls) == at else s
-    return SupOracle(sup)
-
-
-def test_lying_oracles_fail_at_the_same_step():
-    """Constant liars and liars that bend one answer: the integer walk
-    raises the same error after the same queries as the Fraction walk, or
-    returns the same transcript when the lie goes unseen."""
-    makers = [lambda s=s: SupOracle(lambda f, p, q: s)
-              for s in (F(1, 2), F(1), F(-1, 2), F(3, 8), F(2), F(0), F(1, 4), 0)]
-    for at in range(1, 30):
-        for wrong in (lambda s: 2 * s, lambda s: s / 2, lambda s: F(0), lambda s: 1 - s,
-                      lambda s: s + F(1, 1024)):
-            makers.append(lambda at=at, wrong=wrong: _liar(at, wrong))
-    seen = set()
-    for make in makers:
-        for a_set, k, rounds in ((A, 6, 4), (IRRATIONAL_SEEDS, 5, 3), (RATIONAL_SEEDS, 4, 4)):
-            new, new_log = _logged(make())
-            old, old_log = _logged(make())
-            got = _outcome(lambda: extract_enumeration_from_sup(new, a_set, k, rounds))
-            assert got == _outcome(lambda: _fraction_extraction(old, a_set, k, rounds))
-            assert new_log == old_log
-            seen.add(got[1] if isinstance(got, tuple) else "transcript")
-            new, new_log = _logged(make())
-            old, old_log = _logged(make())
-            got = _outcome(lambda: realiser_from_sup(new, a_set, k, rounds))
-            assert got == _outcome(lambda: _fraction_realiser(old, a_set, k, rounds))
-            assert new_log == old_log
-            seen.add(got[1] if isinstance(got, tuple) else "point")
-    assert {"supremum grew on a subinterval", "supremum vanished on both halves",
-            "supremum 1 is not a spike value",
-            "extracted interval misses the member it located"} <= seen
 
 
 def _two_pass_demo(a_set, depths=(8, 16, 24), bits=16):

@@ -11,16 +11,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from abyss import (ConstructionError, CountableSet, CoverPsi, CoverPsiUsco,
-                   DomainError, DyadicInterval, ExistsValueBelow, Found,
-                   FinitePointSet, Indicator, NotPointwiseEvaluable, Penny, PennyK,
-                   PiecewiseRational, Poly, Q2, R2Rep,
-                   TildePenny, Truth,
-                   UnsupportedVariant, build_cover_psi, constant, finite_set,
-                   fn_difference, fn_sum, inf_usco, jump_enum, linear, mu_search,
-                   osc_exact, osc_selfcheck, pennyk_limit, rational_grid,
-                   restrict_tags, sqrt2_family, staircase, thomae, tilde_set,
-                   unit_rationals, usco_separator)
+from abyss import (ConstructionError, CoverPsi, CoverPsiUsco, DomainError, DyadicInterval,
+                   ExistsValueBelow, FinitePointSet, Found, FuelExhausted, Indicator, MuWitness,
+                   NotPointwiseEvaluable, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
+                   TildePenny, Truth, UnsupportedVariant, ValueBelowOnBall, build_cover_psi,
+                   constant, exact, finite_set, fn_difference, fn_sum, inf_usco, jump_enum, linear,
+                   mu_search, osc_exact, osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
+                   scalar_multiple, sqrt2_family, staircase, thomae, tilde_set, usco_separator)
 from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
@@ -28,17 +25,16 @@ from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
                             SIMPLY_CONTINUOUS, USCO, ScalarMultiple, irrational_inside)
 
-from conftest import (brute_ball_osc, brute_max, brute_min, irrational_cut_staircase,
-                      probe_basis, random_continuous_piecewise, random_finite_set,
-                      random_staircase, random_subinterval, vertex_off_its_piece)
+from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
+                       random_finite_set, random_staircase, random_subinterval)
+from conftest import calls_to, fraction_news
+from references import brute_ball_osc, brute_values, loop_band_of, probe_basis
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
 
 
-# ---------------------------------------------------------------------------
-# evaluation examples
-# ---------------------------------------------------------------------------
+# --- evaluation examples ---
 
 
 def test_thomae_values():
@@ -119,9 +115,7 @@ def test_baire1_limit_needs_modulus():
     assert good.eval_limit_approx(S2(1), 6) == F(1, 4)
 
 
-# ---------------------------------------------------------------------------
-# the banded copy and the covering instances
-# ---------------------------------------------------------------------------
+# --- the banded copy and the covering instances ---
 
 
 def test_minimal_shift_matches_plain_scan():
@@ -249,9 +243,7 @@ def test_cover_psi_not_usco_witnessed():
         assert any(psi.eval(pt) >= target for pt in basis)
 
 
-# ---------------------------------------------------------------------------
-# witnessed class tags
-# ---------------------------------------------------------------------------
+# --- witnessed class tags ---
 
 
 def _cliquish_witness(f, x, k, big_n=2) -> bool:
@@ -278,8 +270,8 @@ def _cliquish_witness(f, x, k, big_n=2) -> bool:
     lambda: build_cover_psi(A, False),
     lambda: build_cover_psi(A, True),
     lambda: TildePenny(A),
-    irrational_cut_staircase,
-    vertex_off_its_piece,
+    pytest.param(lambda: make("irrational-cut-staircase"), id="irrational_cut_staircase"),
+    pytest.param(lambda: make("vertex-off-its-piece"), id="vertex_off_its_piece"),
 ])
 def test_cliquish_tag_witnessed(fn_builder):
     f = fn_builder()
@@ -390,9 +382,7 @@ def test_restricted_view():
         restrict_tags(f, {QUASI_CONTINUOUS})  # cannot add tags
 
 
-# ---------------------------------------------------------------------------
-# exact ranges against brute force
-# ---------------------------------------------------------------------------
+# --- exact ranges against brute force ---
 
 
 @pytest.mark.parametrize("fn_builder", [
@@ -419,7 +409,7 @@ def test_range_brackets_brute_force(fn_builder):
             continue
         iv = DyadicInterval(lo, hi)
         inf_b, sup_b = f.range_on(iv, 12)
-        bmax, bmin = brute_max(f, iv), brute_min(f, iv)
+        bmax, bmin = max(brute_values(f, iv, 7)), min(brute_values(f, iv, 7))
         assert Q2.of(sup_b.hi) >= bmax >= Q2.of(inf_b.lo)
         assert Q2.of(inf_b.lo) <= bmin
         assert sup_b.width <= F(1, 1 << 12) and inf_b.width <= F(1, 1 << 12)
@@ -490,143 +480,6 @@ def test_osc_selfcheck():
     assert osc_selfcheck(TildePenny(A))
     with pytest.raises(UnsupportedVariant):
         osc_selfcheck(constant(0))
-
-
-def _plain_spikes(f, iv, limit):
-    """Every spike of f in iv below limit: the whole member list, filtered."""
-    if f.stop is not None:
-        limit = min(limit, f.stop)
-    return [(n, p) for n, p in f.a_set.members_in(iv, limit) if n >= f.start]
-
-
-def _plain_sup(f, iv, k):
-    limit = max(k + 4, 8) if f.stop is None else f.stop
-    best = max((f.spike_value(n) for n, _ in _plain_spikes(f, iv, limit)), default=F(0))
-    tail = F(1, 1 << (limit + 1))
-    if f.stop is not None or best >= tail or f.a_set.scan_is_exhaustive(iv, limit):
-        return best, best
-    return best, tail
-
-
-def _plain_witness_above(f, iv, y):
-    if y < 0:
-        return Truth.YES, Q2.of(iv.lower)
-    limit = f.stop
-    if limit is None:
-        limit = 1
-        while F(1, 1 << (limit + 1)) > y and limit < 4096:
-            limit += 1
-    for n, p in _plain_spikes(f, iv, limit):
-        if f.spike_value(n) > y:
-            return Truth.YES, p
-    if (f.stop is not None or F(1, 1 << (limit + 1)) <= y
-            or f.a_set.scan_is_exhaustive(iv, limit)):
-        return Truth.NO, None
-    return Truth.UNKNOWN, None
-
-
-def test_first_hit_spike_scans_match_plain_filter():
-    rng = random.Random(517)
-    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
-    seeds = [A, random_finite_set(rng), random_finite_set(rng), mixed]
-    fns = []
-    for a_set in seeds:
-        fns += [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3)]
-        fns += [Penny(a_set, start=start) for start in range(1, 6)]
-        if a_set.all_irrational:
-            fns.append(TildePenny(a_set))
-    for f in fns:
-        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(16)]
-        for _, p in f.a_set.members_upto(6):  # tight intervals around members
-            j = rng.randrange(2, 12)
-            lo, hi = p.bracket(j + 1)
-            w = F(1, 1 << (j + 1))
-            ivs.append(DyadicInterval(max(F(0), lo - w), min(F(1), hi + w)))
-        for iv in ivs:
-            for k in range(13):
-                inf_b, sup_b = f.range_on(iv, k)
-                assert inf_b == Bracket.point(0)
-                assert (sup_b.lo, sup_b.hi) == _plain_sup(f, iv, k)
-            for j in range(-1, 14):
-                for y in (F(1, 1 << (j + 1)), F(3, 1 << (j + 3))):
-                    y = y if j >= 0 else -y
-                    assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y)
-
-
-def _seed_sets():
-    """The sqrt2 family, and per size 1-14 the seeds 1/3 + sqrt2/2^(i+5)
-    and a seeded random irrational set."""
-    rng = random.Random(2301)
-    out = [A]
-    for size in range(1, 15):
-        out.append(finite_set([Q2(F(1, 3), F(1, 1 << (i + 5))) for i in range(size)]))
-        pts = []
-        while len(pts) < size:
-            p = Q2(F(rng.randrange(1, 64), 64), F(rng.choice((1, -1)), 1 << rng.randrange(7, 40)))
-            if all(p != e for e in pts):
-                pts.append(p)
-        out.append(finite_set(pts))
-    return out, rng
-
-
-def _brute_members_in(a_set, iv):
-    """Every index whose member lies in iv: the whole finite set, or the
-    first 64 members of an infinite one, each tested on its own."""
-    n_max = a_set.size if a_set.size is not None else 64
-    return [n for n in range(n_max) if iv.contains(a_set.member(n))]
-
-
-def test_spike_brackets_hold_the_brute_force_extremes():
-    """Soundness of the spike scans against a brute-force reference: every
-    `range_on` bracket of `CoverPsi`, `TildePenny` and `Penny` holds the
-    min or max of the exact values in iv (the off-set value included), and
-    is at most 2^-k wide; every threshold answer agrees with those values.
-    Intervals hug the members, reach 0, or are random; a scan that stopped
-    early on a finite banded set once claimed sup 0 beside a live spike."""
-    seed_sets, rng = _seed_sets()
-    checks = 0
-    for a_set in seed_sets:
-        banded = tilde_set(a_set)
-        ivs = [DyadicInterval(0, 1), DyadicInterval(0, F(1, 1 << rng.randrange(1, 12)))]
-        ivs += [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(3)]
-        for n in range(14 if a_set.size is None else a_set.size):
-            j = rng.choice((n + 3, n + 10, rng.randrange(2, 31)))
-            lo, hi = banded.member(n).bracket(j)
-            w = F(1, 1 << (j + 2))
-            ivs.append(DyadicInterval(max(F(0), lo - w), min(F(1), hi + w)))
-        for iv in ivs:
-            # member n lies below 2^-n, so the first 64 hold every member in iv
-            assert iv.lower == 0 or iv.lower >= F(1, 1 << 40)
-            inside = _brute_members_in(banded, iv)
-            psi = CoverPsi(a_set)
-            vals = [psi.BASE] + [psi.spike_value(n) for n in inside]
-            psi_inf = F(0) if a_set.size is None and iv.lower == 0 else min(vals)
-            spiked = [(TildePenny(a_set, start=s), inside) for s in (0, 2)]
-            spiked += [(Penny(a_set, start=s), _brute_members_in(a_set, iv)) for s in (0, 2)]
-            for k in (0, 2, 4, 7, 11):
-                width = F(1, 1 << k)
-                inf_b, sup_b = psi.range_on(iv, k)
-                assert inf_b.lo <= psi_inf <= inf_b.hi and inf_b.hi - inf_b.lo <= width, \
-                    (a_set.name, iv, k, inf_b, psi_inf)
-                assert sup_b == Bracket.point(psi.BASE)
-                checks += 2
-                for f, members in spiked:
-                    top = max([F(0)] + [f.spike_value(n) for n in members if n >= f.start])
-                    inf_b, sup_b = f.range_on(iv, k)
-                    assert inf_b == Bracket.point(0)
-                    assert sup_b.lo <= top <= sup_b.hi and sup_b.hi - sup_b.lo <= width, \
-                        (f.kind, f.start, a_set.name, iv, k, sup_b, top)
-                    checks += 1
-            for y in (F(0), F(1, 64), F(3, 1 << 12), F(1, 1 << 14)):
-                truth, _ = psi.witness_below(iv, y)
-                assert truth != (Truth.YES if psi_inf >= y else Truth.NO), (a_set.name, iv, y)
-                for f, members in spiked:
-                    top = max([F(0)] + [f.spike_value(n) for n in members if n >= f.start])
-                    truth, p = f.witness_above(iv, y)
-                    assert truth != (Truth.YES if top <= y else Truth.NO), (f.kind, iv, y)
-                    assert p is None or (iv.contains(p) and f.eval(p) > y)
-                    checks += 1
-    assert checks > 15000
 
 
 def test_spike_scans_reach_the_member_they_once_missed():
@@ -769,6 +622,56 @@ def test_osc_exact_matches_brute_limit():
             assert brute_ball_osc(f, x, n, depth=6) >= Q2.of(b.lo) - Q2.of(F(1, 1 << 18))
 
 
+def test_poly_integers_are_canonical():
+    assert Poly(F(2, 4), F(3, 6), 0) == Poly(F(1, 2), F(1, 2))
+    assert Poly(F(2, 4)).coeffs() == (F(1, 2), 0, 0)
+    p = Poly(F(1, 6), F(-3, 4), F(5, 2))
+    assert (p.n0, p.n1, p.n2, p.d) == (2, -9, 30, 12)
+    with pytest.raises(TypeError):
+        Poly(F(1, 2), 0.5)
+
+
+def test_poly_evaluation_reduces_once_and_builds_no_fraction():
+    """Fraction Horner made four reductions per evaluation, 256 here."""
+    poly = Poly(F(1, 3), F(-5, 4), F(7, 2))
+    pts = [Q2.of(F(j, 64)) for j in range(64)]
+
+    def run():
+        return [poly(x) for x in pts]
+
+    assert fraction_news(run) == 0
+    assert calls_to(run, exact.__file__, "_reduced") == 64
+
+
+def test_both_defect_2a_instances_are_exact():
+    """The sum of the indicators of 1/3 and 2/3 gets its supremum 1 (its
+    brackets once added the parts' and read sup [2, 2]), and a value above
+    3/2 is refused.  1 on the closed complement C of (1/8, 1/4) and
+    (5/8, 3/4), plus the usco covering function of three members, is at
+    least 1/256 (band 2's value, on (1/8, 1/4)), so its least ball exponent
+    below 5/2^14 is 0."""
+    unit = DyadicInterval(0, 1)
+    s = make("indicator(1/3) + indicator(2/3)")
+    assert s.range_on(unit, 6)[1] == Bracket.point(1)
+    assert s.witness_above(unit, F(3, 2)) == (Truth.NO, None)
+    C = ComplementOfR2Open(R2Rep.from_intervals([(F(1, 8), F(1, 4)), (F(5, 8), F(3, 4))]))
+    f = fn_sum(Indicator(C), CoverPsiUsco(finite_set([S2(0), S2(0) / 8, S2(0) / 64])))
+    inf_b, _ = f.range_on(unit, 8)
+    assert inf_b.contains(F(1, 256))
+    assert mu_search(ValueBelowOnBall(f, 0, F(5, 1 << 14))) == Found(MuWitness(0))
+
+
+def test_thomae_minus_thomae_runs_out_of_cells_soundly(deadline):
+    """T - T is 0, but each part's brackets on a cell are [0, 1/q] and
+    [-1/q, 0] however small the cell, so no cell is ever exact: the range
+    gives up with brackets that hold 0."""
+    deadline(5)
+    with pytest.raises(FuelExhausted) as got:
+        fn_sum(thomae(), scalar_multiple(-1, thomae())).range_on(DyadicInterval(0, 1), 10)
+    inf_b, sup_b = got.value.best
+    assert inf_b.contains(0) and sup_b.contains(0)
+
+
 def test_sum_and_scalar():
     f = fn_sum(linear(1), constant(F(1, 4)))
     assert f.eval(F(1, 2)) == Q2.of(F(3, 4))
@@ -839,19 +742,19 @@ def _hull_instances():
     hole = Indicator(ComplementOfR2Open(R2Rep.from_intervals([(F(1, 4), F(1, 2))])))
     everything = Indicator(ComplementOfR2Open(R2Rep.from_intervals([])))
     rng = random.Random(1801)
-    pieces = [random_continuous_piecewise(rng) for _ in range(3)]
-    pieces += [random_staircase(rng), irrational_cut_staircase(), vertex_off_its_piece(),
-               _unattained_zero_gauge()]
+    pieces = [build(random_continuous_piecewise(rng)) for _ in range(3)]
+    pieces += [build(random_staircase(rng)), make("irrational-cut-staircase"),
+               make("vertex-off-its-piece"), _unattained_zero_gauge()]
     leaves = pieces + [
         thomae(), Penny(A), Penny(mixed), PennyK(mixed, 1), TildePenny(irr),
         Penny(A, start=2), CoverPsi(A), CoverPsi(irr), CoverPsiUsco(A), CoverPsiUsco(irr),
         Indicator(FinitePointSet.of([F(1, 3), F(3, 4)])), Indicator(FinitePointSet.of([])),
         hole, everything, pennyk_limit(mixed)]
-    composites = [fn_sum(hole, CoverPsi(irr)), fn_sum(irrational_cut_staircase(), thomae()),
+    composites = [fn_sum(hole, CoverPsi(irr)), fn_sum(make("irrational-cut-staircase"), thomae()),
                   fn_difference(everything, CoverPsiUsco(A)), ScalarMultiple(-2, hole),
                   ScalarMultiple(0, CoverPsi(A)), ScalarMultiple(F(3, 2), Penny(mixed)),
                   restrict_tags(CoverPsi(A), {CLIQUISH}),
-                  fn_sum(ScalarMultiple(F(-1, 2), irrational_cut_staircase()), everything)]
+                  fn_sum(ScalarMultiple(F(-1, 2), make("irrational-cut-staircase")), everything)]
     return leaves + composites
 
 
@@ -931,9 +834,9 @@ def _linear_locate(f, x):
 
 def test_locate_by_bisection_matches_linear_scan():
     rng = random.Random(383)
-    fns = [random_continuous_piecewise(rng) for _ in range(6)]
-    fns += [random_staircase(rng) for _ in range(6)]
-    fns += [fn_sum(random_staircase(rng), random_staircase(rng)) for _ in range(4)]
+    fns = [build(random_continuous_piecewise(rng)) for _ in range(6)]
+    fns += [build(random_staircase(rng)) for _ in range(6)]
+    fns += [fn_sum(build(random_staircase(rng)), build(random_staircase(rng))) for _ in range(4)]
     fns += [staircase([(S2(j), F(j + 1, 8)) for j in range(7, -1, -1)]),  # irrational cuts
             staircase([(F(i, 64), F(i, 64)) for i in range(1, 64)]),
             linear(1)]
@@ -1066,9 +969,7 @@ def test_indicator_closed_set_forms_pinned():
         assert separable(c0, c1) and separable(c1, c0)
 
 
-# ---------------------------------------------------------------------------
-# the interval contract: clip to [0,1], single points from their value
-# ---------------------------------------------------------------------------
+# --- the interval contract: clip to [0,1], single points from their value ---
 
 
 RATIONAL_SPIKES = finite_set([Q2(F(1, 4), F(1, 16)), F(3, 8), F(1, 2), F(5, 7)])
@@ -1172,37 +1073,11 @@ def test_documents_live_in_serialize_alone():
 def test_spike_count_answers_witness_above_as_the_capped_loop():
     """`Penny.spikes_above` reads the spikes above y off y's integers, where
     a loop capped at index 4096 once counted them; the cap never binds at
-    these thresholds, so every answer is the loop's."""
-    rng = random.Random(1101)
-    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
+    these thresholds.  The `spike-count` row of `test_differential.py`
+    checks `witness_above` against the capped loop."""
     ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
     for y in ys + [F(1, 1 << j) for j in range(1, 12)] + [F(5, 1 << j) for j in range(3, 12)]:
         assert Penny.spikes_above(y) == next(n for n in range(4096) if Penny.spike_value(n) <= y)
-    for a_set in (A, random_finite_set(rng), mixed):
-        fns = [Penny(a_set), PennyK(a_set, 0), PennyK(a_set, 3), Penny(a_set, start=2)]
-        if a_set.all_irrational:
-            fns.append(TildePenny(a_set))
-        for f in fns:
-            ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(8)]
-            ivs += [DyadicInterval(0, 1), DyadicInterval(0, F(1, 1 << 40))]
-            for iv in ivs:
-                for y in ys:
-                    assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y), (f, iv, y)
-            for n, p in f.a_set.members_upto(6):  # just below the spike, tight around it
-                lo, hi = p.bracket(n + 8)
-                iv, y = DyadicInterval(lo, hi), Penny.spike_value(n) * F(3, 4)
-                assert f.witness_above(iv, y) == _plain_witness_above(f, iv, y), (f, iv, y)
-
-
-def _loop_band_of(x, half_open=True):
-    """`band_of` as a loop over the bands."""
-    p = Q2.of(x)
-    if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
-        return None
-    n = 0
-    while p < F(1, 1 << (n + 1)):
-        n += 1
-    return n
 
 
 def test_band_of_reads_the_band_off_the_integers():
@@ -1218,111 +1093,13 @@ def test_band_of_reads_the_band_off_the_integers():
         pts.append(Q2(F(rng.randrange(0, 64), 64), F(rng.randrange(-9, 10), 1 << rng.randrange(1, 30))))
     for x in pts:
         for half_open in (True, False):
-            assert band_of(x, half_open) == _loop_band_of(x, half_open), (x, half_open)
-
-
-def _plain_cover_usco_range(f, iv, k):
-    """CoverPsiUsco's range as a band walk that scans members 0..n for each
-    band n it meets."""
-    cap = max(k + 6, 8)
-    n0 = _loop_band_of(min(iv.upper, F(1)), half_open=False)
-    bands, n = [], n0
-    while n - n0 <= cap:
-        lo_band, hi_band = F(1, 1 << (n + 1)), F(1, 1 << n)
-        if hi_band < iv.lower:
-            break
-        if lo_band <= iv.upper and hi_band >= iv.lower:
-            bands.append(n)
-        if lo_band <= iv.lower:
-            break
-        n += 1
-    vals = [f.ZERO_VALUE] if iv.lower <= 0 else []
-    for n in bands:
-        band_iv = DyadicInterval(max(iv.lower, F(1, 1 << (n + 1))), min(iv.upper, F(1, 1 << n)))
-        member_here = [m for m, _ in f.a_set.members_in(band_iv, n + 1) if m == n]
-        if band_iv.width > 0 or not member_here:
-            vals.append(f.band_value(n))
-        if member_here:
-            vals.append(f.spike_value(n))
-    sup_b = Bracket.point(max(vals))
-    if iv.lower <= 0:
-        return Bracket.point(0), sup_b
-    if F(1, 1 << (bands[-1] + 1)) > iv.lower:
-        return Bracket(F(0), min(vals)), sup_b
-    return Bracket.point(min(vals)), sup_b
-
-
-def test_cover_usco_range_reads_member_n_in_band_n():
-    rng = random.Random(1103)
-    seeds = [A, random_finite_set(rng), random_finite_set(rng, 3), finite_set([S2(0), S2(5)])]
-    for a_set in seeds:
-        f = CoverPsiUsco(a_set)
-        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 12))) for _ in range(12)]
-        for n in range(0, 52, 4):  # band boundaries, whole bands, runs of bands
-            edge = F(1, 1 << (n + 1))
-            ivs += [DyadicInterval(edge, 2 * edge), DyadicInterval(edge / 4, edge),
-                    DyadicInterval(0, edge), DyadicInterval(edge, edge + edge / 8),
-                    DyadicInterval(edge - edge / 8, edge)]
-            if n % 12 == 0:  # runs of bands reaching past the cap
-                ivs += [DyadicInterval(edge / (1 << j), edge) for j in (8, 9, 10, 20)]
-        for n, p in a_set.members_upto(6):  # tight intervals around members
-            lo, hi = p.bracket(n + 8)
-            ivs.append(DyadicInterval(max(F(0), lo), min(F(1), hi)))
-        for iv in ivs:
-            for k in list(range(13)) + [24, 48]:
-                assert f.range_on(iv, k) == _plain_cover_usco_range(f, iv, k), (a_set.name, iv, k)
-
-
-def _all_unit_rationals() -> CountableSet:
-    """Q cap [0,1] in `unit_rationals` order with its exact inverse: a seed
-    set that holds every dyadic rational.  Fraction p/d (d >= 2) has index
-    2 + phi(2) + ... + phi(d - 1) + #{1 <= p' < p : gcd(p', d) = 1}."""
-    gen, listed = unit_rationals(), []
-    phi_sums = [0, 0, 0]  # phi_sums[d] = phi(2) + ... + phi(d - 1)
-
-    def member(n):
-        while len(listed) <= n:
-            listed.append(next(gen))
-        return listed[n]
-
-    def coprime_below(p, d):
-        primes, m, f = [], d, 2
-        while f * f <= m:
-            if m % f == 0:
-                primes.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            primes.append(m)
-        total = 0
-        for mask in range(1 << len(primes)):
-            prod, sign = 1, 1
-            for i, q in enumerate(primes):
-                if mask >> i & 1:
-                    prod, sign = prod * q, -sign
-            total += sign * ((p - 1) // prod)
-        return total
-
-    def index_of(x):
-        if not x.is_rational or x < 0 or x > 1:
-            return None
-        r = x.as_rational()
-        p, d = r.numerator, r.denominator
-        if d == 1:
-            return p
-        while len(phi_sums) <= d:
-            j = len(phi_sums) - 1
-            phi_sums.append(phi_sums[-1] + coprime_below(j + 1, j))
-        return 2 + phi_sums[d] + coprime_below(p, d)
-
-    return CountableSet(member, index_of, name="unit-rationals")
+            assert band_of(x, half_open) == loop_band_of(x, half_open), (x, half_open)
 
 
 def test_penny_below_witness_ends_when_the_seed_set_holds_every_dyadic(deadline):
     """Once a hang: the grid search never left the seed set."""
     deadline(10)
-    s = _all_unit_rationals()
+    s = all_unit_rationals()
     assert all(s.index_of(s.member(n)) == n for n in range(400))
     f = Penny(s)
     iv = DyadicInterval(F(1, 4), F(1, 2))
@@ -1356,7 +1133,7 @@ def test_penny_below_witness_visits_new_points_as_the_full_grid_loop():
 
     # every grid point of this set is a member, so both loops run to the cap;
     # its index map costs more the deeper the grid, so the intervals are wide
-    cases = [(_all_unit_rationals(), [DyadicInterval(0, 1), DyadicInterval(F(1, 3), F(5, 6))])]
+    cases = [(all_unit_rationals(), [DyadicInterval(0, 1), DyadicInterval(F(1, 3), F(5, 6))])]
     for _ in range(12):
         k = rng.randrange(1, 7)
         pts = [F(j, 1 << k) for j in range((1 << k) + 1) if rng.random() < 0.9]

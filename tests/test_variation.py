@@ -19,7 +19,8 @@ from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, PiecewiseRatio
 from abyss.sets import ComplementOfR2Open, R2Rep
 from abyss.universe import Indicator, ScalarMultiple, Sum, probe_points
 
-from conftest import irrational_cut_staircase, probe_basis, random_staircase_plus_linear
+from catalogue import build, make, random_staircase_plus_linear
+from references import partition_brute_variation, probe_basis, variation_candidates
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -136,52 +137,12 @@ def test_variation_prefix_monotone():
     assert total_variation_nbv(st, F(1), 10).contains(F(3, 4))
 
 
-def _partition_brute_variation(f, x, candidates, max_points):
-    """Max partition sum over subsets of the candidates with at most
-    max_points points, via the standard longest-path DP (equivalent to
-    enumerating all such partitions)."""
-    pts = sorted({c for c in candidates if 0 <= c <= x})
-    if x not in pts:
-        pts.append(x)
-    if F(0) not in pts:
-        pts.insert(0, F(0))
-    pts = sorted(pts)
-    vals = [f.eval(p) for p in pts]
-    n = len(pts)
-    best = {}
-    for i in range(n):
-        best[(i, 1)] = Q2.of(0)
-    for m in range(2, max_points + 1):
-        for i in range(n):
-            cur = None
-            for j in range(i):
-                prev = best.get((j, m - 1))
-                if prev is None:
-                    continue
-                cand = prev + abs(vals[i] - vals[j])
-                if cur is None or cand > cur:
-                    cur = cand
-            if cur is not None:
-                best[(i, m)] = cur
-    return max(v for (i, m), v in best.items())
-
-
 def test_variation_matches_partition_brute_force():
     rng = random.Random(17)
     for _ in range(8):
-        f = random_staircase_plus_linear(rng)
+        f = build(random_staircase_plus_linear(rng))
         got = total_variation_nbv(f, F(1), 10)
-        candidates = set(rational_grid(DyadicInterval(0, 1), 3))
-        for c in f.cuts:
-            q = c.as_rational()
-            candidates.add(q)
-            if q > 0:
-                candidates.add(q - F(1, 1 << 12))
-        for piece in f.pieces:
-            v = piece.vertex()
-            if v is not None and 0 < v < 1:
-                candidates.add(v)
-        brute = _partition_brute_variation(f, F(1), candidates, 12)
+        brute = partition_brute_variation(f, F(1), variation_candidates(f), 12)
         # brute never exceeds the true value and comes within the mesh error
         assert brute <= Q2.of(got.upper)
         assert brute >= Q2.of(got.lower) - Q2.of(F(1, 256))
@@ -207,7 +168,7 @@ def test_jordan_monotone_and_exact():
     rng = random.Random(29)
     grid = rational_grid(DyadicInterval(0, 1), 6)
     for _ in range(6):
-        f = random_staircase_plus_linear(rng)
+        f = build(random_staircase_plus_linear(rng))
         jp = jordan_nbv(f)
         gs = [jp.g(x) for x in grid]
         hs = [jp.h(x) for x in grid]
@@ -249,8 +210,8 @@ def test_running_variation_matches_the_cell_walk():
     pieces = [Poly(0, 2, -2), Poly(1, -3, 3), Poly(F(1, 2), 1)]
     bumps = PiecewiseRational.from_polys(cuts, pieces)
     assert Q2.of(F(1, 2)) in bumps.special_points(DyadicInterval(0, 1), 0)  # a vertex
-    nbv = [random_staircase_plus_linear(rng) for _ in range(12)]
-    for f in nbv + [bumps, irrational_cut_staircase()]:
+    nbv = [build(random_staircase_plus_linear(rng)) for _ in range(12)]
+    for f in nbv + [bumps, make("irrational-cut-staircase")]:
         jp = jordan_nbv(f)
         for x in _cell_probes(f):
             want = Q2.of(0) if x == Q2.of(0) else _walked_variation(f, x)
