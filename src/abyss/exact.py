@@ -40,6 +40,12 @@ def _sign_int(x: int, y: int) -> int:
     return sx if x * x > 2 * y * y else sy
 
 
+def _in_unit(x: "Q2") -> bool:
+    """Whether 0 <= x <= 1, on the integers: an irrational x is neither end."""
+    p, q, d = x.p, x.q, x.d
+    return 0 <= p <= d if not q else _sign_int(p, q) > 0 and _sign_int(d - p, -q) > 0
+
+
 def _rational(x) -> Fraction:
     """x as a Fraction.  Fraction() would take a float's binary value too,
     so floats are refused here: no float gets into the exact kernel."""

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Q2, DyadicInterval, _rational, _vs, least_denominator_between
+from .exact import Q2, DyadicInterval, _in_unit, _rational, _vs, least_denominator_between
 from .records import record
 
 
@@ -115,7 +115,7 @@ def _unit_points(points) -> list[Q2]:
     """The points as Q2, refusing any outside [0,1]."""
     pts = [Q2.of(p) for p in points]
     for p in pts:
-        if p < 0 or p > 1:
+        if not _in_unit(p):
             raise ValueError("point %s outside [0,1]" % (p,))
     return pts
 

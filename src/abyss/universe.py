@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .errors import (ConstructionError, DomainError, FuelExhausted, NotPointwiseEvaluable,
                      RepresentationInsufficient, UnsupportedVariant)
-from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator,
+from .exact import (Bracket, DyadicInterval, Q2, Truth, _in_unit, _least_denominator,
                     _ratio, _rational, _reduced, _sign_int, grid_depth_cap, grid_q2,
                     grid_span, halve, rational_grid)
 from .sets import ComplementOfR2Open, CountableSet, band_of, tilde_set
@@ -48,11 +48,12 @@ CERT_INF = "inf-collapses-to-rationals"
 CERT_OSC = "oscillation-collapses-to-rationals"
 
 _ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
+_Q0, _Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
 
 
 def _unit_point(x) -> Q2:
     p = Q2.of(x)
-    if p < 0 or p > 1:
+    if not _in_unit(p):
         raise DomainError("point %s outside [0,1]" % (p,))
     return p
 
@@ -104,8 +105,10 @@ class Poly:
         p, q, e = x.p, x.q, x.d
         n0, n1, n2 = self.n0, self.n1, self.n2
         if not n2:
-            if not n1:
-                return _reduced(n0, 0, self.d)
+            if not n1:  # n0/d is in lowest terms already
+                v = object.__new__(Q2)
+                v.p, v.q, v.d = n0, 0, self.d
+                return v
             return _reduced(n0 * e + n1 * p, n1 * q, self.d * e)
         # (n0 e^2 + n1 e x + n2 (e x)^2) / (d e^2), with e x = p + q sqrt2
         if not q:
@@ -380,75 +383,64 @@ class PiecewiseRational(SymbolicFn):
     kind = "piecewise"
 
     def __init__(self, cuts, pieces, bp_values):
-        self.cuts = tuple(Q2.of(c) for c in cuts)
-        self.pieces = tuple(pieces)
-        self.bp_values = tuple(Q2.of(v) for v in bp_values)
-        if len(self.cuts) < 2 or self.cuts[0] != Q2.of(0) or self.cuts[-1] != Q2.of(1):
+        self.cuts = cuts = tuple(map(Q2.of, cuts))
+        self.pieces = pieces = tuple(pieces)
+        self.bp_values = values = tuple(map(Q2.of, bp_values))
+        m = len(cuts)
+        if m < 2 or cuts[0] != _Q0 or cuts[-1] != _Q1:
             raise ConstructionError("cuts must run from 0 to 1")
-        if any(a >= b for a, b in zip(self.cuts, self.cuts[1:])):
-            raise ConstructionError("cuts must be strictly increasing")
-        if len(self.pieces) != len(self.cuts) - 1 or len(self.bp_values) != len(self.cuts):
+        shaped = len(pieces) == m - 1 and len(values) == m
+        sides, critical = [], []
+        # some limit above its value (not usco), below it (not lsco), a value
+        # off every side it has (not quasi-continuous), a right limit off its
+        # value (not cadlag): each limit is compared with its value once
+        up = down = split = jump = False
+        left = None
+        for i, c in enumerate(cuts):
+            if i and cuts[i - 1]._cmp(c) >= 0:
+                raise ConstructionError("cuts must be strictly increasing")
+            if not shaped:
+                continue
+            v, right = values[i], pieces[i] if i < m - 1 else None
+            before = after = sl = sr = None
+            if left is not None:
+                w = left._vertex
+                if w is not None and cuts[i - 1] < w < c:
+                    critical.append(w)
+                before = left(c)
+                sl = before._cmp(v)
+            critical.append(c)
+            if right is not None:
+                after = right(c)
+                sr = after._cmp(v)
+                jump = jump or sr != 0
+            sides.append((before, v, after))
+            up = up or sl == 1 or sr == 1
+            down = down or sl == -1 or sr == -1
+            split = split or (sl != 0 and sr != 0)  # a missing side's None counts
+            left = right
+        if not shaped:
             raise ConstructionError("pieces/values do not match cuts")
-        around = zip((None,) + self.pieces, self.cuts, self.bp_values, self.pieces + (None,))
-        self.sides = tuple((left(c) if left else None, v, right(c) if right else None)
-                           for left, c, v, right in around)
-        critical = [self.cuts[0]]
-        for piece, a, b in zip(self.pieces, self.cuts, self.cuts[1:]):
-            v = piece._vertex
-            if v is not None and a < v < b:
-                critical.append(v)
-            critical.append(b)
-        self.critical = tuple(critical)
-        super().__init__(self._compute_tags())
+        self.sides, self.critical = tuple(sides), tuple(critical)
+        tags = {CLIQUISH, SIMPLY_CONTINUOUS, BV, REGULATED, BAIRE1}
+        for tag, holds in ((CONTINUOUS, not (up or down)), (QUASI_CONTINUOUS, not split),
+                           (USCO, not up), (LSCO, not down),
+                           (NORMALISED_BV, not jump and values[0] == _Q0)):
+            if holds:
+                tags.add(tag)
+        super().__init__(tags)
 
     @staticmethod
     def from_polys(cuts, pieces, policy=None):
         """policy: per-cut entry 'right' | explicit value; defaults to
         'right' (cadlag) at interior cuts, piece limits at 0 and 1."""
-        cuts = [Q2.of(c) for c in cuts]
-        m = len(cuts)
+        cuts = list(map(Q2.of, cuts))
         if policy is None:
-            policy = ["right"] * m
-        vals = []
-        for i, rule in enumerate(policy):
-            if rule == "right":
-                j = i if i < len(pieces) else len(pieces) - 1
-                vals.append(pieces[j](cuts[i]))
-            else:
-                vals.append(Q2.of(rule))
+            policy = ["right"] * len(cuts)
+        last = len(pieces) - 1
+        vals = [pieces[min(i, last)](cuts[i]) if rule == "right" else Q2.of(rule)
+                for i, rule in enumerate(policy)]
         return PiecewiseRational(cuts, pieces, vals)
-
-    def _compute_tags(self):
-        tags = {CLIQUISH, SIMPLY_CONTINUOUS, BV, REGULATED, BAIRE1}
-        continuous = True
-        qc = True
-        usco = True
-        lsco = True
-        cadlag = True
-        for left, v, right in self.sides:
-            signs = [s._cmp(v) for s in (left, right) if s is not None]  # limit vs value
-            if any(signs):
-                continuous = False
-            if all(signs):
-                qc = False
-            if 1 in signs:
-                usco = False
-            if -1 in signs:
-                lsco = False
-            if right is not None and signs[-1]:
-                cadlag = False
-        if continuous:
-            tags |= {CONTINUOUS, QUASI_CONTINUOUS, USCO, LSCO}
-        else:
-            if qc:
-                tags.add(QUASI_CONTINUOUS)
-            if usco:
-                tags.add(USCO)
-            if lsco:
-                tags.add(LSCO)
-        if cadlag and self.bp_values[0] == Q2.of(0):
-            tags.add(NORMALISED_BV)
-        return tags
 
     def _locate(self, x: Q2):
         """('cut', i) or ('piece', j), by bisection on the sorted cuts."""
@@ -470,9 +462,12 @@ class PiecewiseRational(SymbolicFn):
         # the extremes are among the one-sided limits and the values at the
         # critical points, and are taken only at a critical point or on a
         # constant piece: inside a piece of degree <= 2 only the vertex is one
-        taken = [self._eval(p) for p in self.critical]
-        limits = []
-        for piece, before, after in zip(self.pieces, self.sides, self.sides[1:]):
+        taken, limits = list(self.bp_values), []
+        for piece, a, b, before, after in zip(self.pieces, self.cuts, self.cuts[1:],
+                                              self.sides, self.sides[1:]):
+            v = piece._vertex
+            if v is not None and a < v < b:
+                taken.append(piece(v))
             (taken if piece.is_constant else limits).extend((before[2], after[0]))
         lo, hi = min(taken + limits), max(taken + limits)
         return lo, hi, lo not in taken, hi not in taken
@@ -486,17 +481,29 @@ class PiecewiseRational(SymbolicFn):
         cuts, pieces = self.cuts, self.pieces
         first, stop = bisect_left(cuts, lo), bisect_right(cuts, hi)
         vals = list(self.bp_values[first:stop])
-        # piece j meets (lo, hi) iff cuts[j] < hi and cuts[j + 1] > lo
-        start = bisect_right(cuts, lo) - 1
-        last = bisect_left(cuts, hi, first) - 1
+        # piece j meets (lo, hi) iff cuts[j] < hi and cuts[j + 1] > lo: from
+        # the last cut at or below lo to the last cut below hi
+        start = first if cuts[first] == lo else first - 1
+        last = stop - 2 if cuts[stop - 1] == hi else stop - 1
         for j in range(start, last + 1):
+            piece = pieces[j]
+            if piece.is_constant:  # its value is its right limit at cuts[j]
+                w = self.sides[j][2]
+                vals += (w, w)
+                continue
             a, b = cuts[j], cuts[j + 1]
-            vals.extend(pieces[j].range_on(lo if lo > a else a, hi if hi < b else b))
+            vals.extend(piece.range_on(lo if lo > a else a, hi if hi < b else b))
         return vals
 
     def _range_on(self, iv, k):
         vals = self._value_candidates(iv)
-        return Bracket.of_q2(min(vals), k), Bracket.of_q2(max(vals), k)
+        lo = hi = vals[0]
+        for v in vals:
+            if v._cmp(lo) < 0:
+                lo = v
+            elif v._cmp(hi) > 0:
+                hi = v
+        return Bracket.of_q2(lo, k), Bracket.of_q2(hi, k)
 
     def special_points(self, iv, depth):
         return [p for p in self.critical if iv.contains(p)]
@@ -534,27 +541,26 @@ def constant(c) -> PiecewiseRational:
     if not v.is_rational:
         raise ConstructionError("constant %s is irrational; Poly coefficients "
                                 "are rational" % (v,))
-    return PiecewiseRational([0, 1], [Poly(v.as_rational())], [v, v])
+    return PiecewiseRational((_Q0, _Q1), [Poly(v.as_rational())], [v, v])
 
 
 def linear(slope, intercept=0) -> PiecewiseRational:
     p = Poly(intercept, slope)
-    return PiecewiseRational([0, 1], [p], [p(Q2.of(0)), p(Q2.of(1))])
+    return PiecewiseRational((_Q0, _Q1), [p], [p(_Q0), p(_Q1)])
 
 
 def staircase(jumps) -> PiecewiseRational:
     """Cadlag step function: value 0 on [0, first jump), then each
-    (pos, value) in order."""
-    cuts = [Q2.of(0)]
-    pieces = []
-    level = 0
+    (pos, value) in order.  Its value at a cut is the level the cut starts,
+    and at 1 the last level."""
+    cuts, pieces, values = [_Q0], [Poly(0)], [_Q0]
     for pos, value in jumps:
         cuts.append(Q2.of(pos))
-        pieces.append(Poly(level))
-        level = value
-    cuts.append(Q2.of(1))
-    pieces.append(Poly(level))
-    return PiecewiseRational.from_polys(cuts, pieces)
+        pieces.append(Poly(value))
+        values.append(Q2.of(value))
+    cuts.append(_Q1)
+    values.append(values[-1])
+    return PiecewiseRational(cuts, pieces, values)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,17 +1126,26 @@ def indicator_baire1(open_rep) -> Baire1Limit:
 
 
 def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRational:
-    cuts = sorted(set(f.cuts) | set(g.cuts))
-    pieces = []
-    for a in cuts[:-1]:
-        # the pieces of f and g on (a, next cut) start at or before a
-        pf = f.pieces[bisect_right(f.cuts, a) - 1]
-        pg = g.pieces[bisect_right(g.cuts, a) - 1]
+    """f + g on the union of their cuts, in one walk over both cut lists: a
+    part's value at a cut is read from its table at its own cut and from
+    the piece around the cut otherwise."""
+    fc, gc = f.cuts, g.cuts
+    cuts, pieces, vals = [], [], []
+    i = j = 0  # the next cut of f and of g; both lists end at 1
+    while True:
+        s = fc[i]._cmp(gc[j])
+        c = fc[i] if s <= 0 else gc[j]
+        cuts.append(c)
+        vals.append((f.bp_values[i] if s <= 0 else f.pieces[i - 1](c))
+                    + (g.bp_values[j] if s >= 0 else g.pieces[j - 1](c)))
+        i, j = i + (s <= 0), j + (s >= 0)
+        if i == len(fc):
+            return PiecewiseRational(cuts, pieces, vals)
+        # the pieces of f and g on (c, next cut) are the ones before their next cuts
+        pf, pg = f.pieces[i - 1], g.pieces[j - 1]
         fd, gd = pf.d, pg.d
         pieces.append(_poly_of_ints(pf.n0 * gd + pg.n0 * fd, pf.n1 * gd + pg.n1 * fd,
                                     pf.n2 * gd + pg.n2 * fd, fd * gd))
-    vals = [f.eval(c) + g.eval(c) for c in cuts]
-    return PiecewiseRational(cuts, pieces, vals)
 
 
 def fn_sum(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
@@ -1148,7 +1163,7 @@ def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:
         c = _rational(c)
         cn, cd = c.as_integer_ratio()
         pieces = [_poly_of_ints(cn * p.n0, cn * p.n1, cn * p.n2, cd * p.d) for p in f.pieces]
-        vals = [Q2.of(c) * v for v in f.bp_values]
+        vals = [v * c for v in f.bp_values]
         return PiecewiseRational(f.cuts, pieces, vals)
     return ScalarMultiple(c, f)
 

@@ -455,3 +455,8 @@ for _i, _a_set in enumerate(transcript_seed_sets()):
 for _label, _a_set, _run in (("sqrt2", A, (6, 4)), ("irrational-seeds", IRRATIONAL_SEEDS, (5, 3)),
                              ("rational-seeds", RATIONAL_SEEDS, (4, 4))):
     add("liars", "penny(%s)" % _label, Penny(_a_set), liars=_run)
+
+# every piecewise document feeds the build row, which sums it with each of them
+for _entry in ENTRIES.values():
+    if _entry["fn"]["kind"] == "piecewise" and "wrap" not in _entry:
+        _entry["groups"].append("piecewise-build")

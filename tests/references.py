@@ -19,7 +19,10 @@ from abyss.exact import Truth, least_exponent
 from abyss.oracle import (DEFAULT_FUEL, QueryTrace, _baire1_value_above, _ball_clipped, _osc_on,
                           basis_at, grid_depth_cap, require_rule)
 from abyss.reductions import SupExtraction
-from abyss.universe import RestrictedView, ScalarMultiple, Sum
+from abyss.serialize import dumps, q2_json
+from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
+                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly,
+                            RestrictedView, ScalarMultiple, Sum)
 
 # the exceptions that answer a query: refusals, running out of fuel and
 # oracle lies; anything else is a fault of the test or the code
@@ -83,6 +86,81 @@ def full_scan_candidates(f, iv):
     return vals
 
 
+# --- piecewise builds: every value by evaluation, the table by its definitions ---
+
+
+def _piece_after(f, a):
+    """The piece of f on the gap that starts at a, by a scan over the cuts."""
+    return next(piece for piece, b in zip(f.pieces, f.cuts[1:]) if a < b)
+
+
+def plain_piecewise_sum(f, g):
+    """(cuts, pieces, values) of f + g: the sorted set union of the cuts,
+    each value the sum of the parts' `eval`, each piece the sum of the
+    coefficients of the parts' pieces."""
+    cuts = sorted(set(f.cuts) | set(g.cuts))
+    pieces = [Poly(*(x + y for x, y in zip(_piece_after(f, a).coeffs(),
+                                          _piece_after(g, a).coeffs()))) for a in cuts[:-1]]
+    return cuts, pieces, [f.eval(c) + g.eval(c) for c in cuts]
+
+
+def plain_from_polys(cuts, pieces, policy=None):
+    """The value at a cut: the piece to its right (the last piece at 1)
+    evaluated there, or the policy's explicit value."""
+    cuts = [Q2.of(c) for c in cuts]
+    rules = policy or ["right"] * len(cuts)
+    values = [horner(pieces[min(i, len(pieces) - 1)].coeffs(), c) if rule == "right"
+              else Q2.of(rule) for i, (c, rule) in enumerate(zip(cuts, rules))]
+    return cuts, list(pieces), values
+
+
+def plain_staircase(jumps):
+    levels = [0] + [v for _, v in jumps]
+    return plain_from_polys([0] + [c for c, _ in jumps] + [1], [Poly(v) for v in levels])
+
+
+def plain_scale(c, f):
+    return (list(f.cuts), [Poly(*(c * x for x in piece.coeffs())) for piece in f.pieces],
+            [Q2.of(c) * v for v in f.bp_values])
+
+
+def plain_table(cuts, pieces, values):
+    """Everything a piecewise function keeps of (cuts, pieces, values), each
+    read off its definition: the one-sided limits by Horner, the critical
+    points sorted, the tags from the signs of limit minus value at each cut,
+    the hull from the values at the critical points and the limits, and the
+    document's canonical bytes."""
+    last, cs = len(cuts) - 1, [p.coeffs() for p in pieces]
+    sides = [(horner(cs[i - 1], c) if i else None, values[i],
+              horner(cs[i], c) if i < last else None) for i, c in enumerate(cuts)]
+    critical = sorted(cuts + [Q2.of(-c1 / (2 * c2)) for (_, c1, c2), a, b in zip(cs, cuts, cuts[1:])
+                              if c2 and a < -c1 / (2 * c2) < b])
+    signs = [[(s > v) - (s < v) for s in (left, right) if s is not None]
+             for left, v, right in sides]
+    flat = sum(signs, [])
+    tags = {CLIQUISH, SIMPLY_CONTINUOUS, BV, REGULATED, BAIRE1}
+    for tag, holds in ((CONTINUOUS, not any(flat)), (QUASI_CONTINUOUS, not any(map(all, signs))),
+                       (USCO, 1 not in flat), (LSCO, -1 not in flat),
+                       (NORMALISED_BV, values[0] == 0 and all(
+                           right == v for _, v, right in sides[:-1]))):
+        if holds:
+            tags.add(tag)
+
+    def value(p):
+        if p in cuts:
+            return values[cuts.index(p)]
+        return horner(next(c for c, b in zip(cs, cuts[1:]) if p < b), p)
+    taken, limits = [value(p) for p in critical], []
+    for (_, c1, c2), before, after in zip(cs, sides, sides[1:]):
+        (limits if c1 or c2 else taken).extend((before[2], after[0]))
+    lo, hi = min(taken + limits), max(taken + limits)
+    doc = {"schema": "abyss/1", "kind": "piecewise", "cuts": [q2_json(c) for c in cuts],
+           "pieces": [[str(x) for x in c] for c in cs],
+           "values": [q2_json(v) for v in values]}
+    return (tuple(cuts), tuple(pieces), tuple(values), tuple(sides), tuple(critical),
+            frozenset(tags), (lo, hi, lo not in taken, hi not in taken), dumps(doc))
+
+
 # --- brute-force brackets over a probe basis built here ---
 
 
@@ -90,14 +168,12 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
     """Grid plus every carried point the test knows how to enumerate; a plain
     list of points, assembled without the production probe machinery."""
     pts = [Q2.of(g) for g in rational_grid(iv, depth)]
-    base = f
-    while isinstance(base, (ScalarMultiple, RestrictedView)):
-        base = base.f
-    stack = [base]
-    while stack:
+    stack = [f]
+    while stack:  # scaled and restricted views are unwrapped at every level
         g = stack.pop()
-        if isinstance(g, (Sum, Baire1Limit)):
-            stack += [g.f, g.g] if isinstance(g, Sum) else [g.term(8)]
+        if isinstance(g, (Sum, Baire1Limit, ScalarMultiple, RestrictedView)):
+            stack += [g.f, g.g] if isinstance(g, Sum) else [
+                g.term(8) if isinstance(g, Baire1Limit) else g.f]
             continue
         if hasattr(g, "a_set"):  # every spike family carries its seed set
             pts += [p for _, p in g.a_set.members_in(iv, member_limit)]

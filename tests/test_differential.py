@@ -7,6 +7,7 @@ values.  A new fast path adds a reference and a row, not a test file."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -16,11 +17,13 @@ from typing import Callable, NamedTuple
 import pytest
 
 from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, ExistsValueBelow,
-                   OscBelow, Poly, Q2, SupOracle, Truth, ValueBelowOnBall, cousin_subcover,
-                   exhaustive_sup_oracle, extract_enumeration_from_sup, inf_usco,
-                   modulus_continuity_qc, modulus_qc, mu_search, point_of_continuity_qc,
-                   rational_grid, realiser_from_sup, sup_qc, tilde_set)
+                   OscBelow, PiecewiseRational, Poly, Q2, SupOracle, Truth, ValueBelowOnBall,
+                   constant, cousin_subcover, exhaustive_sup_oracle, extract_enumeration_from_sup,
+                   fn_sum, inf_usco, linear, modulus_continuity_qc, modulus_qc, mu_search,
+                   point_of_continuity_qc, rational_grid, realiser_from_sup, scalar_multiple,
+                   staircase, sup_qc, tilde_set)
 from abyss.oracle import _ball_clipped
+from abyss.serialize import dumps, fn_json
 from abyss.universe import USCO, CoverPsi
 
 import references as ref
@@ -119,6 +122,49 @@ def scan_grid(f, entry, rng):
 def scan_ref(f, iv):
     vals = ref.full_scan_candidates(f, iv)
     return sorted(vals), (Bracket.of_q2(min(vals), 10), Bracket.of_q2(max(vals), 10))
+
+
+# each piecewise builder and its plain reference, given an entry f and the arguments
+BUILDS = {
+    "sum": (fn_sum, ref.plain_piecewise_sum),
+    "scale": (lambda f, c: scalar_multiple(c, f), lambda f, c: ref.plain_scale(c, f)),
+    "staircase": (lambda f, jumps: staircase(jumps), lambda f, jumps: ref.plain_staircase(jumps)),
+    "from-polys": (lambda f, policy: PiecewiseRational.from_polys(f.cuts, f.pieces, policy),
+                   lambda f, policy: ref.plain_from_polys(f.cuts, f.pieces, policy)),
+    "constant": (lambda f, c: constant(c),
+                 lambda f, c: ref.plain_from_polys([0, 1], [Poly(c)], [c, c])),
+    "linear": (lambda f, slope, c: linear(slope, c),
+               lambda f, slope, c: ref.plain_from_polys([0, 1], [Poly(c, slope)])),
+}
+
+
+@functools.cache
+def summand(name):
+    """The entry name built once, as the second part of the sums: a sum
+    reads its parts' tables and keeps no memo on them."""
+    return make(name)
+
+
+def build_grid(f, entry, rng):
+    """f plus itself, so that every cut is shared, and plus every other
+    piecewise entry but the polynomial tables (all on the cuts j/6); f
+    scaled by c < 0, c = 0 and c > 0; the staircase on f's cuts; f's pieces
+    rebuilt by `from_polys` with and without a policy; and the constant and
+    the line of f's first piece."""
+    yield "sum", f
+    yield from (("sum", summand(name)) for name, e in ENTRIES.items() if e is not entry
+                and "piecewise-build" in e["groups"] and "poly" not in e["groups"])
+    yield from (("scale", c) for c in (F(-3, 2), F(0), F(5, 4)))
+    yield "staircase", [(c, piece.coeffs()[0]) for c, piece in zip(f.cuts[1:-1], f.pieces[1:])]
+    yield "from-polys", None
+    yield "from-polys", [v if i % 2 else "right" for i, v in enumerate(f.bp_values)]
+    c0, c1, _ = f.pieces[0].coeffs()
+    yield from [("constant", c0), ("linear", c1, c0)]
+
+
+def built_table(g):
+    return (g.cuts, g.pieces, g.bp_values, g.sides, g.critical, g.tags, g._hull(),
+            dumps(fn_json(g)))
 
 
 def least_covering_prefix(psi):
@@ -327,6 +373,9 @@ ROWS = [
     Row("poly", poly_fast, poly_ref, ("poly",), poly_grid),
     Row("value-candidates", lambda f, iv: (sorted(f._value_candidates(iv)), f.range_on(iv, 10)),
         scan_ref, ("scan",), scan_grid),
+    Row("piecewise-build", lambda f, kind, *args: built_table(BUILDS[kind][0](f, *args)),
+        lambda f, kind, *args: ref.plain_table(*BUILDS[kind][1](f, *args)), ("piecewise-build",),
+        build_grid),
     Row("modulus-qc", lambda f, x, n, k: modulus_qc(f, x, k, n, fuel=8),
         lambda f, x, n, k: ref.sorted_fraction_modulus_qc(f, x, k, n, fuel=8),
         ("modulus-qc",), lambda f, entry, rng: itertools.product(

@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -18,12 +19,14 @@ from abyss import (ConstructionError, CoverPsi, CoverPsiUsco, DomainError, Dyadi
                    constant, exact, finite_set, fn_difference, fn_sum, inf_usco, jump_enum, linear,
                    mu_search, osc_exact, osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
                    scalar_multiple, sqrt2_family, staircase, thomae, tilde_set, usco_separator)
+from abyss import universe
 from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
-                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple, irrational_inside)
+                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple, Sum, _unit_point,
+                            irrational_inside)
 
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_finite_set, random_staircase, random_subinterval)
@@ -397,6 +400,7 @@ def test_restricted_view():
         [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))]))),
     lambda: staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))]),
     lambda: fn_difference(constant(1), Penny(A)),
+    lambda: Sum(constant(F(1, 3)), ScalarMultiple(F(1, 2), Penny(A))),
 ])
 def test_range_brackets_brute_force(fn_builder):
     f = fn_builder()
@@ -413,6 +417,15 @@ def test_range_brackets_brute_force(fn_builder):
         assert Q2.of(sup_b.hi) >= bmax >= Q2.of(inf_b.lo)
         assert Q2.of(inf_b.lo) <= bmin
         assert sup_b.width <= F(1, 1 << 12) and inf_b.width <= F(1, 1 << 12)
+
+
+def test_brute_force_reads_the_members_of_a_scaled_part_inside_a_sum():
+    """The probe basis unwraps a scaled part at every level: 1/3 + Penny/2
+    peaks at 7/12 at the member sqrt2/2, which no grid point holds."""
+    f = Sum(constant(F(1, 3)), ScalarMultiple(F(1, 2), Penny(A)))
+    top = Q2.of(F(7, 12))
+    assert max(brute_values(f, DyadicInterval(0, 1), 7)) == top
+    assert f.range_on(DyadicInterval(0, 1), 7)[1] == Bracket.point(F(7, 12))
 
 
 def test_cluster_bounds_examples():
@@ -643,6 +656,22 @@ def test_poly_evaluation_reduces_once_and_builds_no_fraction():
     assert calls_to(run, exact.__file__, "_reduced") == 64
 
 
+def test_piecewise_builds_and_reads_work_from_the_table():
+    """Operation counts, not seconds: a sum of two piecewise functions
+    merges their tables with no `eval`, no bisection (`_locate`) and no hash
+    of a cut; a staircase evaluates its pieces only where its one-sided
+    limits need them, two per interior cut and one at each end; the hull
+    reads values off the table."""
+    jumps = [(F(1, 8), F(1, 2)), (S2(1), F(-1, 4)), (F(5, 8), F(3, 4)), (F(7, 8), F(1, 8))]
+    f, g = staircase(jumps), fn_sum(staircase(jumps[::2]), linear(F(3, 4)))
+    for name, file in (("eval", universe.__file__), ("_locate", universe.__file__),
+                       ("__hash__", exact.__file__)):
+        assert calls_to(lambda: fn_sum(f, g), file, name) == 0, name
+    cuts = len(jumps) + 2
+    assert calls_to(lambda: staircase(jumps), universe.__file__, "__call__") == 2 * cuts - 2
+    assert calls_to(g._hull, universe.__file__, "_locate") == 0
+
+
 def test_both_defect_2a_instances_are_exact():
     """The sum of the indicators of 1/3 and 2/3 gets its supremum 1 (its
     brackets once added the parts' and read sup [2, 2]), and a value above
@@ -861,6 +890,26 @@ def test_finite_point_set_rejects_points_outside_unit_interval():
             finite_set(points)
         assert str(fin.value) == str(ref.value)
     assert FinitePointSet.of([F(0), F(1), S2(0)]).contains(F(1))
+
+
+def test_unit_interval_checks_read_the_integers_as_the_q2_order():
+    """`_unit_point` and the finite sets test 0 <= x <= 1 on x's integers,
+    plain comparisons for a rational x and the sign of p + q sqrt2 else: at
+    the ends, just past them, and at irrational points hugging them."""
+    tiny = F(1, 1 << 80)
+    points = [Q2.of(0), Q2.of(1), Q2.of(-tiny), Q2.of(1 + tiny), S2(69), 1 - S2(69), 1 + S2(69)]
+    for x in points:
+        if Q2.of(0) <= x <= Q2.of(1):
+            assert _unit_point(x) is x and finite_set([x]).member(0) == x
+            continue
+        message = "point %s outside [0,1]" % (x,)
+        with pytest.raises(DomainError, match=r"^%s$" % re.escape(message)):
+            _unit_point(x)
+        for build_set in (finite_set, FinitePointSet.of):
+            with pytest.raises(ValueError, match=r"^%s$" % re.escape(message)):
+                build_set([F(1, 2), x])
+    assert [Q2.of(0) <= x <= Q2.of(1) for x in points] == [True] * 2 + [False] * 2 + [
+        True, True, False]
 
 
 def test_indicator_variants():
