@@ -176,13 +176,21 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
     so an interval is returned only when the bound holds on all of it.
 
     Candidates are integer numerators over one denominator; the ends of the
-    one returned are the only `Fraction`s built.
+    one returned are the only `Fraction`s built.  A grid cell's range
+    bracket holds its end values, so a cell with an end outside the caps
+    fails unread: each grid point is evaluated once, when a cell first asks.
     """
     _check_precision(k)
     p = Q2.of(x)
     fx = f.eval(p)
     tol = _reduced(1, 0, 1 << k)
     lo_cap, hi_cap = fx - tol, fx + tol  # values must lie strictly between
+    inside: dict = {}  # (numerator, denominator) of a grid point -> f there between the caps
+
+    def in_band(c: int, den: int) -> bool:
+        if (c, den) not in inside:
+            inside[c, den] = lo_cap < f.eval(_reduced(c, 0, den)) < hi_cap
+        return inside[c, den]
 
     def candidate_ok(cn: int, dn: int, den: int) -> bool:
         """Whether f stays strictly between the caps on (cn/den, dn/den)."""
@@ -208,7 +216,7 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
         t = 2 * lo * den
         for c, d in sorted(zip(nums, nums[1:]),
                            key=lambda cd: (abs((cd[0] + cd[1]) * e - t), cd[0])):
-            if candidate_ok(c, d, den):
+            if in_band(c, den) and in_band(d, den) and candidate_ok(c, d, den):
                 return Fraction(c, den), Fraction(d, den)
     raise FuelExhausted("no certified subinterval found within fuel", fuel=fuel)
 
@@ -278,7 +286,9 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
                     return None
             return None
 
-        ball = _next_ball(j, place)
+        # every candidate's room is at most j/4, so past the fuel no ball fits
+        fits = least_exponent(j.un - j.ln, 4 * j.d) <= fuel
+        ball = _next_ball(j, place) if fits else None
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
                                 "current interval", best=j, fuel=fuel)

@@ -188,11 +188,14 @@ COLLAPSE_RULES = (
         "making the formula arithmetical",
     ),
 )
+# each query shape's rules, in their order above
+RULES_BY_SHAPE = {shape: tuple(r for r in COLLAPSE_RULES if r.shape == shape)
+                  for shape in dict.fromkeys(r.shape for r in COLLAPSE_RULES)}
 
 
 def collapse_rules_for(shape: str):
-    rules = [r for r in COLLAPSE_RULES if r.shape == shape]
-    if not rules:
+    rules = RULES_BY_SHAPE.get(shape)
+    if rules is None:
         raise ValueError("unknown query shape %r" % (shape,))
     return rules
 

@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Q2, DyadicInterval, _in_unit, _rational, _vs, least_denominator_between
+from .exact import (Q2, DyadicInterval, _in_unit, _ratio, _rational, _vs,
+                    least_denominator_between)
 from .records import record
 
 
@@ -148,13 +149,21 @@ def band_of(x, half_open=True) -> Optional[int]:
     boundaries assigned to the smaller n (half_open=False).  None for x <= 0
     and for x >= 1 in the half-open reading (x = 1 maps to band 0 otherwise).
     """
-    p = Q2.of(x)
-    if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
-        return None
-    # the least n >= 0 with 2^(n+1) >= t = 1/p, read off floor(t)
-    t = Q2.of(1) / p
-    m = math.floor(t)
-    return max(m.bit_length() - 1 - (t == m and m & (m - 1) == 0), 0)
+    # the least n >= 0 with 2^(n+1) >= t = 1/x, read off m = floor(t) and
+    # whether t = m: for a rational n/d, m = d // n and t = m iff n divides d
+    if x.__class__ is Q2 and x.q:
+        if x.sign() <= 0 or (x >= 1 if half_open else x > 1):
+            return None
+        t = Q2.of(1) / x
+        m = math.floor(t)
+        whole = t == m
+    else:
+        n, d = (x.p, x.d) if x.__class__ is Q2 else _ratio(x)
+        if n <= 0 or (n >= d if half_open else n > d):
+            return None
+        m, r = divmod(d, n)
+        whole = not r
+    return max(m.bit_length() - 1 - (whole and m & (m - 1) == 0), 0)
 
 
 # --- the shifted, banded copy of a set (one point per band) ----------------

@@ -354,17 +354,19 @@ def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
 def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
     """Deterministic probe basis: dyadic grid of iv at `depth`, interval
     endpoints, and the function's own special points, sorted ascending.  iv
-    is read on its part inside [0,1], as `range_on` reads it."""
+    is read on its part inside [0,1], as `range_on` reads it.  The grid is
+    already strictly increasing, so only the special points are sorted and
+    merged into it."""
     iv = _clip_unit(iv)
-    pts = grid_q2(iv, depth)
-    for p in f.special_points(iv, depth):
-        pts.append(Q2.of(p))
-    pts.sort()
-    out = []
-    for p in pts:
-        if not out or out[-1] != p:
+    grid = grid_q2(iv, depth)
+    out, i = [], 0
+    for p in sorted(map(Q2.of, f.special_points(iv, depth))):
+        j = bisect_left(grid, p, i)
+        out += grid[i:j]
+        i = j
+        if not (j < len(grid) and grid[j] == p or out and out[-1] == p):
             out.append(p)
-    return out
+    return out + grid[i:]
 
 
 # ---------------------------------------------------------------------------

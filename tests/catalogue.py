@@ -362,6 +362,24 @@ for _i in range(6):
 add("modulus-qc", "staircase(1/3, 3/4)", staircase([(F(1, 3), F(1, 4)), (F(3, 4), F(-1, 2))]))
 _f = make("four-piece")
 add("modulus-qc", "four-piece|not-qc", restrict_tags(_f, _f.tags - {QUASI_CONTINUOUS}))
+# slope 4, then -4 past 1/3: most grid cells of a ball lie wholly outside
+# the 2^-6 band, and their ends show it
+add("modulus-qc", "steep-tent(1/3)",
+    PiecewiseRational.from_polys([0, F(1, 3), 1], [Poly(0, 4), Poly(F(8, 3), -4)]))
+# the line 3x lifted by (sqrt2 - 1)/64 at each cut j/32: irrational values at
+# the grid points down to depth 5, some inside the band only by their sqrt2 part
+add("modulus-qc", "line(3) lifted at j/32", PiecewiseRational(
+    [F(j, 32) for j in range(33)], [Poly(0, 3)] * 32,
+    [Q2(F(3 * j, 32) - F(1, 64), F(1, 64)) for j in range(33)]))
+
+# probe bases: special points on grid points and on the interval ends (every
+# cut list holds 0 and 1), irrational members, and repeats (an indicator's
+# point is both ends of its component; the sum's parts share 1/4 and 1/3)
+for _name in ("staircase(3 steps)", "penny(sqrt2)", "indicator(points)"):
+    add("probe", _name, make(_name))
+add("probe", "staircase(1/4, 1/3) + indicator(1/4, 1/3, sqrt2/8)", Sum(
+    staircase([(F(1, 4), F(1, 2)), (F(1, 3), F(-1, 4))]),
+    Indicator(FinitePointSet.of([F(1, 4), F(1, 3), S2(2)]))))
 
 for _i, _psi in enumerate([
         constant(F(1, 32)), constant(F(7, 32)), constant(F(1, 2)), linear(F(1, 2), F(1, 16)),

@@ -187,6 +187,15 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
     return [p for p, _ in itertools.groupby(sorted(pts))]
 
 
+def plain_probe_points(f, iv: DyadicInterval, depth: int):
+    """`probe_points` as one sort and de-duplication of the grid and the
+    special points, on the part of iv inside [0,1]."""
+    iv = DyadicInterval(max(iv.lower, F(0)), min(iv.upper, F(1)))
+    pts = [Q2.of(g) for g in rational_grid(iv, depth)]
+    pts += [Q2.of(p) for p in f.special_points(iv, depth)]
+    return [p for p, _ in itertools.groupby(sorted(pts))]
+
+
 def brute_values(f, iv, depth, member_limit=32):
     return [f.eval(p) for p in probe_basis(f, iv, depth, member_limit)]
 

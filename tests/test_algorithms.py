@@ -9,7 +9,7 @@ import pytest
 from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, DyadicInterval,
                    ExistsValueAbove, FinitePointSet, Found, FuelExhausted, Indicator,
                    InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
-                   RepresentationInsufficient, Truth, ball, build_cover_psi, constant,
+                   RepresentationInsufficient, Truth, algorithms, ball, build_cover_psi, constant,
                    cousin_subcover, finite_set, fn_difference, fn_sum, indicator_baire1, inf_usco,
                    is_continuous_at, linear, lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
                    modulus_regulation, mu_search, natural_usco_modulus, osc_point, pennyk_limit,
@@ -552,6 +552,33 @@ def test_modulus_qc_builds_few_fractions():
     # the lower of a tie
     assert modulus_qc(make("twin-bumps"), F(1, 2), 3, 1) == (F(1, 4), F(3, 8))
     assert fraction_news(lambda: modulus_qc(f, F(1, 2), 6, 3)) <= 25
+
+
+def test_modulus_qc_reads_the_range_of_in_band_cells_only():
+    """Reading every grid cell nearer x than the first that passes made 259
+    `range_on` reads on the continuous entry and 511 on the tents; a cell
+    with an end outside the band now fails on its end values."""
+    for name, x, n, want, most in [
+            ("continuous(2401a)", F(5, 16), 0, (F(79, 256), F(81, 256)), 7),
+            ("twin-bumps", F(1, 2), 3, (F(1023, 2048), F(1025, 2048)), 7)]:
+        f, reads = make(name), []
+        read = f.range_on
+        f.range_on = lambda iv, k: reads.append(iv) or read(iv, k)
+        assert modulus_qc(f, x, 6, n) == want and len(reads) <= most, (name, len(reads))
+
+
+def test_point_of_continuity_qc_gives_up_before_any_ball_once_none_fits(deadline):
+    """Trying every candidate centre took 13-23 ms per call on this instance
+    when no ball small enough fits within the fuel; the best interval is
+    the same."""
+    deadline(2)
+    bests = [(F(0), F(1))] * 2 + [(F(3, 8), F(5, 8))] * 2 + [(F(15, 32), F(17, 32))] * 2
+    for fuel, best in enumerate(bests):
+        with pytest.raises(FuelExhausted) as err:
+            point_of_continuity_qc(Penny(A), 2, fuel=fuel)
+        assert (err.value.best.lower, err.value.best.upper) == best, fuel
+    assert calls_to(lambda: outcome(lambda: point_of_continuity_qc(Penny(A), 2, fuel=0)),
+                    algorithms.__file__, "_next_ball") == 0
 
 
 def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):

@@ -24,7 +24,7 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    staircase, sup_qc, tilde_set)
 from abyss.oracle import _ball_clipped
 from abyss.serialize import dumps, fn_json
-from abyss.universe import USCO, CoverPsi
+from abyss.universe import USCO, CoverPsi, probe_points
 
 import references as ref
 from catalogue import A, ENTRIES, S2, make, random_subinterval
@@ -160,6 +160,14 @@ def build_grid(f, entry, rng):
     yield "from-polys", [v if i % 2 else "right" for i, v in enumerate(f.bp_values)]
     c0, c1, _ = f.pieces[0].coeffs()
     yield from [("constant", c0), ("linear", c1, c0)]
+
+
+def probe_grid(f, entry, rng):
+    """Every depth 0..8 on [0,1], on intervals whose ends are special points
+    or reach past [0,1], and on random ones."""
+    ivs = [UNIT, DyadicInterval(F(1, 4), F(3, 4)), DyadicInterval(F(1, 3), F(1, 2)),
+           DyadicInterval(F(-1, 4), F(1, 3)), DyadicInterval(F(3, 4), F(5, 4))]
+    return itertools.product(ivs + random_intervals(rng, 6, 9), range(9))
 
 
 def built_table(g):
@@ -366,10 +374,10 @@ ROWS = [
         lambda f, fuel, x, m: ref.plain_modulus_continuity(f, fuel)(x, m),
         ("walk", "slack-continuity"),
         lambda f, entry, rng: itertools.product(FUELS, POINTS, (0, 2, 5)),
-        budget=("continuity walks", 60), refusals=True),
+        budget=("continuity walks", 6), refusals=True),
     Row("point-of-continuity-qc", point_of_continuity_qc, ref.plain_point_of_continuity_qc,
         ("walk", "slack-continuity"), lambda f, entry, rng: itertools.product((0, 2), FUELS),
-        budget=("continuity walks", 60), refusals=True),
+        budget=("continuity walks", 6), refusals=True),
     Row("poly", poly_fast, poly_ref, ("poly",), poly_grid),
     Row("value-candidates", lambda f, iv: (sorted(f._value_candidates(iv)), f.range_on(iv, 10)),
         scan_ref, ("scan",), scan_grid),
@@ -380,6 +388,7 @@ ROWS = [
         lambda f, x, n, k: ref.sorted_fraction_modulus_qc(f, x, k, n, fuel=8),
         ("modulus-qc",), lambda f, entry, rng: itertools.product(
             [F(1, 2), F(5, 16), F(1, 3), S2(0)], (0, 1, 3, 5), (0, 3, 6, 9)), refusals=True),
+    Row("probe-points", probe_points, ref.plain_probe_points, ("probe",), probe_grid),
     Row("cousin-subcover", lambda psi: cousin_subcover(psi), least_covering_prefix,
         ("gauge",), lambda f, entry, rng: [()]),
     Row("exists-value", search(mu_search), search(ref.plain_exists), ("exists",), exists_grid),

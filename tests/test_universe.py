@@ -1131,7 +1131,9 @@ def test_spike_count_answers_witness_above_as_the_capped_loop():
 
 def test_band_of_reads_the_band_off_the_integers():
     rng = random.Random(1102)
-    pts = [F(0), F(1), F(-1, 3), F(3, 2), Q2(1, F(1, 8)), Q2(0, -1)]
+    # plain ints too: `spikes_above` passes min(y, 1), which may be the int 1
+    pts = [0, 1, 2, F(0), F(1), F(-1, 3), F(3, 2), Q2(1, F(1, 8)), Q2(0, -1), Q2(F(1, 4)),
+           Q2(F(3, 7))]
     pts += [F(a, d) for d in range(1, 300) for a in (1, 2, 3)]
     for n in range(72):
         edge = F(1, 1 << n)
