@@ -222,9 +222,13 @@ def require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
         raise ClassRefusal(operation, tag, f, statement=statement)
 
 
+_MISSING = object()  # a memo miss, apart from any answer fn may give
+
+
 class Modulus:
     """A modulus (x, k) -> least exponent or radius, computed by fn(p, k) at
-    the exact point p of [0,1] that x names and memoised on (p, k)."""
+    the exact point p of [0,1] that x names and memoised on p's reduced
+    integers and k."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -232,10 +236,11 @@ class Modulus:
 
     def __call__(self, x, k: int):
         p = _unit_point(x)
-        key = (p, k)
-        if key not in self._memo:
-            self._memo[key] = self._fn(p, k)
-        return self._memo[key]
+        key = (p.p, p.q, p.d, k)
+        got = self._memo.get(key, _MISSING)
+        if got is _MISSING:
+            got = self._memo[key] = self._fn(p, k)
+        return got
 
 
 # --- probe bases ------------------------------------------------------------

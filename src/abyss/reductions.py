@@ -29,8 +29,10 @@ from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
-from .universe import Penny, SymbolicFn
-from .variation import _regulated_within, modulus_regulation
+from .universe import Penny, SymbolicFn, unit_dyadic
+from .variation import _limit_pair, _regulated_within, modulus_regulation
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable: one of each serves all
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +57,21 @@ def exhaustive_sup_oracle() -> SupOracle:
             v = f.eval(_reduced(iv.ln, 0, iv.d))
             if v.q:
                 raise OracleInconsistency("exact supremum is irrational")
-            return Fraction(v.p, v.d)
+            return _answer(v.p, v.d)
         _, sup_b = f.range_on(iv, 60)
         if sup_b.ln != sup_b.un:
             raise OracleInconsistency("supremum not exactly attained on this family")
-        return Fraction(sup_b.ln, sup_b.d)
+        return _answer(sup_b.ln, sup_b.d)
 
     return SupOracle(sup)
+
+
+def _answer(n: int, d: int) -> Fraction:
+    """n/d in lowest terms as a `Fraction`: 0 and the unit dyadics 2^-(i+1),
+    the spike values, are shared constants; any other value is built."""
+    if n == 1 and d > 1 and not d & (d - 1):
+        return unit_dyadic(d.bit_length() - 2)
+    return Fraction(n, d) if n else _ZERO
 
 
 @record
@@ -199,9 +209,6 @@ class SupExtraction:
     interval: DyadicInterval
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
                                  rounds: int = 16) -> list[SupExtraction]:
     """Locate maxima of the spike function by interval comparison, strip, and
@@ -222,6 +229,8 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         idx = Penny.spikes_above(abs(s))
         if f.spike_value(idx) != s:
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
+        if idx < f.start:
+            raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))
         a, lo, hi = 0, _ZERO, _ONE
         bits = []
         for j in range(k):
@@ -358,7 +367,7 @@ def _spot_check_regulation(modulus, f: Penny):
     names, the window `variation.modulus_regulation` itself checks."""
     k = 3
     for _, p in f.a_set.members_upto(4):
-        if not _regulated_within(f, p, modulus(p, k), k):
+        if not _regulated_within(f, p, modulus(p, k), k, _limit_pair(f, p, k)):
             raise InvalidModulus("values stray 2^-%d or more from a one-sided limit "
                                  "on the regulation window around %s" % (k, p))
 

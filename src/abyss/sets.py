@@ -59,13 +59,15 @@ class CountableSet:
                         start: int = 0) -> Optional[tuple[int, Q2]]:
         """The first member inside iv with index in [start, limit), as
         (n, member), or None; a descending enumeration stops at the first
-        member below iv."""
+        member below iv.  A cached member is read straight from the cache."""
         hi = limit if self.size is None else min(limit, self.size)
         ln, un, d = iv.ln, iv.un, iv.d
         descend = self.values_descend
-        member = self.member
+        cached = self._cache.get
         for n in range(start, hi):
-            p = member(n)
+            p = cached(n)
+            if p is None:
+                p = self.member(n)
             if _vs(p, ln, d) < 0:
                 if descend:
                     return None

@@ -50,6 +50,40 @@ CERT_OSC = "oscillation-collapses-to-rationals"
 _ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
 _Q0, _Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
 
+# The unit dyadics 2^-(n+1), the spike values, as `Fraction` and as exact
+# `Bracket`: entry n of each table.  They grow on demand to the largest
+# index asked for, below the cap; past it a value is built afresh.
+_UNIT_DYADIC_CAP = 1024
+_UNIT_FRACTIONS: list[Fraction] = []
+_UNIT_BRACKETS: list[Bracket] = []
+
+
+def _grow_unit_dyadics(n: int) -> None:
+    for i in range(len(_UNIT_FRACTIONS), n + 1):
+        _UNIT_FRACTIONS.append(Fraction(1, 2 << i))
+        _UNIT_BRACKETS.append(Bracket.of_ints(1, 1, 2 << i))
+
+
+def unit_dyadic(n: int) -> Fraction:
+    """2^-(n+1), from the shared table for 0 <= n below the cap."""
+    if 0 <= n < len(_UNIT_FRACTIONS):
+        return _UNIT_FRACTIONS[n]
+    if 0 <= n < _UNIT_DYADIC_CAP:
+        _grow_unit_dyadics(n)
+        return _UNIT_FRACTIONS[n]
+    return Fraction(1, 1 << (n + 1))
+
+
+def unit_dyadic_bracket(n: int) -> Bracket:
+    """The exact bracket of 2^-(n+1), n >= 0, from the shared table below
+    the cap."""
+    if n < len(_UNIT_BRACKETS):
+        return _UNIT_BRACKETS[n]
+    if n < _UNIT_DYADIC_CAP:
+        _grow_unit_dyadics(n)
+        return _UNIT_BRACKETS[n]
+    return Bracket.of_ints(1, 1, 2 << n)
+
 
 def _unit_point(x) -> Q2:
     p = Q2.of(x)
@@ -725,9 +759,7 @@ class Penny(_SpikeFamily):
         self.start = _window_index("start", start)
         super().__init__(a_set, self.TAGS)
 
-    @staticmethod
-    def spike_value(n):
-        return Fraction(1, 1 << (n + 1))
+    spike_value = staticmethod(unit_dyadic)
 
     @staticmethod
     def spikes_above(y: Fraction) -> int:
@@ -738,18 +770,18 @@ class Penny(_SpikeFamily):
     def _eval(self, x):
         n = self.a_set.index_of(x)
         if n is None or n < self.start or (self.stop is not None and n >= self.stop):
-            return Q2.of(0)
+            return _Q0
         return Q2.of(self.spike_value(n))
 
     def _hull(self):
-        return Q2.of(0), Q2.of(self.spike_value(self.start)), False, False
+        return _Q0, Q2.of(self.spike_value(self.start)), False, False
 
     def _range_on(self, iv, k):
-        # spike n is 1/(2 << n): the brackets are built from the index
+        # spike n is 1/(2 << n): the brackets are read from the shared table
         limit = max(k + 4, 8) if self.stop is None else self.stop
         hit = self.a_set.first_member_in(iv, limit, self.start)
         if hit is not None:  # index below limit: no later spike reaches it
-            return _ZERO, Bracket.of_ints(1, 1, 2 << hit[0])
+            return _ZERO, unit_dyadic_bracket(hit[0])
         if self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
             return _ZERO, _ZERO
         return _ZERO, Bracket.of_ints(0, 1, 2 << limit)

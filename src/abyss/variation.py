@@ -144,19 +144,26 @@ def jordan_nbv(f: SymbolicFn) -> JordanPair:
 # ---------------------------------------------------------------------------
 
 
-def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int) -> bool:
-    """Whether f stays within 2^-k of each one-sided limit at p on the
-    window of radius 2^-(m+1) on that side.  The windows are built on
-    integers over one denominator: p's bracket of width 2^-(m+k+8), the
-    radius, and the trim 2^-(k+24) that keeps a rational p out."""
+def _limit_pair(f: SymbolicFn, p: Q2, k: int) -> tuple[Optional[Bracket], Optional[Bracket]]:
+    """The brackets of f(p-) and f(p+) that `_regulated_within` tests the
+    windows at p against for the tolerance 2^-k; they do not depend on m."""
+    return f.one_sided_limit(p, -1, k + 6), f.one_sided_limit(p, 1, k + 6)
+
+
+def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
+                      limits: tuple[Optional[Bracket], Optional[Bracket]]) -> bool:
+    """Whether f stays within 2^-k of each one-sided limit at p, given as
+    `_limit_pair(f, p, k)`, on the window of radius 2^-(m+1) on that side.
+    The windows are built on integers over one denominator: p's bracket of
+    width 2^-(m+k+8), the radius, and the trim 2^-(k+24) that keeps a
+    rational p out."""
     pb = Bracket.of_q2(p, m + k + 8)
     s = max(m + 1, k + 24)
     den = pb.d << s
     lo_pt, hi_pt = pb.ln << s, pb.un << s
     r = pb.d << (s - m - 1)
     eps = pb.d << (s - k - 24)
-    for side in (-1, 1):
-        lim = f.one_sided_limit(p, side, k + 6)
+    for side, lim in zip((-1, 1), limits):
         if lim is None:
             continue
         if side > 0:
@@ -172,8 +179,11 @@ def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int) -> bool:
             elif side < 0 and lo < hi - eps:
                 hi -= eps
         inf_b, sup_b = f.range_on(DyadicInterval.of_ints(lo, hi, den), k + 6)
-        above, below = sup_b - lim, lim - inf_b  # their hi ends are the gaps
-        if above.un << k >= above.d or below.un << k >= below.d:
+        # the gaps are the upper ends of sup_b - lim and lim - inf_b, tested
+        # against 2^-k over the product denominators
+        ld = lim.d
+        if ((sup_b.un * ld - lim.ln * sup_b.d) << k >= sup_b.d * ld
+                or (lim.un * inf_b.d - inf_b.ln * ld) << k >= ld * inf_b.d):
             return False
     return True
 
@@ -185,8 +195,9 @@ def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, REGULATED, "modulus_regulation")
 
     def least(p, k):
+        limits = _limit_pair(f, p, k)
         for m in range(fuel + 1):
-            if _regulated_within(f, p, m, k):
+            if _regulated_within(f, p, m, k, limits):
                 return m
         raise FuelExhausted("no regulation exponent found within fuel", fuel=fuel)
 

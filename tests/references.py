@@ -678,6 +678,8 @@ def fraction_extraction(oracle, a_set, k, rounds=16):
         idx = Penny.spikes_above(abs(s))
         if f.spike_value(idx) != s:
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
+        if idx < f.start:
+            raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))
         a, lo, hi = 0, F(0), F(1)
         bits = []
         for j in range(k):

@@ -352,6 +352,9 @@ def liar(at, wrong):
 
 LIARS = [lambda s=s: SupOracle(lambda f, p, q: s)
          for s in (F(1, 2), F(1), F(-1, 2), F(3, 8), F(2), F(0), F(1, 4), 0)]
+# answers every interval with the round's true supremum: each round's value
+# is right, so only the located intervals are wrong
+LIARS += [lambda: SupOracle(lambda f, p, q, honest=exhaustive_sup_oracle(): honest(f, 0, 1))]
 LIARS += [lambda at=at, wrong=wrong: liar(at, wrong) for at in range(1, 30)
           for wrong in (lambda s: 2 * s, lambda s: s / 2, lambda s: F(0), lambda s: 1 - s,
                         lambda s: s + F(1, 1024))]

@@ -6,18 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus, OracleInconsistency,
-                   Penny, PennyK, PiecewiseRational, Poly, Q2, SupOracle, TildePenny,
-                   adversarial_cliq_modulus, canonical_cliq_modulus, canonical_regulation_modulus,
+from abyss import (Bracket, CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
+                   OracleInconsistency, Penny, PennyK, PiecewiseRational, Poly, Q2, SupOracle,
+                   TildePenny, adversarial_cliq_modulus, canonical_cliq_modulus, canonical_regulation_modulus,
                    cantor_diagonal, demo_abyss, exhaustive_sup_oracle,
                    extract_enumeration_from_sup, finite_set, fn_sum, linear, naive_rational_sup,
                    rational_grid, realiser_from_cliq_modulus, realiser_from_regulation_modulus,
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
+from abyss import universe
 from abyss.oracle import _ball_clipped
 from abyss.reductions import AbyssReport, CliqModulusOracle, _dyadic_inside
 from abyss.serialize import dumps
 from abyss.universe import CLIQUISH, ScalarMultiple
-from abyss.variation import _regulated_within
+from abyss.variation import _limit_pair, _regulated_within
 
 from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
 from conftest import calls_to, fraction_news
@@ -259,9 +260,11 @@ def test_negative_precision_is_refused_by_name():
 
 def test_realiser_from_sup_builds_few_fractions():
     """The bisection and the spike brackets run on integers: the sup realiser
-    builds at most half of the 1,902 Fractions its Fraction walk built."""
+    builds at most 290 of the 1,902 Fractions its Fraction walk built: the
+    bisection midpoints the oracle takes, and no spike value but the
+    table's own first entries."""
     assert fraction_news(lambda: realiser_from_sup(
-        exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)) <= 951
+        exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)) <= 290
 
 
 # --- the integer walks against the Fraction computations they replace ---
@@ -423,6 +426,10 @@ def _windows(regulated, f, p, m, k):
         del f.range_on
 
 
+def _regulated_within_at(f, p, m, k):
+    return _regulated_within(f, p, m, k, _limit_pair(f, p, k))
+
+
 def test_regulation_windows_match_the_fraction_windows():
     """The same windows read and the same answer, at rational and irrational
     points (the ends of [0,1] included) over a grid of (m, k)."""
@@ -433,5 +440,50 @@ def test_regulation_windows_match_the_fraction_windows():
         for p in points:
             for m in range(0, 12, 2):
                 for k in (0, 1, 3, 6):
-                    assert _windows(_regulated_within, f, p, m, k) == \
+                    assert _windows(_regulated_within_at, f, p, m, k) == \
                         _windows(_fraction_regulated_within, f, p, m, k), (f.kind, p, m, k)
+
+
+def test_extraction_refuses_a_stripped_spike_value():
+    """Once a constant answer 1/2 passed as the supremum of rounds 1 and 2
+    too, whose functions, spikes 0 and 1 stripped, stay at or below 1/4 and
+    1/8: the walk returned index 0 three times."""
+    lying = SupOracle(lambda f, p, q: F(1, 2))
+    with pytest.raises(OracleInconsistency, match="1/2 is the stripped spike 0"):
+        extract_enumeration_from_sup(lying, sqrt2_family(), 4, rounds=3)
+    # one round strips nothing before it, so the same answers pass
+    assert [s.index for s in extract_enumeration_from_sup(lying, sqrt2_family(), 4, rounds=1)] \
+        == [0]
+
+
+def test_sup_oracle_answers_unit_dyadics_and_zero_without_a_fraction():
+    """A spike value 2^-(n+1) comes from the shared table and 0 is one
+    shared constant, on a wide interval and at a single point."""
+    oracle = exhaustive_sup_oracle()
+    f = Penny(A)
+    queries = [(f, F(0), F(1)), (Penny(A, start=5), F(0), F(1)), (f, F(0), F(1, 4)),
+               (f, F(3, 4), F(1)), (f, F(1, 3), F(1, 3)), (Penny(RATIONAL_SEEDS), F(0), F(1))]
+    answers = [oracle(*q) for q in queries]  # grows the table to every index asked
+    assert answers[:4] == [F(1, 2), F(1, 64), F(1, 8), 0] and answers[4] == 0
+    assert fraction_news(lambda: [oracle(*q) for q in queries]) == 0
+    assert [oracle(*q) for q in queries] == answers
+
+
+def test_unit_dyadic_table_holds_the_spike_values_and_grows_only_as_asked(monkeypatch):
+    # an empty table for this test: other tests grow the shared one
+    monkeypatch.setattr(universe, "_UNIT_FRACTIONS", [])
+    monkeypatch.setattr(universe, "_UNIT_BRACKETS", [])
+    universe.unit_dyadic_bracket(9)
+    assert len(universe._UNIT_FRACTIONS) == len(universe._UNIT_BRACKETS) == 10
+    for n in range(201):
+        assert universe.unit_dyadic(n) == F(1, 2 << n) == Penny.spike_value(n)
+        assert universe.unit_dyadic_bracket(n) == Bracket.of_ints(1, 1, 2 << n)
+    assert len(universe._UNIT_FRACTIONS) == len(universe._UNIT_BRACKETS) == 201
+    # the table holds one object per value, shared by every reader
+    assert universe.unit_dyadic(7) is universe.unit_dyadic(7) is Penny.spike_value(7)
+    assert Penny(A).range_on(DyadicInterval(F(0), F(1)), 8)[1] is universe.unit_dyadic_bracket(0)
+    # past the cap a value is built afresh and the table stays as it is
+    cap = universe._UNIT_DYADIC_CAP
+    assert universe.unit_dyadic(cap) == F(1, 2 << cap)
+    assert universe.unit_dyadic_bracket(cap) == Bracket.of_ints(1, 1, 2 << cap)
+    assert len(universe._UNIT_FRACTIONS) == 201

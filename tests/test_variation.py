@@ -16,10 +16,12 @@ from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, PiecewiseRatio
                    pennyk_limit, rational_grid, restrict_tags, sqrt2_family, staircase,
                    thomae, total_variation_nbv)
 
+from abyss import universe
 from abyss.sets import ComplementOfR2Open, R2Rep
 from abyss.universe import Indicator, ScalarMultiple, Sum, probe_points
 
 from catalogue import build, make, random_staircase_plus_linear
+from conftest import calls_to
 from references import partition_brute_variation, probe_basis, variation_candidates
 
 A = sqrt2_family()
@@ -275,3 +277,15 @@ def test_regulation_modulus_penny_avoids_visible_spikes():
     window = DyadicInterval(F(1, 3), F(1, 3) + r)
     # spikes with value >= 2^-5 have index <= 4 and must be outside
     assert all(i > 4 for i, _ in A.members_in(window, 12))
+
+
+def test_regulation_modulus_reads_one_pair_of_limits_per_point():
+    """The one-sided limits at p do not depend on the exponent m tried, so
+    each distinct (p, k) reads them once, however far the search goes (the
+    exponents below reach 5), and a repeated query reads nothing."""
+    M = modulus_regulation(Penny(sqrt2_family()))
+    queries = [(A.member(n), k) for n in range(4) for k in (0, 3, 6)]
+    queries += [(Q2.of(0), 3), (Q2.of(1), 2), (Q2.of(F(1, 3)), 5), (A.member(0), 3)]
+    reads = calls_to(lambda: [M(p, k) for p, k in queries], universe.__file__, "one_sided_limit")
+    assert max(M(p, k) for p, k in queries) == 5
+    assert reads == 2 * len(set(queries))
