@@ -12,7 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+import abyss
 
 from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
                      RepresentationInsufficient)
@@ -23,8 +25,10 @@ from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import R2Rep, RMCode
-from .universe import (LSCO, QUASI_CONTINUOUS, USCO, Baire1Limit, Indicator,
-                       SymbolicFn, osc_exact)
+from .universe import LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact
+
+if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
+    from .limits import Baire1Limit, Indicator
 
 
 def _check_precision(k: int):
@@ -94,7 +98,7 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
     convergence modulus, making each halving step arithmetical."""
     _check_precision(k)
     iv = _subinterval(p, q)
-    if not isinstance(f_rep, Baire1Limit):
+    if not isinstance(f_rep, abyss.Baire1Limit):
         raise RepresentationInsufficient("sup_baire1 consumes a pointwise-limit "
                                          "representation")
     if f_rep.conv_modulus is None:
@@ -466,7 +470,7 @@ def usco_separator(c0, c1) -> Indicator:
     upper semicontinuous (and cliquish)."""
     if _closed_sets_intersect(c0, c1):
         raise ValueError("closed sets intersect; no separator exists")
-    return Indicator(c1)
+    return abyss.Indicator(c1)
 
 
 def _rational_interval_stream():

@@ -18,12 +18,12 @@ import abyss
 
 from . import serialize as ser
 from .errors import ClassRefusal, FuelExhausted
-from .exact import Q2
+from .exact import DEFAULT_FUEL, Q2
 from .sets import ComplementOfR2Open, FinitePointSet, R2Rep, sqrt2_family
-from .universe import Baire1Limit, PennyK, constant, indicator_baire1, linear, staircase
 
-# Handlers reach algorithms, variation, reductions and selftest through the
-# package's lazy exports, so a process imports only what its subcommand runs.
+# Handlers and shorthands reach algorithms, variation, reductions, selftest
+# and the function families through the package's lazy exports, so a process
+# imports only what its subcommand runs and compiles only the families it reads.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +43,7 @@ def default_fuel() -> int:
     or empty."""
     env = os.environ.get("ABYSS_FUEL")
     if not env:
-        return abyss.oracle.DEFAULT_FUEL
+        return DEFAULT_FUEL
     try:
         return parse_fuel(env)
     except (ValueError, argparse.ArgumentTypeError):
@@ -59,10 +59,10 @@ def parse_fuel(text: str) -> int:
 
 
 # shorthand name -> builder from the text after its ':'
-_SHORTHANDS = {"identity": lambda arg: linear(1),
-               "const": lambda arg: constant(Fraction(arg or "0")),
-               "step": lambda arg: staircase([(Fraction(arg or "1/2"), 1)]),
-               "pennyk": lambda arg: PennyK(sqrt2_family(), int(arg or 4))}
+_SHORTHANDS = {"identity": lambda arg: abyss.linear(1),
+               "const": lambda arg: abyss.constant(Fraction(arg or "0")),
+               "step": lambda arg: abyss.staircase([(Fraction(arg or "1/2"), 1)]),
+               "pennyk": lambda arg: abyss.PennyK(sqrt2_family(), int(arg or 4))}
 
 
 def parse_fn(spec: str):
@@ -178,7 +178,8 @@ def _evaluate(args):
 @subcommand("sup", "supremum over an interval", FN, INTERVAL, K, FUEL)
 def _supremum(args):
     p, q = map(Fraction, args.interval)
-    if isinstance(args.f, Baire1Limit):
+    # a limit exists only once its module is loaded, so no other --fn loads it
+    if "abyss.limits" in sys.modules and isinstance(args.f, abyss.Baire1Limit):
         iv = abyss.sup_baire1(args.f, p, q, args.k, fuel=args.fuel)
     else:
         iv = abyss.sup_qc(args.f, p, q, args.k)
@@ -287,7 +288,7 @@ def _jordan(args):
                  help="semicolon-separated rational interval pairs a,b;c,d"), FUEL)
 def _rm_code(args):
     o = parse_open_set(args.open_spec)
-    code = abyss.rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=args.fuel)
+    code = abyss.rm_code_from_r2_baire1(o, abyss.indicator_baire1(o), fuel=args.fuel)
     return {"rm_code": {
         "balls": [{"center": ser.rat_json(c), "radius": ser.rat_json(r)}
                   for c, r in code.prefix],
@@ -338,11 +339,16 @@ def _selftest(args):
     return abyss.selftest.run_selftest()
 
 
-def build_parser() -> _Parser:
+def build_parser(argv) -> _Parser:
+    """The parser for argv.  Every subcommand is registered with its summary,
+    so the top-level help and errors are whole, but only a subcommand argv
+    names gets its arguments: argparse parses with no other."""
     p = _Parser(prog="abyss", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (summary, arguments, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=summary)
+        if name not in argv:
+            continue
         for flags, keywords in arguments:
             sp.add_argument(*flags, **keywords)
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -361,8 +367,9 @@ def _run(args) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

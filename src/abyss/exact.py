@@ -521,6 +521,8 @@ def grid_depth_cap(iv: DyadicInterval) -> int:
 
 # --- fueled truth values ---------------------------------------------------
 
+DEFAULT_FUEL = 64  # the budget of a search whose caller names none
+
 
 class Truth(enum.Enum):
     YES = "yes"

@@ -19,16 +19,19 @@ exact - not merely grid-sound - on the built-in families.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+import abyss
 
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
-from .exact import (Bracket, DyadicInterval, FueledBool, Truth, _ratio,
+from .exact import (DEFAULT_FUEL, Bracket, DyadicInterval, FueledBool, Truth, _ratio,
                     _rational, grid_depth_cap)
 from .records import record
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
-                       USCO, Baire1Limit, SymbolicFn, _unit_point, probe_points)
+                       USCO, SymbolicFn, _unit_point, probe_points)
 
-DEFAULT_FUEL = 64
+if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
+    from .limits import Baire1Limit
 
 
 # --- query shapes -----------------------------------------------------------
@@ -523,7 +526,7 @@ def _probe_state(f: Baire1Limit, iv: DyadicInterval) -> _ProbeState:
 
 def _mu_baire1_above(q: Baire1Above, trace):
     f = q.f_rep
-    if not isinstance(f, Baire1Limit):
+    if not isinstance(f, abyss.Baire1Limit):
         raise RepresentationInsufficient("query needs a pointwise-limit representation")
     if f.conv_modulus is None:
         raise RepresentationInsufficient(

@@ -29,7 +29,8 @@ from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
-from .universe import Penny, SymbolicFn, unit_dyadic
+from .spikes import Penny
+from .universe import SymbolicFn, unit_dyadic
 from .variation import _limit_pair, _regulated_within, modulus_regulation
 
 _ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable: one of each serves all
@@ -231,6 +232,9 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
         if idx < f.start:
             raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))
+        if a_set.size is not None and idx >= a_set.size:
+            raise OracleInconsistency("supremum %s is spike %d of a %d-point seed set"
+                                      % (s, idx, a_set.size))
         a, lo, hi = 0, _ZERO, _ONE
         bits = []
         for j in range(k):

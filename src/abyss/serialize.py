@@ -3,8 +3,10 @@
 Rationals always travel as "num/den" strings; points of Q(sqrt2) as
 {"a": "...", "b": "..."}.  Function documents are a tagged union keyed by
 "kind", closed sets one keyed by "rep"; each kind is registered once, with
-its type, the fields of its document and its loader.  Every dumped payload
-carries the schema marker "abyss/1".
+its type, the fields of its document and its loader.  A row names its type
+by module and class, and the module is imported the first time the row is
+read or written, so a process loads only the families its documents hold.
+Every dumped payload carries the schema marker "abyss/1".
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import io
 import json
 from collections.abc import Iterator
 from fractions import Fraction
+from importlib import import_module
 
-from . import universe as u
 from .exact import DyadicInterval, Q2
-from .sets import ComplementOfR2Open, CountableSet, FinitePointSet, R2Rep, finite_set, sqrt2_family
+from .sets import CountableSet, R2Rep, finite_set, sqrt2_family
+from .universe import Poly
 
 SCHEMA = "abyss/1"
 
@@ -91,24 +94,34 @@ def _set_field(doc):
     return set_from_json(_field(doc, "set", dict))
 
 
+def _type(path: str) -> type:
+    """The class a table row names as "module.Class", importing that abyss
+    module on first use."""
+    module, _, name = path.partition(".")
+    return getattr(import_module("." + module, __package__), name)
+
+
 def _document(table, key, obj) -> dict:
     """obj's document from the table entry registered for its exact type, so
-    a subclass the table does not name refuses rather than pass as its base."""
-    for tag, (typ, fields, _) in table.items():
-        if type(obj) is typ:
+    a subclass the table does not name refuses rather than pass as its base.
+    Only a row that names obj's class name is resolved, so writing loads no
+    other family."""
+    name = type(obj).__name__
+    for tag, (path, fields, _) in table.items():
+        if path.partition(".")[2] == name and _type(path) is type(obj):
             return {key: tag, **fields(obj)}
-    raise ValueError("%s has no %s document" % (type(obj).__name__, SCHEMA))
+    raise ValueError("%s has no %s document" % (name, SCHEMA))
 
 
-# rep -> (type, its document's fields, loader)
+# rep -> ("module.Class" of its type, its document's fields, loader(type, doc))
 CLOSED_SET_REPS = {
-    "finite-points": (FinitePointSet, lambda c: {"points": [q2_json(p) for p in c.points]},
-                      lambda doc: FinitePointSet.of([q2_from_json(p)
-                                                     for p in _field(doc, "points", list)])),
+    "finite-points": ("sets.FinitePointSet", lambda c: {"points": [q2_json(p) for p in c.points]},
+                      lambda cls, doc: cls.of([q2_from_json(p)
+                                               for p in _field(doc, "points", list)])),
     "complement-of-r2-open": (
-        ComplementOfR2Open,
+        "sets.ComplementOfR2Open",
         lambda c: {"intervals": [[rat_json(a), rat_json(b)] for a, b in c.open_rep.intervals]},
-        lambda doc: ComplementOfR2Open(R2Rep.from_intervals(_spans_field(doc)))),
+        lambda cls, doc: cls(R2Rep.from_intervals(_spans_field(doc)))),
 }
 
 
@@ -129,7 +142,7 @@ def closed_set_from_json(doc):
     entry = CLOSED_SET_REPS.get(rep)
     if entry is None:
         raise ValueError("unknown closed-set representation %r" % (rep,))
-    return entry[2](doc)
+    return entry[2](_type(entry[0]), doc)
 
 
 def _piecewise_json(f) -> dict:
@@ -138,52 +151,53 @@ def _piecewise_json(f) -> dict:
             "values": [q2_json(v) for v in f.bp_values]}
 
 
-def _piecewise_from_json(doc):
+def _piecewise_from_json(cls, doc):
     pieces = _field(doc, "pieces", list)
     if not all(isinstance(cs, list) and 1 <= len(cs) <= 3 and all(map(_is_rational, cs))
                for cs in pieces):
         raise ValueError("field 'pieces' must hold a JSON array of 1 to 3 rational "
                          "coefficients per piece, got %r" % (pieces,))
-    return u.PiecewiseRational([q2_from_json(c) for c in _field(doc, "cuts", list)],
-                               [u.Poly(*cs) for cs in pieces],
-                               [q2_from_json(v) for v in _field(doc, "values", list)])
+    return cls([q2_from_json(c) for c in _field(doc, "cuts", list)],
+               [Poly(*cs) for cs in pieces],
+               [q2_from_json(v) for v in _field(doc, "values", list)])
 
 
-def _seeded(cls):
+def _seeded(path):
     """The entry of a spike family built from its seed set alone."""
-    return (cls, lambda f: {"set": set_json(f.source)},
-            lambda doc: cls(_set_field(doc)))
+    return (path, lambda f: {"set": set_json(f.source)},
+            lambda cls, doc: cls(_set_field(doc)))
 
 
-def _windowed(cls):
+def _windowed(path):
     """The entry of a spike function built from its seed set and the index
     of its first spike, `"start"`, which is written only when it is not 0."""
-    return (cls, lambda f: {"set": set_json(f.source), **({"start": f.start} if f.start else {})},
-            lambda doc: cls(_set_field(doc), _field(doc, "start") if "start" in doc else 0))
+    return (path, lambda f: {"set": set_json(f.source), **({"start": f.start} if f.start else {})},
+            lambda cls, doc: cls(_set_field(doc), _field(doc, "start") if "start" in doc else 0))
 
 
-# kind -> (type, its document's fields, loader): the one list of kinds that
-# serialize, read by kind and written by exact type
+# kind -> ("module.Class" of its type, its document's fields, loader(type,
+# doc)): the one list of kinds that serialize, read by kind and written by
+# exact type
 FN_KINDS = {
-    "thomae": (u.Thomae, lambda f: {}, lambda doc: u.Thomae()),
-    "penny": _windowed(u.Penny),
-    "pennyk": (u.PennyK, lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
-               lambda doc: u.PennyK(_set_field(doc), _field(doc, "cutoff"))),
-    "tilde-penny": _windowed(u.TildePenny),
-    "cover-psi": _seeded(u.CoverPsi),
-    "cover-psi-usco": _seeded(u.CoverPsiUsco),
-    "pennyk-limit": (u.PennyKLimit, lambda f: {"set": set_json(f.a_set)},
-                     lambda doc: u.PennyKLimit(_set_field(doc))),
-    "indicator": (u.Indicator, lambda f: {"closed_set": closed_set_json(f.closed_set)},
-                  lambda doc: u.Indicator(closed_set_from_json(_field(doc, "closed_set", dict)))),
-    "piecewise": (u.PiecewiseRational, _piecewise_json, _piecewise_from_json),
-    "sum": (u.Sum, lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
-            lambda doc: u.Sum(_fn_field(doc, "f"), _fn_field(doc, "g"))),
-    "scalar-multiple": (u.ScalarMultiple, lambda f: {"c": str(f.c), "f": fn_json(f.f)},
-                        lambda doc: u.ScalarMultiple(_field(doc, "c", _RATIONAL),
-                                                     _fn_field(doc, "f"))),
-    "restricted": (u.RestrictedView, lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
-                   lambda doc: u.restrict_tags(_fn_field(doc, "f"), _field(doc, "tags", list))),
+    "thomae": ("spikes.Thomae", lambda f: {}, lambda cls, doc: cls()),
+    "penny": _windowed("spikes.Penny"),
+    "pennyk": ("spikes.PennyK", lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
+               lambda cls, doc: cls(_set_field(doc), _field(doc, "cutoff"))),
+    "tilde-penny": _windowed("spikes.TildePenny"),
+    "cover-psi": _seeded("spikes.CoverPsi"),
+    "cover-psi-usco": _seeded("spikes.CoverPsiUsco"),
+    "pennyk-limit": ("limits.PennyKLimit", lambda f: {"set": set_json(f.a_set)},
+                     lambda cls, doc: cls(_set_field(doc))),
+    "indicator": ("limits.Indicator", lambda f: {"closed_set": closed_set_json(f.closed_set)},
+                  lambda cls, doc: cls(closed_set_from_json(_field(doc, "closed_set", dict)))),
+    "piecewise": ("piecewise.PiecewiseRational", _piecewise_json, _piecewise_from_json),
+    "sum": ("composites.Sum", lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
+            lambda cls, doc: cls(_fn_field(doc, "f"), _fn_field(doc, "g"))),
+    "scalar-multiple": ("composites.ScalarMultiple", lambda f: {"c": str(f.c), "f": fn_json(f.f)},
+                        lambda cls, doc: cls(_field(doc, "c", _RATIONAL), _fn_field(doc, "f"))),
+    "restricted": ("composites.RestrictedView",
+                   lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
+                   lambda cls, doc: cls(_fn_field(doc, "f"), _field(doc, "tags", list))),
 }
 
 
@@ -202,7 +216,7 @@ def fn_from_json(doc):
     entry = FN_KINDS.get(kind)
     if entry is None:
         raise ValueError("unknown function kind %r" % (kind,))
-    return entry[2](doc)
+    return entry[2](_type(entry[0]), doc)
 
 
 def dumps(payload: dict) -> str:

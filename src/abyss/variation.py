@@ -10,14 +10,18 @@ instances in this package exist precisely to demonstrate that.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+import abyss
 
 from .errors import ClassRefusal, FuelExhausted
 from .exact import Bracket, DyadicInterval, Q2
 from .oracle import DEFAULT_FUEL, Modulus, require_tag
 from .records import record
-from .universe import (NORMALISED_BV, REGULATED, PiecewiseRational,
-                       SymbolicFn, _unit_point)
+from .universe import NORMALISED_BV, REGULATED, SymbolicFn, _unit_point
+
+if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
+    from .piecewise import PiecewiseRational
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +80,7 @@ _NBV_REFUSAL = ("total variation collapses to a countable partition search "
 
 def _nbv_piecewise(f: SymbolicFn, operation: str) -> PiecewiseRational:
     require_tag(f, NORMALISED_BV, operation, statement=_NBV_REFUSAL)
-    if not isinstance(f, PiecewiseRational):
+    if not isinstance(f, abyss.PiecewiseRational):
         raise ClassRefusal(operation, "a piecewise representation with carried breakpoints",
                            f, statement=_NBV_REFUSAL)
     return f

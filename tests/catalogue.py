@@ -21,9 +21,10 @@ from abyss import (Baire1Limit, ComplementOfR2Open, CountableSet, CoverPsi, Cove
                    Poly, Q2, R2Rep, TildePenny, constant, constant_seq_limit, finite_set, fn_sum,
                    linear, pennyk_limit, restrict_tags, scalar_multiple, sqrt2_family, staircase,
                    thomae, unit_rationals)
+from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Bracket
 from abyss.serialize import dumps, fn_from_json, fn_json
-from abyss.universe import BAIRE1, QUASI_CONTINUOUS, USCO, RestrictedView, ScalarMultiple, Sum
+from abyss.universe import BAIRE1, QUASI_CONTINUOUS, USCO
 
 S2 = Q2.sqrt2_scaled
 A = sqrt2_family()

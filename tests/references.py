@@ -15,14 +15,14 @@ from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DyadicInterv
                    NotFoundBelow, OracleInconsistency, OscBelow, Penny, PennyK, PiecewiseRational,
                    Q2, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall, rational_grid)
 from abyss.algorithms import _check_precision, _halve_values, _next_ball, _room
+from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Truth, least_exponent
 from abyss.oracle import (DEFAULT_FUEL, QueryTrace, _baire1_value_above, _ball_clipped, _osc_on,
                           basis_at, grid_depth_cap, require_rule)
 from abyss.reductions import SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly,
-                            RestrictedView, ScalarMultiple, Sum)
+                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly)
 
 # the exceptions that answer a query: refusals, running out of fuel and
 # oracle lies; anything else is a fault of the test or the code
@@ -680,6 +680,9 @@ def fraction_extraction(oracle, a_set, k, rounds=16):
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
         if idx < f.start:
             raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))
+        if a_set.size is not None and idx >= a_set.size:
+            raise OracleInconsistency("supremum %s is spike %d of a %d-point seed set"
+                                      % (s, idx, a_set.size))
         a, lo, hi = 0, F(0), F(1)
         bits = []
         for j in range(k):

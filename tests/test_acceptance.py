@@ -24,9 +24,10 @@ from abyss import (ClassRefusal, ComplementOfR2Open, CoverPsi, CoverPsiUsco, Dya
                    pennyk_limit, point_of_continuity_qc, rational_grid, realiser_from_cliq_modulus,
                    realiser_from_regulation_modulus, realiser_from_sup, restrict_tags,
                    sqrt2_family, sup_baire1, sup_qc, thomae, total_variation_nbv)
+from abyss.composites import ScalarMultiple
 from abyss.oracle import (Baire1Above, ExistsValueAbove, ExistsValueBelow,
                           OscBelow, ValueBelowOnBall)
-from abyss.universe import CLIQUISH, USCO, ScalarMultiple
+from abyss.universe import CLIQUISH, USCO
 
 from catalogue import (build, random_continuous_piecewise, random_finite_set, random_staircase,
                        random_staircase_plus_linear, random_subinterval)

@@ -15,9 +15,10 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    modulus_regulation, mu_search, natural_usco_modulus, osc_point, pennyk_limit,
                    point_of_continuity_qc, point_of_continuity_usco, rational_grid, restrict_tags,
                    rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
-                   unit_rationals, universe, usco_separator)
+                   piecewise, unit_rationals, universe, usco_separator)
+from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
-from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, Sum
+from abyss.universe import CLIQUISH, QUASI_CONTINUOUS
 
 from catalogue import ENTRIES, make
 from conftest import calls_to, fraction_news
@@ -607,9 +608,9 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
             assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
     for k in (4, 10, 20):
         assert calls_to(lambda: sup_qc(make("four-piece"), 0, 1, k),
-                        universe.__file__, "_range_on") <= 2
+                        piecewise.__file__, "_range_on") <= 2
         assert calls_to(lambda: inf_usco(make("four-piece"), F(1, 8), 1, k),
-                        universe.__file__, "_range_on") <= 2
+                        piecewise.__file__, "_range_on") <= 2
     for name in ("pennyk-limit(sqrt2)", "pennyk-limit(4 seeds)",
                  "constant-seq-limit(four-piece)", "constant-seq-limit(irrational-cut)"):
         f = make(name)
@@ -627,7 +628,7 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
     assert [mid for mid, _ in steps] == [F(1, 2)] and tag == "FuelExhausted"
     for k in (10, 20):
         ranges = [calls_to(lambda: run(make("irrational-cut-staircase"), 0, 1, k),
-                           universe.__file__, "_range_on")
+                           piecewise.__file__, "_range_on")
                   for run in (sup_qc, lambda f, p, q, k: fresh_halving(f, p, q, k, True))]
         assert ranges[0] == ranges[1] > k // 2, ranges
     for name, entry in ENTRIES.items():

@@ -367,18 +367,45 @@ def _loaded_after(code):
 
 HEAVY = {"abyss.algorithms", "abyss.variation", "abyss.reductions", "abyss.selftest",
          "dataclasses"}
+FAMILIES = {"abyss.piecewise", "abyss.spikes", "abyss.limits", "abyss.composites"}
+# --fn name -> the family module it parses into, for the names these tests run
+FN_FAMILY = {"const": "abyss.piecewise", "step": "abyss.piecewise", "thomae": "abyss.spikes",
+             "penny": "abyss.spikes", "cover-psi-usco": "abyss.spikes"}
+
+
+def _main_of(argv):
+    return "from abyss import cli; cli.main(%r)" % (argv,)
+
+
+def _family_of(argv):
+    """The family module argv's --fn parses into; `separator` builds an
+    indicator."""
+    if "--fn" not in argv:
+        return "abyss.limits"
+    return FN_FAMILY[argv[argv.index("--fn") + 1].partition(":")[0]]
 
 
 def test_start_up_loads_only_what_the_subcommand_runs():
     """`import abyss` and `import abyss.cli` load none of the modules that
-    only some subcommands run, nor `dataclasses`; `eval` runs without the
-    algorithms, and each subcommand that needs a module loads it."""
-    assert not _loaded_after("import abyss") & HEAVY
-    assert not _loaded_after("import abyss.cli") & HEAVY
-    run_eval = "from abyss import cli; cli.main(['eval', '--fn', 'penny', '--x', 'member:0'])"
-    assert not _loaded_after(run_eval) & HEAVY
-    run_jumps = "from abyss import cli; cli.main(['jumps', '--fn', 'step:1/2'])"
-    assert _loaded_after(run_jumps) & HEAVY == {"abyss.variation"}
+    only some subcommands run, nor `dataclasses` nor a function family;
+    `eval` runs without the algorithms or the oracle, and each subcommand
+    that needs a module loads it.  Each light invocation of the benchmark
+    loads only the family module its --fn parses, so a process compiles no
+    other family."""
+    assert not _loaded_after("import abyss") & (HEAVY | FAMILIES)
+    assert not _loaded_after("import abyss.cli") & (HEAVY | FAMILIES)
+    for argv in (["eval", "--fn", "penny", "--x", "member:0"],
+                 ["eval", "--fn", "const:1/3", "--x", "1/2"]):
+        loaded = _loaded_after(_main_of(argv))
+        assert not loaded & (HEAVY | {"abyss.oracle"}), argv
+        assert loaded & FAMILIES == {_family_of(argv)}, argv
+    assert _loaded_after(_main_of(["jumps", "--fn", "step:1/2"])) & HEAVY == {"abyss.variation"}
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    light = [inv.split() for inv in golden["cli"]
+             if inv.split()[0] not in ("rm-code", "realiser", "demo-abyss", "selftest")]
+    assert len(light) == 14
+    for argv in light:
+        assert _loaded_after(_main_of(argv)) & FAMILIES == {_family_of(argv)}, argv
 
 
 def test_no_abyss_module_imports_dataclasses():

@@ -24,7 +24,8 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    staircase, sup_qc, tilde_set)
 from abyss.oracle import _ball_clipped
 from abyss.serialize import dumps, fn_json
-from abyss.universe import USCO, CoverPsi, probe_points
+from abyss.spikes import CoverPsi
+from abyss.universe import USCO, probe_points
 
 import references as ref
 from catalogue import A, ENTRIES, S2, make, random_subinterval

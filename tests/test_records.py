@@ -16,11 +16,13 @@ EXPORTS = {
               "rational_grid", "unit_rationals"],
     "sets": ["ComplementOfR2Open", "CountableSet", "FinitePointSet", "R2Rep", "RMCode",
              "finite_set", "sqrt2_family", "tilde_set"],
-    "universe": ["Baire1Limit", "CoverPsi", "CoverPsiUsco", "Indicator", "Penny", "PennyK",
-                 "PiecewiseRational", "Poly", "SymbolicFn", "Thomae", "TildePenny",
-                 "build_cover_psi", "constant", "constant_seq_limit", "fn_difference",
-                 "fn_sum", "indicator_baire1", "linear", "osc_exact", "osc_selfcheck",
-                 "pennyk_limit", "restrict_tags", "scalar_multiple", "staircase", "thomae"],
+    "universe": ["Poly", "SymbolicFn", "osc_exact"],
+    "piecewise": ["PiecewiseRational", "constant", "linear", "staircase"],
+    "spikes": ["CoverPsi", "CoverPsiUsco", "Penny", "PennyK", "Thomae", "TildePenny",
+               "build_cover_psi", "osc_selfcheck", "thomae"],
+    "limits": ["Baire1Limit", "Indicator", "constant_seq_limit", "indicator_baire1",
+               "pennyk_limit"],
+    "composites": ["fn_difference", "fn_sum", "restrict_tags", "scalar_multiple"],
     "oracle": ["Baire1Above", "CollapseRule", "ExistsValueAbove", "ExistsValueBelow", "Found",
                "Modulus", "MuWitness", "NotFoundBelow", "OscBelow", "ValueBelowOnBall",
                "admitting_rule", "collapse_rules_for", "mu_search"],

@@ -14,10 +14,11 @@ from abyss import (Bracket, CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModul
                    rational_grid, realiser_from_cliq_modulus, realiser_from_regulation_modulus,
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss import universe
+from abyss.composites import ScalarMultiple
 from abyss.oracle import _ball_clipped
 from abyss.reductions import AbyssReport, CliqModulusOracle, _dyadic_inside
 from abyss.serialize import dumps
-from abyss.universe import CLIQUISH, ScalarMultiple
+from abyss.universe import CLIQUISH
 from abyss.variation import _limit_pair, _regulated_within
 
 from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
@@ -454,6 +455,20 @@ def test_extraction_refuses_a_stripped_spike_value():
     # one round strips nothing before it, so the same answers pass
     assert [s.index for s in extract_enumeration_from_sup(lying, sqrt2_family(), 4, rounds=1)] \
         == [0]
+
+
+def test_extraction_refuses_a_spike_past_a_finite_seed_set():
+    """Once a constant answer 1/1024 passed as spike 9 of a two-point set,
+    and `realiser_from_sup` then failed with a bare IndexError."""
+    two = finite_set([S2(0), S2(2)])  # sqrt2/2 and sqrt2/8
+    lying = SupOracle(lambda f, p, q: F(1, 1024))
+    for run in (lambda: extract_enumeration_from_sup(lying, two, 4, rounds=1),
+                lambda: realiser_from_sup(lying, two, 4, fuel=1)):
+        with pytest.raises(OracleInconsistency, match="spike 9 of a 2-point seed set"):
+            run()
+    # the last member's spike still passes
+    last = SupOracle(lambda f, p, q: F(1, 4))
+    assert [s.index for s in extract_enumeration_from_sup(last, two, 4, rounds=1)] == [1]
 
 
 def test_sup_oracle_answers_unit_dyadics_and_zero_without_a_fraction():

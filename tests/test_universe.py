@@ -2,12 +2,14 @@
 ranges against brute force, serialization."""
 
 import ast
+import importlib
 import inspect
 import math
 import random
 import re
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,14 +21,14 @@ from abyss import (ConstructionError, CoverPsi, CoverPsiUsco, DomainError, Dyadi
                    constant, exact, finite_set, fn_difference, fn_sum, inf_usco, jump_enum, linear,
                    mu_search, osc_exact, osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
                    scalar_multiple, sqrt2_family, staircase, thomae, tilde_set, usco_separator)
-from abyss import universe
+from abyss import piecewise, universe
+from abyss.composites import ScalarMultiple, Sum
 from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
                             NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
-                            SIMPLY_CONTINUOUS, USCO, ScalarMultiple, Sum, _unit_point,
-                            irrational_inside)
+                            SIMPLY_CONTINUOUS, USCO, _unit_point, irrational_inside)
 
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_finite_set, random_staircase, random_subinterval)
@@ -585,7 +587,6 @@ def test_sum_with_a_constant_side_is_exact_in_one_cell(monkeypatch):
     `range_on` in either order, which the CLI reports as a usage error
     (exit 1)."""
     from abyss import Baire1Limit, cli, constant_seq_limit
-    from abyss.universe import Sum
     calls = []
 
     def counted(part):
@@ -664,12 +665,12 @@ def test_piecewise_builds_and_reads_work_from_the_table():
     reads values off the table."""
     jumps = [(F(1, 8), F(1, 2)), (S2(1), F(-1, 4)), (F(5, 8), F(3, 4)), (F(7, 8), F(1, 8))]
     f, g = staircase(jumps), fn_sum(staircase(jumps[::2]), linear(F(3, 4)))
-    for name, file in (("eval", universe.__file__), ("_locate", universe.__file__),
+    for name, file in (("eval", universe.__file__), ("_locate", piecewise.__file__),
                        ("__hash__", exact.__file__)):
         assert calls_to(lambda: fn_sum(f, g), file, name) == 0, name
     cuts = len(jumps) + 2
     assert calls_to(lambda: staircase(jumps), universe.__file__, "__call__") == 2 * cuts - 2
-    assert calls_to(g._hull, universe.__file__, "_locate") == 0
+    assert calls_to(g._hull, piecewise.__file__, "_locate") == 0
 
 
 def test_both_defect_2a_instances_are_exact():
@@ -791,10 +792,10 @@ def test_hull_holds_every_exact_value():
     """Every exact value at the depth-8 grid points and the special points
     lies in the hull [lo, hi], and none equals an end marked open; the
     instances cover every kind a document can name."""
-    from abyss.serialize import FN_KINDS
+    from abyss.serialize import FN_KINDS, _type
     from abyss.universe import probe_points
     instances = _hull_instances()
-    assert {entry[0] for entry in FN_KINDS.values()} <= {type(f) for f in instances}
+    assert {_type(entry[0]) for entry in FN_KINDS.values()} <= {type(f) for f in instances}
     for f in instances:
         lo, hi, lo_open, hi_open = f._hull()
         for p in probe_points(f, DyadicInterval(0, 1), 8):
@@ -1085,18 +1086,34 @@ def test_single_point_off_the_seed_set_is_decided():
         assert f.witness_above(DyadicInterval(0, 0), 0) == (Truth.NO, None)
 
 
+def _family_modules():
+    """The abyss modules that define `SymbolicFn` or a family built on it."""
+    from abyss.universe import SymbolicFn
+    out = []
+    for path in sorted(Path(universe.__file__).parent.glob("[!_]*.py")):
+        mod = importlib.import_module("abyss." + path.stem)
+        if any(isinstance(c, type) and issubclass(c, SymbolicFn) and c.__module__ == mod.__name__
+               for c in vars(mod).values()):
+            out.append(mod)
+    return out
+
+
 def test_interval_contract_lives_on_the_base_class():
     """Families answer through the `_range_on`, `_witness_above`,
     `_witness_below`, `_one_sided_limit` and `_hull` hooks, so the clip to
     [0,1], the single-point answers, the rounding of the value bounds and
     the positivity rule stay in the base class's templates."""
-    from abyss import reductions, universe
+    from abyss import reductions
+    families = _family_modules()
+    assert [mod.__name__ for mod in families] == ["abyss.composites", "abyss.limits",
+                                                  "abyss.piecewise", "abyss.spikes",
+                                                  "abyss.universe"]
     public = {"range_on", "witness_above", "witness_below", "one_sided_limit",
               "range_bound", "is_positive"}
     allowed = {("SymbolicFn", name) for name in public}
     allowed |= {("Poly", "range_on")}
     found = set()
-    for mod in (universe, reductions):
+    for mod in families + [reductions]:
         for node in ast.walk(ast.parse(inspect.getsource(mod))):
             if isinstance(node, ast.ClassDef):
                 found |= {(node.name, item.name) for item in node.body
@@ -1107,8 +1124,8 @@ def test_interval_contract_lives_on_the_base_class():
 def test_documents_live_in_serialize_alone():
     """`serialize` writes and reads every function and closed-set document;
     the modules that define the types neither import it nor write one."""
-    from abyss import sets, universe
-    for mod in (universe, sets):
+    from abyss import sets
+    for mod in _family_modules() + [sets]:
         for node in ast.walk(ast.parse(inspect.getsource(mod))):
             if isinstance(node, ast.ImportFrom):
                 assert node.module != "serialize", mod.__name__

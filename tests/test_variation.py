@@ -17,8 +17,10 @@ from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, PiecewiseRatio
                    thomae, total_variation_nbv)
 
 from abyss import universe
+from abyss.composites import ScalarMultiple, Sum
+from abyss.limits import Indicator
 from abyss.sets import ComplementOfR2Open, R2Rep
-from abyss.universe import Indicator, ScalarMultiple, Sum, probe_points
+from abyss.universe import probe_points
 
 from catalogue import build, make, random_staircase_plus_linear
 from conftest import calls_to
