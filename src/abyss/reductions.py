@@ -11,8 +11,10 @@ baseline.
 The walks run on integer triples (ln, un, d), the interval [ln/d, un/d]:
 the bisection on a/2^j, the Cantor walk on a/3^n, and the nested intervals
 of the cliquishness and regulation realisers as `DyadicInterval`s.  A
-`Fraction` is built only at the API: the ends handed to a `SupOracle`, the
-answers of the oracles and moduli, the returned points and the reports.
+`SupOracle` is asked about a `DyadicInterval`, so the bisection hands it
+integer triples.  A `Fraction` is built only at the API: the ends a caller
+hands to `SupOracle.__call__`, the answers of the oracles and moduli, the
+returned points and the reports.
 A precision k below 0 is refused with a `ValueError` that names it.
 """
 
@@ -33,7 +35,8 @@ from .spikes import Penny
 from .universe import SymbolicFn, unit_dyadic
 from .variation import _limit_pair, _regulated_within, modulus_regulation
 
-_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable: one of each serves all
+_ZERO = Fraction(0)  # Fractions are immutable: one serves all
+_UNIT = DyadicInterval.of_ints(0, 1, 1)  # [0, 1], where every walk starts
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +46,18 @@ _ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable: one of each s
 
 @record
 class SupOracle:
-    """Exact supremum functional over the built-in universe."""
+    """Exact supremum functional over the built-in universe: `sup(f, iv)` is
+    the supremum of f on the closed interval iv.  Calling the oracle with
+    rational ends p <= q asks `sup` about [p, q]."""
 
-    sup: Callable[[SymbolicFn, Fraction, Fraction], Fraction]
+    sup: Callable[[SymbolicFn, DyadicInterval], Fraction]
 
     def __call__(self, f, p, q) -> Fraction:
-        return self.sup(f, _rational(p), _rational(q))
+        return self.sup(f, DyadicInterval(p, q))
 
 
 def exhaustive_sup_oracle() -> SupOracle:
-    def sup(f, p, q):
-        iv = DyadicInterval(p, q)
+    def sup(f, iv):
         if iv.ln == iv.un:
             v = f.eval(_reduced(iv.ln, 0, iv.d))
             if v.q:
@@ -215,15 +219,17 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     """Locate maxima of the spike function by interval comparison, strip, and
     repeat: recovers the seed enumeration in decreasing-value order.
 
-    Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j];
-    the oracle, a caller's function, takes `Fraction` ends.  Its answers are
-    compared with the round's supremum sn/sd on their integers."""
+    Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j]:
+    the oracle is asked about the left half [2a, 2a + 1]/2^(j+1), and,
+    when the supremum is not there, about the right half, which must hold
+    it.  Its answers are compared with the round's supremum sn/sd on their
+    integers."""
     _check_precision(k)
     out = []
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = Penny(a_set, out[-1].index + 1 if out else 0)
-        s = oracle(f, _ZERO, _ONE)
+        s = oracle.sup(f, _UNIT)
         sn, sd = _ratio(s)
         if not sn:
             break
@@ -235,20 +241,21 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         if a_set.size is not None and idx >= a_set.size:
             raise OracleInconsistency("supremum %s is spike %d of a %d-point seed set"
                                       % (s, idx, a_set.size))
-        a, lo, hi = 0, _ZERO, _ONE
+        a = 0
         bits = []
         for j in range(k):
-            mid = Fraction(2 * a + 1, 2 << j)
-            ln, ld = _ratio(oracle(f, lo, mid))
+            d = 2 << j
+            ln, ld = _ratio(oracle.sup(f, DyadicInterval.of_ints(2 * a, 2 * a + 1, d)))
             if ln * sd > sn * ld:
                 raise OracleInconsistency("supremum grew on a subinterval")
             if ln == sn and ld == sd:
-                a, hi = 2 * a, mid  # ties break toward the left half
+                a = 2 * a  # ties break toward the left half
                 bits.append("0")
             else:
-                if _ratio(oracle(f, mid, hi)) != (sn, sd):
+                right = oracle.sup(f, DyadicInterval.of_ints(2 * a + 1, 2 * a + 2, d))
+                if _ratio(right) != (sn, sd):
                     raise OracleInconsistency("supremum vanished on both halves")
-                a, lo = 2 * a + 1, mid
+                a = 2 * a + 1
                 bits.append("1")
         out.append(SupExtraction(idx, s, "".join(bits),
                                  DyadicInterval.of_ints(a, a + 1, 1 << k)))
@@ -290,7 +297,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     # around a member must not keep the member's own spike inside
     for i, p in a_set.members_upto(min(4, fuel)):
         _checked_cliq_answer(modulus, a_set, p, i + 2, 3)
-    iv = DyadicInterval.of_ints(0, 1, 1)
+    iv = _UNIT
     intervals = [iv]
     for j in range(max(k + 2, fuel + 1)):
         # n_j: the least n with 2^-n strictly below half the width w/d
@@ -343,7 +350,7 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     _check_precision(k)
     f = Penny(a_set)
     _spot_check_regulation(modulus, f)
-    iv = DyadicInterval.of_ints(0, 1, 1)
+    iv = _UNIT
     intervals = [iv]
     for j in range(max(k + 2, fuel + 1)):
         w, d = iv.un - iv.ln, iv.d  # the width is w/d

@@ -648,21 +648,24 @@ def fraction_dyadic_inside(lo, hi, k):
         j += 1
 
 
-def fraction_sup_oracle() -> SupOracle:
-    """The exhaustive oracle on Fractions: a Fraction compare decides the
+def fraction_sup(f, p, q):
+    """The exhaustive supremum on Fractions: a Fraction compare decides the
     degenerate case, and the answer is the bracket's `Fraction` end."""
-    def sup(f, p, q):
-        if p == q:
-            v = f.eval(Q2.of(p))
-            if not v.is_rational:
-                raise OracleInconsistency("exact supremum is irrational")
-            return v.as_rational()
-        _, sup_b = f.range_on(DyadicInterval(p, q), 60)
-        if not sup_b.exact:
-            raise OracleInconsistency("supremum not exactly attained on this family")
-        return sup_b.lo
+    p, q = F(p), F(q)
+    if p == q:
+        v = f.eval(Q2.of(p))
+        if not v.is_rational:
+            raise OracleInconsistency("exact supremum is irrational")
+        return v.as_rational()
+    _, sup_b = f.range_on(DyadicInterval(p, q), 60)
+    if not sup_b.exact:
+        raise OracleInconsistency("supremum not exactly attained on this family")
+    return sup_b.lo
 
-    return SupOracle(sup)
+
+def fraction_sup_oracle() -> SupOracle:
+    """`fraction_sup` as an oracle: it reads the interval's `Fraction` ends."""
+    return SupOracle(lambda f, iv: fraction_sup(f, iv.lower, iv.upper))
 
 
 def fraction_extraction(oracle, a_set, k, rounds=16):

@@ -296,7 +296,7 @@ def test_point_of_continuity_usco_refuses_nonpositive_radius(radius, deadline):
     # a zero radius makes the nested interval degenerate, so the candidate
     # search cannot end; a negative one inverts the interval's endpoints
     deadline(5)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidModulus, match="usco modulus gave the radius"):
         point_of_continuity_usco(Penny(sqrt2_family()), lambda x, k: radius, 6)
 
 

@@ -319,8 +319,8 @@ def walk_side(side):
     def run(f, walk, oracles, k, rounds):
         log, oracle = [], oracles[side]()
 
-        def sup(g, p, q):
-            log.append((g.kind, g.start, p, q, oracle(g, p, q)))
+        def sup(g, iv):
+            log.append((g.kind, g.start, iv.lower, iv.upper, oracle.sup(g, iv)))
             return log[-1][-1]
         return ref.outcome(lambda: WALKS[walk][side](SupOracle(sup), f.a_set, k, rounds)), log
     return run
@@ -344,18 +344,18 @@ def liar(at, wrong):
     honest = exhaustive_sup_oracle()
     calls = []
 
-    def sup(f, p, q):
+    def sup(f, iv):
         calls.append(None)
-        s = honest(f, p, q)
+        s = honest.sup(f, iv)
         return wrong(s) if len(calls) == at else s
     return SupOracle(sup)
 
 
-LIARS = [lambda s=s: SupOracle(lambda f, p, q: s)
+LIARS = [lambda s=s: SupOracle(lambda f, iv: s)
          for s in (F(1, 2), F(1), F(-1, 2), F(3, 8), F(2), F(0), F(1, 4), 0)]
 # answers every interval with the round's true supremum: each round's value
 # is right, so only the located intervals are wrong
-LIARS += [lambda: SupOracle(lambda f, p, q, honest=exhaustive_sup_oracle(): honest(f, 0, 1))]
+LIARS += [lambda: SupOracle(lambda f, iv, honest=exhaustive_sup_oracle(): honest(f, 0, 1))]
 LIARS += [lambda at=at, wrong=wrong: liar(at, wrong) for at in range(1, 30)
           for wrong in (lambda s: 2 * s, lambda s: s / 2, lambda s: F(0), lambda s: 1 - s,
                         lambda s: s + F(1, 1024))]

@@ -23,7 +23,7 @@ from abyss.variation import _limit_pair, _regulated_within
 
 from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
 from conftest import calls_to, fraction_news
-from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup_oracle,
+from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup,
                         outcome)
 
 A = sqrt2_family()
@@ -78,7 +78,7 @@ def test_realiser_from_sup_certified():
 
 
 def test_realiser_from_sup_inconsistent_oracle():
-    lying = SupOracle(lambda f, p, q: F(1, 2))
+    lying = SupOracle(lambda f, iv: F(1, 2))
     with pytest.raises(OracleInconsistency):
         realiser_from_sup(lying, A, 8, fuel=4)
 
@@ -87,10 +87,10 @@ def test_extraction_refuses_a_supremum_that_is_no_spike_value(deadline):
     """Once an IndexError: 1 passed for a spike value with index -1."""
     deadline(5)
     with pytest.raises(OracleInconsistency):
-        realiser_from_sup(SupOracle(lambda f, p, q: F(1)), A, 4, fuel=2)
+        realiser_from_sup(SupOracle(lambda f, iv: F(1)), A, 4, fuel=2)
     for s in (F(-1, 2), F(3, 8), F(2)):
         with pytest.raises(OracleInconsistency):
-            extract_enumeration_from_sup(SupOracle(lambda f, p, q, s=s: s), A, 4)
+            extract_enumeration_from_sup(SupOracle(lambda f, iv, s=s: s), A, 4)
 
 
 def test_realiser_from_cliq_modulus():
@@ -139,9 +139,9 @@ def adversarial_wide_modulus() -> CliqModulusOracle:
 
 
 def test_cliq_modulus_adversaries_rejected():
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidModulus, match="escapes the prescribed ball"):
         realiser_from_cliq_modulus(adversarial_cliq_modulus(), A, 6)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidModulus, match="contains member 0 with spike"):
         realiser_from_cliq_modulus(adversarial_wide_modulus(), A, 6)
 
 
@@ -160,8 +160,22 @@ def test_regulation_zero_modulus_rejected():
         def __call__(self, x, k):
             return 0
 
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(InvalidModulus, match="values stray 2\\^-3"):
         realiser_from_regulation_modulus(ZeroModulus(), A, 6)
+
+
+def test_regulation_modulus_that_lets_a_member_survive_is_refused():
+    """Honest at the members, where the spot check reads it, and 0 at every
+    centre: the nested intervals close in on 1/2, and the level-2 one,
+    [63/128, 65/128], still holds the member 501/1000."""
+    one = finite_set([F(501, 1000)])
+    honest = canonical_regulation_modulus(one)
+
+    def lazy(x, k):
+        return honest(x, k) if one.index_of(x) is not None else 0
+
+    with pytest.raises(InvalidModulus, match="member 0 survived to level 2"):
+        realiser_from_regulation_modulus(lazy, one, 4, fuel=4)
 
 
 def test_naive_sup_baseline():
@@ -260,12 +274,39 @@ def test_negative_precision_is_refused_by_name():
 
 
 def test_realiser_from_sup_builds_few_fractions():
-    """The bisection and the spike brackets run on integers: the sup realiser
-    builds at most 290 of the 1,902 Fractions its Fraction walk built: the
-    bisection midpoints the oracle takes, and no spike value but the
-    table's own first entries."""
-    assert fraction_news(lambda: realiser_from_sup(
-        exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)) <= 290
+    """The bisection asks its oracle about integer intervals and the spike
+    brackets run on integers: once the shared table of spike values holds
+    the round's values, a 16-round sup realiser builds at most 36 of the
+    1,902 Fractions its Fraction walk built (290 while the oracle took
+    `Fraction` ends), and a single round at most 2 (17 then)."""
+    def realise():
+        return realiser_from_sup(exhaustive_sup_oracle(), sqrt2_family(), 16, fuel=16)
+
+    def one_round():
+        return extract_enumeration_from_sup(exhaustive_sup_oracle(), sqrt2_family(), 16,
+                                            rounds=1)
+
+    for run, bound in ((realise, 36), (one_round, 2)):
+        run()  # grows the shared spike-value table
+        assert fraction_news(run) <= bound
+
+
+def test_extraction_asks_one_query_per_bit_and_one_per_1_bit():
+    """Each round asks for the supremum on [0, 1], then for the left half at
+    each of the k steps, and for the right half once more at each 1-bit,
+    where it must find the supremum again: 1 + 16 + 6 = 23 queries for
+    round 0 of the sqrt2 family at k = 16, and 338 over 16 rounds."""
+    honest = exhaustive_sup_oracle()
+    starts = []
+
+    def spy(f, iv):
+        starts.append(f.start)
+        return honest.sup(f, iv)
+
+    steps = extract_enumeration_from_sup(SupOracle(spy), A, 16, rounds=16)
+    assert [starts.count(r) for r in range(16)] == \
+        [1 + 16 + step.bits.count("1") for step in steps]
+    assert starts.count(0) == 23 and len(starts) == 338
 
 
 # --- the integer walks against the Fraction computations they replace ---
@@ -336,7 +377,9 @@ def test_extraction_matches_the_fraction_bisection():
 
 def test_sup_oracle_matches_the_fraction_oracle():
     """Answers, and refusals with their messages, on spike families and on
-    a function with an irrational value at a rational cut."""
+    a function with an irrational value at a rational cut: the oracle's
+    `Fraction` entry against a plain function of the same ends, reversed
+    ends and ends outside [0, 1] among them."""
     rng = random.Random(89)
     spiky = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0), Poly(F(1, 4))],
                                          ["right", S2(0), "right"])
@@ -344,12 +387,15 @@ def test_sup_oracle_matches_the_fraction_oracle():
            TildePenny(IRRATIONAL_SEEDS), spiky]
     ends = [F(0), F(1), F(1, 2), F(3, 8), F(1, 4), F(5, 7), F(-1, 2), F(3, 2)]
     ends += [random_dyadic(rng, 8) for _ in range(12)]
-    new, old = exhaustive_sup_oracle(), fraction_sup_oracle()
+    oracle = exhaustive_sup_oracle()
     for f in fns:
         for p in ends:
             for q in ends:
-                assert outcome(lambda: new(f, p, q)) == outcome(lambda: old(f, p, q)), \
-                    (f.kind, p, q)
+                want = outcome(lambda: fraction_sup(f, p, q))
+                assert outcome(lambda: oracle(f, p, q)) == want, (f.kind, p, q)
+    for p, q in ((0.5, 1), (0, 0.5)):
+        with pytest.raises(TypeError, match="float 0.5 refused"):
+            oracle(Penny(A), p, q)
 
 
 def _two_pass_demo(a_set, depths=(8, 16, 24), bits=16):
@@ -449,7 +495,7 @@ def test_extraction_refuses_a_stripped_spike_value():
     """Once a constant answer 1/2 passed as the supremum of rounds 1 and 2
     too, whose functions, spikes 0 and 1 stripped, stay at or below 1/4 and
     1/8: the walk returned index 0 three times."""
-    lying = SupOracle(lambda f, p, q: F(1, 2))
+    lying = SupOracle(lambda f, iv: F(1, 2))
     with pytest.raises(OracleInconsistency, match="1/2 is the stripped spike 0"):
         extract_enumeration_from_sup(lying, sqrt2_family(), 4, rounds=3)
     # one round strips nothing before it, so the same answers pass
@@ -461,13 +507,13 @@ def test_extraction_refuses_a_spike_past_a_finite_seed_set():
     """Once a constant answer 1/1024 passed as spike 9 of a two-point set,
     and `realiser_from_sup` then failed with a bare IndexError."""
     two = finite_set([S2(0), S2(2)])  # sqrt2/2 and sqrt2/8
-    lying = SupOracle(lambda f, p, q: F(1, 1024))
+    lying = SupOracle(lambda f, iv: F(1, 1024))
     for run in (lambda: extract_enumeration_from_sup(lying, two, 4, rounds=1),
                 lambda: realiser_from_sup(lying, two, 4, fuel=1)):
         with pytest.raises(OracleInconsistency, match="spike 9 of a 2-point seed set"):
             run()
     # the last member's spike still passes
-    last = SupOracle(lambda f, p, q: F(1, 4))
+    last = SupOracle(lambda f, iv: F(1, 4))
     assert [s.index for s in extract_enumeration_from_sup(last, two, 4, rounds=1)] == [1]
 
 
