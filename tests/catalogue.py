@@ -95,9 +95,10 @@ def random_subinterval(rng, depth=5):
 
 
 def part(rng, slot):
-    """A part of a two-part sum, drawn on the slot's own grid: j/7 or j/9 for
-    the rational breakpoints and j/8 + sqrt2/2^m with m in {4, 5} or {6, 7}
-    for the spike members, so the breakpoints of two slots never meet."""
+    """A part of a sum, drawn on the slot's own grid: j/7, j/9 or j/11 for
+    the rational breakpoints and j/8 + sqrt2/2^m with m in {4, 5}, {6, 7} or
+    {8, 9} for the spike members, so the breakpoints of two slots never
+    meet."""
     grid = [F(j, 7 + 2 * slot) for j in range(1, 7 + 2 * slot)]
     pick = rng.randrange(7)
     if pick == 0:
@@ -442,6 +443,12 @@ for _i in range(40):
 for _i, _s in enumerate(_sums):
     _a, _b = sorted(_rng.sample(range(17), 2))
     add("sum", "sum(2502-%d)" % _i, _s, sum=[(F(0), F(1)), (F(_a, 16), F(_b, 16))])
+# three-part sums, which flatten into one combination of up to three terms
+_rng = random.Random(3201)
+for _i in range(8):
+    _s = Sum(Sum(part(_rng, 0), part(_rng, 1)), part(_rng, 2))
+    _a, _b = sorted(_rng.sample(range(17), 2))
+    add("sum", "sum3(3201-%d)" % _i, _s, sum=[(F(0), F(1)), (F(_a, 16), F(_b, 16))])
 
 
 def _spiked(group, label, a_set, starts):

@@ -579,23 +579,24 @@ def test_constant_refuses_an_irrational_value():
 def test_sum_with_a_constant_side_is_exact_in_one_cell(monkeypatch):
     """Where one part takes a single value, the cell rule's brackets are
     the other part's brackets at 2^-(k+1) plus that value, so a sum with a
-    constant side answers from one `range_on` call of each part: with a zero
-    multiple, the indicator of the empty set or of all of [0,1], a
-    restricted constant, a constant sequence's limit or a multiple of a
-    restricted constant, in either order.  A generic limit has no ranges,
-    so a sum over it refuses with the `UnsupportedVariant` of its own
-    `range_on` in either order, which the CLI reports as a usage error
-    (exit 1)."""
+    constant side answers from one `range_on` call of each atom of its
+    terms: with a zero multiple (which leaves no term), the indicator of the
+    empty set or of all of [0,1], a restricted constant (whose atom is the
+    constant), a constant sequence's limit or a multiple of a restricted
+    constant, in either order.  A generic limit has no ranges, so a sum over
+    it refuses with the `UnsupportedVariant` of its own `range_on` in either
+    order, which the CLI reports as a usage error (exit 1)."""
     from abyss import Baire1Limit, cli, constant_seq_limit
     calls = []
 
     def counted(part):
-        inner = part.range_on
+        if "range_on" not in vars(part):  # each atom is wrapped once
+            inner = part.range_on
 
-        def range_on(iv, k):
-            calls.append(part)
-            return inner(iv, k)
-        part.range_on = range_on
+            def range_on(iv, k):
+                calls.append(part)
+                return inner(iv, k)
+            part.range_on = range_on
         return part
 
     zero, third = Bracket.point(0), Bracket.point(F(1, 3))
@@ -608,15 +609,15 @@ def test_sum_with_a_constant_side_is_exact_in_one_cell(monkeypatch):
     rng = random.Random(2302)
     ivs = [DyadicInterval(*random_subinterval(rng, 6)) for _ in range(6)]
     for side, cb in sides:
-        side = counted(side)
-        for other in (counted(Penny(A)), counted(thomae()), counted(CoverPsi(A))):
+        for other in (Penny(A), thomae(), CoverPsi(A)):
             for s in (Sum(side, other), Sum(other, side)):
+                atoms = [counted(h) for _, h in s.terms]
                 for iv in ivs:
                     for k in (0, 5, 12):
                         io, so = other.range_on(iv, k + 1)
                         calls.clear()
                         assert s.range_on(iv, k) == (io + cb, so + cb)
-                        assert calls == [s.f, s.g], (side, other, iv, k)
+                        assert calls == atoms, (side, other, iv, k)
     generic = Baire1Limit(lambda n: PennyK(A, n))
     for s in (Sum(generic, thomae()), Sum(thomae(), generic), Sum(generic, constant(1)),
               Sum(constant(1), generic)):
@@ -692,14 +693,64 @@ def test_both_defect_2a_instances_are_exact():
 
 
 def test_thomae_minus_thomae_runs_out_of_cells_soundly(deadline):
-    """T - T is 0, but each part's brackets on a cell are [0, 1/q] and
-    [-1/q, 0] however small the cell, so no cell is ever exact: the range
-    gives up with brackets that hold 0."""
+    """Two `thomae()` objects are two atoms, which do not merge, so T - T'
+    keeps both terms.  It is 0, but each part's brackets on a cell are
+    [0, 1/q] and [-1/q, 0] however small the cell, so no cell is ever
+    exact: the range gives up with brackets that hold 0."""
     deadline(5)
-    with pytest.raises(FuelExhausted) as got:
+    with pytest.raises(FuelExhausted, match=r"not within 2\^-10 after 256 cells") as got:
         fn_sum(thomae(), scalar_multiple(-1, thomae())).range_on(DyadicInterval(0, 1), 10)
     inf_b, sup_b = got.value.best
     assert inf_b.contains(0) and sup_b.contains(0)
+
+
+def test_like_atoms_cancel_when_built(deadline):
+    """P - P and T - T, for P = Penny(A) and T = Thomae each built once,
+    are the constant 0, and (T + P) - P and (P - P) + T are T, with inf 0
+    and sup 1: the same object's coefficients add to 0 and its term is
+    dropped.  Each ran out of cells with a loose bracket while sums nested
+    one cell rule per level."""
+    P, T = Penny(A), thomae()
+    unit, zero, one = DyadicInterval(0, 1), Bracket.point(0), Bracket.point(1)
+    deadline(1)
+    for f, k, want, left in [(fn_difference(P, P), 8, (zero, zero), "piecewise"),
+                             (fn_difference(T, T), 10, (zero, zero), "piecewise"),
+                             (fn_difference(fn_sum(T, P), P), 6, (zero, one), "thomae"),
+                             (fn_sum(fn_difference(P, P), T), 4, (zero, one), "thomae")]:
+        assert f.range_on(unit, k) == want
+        assert [h.kind for _, h in f.terms] == [left]  # T alone, or the constant 0
+
+
+def test_each_atom_is_asked_at_the_bits_of_the_wrappers_above_it():
+    """A part of a two-part sum is asked at k + 1 and h in c h at k +
+    extra(c), extra(c) = max(0, bits of |numerator| - bits of denominator
+    + 1), so Sum(f, c h) asks h at k + 1 + extra(c) and a part of a part at
+    k + 2: the precisions of the nested sums and multiples the flat terms
+    replaced, which keep one- and two-term answers as they were.  An atom
+    that appears twice is asked once, at the finer of its two precisions.
+    With constant sides each range is one cell, so each atom is asked
+    once."""
+    asked = []
+
+    def spied(h):
+        inner = h.range_on
+        h.range_on = lambda iv, k: asked.append((h, k)) or inner(iv, k)
+        return h
+
+    for iv in (DyadicInterval(0, 1), DyadicInterval(F(3, 8), F(5, 8))):
+        for k in (0, 5, 12):
+            for c, extra in ((F(3, 2), 1), (F(-5, 4), 1), (F(1, 8), 0), (F(-3), 2), (F(7), 3),
+                             (F(1), 1)):
+                f, g, h = (spied(Indicator(FinitePointSet.of([]))), spied(Indicator(
+                    ComplementOfR2Open(R2Rep.from_intervals([])))), spied(Penny(A)))
+                for s, want in [(Sum(f, h), [(f, k + 1), (h, k + 1)]),
+                                (ScalarMultiple(c, h), [(h, k + extra)]),
+                                (Sum(f, ScalarMultiple(c, h)), [(f, k + 1), (h, k + 1 + extra)]),
+                                (Sum(Sum(f, g), h), [(f, k + 2), (g, k + 2), (h, k + 1)]),
+                                (Sum(Sum(f, h), h), [(f, k + 2), (h, k + 2)])]:
+                    asked.clear()
+                    s.range_on(iv, k)
+                    assert asked == want, (s, c, iv, k)
 
 
 def test_sum_and_scalar():
