@@ -164,13 +164,6 @@ class Combination(SymbolicFn):
                     seen.append(p)
         return (sorted(seen) if len(self.terms) > 1 else seen)[:limit]
 
-    def grid_max(self, iv, depth):
-        (c, h), *rest = self.terms
-        if rest or c < 0:
-            return None  # neither a sum's nor c h's max for c < 0 is a part's grid max
-        inner = h.grid_max(iv, depth)
-        return None if inner is None else inner * c
-
 
 def _sum_tags(tf, tg):
     tags = set()

@@ -225,25 +225,15 @@ def require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
         raise ClassRefusal(operation, tag, f, statement=statement)
 
 
-_MISSING = object()  # a memo miss, apart from any answer fn may give
-
-
 class Modulus:
     """A modulus (x, k) -> least exponent or radius, computed by fn(p, k) at
-    the exact point p of [0,1] that x names and memoised on p's reduced
-    integers and k."""
+    the exact point p of [0,1] that x names."""
 
     def __init__(self, fn):
         self._fn = fn
-        self._memo: dict = {}
 
     def __call__(self, x, k: int):
-        p = _unit_point(x)
-        key = (p.p, p.q, p.d, k)
-        got = self._memo.get(key, _MISSING)
-        if got is _MISSING:
-            got = self._memo[key] = self._fn(p, k)
-        return got
+        return self._fn(_unit_point(x), k)
 
 
 # --- probe bases ------------------------------------------------------------
@@ -308,8 +298,8 @@ def _ball_walk(x, fuel: int, start: int = 0, gone=None):
     and the greatest infimum of them all.  When the first ball has missed,
     `gone(smallest)` reads it once; if it answers true, the bracket there
     proves that every ball misses, and the walk ends as a walk to fuel
-    ends.  A `gone` that raises only loses the shortcut: the walk goes on
-    and gives its own answer."""
+    ends.  A `gone` that gives up (`FuelExhausted`) only loses the
+    shortcut: the walk goes on and gives its own answer."""
     if start > fuel:
         return
     p = _unit_point(x)
@@ -318,7 +308,7 @@ def _ball_walk(x, fuel: int, start: int = 0, gone=None):
         try:
             if gone(_ball_around(p, fuel)):
                 return
-        except Exception:
+        except FuelExhausted:
             pass
     for n in range(start + 1, fuel + 1):
         yield n, _ball_around(p, n)
@@ -420,33 +410,17 @@ def _mu_exists(q, trace):
         raise FuelExhausted("threshold query undecided on this family", fuel=q.fuel)
     # find the least probe depth at which a witness appears; past the cap
     # every depth probes the same basis
-    fresh = _unseen()
-    for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
-        pts = basis_at(q.f, q.interval, d)
+    state = _ProbeState(q.interval)
+    for d in range(min(q.fuel, state.cap) + 1):
+        size = state.basis_size(q.f, d)
         if trace is not None:
-            trace.record(shape, d, len(pts), "scan")
-        for p in fresh(pts):
+            trace.record(shape, d, size, "scan")
+        for p in state.added[d]:
             v = q.f.eval(p)
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
     raise FuelExhausted("a witness exists but did not appear in the probe "
                         "basis within fuel", fuel=q.fuel)
-
-
-def _unseen():
-    """A filter over successive probe bases that passes each point once,
-    keyed by its integers (p, q, d): a point a shallower depth refuted
-    needs no second evaluation."""
-    seen = set()
-
-    def fresh(pts):
-        for p in pts:
-            key = (p.p, p.q, p.d)
-            if key not in seen:
-                seen.add(key)
-                yield p
-
-    return fresh
 
 
 def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
@@ -464,15 +438,17 @@ def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
 
 
 class _ProbeState:
-    """What the `Baire1Above` searches on one limit and interval have
-    learned, so that no threshold of a halving run rebuilds a basis.  Per
-    probe depth, built when a search first reaches it: the full basis size
-    (for the trace) and the points that depth adds to the shallower bases,
-    in basis order; for a limit with a stabilizer, also how many of those
-    points have been evaluated and the largest exact value among them.  A
-    depth past the grid cap probes the cap's basis again and adds nothing.
-    The limit is passed to each call, not held, so the state it keeps makes
-    no reference cycle."""
+    """The one walk over probe depths on an interval: what the witness
+    searches have learned there, so that no depth's basis is built twice.
+    Per probe depth, built when a search first reaches it: the full basis
+    size (for the trace) and the points that depth adds to the shallower
+    bases, in basis order, each point keyed by its integers (p, q, d), since
+    a point a shallower depth refuted needs no second evaluation.  For the
+    `Baire1Above` searches on a limit with a stabilizer, also how many of
+    those points have been evaluated and the largest exact value among
+    them.  A depth past the grid cap probes the cap's basis again and adds
+    nothing.  The function is passed to each call, not held, so the state
+    kept on a limit makes no reference cycle."""
 
     def __init__(self, iv: DyadicInterval):
         self.iv = iv
@@ -481,14 +457,16 @@ class _ProbeState:
         self.added: list[list] = []
         self.evaluated: list[int] = []
         self.tops: list = []  # None until a point of the depth is evaluated
-        self._fresh = _unseen()
+        self._seen: set = set()
 
-    def basis_size(self, f: Baire1Limit, d: int) -> int:
+    def basis_size(self, f: SymbolicFn, d: int) -> int:
         """The full basis size at depth d, building the depths up to it."""
         while len(self.sizes) <= min(d, self.cap):
             pts = basis_at(f, self.iv, len(self.sizes))
             self.sizes.append(len(pts))
-            self.added.append(list(self._fresh(pts)))
+            keys = [(p.p, p.q, p.d) for p in pts]
+            self.added.append([p for p, key in zip(pts, keys) if key not in self._seen])
+            self._seen.update(keys)
             self.evaluated.append(0)
             self.tops.append(None)
         return self.sizes[min(d, self.cap)]

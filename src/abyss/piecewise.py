@@ -3,15 +3,12 @@ between rational cuts, with an explicit value at every cut."""
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 
 from .errors import ConstructionError, DomainError
-from .exact import Bracket, Q2, _reduced, rational_grid
+from .exact import Bracket, Q2, _reduced
 from .universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV, QUASI_CONTINUOUS,
-                       REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn, _Q0, _Q1, _ends_max,
-                       _eval_rat)
+                       REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn, _Q0, _Q1)
 
 
 class PiecewiseRational(SymbolicFn):
@@ -161,21 +158,6 @@ class PiecewiseRational(SymbolicFn):
     def jump_candidates(self, limit):
         return [c for c, (left, _, right) in zip(self.cuts[1:-1], self.sides[1:-1])
                 if left != right][:limit]
-
-    def grid_max(self, iv, depth):
-        # a piece attains its grid max next to a cut, a vertex or an end
-        step = Fraction(1, 1 << depth)
-        marks = [iv.lower, iv.upper]
-        for p in self.special_points(iv, depth):
-            marks.append(p.as_rational() if p.is_rational else p.approx(depth + 4))
-        candidates = set(rational_grid(iv, min(depth, 4)))
-        for mark in marks:
-            base = math.floor(mark / step)
-            for i in (base - 1, base, base + 1, base + 2):
-                g = step * i
-                if iv.lower <= g <= iv.upper:
-                    candidates.add(g)
-        return max(_ends_max(self, iv), max(_eval_rat(self, g) for g in candidates))
 
 
 def constant(c) -> PiecewiseRational:

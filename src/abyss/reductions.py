@@ -138,9 +138,9 @@ def naive_rational_sup(f: SymbolicFn, p, q, depth: int) -> Fraction:
     """Max of f over the dyadic grid only - no carried points, no collapse
     rule.  Sound for quasi-continuous f; provably blind on the spike family.
 
-    The max over the (finite) grid is exact.  The family supplies it through
-    `grid_max` when its structure decides it without touching any off-grid
-    point; otherwise the grid is scanned point by point.
+    The max over the (finite) grid is exact.  A spike family reads it off
+    its structure through `grid_max`, at any depth; any other family's
+    grid, at most 2^20 points, is scanned point by point.
     """
     if depth < 0:
         raise ValueError("grid depth must be >= 0, got %d" % depth)
@@ -419,17 +419,17 @@ class AbyssReport:
         return out
 
 
-def demo_abyss(a_set: CountableSet, depths=(8, 16, 24), bits: int = 16) -> AbyssReport:
+def demo_abyss(a_set: CountableSet, depths=(8, 16, 24)) -> AbyssReport:
     """Grid sampling returns 0 at every depth while the exact oracle returns
     the top spike; the gap is the abyss at desk scale."""
     f = Penny(a_set)
     oracle = exhaustive_sup_oracle()
     baseline = [naive_rational_sup(f, 0, 1, d) for d in depths]
     # one extraction gives the exact value (round 0's supremum; no round
-    # when it is 0), the report's bits and the realiser's 8 rounds
-    extraction = extract_enumeration_from_sup(oracle, a_set, bits, rounds=8)
+    # when it is 0), the report's 16 bits and the realiser's 8 rounds
+    extraction = extract_enumeration_from_sup(oracle, a_set, 16, rounds=8)
     exact = extraction[0].value if extraction else _ZERO
-    z = _diagonal_past(extraction, a_set, bits, 8)
+    z = _diagonal_past(extraction, a_set, 16, 8)
     return AbyssReport(
         instance="spike function over %s" % a_set.name,
         depths=list(depths),

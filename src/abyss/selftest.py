@@ -107,7 +107,7 @@ def _checks():
     yield ("one-sided-limits",
            lr.left.contains(F(0)) and lr.right.contains(F(1)), {})
 
-    rep = demo_abyss(A, depths=(8, 12, 16), bits=16)
+    rep = demo_abyss(A, depths=(8, 12, 16))
     yield ("abyss-gap",
            rep.gap == F(1, 2) and rep.realiser_bits == "1011010100000100",
            rep.to_jsonable())

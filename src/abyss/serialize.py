@@ -151,7 +151,7 @@ def _piecewise_json(f) -> dict:
             "values": [q2_json(v) for v in f.bp_values]}
 
 
-def _piecewise_from_json(cls, doc):
+def _piecewise_from_json(cls, doc, load):
     pieces = _field(doc, "pieces", list)
     if not all(isinstance(cs, list) and 1 <= len(cs) <= 3 and all(map(_is_rational, cs))
                for cs in pieces):
@@ -165,39 +165,42 @@ def _piecewise_from_json(cls, doc):
 def _seeded(path):
     """The entry of a spike family built from its seed set alone."""
     return (path, lambda f: {"set": set_json(f.source)},
-            lambda cls, doc: cls(_set_field(doc)))
+            lambda cls, doc, load: cls(_set_field(doc)))
 
 
 def _windowed(path):
     """The entry of a spike function built from its seed set and the index
     of its first spike, `"start"`, which is written only when it is not 0."""
     return (path, lambda f: {"set": set_json(f.source), **({"start": f.start} if f.start else {})},
-            lambda cls, doc: cls(_set_field(doc), _field(doc, "start") if "start" in doc else 0))
+            lambda cls, doc, load: cls(_set_field(doc),
+                                       _field(doc, "start") if "start" in doc else 0))
 
 
 # kind -> ("module.Class" of its type, its document's fields, loader(type,
-# doc)): the one list of kinds that serialize, read by kind and written by
-# exact type
+# doc, load), where load(key) loads the function document in field key):
+# the one list of kinds that serialize, read by kind and written by exact
+# type
 FN_KINDS = {
-    "thomae": ("spikes.Thomae", lambda f: {}, lambda cls, doc: cls()),
+    "thomae": ("spikes.Thomae", lambda f: {}, lambda cls, doc, load: cls()),
     "penny": _windowed("spikes.Penny"),
     "pennyk": ("spikes.PennyK", lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
-               lambda cls, doc: cls(_set_field(doc), _field(doc, "cutoff"))),
+               lambda cls, doc, load: cls(_set_field(doc), _field(doc, "cutoff"))),
     "tilde-penny": _windowed("spikes.TildePenny"),
     "cover-psi": _seeded("spikes.CoverPsi"),
     "cover-psi-usco": _seeded("spikes.CoverPsiUsco"),
     "pennyk-limit": ("limits.PennyKLimit", lambda f: {"set": set_json(f.a_set)},
-                     lambda cls, doc: cls(_set_field(doc))),
+                     lambda cls, doc, load: cls(_set_field(doc))),
     "indicator": ("limits.Indicator", lambda f: {"closed_set": closed_set_json(f.closed_set)},
-                  lambda cls, doc: cls(closed_set_from_json(_field(doc, "closed_set", dict)))),
+                  lambda cls, doc, load: cls(closed_set_from_json(
+                      _field(doc, "closed_set", dict)))),
     "piecewise": ("piecewise.PiecewiseRational", _piecewise_json, _piecewise_from_json),
     "sum": ("composites.Sum", lambda f: {"f": fn_json(f.f), "g": fn_json(f.g)},
-            lambda cls, doc: cls(_fn_field(doc, "f"), _fn_field(doc, "g"))),
+            lambda cls, doc, load: cls(load("f"), load("g"))),
     "scalar-multiple": ("composites.ScalarMultiple", lambda f: {"c": str(f.c), "f": fn_json(f.f)},
-                        lambda cls, doc: cls(_field(doc, "c", _RATIONAL), _fn_field(doc, "f"))),
+                        lambda cls, doc, load: cls(_field(doc, "c", _RATIONAL), load("f"))),
     "restricted": ("composites.RestrictedView",
                    lambda f: {"tags": sorted(f.tags), "f": fn_json(f.f)},
-                   lambda cls, doc: cls(_fn_field(doc, "f"), _field(doc, "tags", list))),
+                   lambda cls, doc, load: cls(load("f"), _field(doc, "tags", list))),
 }
 
 
@@ -205,18 +208,24 @@ def fn_json(f) -> dict:
     return _document(FN_KINDS, "kind", f)
 
 
-def _fn_field(doc, key):
-    return fn_from_json(_field(doc, key, dict))
-
-
 def fn_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("a function document is a JSON object, got %r" % (doc,))
-    kind = _field(doc, "kind", str)
-    entry = FN_KINDS.get(kind)
-    if entry is None:
-        raise ValueError("unknown function kind %r" % (kind,))
-    return entry[2](_type(entry[0]), doc)
+    """The function a document describes.  Equal function documents within
+    it, by canonical text, load to one object, so a sum or difference merges
+    them as it merges a shared atom: the loaded P - P is 0, as the built one
+    is."""
+    loaded = {}
+
+    def load(doc):
+        if not isinstance(doc, dict):
+            raise ValueError("a function document is a JSON object, got %r" % (doc,))
+        kind = _field(doc, "kind", str)
+        entry = FN_KINDS.get(kind)
+        if entry is None:
+            raise ValueError("unknown function kind %r" % (kind,))
+        f = entry[2](_type(entry[0]), doc, lambda field: load(_field(doc, field, dict)))
+        return loaded.setdefault(_canonical(doc), f)
+
+    return load(doc)
 
 
 def dumps(payload: dict) -> str:

@@ -12,7 +12,7 @@ from .exact import (Bracket, DyadicInterval, Q2, Truth, _least_denominator, _red
                     grid_depth_cap, grid_q2, grid_span)
 from .sets import CountableSet, band_of, tilde_set
 from .universe import (BAIRE1, BV, CERT_INF, CERT_OSC, CERT_SUP, CLIQUISH, LSCO, REGULATED,
-                       SIMPLY_CONTINUOUS, USCO, SymbolicFn, _Q0, _ZERO, _ends_max,
+                       SIMPLY_CONTINUOUS, USCO, SymbolicFn, _Q0, _ZERO,
                        irrational_inside, osc_exact, unit_dyadic, unit_dyadic_bracket)
 
 
@@ -90,14 +90,6 @@ class Thomae(SymbolicFn):
                     out.append(_reduced(p, 0, q))
         return out
 
-    def grid_max(self, iv, depth):
-        # the first dyadic level with a multiple inside wins: T there is 2^-j
-        for j in range(depth + 1):
-            first, last = grid_span(iv, j)
-            if first <= last:
-                return max(_ends_max(self, iv), Fraction(1, 1 << j))
-        return _ends_max(self, iv)
-
     def _one_sided_limit(self, p, side, k):
         return _ZERO
 
@@ -146,6 +138,12 @@ class _SpikeFamily(SymbolicFn):
             if p.is_rational and not (1 << depth) % p.d:
                 best = max(best, self.spike_value(n))
         return best
+
+
+def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
+    """Larger value at the two ends of iv, which every grid includes."""
+    ends = [f.eval(Q2.of(x)) for x in (iv.lower, iv.upper)]
+    return max(v.as_rational() if v.is_rational else v.approx(80) for v in ends)
 
 
 def _window_index(name: str, n) -> int:

@@ -297,7 +297,8 @@ class SymbolicFn:
     def grid_max(self, iv: DyadicInterval, depth: int) -> Optional[Fraction]:
         """Exact max of f over rational_grid(iv, depth), read off the
         family's structure without visiting every grid point; None asks the
-        caller for the plain scan."""
+        caller for the plain scan.  Only the spike families answer: the
+        baseline reads them at depths no scan reaches."""
         return None
 
     # -- exact existential witnesses ----------------------------------------
@@ -373,16 +374,6 @@ class SymbolicFn:
 
     def __repr__(self):
         return "<%s tags={%s}>" % (self.kind, ",".join(sorted(self.tags)))
-
-
-def _eval_rat(f: SymbolicFn, x: Fraction) -> Fraction:
-    v = f.eval(Q2.of(x))
-    return v.as_rational() if v.is_rational else v.approx(80)
-
-
-def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
-    """Larger value at the two ends of iv, which every grid includes."""
-    return max(_eval_rat(f, iv.lower), _eval_rat(f, iv.upper))
 
 
 def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:

@@ -279,30 +279,52 @@ def test_every_fuel_parameter_is_read():
     assert unread == []
 
 
-def test_only_the_shared_walk_loops_over_balls():
-    """A ball read inside a loop is a hand-written walk over ball exponents,
-    and `oracle._ball_walk` is the one walk: no other function of the
-    package reads `_ball_clipped` or `_ball_around` inside a `for` or
-    `while` loop or a comprehension."""
+def loop_calls(names, owner):
+    """The calls of names inside a `for` or `while` loop or a comprehension
+    anywhere in the package outside the function or class owner, as "file:
+    line in function"."""
     import abyss
-    reads = {"_ball_clipped", "_ball_around"}
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    walks = []
+    calls = []
 
-    def visit(node, where, in_loop):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+    def visit(node, cls, where, in_loop):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
             where, in_loop = getattr(node, "name", "<lambda>"), False
         elif isinstance(node, loops):
             in_loop = True
-        elif (in_loop and isinstance(node, ast.Call) and where != "_ball_walk"
-              and getattr(node.func, "id", getattr(node.func, "attr", None)) in reads):
-            walks.append("%s:%d in %s" % (path.name, node.lineno, where))
+        elif (in_loop and isinstance(node, ast.Call) and owner not in (cls, where)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in names):
+            calls.append("%s:%d in %s" % (path.name, node.lineno, where))
         for child in ast.iter_child_nodes(node):
-            visit(child, where, in_loop)
+            visit(child, cls, where, in_loop)
 
     for path in sorted(Path(abyss.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), "<module>", False)
-    assert walks == []
+        visit(ast.parse(path.read_text()), None, "<module>", False)
+    return calls
+
+
+def test_only_the_shared_walk_loops_over_balls():
+    """A ball read inside a loop is a hand-written walk over ball exponents,
+    and `oracle._ball_walk` is the one walk: no other function of the
+    package reads `_ball_clipped` or `_ball_around` inside a loop."""
+    assert loop_calls({"_ball_clipped", "_ball_around"}, "_ball_walk") == []
+
+
+def test_only_the_probe_state_walks_probe_depths():
+    """A probe basis read inside a loop is a hand-written walk over probe
+    depths, and `oracle._ProbeState` is the one walk: no function outside
+    its methods calls `basis_at` or `probe_points` inside a loop.  And no
+    class but `SymbolicFn` (None: the plain scan) and `_SpikeFamily`
+    defines `grid_max`."""
+    import abyss
+    assert loop_calls({"basis_at", "probe_points"}, "_ProbeState") == []
+    grid_maxes = [node.name for path in Path(abyss.__file__).parent.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and any(getattr(n, "name", None) == "grid_max" for n in node.body)]
+    assert sorted(grid_maxes) == ["SymbolicFn", "_SpikeFamily"]
 
 
 @pytest.mark.parametrize("x", [F(3, 2), F(-1, 2), Q2(1) + S2(4)])
@@ -366,6 +388,23 @@ def test_a_smallest_ball_that_raises_leaves_the_walk_its_answer():
     assert point_of_continuity_qc(fussy, 3) == point_of_continuity_qc(f, 3)
     with pytest.raises(FuelExhausted, match="narrower than 2"):
         mu_search(ValueBelowOnBall(fussy, F(1, 3), F(1, 4)))
+
+
+class BrokenPenny(Penny):
+    """The spike function, failing (not giving up) on a ball narrower than
+    2^-40."""
+
+    def _range_on(self, iv, k):
+        if (iv.un - iv.ln) << 40 < iv.d:
+            raise ZeroDivisionError("ball narrower than 2^-40")
+        return super()._range_on(iv, k)
+
+
+def test_a_smallest_ball_that_fails_fails_the_walk():
+    """Only a smallest ball that gives up (`FuelExhausted`) leaves the walk
+    its answer; any other error there is a fault, and surfaces."""
+    with pytest.raises(ZeroDivisionError, match="narrower than 2"):
+        mu_search(OscBelow(BrokenPenny(A), F(1, 2), 3))
 
 
 def test_the_early_miss_keeps_its_margins_under_loose_brackets():

@@ -7,7 +7,7 @@ import pytest
 
 from abyss import (Baire1Limit, ComplementOfR2Open, FinitePointSet, Indicator, Penny, PennyK,
                    Q2, R2Rep, TildePenny, build_cover_psi, constant, constant_seq_limit,
-                   finite_set, fn_difference, pennyk_limit,
+                   finite_set, fn_difference, fn_sum, pennyk_limit,
                    restrict_tags, sqrt2_family, staircase, thomae)
 from abyss.serialize import (dumps, fn_from_json, fn_json, interval_json, q2_from_json,
                              q2_json, rat_json, set_from_json, set_json)
@@ -108,6 +108,16 @@ def test_spike_window_start_round_trips():
                 for n, p in f.a_set.members_upto(8):
                     want = Q2.of(0) if n < start else whole.eval(p)
                     assert f.eval(p) == g.eval(p) == want, (cls, start, n)
+
+
+def test_equal_atom_documents_load_to_one_object():
+    """A loaded difference cancels as the built one does: the two equal
+    Penny documents load to one object, which the combination merges."""
+    P, unit = Penny(A), DyadicInterval(0, 1)
+    g = fn_from_json(fn_json(fn_difference(P, P)))
+    assert [b.exact and b.lo for b in g.range_on(unit, 8)] == [0, 0]
+    h = fn_from_json(fn_json(fn_difference(fn_sum(thomae(), P), P)))
+    assert [b.exact and b.lo for b in h.range_on(unit, 8)] == [0, 1]
 
 
 def test_unknown_kind_rejected():
