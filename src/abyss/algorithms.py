@@ -19,8 +19,7 @@ import abyss
 from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
                      RepresentationInsufficient)
 from .exact import (DyadicInterval, FueledBool, Q2, Truth, _grid, _ratio,
-                    _rational, _reduced, _sign_int, _vs, least_exponent,
-                    rational_grid, unit_rationals)
+                    _rational, _reduced, _sign_int, _vs, least_exponent, unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
@@ -146,7 +145,7 @@ def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
     b = osc_exact(f, Q2.of(x), prec)
     if b.lo > 0:
         return FueledBool(Truth.NO, prec)
-    if b.hi == 0 or (b.exact and b.lo == 0):
+    if b.hi == 0:
         return FueledBool(Truth.YES, prec)
     return FueledBool(Truth.UNKNOWN, fuel)
 
@@ -499,13 +498,11 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
         raise RepresentationInsufficient("representation insufficient: indicator "
                                          "needs a convergence modulus")
     if not o_rep.intervals:
-        # confirm by honest probing before answering with the empty code
-        probes = [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 6)]
-        probes += ind_rep.special_points(DyadicInterval(0, 1), fuel)
-        for p in probes:
-            if ind_rep.eval(p) > Q2.of(Fraction(1, 2)):
-                raise ValueError("representation mismatch: empty set with a "
-                                 "positive indicator value")
+        # the empty code only for an indicator whose supremum is 0
+        _, sup_b = ind_rep.range_on(DyadicInterval(0, 1), 1)
+        if sup_b.lo > 0:
+            raise ValueError("representation mismatch: empty set with a "
+                             "positive indicator value")
         return RMCode((), prefix_of_infinite=False)
     seed = None
     gen = unit_rationals()
@@ -521,19 +518,7 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
     stream = _rational_interval_stream()
     for _ in range(max(fuel, 16)):
         p, q = next(stream)
-        iv = DyadicInterval(p, q)
-        probes = [Q2.of(g) for g in rational_grid(iv, 8)]
-        probes += [Q2.of(e) for span in o_rep.intervals for e in span if iv.contains(e)]
-        probes += [s for s in ind_rep.special_points(iv, fuel)]
-        inf_low = any(ind_rep.eval(pt) < Q2.of(Fraction(1, 2)) for pt in probes
-                      if iv.contains(pt))
-        if inf_low:
-            balls.append(seed)
-        else:
-            # probes found no point outside; the radius representation must agree
-            inside = any(a < p and q < b for a, b in o_rep.intervals)
-            if not inside:
-                balls.append(seed)
-            else:
-                balls.append(((p + q) / 2, (q - p) / 2))
+        # a {0,1}-valued indicator within 2^-1: a positive infimum is 1
+        inf_b, _ = ind_rep.range_on(DyadicInterval(p, q), 1)
+        balls.append(((p + q) / 2, (q - p) / 2) if inf_b.lo > 0 else seed)
     return RMCode.from_balls(balls, prefix_of_infinite=True)

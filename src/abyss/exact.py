@@ -565,22 +565,6 @@ def unit_rationals() -> Iterator[Fraction]:
         d += 1
 
 
-def signed_unit_rationals() -> Iterator[Fraction]:
-    """Fixed enumeration of Q cap [-1,1]: by denominator, then numerator.
-
-    -1, 0, 1, -1/2, 1/2, -2/3, -1/3, 1/3, 2/3, ...
-    """
-    yield Fraction(-1)
-    yield Fraction(0)
-    yield Fraction(1)
-    d = 2
-    while True:
-        for p in range(-d + 1, d):
-            if p != 0 and math.gcd(abs(p), d) == 1:
-                yield Fraction(p, d)
-        d += 1
-
-
 def _least_denominator(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
     """(p, q) with p/q the simplest rational of the closed interval
     [ln/ld, hn/hd], 0 <= ln/ld <= hn/hd: the least denominator q, then the

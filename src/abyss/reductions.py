@@ -27,7 +27,7 @@ from .algorithms import _check_precision, _interior_numerators
 from .errors import InvalidModulus, OracleInconsistency
 from .exact import (DyadicInterval, Q2, _ratio, _rational, _reduced, _vs, least_exponent,
                     rational_grid)
-from .oracle import DEFAULT_FUEL, Modulus, _ball_clipped
+from .oracle import Modulus, _ball_clipped
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
@@ -383,8 +383,8 @@ def _spot_check_regulation(modulus, f: Penny):
                                  "on the regulation window around %s" % (k, p))
 
 
-def canonical_regulation_modulus(a_set: CountableSet, fuel: int = DEFAULT_FUEL) -> Modulus:
-    return modulus_regulation(Penny(a_set), fuel)
+def canonical_regulation_modulus(a_set: CountableSet) -> Modulus:
+    return modulus_regulation(Penny(a_set))
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,10 @@ def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     """The minimal-index rational q in [-1,1] with a - q in [2^-(n+1), 2^-n).
 
     The target interval for q is (lo, hi] = (a - 2^-n, a - 2^-(n+1)].  The
-    fixed enumeration `signed_unit_rationals` orders [-1,1] by denominator,
-    then numerator, so the minimal index belongs to the least denominator d
-    with an integer p in (lo d, hi d] cap [-d, d], and to the least such p.
+    index is in the fixed order of [-1,1] by denominator, then numerator
+    (-1, 0, 1, -1/2, 1/2, -2/3, ...), so the minimal index belongs to the
+    least denominator d with an integer p in (lo d, hi d] cap [-d, d], and
+    to the least such p.
     The continued-fraction walk of `least_denominator_between` finds them
     in O(n) steps.
     """

@@ -8,13 +8,16 @@ integers.  What it shares with the path (`_ball_clipped`, `_osc_on`,
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
 
 from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DyadicInterval,
                    ExistsValueAbove, ExistsValueBelow, Found, FuelExhausted, MuWitness,
                    NotFoundBelow, OracleInconsistency, OscBelow, Penny, PennyK, PiecewiseRational,
-                   Q2, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall, rational_grid)
-from abyss.algorithms import _check_precision, _halve_values, _next_ball, _room
+                   Q2, RMCode, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall,
+                   rational_grid, unit_rationals)
+from abyss.algorithms import (_check_precision, _halve_values, _next_ball,
+                              _rational_interval_stream, _room)
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Truth, least_exponent
 from abyss.oracle import (DEFAULT_FUEL, QueryTrace, _baire1_value_above, _ball_clipped, _osc_on,
@@ -586,6 +589,45 @@ def loop_band_of(x, half_open=True):
     while p < F(1, 1 << (n + 1)):
         n += 1
     return n
+
+
+def signed_unit_rationals():
+    """Q cap [-1,1] by denominator, then numerator: -1, 0, 1, -1/2, 1/2,
+    -2/3, -1/3, 1/3, 2/3, ...  The order `minimal_shift_into_band` takes
+    its least index in."""
+    yield F(-1)
+    yield F(0)
+    yield F(1)
+    d = 2
+    while True:
+        for p in range(-d + 1, d):
+            if p != 0 and math.gcd(abs(p), d) == 1:
+                yield F(p, d)
+        d += 1
+
+
+def plain_rm_code(o_rep, fuel):
+    """`rm_code_from_r2_baire1` read off the set's intervals alone: over the
+    same interval stream, the interval [p, q] itself where it lies inside
+    one open interval of the set, else the seed ball (the first rational of
+    the set, with the largest 2^-m within its radius).  It never reads the
+    indicator."""
+    if not o_rep.intervals:
+        return RMCode((), prefix_of_infinite=False)
+    x0 = next((x for x in itertools.islice(unit_rationals(), 1 << 12) if o_rep.contains(x)),
+              None)
+    if x0 is None:
+        raise FuelExhausted("no rational seed point found in the set", fuel=fuel)
+    m = 0
+    while F(1, 1 << m) > o_rep.radius(x0):
+        m += 1
+    stream = _rational_interval_stream()
+    balls = []
+    for _ in range(max(fuel, 16)):
+        p, q = next(stream)
+        inside = any(a < p and q < b for a, b in o_rep.intervals)
+        balls.append(((p + q) / 2, (q - p) / 2) if inside else (x0, F(1, 1 << m)))
+    return RMCode.from_balls(balls, prefix_of_infinite=True)
 
 
 def plain_cover_usco_range(f, iv, k):

@@ -9,13 +9,14 @@ import pytest
 from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, DyadicInterval,
                    ExistsValueAbove, FinitePointSet, Found, FuelExhausted, Indicator,
                    InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
-                   RepresentationInsufficient, Truth, algorithms, ball, build_cover_psi, constant,
-                   cousin_subcover, finite_set, fn_difference, fn_sum, indicator_baire1, inf_usco,
-                   is_continuous_at, linear, lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc,
-                   modulus_regulation, mu_search, natural_usco_modulus, osc_point, pennyk_limit,
-                   point_of_continuity_qc, point_of_continuity_usco, rational_grid, restrict_tags,
-                   rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1, sup_qc, thomae,
-                   piecewise, unit_rationals, universe, usco_separator)
+                   RepresentationInsufficient, Truth, UnsupportedVariant, algorithms, ball,
+                   build_cover_psi, constant, cousin_subcover, finite_set, fn_difference, fn_sum,
+                   indicator_baire1, inf_usco, is_continuous_at, linear, lsco_modulus_on_cf,
+                   modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
+                   natural_usco_modulus, osc_point, pennyk_limit, point_of_continuity_qc,
+                   point_of_continuity_usco, rational_grid, restrict_tags, rm_code_from_r2_baire1,
+                   sqrt2_family, staircase, sup_baire1, sup_qc, thomae, piecewise, unit_rationals,
+                   universe, usco_separator)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS
@@ -542,7 +543,35 @@ def test_rm_code_needs_modulus():
         rm_code_from_r2_baire1(o, bare, 8)
 
 
+def test_rm_code_refuses_what_its_indicator_contradicts_or_cannot_range():
+    """The empty set with the indicator of (1/4, 3/4) is a mismatch; a
+    limit whose terms carry no range (a bare `Baire1Limit`, modulus given)
+    cannot answer the per-interval read."""
+    o = R2Rep.from_intervals([(F(1, 4), F(3, 4))])
+    with pytest.raises(ValueError, match="representation mismatch"):
+        rm_code_from_r2_baire1(R2Rep(()), indicator_baire1(o), 8)
+    bare = Baire1Limit(lambda n: indicator_baire1(o).term(0), conv_modulus=lambda x, j: 0)
+    with pytest.raises(UnsupportedVariant, match="consumed through its representation"):
+        rm_code_from_r2_baire1(o, bare, 8)
+
+
 # --- what the fast paths may cost (their answers: test_differential) ---
+
+
+def test_rm_code_reads_one_range_per_interval():
+    """Probing a depth-8 grid, the set's ends and the special points made
+    1,480 indicator evaluations on (1/4, 3/4) at fuel 64; each interval is
+    now one exact range read, and the empty set one over [0,1]."""
+    for o, fuel, ranges in [(R2Rep.from_intervals([(F(1, 4), F(3, 4))]), 64, 64),
+                            (R2Rep(()), 64, 1)]:
+        ind, reads = indicator_baire1(o), {"range_on": 0, "eval": 0}
+        for name in reads:
+            def spy(*args, _read=getattr(ind, name), _name=name):
+                reads[_name] += 1
+                return _read(*args)
+            setattr(ind, name, spy)
+        rm_code_from_r2_baire1(o, ind, fuel)
+        assert reads == {"range_on": ranges, "eval": 0}, (o, reads)
 
 
 def test_modulus_qc_builds_few_fractions():

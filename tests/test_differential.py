@@ -17,10 +17,11 @@ from typing import Callable, NamedTuple
 import pytest
 
 from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, ExistsValueBelow,
-                   OscBelow, PiecewiseRational, Poly, Q2, SupOracle, Truth, ValueBelowOnBall,
-                   constant, cousin_subcover, exhaustive_sup_oracle, extract_enumeration_from_sup,
-                   fn_sum, inf_usco, linear, modulus_continuity_qc, modulus_qc, mu_search,
-                   point_of_continuity_qc, rational_grid, realiser_from_sup, scalar_multiple,
+                   OscBelow, PiecewiseRational, Poly, Q2, R2Rep, RMCode, SupOracle, Truth,
+                   ValueBelowOnBall, constant, cousin_subcover, exhaustive_sup_oracle,
+                   extract_enumeration_from_sup, fn_sum, indicator_baire1, inf_usco, linear,
+                   modulus_continuity_qc, modulus_qc, mu_search, point_of_continuity_qc,
+                   rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
                    staircase, sup_qc, tilde_set)
 from abyss.oracle import _ball_clipped
 from abyss.serialize import dumps, fn_json
@@ -470,3 +471,43 @@ def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
     # the transcript seed sets: finite sets of 1..12 points and their banded copies
     sizes = [make(name).a_set.size for name, e in ENTRIES.items() if "extraction" in e["groups"]]
     assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)
+
+
+# --- a conversion of sets, not a function of the catalogue ---
+
+
+def random_open_set(rng):
+    """Up to four open intervals with ends in [-1/4, 5/4] over denominators
+    3, 4, 6 and 16, the stream's own ends among them; a step of one end
+    makes two intervals touch."""
+    d = rng.choice((3, 4, 6, 16))
+    ends = sorted({F(rng.randrange(-d // 4, d + d // 4 + 1), d)
+                   for _ in range(rng.randrange(1, 9))})
+    spans, i = [], 0
+    while i + 1 < len(ends):
+        spans.append((ends[i], ends[i + 1]))
+        i += rng.choice((1, 2))
+    return R2Rep.from_intervals(spans)
+
+
+def test_rm_code_answers_as_the_set_reads(deadline):
+    """The conversion's one range read per interval against the interval
+    test on the set's own open intervals, over 200 seeded sets: touching
+    intervals, ends outside [0,1], empty sets and sets that miss (0, 1)."""
+    deadline(20)
+    rng, shown = random.Random("rm-code"), Counter()
+    for _ in range(200):
+        o = random_open_set(rng)
+        shown["touching"] += any(b == a for (_, b), (a, _) in zip(o.intervals, o.intervals[1:]))
+        shown["outside"] += any(a < 0 or b > 1 for a, b in o.intervals)
+        for fuel in (0, 16, 64):
+            got = ref.outcome(lambda: rm_code_from_r2_baire1(o, indicator_baire1(o), fuel))
+            want = ref.outcome(lambda: ref.plain_rm_code(o, fuel))
+            assert got == want, (o, fuel, got, want)
+            if not isinstance(got, RMCode):
+                kind = got[0]
+            else:  # the empty code, the seed alone, or intervals besides it
+                kind = ("empty", "seed", "many")[min(len(set(got.prefix)), 2)]
+            shown[kind] += 1
+    assert all(shown[kind] for kind in ("touching", "outside", "empty", "seed", "many",
+                                        "FuelExhausted")), shown

@@ -13,11 +13,11 @@ from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
                    rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
 from abyss.exact import (Bracket, DegenerateInterval, _least_denominator,
-                         least_denominator_between, signed_unit_rationals)
+                         least_denominator_between)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
 from conftest import fraction_news
-from references import exact_symbolic_sup
+from references import exact_symbolic_sup, signed_unit_rationals
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=512)
 small_nat = st.integers(min_value=0, max_value=12)

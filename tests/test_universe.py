@@ -23,7 +23,7 @@ from abyss import (ConstructionError, CoverPsi, CoverPsiUsco, DomainError, Dyadi
                    scalar_multiple, sqrt2_family, staircase, thomae, tilde_set, usco_separator)
 from abyss import piecewise, universe
 from abyss.composites import ScalarMultiple, Sum
-from abyss.exact import Bracket, grid_depth_cap, signed_unit_rationals
+from abyss.exact import Bracket, grid_depth_cap
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
@@ -33,7 +33,8 @@ from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_finite_set, random_staircase, random_subinterval)
 from conftest import calls_to, fraction_news
-from references import brute_ball_osc, brute_values, loop_band_of, probe_basis
+from references import (brute_ball_osc, brute_values, loop_band_of, probe_basis,
+                        signed_unit_rationals)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
