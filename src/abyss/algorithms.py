@@ -23,7 +23,7 @@ from .exact import (DyadicInterval, FueledBool, Q2, Truth, _grid, _ratio,
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
-from .sets import R2Rep, RMCode
+from .sets import ComplementOfR2Open, R2Rep, RMCode
 from .universe import LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact
 
 if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
@@ -134,7 +134,7 @@ def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInter
             hi = max(lo, min(w.hi, limit_b.hi))
             return DyadicInterval(lo, hi)
     raise FuelExhausted("ball oscillation did not close onto the cluster value",
-                        best=DyadicInterval(lo, limit_b.hi), fuel=fuel)
+                        best=DyadicInterval(lo, limit_b.hi))
 
 
 def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
@@ -221,7 +221,7 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
                            key=lambda cd: (abs((cd[0] + cd[1]) * e - t), cd[0])):
             if in_band(c, den) and in_band(d, den) and candidate_ok(c, d, den):
                 return Fraction(c, den), Fraction(d, den)
-    raise FuelExhausted("no certified subinterval found within fuel", fuel=fuel)
+    raise FuelExhausted("no certified subinterval found within fuel")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
         ball = _next_ball(j, place) if fits else None
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
-                                "current interval", best=j, fuel=fuel)
+                                "current interval", best=j)
         j = ball
     return j.midpoint
 
@@ -318,7 +318,7 @@ def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     def radius(p, k):
         n = _least_ball_below(f, p, Q2.of(Fraction(1, 1 << k)) + f.eval(p), k, fuel)
         if n is None:
-            raise FuelExhausted("no witnessing ball found within fuel", fuel=fuel)
+            raise FuelExhausted("no witnessing ball found within fuel")
         return Fraction(1, 1 << n)
 
     return Modulus(radius)
@@ -375,7 +375,7 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
         ball = _next_ball(j, place)
         if ball is None:
             raise FuelExhausted("no threshold-set ball found inside the current "
-                                "interval", best=j, fuel=fuel)
+                                "interval", best=j)
         j = ball
         if span * Fraction(1, 1 << stage) <= Fraction(1, 1 << (k + 1)):
             out = j.midpoint
@@ -385,7 +385,7 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
         stage += 1
         if stage > fuel:
             raise FuelExhausted("certificate did not close within fuel",
-                                best=j, fuel=fuel)
+                                best=j)
 
 
 def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
@@ -450,7 +450,7 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
             if lo < 0 and hi > 1:
                 return balls
     raise FuelExhausted("enumeration prefix did not cover the interval",
-                        best=balls, fuel=fuel)
+                        best=balls)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +493,18 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
     representation of its indicator (with convergence modulus), into a
     rational-ball code: per enumerated rational interval, emit the interval
     itself when the indicator's infimum on it is positive, else re-emit the
-    seed ball."""
+    seed ball.  The indicator must be 0 on each closed component of the
+    set's complement; a set that misses (0, 1) gets the empty code."""
     if ind_rep.conv_modulus is None:
         raise RepresentationInsufficient("representation insufficient: indicator "
                                          "needs a convergence modulus")
-    if not o_rep.intervals:
-        # the empty code only for an indicator whose supremum is 0
-        _, sup_b = ind_rep.range_on(DyadicInterval(0, 1), 1)
+    components = ComplementOfR2Open(o_rep).component_intervals()
+    for a, b in components:
+        _, sup_b = ind_rep.range_on(DyadicInterval(a, b), 1)
         if sup_b.lo > 0:
-            raise ValueError("representation mismatch: empty set with a "
-                             "positive indicator value")
+            raise ValueError("representation mismatch: positive indicator value "
+                             "outside the set")
+    if components == [(0, 1)]:
         return RMCode((), prefix_of_infinite=False)
     seed = None
     gen = unit_rationals()
@@ -513,7 +515,7 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
             seed = (x0, Fraction(1, 1 << least_exponent(r.numerator, r.denominator)))
             break
     if seed is None:
-        raise FuelExhausted("no rational seed point found in the set", fuel=fuel)
+        raise FuelExhausted("no rational seed point found in the set")
     balls = []
     stream = _rational_interval_stream()
     for _ in range(max(fuel, 16)):

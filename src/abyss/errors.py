@@ -48,10 +48,9 @@ class FuelExhausted(Exception):
     `best` carries the deepest partial result (interval, transcript) reached.
     """
 
-    def __init__(self, message, best=None, fuel=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.fuel = fuel
 
 
 class InvalidModulus(ValueError):

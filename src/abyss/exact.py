@@ -8,21 +8,17 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from fractions import Fraction
+from functools import cache
 from typing import Iterator
 
 from .records import record
 
-_SQRT2_FLOOR: dict[int, int] = {}
 
-
+@cache
 def _sqrt2_floor(k: int) -> int:
     """floor(sqrt(2) * 2^k)."""
-    n = _SQRT2_FLOOR.get(k)
-    if n is None:
-        n = _SQRT2_FLOOR[k] = math.isqrt(2 << (2 * k))
-    return n
+    return math.isqrt(2 << (2 * k))
 
 
 def _sign_int(x: int, y: int) -> int:
@@ -77,27 +73,6 @@ def _parts(x) -> tuple[int, int, int]:
 
 
 _new = object.__new__
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for n/d in lowest terms, d > 0, by the rule of
-    `Fraction.__hash__`: |n|/d modulo the prime 2^61 - 1 (infinite when the
-    prime divides d), with the sign of n.  A -1 needs no fix-up here:
-    `hash()` sends it to -2, both for a `__hash__` result and for a tuple
-    item."""
-    if d == 1:
-        return hash(n)
-    try:
-        dinv = pow(d, -1, _HASH_MODULUS)
-    except ValueError:
-        h = _HASH_INF
-    else:
-        h = hash(hash(abs(n)) * dinv)
-    return -h if n < 0 else h
-
 
 def _reduced(p: int, q: int, d: int) -> "Q2":
     """The Q2 (p + q*sqrt2)/d for d > 0, brought to lowest terms."""
@@ -266,7 +241,7 @@ class Q2:
     def __hash__(self):
         if self.q:
             return hash((self.p, self.q, self.d))
-        return _rational_hash(self.p, self.d)
+        return hash(self.a)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -416,9 +391,7 @@ class _Ends:
         return NotImplemented
 
     def __hash__(self):
-        ln, un, d = self.ln, self.un, self.d
-        g, h = math.gcd(ln, d), math.gcd(un, d)
-        return hash((_rational_hash(ln // g, d // g), _rational_hash(un // h, d // h)))
+        return hash((self._lo(), self._hi()))
 
     def __repr__(self):
         lo, hi = self._NAMES
@@ -530,7 +503,7 @@ class Truth(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@record(frozen=True)
+@record
 class FueledBool:
     """Three-valued answer of a simulated oracle query.
 

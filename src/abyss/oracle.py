@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
 # --- query shapes -----------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class OscBelow:
     """Least ball exponent at which the oscillation over the ball around x
     drops to 2^-m or below."""
@@ -47,7 +47,7 @@ class OscBelow:
     fuel: int = DEFAULT_FUEL
 
 
-@record(frozen=True)
+@record
 class ValueBelowOnBall:
     """Least ball exponent M with f >= q at every rational of the ball
     around x (the arithmetical ball formula of the semicontinuity analysis).
@@ -59,7 +59,7 @@ class ValueBelowOnBall:
     fuel: int = DEFAULT_FUEL
 
 
-@record(frozen=True)
+@record
 class ExistsValueAbove:
     f: SymbolicFn
     interval: DyadicInterval
@@ -67,7 +67,7 @@ class ExistsValueAbove:
     fuel: int = DEFAULT_FUEL
 
 
-@record(frozen=True)
+@record
 class ExistsValueBelow:
     f: SymbolicFn
     interval: DyadicInterval
@@ -75,7 +75,7 @@ class ExistsValueBelow:
     fuel: int = DEFAULT_FUEL
 
 
-@record(frozen=True)
+@record
 class Baire1Above:
     f_rep: Baire1Limit
     interval: DyadicInterval
@@ -83,17 +83,17 @@ class Baire1Above:
     fuel: int = DEFAULT_FUEL
 
 
-@record(frozen=True)
+@record
 class MuWitness:
     value: int
 
 
-@record(frozen=True)
+@record
 class Found:
     witness: MuWitness
 
 
-@record(frozen=True)
+@record
 class NotFoundBelow:
     fuel: int
 
@@ -101,7 +101,7 @@ class NotFoundBelow:
 # --- the collapse-rule table ------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class CollapseRule:
     shape: str
     requires: str  # class tag or structural certificate granting admission
@@ -364,7 +364,7 @@ def _mu_osc_below(q: OscBelow, trace):
                 return Found(MuWitness(n))
             if osc.ln << m <= osc.d:
                 raise FuelExhausted("ball oscillation bracket straddles 2^-%d at "
-                                    "exponent %d" % (q.m, n), fuel=q.fuel)
+                                    "exponent %d" % (q.m, n))
     return NotFoundBelow(q.fuel)
 
 
@@ -392,7 +392,7 @@ def _mu_value_below_on_ball(q: ValueBelowOnBall, trace):
             return Found(MuWitness(n))
         if not inf_b.exact and inf_b.un * td >= tn * inf_b.d:
             raise FuelExhausted("ball infimum bracket straddles the target "
-                                "at exponent %d" % n, fuel=q.fuel)
+                                "at exponent %d" % n)
     return NotFoundBelow(q.fuel)
 
 
@@ -407,7 +407,7 @@ def _mu_exists(q, trace):
             trace.record(shape, q.fuel, 0, "no")
         return NotFoundBelow(q.fuel)
     if truth is Truth.UNKNOWN:
-        raise FuelExhausted("threshold query undecided on this family", fuel=q.fuel)
+        raise FuelExhausted("threshold query undecided on this family")
     # find the least probe depth at which a witness appears; past the cap
     # every depth probes the same basis
     state = _ProbeState(q.interval)
@@ -420,7 +420,7 @@ def _mu_exists(q, trace):
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
     raise FuelExhausted("a witness exists but did not appear in the probe "
-                        "basis within fuel", fuel=q.fuel)
+                        "basis within fuel")
 
 
 def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
@@ -434,7 +434,7 @@ def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
             return True
         if v + gap <= y:
             return False
-    raise FuelExhausted("limit value indistinguishable from the threshold", fuel=fuel)
+    raise FuelExhausted("limit value indistinguishable from the threshold")
 
 
 class _ProbeState:
@@ -523,7 +523,7 @@ def _mu_baire1_above(q: Baire1Above, trace):
             break
     if y <= 0:
         raise FuelExhausted("non-positive threshold cannot be refuted on a "
-                            "limit representation", fuel=q.fuel)
+                            "limit representation")
     return NotFoundBelow(q.fuel)
 
 

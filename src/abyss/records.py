@@ -13,16 +13,14 @@ from operator import attrgetter
 _set = object.__setattr__
 
 
-def record(cls=None, *, frozen: bool = False):
+def record(cls):
     """Class decorator: the class's own annotated names, in order, become its
     fields; a class attribute of the same name is that field's default, and
     fields with defaults come last.
 
     Records compare equal only to records of the same class with equal
-    fields.  A frozen record refuses assignment with `AttributeError` and
-    hashes by its fields; a mutable one is unhashable."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
+    fields.  A record refuses assignment with `AttributeError` and hashes by
+    its fields."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     n_fields = len(names)
@@ -62,7 +60,7 @@ def record(cls=None, *, frozen: bool = False):
         elif len(args) < n_fields:
             args += tail[len(args) - required:]
         for name, value in zip(names, args):
-            _set(self, name, value)  # past a frozen __setattr__
+            _set(self, name, value)  # past the refusing __setattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -72,11 +70,6 @@ def record(cls=None, *, frozen: bool = False):
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             "%s=%r" % (n, v) for n, v in zip(names, fields_of(self))))
-
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if not frozen:
-        cls.__hash__ = None
-        return cls
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
@@ -91,5 +84,6 @@ def record(cls=None, *, frozen: bool = False):
     def __hash__(self):
         return hash(fields_of(self))
 
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__setattr__, cls.__delattr__, cls.__hash__ = __setattr__, __delattr__, __hash__
     return cls

@@ -71,7 +71,9 @@ def interval_json(iv: DyadicInterval) -> dict:
 
 
 def set_json(a_set: CountableSet) -> dict:
-    if a_set.name == "sqrt2-halving":
+    """The set `sqrt2_family()` builds as its generator's name (whatever its
+    `name`), a finite set by its points."""
+    if a_set._member is Q2.sqrt2_scaled and a_set.size is None:
         return {"generator": "sqrt2-halving"}
     if a_set.size is None:
         raise ValueError("only the built-in generator or finite sets serialize")

@@ -95,10 +95,8 @@ class CountableSet:
 
 
 def sqrt2_family() -> CountableSet:
-    """The canonical countable set {sqrt2/2^(n+1) : n in N}, Y(a_n) = n."""
-
-    def member(n: int) -> Q2:
-        return Q2.sqrt2_scaled(n)
+    """The canonical countable set {sqrt2/2^(n+1) : n in N}, Y(a_n) = n;
+    its enumeration is `Q2.sqrt2_scaled` itself, which marks it."""
 
     def index_of(x: Q2) -> Optional[int]:
         # sqrt2/2^(n+1) in lowest terms is (0, 1, 2^(n+1))
@@ -110,7 +108,7 @@ def sqrt2_family() -> CountableSet:
         n = den.bit_length() - 2
         return n if n >= 0 else None
 
-    return CountableSet(member, index_of, size=None, name="sqrt2-halving",
+    return CountableSet(Q2.sqrt2_scaled, index_of, size=None, name="sqrt2-halving",
                         values_descend=True, all_irrational=True)
 
 
@@ -218,7 +216,7 @@ def tilde_set(a_set: CountableSet) -> CountableSet:
 # --- closed sets and open-set representations ------------------------------
 
 
-@record(frozen=True)
+@record
 class R2Rep:
     """An open subset of [0,1] represented by a radius function: every member
     x gets a positive radius with B(x, radius(x)) inside the set.
@@ -249,12 +247,16 @@ class R2Rep:
                 gap = min(p - a, b - p)
                 if gap.is_rational:
                     return gap.as_rational()
-                lo, _ = gap.bracket(max(4, (b - a).denominator.bit_length() + 4))
+                k = max(4, (b - a).denominator.bit_length() + 4)
+                lo, _ = gap.bracket(k)
+                while lo <= 0:  # an end closer to x than 2^-k: refine
+                    k *= 2
+                    lo, _ = gap.bracket(k)
                 return lo
         return Fraction(0)
 
 
-@record(frozen=True)
+@record
 class FinitePointSet:
     points: tuple
 
@@ -271,7 +273,7 @@ class FinitePointSet:
         return [(p, p) for p in self.points]
 
 
-@record(frozen=True)
+@record
 class ComplementOfR2Open:
     """The closed complement (within [0,1]) of an R2-represented open set."""
 
@@ -306,7 +308,7 @@ class ComplementOfR2Open:
 # --- RM-codes: open sets as unions of rational balls -----------------------
 
 
-@record(frozen=True)
+@record
 class RMCode:
     """An open set coded as a countable union of rational balls; only a
     finite prefix is ever materialised."""

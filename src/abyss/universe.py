@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, UnsupportedVariant
@@ -50,38 +51,18 @@ CERT_OSC = "oscillation-collapses-to-rationals"
 _ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
 _Q0, _Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
 
+
 # The unit dyadics 2^-(n+1), the spike values, as `Fraction` and as exact
-# `Bracket`: entry n of each table.  They grow on demand to the largest
-# index asked for, below the cap; past it a value is built afresh.
-_UNIT_DYADIC_CAP = 1024
-_UNIT_FRACTIONS: list[Fraction] = []
-_UNIT_BRACKETS: list[Bracket] = []
-
-
-def _grow_unit_dyadics(n: int) -> None:
-    for i in range(len(_UNIT_FRACTIONS), n + 1):
-        _UNIT_FRACTIONS.append(Fraction(1, 2 << i))
-        _UNIT_BRACKETS.append(Bracket.of_ints(1, 1, 2 << i))
-
-
+# `Bracket`: the last 1,024 asked for are shared objects.
+@lru_cache(maxsize=1024)
 def unit_dyadic(n: int) -> Fraction:
-    """2^-(n+1), from the shared table for 0 <= n below the cap."""
-    if 0 <= n < len(_UNIT_FRACTIONS):
-        return _UNIT_FRACTIONS[n]
-    if 0 <= n < _UNIT_DYADIC_CAP:
-        _grow_unit_dyadics(n)
-        return _UNIT_FRACTIONS[n]
+    """2^-(n+1)."""
     return Fraction(1, 1 << (n + 1))
 
 
+@lru_cache(maxsize=1024)
 def unit_dyadic_bracket(n: int) -> Bracket:
-    """The exact bracket of 2^-(n+1), n >= 0, from the shared table below
-    the cap."""
-    if n < len(_UNIT_BRACKETS):
-        return _UNIT_BRACKETS[n]
-    if n < _UNIT_DYADIC_CAP:
-        _grow_unit_dyadics(n)
-        return _UNIT_BRACKETS[n]
+    """The exact bracket of 2^-(n+1), n >= 0."""
     return Bracket.of_ints(1, 1, 2 << n)
 
 
@@ -153,10 +134,6 @@ class Poly:
     @property
     def is_constant(self) -> bool:
         return not self.n1 and not self.n2
-
-    def vertex(self) -> Optional[Fraction]:
-        v = self._vertex
-        return None if v is None else v.as_rational()
 
     def range_on(self, lo: Q2, hi: Q2) -> tuple[Q2, Q2]:
         """Exact (min, max) over the closed interval [lo, hi]."""

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class OneSidedLimits:
     """Brackets of f(x-) and f(x+); a side is None outside the domain."""
 
@@ -203,6 +203,6 @@ def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
         for m in range(fuel + 1):
             if _regulated_within(f, p, m, k, limits):
                 return m
-        raise FuelExhausted("no regulation exponent found within fuel", fuel=fuel)
+        raise FuelExhausted("no regulation exponent found within fuel")
 
     return Modulus(least)

@@ -73,6 +73,13 @@ def plain_range(cs, lo, hi):
     return min(vals), max(vals)
 
 
+def plain_vertex(piece):
+    """The vertex -c1/(2 c2) of a quadratic piece, from its coefficients;
+    None for a piece of degree below 2."""
+    _, c1, c2 = piece.coeffs()
+    return -c1 / (2 * c2) if c2 else None
+
+
 def full_scan_candidates(f, iv):
     """The least and greatest value of each piece on its part of iv, and the
     values at the cuts inside iv: the inf and sup of f over iv are among
@@ -185,7 +192,7 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
                 -(-iv.lower * q // 1), iv.upper * q // 1 + 1) if 0 <= F(i, q) <= 1]
         if isinstance(g, PiecewiseRational):
             pts += [c for c in g.cuts if iv.contains(c)]
-            vertices = (piece.vertex() for piece in g.pieces)
+            vertices = map(plain_vertex, g.pieces)
             pts += [Q2.of(v) for v in vertices if v is not None and iv.contains(v)]
     return [p for p, _ in itertools.groupby(sorted(pts))]
 
@@ -307,7 +314,7 @@ def variation_candidates(f):
     out = set(rational_grid(DyadicInterval(0, 1), 3))
     for c in map(Q2.as_rational, f.cuts):
         out |= {c, c - F(1, 1 << 12)} if c > 0 else {c}
-    vertices = (piece.vertex() for piece in f.pieces)
+    vertices = map(plain_vertex, f.pieces)
     return out | {v for v in vertices if v is not None and 0 < v < 1}
 
 
@@ -355,7 +362,7 @@ def sorted_fraction_modulus_qc(f, x, k, big_n, fuel=DEFAULT_FUEL):
         for c, d in pairs:
             if candidate_ok(c, d):
                 return (c, d)
-    raise FuelExhausted("no certified subinterval found within fuel", fuel=fuel)
+    raise FuelExhausted("no certified subinterval found within fuel")
 
 
 def plain_exists(q, trace):
@@ -375,7 +382,7 @@ def plain_exists(q, trace):
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
     raise FuelExhausted("a witness exists but did not appear in the probe "
-                        "basis within fuel", fuel=q.fuel)
+                        "basis within fuel")
 
 
 def plain_baire1_above(q, trace):
@@ -393,7 +400,7 @@ def plain_baire1_above(q, trace):
             break
     if y <= 0:
         raise FuelExhausted("non-positive threshold cannot be refuted on a "
-                            "limit representation", fuel=q.fuel)
+                            "limit representation")
     return NotFoundBelow(q.fuel)
 
 
@@ -452,7 +459,7 @@ def plain_osc_below(q, trace):
                 return Found(MuWitness(n))
             if osc.lo <= bound:
                 raise FuelExhausted("ball oscillation bracket straddles 2^-%d at "
-                                    "exponent %d" % (q.m, n), fuel=q.fuel)
+                                    "exponent %d" % (q.m, n))
     return NotFoundBelow(q.fuel)
 
 
@@ -465,7 +472,7 @@ def plain_value_below_on_ball(q, trace):
             return Found(MuWitness(n))
         if not inf_b.exact and inf_b.hi >= q.q:
             raise FuelExhausted("ball infimum bracket straddles the target "
-                                "at exponent %d" % n, fuel=q.fuel)
+                                "at exponent %d" % n)
     return NotFoundBelow(q.fuel)
 
 
@@ -493,7 +500,7 @@ def plain_point_of_continuity_qc(f, k, fuel):
         ball = _next_ball(j, place)
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
-                                "current interval", best=j, fuel=fuel)
+                                "current interval", best=j)
         j = ball
     return j.midpoint
 
@@ -610,14 +617,14 @@ def plain_rm_code(o_rep, fuel):
     """`rm_code_from_r2_baire1` read off the set's intervals alone: over the
     same interval stream, the interval [p, q] itself where it lies inside
     one open interval of the set, else the seed ball (the first rational of
-    the set, with the largest 2^-m within its radius).  It never reads the
-    indicator."""
-    if not o_rep.intervals:
+    the set, with the largest 2^-m within its radius); the empty code when
+    no interval meets (0, 1).  It never reads the indicator."""
+    if not any(a < 1 and 0 < b for a, b in o_rep.intervals):
         return RMCode((), prefix_of_infinite=False)
     x0 = next((x for x in itertools.islice(unit_rationals(), 1 << 12) if o_rep.contains(x)),
               None)
     if x0 is None:
-        raise FuelExhausted("no rational seed point found in the set", fuel=fuel)
+        raise FuelExhausted("no rational seed point found in the set")
     m = 0
     while F(1, 1 << m) > o_rep.radius(x0):
         m += 1

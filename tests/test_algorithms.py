@@ -8,7 +8,7 @@ import pytest
 
 from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, DyadicInterval,
                    ExistsValueAbove, FinitePointSet, Found, FuelExhausted, Indicator,
-                   InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
+                   InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep, RMCode,
                    RepresentationInsufficient, Truth, UnsupportedVariant, algorithms, ball,
                    build_cover_psi, constant, cousin_subcover, finite_set, fn_difference, fn_sum,
                    indicator_baire1, inf_usco, is_continuous_at, linear, lsco_modulus_on_cf,
@@ -536,6 +536,18 @@ def test_rm_code_seed_radius_matches_its_loop():
     assert exact_powers >= 2
 
 
+def test_rm_code_checks_the_indicator_off_the_set_and_codes_a_set_off_the_unit_empty():
+    """The indicator of (0, 1) does not match (1/4, 3/4), though both sets
+    are nonempty; a set whose one interval misses (0, 1) is empty on [0,1]
+    and gets the empty code, not a search for a seed point."""
+    o = R2Rep.from_intervals([(F(1, 4), F(3, 4))])
+    wide = indicator_baire1(R2Rep.from_intervals([(F(0), F(1))]))
+    with pytest.raises(ValueError, match="representation mismatch"):
+        rm_code_from_r2_baire1(o, wide, 64)
+    off = R2Rep(((F(-1, 2), F(0)),))
+    assert rm_code_from_r2_baire1(off, indicator_baire1(off), 64) == RMCode((), False)
+
+
 def test_rm_code_needs_modulus():
     o = R2Rep.from_intervals([(F(1, 4), F(3, 4))])
     bare = Baire1Limit(lambda n: indicator_baire1(o).term(0))
@@ -561,8 +573,9 @@ def test_rm_code_refuses_what_its_indicator_contradicts_or_cannot_range():
 def test_rm_code_reads_one_range_per_interval():
     """Probing a depth-8 grid, the set's ends and the special points made
     1,480 indicator evaluations on (1/4, 3/4) at fuel 64; each interval is
-    now one exact range read, and the empty set one over [0,1]."""
-    for o, fuel, ranges in [(R2Rep.from_intervals([(F(1, 4), F(3, 4))]), 64, 64),
+    now one exact range read, as is each of the complement's components
+    [0, 1/4] and [3/4, 1], and the empty set's one component [0, 1]."""
+    for o, fuel, ranges in [(R2Rep.from_intervals([(F(1, 4), F(3, 4))]), 64, 66),
                             (R2Rep(()), 64, 1)]:
         ind, reads = indicator_baire1(o), {"range_on": 0, "eval": 0}
         for name in reads:

@@ -96,7 +96,7 @@ def poly_grid(f, entry, rng):
 def poly_fast(f, i, cs, *pts):
     poly = f.pieces[i]
     if not pts:
-        return poly.coeffs(), poly == Poly(*cs), poly.is_constant, poly.vertex()
+        return poly.coeffs(), poly == Poly(*cs), poly.is_constant, poly._vertex
     return poly(*pts) if len(pts) == 1 else poly.range_on(*pts)
 
 
@@ -500,6 +500,7 @@ def test_rm_code_answers_as_the_set_reads(deadline):
         o = random_open_set(rng)
         shown["touching"] += any(b == a for (_, b), (a, _) in zip(o.intervals, o.intervals[1:]))
         shown["outside"] += any(a < 0 or b > 1 for a, b in o.intervals)
+        shown["misses"] += all(b <= 0 or a >= 1 for a, b in o.intervals) and o.intervals != ()
         for fuel in (0, 16, 64):
             got = ref.outcome(lambda: rm_code_from_r2_baire1(o, indicator_baire1(o), fuel))
             want = ref.outcome(lambda: ref.plain_rm_code(o, fuel))
@@ -509,5 +510,5 @@ def test_rm_code_answers_as_the_set_reads(deadline):
             else:  # the empty code, the seed alone, or intervals besides it
                 kind = ("empty", "seed", "many")[min(len(set(got.prefix)), 2)]
             shown[kind] += 1
-    assert all(shown[kind] for kind in ("touching", "outside", "empty", "seed", "many",
-                                        "FuelExhausted")), shown
+    assert all(shown[kind] for kind in ("touching", "outside", "misses", "empty", "seed",
+                                        "many")), shown

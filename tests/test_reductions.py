@@ -526,33 +526,32 @@ def test_extraction_refuses_a_spike_past_a_finite_seed_set():
 
 
 def test_sup_oracle_answers_unit_dyadics_and_zero_without_a_fraction():
-    """A spike value 2^-(n+1) comes from the shared table and 0 is one
+    """A spike value 2^-(n+1) comes from the shared cache and 0 is one
     shared constant, on a wide interval and at a single point."""
     oracle = exhaustive_sup_oracle()
     f = Penny(A)
     queries = [(f, F(0), F(1)), (Penny(A, start=5), F(0), F(1)), (f, F(0), F(1, 4)),
                (f, F(3, 4), F(1)), (f, F(1, 3), F(1, 3)), (Penny(RATIONAL_SEEDS), F(0), F(1))]
-    answers = [oracle(*q) for q in queries]  # grows the table to every index asked
+    answers = [oracle(*q) for q in queries]  # caches every index asked
     assert answers[:4] == [F(1, 2), F(1, 64), F(1, 8), 0] and answers[4] == 0
     assert fraction_news(lambda: [oracle(*q) for q in queries]) == 0
     assert [oracle(*q) for q in queries] == answers
 
 
-def test_unit_dyadic_table_holds_the_spike_values_and_grows_only_as_asked(monkeypatch):
-    # an empty table for this test: other tests grow the shared one
-    monkeypatch.setattr(universe, "_UNIT_FRACTIONS", [])
-    monkeypatch.setattr(universe, "_UNIT_BRACKETS", [])
-    universe.unit_dyadic_bracket(9)
-    assert len(universe._UNIT_FRACTIONS) == len(universe._UNIT_BRACKETS) == 10
+def test_unit_dyadic_table_holds_the_spike_values_and_grows_only_as_asked():
+    fractions, brackets = universe.unit_dyadic, universe.unit_dyadic_bracket
+    assert fractions.cache_info().maxsize == brackets.cache_info().maxsize == 1024
+    # empty caches for this test: other tests fill the shared ones
+    fractions.cache_clear()
+    brackets.cache_clear()
+    brackets(9)
+    assert (fractions.cache_info().currsize, brackets.cache_info().currsize) == (0, 1)
     for n in range(201):
-        assert universe.unit_dyadic(n) == F(1, 2 << n) == Penny.spike_value(n)
-        assert universe.unit_dyadic_bracket(n) == Bracket.of_ints(1, 1, 2 << n)
-    assert len(universe._UNIT_FRACTIONS) == len(universe._UNIT_BRACKETS) == 201
-    # the table holds one object per value, shared by every reader
-    assert universe.unit_dyadic(7) is universe.unit_dyadic(7) is Penny.spike_value(7)
-    assert Penny(A).range_on(DyadicInterval(F(0), F(1)), 8)[1] is universe.unit_dyadic_bracket(0)
-    # past the cap a value is built afresh and the table stays as it is
-    cap = universe._UNIT_DYADIC_CAP
-    assert universe.unit_dyadic(cap) == F(1, 2 << cap)
-    assert universe.unit_dyadic_bracket(cap) == Bracket.of_ints(1, 1, 2 << cap)
-    assert len(universe._UNIT_FRACTIONS) == 201
+        assert fractions(n) == F(1, 2 << n) == Penny.spike_value(n)
+        assert brackets(n) == Bracket.of_ints(1, 1, 2 << n)
+    assert fractions.cache_info().currsize == brackets.cache_info().currsize == 201
+    # the cache holds one object per value, shared by every reader
+    assert fractions(7) is fractions(7) is Penny.spike_value(7)
+    assert Penny(A).range_on(DyadicInterval(F(0), F(1)), 8)[1] is brackets(0)
+    assert fractions(1024) == F(1, 2 << 1024)
+    assert brackets(1024) == Bracket.of_ints(1, 1, 2 << 1024)

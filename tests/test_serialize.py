@@ -39,6 +39,18 @@ def test_set_roundtrip():
     assert C.size == 2 and C.member(0) == B.member(0) and C.member(1) == B.member(1)
 
 
+def test_a_finite_set_named_as_the_generator_round_trips_by_its_points():
+    """A set is written by what it holds, not by its `name`: a one-point
+    set named "sqrt2-halving" once loaded back as the sqrt2 family, so its
+    Penny read 0 at 1/2 where it had read 1/2."""
+    f = Penny(finite_set([F(1, 2)], name="sqrt2-halving"))
+    doc = fn_json(f)
+    assert doc["set"] == {"generator": "finite", "points": ["1/2"]}
+    g = fn_from_json(doc)
+    assert g.eval(F(1, 2)) == f.eval(F(1, 2)) == Q2.of(F(1, 2))
+    assert fn_json(g) == doc
+
+
 def test_finite_set_document_without_surjective():
     B = finite_set([Q2(F(1, 4), F(1, 32)), F(3, 4)])
     doc = set_json(B)

@@ -965,6 +965,16 @@ def test_unit_interval_checks_read_the_integers_as_the_q2_order():
         True, True, False]
 
 
+@pytest.mark.parametrize("c", [F(70, 99), F(239, 338), F(1393, 1970), F(8119, 11482)])
+def test_r2_radius_is_positive_beside_an_end_close_to_an_irrational_member(c):
+    """sqrt2/2 lies just above each of these convergents; the radius of
+    (c, 1) there is a positive rational no larger than the gap to c, where
+    a coarse bracket of the gap once gave a negative radius."""
+    x = S2(0)
+    r = R2Rep.from_intervals([(c, F(1))]).radius(x)
+    assert 0 < r <= x - c
+
+
 def test_indicator_variants():
     c = ComplementOfR2Open(R2Rep.from_intervals([(F(-1, 8), F(3, 4))]))
     ind = Indicator(c)
