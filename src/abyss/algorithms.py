@@ -24,7 +24,7 @@ from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import ComplementOfR2Open, R2Rep, RMCode
-from .universe import LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact
+from .universe import LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact, query_scope
 
 if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
     from .limits import Baire1Limit, Indicator
@@ -55,17 +55,18 @@ def _halve_values(lo: Fraction, hi: Fraction, k: int,
     tie-break).  The ends are ln/d and un/d, and each step doubles d."""
     (ln, d), (un, e) = _ratio(lo), _ratio(hi)
     ln, un, d = ln * e, un * d, d * e
-    while (un - ln) << k > d:
-        mid = ln + un
-        answer = decide(Fraction(mid, 2 * d))
-        if answer is Truth.UNKNOWN:
-            raise FuelExhausted("value search undecided below the target width",
-                                best=DyadicInterval.of_ints(ln, un, d))
-        if answer is keep_upper_on:
-            ln, un = mid, 2 * un
-        else:
-            ln, un = 2 * ln, mid
-        d *= 2
+    with query_scope():
+        while (un - ln) << k > d:
+            mid = ln + un
+            answer = decide(Fraction(mid, 2 * d))
+            if answer is Truth.UNKNOWN:
+                raise FuelExhausted("value search undecided below the target width",
+                                    best=DyadicInterval.of_ints(ln, un, d))
+            if answer is keep_upper_on:
+                ln, un = mid, 2 * un
+            else:
+                ln, un = 2 * ln, mid
+            d *= 2
     return DyadicInterval.of_ints(ln, un, d)
 
 

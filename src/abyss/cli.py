@@ -355,7 +355,7 @@ def build_parser(argv) -> _Parser:
     return p
 
 
-def _run(args) -> dict:
+def _run(args: argparse.Namespace) -> dict:
     _, arguments, handler = SUBCOMMANDS[args.command]
     # fuel is read first and only where it is taken, so a bad ABYSS_FUEL
     # cannot stop selftest, demo-abyss or separator

@@ -98,9 +98,6 @@ class Baire1Limit(SymbolicFn):
         self.conv_modulus = conv_modulus
         self.stabilizer = stabilizer
         self._term_cache: dict[int, SymbolicFn] = {}
-        # (interval integers, probe state) of the last interval a
-        # `Baire1Above` search asked; built and read by the oracle
-        self._probe_memo = None
 
     def term(self, n: int) -> SymbolicFn:
         got = self._term_cache.get(n)

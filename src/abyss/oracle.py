@@ -28,7 +28,7 @@ from .exact import (DEFAULT_FUEL, Bracket, DyadicInterval, FueledBool, Truth, _r
                     _rational, grid_depth_cap)
 from .records import record
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS,
-                       USCO, SymbolicFn, _unit_point, probe_points)
+                       USCO, SymbolicFn, _unit_point, probe_points, query_state)
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .limits import Baire1Limit
@@ -410,9 +410,9 @@ def _mu_exists(q, trace):
         raise FuelExhausted("threshold query undecided on this family")
     # find the least probe depth at which a witness appears; past the cap
     # every depth probes the same basis
-    state = _ProbeState(q.interval)
+    state = _probe_state(q.f, q.interval)
     for d in range(min(q.fuel, state.cap) + 1):
-        size = state.basis_size(q.f, d)
+        size = state.basis_size(d)
         if trace is not None:
             trace.record(shape, d, size, "scan")
         for p in state.added[d]:
@@ -438,8 +438,8 @@ def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
 
 
 class _ProbeState:
-    """The one walk over probe depths on an interval: what the witness
-    searches have learned there, so that no depth's basis is built twice.
+    """The one walk over a function's probe depths on an interval: what the
+    witness searches have learned there, so no depth's basis is built twice.
     Per probe depth, built when a search first reaches it: the full basis
     size (for the trace) and the points that depth adds to the shallower
     bases, in basis order, each point keyed by its integers (p, q, d), since
@@ -447,11 +447,11 @@ class _ProbeState:
     `Baire1Above` searches on a limit with a stabilizer, also how many of
     those points have been evaluated and the largest exact value among
     them.  A depth past the grid cap probes the cap's basis again and adds
-    nothing.  The function is passed to each call, not held, so the state
-    kept on a limit makes no reference cycle."""
+    nothing.  The state lives in the query scope, one per (function,
+    interval), which the thresholds of one halving share (`_probe_state`)."""
 
-    def __init__(self, iv: DyadicInterval):
-        self.iv = iv
+    def __init__(self, f: SymbolicFn, iv: DyadicInterval):
+        self.f, self.iv = f, iv
         self.cap = grid_depth_cap(iv)
         self.sizes: list[int] = []
         self.added: list[list] = []
@@ -459,10 +459,10 @@ class _ProbeState:
         self.tops: list = []  # None until a point of the depth is evaluated
         self._seen: set = set()
 
-    def basis_size(self, f: SymbolicFn, d: int) -> int:
+    def basis_size(self, d: int) -> int:
         """The full basis size at depth d, building the depths up to it."""
         while len(self.sizes) <= min(d, self.cap):
-            pts = basis_at(f, self.iv, len(self.sizes))
+            pts = basis_at(self.f, self.iv, len(self.sizes))
             self.sizes.append(len(pts))
             keys = [(p.p, p.q, p.d) for p in pts]
             self.added.append([p for p, key in zip(pts, keys) if key not in self._seen])
@@ -471,13 +471,13 @@ class _ProbeState:
             self.tops.append(None)
         return self.sizes[min(d, self.cap)]
 
-    def exceeds(self, f: Baire1Limit, d: int, y: Fraction, fuel: int) -> bool:
+    def exceeds(self, d: int, y: Fraction, fuel: int) -> bool:
         """Whether a point that depth d (already built) adds has a limit
         value above y, the points read in basis order as a fresh scan reads
-        them."""
+        them; the function is a `Baire1Limit`."""
         if d > self.cap:
             return False
-        pts = self.added[d]
+        f, pts = self.f, self.added[d]
         if f.stabilizer is None:
             return any(_baire1_value_above(f, p, y, fuel) for p in pts)
         top = self.tops[d]
@@ -493,13 +493,12 @@ class _ProbeState:
         return False
 
 
-def _probe_state(f: Baire1Limit, iv: DyadicInterval) -> _ProbeState:
-    """f's probe state on iv, kept on f for the last interval asked."""
-    key = (iv.ln, iv.un, iv.d)
-    memo = f._probe_memo
-    if memo is None or memo[0] != key:
-        memo = f._probe_memo = key, _ProbeState(iv)
-    return memo[1]
+def _probe_state(f: SymbolicFn, iv: DyadicInterval) -> _ProbeState:
+    """f's probe state on iv in the query scope, built on first use."""
+    scope, key = query_state(), ("probe", f, iv.ln, iv.un, iv.d)
+    if key not in scope:
+        scope[key] = _ProbeState(f, iv)
+    return scope[key]
 
 
 def _mu_baire1_above(q: Baire1Above, trace):
@@ -514,10 +513,10 @@ def _mu_baire1_above(q: Baire1Above, trace):
     last = f.witness_depth(y)
     state = _probe_state(f, q.interval)
     for d in range(q.fuel + 1):
-        size = state.basis_size(f, d)
+        size = state.basis_size(d)
         if trace is not None:
             trace.record("Baire1Above", d, size, "scan")
-        if state.exceeds(f, d, y, q.fuel):
+        if state.exceeds(d, y, q.fuel):
             return Found(MuWitness(d))
         if d >= (state.cap if last is None else last):
             break

@@ -13,7 +13,7 @@ from operator import attrgetter
 _set = object.__setattr__
 
 
-def record(cls):
+def record(cls: type):
     """Class decorator: the class's own annotated names, in order, become its
     fields; a class attribute of the same name is that field's default, and
     fields with defaults come last.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -50,6 +51,26 @@ CERT_OSC = "oscillation-collapses-to-rationals"
 
 _ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
 _Q0, _Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
+
+# The open query scope: what the questions of one computation learn about
+# the functions they ask, keyed by (kind, function, interval integers).
+_SCOPE: ContextVar[Optional[dict]] = ContextVar("query_scope", default=None)
+
+
+def query_state() -> dict:
+    """The open scope's dict; outside any scope, a fresh one nothing keeps."""
+    scope = _SCOPE.get()
+    return {} if scope is None else scope
+
+
+class query_scope:
+    """`with query_scope():` opens a scope, or joins the one already open."""
+
+    def __enter__(self):
+        self._token = _SCOPE.set(query_state())
+
+    def __exit__(self, *exc):
+        _SCOPE.reset(self._token)
 
 
 # The unit dyadics 2^-(n+1), the spike values, as `Fraction` and as exact
@@ -181,9 +202,6 @@ class SymbolicFn:
     """Base of the closed variant type; subclasses are the function families."""
 
     kind = "abstract"
-    # (interval integers, inf bracket, sup bracket) of the last `range_on`
-    # a threshold question read; see `_witness_via_range`
-    _range_memo = None
 
     def __init__(self, tags, certificates=()):
         bad = set(tags) - ALL_TAGS
@@ -317,19 +335,19 @@ class SymbolicFn:
 
     def _witness_via_range(self, iv, y, above):
         """Decide from the range bracket the side needs (the sup above, the
-        inf below).  The last interval's brackets are kept, so the thresholds
-        of one halving run call `range_on` once when that bracket is exact;
-        an inexact one is asked again at each threshold's precision."""
+        inf below).  The query scope keeps the brackets read, so the
+        thresholds of one halving run call `range_on` once when that bracket
+        is exact; an inexact one is asked again at each threshold's precision."""
         yn, yd = y.as_integer_ratio()
         prec = max(8, yd.bit_length() + 4)
-        key = (iv.ln, iv.un, iv.d)
+        scope, key = query_state(), ("range", self, iv.ln, iv.un, iv.d)
         # retry finer once: a quadratic-irrational extremum sits at distance
         # at least ~1/denominator(y)^2 from y, so doubling the bits decides
         for attempt in range(2):
-            memo = self._range_memo
-            if memo is None or memo[0] != key or not memo[2 if above else 1].exact:
-                memo = self._range_memo = key, *self.range_on(iv, prec)
-            _, inf_b, sup_b = memo
+            brackets = scope.get(key)
+            if brackets is None or not brackets[1 if above else 0].exact:
+                brackets = scope[key] = self.range_on(iv, prec)
+            inf_b, sup_b = brackets
             target = sup_b if above else inf_b
             # the signs of lo - y and hi - y, on the integers
             lo = target.ln * yd - yn * target.d

@@ -3,9 +3,11 @@
 An entry is plain data: an abyss/1 function document ("fn"), the row groups
 of `test_differential.py` that read it ("groups"), and for some groups the
 arguments their rows ask of it, under the group's name.  `make(name)` builds
-a fresh instance through `serialize.fn_from_json` at every use, so its memos
-(`_range_memo`, `_probe_memo`) start cold.  A test double with no document
-kind is a named builder ("wrap", `WRAPS`) around the document's function."""
+a fresh instance through `serialize.fn_from_json` at every use.  No instance
+keeps query state (what a halving learns lives in its query scope), so a
+fresh instance and a shared one answer alike; a fresh one keeps the methods
+a test patches on it to that test.  A test double with no document kind is
+a named builder ("wrap", `WRAPS`) around the document's function."""
 
 from __future__ import annotations
 

@@ -13,10 +13,23 @@ from pathlib import Path
 
 import pytest
 
+from abyss import universe
+
 # the CLI and demo subprocesses find the package where pytest's `pythonpath`
 # setting finds it, so the suite runs in a checkout without an install
 SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture(autouse=True)
+def no_open_query_scope():
+    """No query scope is open before or after a test, so a scope left open
+    fails the test that left it (and is closed for the tests after it)."""
+    assert universe._SCOPE.get() is None, "a query scope is open before the test"
+    yield
+    if universe._SCOPE.get() is not None:
+        universe._SCOPE.set(None)
+        pytest.fail("the test left a query scope open")
 
 
 @pytest.fixture

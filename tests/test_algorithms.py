@@ -19,7 +19,7 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    universe, usco_separator)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
-from abyss.universe import CLIQUISH, QUASI_CONTINUOUS
+from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, query_scope, query_state
 
 from catalogue import ENTRIES, make
 from conftest import calls_to, fraction_news
@@ -624,14 +624,20 @@ def test_point_of_continuity_qc_gives_up_before_any_ball_once_none_fits(deadline
                     algorithms.__file__, "_next_ball") == 0
 
 
+def probe_states(scope):
+    """The probe states in a query scope's dict, by (function, ln, un, d)."""
+    return {key[1:]: state for key, state in scope.items() if key[0] == "probe"}
+
+
 def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
     """Rebuilding the basis for every threshold made 27, 55 and 34
     `probe_points` calls for the first three runs, and every threshold of
     `sup_qc` called `_range_on`: 21 at k = 20.  A halving keeps one probe
-    state per limit and interval, which a second run reads; a threshold on
-    a spike value of a limit with no stabilizer is undecided.  An inexact
-    bracket asks `range_on` as often as the fresh halving, and the kept
-    bracket is what the `sup-qc` and `inf-usco` rows check."""
+    state per limit and interval in its query scope, which a second run in
+    the same scope reads; a threshold on a spike value of a limit with no
+    stabilizer is undecided.  An inexact bracket asks `range_on` as often
+    as the fresh halving, and the kept bracket is what the `sup-qc` and
+    `inf-usco` rows check."""
     deadline(20)
     for p, q in ((0, 1), (0, F(1, 4)), (F(3, 4), 1), (F(1, 32), F(1, 8))):
         def run():
@@ -640,14 +646,19 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
         iv = DyadicInterval(p, q)
         assert calls_to(run, universe.__file__, "probe_points") <= grid_depth_cap(iv) + 1, (p, q)
         # each point is evaluated once (one point check per evaluation), and
-        # a second run on the same limit and interval evaluates nothing
+        # a second run on the same limit and interval in the same scope
+        # evaluates nothing
         f = pennyk_limit(sqrt2_family())
-        evaluations = calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, "_unit_point")
-        points = {(x.p, x.q, x.d) for d in range(len(f._probe_memo[1].sizes))
-                  for x in basis_at(f, iv, d)}
-        assert evaluations <= len(points), (p, q)
-        for name in ("probe_points", "_unit_point"):
-            assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
+        with query_scope():
+            evaluations = calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__,
+                                   "_unit_point")
+            states = probe_states(query_state())
+            assert list(states) == [(f, iv.ln, iv.un, iv.d)], (p, q)
+            points = {(x.p, x.q, x.d) for d in range(len(states[f, iv.ln, iv.un, iv.d].sizes))
+                      for x in basis_at(f, iv, d)}
+            assert evaluations <= len(points), (p, q)
+            for name in ("probe_points", "_unit_point"):
+                assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
     for k in (4, 10, 20):
         assert calls_to(lambda: sup_qc(make("four-piece"), 0, 1, k),
                         piecewise.__file__, "_range_on") <= 2
@@ -659,11 +670,13 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
         for (p, q), *_ in ENTRIES[name]["halving"]:
             iv = DyadicInterval(p, q)
             lo, hi = f.range_bound()
-            run = halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search)
-            assert f._probe_memo[0] == (iv.ln, iv.un, iv.d), (name, iv)
-            state = f._probe_memo[1]
-            assert halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search) == run
-            assert f._probe_memo[1] is state
+            with query_scope():
+                run = halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search)
+                states = probe_states(query_state())
+                assert list(states) == [(f, iv.ln, iv.un, iv.d)], (name, iv)
+                assert halving(f, iv, lo, hi, 12, DEFAULT_FUEL, mu_search) == run
+                # the second run read the first run's state: the same object
+                assert probe_states(query_state()) == states
             assert outcome(lambda: sup_baire1(f, p, q, 12)) == run[1]
     steps, (tag, _) = halving(make("generic-limit(4 seeds)"), DyadicInterval(0, 1), F(0), F(1),
                               4, 8, mu_search)
@@ -676,3 +689,71 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
     for name, entry in ENTRIES.items():
         if {"sup-qc", "inf-usco"} & set(entry["groups"]):
             assert type(make(name))._witness_via_range is universe.SymbolicFn._witness_via_range
+
+
+def test_a_halving_shares_one_query_scope_and_closes_it():
+    """`_halve_values` opens the query scope its thresholds share, and no
+    scope is open once `sup_qc`, `inf_usco` or `sup_baire1` returns, or
+    once a halving has given up."""
+    scopes = []
+
+    def watch(search):
+        def decide(query, trace):
+            scopes.append(universe._SCOPE.get())
+            return search(query, trace)
+        return decide
+
+    for run in (lambda: sup_qc(make("four-piece"), 0, 1, 10),
+                lambda: inf_usco(make("four-piece"), F(1, 8), 1, 10),
+                lambda: sup_baire1(pennyk_limit(sqrt2_family()), 0, 1, 10)):
+        run()
+        assert universe._SCOPE.get() is None
+    _, (tag, _) = halving(make("generic-limit(4 seeds)"), DyadicInterval(0, 1), F(0), F(1),
+                          4, 8, watch(mu_search))
+    assert tag == "FuelExhausted" and scopes[0] is not None and universe._SCOPE.get() is None
+    scopes.clear()
+    steps, _ = halving(make("pennyk-limit(sqrt2)"), DyadicInterval(0, 1), F(0), F(1), 10,
+                       DEFAULT_FUEL, watch(mu_search))
+    assert len(steps) == 10 and scopes[0] is not None
+    assert all(scope is scopes[0] for scope in scopes)
+    assert universe._SCOPE.get() is None
+
+
+def test_a_shared_function_answers_as_fresh_instances_do(deadline):
+    """Functions are values: one instance asked by halvings on different
+    intervals, one after another or in one outer query scope, gives the
+    answers fresh instances give."""
+    deadline(20)
+    runs = [("four-piece", lambda f, p, q: sup_qc(f, p, q, 12)),
+            ("four-piece", lambda f, p, q: inf_usco(f, p, q, 12)),
+            ("irrational-cut-staircase", lambda f, p, q: sup_qc(f, p, q, 12)),
+            ("pennyk-limit(sqrt2)", lambda f, p, q: sup_baire1(f, p, q, 12)),
+            ("constant-seq-limit(four-piece)", lambda f, p, q: sup_baire1(f, p, q, 12))]
+    ivs = [(0, 1), (F(1, 8), F(1, 2)), (0, 1), (F(3, 4), 1), (F(1, 8), F(1, 2))]
+    for name, run in runs:
+        fresh = [run(make(name), p, q) for p, q in ivs]
+        f = make(name)
+        assert [run(f, p, q) for p, q in ivs] == fresh, name
+        f = make(name)
+        with query_scope():
+            assert [run(f, p, q) for p, q in ivs] == fresh, name
+
+
+def test_a_halving_in_an_outer_scope_joins_it():
+    """Two halvings on one (f, iv) inside one `query_scope()` read its range
+    once when the bracket is exact, and share one probe state; outside a
+    scope each run reads afresh."""
+    f = make("four-piece")
+
+    def twice():
+        return sup_qc(f, 0, 1, 10), sup_qc(f, 0, 1, 20)
+
+    assert calls_to(twice, piecewise.__file__, "_range_on") == 2
+    with query_scope():
+        assert calls_to(twice, piecewise.__file__, "_range_on") == 1
+    f = pennyk_limit(sqrt2_family())
+    with query_scope():
+        once = calls_to(lambda: sup_baire1(f, 0, 1, 10), universe.__file__, "probe_points")
+        assert once > 0
+        assert calls_to(lambda: sup_baire1(f, 0, 1, 12), universe.__file__, "probe_points") == 0
+    assert calls_to(lambda: sup_baire1(f, 0, 1, 10), universe.__file__, "probe_points") == once

@@ -1198,6 +1198,85 @@ def test_documents_live_in_serialize_alone():
                 assert node.name != "to_jsonable", (mod.__name__, node.lineno)
 
 
+def state_stores(package: Path) -> list[str]:
+    """The attribute stores in the package's modules, outside a family
+    class's `__init__`, on an object that may be a family object, as
+    "file:line in function".  A store is written `x.a = ...` (or
+    `setattr(x, ...)`, `object.__setattr__(x, ...)`), and it is left out
+    only when x is provably not a family object: `self` in a class outside
+    the family tree, a local the same function made by `object.__new__`
+    of such a class, or a parameter annotated with types outside the tree.
+    Stores into a container an object holds (`self._term_cache[n] = t`)
+    are not attribute stores."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    bases = {node.name: [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def in_family(name):
+        return name == "SymbolicFn" or any(map(in_family, bases.get(name, ())))
+
+    def names_in(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval")
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+    def called(node):  # the callee's name, through the module's aliases
+        if not (isinstance(node, ast.Call) and node.args):
+            return None
+        name = ast.unparse(node.func)
+        return aliases.get(name, name)
+
+    def provably_outside(target, cls, fn):
+        if not isinstance(target, ast.Name):
+            return False
+        if target.id == "self":
+            return not (cls and in_family(cls)) or getattr(fn, "name", None) == "__init__"
+        for node in ast.walk(fn) if fn else ():
+            if (isinstance(node, ast.Assign) and called(node.value) == "object.__new__"
+                    and any(getattr(t, "id", None) == target.id for t in node.targets)):
+                made = node.value.args[0]
+                made = cls if getattr(made, "id", None) == "cls" else getattr(made, "id", None)
+                return made is not None and not in_family(made)
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs if fn else []
+        return any(a.arg == target.id and a.annotation is not None
+                   and not any(map(in_family, names_in(a.annotation))) for a in params)
+
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node
+        stored = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            stored = node.value
+        elif called(node) in ("setattr", "object.__setattr__"):
+            stored = node.args[0]
+        if stored is not None and not provably_outside(stored, cls, fn):
+            found.append("%s:%d in %s" % (name, node.lineno, fn.name if fn else "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    for name, tree in trees.items():
+        aliases = {t.id: ast.unparse(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) for t in node.targets
+                   if isinstance(t, ast.Name)}
+        visit(tree, None, None)
+    return found
+
+
+def test_no_family_object_keeps_query_state():
+    """Functions are values: an object of the universe is set up once, in
+    its class's `__init__`, and never written to again, so no answer
+    depends on what was asked of it before.  What the questions of one
+    computation learn lives in the query scope (`universe.query_scope`).
+    An object may still fill a cache of pure per-parameter values, such as
+    a limit's terms, since that is a container store."""
+    assert state_stores(Path(universe.__file__).parent) == []
+
+
 def test_spike_count_answers_witness_above_as_the_capped_loop():
     """`Penny.spikes_above` reads the spikes above y off y's integers, where
     a loop capped at index 4096 once counted them; the cap never binds at
