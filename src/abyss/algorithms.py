@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -24,7 +25,8 @@ from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import ComplementOfR2Open, R2Rep, RMCode
-from .universe import LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact, query_scope
+from .universe import (LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact, query_scope,
+                       threshold_precision)
 
 if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
     from .limits import Baire1Limit, Indicator
@@ -48,17 +50,18 @@ def _subinterval(p, q) -> DyadicInterval:
 
 
 def _halve_values(lo: Fraction, hi: Fraction, k: int,
-                  decide: Callable[[Fraction], Truth],
+                  decide: Callable[[int, int], Truth],
                   keep_upper_on: Truth = Truth.YES) -> DyadicInterval:
     """Shrink [lo, hi] around the target value: keep the upper half when
-    decide(mid) answers `keep_upper_on`, else the lower half (deterministic
-    tie-break).  The ends are ln/d and un/d, and each step doubles d."""
+    decide(n, m), asked about the midpoint n/m, answers `keep_upper_on`,
+    else the lower half (deterministic tie-break).  The ends are ln/d and
+    un/d, and each step doubles d."""
     (ln, d), (un, e) = _ratio(lo), _ratio(hi)
     ln, un, d = ln * e, un * d, d * e
     with query_scope():
         while (un - ln) << k > d:
             mid = ln + un
-            answer = decide(Fraction(mid, 2 * d))
+            answer = decide(mid, 2 * d)
             if answer is Truth.UNKNOWN:
                 raise FuelExhausted("value search undecided below the target width",
                                     best=DyadicInterval.of_ints(ln, un, d))
@@ -70,14 +73,32 @@ def _halve_values(lo: Fraction, hi: Fraction, k: int,
     return DyadicInterval.of_ints(ln, un, d)
 
 
+def _halve_extreme(f: SymbolicFn, iv: DyadicInterval, k: int, above: bool) -> DyadicInterval:
+    """The halving of `sup_qc` (above) and `inf_usco`: the side's bracket, read
+    at the first threshold, decides every midpoint on the integers when it
+    is exact, and leaves each threshold to the family's witness when not."""
+    lo, hi = f.range_bound()
+    side = None
+
+    def decide(n, m):
+        nonlocal side
+        if side is None:
+            side = f.scoped_bracket(iv, threshold_precision(m // gcd(n, m)), above)
+        if not side.exact:
+            return (f.witness_above if above else f.witness_below)(iv, Fraction(n, m))[0]
+        c = side.ln * m - n * side.d  # the sign of the extreme minus n/m
+        return Truth.YES if (c > 0 if above else c < 0) else Truth.NO
+
+    return _halve_values(lo, hi, k, decide, Truth.YES if above else Truth.NO)
+
+
 def sup_qc(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     """Width-2^-k interval containing sup f over [p,q]; admitted for functions
     whose class collapses 'exists a value above y' to rational points."""
     _check_precision(k)
     iv = _subinterval(p, q)
     require_rule("ExistsValueAbove", f, "sup_qc")
-    lo, hi = f.range_bound()
-    return _halve_values(lo, hi, k, lambda mid: f.witness_above(iv, mid)[0])
+    return _halve_extreme(f, iv, k, True)
 
 
 def inf_usco(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
@@ -87,9 +108,7 @@ def inf_usco(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     _check_precision(k)
     iv = _subinterval(p, q)
     require_rule("ExistsValueBelow", f, "inf_usco")
-    lo, hi = f.range_bound()
-    return _halve_values(lo, hi, k, lambda mid: f.witness_below(iv, mid)[0],
-                         keep_upper_on=Truth.NO)
+    return _halve_extreme(f, iv, k, False)
 
 
 def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
@@ -106,8 +125,8 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
                                          "convergence modulus")
     lo, hi = f_rep.range_bound()
 
-    def above(mid):
-        found = isinstance(mu_search(Baire1Above(f_rep, iv, mid, fuel)), Found)
+    def above(n, m):
+        found = isinstance(mu_search(Baire1Above(f_rep, iv, Fraction(n, m), fuel)), Found)
         return Truth.YES if found else Truth.NO
 
     return _halve_values(lo, hi, k, above)

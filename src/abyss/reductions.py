@@ -233,8 +233,8 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         sn, sd = _ratio(s)
         if not sn:
             break
-        idx = Penny.spikes_above(abs(s))
-        if f.spike_value(idx) != s:
+        idx = Penny.spikes_above(s) if sn > 0 else None
+        if idx is None or f.spike_value(idx) != s:
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
         if idx < f.start:
             raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))

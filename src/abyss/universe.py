@@ -73,6 +73,11 @@ class query_scope:
         _SCOPE.reset(self._token)
 
 
+def threshold_precision(den: int) -> int:
+    """The precision that first decides a threshold of reduced denominator den."""
+    return max(8, den.bit_length() + 4)
+
+
 # The unit dyadics 2^-(n+1), the spike values, as `Fraction` and as exact
 # `Bracket`: the last 1,024 asked for are shared objects.
 @lru_cache(maxsize=1024)
@@ -333,22 +338,26 @@ class SymbolicFn:
         """`witness_below` over a nondegenerate subinterval of [0,1]."""
         return self._witness_via_range(iv, y, above=False)
 
-    def _witness_via_range(self, iv, y, above):
-        """Decide from the range bracket the side needs (the sup above, the
-        inf below).  The query scope keeps the brackets read, so the
-        thresholds of one halving run call `range_on` once when that bracket
-        is exact; an inexact one is asked again at each threshold's precision."""
-        yn, yd = y.as_integer_ratio()
-        prec = max(8, yd.bit_length() + 4)
+    def scoped_bracket(self, iv: DyadicInterval, prec: int, above: bool) -> Bracket:
+        """The `range_on` bracket of one side over iv (the sup above, the inf
+        below), kept in the query scope under ("range", f, ln, un, d) with
+        the precision it was read at, and read again only when that side is
+        inexact and prec is finer: one halving reads an exact bracket once."""
         scope, key = query_state(), ("range", self, iv.ln, iv.un, iv.d)
+        kept = scope.get(key)
+        if kept is None or (prec > kept[0] and not kept[1][above].exact):
+            kept = scope[key] = prec, self.range_on(iv, prec)
+        return kept[1][above]
+
+    def _witness_via_range(self, iv, y, above):
+        """Decide from the side's `scoped_bracket`, read at y's precision and,
+        if that leaves y undecided, once more at about twice it."""
+        yn, yd = y.as_integer_ratio()
+        prec = threshold_precision(yd)
         # retry finer once: a quadratic-irrational extremum sits at distance
         # at least ~1/denominator(y)^2 from y, so doubling the bits decides
         for attempt in range(2):
-            brackets = scope.get(key)
-            if brackets is None or not brackets[1 if above else 0].exact:
-                brackets = scope[key] = self.range_on(iv, prec)
-            inf_b, sup_b = brackets
-            target = sup_b if above else inf_b
+            target = self.scoped_bracket(iv, prec, above)
             # the signs of lo - y and hi - y, on the integers
             lo = target.ln * yd - yn * target.d
             hi = target.un * yd - yn * target.d

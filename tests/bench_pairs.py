@@ -1,0 +1,114 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python3 tests/bench_pairs.py PARENT --workload positive-mix --seeds 301-310
+
+Exports PARENT (any git ref) with `git archive` into a temporary directory,
+then for each seed runs `perfbench/run.py --workload W --seed S --trace 0`
+once in that tree and once in the working tree, alternating which runs first
+(the parent in the first pair).  For each end-to-end metric of BENCHMARK.json it
+prints both sides' median and quartiles, and how many pairs the change won
+and tied.  A gain holds when the change wins at least 9 of every 10 pairs,
+ties counting for neither, and the medians differ by more than the parent's
+interquartile range; a metric whose change median is worse than the
+parent's by more than its bound is marked WORSE.
+
+Stdlib only; run by hand (pytest does not collect it).  Each run takes about
+`run_seconds` of BENCHMARK.json, so ten pairs take several minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seeds_of(text: str) -> list[int]:
+    """'301-310' or '5,7,9' as a list of seeds."""
+    if "-" in text:
+        a, b = map(int, text.split("-"))
+        return list(range(a, b + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def export(ref: str, into: Path) -> None:
+    data = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The end-to-end metrics of one untraced run in tree, by name."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit("run failed in %s (seed %d):\n%s" % (tree, seed, done.stderr))
+    last = json.loads(done.stdout.rstrip("\n").split("\n")[-1])
+    if not last["correct"]:
+        raise SystemExit("an answer was wrong in %s (seed %d)" % (tree, seed))
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return q1, q2, q3
+
+
+def summary(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
+    lines = ["%-13s %-28s %-28s %-9s %s" % ("metric", "parent median [q1-q3]",
+                                            "change median [q1-q3]", "won/tied", "verdict")]
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        old = [p[name] for p, _ in pairs]
+        new = [c[name] for _, c in pairs]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(old, new))
+        tied = sum(c == p for p, c in zip(old, new))
+        (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
+        gap = (om - nm) if lower else (nm - om)
+        verdict = "gain" if 10 * won >= 9 * len(pairs) and gap > o3 - o1 else "no gain"
+        if om and -gap / abs(om) > m["bound"]:
+            verdict = "WORSE (bound %g)" % m["bound"]
+        lines.append("%-13s %-28s %-28s %-9s %s" % (
+            name, "%.4g [%.4g-%.4g]" % (om, o1, o3), "%.4g [%.4g-%.4g]" % (nm, n1, n3),
+            "%d/%d" % (won, tied), verdict))
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="git ref of the parent commit")
+    ap.add_argument("--workload", default="positive-mix")
+    ap.add_argument("--seeds", default="301-310", help="'a-b' or a comma list")
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent = Path(tmp)
+        export(args.parent, parent)
+        for i, seed in enumerate(seeds_of(args.seeds)):
+            order = [(0, parent), (1, ROOT)] if i % 2 == 0 else [(1, ROOT), (0, parent)]
+            got = {}
+            for side, tree in order:
+                got[side] = run_once(tree, args.workload, seed)
+            pairs.append((got[0], got[1]))
+            print("seed %d (%s first): %s" % (
+                seed, "parent" if order[0][0] == 0 else "change",
+                " ".join("%s %.4g->%.4g" % (k, got[0][k], got[1][k]) for k in got[0])),
+                flush=True)
+    print("\n%s, %d pairs" % (args.workload, len(pairs)))
+    print("\n".join(summary(pairs, spec)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

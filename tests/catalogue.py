@@ -434,6 +434,17 @@ for _i in range(4):
 add("inf-usco", "1/3 + penny(3 seeds)",
     fn_sum(constant(F(1, 3)), Penny(finite_set([F(1, 3), F(5, 8), Q2(0, F(1, 3))]))))
 add("inf-usco", "indicator(1/4, sqrt2/2)", Indicator(FinitePointSet.of([F(1, 4), Q2(0, F(1, 2))])))
+# the families that decide their own thresholds, a combination of one, and
+# two limits: pennyk-limit's range read refuses with UnsupportedVariant
+add("sup-qc inf-usco", "thomae", thomae())
+add("sup-qc inf-usco", "-thomae", ScalarMultiple(-1, thomae()))
+for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(4 seeds)", Penny(_finite)),
+                  ("pennyk(sqrt2,3)", PennyK(A, 3)), ("tilde-penny(sqrt2)", TildePenny(A)),
+                  ("cover-psi-usco(sqrt2)", CoverPsiUsco(A)),
+                  ("pennyk-limit(sqrt2)", pennyk_limit(A))]:
+    add("inf-usco", _name, _f)
+add("sup-qc inf-usco", "constant-seq-limit(four-piece)", make("four-piece"),
+    wrap="constant-seq-limit")
 
 # two-part sums, each with the two intervals its row reads: [0,1] and one
 # drawn from the same stream

@@ -424,8 +424,27 @@ def fresh_halving(f, p, q, k, above):
     """`sup_qc` (above) or `inf_usco` with every threshold asked afresh."""
     iv = DyadicInterval(p, q)
     lo, hi = f.range_bound()
-    return _halve_values(lo, hi, k, lambda mid: fresh_range_witness(f, iv, mid, above),
+    return _halve_values(lo, hi, k, lambda n, m: fresh_range_witness(f, iv, F(n, m), above),
                          keep_upper_on=Truth.YES if above else Truth.NO)
+
+
+def plain_witness_halving(f, p, q, k, above):
+    """`sup_qc` (above) or `inf_usco` as a plain `Fraction` loop: every
+    threshold asked through the family's own witness, outside any scope."""
+    iv = DyadicInterval(p, q)
+    lo, hi = f.range_bound()
+    witness = f.witness_above if above else f.witness_below
+    while hi - lo > F(1, 1 << k):
+        mid = (lo + hi) / 2
+        answer = witness(iv, mid)[0]
+        if answer is Truth.UNKNOWN:
+            raise FuelExhausted("value search undecided below the target width",
+                                best=DyadicInterval(lo, hi))
+        if (answer is Truth.YES) == above:
+            lo = mid
+        else:
+            hi = mid
+    return DyadicInterval(lo, hi)
 
 
 def halving(f, iv, lo, hi, k, fuel, search):
@@ -434,7 +453,8 @@ def halving(f, iv, lo, hi, k, fuel, search):
     and the outcome."""
     steps = []
 
-    def decide(mid):
+    def decide(n, m):
+        mid = F(n, m)
         steps.append((mid, traced(search, Baire1Above(f, iv, mid, fuel))))
         answer = steps[-1][1][0]
         return {Found: Truth.YES, NotFoundBelow: Truth.NO}.get(type(answer), Truth.UNKNOWN)

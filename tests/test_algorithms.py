@@ -15,8 +15,8 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
                    natural_usco_modulus, osc_point, pennyk_limit, point_of_continuity_qc,
                    point_of_continuity_usco, rational_grid, restrict_tags, rm_code_from_r2_baire1,
-                   sqrt2_family, staircase, sup_baire1, sup_qc, thomae, piecewise, unit_rationals,
-                   universe, usco_separator)
+                   sqrt2_family, spikes, staircase, sup_baire1, sup_qc, thomae, piecewise,
+                   unit_rationals, universe, usco_separator)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, query_scope, query_state
@@ -635,9 +635,11 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
     `sup_qc` called `_range_on`: 21 at k = 20.  A halving keeps one probe
     state per limit and interval in its query scope, which a second run in
     the same scope reads; a threshold on a spike value of a limit with no
-    stabilizer is undecided.  An inexact bracket asks `range_on` as often
-    as the fresh halving, and the kept bracket is what the `sup-qc` and
-    `inf-usco` rows check."""
+    stabilizer is undecided.  An exact bracket, read once, decides every
+    midpoint with no threshold query (at k = 20 the four runs below made 19
+    or 20 `_witness` calls each, and their `Fraction`s grew with k); an
+    inexact one asks `range_on` as often as the fresh halving.  The `sup-qc`
+    and `inf-usco` rows check the answers."""
     deadline(20)
     for p, q in ((0, 1), (0, F(1, 4)), (F(3, 4), 1), (F(1, 32), F(1, 8))):
         def run():
@@ -659,11 +661,16 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
             assert evaluations <= len(points), (p, q)
             for name in ("probe_points", "_unit_point"):
                 assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
-    for k in (4, 10, 20):
-        assert calls_to(lambda: sup_qc(make("four-piece"), 0, 1, k),
-                        piecewise.__file__, "_range_on") <= 2
-        assert calls_to(lambda: inf_usco(make("four-piece"), F(1, 8), 1, k),
-                        piecewise.__file__, "_range_on") <= 2
+    for run, module in [(lambda k: sup_qc(make("four-piece"), 0, 1, k), piecewise),
+                        (lambda k: inf_usco(make("four-piece"), F(1, 8), 1, k), piecewise),
+                        (lambda k: sup_qc(thomae(), F(1, 4), F(3, 4), k), spikes),
+                        (lambda k: inf_usco(Penny(A), 0, 1, k), spikes)]:
+        for k in (4, 10, 20):
+            assert calls_to(lambda: run(k), universe.__file__, "_witness") == 0, k
+            assert calls_to(lambda: run(k), module.__file__, "_range_on") == 1, k
+        assert fraction_news(lambda: run(10)) == fraction_news(lambda: run(40))
+    assert calls_to(lambda: sup_qc(constant(F(1, 3)), 0, 1, 20), universe.__file__,
+                    "range_on") == 0
     for name in ("pennyk-limit(sqrt2)", "pennyk-limit(4 seeds)",
                  "constant-seq-limit(four-piece)", "constant-seq-limit(irrational-cut)"):
         f = make(name)

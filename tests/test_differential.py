@@ -203,6 +203,19 @@ def halving_args(f, entry, rng):
         [(0, 1), (F(1, 8), F(5, 8)), (F(5, 16), F(3, 4)), (F(1, 2), F(9, 16))], (0, 3, 10, 20))]
 
 
+def halving_sides(run, above):
+    """The two sides of a value-halving row: the halving's outcome, twice,
+    and the outcomes of its two references, the range read asked afresh at
+    every threshold and the family's own witness in a plain `Fraction` loop."""
+    def fast(f, p, q, k):
+        return (ref.outcome(lambda: run(f, p, q, k)),) * 2
+
+    def refs(f, p, q, k):
+        return tuple(ref.outcome(lambda: plain(f, p, q, k, above))
+                     for plain in (ref.fresh_halving, ref.plain_witness_halving))
+    return fast, refs
+
+
 def brackets_hold(f, got, want, iv, k, breaks):
     (inf_b, sup_b), (lo, hi) = got, want
     return inf_b.width <= F(1, 1 << k) >= sup_b.width and inf_b.contains(lo) \
@@ -359,7 +372,7 @@ LIARS = [lambda s=s: SupOracle(lambda f, iv: s)
 LIARS += [lambda: SupOracle(lambda f, iv, honest=exhaustive_sup_oracle(): honest(f, 0, 1))]
 LIARS += [lambda at=at, wrong=wrong: liar(at, wrong) for at in range(1, 30)
           for wrong in (lambda s: 2 * s, lambda s: s / 2, lambda s: F(0), lambda s: 1 - s,
-                        lambda s: s + F(1, 1024))]
+                        lambda s: s + F(1, 1024), lambda s: -s)]
 
 
 def liar_grid(f, entry, rng):
@@ -404,10 +417,10 @@ ROWS = [
         lambda f, entry, rng: [(Baire1Above(f, DyadicInterval(*iv), y, fuel),)
                                for iv, y, fuel in entry["baire1"]],
         budget=("one probe state", 20)),
-    Row("sup-qc", sup_qc, lambda f, p, q, k: ref.fresh_halving(f, p, q, k, True),
-        ("sup-qc",), halving_args, budget=("kept range bracket", 20), refusals=True),
-    Row("inf-usco", inf_usco, lambda f, p, q, k: ref.fresh_halving(f, p, q, k, False),
-        ("inf-usco",), halving_args, budget=("kept range bracket", 20), refusals=True),
+    Row("sup-qc", *halving_sides(sup_qc, True), ("sup-qc",), halving_args,
+        budget=("kept range bracket", 20)),
+    Row("inf-usco", *halving_sides(inf_usco, False), ("inf-usco",), halving_args,
+        budget=("kept range bracket", 20)),
     Row("sum-range", lambda f, iv, k, breaks: f.range_on(iv, k),
         lambda f, iv, k, breaks: ref.sum_reference(f, breaks, iv), ("sum",),
         lambda f, entry, rng: [(DyadicInterval(p, q), k, ref.breakpoints(entry["fn"]))
@@ -426,7 +439,8 @@ ROWS = [
         extracts_every_round),
     Row("lying-oracles", walk_side(0), walk_side(1), ("liars",), liar_grid, kinds=frozenset({
         "supremum grew on a subinterval", "supremum vanished on both halves",
-        "supremum 1 is not a spike value", "extracted interval misses the member it located"})),
+        "supremum 1 is not a spike value", "supremum -1/2 is not a spike value",
+        "extracted interval misses the member it located"})),
 ]
 
 CASES = [(row, name) for row in ROWS for name, entry in ENTRIES.items()
