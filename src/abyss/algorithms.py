@@ -26,7 +26,7 @@ from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      grid_depth_cap, mu_search, require_rule, require_tag)
 from .sets import ComplementOfR2Open, R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact, query_scope,
-                       threshold_precision)
+                       query_state, threshold_precision)
 
 if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
     from .limits import Baire1Limit, Indicator
@@ -286,21 +286,31 @@ def _next_ball(j: DyadicInterval,
 
 def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> Fraction:
     """A dyadic point whose oscillation is certified <= 2^-k, found by nested
-    rational balls drawn from the small-oscillation open sets."""
+    rational balls drawn from the small-oscillation open sets.
+
+    A stage's first ball lies inside the last granted ball, so it is granted
+    without a read when the bracket that granted that ball has its upper end
+    at most 2^-m - 2^-(m+7): the skipped read's upper end would lie at most
+    2^-(m+7) above the true oscillation, which that bracket bounds."""
     _check_precision(k)
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(Fraction(0), Fraction(1))
+    held = None  # the bracket read on the ball that holds j
     for m in range(k + 1):
         def gone(ball):  # oscillation above 2^-m on the smallest ball
             w = _osc_on(f, ball, m + 6)
             return w.ln << m > w.d
 
         def place(cn, cd):
+            nonlocal held
             n_size = least_exponent(*_room(j, cn, cd))
+            if held is not None and held.un << (m + 7) <= 127 * held.d and n_size <= fuel:
+                s = n_size + 1
+                return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
             for n, ball in _ball_walk(_reduced(cn, 0, cd), fuel, n_size, gone):
                 w = _osc_on(f, ball, m + 6)
                 if w.un << m <= w.d:  # oscillation <= 2^-m
-                    s = n + 1
+                    held, s = w, n + 1
                     return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
                 # a low end above 2^-m proves nothing about a smaller ball,
                 # whose oscillation may be less; the smallest ball's check
@@ -321,9 +331,18 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
 
 def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optional[int]:
     """Least n <= fuel whose clipped ball B(p, 2^-n) has its supremum,
-    bracketed to 2^-(k+6), strictly below cap; None if there is none."""
+    bracketed to 2^-(k+6), strictly below cap; None if there is none.  Each
+    ball's range is kept in the query scope under ("range", f, ln, un, d)
+    with its precision.  A kept bracket is used again when it was read at
+    this precision, or at a coarser one with its sup exact (a finer read
+    only tightens), so the answer is a fresh read's."""
+    scope, prec = query_state(), k + 6
     for n, ball in _ball_walk(p, fuel):
-        _, sup_b = f.range_on(ball, k + 6)
+        key = ("range", f, ball.ln, ball.un, ball.d)
+        kept = scope.get(key)
+        if kept is None or kept[0] != prec and not (kept[0] < prec and kept[1][1].exact):
+            kept = scope[key] = prec, f.range_on(ball, prec)
+        sup_b = kept[1][1]
         if _vs(cap, sup_b.un, sup_b.d) > 0:  # the bracket's upper end below cap
             return n
     return None
@@ -352,7 +371,9 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
 
     Thresholds run down the dyadic subfamily t_i = inf + (range+1) 2^-i,
     which is cofinal for the oscillation certificate.  A radius psi gives
-    that is not positive raises InvalidModulus.
+    that is not positive raises InvalidModulus.  One query scope spans the
+    stages, so a psi that reads ball suprema through `_least_ball_below`
+    (the natural usco modulus, G0) keeps them from stage to stage.
     """
     _check_precision(k)
     require_tag(f, USCO, "point_of_continuity_usco")
@@ -360,52 +381,53 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
     span = rh - rl + 1
     j = DyadicInterval(Fraction(0), Fraction(1))
     stage = 1
-    while True:
-        t = rl + span * Fraction(1, 1 << stage)
-        tq = Q2.of(t)
+    with query_scope():  # the ball suprema the radii read, kept across stages
+        while True:
+            t = rl + span * Fraction(1, 1 << stage)
+            tq = Q2.of(t)
 
-        def place(cn, cd):
-            p = _reduced(cn, 0, cd)
-            fc = f.eval(p)
-            if fc < tq:
-                gap = tq - fc
-                k0 = 0
-                while _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:  # 2^-k0 > gap
-                    k0 += 1
-                    if k0 > fuel:
+            def place(cn, cd):
+                p = _reduced(cn, 0, cd)
+                fc = f.eval(p)
+                if fc < tq:
+                    gap = tq - fc
+                    k0 = 0
+                    while _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:  # 2^-k0 > gap
+                        k0 += 1
+                        if k0 > fuel:
+                            return None
+                    c = Fraction(cn, cd)
+                    radius = psi(c, k0)
+                    if radius <= 0:
+                        raise InvalidModulus("usco modulus gave the radius %s at %s"
+                                             % (radius, c))
+                    rn, rd = _ratio(radius)
+                else:
+                    res = mu_search(ValueBelowOnBall(f, p, t, min(fuel, 24)))
+                    if not isinstance(res, Found):
                         return None
-                c = Fraction(cn, cd)
-                radius = psi(c, k0)
-                if radius <= 0:
-                    raise InvalidModulus("usco modulus gave the radius %s at %s"
-                                         % (radius, c))
-                rn, rd = _ratio(radius)
-            else:
-                res = mu_search(ValueBelowOnBall(f, p, t, min(fuel, 24)))
-                if not isinstance(res, Found):
-                    return None
-                rn, rd = 1, 1 << res.witness.value
-            # the half-width s = min(radius, width/4, c - lower, upper - c) / 2
-            sn, sd = _room(j, cn, cd)
-            if rn * sd < sn * rd:
-                sn, sd = rn, rd
-            sd *= 2
-            return DyadicInterval.of_ints(cn * sd - sn * cd, cn * sd + sn * cd, cd * sd)
+                    rn, rd = 1, 1 << res.witness.value
+                # the half-width s = min(radius, width/4, c - lower, upper - c) / 2
+                sn, sd = _room(j, cn, cd)
+                if rn * sd < sn * rd:
+                    sn, sd = rn, rd
+                sd *= 2
+                return DyadicInterval.of_ints(cn * sd - sn * cd, cn * sd + sn * cd, cd * sd)
 
-        ball = _next_ball(j, place)
-        if ball is None:
-            raise FuelExhausted("no threshold-set ball found inside the current "
-                                "interval", best=j)
-        j = ball
-        if span * Fraction(1, 1 << stage) <= Fraction(1, 1 << (k + 1)):
-            out = j.midpoint
-            cert = osc_exact(f, Q2.of(out), k + 1)
-            if cert.hi <= Fraction(1, 1 << k):
-                return out
-        stage += 1
-        if stage > fuel:
-            raise FuelExhausted("certificate did not close within fuel",
-                                best=j)
+            ball = _next_ball(j, place)
+            if ball is None:
+                raise FuelExhausted("no threshold-set ball found inside the current "
+                                    "interval", best=j)
+            j = ball
+            if span * Fraction(1, 1 << stage) <= Fraction(1, 1 << (k + 1)):
+                out = j.midpoint
+                cert = osc_exact(f, Q2.of(out), k + 1)
+                if cert.hi <= Fraction(1, 1 << k):
+                    return out
+            stage += 1
+            if stage > fuel:
+                raise FuelExhausted("certificate did not close within fuel",
+                                    best=j)
 
 
 def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:

@@ -32,7 +32,7 @@ from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
 from .spikes import Penny
-from .universe import SymbolicFn, unit_dyadic
+from .universe import SymbolicFn, query_scope, unit_dyadic
 from .variation import _limit_pair, _regulated_within, modulus_regulation
 
 _ZERO = Fraction(0)  # Fractions are immutable: one serves all
@@ -352,23 +352,24 @@ def realiser_from_regulation_modulus(modulus: Modulus,
     _spot_check_regulation(modulus, f)
     iv = _UNIT
     intervals = [iv]
-    for j in range(max(k + 2, fuel + 1)):
-        w, d = iv.un - iv.ln, iv.d  # the width is w/d
-        depth = max(2, least_exponent(w, 8 * d))
-        for gn in _interior_numerators(iv, depth):
-            g = _reduced(gn, 0, 1 << depth)
-            v = f.eval(g)
-            if not v.q and v.p << j < v.d:  # f(g) < 2^-j
-                m = modulus(g, j + 2)
-                # the ball around g of radius s/2 = hn/hd, where
-                # s = min(2^-(m+1), width/8)
-                hn, hd = (1, 1 << (m + 2)) if 8 * d <= w << (m + 1) else (w, 16 * d)
-                iv = DyadicInterval.of_ints(gn * hd - (hn << depth), gn * hd + (hn << depth),
-                                            hd << depth)
-                intervals.append(iv)
-                break
-        else:
-            raise InvalidModulus("no admissible centre found at level %d" % j)
+    with query_scope():  # a canonical modulus resumes from its last exponent
+        for j in range(max(k + 2, fuel + 1)):
+            w, d = iv.un - iv.ln, iv.d  # the width is w/d
+            depth = max(2, least_exponent(w, 8 * d))
+            for gn in _interior_numerators(iv, depth):
+                g = _reduced(gn, 0, 1 << depth)
+                v = f.eval(g)
+                if not v.q and v.p << j < v.d:  # f(g) < 2^-j
+                    m = modulus(g, j + 2)
+                    # the ball around g of radius s/2 = hn/hd, where
+                    # s = min(2^-(m+1), width/8)
+                    hn, hd = (1, 1 << (m + 2)) if 8 * d <= w << (m + 1) else (w, 16 * d)
+                    iv = DyadicInterval.of_ints(gn * hd - (hn << depth), gn * hd + (hn << depth),
+                                                hd << depth)
+                    intervals.append(iv)
+                    break
+            else:
+                raise InvalidModulus("no admissible centre found at level %d" % j)
     return _certified_limit(intervals, a_set, fuel, 2, k)
 
 

@@ -59,19 +59,27 @@ class CountableSet:
                         start: int = 0) -> Optional[tuple[int, Q2]]:
         """The first member inside iv with index in [start, limit), as
         (n, member), or None; a descending enumeration stops at the first
-        member below iv.  A cached member is read straight from the cache."""
+        member below iv.  A cached member is read straight from the cache,
+        and decided against iv's two ends on the integers in this loop."""
         hi = limit if self.size is None else min(limit, self.size)
-        ln, un, d = iv.ln, iv.un, iv.d
+        ln, d, w = iv.ln, iv.d, iv.un - iv.ln
         descend = self.values_descend
         cached = self._cache.get
         for n in range(start, hi):
             p = cached(n)
             if p is None:
                 p = self.member(n)
-            if _vs(p, ln, d) < 0:
+            # member - end = (a + b sqrt2)/(d p.d) with a = p.p d - end p.d;
+            # `exact._sign_int`'s squaring rule: when b != 0 its sign is a's
+            # if a^2 > 2 b^2, else b's (no tie)
+            e, b = p.d, p.q * d
+            a, bb = p.p * d - ln * e, 2 * b * b
+            if (a if a * a > bb else b) < 0:
                 if descend:
                     return None
-            elif _vs(p, un, d) <= 0:
+                continue
+            a -= w * e
+            if (a if a * a > bb else b) <= 0:
                 return n, p
         return None
 

@@ -18,7 +18,7 @@ from .errors import ClassRefusal, FuelExhausted
 from .exact import Bracket, DyadicInterval, Q2
 from .oracle import DEFAULT_FUEL, Modulus, require_tag
 from .records import record
-from .universe import NORMALISED_BV, REGULATED, SymbolicFn, _unit_point
+from .universe import NORMALISED_BV, REGULATED, SymbolicFn, _unit_point, query_state
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .piecewise import PiecewiseRational
@@ -195,13 +195,26 @@ def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
 def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     """M(x, k): on (x, x + 2^-(M+1)) values stay within 2^-k of f(x+), and
     symmetrically on the left; the convergence modulus of both one-sided
-    limits."""
+    limits.
+
+    Inside a query scope the least exponent found at (f, p, k) is kept, and
+    a later k' >= k starts its search there.  That is exact: a failed test
+    at (m, k) leaves a true gap of at least 2^-k - 2^-(k+5) > 2^-k' on its
+    window, and the window at (m, k') contains it, as p's bracket narrows
+    and the trim shrinks.  A rational p's window holds that only while it is
+    trimmed, that is while 2^-(k+24) is below the radius 2^-(m+1) and p's
+    room on each side that has one, so less is kept there."""
     require_tag(f, REGULATED, "modulus_regulation")
 
     def least(p, k):
+        found = query_state().setdefault(("regulation", f, p), {})
         limits = _limit_pair(f, p, k)
-        for m in range(fuel + 1):
+        for m in range(max((m for k0, m in found.items() if k0 <= k), default=0), fuel + 1):
             if _regulated_within(f, p, m, k, limits):
+                if p.q:
+                    found[k] = m
+                elif all(e << (k + 24) > p.d for e in (p.p, p.d - p.p) if e):
+                    found[k] = min(m, k + 23)  # trimmed while 2^-(m+1) > 2^-(k+24)
                 return m
         raise FuelExhausted("no regulation exponent found within fuel")
 

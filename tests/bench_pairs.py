@@ -1,16 +1,19 @@
 """Paired benchmark runs of a parent commit and the working tree.
 
-    python3 tests/bench_pairs.py PARENT --workload positive-mix --seeds 301-310
+    python3 tests/bench_pairs.py PARENT --workload abyss-gap,positive-mix --seeds 301-310
 
 Exports PARENT (any git ref) with `git archive` into a temporary directory,
-then for each seed runs `perfbench/run.py --workload W --seed S --trace 0`
-once in that tree and once in the working tree, alternating which runs first
-(the parent in the first pair).  For each end-to-end metric of BENCHMARK.json it
-prints both sides' median and quartiles, and how many pairs the change won
-and tied.  A gain holds when the change wins at least 9 of every 10 pairs,
-ties counting for neither, and the medians differ by more than the parent's
-interquartile range; a metric whose change median is worse than the
-parent's by more than its bound is marked WORSE.
+once, then for each workload W of the comma list and each seed S runs
+`perfbench/run.py --workload W --seed S --trace 0` once in that tree and
+once in the working tree, alternating which runs first (the parent in the
+first pair).  For each workload and each end-to-end metric of BENCHMARK.json
+it prints both sides' median and quartiles, and how many pairs the change
+won and tied.  A gain holds when the change wins at least 9 of every 10
+pairs, ties counting for neither, and the medians differ by more than the
+parent's interquartile range; a metric whose change median is worse than
+the parent's by more than its bound is marked WORSE.  The last line names
+every WORSE verdict of every workload, and the exit status is 1 if there is
+one.
 
 Stdlib only; run by hand (pytest does not collect it).  Each run takes about
 `run_seconds` of BENCHMARK.json, so ten pairs take several minutes.
@@ -87,27 +90,31 @@ def summary(pairs: list[tuple[dict, dict]], spec: dict) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git ref of the parent commit")
-    ap.add_argument("--workload", default="positive-mix")
+    ap.add_argument("--workload", default="positive-mix", help="a comma list of workloads")
     ap.add_argument("--seeds", default="301-310", help="'a-b' or a comma list")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    pairs = []
+    worse = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent = Path(tmp)
         export(args.parent, parent)
-        for i, seed in enumerate(seeds_of(args.seeds)):
-            order = [(0, parent), (1, ROOT)] if i % 2 == 0 else [(1, ROOT), (0, parent)]
-            got = {}
-            for side, tree in order:
-                got[side] = run_once(tree, args.workload, seed)
-            pairs.append((got[0], got[1]))
-            print("seed %d (%s first): %s" % (
-                seed, "parent" if order[0][0] == 0 else "change",
-                " ".join("%s %.4g->%.4g" % (k, got[0][k], got[1][k]) for k in got[0])),
-                flush=True)
-    print("\n%s, %d pairs" % (args.workload, len(pairs)))
-    print("\n".join(summary(pairs, spec)))
-    return 0
+        for workload in args.workload.split(","):
+            pairs = []
+            for i, seed in enumerate(seeds_of(args.seeds)):
+                order = [(0, parent), (1, ROOT)] if i % 2 == 0 else [(1, ROOT), (0, parent)]
+                got = {}
+                for side, tree in order:
+                    got[side] = run_once(tree, workload, seed)
+                pairs.append((got[0], got[1]))
+                print("%s seed %d (%s first): %s" % (
+                    workload, seed, "parent" if order[0][0] == 0 else "change",
+                    " ".join("%s %.4g->%.4g" % (k, got[0][k], got[1][k]) for k in got[0])),
+                    flush=True)
+            lines = summary(pairs, spec)
+            print("\n%s, %d pairs\n%s\n" % (workload, len(pairs), "\n".join(lines)), flush=True)
+            worse += ["%s %s" % (workload, line.split()[0]) for line in lines if "WORSE" in line]
+    print("WORSE: %s" % (", ".join(worse) or "none"))
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

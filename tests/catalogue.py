@@ -26,7 +26,7 @@ from abyss import (Baire1Limit, ComplementOfR2Open, CountableSet, CoverPsi, Cove
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Bracket
 from abyss.serialize import dumps, fn_from_json, fn_json
-from abyss.universe import BAIRE1, QUASI_CONTINUOUS, USCO
+from abyss.universe import BAIRE1, QUASI_CONTINUOUS, REGULATED, USCO
 
 S2 = Q2.sqrt2_scaled
 A = sqrt2_family()
@@ -226,7 +226,8 @@ def all_unit_rationals() -> CountableSet:
 
 # name -> the test double built around the document's function
 WRAPS = {"constant-seq-limit": constant_seq_limit,
-         "generic-limit": lambda f: generic_limit(f.a_set), "slack": Slack}
+         "generic-limit": lambda f: generic_limit(f.a_set), "slack": Slack,
+         "unit-rationals": lambda f: Penny(all_unit_rationals(), start=f.start)}
 
 
 # --- the entries ---
@@ -381,7 +382,8 @@ add("modulus-qc", "line(3) lifted at j/32", PiecewiseRational(
 # point is both ends of its component; the sum's parts share 1/4 and 1/3)
 for _name in ("staircase(3 steps)", "penny(sqrt2)", "indicator(points)"):
     add("probe", _name, make(_name))
-add("probe", "staircase(1/4, 1/3) + indicator(1/4, 1/3, sqrt2/8)", Sum(
+_SHARED_JUMPS = "staircase(1/4, 1/3) + indicator(1/4, 1/3, sqrt2/8)"
+add("probe", _SHARED_JUMPS, Sum(
     staircase([(F(1, 4), F(1, 2)), (F(1, 3), F(-1, 4))]),
     Indicator(FinitePointSet.of([F(1, 4), F(1, 3), S2(2)]))))
 
@@ -495,6 +497,43 @@ for _label, _a_set, _run in (("sqrt2", A, (6, 4)), ("irrational-seeds", IRRATION
                              ("rational-seeds", RATIONAL_SEEDS, (4, 4))):
     add("liars", "penny(%s)" % _label, Penny(_a_set), liars=_run)
 
+# the seed sets of the member scan: the sqrt2 family, finite sets of
+# rationals, of irrationals and of both, every rational of [0,1] (its spike
+# function has no document), and the banded copy of each irrational set
+_RATIONALS = finite_set([F(1, 3), F(5, 8), F(1, 2), F(1, 16), F(3, 4), F(0), F(1)])
+for _name, _f in [("penny(sqrt2)", Penny(A)), ("tilde-penny(sqrt2)", TildePenny(A)),
+                  ("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
+                  ("penny(rationals)", Penny(_RATIONALS)),
+                  ("penny(irrational-seeds)", Penny(IRRATIONAL_SEEDS)),
+                  ("tilde-penny(irrational-seeds)", TildePenny(IRRATIONAL_SEEDS)),
+                  ("penny(mixed)/0", Penny(MIXED_SEEDS))]:
+    add("member-scan", _name, _f)
+add("member-scan", "penny(unit-rationals)", Penny(_RATIONALS), wrap="unit-rationals")
+# the nested walks that resume: the continuity points of a continuous and a
+# jumping piecewise function, past the stages where a stage's first ball is
+# granted without a read
+add("continuity-point", "four-piece", make("four-piece"))
+add("continuity-point", "staircase+linear(17-0)", make("staircase+linear(17-0)"))
+# a jump of 2^-15 - 2^-23 at 1/2, bracketed loosely: every ball around 1/2
+# holds it, its oscillation bracket tops out at the jump on balls wider than
+# 2^-30 and 2^-(m+7) above it on narrower ones, so the stage-15 ball around
+# 1/2 (the first narrow one) fails its read though the ball holding it passed
+add("continuity-point", "slack(255/8388608 at 1/2)", staircase([(F(1, 2), F(255, 1 << 23))]),
+    wrap="slack", **{"continuity-point": [15]})
+# the usco points and radii of spike, finite-set and indicator entries, and
+# of a spike function over 14 seeds whose ball brackets are inexact below the
+# scan limit, where a bracket kept from one precision would change a radius
+# asked at another
+for _name in ("penny(sqrt2)", "penny(4 seeds)", "1/3 + penny(3 seeds)", "indicator(points)",
+              "indicator(complement)", "indicator(1/4, sqrt2/2)", "penny(seeds-27)/0"):
+    add("continuity-usco", _name, make(_name))
+
+# every regulated entry feeds the regulation row, but the sum whose parts
+# jump at shared points: each of its range reads gives up after 256 cells
+# (ROADMAP item 16) in 76 ms, on both of the row's sides alike
+for _name, _entry in ENTRIES.items():
+    if REGULATED in make(_name).tags and _name != _SHARED_JUMPS:
+        _entry["groups"].append("regulation")
 # every piecewise document feeds the build row, which sums it with each of them
 for _entry in ENTRIES.values():
     if _entry["fn"]["kind"] == "piecewise" and "wrap" not in _entry:

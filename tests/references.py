@@ -21,11 +21,11 @@ from abyss.algorithms import (_check_precision, _halve_values, _next_ball,
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Truth, least_exponent
 from abyss.oracle import (DEFAULT_FUEL, QueryTrace, _baire1_value_above, _ball_clipped, _osc_on,
-                          basis_at, grid_depth_cap, require_rule)
+                          basis_at, grid_depth_cap, require_rule, require_tag)
 from abyss.reductions import SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly)
+                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, osc_exact)
 
 # the exceptions that answer a query: refusals, running out of fuel and
 # oracle lies; anything else is a fault of the test or the code
@@ -503,6 +503,9 @@ def plain_modulus_continuity(f, fuel):
 
 
 def plain_point_of_continuity_qc(f, k, fuel):
+    """Every stage reads the balls of its candidates afresh.  A candidate's
+    room is at most a quarter of j, so when 2^-fuel is wider than that no
+    ball of any depth fits, and the stage is not tried."""
     _check_precision(k)
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(F(0), F(1))
@@ -517,12 +520,68 @@ def plain_point_of_continuity_qc(f, k, fuel):
                     return None
             return None
 
-        ball = _next_ball(j, place)
+        fits = F(1, 1 << fuel) <= (j.upper - j.lower) / 4
+        ball = _next_ball(j, place) if fits else None
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
                                 "current interval", best=j)
         j = ball
     return j.midpoint
+
+
+def plain_usco_radius(f, c, k, fuel):
+    """`natural_usco_modulus(f, fuel)(c, k)` with every ball read afresh:
+    2^-n for the least n whose ball's sup bracket at 2^-(k+6) tops out
+    strictly below f(c) + 2^-k."""
+    cap = f.eval(c) + Q2.of(F(1, 1 << k))
+    for n in range(fuel + 1):
+        _, sup_b = f.range_on(_ball_clipped(c, n), k + 6)
+        if sup_b.hi < cap:
+            return F(1, 1 << n)
+    raise FuelExhausted("no witnessing ball found within fuel")
+
+
+def plain_point_of_continuity_usco(f, k, fuel):
+    """`point_of_continuity_usco` with the natural usco modulus, on
+    `Fraction`s, its radii read by `plain_usco_radius`: no ball supremum is
+    kept from one read to the next."""
+    _check_precision(k)
+    require_tag(f, USCO, "point_of_continuity_usco")
+    rl, rh = f.range_bound()
+    span = rh - rl + 1
+    j = DyadicInterval(F(0), F(1))
+    for stage in range(1, max(fuel, 1) + 1):
+        t = rl + span / (1 << stage)
+
+        def place(cn, cd):
+            c = F(cn, cd)
+            fc = f.eval(c)
+            if fc < t:
+                k0 = 0
+                while F(1, 1 << k0) > t - fc:
+                    k0 += 1
+                    if k0 > fuel:
+                        return None
+                radius = plain_usco_radius(f, c, k0, fuel)
+            else:
+                res = plain_value_below_on_ball(ValueBelowOnBall(f, c, t, min(fuel, 24)),
+                                                QueryTrace())
+                if not isinstance(res, Found):
+                    return None
+                radius = F(1, 1 << res.witness.value)
+            s = min(radius, (j.upper - j.lower) / 4, c - j.lower, j.upper - c) / 2
+            return DyadicInterval(c - s, c + s)
+
+        ball = _next_ball(j, place)
+        if ball is None:
+            raise FuelExhausted("no threshold-set ball found inside the current "
+                                "interval", best=j)
+        j = ball
+        if span / (1 << stage) <= F(1, 2 << k):
+            out = j.midpoint
+            if osc_exact(f, Q2.of(out), k + 1).hi <= F(1, 1 << k):
+                return out
+    raise FuelExhausted("certificate did not close within fuel", best=j)
 
 
 # --- sums of parts that are affine between the points their documents name ---
@@ -598,6 +657,15 @@ def plain_witness_above(f, iv, y):
             or f.a_set.scan_is_exhaustive(iv, limit)):
         return Truth.NO, None
     return Truth.UNKNOWN, None
+
+
+def plain_member_scan(a_set, iv, limit, start):
+    """The first member in iv with index in [start, limit) and all of them:
+    the enumeration filtered, each member compared with both ends as a Q2."""
+    hi = limit if a_set.size is None else min(limit, a_set.size)
+    lo, up = Q2.of(iv.lower), Q2.of(iv.upper)
+    inside = [(n, a_set.member(n)) for n in range(start, hi) if lo <= a_set.member(n) <= up]
+    return (inside[0] if inside else None), inside
 
 
 def brute_members_in(a_set, iv):

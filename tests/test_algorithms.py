@@ -13,12 +13,13 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    build_cover_psi, constant, cousin_subcover, finite_set, fn_difference, fn_sum,
                    indicator_baire1, inf_usco, is_continuous_at, linear, lsco_modulus_on_cf,
                    modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
-                   natural_usco_modulus, osc_point, pennyk_limit, point_of_continuity_qc,
+                   natural_usco_modulus, oracle, osc_point, pennyk_limit, point_of_continuity_qc,
                    point_of_continuity_usco, rational_grid, restrict_tags, rm_code_from_r2_baire1,
                    sqrt2_family, spikes, staircase, sup_baire1, sup_qc, thomae, piecewise,
-                   unit_rationals, universe, usco_separator)
+                   unit_rationals, universe, usco_separator, variation)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
+from abyss.reductions import canonical_regulation_modulus, realiser_from_regulation_modulus
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, query_scope, query_state
 
 from catalogue import ENTRIES, make
@@ -622,6 +623,32 @@ def test_point_of_continuity_qc_gives_up_before_any_ball_once_none_fits(deadline
         assert (err.value.best.lower, err.value.best.upper) == best, fuel
     assert calls_to(lambda: outcome(lambda: point_of_continuity_qc(Penny(A), 2, fuel=0)),
                     algorithms.__file__, "_next_ball") == 0
+
+
+# query-count rows: (name, run, counted, most) holds when run() calls each
+# function (module, name) of counted at most most[i] times, by the profiler
+QUERY_COUNTS = [
+    # each level resumes its modulus search where the last one stopped
+    # (searching each level from 0 asked 70 windows and 101 spike ranges)
+    ("regulation realiser, sqrt2, k = 16, fuel 16",
+     lambda: realiser_from_regulation_modulus(canonical_regulation_modulus(A), A, 16, 16),
+     [(variation, "_regulated_within"), (spikes, "_range_on")], [36, 67]),
+    # one scope over the stages: each ball supremum read once (not kept: 32)
+    ("point_of_continuity_usco, penny(sqrt2), k = 6",
+     lambda: point_of_continuity_usco(Penny(A), natural_usco_modulus(Penny(A)), 6),
+     [(spikes, "_range_on")], [3]),
+    # a stage's first ball inside a ball well below 2^-m is granted unread
+    # (every first ball read: 9)
+    ("point_of_continuity_qc, four-piece, k = 8", lambda: point_of_continuity_qc(
+        make("four-piece"), 8), [(oracle, "_osc_on")], [3]),
+]
+
+
+@pytest.mark.parametrize("name, run, counted, most", QUERY_COUNTS,
+                         ids=[row[0] for row in QUERY_COUNTS])
+def test_query_counts(name, run, counted, most):
+    got = [calls_to(run, module.__file__, fn) for module, fn in counted]
+    assert all(g <= m for g, m in zip(got, most)), (name, got, most)
 
 
 def probe_states(scope):

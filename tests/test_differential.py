@@ -20,13 +20,14 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    OscBelow, PiecewiseRational, Poly, Q2, R2Rep, RMCode, SupOracle, Truth,
                    ValueBelowOnBall, constant, cousin_subcover, exhaustive_sup_oracle,
                    extract_enumeration_from_sup, fn_sum, indicator_baire1, inf_usco, linear,
-                   modulus_continuity_qc, modulus_qc, mu_search, point_of_continuity_qc,
+                   modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
+                   natural_usco_modulus, point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
                    staircase, sup_qc, tilde_set)
 from abyss.oracle import _ball_clipped
 from abyss.serialize import dumps, fn_json
 from abyss.spikes import CoverPsi
-from abyss.universe import USCO, probe_points
+from abyss.universe import USCO, probe_points, query_scope
 
 import references as ref
 from catalogue import A, ENTRIES, S2, make, random_subinterval
@@ -319,6 +320,54 @@ def cover_usco_grid(f, entry, rng):
     return itertools.product(ivs, list(range(13)) + [24, 48])
 
 
+def member_scan_grid(f, entry, rng):
+    """Intervals around each of the first members of the seed set, from its
+    bracket at 2^-80: for a rational member its point, and each end on it;
+    for an irrational one the bracket and the intervals just past its ends.
+    Also [0,1], random intervals and the span of two members, which a
+    descending scan leaves at the first member below it.  Each is asked
+    over windows that start at 0, inside the set, and at or past the limit."""
+    pts = [p for _, p in f.a_set.members_upto(8)]
+    ivs = [UNIT] + random_intervals(rng, 6, 9)
+    for p in pts:
+        w = F(1, 1 << rng.randrange(3, 12))
+        lo, hi = p.bracket(80)
+        ivs += [DyadicInterval(lo, hi), DyadicInterval(max(F(0), lo - w), lo),
+                DyadicInterval(hi, min(F(1), hi + w))]
+    for p, q in zip(pts, pts[2:]):
+        (lo, _), (_, hi) = min(p, q).bracket(80), max(p, q).bracket(80)
+        ivs.append(DyadicInterval(lo, hi))
+    windows = [(64, 0), (200, 0), (8, 0), (64, 3), (5, 2), (3, 3), (2, 6), (0, 0)]
+    return itertools.product(ivs, windows)
+
+
+def member_scan(f, iv, window):
+    limit, start = window
+    return f.a_set.first_member_in(iv, limit, start), f.a_set.members_in(iv, limit, start)
+
+
+def scope_grid(ks):
+    """Rational and irrational points, members of a seed set, 0 and 1, each
+    asked for the precisions ks ascending, descending and shuffled."""
+    def grid(f, entry, rng):
+        pts = [F(0), F(1), F(1, 2), F(1, 3), F(5, 16), S2(1), Q2(F(1, 3), F(1, 8))]
+        if hasattr(f, "a_set"):
+            pts += [p for _, p in f.a_set.members_upto(2)]
+        return [(p, order) for p in pts for order in (ks, ks[::-1], rng.sample(ks, len(ks)))]
+    return grid
+
+
+def in_one_scope(modulus):
+    """A row side that asks modulus(f) at p for each k in turn inside one
+    query scope, where each answer may start from what the ones before it
+    kept."""
+    def run(f, p, ks):
+        m = modulus(f)
+        with query_scope():
+            return [ref.outcome(lambda: m(p, k)) for k in ks]
+    return run
+
+
 # --- the sup-functional reductions ---
 
 # the integer walks over a seed set, and their Fraction references
@@ -392,10 +441,22 @@ ROWS = [
         lambda f, fuel, x, m: ref.plain_modulus_continuity(f, fuel)(x, m),
         ("walk", "slack-continuity"),
         lambda f, entry, rng: itertools.product(FUELS, POINTS, (0, 2, 5)),
-        budget=("continuity walks", 6), refusals=True),
+        budget=("continuity walks", 3), refusals=True),
     Row("point-of-continuity-qc", point_of_continuity_qc, ref.plain_point_of_continuity_qc,
-        ("walk", "slack-continuity"), lambda f, entry, rng: itertools.product((0, 2), FUELS),
-        budget=("continuity walks", 6), refusals=True),
+        ("walk", "slack-continuity", "continuity-point"),
+        lambda f, entry, rng: itertools.product([0, 2, 5, 8] + entry.get("continuity-point", []),
+                                                FUELS),
+        budget=("continuity points", 1), refusals=True),
+    Row("point-of-continuity-usco",
+        lambda f, k, fuel: point_of_continuity_usco(f, natural_usco_modulus(f, fuel), k, fuel),
+        ref.plain_point_of_continuity_usco, ("continuity-usco",),
+        lambda f, entry, rng: itertools.product(range(2, 9), (8, 64)), refusals=True),
+    Row("regulation-resume", in_one_scope(lambda f: modulus_regulation(f, 24)),
+        lambda f, p, ks: [ref.outcome(lambda: modulus_regulation(f, 24)(p, k)) for k in ks],
+        ("regulation",), scope_grid([0, 1, 3, 6])),
+    Row("usco-radius-scope", in_one_scope(lambda f: natural_usco_modulus(f, 32)),
+        lambda f, p, ks: [ref.outcome(lambda: ref.plain_usco_radius(f, p, k, 32)) for k in ks],
+        ("continuity-usco",), scope_grid([0, 3, 7, 12, 18])),
     Row("poly", poly_fast, poly_ref, ("poly",), poly_grid),
     Row("value-candidates", lambda f, iv: (sorted(f._value_candidates(iv)), f.range_on(iv, 10)),
         scan_ref, ("scan",), scan_grid),
@@ -435,6 +496,8 @@ ROWS = [
         spike_bracket_grid, spike_brackets_hold, min_checks=15000),
     Row("cover-usco-range", lambda f, iv, k: f.range_on(iv, k), ref.plain_cover_usco_range,
         ("cover-usco",), cover_usco_grid),
+    Row("member-scan", member_scan, lambda f, iv, window: ref.plain_member_scan(
+        f.a_set, iv, *window), ("member-scan",), member_scan_grid),
     Row("sup-extraction", walk_side(0), walk_side(1), ("extraction",), honest_grid,
         extracts_every_round),
     Row("lying-oracles", walk_side(0), walk_side(1), ("liars",), liar_grid, kinds=frozenset({

@@ -292,3 +292,26 @@ def test_regulation_modulus_reads_one_pair_of_limits_per_point():
     reads = calls_to(lambda: [M(p, k) for p, k in queries], universe.__file__, "one_sided_limit")
     assert max(M(p, k) for p, k in queries) == 5
     assert reads == 2 * len(queries)
+
+
+@pytest.mark.parametrize("p, steps, ks, want", [
+    # a bump 2^-38..2^-36 right of 1/2 and a step at 3 2^-25: at k = 0 the
+    # windows of m >= 23 hold 1/2 untrimmed and reach the bump until m = 38;
+    # at k = 6 the trim 2^-30 keeps the bump out from m = 23 on
+    (F(1, 2), [(F(1, 2) + F(1, 1 << 38), 1), (F(1, 2) + F(1, 1 << 36), 0),
+               (F(1, 2) + F(3, 1 << 25), 1)], (0, 6), [38, 23]),
+    # a point 2^-40 below 1, with no room for the trim 2^-24 at k = 0, so
+    # its right windows reach the bump 2^-50..2^-48 above it until m = 50;
+    # at k = 17 the trim 2^-41 fits and keeps the bump out
+    (1 - F(1, 1 << 40), [(1 - F(1, 1 << 40) + F(1, 1 << 50), 1),
+                         (1 - F(1, 1 << 40) + F(1, 1 << 48), 0)], (0, 17), [50, 0]),
+])
+def test_regulation_modulus_resumes_only_past_trimmed_windows(p, steps, ks, want):
+    """Inside a query scope a larger k resumes from the exponent found at a
+    smaller one only where the smaller k's windows left the rational point
+    out: asked in ascending order in one scope, each answer is the answer
+    asked alone."""
+    least = modulus_regulation(staircase(steps), 64)
+    assert [least(p, k) for k in ks] == want
+    with universe.query_scope():
+        assert [least(p, k) for k in ks] == want
