@@ -17,13 +17,13 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import abyss
 
-from .errors import (ClassRefusal, FuelExhausted, InvalidModulus,
-                     RepresentationInsufficient)
+from .errors import ClassRefusal, FuelExhausted, InvalidModulus
 from .exact import (DyadicInterval, FueledBool, Q2, Truth, _grid, _ratio,
                     _rational, _reduced, _sign_int, _vs, least_exponent, unit_rationals)
 from .oracle import (DEFAULT_FUEL, Baire1Above, Found, Modulus,
                      ValueBelowOnBall, _ball_clipped, _ball_walk, _osc_on,
-                     grid_depth_cap, mu_search, require_rule, require_tag)
+                     grid_depth_cap, mu_search, require_limit, require_rule,
+                     require_tag)
 from .sets import ComplementOfR2Open, R2Rep, RMCode
 from .universe import (LSCO, QUASI_CONTINUOUS, USCO, SymbolicFn, osc_exact, query_scope,
                        query_state, threshold_precision)
@@ -117,12 +117,7 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
     convergence modulus, making each halving step arithmetical."""
     _check_precision(k)
     iv = _subinterval(p, q)
-    if not isinstance(f_rep, abyss.Baire1Limit):
-        raise RepresentationInsufficient("sup_baire1 consumes a pointwise-limit "
-                                         "representation")
-    if f_rep.conv_modulus is None:
-        raise RepresentationInsufficient("representation insufficient: no "
-                                         "convergence modulus")
+    require_limit(f_rep, "sup_baire1")
     lo, hi = f_rep.range_bound()
 
     def above(n, m):
@@ -517,16 +512,10 @@ def usco_separator(c0, c1) -> Indicator:
 def _rational_interval_stream():
     """Fixed enumeration of nondegenerate rational intervals in [0,1]."""
     rats: list[Fraction] = []
-    gen = unit_rationals()
-    t = 0
-    while True:
-        rats.append(next(gen))
-        t += 1
-        i = t - 1
-        for jx in range(i):
-            a, b = rats[jx], rats[i]
-            if a != b:
-                yield (min(a, b), max(a, b))
+    for b in unit_rationals():
+        for a in rats:
+            yield (min(a, b), max(a, b))
+        rats.append(b)
 
 
 def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
@@ -537,9 +526,7 @@ def rm_code_from_r2_baire1(o_rep: R2Rep, ind_rep: Baire1Limit,
     itself when the indicator's infimum on it is positive, else re-emit the
     seed ball.  The indicator must be 0 on each closed component of the
     set's complement; a set that misses (0, 1) gets the empty code."""
-    if ind_rep.conv_modulus is None:
-        raise RepresentationInsufficient("representation insufficient: indicator "
-                                         "needs a convergence modulus")
+    require_limit(ind_rep, "rm_code_from_r2_baire1")
     components = ComplementOfR2Open(o_rep).component_intervals()
     for a, b in components:
         _, sup_b = ind_rep.range_on(DyadicInterval(a, b), 1)

@@ -228,5 +228,4 @@ class RestrictedView(Combination):
                 h.cluster_bounds, h._witness_above, h._witness_below)
 
 
-def restrict_tags(f: SymbolicFn, tags) -> RestrictedView:
-    return RestrictedView(f, tags)
+restrict_tags = RestrictedView

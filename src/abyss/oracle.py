@@ -225,6 +225,17 @@ def require_tag(f: SymbolicFn, tag: str, operation: str, statement=None):
         raise ClassRefusal(operation, tag, f, statement=statement)
 
 
+def require_limit(f, operation: str):
+    """Refuse `operation` unless f is a `Baire1Limit` with a convergence
+    modulus, through which the algorithms read its terms."""
+    if not isinstance(f, abyss.Baire1Limit):
+        raise RepresentationInsufficient("%s consumes a pointwise-limit representation"
+                                         % operation)
+    if f.conv_modulus is None:
+        raise RepresentationInsufficient("%s: representation insufficient: no "
+                                         "convergence modulus" % operation)
+
+
 class Modulus:
     """A modulus (x, k) -> least exponent or radius, computed by fn(p, k) at
     the exact point p of [0,1] that x names."""
@@ -444,19 +455,19 @@ class _ProbeState:
     size (for the trace) and the points that depth adds to the shallower
     bases, in basis order, each point keyed by its integers (p, q, d), since
     a point a shallower depth refuted needs no second evaluation.  For the
-    `Baire1Above` searches on a limit with a stabilizer, also how many of
-    those points have been evaluated and the largest exact value among
-    them.  A depth past the grid cap probes the cap's basis again and adds
-    nothing.  The state lives in the query scope, one per (function,
-    interval), which the thresholds of one halving share (`_probe_state`)."""
+    `Baire1Above` searches on a limit with a stabilizer, also the largest
+    exact value among those points, taken over all of them when a search
+    first reads the depth.  A depth past the grid cap probes the cap's
+    basis again and adds nothing.  The state lives in the query scope, one
+    per (function, interval), which the thresholds of one halving share
+    (`_probe_state`)."""
 
     def __init__(self, f: SymbolicFn, iv: DyadicInterval):
         self.f, self.iv = f, iv
         self.cap = grid_depth_cap(iv)
         self.sizes: list[int] = []
         self.added: list[list] = []
-        self.evaluated: list[int] = []
-        self.tops: list = []  # None until a point of the depth is evaluated
+        self.tops: dict = {}  # depth -> its points' largest value, None if none
         self._seen: set = set()
 
     def basis_size(self, d: int) -> int:
@@ -467,30 +478,20 @@ class _ProbeState:
             keys = [(p.p, p.q, p.d) for p in pts]
             self.added.append([p for p, key in zip(pts, keys) if key not in self._seen])
             self._seen.update(keys)
-            self.evaluated.append(0)
-            self.tops.append(None)
         return self.sizes[min(d, self.cap)]
 
     def exceeds(self, d: int, y: Fraction, fuel: int) -> bool:
         """Whether a point that depth d (already built) adds has a limit
-        value above y, the points read in basis order as a fresh scan reads
-        them; the function is a `Baire1Limit`."""
+        value above y; the function is a `Baire1Limit`."""
         if d > self.cap:
             return False
         f, pts = self.f, self.added[d]
         if f.stabilizer is None:
             return any(_baire1_value_above(f, p, y, fuel) for p in pts)
+        if d not in self.tops:
+            self.tops[d] = max(map(f.eval, pts), default=None)
         top = self.tops[d]
-        if top is not None and top > y:
-            return True
-        for i in range(self.evaluated[d], len(pts)):
-            v = f.eval(pts[i])
-            self.evaluated[d] = i + 1
-            if top is None or v > top:
-                top = self.tops[d] = v
-            if v > y:
-                return True
-        return False
+        return top is not None and top > y
 
 
 def _probe_state(f: SymbolicFn, iv: DyadicInterval) -> _ProbeState:
@@ -503,11 +504,7 @@ def _probe_state(f: SymbolicFn, iv: DyadicInterval) -> _ProbeState:
 
 def _mu_baire1_above(q: Baire1Above, trace):
     f = q.f_rep
-    if not isinstance(f, abyss.Baire1Limit):
-        raise RepresentationInsufficient("query needs a pointwise-limit representation")
-    if f.conv_modulus is None:
-        raise RepresentationInsufficient(
-            "representation insufficient: no convergence modulus")
+    require_limit(f, "mu_search/Baire1Above")
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
     y = _rational(q.threshold)
     last = f.witness_depth(y)

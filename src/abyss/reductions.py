@@ -105,11 +105,10 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
             if best is None or width > best[1]:
                 best = ((lo, hi), width)
         (lo, hi), _ = best
+        # at most k walls split a ball of width >= 2^-(n+1): the widest gap
+        # exceeds 2^-(n+k+1), far more than the two nudges of 2^-(n+k+12)
         prec = n + k + 12
-        c, d = _nudged(lo, prec, 1), _nudged(hi, prec, -1)
-        if not (c < d):
-            raise InvalidModulus("gap too small to fit a rational interval")
-        return (c, d)
+        return (_nudged(lo, prec, 1), _nudged(hi, prec, -1))
 
     return CliqModulusOracle(fn)
 

@@ -409,5 +409,4 @@ def build_cover_psi(a_set: CountableSet, usco_variant: bool) -> SymbolicFn:
     return CoverPsiUsco(a_set) if usco_variant else CoverPsi(a_set)
 
 
-def thomae() -> Thomae:
-    return Thomae()
+thomae = Thomae

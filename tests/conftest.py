@@ -15,6 +15,8 @@ import pytest
 
 from abyss import universe
 
+pytest_plugins = ["pytester"]
+
 # the CLI and demo subprocesses find the package where pytest's `pythonpath`
 # setting finds it, so the suite runs in a checkout without an install
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,7 +38,9 @@ def no_open_query_scope():
 def deadline():
     """`deadline(seconds)` fails the test once it has run that long, so an
     unbounded search fails quickly instead of stalling the suite.  Built on
-    SIGALRM (main thread, POSIX); the timer is cleared at teardown."""
+    SIGALRM (main thread, POSIX); the timer is cleared when the test body
+    ends (`pytest_runtest_call`), before pytest reports a failure, and the
+    handler is restored at teardown."""
 
     def on_alarm(signum, frame):
         pytest.fail("test ran past its %s s deadline" % armed[0])
@@ -53,6 +57,15 @@ def deadline():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """A `deadline` times the test body alone: an alarm that fired while
+    pytest formats the failure would replace the report with its own."""
+    yield
+    if "deadline" in item.fixturenames:
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def calls_to(fn, filename: str, name: str) -> int:

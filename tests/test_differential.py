@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -539,6 +540,28 @@ def test_fast_path_answers_as_its_reference(row, name, request):
             seen[0] |= set(got[0]) if isinstance(got[0], tuple) else {type(got[0]).__name__}
         seen[1] += 1
     seen[2] += 1
+
+
+def test_a_deadline_leaves_the_failure_report_to_pytest(pytester):
+    """A budget fails a case that runs long, yet a case that fails in time
+    reports its own error, even when formatting the error outlasts the
+    deadline: the alarm is off once the test body ends."""
+    pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text())
+    pytester.makepyfile("""
+        import time
+
+        class SlowToRead(Exception):
+            def __str__(self):
+                time.sleep(0.5)
+                return "the case's own message"
+
+        def test_fails_in_time(deadline):
+            deadline(0.2)
+            raise SlowToRead()
+    """)
+    result = pytester.runpytest_subprocess()
+    result.assert_outcomes(failed=1)
+    result.stdout.fnmatch_lines(["E   *SlowToRead: the case's own message"])
 
 
 def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from abyss import (Baire1Above, ClassRefusal, DomainError, DyadicInterval, ExistsValueAbove,
-                   ExistsValueBelow, Found, FuelExhausted, MuWitness, NotFoundBelow, OscBelow,
-                   Penny, PennyK, Q2, RepresentationInsufficient, ValueBelowOnBall, admitting_rule,
-                   collapse_rules_for, constant, fn_difference, modulus_continuity_qc, mu_search,
-                   pennyk_limit, point_of_continuity_qc, restrict_tags, sqrt2_family, staircase,
+from abyss import (Baire1Above, Baire1Limit, ClassRefusal, DomainError, DyadicInterval,
+                   ExistsValueAbove, ExistsValueBelow, Found, FuelExhausted, MuWitness,
+                   NotFoundBelow, OscBelow, Penny, PennyK, Q2, R2Rep, RepresentationInsufficient,
+                   ValueBelowOnBall, admitting_rule, collapse_rules_for, constant, fn_difference,
+                   modulus_continuity_qc, mu_search, pennyk_limit, point_of_continuity_qc,
+                   restrict_tags, rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1,
                    thomae, universe)
 from abyss.oracle import QueryTrace, _ball_clipped, _ball_walk, grid_depth_cap
 from abyss.universe import BAIRE1, BV, CLIQUISH, REGULATED, USCO
@@ -114,6 +115,27 @@ def test_mu_baire1_above():
     bare = Baire1Limit(lambda n: PennyK(A, n))
     with pytest.raises(RepresentationInsufficient):
         mu_search(Baire1Above(bare, UNIT, F(1, 4)))
+
+
+# the operations that consume a pointwise-limit representation, by the name
+# their refusals give
+LIMIT_CONSUMERS = {
+    "sup_baire1": lambda f: sup_baire1(f, 0, 1, 4),
+    "mu_search/Baire1Above": lambda f: mu_search(Baire1Above(f, UNIT, F(1, 4))),
+    "rm_code_from_r2_baire1": lambda f: rm_code_from_r2_baire1(
+        R2Rep.from_intervals([(F(1, 4), F(3, 4))]), f, 8),
+}
+
+
+@pytest.mark.parametrize("operation", LIMIT_CONSUMERS)
+@pytest.mark.parametrize("f, missing", [
+    (thomae(), "consumes a pointwise-limit representation"),
+    (Baire1Limit(lambda n: PennyK(A, n)), "no convergence modulus"),
+], ids=["thomae", "no-modulus"])
+def test_limit_consumers_refuse_what_is_not_a_limit_with_a_modulus(operation, f, missing):
+    with pytest.raises(RepresentationInsufficient) as refusal:
+        LIMIT_CONSUMERS[operation](f)
+    assert str(refusal.value).startswith(operation) and missing in str(refusal.value)
 
 
 SPIKE_TAGS = (CLIQUISH, USCO, BV, REGULATED, BAIRE1)  # for a limit with no stabilizer
@@ -325,6 +347,28 @@ def test_only_the_probe_state_walks_probe_depths():
                   if isinstance(node, ast.ClassDef)
                   and any(getattr(n, "name", None) == "grid_max" for n in node.body)]
     assert sorted(grid_maxes) == ["SymbolicFn", "_SpikeFamily"]
+
+
+def test_only_require_limit_refuses_a_missing_limit_representation():
+    """A refusal for a missing pointwise-limit representation or convergence
+    modulus is raised in `oracle.require_limit` alone, which each operation
+    that consumes a limit calls in place of its own check."""
+    import abyss
+    sites = []
+    for path in sorted(Path(abyss.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if getattr(getattr(call, "func", None), "id", None) != "RepresentationInsufficient":
+                continue
+            text = " ".join(n.value for n in ast.walk(call)
+                            if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if "pointwise-limit representation" in text or "convergence modulus" in text:
+                while not isinstance(node, ast.FunctionDef):
+                    node = parent[node]
+                sites.append("%s.%s" % (path.stem, node.name))
+    assert sites == ["oracle.require_limit"] * 2
 
 
 @pytest.mark.parametrize("x", [F(3, 2), F(-1, 2), Q2(1) + S2(4)])

@@ -178,6 +178,22 @@ def test_regulation_modulus_that_lets_a_member_survive_is_refused():
         realiser_from_regulation_modulus(lazy, one, 4, fuel=4)
 
 
+def test_regulation_walk_with_no_admissible_centre_is_refused():
+    """Honest at the four members the spot check reads and 0 elsewhere: each
+    ball is 1/8 as wide as the last and centred on 1/2, so at level 7 the
+    seven grid centres are 1/2 + t 2^-24 (t = 0, +-1, +-2, +-3), all
+    members, and no spike among them is below 2^-7."""
+    a_set = finite_set([F(1, 2) + t * F(1, 1 << 24) for t in (1, -1, 2, -2, 3, -3)]
+                       + [F(1, 2)])
+    honest = canonical_regulation_modulus(a_set)
+
+    def liar(x, k):
+        return honest(x, k) if a_set.index_of(x) in range(4) else 0
+
+    with pytest.raises(InvalidModulus, match="no admissible centre found at level 7"):
+        realiser_from_regulation_modulus(liar, a_set, 8)
+
+
 def test_naive_sup_baseline():
     f = Penny(A)
     for depth in (8, 16, 24):
