@@ -17,17 +17,18 @@ _EXPORTS = {
             "sqrt2_family tilde_set",
     "universe": "Poly SymbolicFn osc_exact",
     "piecewise": "PiecewiseRational constant linear staircase",
-    "spikes": "CoverPsi CoverPsiUsco Penny PennyK Thomae TildePenny build_cover_psi "
-              "osc_selfcheck thomae",
+    "rational_spike": "Thomae thomae",
+    "spikes": "CoverPsi CoverPsiUsco Penny PennyK TildePenny build_cover_psi osc_selfcheck",
     "limits": "Baire1Limit Indicator constant_seq_limit indicator_baire1 pennyk_limit",
     "composites": "fn_difference fn_sum restrict_tags scalar_multiple",
-    "oracle": "Baire1Above CollapseRule ExistsValueAbove ExistsValueBelow Found Modulus "
-              "MuWitness NotFoundBelow OscBelow ValueBelowOnBall admitting_rule "
-              "collapse_rules_for mu_search",
-    "algorithms": "cousin_subcover inf_usco is_continuous_at lsco_modulus_on_cf "
-                  "modulus_continuity_qc modulus_qc natural_usco_modulus osc_point "
-                  "point_of_continuity_qc point_of_continuity_usco "
-                  "rm_code_from_r2_baire1 sup_baire1 sup_qc usco_separator",
+    "collapse": "CollapseRule Modulus admitting_rule collapse_rules_for",
+    "oracle": "Baire1Above ExistsValueAbove ExistsValueBelow Found MuWitness NotFoundBelow "
+              "OscBelow ValueBelowOnBall mu_search",
+    "algorithms": "inf_usco is_continuous_at modulus_continuity_qc modulus_qc osc_point "
+                  "sup_baire1 sup_qc",
+    "category": "lsco_modulus_on_cf natural_usco_modulus point_of_continuity_qc "
+                "point_of_continuity_usco",
+    "covers": "cousin_subcover rm_code_from_r2_baire1 usco_separator",
     "variation": "JordanPair OneSidedLimits jordan_nbv jump_enum limits_lr "
                  "modulus_regulation total_variation_nbv",
     "reductions": "AbyssReport CliqModulusOracle SupOracle adversarial_cliq_modulus "

@@ -340,12 +340,19 @@ def _selftest(args):
 
 
 def build_parser(argv) -> _Parser:
-    """The parser for argv.  Every subcommand is registered with its summary,
-    so the top-level help and errors are whole, but only a subcommand argv
-    names gets its arguments: argparse parses with no other."""
+    """The parser for argv.  When argv starts with a subcommand, only that
+    one is registered: the subparsers action takes every argument after it,
+    so the top-level parser can then fail only on arguments the subcommand
+    leaves unrecognized, and its usage line still lists every subcommand.
+    Otherwise every subcommand is registered with its summary, so the
+    top-level help and errors are whole, but only a subcommand argv names
+    gets its arguments: argparse parses with no other."""
     p = _Parser(prog="abyss", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (summary, arguments, _) in SUBCOMMANDS.items():
+    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else None
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{%s}" % ",".join(SUBCOMMANDS) if named else None)
+    for name in named or SUBCOMMANDS:
+        summary, arguments, _ = SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         if name not in argv:
             continue

@@ -492,6 +492,18 @@ def grid_depth_cap(iv: DyadicInterval) -> int:
     return 12 + min(least_exponent(w, iv.d), 80)
 
 
+def _check_precision(k: int):
+    if k < 0:
+        raise ValueError("precision exponent k must be >= 0, got %d" % k)
+
+
+def _subinterval(p, q) -> DyadicInterval:
+    p, q = _rational(p), _rational(q)
+    if not (0 <= p < q <= 1):
+        raise ValueError("need rational endpoints 0 <= p < q <= 1")
+    return DyadicInterval(p, q)
+
+
 # --- fueled truth values ---------------------------------------------------
 
 DEFAULT_FUEL = 64  # the budget of a search whose caller names none

@@ -23,11 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algorithms import _check_precision, _interior_numerators
+from .category import _interior_numerators
+from .collapse import Modulus, _ball_clipped
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import (DyadicInterval, Q2, _ratio, _rational, _reduced, _vs, least_exponent,
-                    rational_grid)
-from .oracle import Modulus, _ball_clipped
+from .exact import (DyadicInterval, Q2, _check_precision, _ratio, _rational, _reduced, _vs,
+                    least_exponent, rational_grid)
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet

@@ -183,7 +183,7 @@ def _windowed(path):
 # the one list of kinds that serialize, read by kind and written by exact
 # type
 FN_KINDS = {
-    "thomae": ("spikes.Thomae", lambda f: {}, lambda cls, doc, load: cls()),
+    "thomae": ("rational_spike.Thomae", lambda f: {}, lambda cls, doc, load: cls()),
     "penny": _windowed("spikes.Penny"),
     "pennyk": ("spikes.PennyK", lambda f: {"set": set_json(f.source), "cutoff": f.cutoff},
                lambda cls, doc, load: cls(_set_field(doc), _field(doc, "cutoff"))),

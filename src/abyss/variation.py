@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import abyss
 
+from .collapse import Modulus, require_tag
 from .errors import ClassRefusal, FuelExhausted
-from .exact import Bracket, DyadicInterval, Q2
-from .oracle import DEFAULT_FUEL, Modulus, require_tag
+from .exact import DEFAULT_FUEL, Bracket, DyadicInterval, Q2
 from .records import record
 from .universe import NORMALISED_BV, REGULATED, SymbolicFn, _unit_point, query_state
 

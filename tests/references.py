@@ -16,12 +16,13 @@ from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DyadicInterv
                    NotFoundBelow, OracleInconsistency, OscBelow, Penny, PennyK, PiecewiseRational,
                    Q2, RMCode, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall,
                    rational_grid, unit_rationals)
-from abyss.algorithms import (_check_precision, _halve_values, _next_ball,
-                              _rational_interval_stream, _room)
+from abyss.algorithms import _halve_values
+from abyss.category import _next_ball, _room
+from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
-from abyss.exact import Truth, least_exponent
-from abyss.oracle import (DEFAULT_FUEL, QueryTrace, _baire1_value_above, _ball_clipped, _osc_on,
-                          basis_at, grid_depth_cap, require_rule, require_tag)
+from abyss.covers import _rational_interval_stream
+from abyss.exact import Truth, _check_precision, least_exponent
+from abyss.oracle import DEFAULT_FUEL, QueryTrace, _baire1_value_above, basis_at, grid_depth_cap
 from abyss.reductions import SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,

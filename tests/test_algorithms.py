@@ -9,14 +9,15 @@ import pytest
 from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, DyadicInterval,
                    ExistsValueAbove, FinitePointSet, Found, FuelExhausted, Indicator,
                    InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep, RMCode,
-                   RepresentationInsufficient, Truth, UnsupportedVariant, algorithms, ball,
-                   build_cover_psi, constant, cousin_subcover, finite_set, fn_difference, fn_sum,
-                   indicator_baire1, inf_usco, is_continuous_at, linear, lsco_modulus_on_cf,
-                   modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
-                   natural_usco_modulus, oracle, osc_point, pennyk_limit, point_of_continuity_qc,
-                   point_of_continuity_usco, rational_grid, restrict_tags, rm_code_from_r2_baire1,
-                   sqrt2_family, spikes, staircase, sup_baire1, sup_qc, thomae, piecewise,
-                   unit_rationals, universe, usco_separator, variation)
+                   RepresentationInsufficient, Truth, UnsupportedVariant, ball, build_cover_psi,
+                   category, collapse, constant, cousin_subcover, finite_set, fn_difference,
+                   fn_sum, indicator_baire1, inf_usco, is_continuous_at, linear,
+                   lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc, modulus_regulation,
+                   mu_search, natural_usco_modulus, osc_point, pennyk_limit,
+                   point_of_continuity_qc, point_of_continuity_usco, rational_grid,
+                   rational_spike, restrict_tags, rm_code_from_r2_baire1, sqrt2_family, spikes,
+                   staircase, sup_baire1, sup_qc, thomae, piecewise, unit_rationals, universe,
+                   usco_separator, variation)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
 from abyss.reductions import canonical_regulation_modulus, realiser_from_regulation_modulus
@@ -291,6 +292,24 @@ def test_point_of_continuity_usco():
     assert Q2.of(x2) != Q2.of(F(1, 2))
     c = constant(F(2, 7))
     assert point_of_continuity_usco(c, natural_usco_modulus(c), 6) == F(1, 2)
+
+
+@pytest.mark.parametrize("run, error, message, best", [
+    (lambda: cousin_subcover(constant(F(1, 64)), fuel=1), FuelExhausted,
+     "enumeration prefix did not cover the interval", [(F(0), F(1, 64)), (F(1), F(1, 64))]),
+    (lambda: point_of_continuity_usco(Penny(A), lambda c, k: 0, 4), InvalidModulus,
+     "usco modulus gave the radius 0 at 1/2", None),
+    (lambda: osc_point(linear(1), F(1, 2), 4, fuel=0), FuelExhausted,
+     "ball oscillation did not close onto the cluster value", DyadicInterval(0, 0)),
+], ids=["cousin-prefix", "usco-zero-radius", "osc-ball-walk"])
+def test_exits_name_their_cause(run, error, message, best):
+    """A gauge of radius 1/64 needs more than the two balls fuel 1 allows; a
+    modulus of radius 0 is refused at the first centre; and with fuel 0 the
+    oscillation walk reads only the ball [0, 1], whose oscillation 1 does
+    not close onto the identity's 0 at 1/2."""
+    with pytest.raises(error, match=message) as err:
+        run()
+    assert getattr(err.value, "best", None) == best
 
 
 @pytest.mark.parametrize("radius", [F(0), F(-1)])
@@ -622,7 +641,7 @@ def test_point_of_continuity_qc_gives_up_before_any_ball_once_none_fits(deadline
             point_of_continuity_qc(Penny(A), 2, fuel=fuel)
         assert (err.value.best.lower, err.value.best.upper) == best, fuel
     assert calls_to(lambda: outcome(lambda: point_of_continuity_qc(Penny(A), 2, fuel=0)),
-                    algorithms.__file__, "_next_ball") == 0
+                    category.__file__, "_next_ball") == 0
 
 
 # query-count rows: (name, run, counted, most) holds when run() calls each
@@ -640,7 +659,7 @@ QUERY_COUNTS = [
     # a stage's first ball inside a ball well below 2^-m is granted unread
     # (every first ball read: 9)
     ("point_of_continuity_qc, four-piece, k = 8", lambda: point_of_continuity_qc(
-        make("four-piece"), 8), [(oracle, "_osc_on")], [3]),
+        make("four-piece"), 8), [(collapse, "_osc_on")], [3]),
 ]
 
 
@@ -690,7 +709,7 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
                 assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
     for run, module in [(lambda k: sup_qc(make("four-piece"), 0, 1, k), piecewise),
                         (lambda k: inf_usco(make("four-piece"), F(1, 8), 1, k), piecewise),
-                        (lambda k: sup_qc(thomae(), F(1, 4), F(3, 4), k), spikes),
+                        (lambda k: sup_qc(thomae(), F(1, 4), F(3, 4), k), rational_spike),
                         (lambda k: inf_usco(Penny(A), 0, 1, k), spikes)]:
         for k in (4, 10, 20):
             assert calls_to(lambda: run(k), universe.__file__, "_witness") == 0, k

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, JSON output, determinism, env fuel."""
 
+import argparse
 import ast
 import hashlib
 import importlib.util
@@ -228,6 +229,24 @@ def test_usage_errors():
     assert r.returncode == 1 and r.stdout == "" and r.stderr.startswith("error: ")
 
 
+def test_a_named_subcommand_is_built_alone(capsys):
+    """An argv that starts with a subcommand gets a parser with that one
+    subparser alone, whose usage line still lists every subcommand, so an
+    argument the subcommand leaves unrecognized reads as with all built."""
+    from abyss import cli
+
+    def built(argv):
+        return [name for action in cli.build_parser(argv)._actions
+                if isinstance(action, argparse._SubParsersAction) for name in action.choices]
+
+    assert built(["selftest", "extra"]) == ["selftest"]
+    assert built(["-h", "selftest"]) == built([]) == list(cli.SUBCOMMANDS)
+    usage = cli.build_parser([]).format_usage()
+    assert all(cli.build_parser([name]).format_usage() == usage for name in cli.SUBCOMMANDS)
+    assert cli.main(["selftest", "extra"]) == 1
+    assert capsys.readouterr() == ("", usage + "error: unrecognized arguments: extra\n")
+
+
 def test_eval_and_plot_data(tmp_path):
     csv = tmp_path / "plot.csv"
     r = run("eval", "--fn", "thomae", "--x", "1/2",
@@ -365,12 +384,44 @@ def _loaded_after(code):
     return set(done.stderr.split())
 
 
-HEAVY = {"abyss.algorithms", "abyss.variation", "abyss.reductions", "abyss.selftest",
-         "dataclasses"}
-FAMILIES = {"abyss.piecewise", "abyss.spikes", "abyss.limits", "abyss.composites"}
+HEAVY = {"abyss.collapse", "abyss.algorithms", "abyss.category", "abyss.covers",
+         "abyss.variation", "abyss.reductions", "abyss.selftest", "dataclasses"}
+FAMILIES = {"abyss.piecewise", "abyss.rational_spike", "abyss.spikes", "abyss.limits",
+            "abyss.composites"}
 # --fn name -> the family module it parses into, for the names these tests run
-FN_FAMILY = {"const": "abyss.piecewise", "step": "abyss.piecewise", "thomae": "abyss.spikes",
-             "penny": "abyss.spikes", "cover-psi-usco": "abyss.spikes"}
+FN_FAMILY = {"const": "abyss.piecewise", "step": "abyss.piecewise",
+             "thomae": "abyss.rational_spike", "penny": "abyss.spikes",
+             "cover-psi-usco": "abyss.spikes"}
+# what every CLI process loads: the package, the front end and the kernel
+START = {"abyss", "cli", "errors", "exact", "records", "serialize", "sets", "universe"}
+# golden invocation -> the abyss modules its process loads beyond START
+LOADED = {
+    "continuity --fn penny --x member:0": {"algorithms", "collapse", "spikes"},
+    "cousin --fn const:1/8": {"collapse", "covers", "piecewise"},
+    "demo-abyss --family penny --depth 20": {"category", "collapse", "reductions", "spikes",
+                                             "variation"},
+    "eval --fn penny --x member:0": {"spikes"},
+    "inf --fn penny --interval 0 1 --k 8": {"algorithms", "collapse", "spikes"},
+    "jordan --fn step:1/2 --depth 3": {"collapse", "piecewise", "variation"},
+    "jumps --fn cover-psi-usco --limit 4": {"collapse", "spikes", "variation"},
+    "limits --fn step:1/2 --x 1/2": {"collapse", "piecewise", "variation"},
+    "modulus --fn thomae --kind continuity --probe member:0 --k 3": {"algorithms", "collapse",
+                                                                     "rational_spike"},
+    "osc --fn thomae --x 1/2 --k 8": {"algorithms", "collapse", "rational_spike"},
+    "point-of-continuity --fn penny --method usco --k 8": {"algorithms", "category", "collapse",
+                                                           "spikes"},
+    "point-of-continuity --fn thomae --k 8": {"algorithms", "category", "collapse",
+                                              "rational_spike"},
+    "realiser --family sup --k 16": {"category", "collapse", "reductions", "spikes", "variation"},
+    "rm-code --open 1/4,3/4": {"collapse", "composites", "covers", "limits", "piecewise"},
+    "selftest": {"algorithms", "category", "collapse", "composites", "covers", "limits",
+                 "oracle", "piecewise", "rational_spike", "reductions", "selftest", "spikes",
+                 "variation"},
+    "separator --c0 points:0 --c1 points:1": {"collapse", "covers", "limits"},
+    "sup --fn thomae --interval 1/4 3/4 --k 10": {"algorithms", "collapse", "rational_spike"},
+    "variation --fn step:1/2 --x 1 --k 8": {"collapse", "piecewise", "variation"},
+}
+HEAVY_INVOCATIONS = ("rm-code", "realiser", "demo-abyss", "selftest")
 
 
 def _main_of(argv):
@@ -388,10 +439,12 @@ def _family_of(argv):
 def test_start_up_loads_only_what_the_subcommand_runs():
     """`import abyss` and `import abyss.cli` load none of the modules that
     only some subcommands run, nor `dataclasses` nor a function family;
-    `eval` runs without the algorithms or the oracle, and each subcommand
-    that needs a module loads it.  Each light invocation of the benchmark
-    loads only the family module its --fn parses, so a process compiles no
-    other family."""
+    `eval` runs without the collapse rules, any algorithm or the oracle, and
+    each subcommand that needs a module loads it.  Each golden invocation
+    of the benchmark loads the modules `LOADED` names and no other: a light
+    one loads no μ-search engine (`abyss.oracle`), only the algorithm
+    section it runs, and only the family module its --fn parses, so a
+    process compiles no other family."""
     assert not _loaded_after("import abyss") & (HEAVY | FAMILIES)
     assert not _loaded_after("import abyss.cli") & (HEAVY | FAMILIES)
     for argv in (["eval", "--fn", "penny", "--x", "member:0"],
@@ -399,18 +452,24 @@ def test_start_up_loads_only_what_the_subcommand_runs():
         loaded = _loaded_after(_main_of(argv))
         assert not loaded & (HEAVY | {"abyss.oracle"}), argv
         assert loaded & FAMILIES == {_family_of(argv)}, argv
-    assert _loaded_after(_main_of(["jumps", "--fn", "step:1/2"])) & HEAVY == {"abyss.variation"}
+    assert _loaded_after(_main_of(["jumps", "--fn", "step:1/2"])) & HEAVY == \
+        {"abyss.collapse", "abyss.variation"}
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
-    light = [inv.split() for inv in golden["cli"]
-             if inv.split()[0] not in ("rm-code", "realiser", "demo-abyss", "selftest")]
+    assert sorted(golden["cli"]) == sorted(LOADED)
+    light = [inv for inv in LOADED if inv.split()[0] not in HEAVY_INVOCATIONS]
     assert len(light) == 14
-    for argv in light:
-        assert _loaded_after(_main_of(argv)) & FAMILIES == {_family_of(argv)}, argv
+    for inv in light:
+        assert "oracle" not in LOADED[inv], inv
+        if "--fn" in inv:
+            assert {"abyss." + m for m in LOADED[inv]} & FAMILIES == {_family_of(inv.split())}
+    for inv, modules in LOADED.items():
+        loaded = _loaded_after(_main_of(inv.split()))
+        assert loaded == {m if m == "abyss" else "abyss." + m for m in START | modules}, inv
 
 
 def test_no_abyss_module_imports_dataclasses():
     loaded = _loaded_after("import abyss.cli, abyss.selftest")
-    assert {"abyss.algorithms", "abyss.reductions", "abyss.variation"} <= loaded
+    assert {"abyss." + p.stem for p in (ROOT / "src" / "abyss").glob("[!_]*.py")} <= loaded
     assert "dataclasses" not in loaded
 
 

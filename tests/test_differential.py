@@ -25,7 +25,7 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    natural_usco_modulus, point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
                    staircase, sup_qc, tilde_set)
-from abyss.oracle import _ball_clipped
+from abyss.collapse import _ball_clipped
 from abyss.serialize import dumps, fn_json
 from abyss.spikes import CoverPsi
 from abyss.universe import USCO, probe_points, query_scope

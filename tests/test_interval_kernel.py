@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from abyss import DyadicInterval, Q2, ball, halve, linear, rational_grid
 from abyss.exact import Bracket, DegenerateInterval, grid_depth_cap, grid_q2
-from abyss.oracle import _ball_clipped
+from abyss.collapse import _ball_clipped
 from abyss.universe import _clip_unit
 
 from conftest import fraction_news

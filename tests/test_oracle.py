@@ -16,7 +16,8 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, DomainError, DyadicIn
                    modulus_continuity_qc, mu_search, pennyk_limit, point_of_continuity_qc,
                    restrict_tags, rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1,
                    thomae, universe)
-from abyss.oracle import QueryTrace, _ball_clipped, _ball_walk, grid_depth_cap
+from abyss.collapse import _ball_clipped, _ball_walk
+from abyss.oracle import QueryTrace, grid_depth_cap
 from abyss.universe import BAIRE1, BV, CLIQUISH, REGULATED, USCO
 
 from catalogue import FussyPenny, Slack, generic_limit, make
@@ -285,9 +286,9 @@ def test_every_fuel_parameter_is_read():
     """A public function of the search modules that takes `fuel` reads it in
     its body (nested functions included): a budget that bounds nothing is
     deleted, not carried."""
-    from abyss import algorithms, oracle, reductions, variation
+    from abyss import algorithms, category, covers, oracle, reductions, variation
     unread = []
-    for mod in (algorithms, variation, reductions, oracle):
+    for mod in (algorithms, category, covers, variation, reductions, oracle):
         for node in ast.parse(inspect.getsource(mod)).body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
@@ -329,7 +330,7 @@ def loop_calls(names, owner):
 
 def test_only_the_shared_walk_loops_over_balls():
     """A ball read inside a loop is a hand-written walk over ball exponents,
-    and `oracle._ball_walk` is the one walk: no other function of the
+    and `collapse._ball_walk` is the one walk: no other function of the
     package reads `_ball_clipped` or `_ball_around` inside a loop."""
     assert loop_calls({"_ball_clipped", "_ball_around"}, "_ball_walk") == []
 
@@ -351,7 +352,7 @@ def test_only_the_probe_state_walks_probe_depths():
 
 def test_only_require_limit_refuses_a_missing_limit_representation():
     """A refusal for a missing pointwise-limit representation or convergence
-    modulus is raised in `oracle.require_limit` alone, which each operation
+    modulus is raised in `collapse.require_limit` alone, which each operation
     that consumes a limit calls in place of its own check."""
     import abyss
     sites = []
@@ -368,7 +369,7 @@ def test_only_require_limit_refuses_a_missing_limit_representation():
                 while not isinstance(node, ast.FunctionDef):
                     node = parent[node]
                 sites.append("%s.%s" % (path.stem, node.name))
-    assert sites == ["oracle.require_limit"] * 2
+    assert sites == ["collapse.require_limit"] * 2
 
 
 @pytest.mark.parametrize("x", [F(3, 2), F(-1, 2), Q2(1) + S2(4)])

@@ -15,7 +15,7 @@ from abyss import (Bracket, CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModul
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss import universe
 from abyss.composites import ScalarMultiple
-from abyss.oracle import _ball_clipped
+from abyss.collapse import _ball_clipped
 from abyss.reductions import AbyssReport, CliqModulusOracle, _dyadic_inside
 from abyss.serialize import dumps
 from abyss.universe import CLIQUISH
