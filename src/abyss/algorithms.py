@@ -97,18 +97,13 @@ def inf_usco(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
 def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInterval:
     """Supremum of a pointwise limit consumed through its representation: the
     tail condition 'terms stay above the threshold' is bounded by the
-    convergence modulus, making each halving step arithmetical."""
+    convergence modulus, making each halving step arithmetical; every
+    midpoint is read off one probe walk, with no search."""
     _check_precision(k)
     iv = _subinterval(p, q)
     require_limit(f_rep, "sup_baire1")
     lo, hi = f_rep.range_bound()
-
-    def above(n, m):
-        found = isinstance(abyss.mu_search(abyss.Baire1Above(f_rep, iv, Fraction(n, m), fuel)),
-                           abyss.Found)
-        return Truth.YES if found else Truth.NO
-
-    return _halve_values(lo, hi, k, above)
+    return _halve_values(lo, hi, k, abyss.oracle._baire1_midpoints(f_rep, iv, fuel))
 
 
 # ---------------------------------------------------------------------------

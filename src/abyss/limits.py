@@ -141,8 +141,8 @@ class Baire1Limit(SymbolicFn):
     def special_points(self, iv, depth):
         return self.term(depth).special_points(iv, depth)
 
-    def witness_depth(self, y: Fraction) -> Optional[int]:
-        """The probe depth past which no value above y lies; None: unknown."""
+    def witness_depth(self, y: Q2) -> Optional[int]:
+        """The probe depth past which no value above the rational y lies; None: unknown."""
         return None
 
 

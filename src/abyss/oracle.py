@@ -18,15 +18,16 @@ exact - not merely grid-sound - on the built-in families.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .collapse import _ball_walk, _osc_on, require_limit, require_rule
 from .errors import FuelExhausted
-from .exact import (DEFAULT_FUEL, DyadicInterval, FueledBool, Truth, _ratio, _rational,
-                    grid_depth_cap)
+from .exact import (DEFAULT_FUEL, DyadicInterval, FueledBool, Q2, Truth, _ratio, _rational,
+                    _reduced, grid_depth_cap, grid_q2, grid_span)
 from .records import record
-from .universe import SymbolicFn, probe_points, query_state
+from .universe import SymbolicFn, _clip_unit, probe_points, query_state
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .limits import Baire1Limit
@@ -246,49 +247,81 @@ def _baire1_value_above(f_rep: Baire1Limit, p, y: Fraction, fuel: int):
 
 
 class _ProbeState:
-    """The one walk over a function's probe depths on an interval: what the
-    witness searches have learned there, so no depth's basis is built twice.
-    Per probe depth, built when a search first reaches it: the full basis
-    size (for the trace) and the points that depth adds to the shallower
-    bases, in basis order, each point keyed by its integers (p, q, d), since
-    a point a shallower depth refuted needs no second evaluation.  For the
-    `Baire1Above` searches on a limit with a stabilizer, also the largest
-    exact value among those points, taken over all of them when a search
-    first reads the depth.  A depth past the grid cap probes the cap's
-    basis again and adds nothing.  The state lives in the query scope, one
-    per (function, interval), which the thresholds of one halving share
-    (`_probe_state`)."""
+    """The one walk over a function's probe depths on an interval, so no
+    depth is built twice.  Per depth, built when a search first reaches it:
+    the full basis size (for the trace), counted, not materialised, and the
+    points the depth adds to the shallower bases, in basis order, the only
+    points it builds: the odd multiples of 2^-d (at depth 0 the whole grid)
+    and the special points no shallower basis holds.  A limit with a
+    stabilizer keeps the running maximum of its values up to each depth: a
+    threshold bisects those on the integers, so `sup_baire1` decides each
+    midpoint with no search.  A depth past the grid cap adds nothing.  One
+    state per (function, interval) lives in the query scope (`_probe_state`)."""
 
     def __init__(self, f: SymbolicFn, iv: DyadicInterval):
         self.f, self.iv = f, iv
         self.cap = grid_depth_cap(iv)
         self.sizes: list[int] = []
         self.added: list[list] = []
-        self.tops: dict = {}  # depth -> its points' largest value, None if none
-        self._seen: set = set()
+        self.tops: list = []  # depth -> the largest value up to it
+        self._off: set = set()  # (p, q, d) of each point added off the grid of its depth
 
     def basis_size(self, d: int) -> int:
         """The full basis size at depth d, building the depths up to it."""
         while len(self.sizes) <= min(d, self.cap):
-            pts = basis_at(self.f, self.iv, len(self.sizes))
-            self.sizes.append(len(pts))
-            keys = [(p.p, p.q, p.d) for p in pts]
-            self.added.append([p for p, key in zip(pts, keys) if key not in self._seen])
-            self._seen.update(keys)
+            self._grow()
         return self.sizes[min(d, self.cap)]
 
-    def exceeds(self, d: int, y: Fraction, fuel: int) -> bool:
-        """Whether a point that depth d (already built) adds has a limit
-        value above y; the function is a `Baire1Limit`."""
-        if d > self.cap:
-            return False
-        f, pts = self.f, self.added[d]
-        if f.stabilizer is None:
-            return any(_baire1_value_above(f, p, y, fuel) for p in pts)
-        if d not in self.tops:
-            self.tops[d] = max(map(f.eval, pts), default=None)
-        top = self.tops[d]
-        return top is not None and top > y
+    def _grow(self):
+        """Build the next depth n from the points it adds: at depth 0 the whole
+        grid (its ends read as special points), past it the odd multiples."""
+        n, off = len(self.sizes), self._off
+        odd, iv, den = n > 0, _clip_unit(self.iv), 1 << n  # iv: the part the bases probe
+        ln, un, e = iv.ln, iv.un, iv.d
+        first, last = grid_span(iv, n)
+        # the grid: the multiples of 2^-n inside iv, and the ends off them
+        size = len(range(first, last + 1)) + (first > last or first * e != ln << n) \
+            + (un != ln and (first > last or last * e != un << n))
+        pts = [_reduced(j, 0, den) for j in range(first | odd, last + 1, 1 + odd)
+               if (j, 0, den) not in off]
+        more = self.f.special_points(iv, n) if odd else [
+            _reduced(ln, 0, e), _reduced(un, 0, e), *self.f.special_points(iv, n)]
+        for (a, b, c), p in {(p.p, p.q, p.d): p for p in map(Q2.of, more)}.items():
+            if b or den % c or not first <= a * (den // c) <= last:  # off the grid's mesh
+                size += b != 0 or a * e not in (ln * c, un * c)  # and not an end
+                if (a, b, c) not in off:
+                    off.add((a, b, c))
+                    insort(pts, p)
+        self.sizes.append(size)
+        self.added.append(pts)
+
+    def least_above(self, y: Q2, fuel: int, trace=None) -> Optional[int]:
+        """The least depth up to fuel and to the limit's witness depth for the
+        rational y (else the cap) with a limit value above y; None refutes a
+        positive y.  Without a stabilizer each point is read via the modulus."""
+        f, cap, tops, last = self.f, self.cap, self.tops, self.f.witness_depth(y)
+        end = min(fuel, max(cap if last is None else last, 0))
+        d, r = 0, None if f.stabilizer is not None else y.as_rational()
+        if r is None and trace is None:  # the depths read before: their maxima rise
+            known = min(end + 1, len(tops))
+            d = bisect_right(tops, y, 0, known)
+            if d < known:
+                return d
+        for d in range(d, (end if trace is not None else min(end, cap)) + 1):
+            size = self.basis_size(d)
+            if trace is not None:
+                trace.record("Baire1Above", d, size, "scan")
+            pts = self.added[d] if d <= cap else ()  # past the cap nothing is new
+            if r is None:
+                if d == len(tops):
+                    tops.append(max([*tops[-1:], *map(f.eval, pts)]))
+                if tops[d] > y:
+                    return d
+            elif any(_baire1_value_above(f, p, r, fuel) for p in pts):
+                return d
+        if y.p <= 0:
+            raise FuelExhausted("non-positive threshold cannot be refuted on a "
+                                "limit representation")
 
 
 def _probe_state(f: SymbolicFn, iv: DyadicInterval) -> _ProbeState:
@@ -303,21 +336,23 @@ def _mu_baire1_above(q: Baire1Above, trace):
     f = q.f_rep
     require_limit(f, "mu_search/Baire1Above")
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
-    y = _rational(q.threshold)
-    last = f.witness_depth(y)
-    state = _probe_state(f, q.interval)
-    for d in range(q.fuel + 1):
-        size = state.basis_size(d)
-        if trace is not None:
-            trace.record("Baire1Above", d, size, "scan")
-        if state.exceeds(d, y, q.fuel):
-            return Found(MuWitness(d))
-        if d >= (state.cap if last is None else last):
-            break
-    if y <= 0:
-        raise FuelExhausted("non-positive threshold cannot be refuted on a "
-                            "limit representation")
-    return NotFoundBelow(q.fuel)
+    y = Q2.of(_rational(q.threshold))
+    d = _probe_state(f, q.interval).least_above(y, q.fuel, trace)
+    return NotFoundBelow(q.fuel) if d is None else Found(MuWitness(d))
+
+
+def _baire1_midpoints(f: Baire1Limit, iv: DyadicInterval, fuel: int):
+    """`sup_baire1`'s test of a midpoint n/m, read off the probe state with
+    no search; the first makes the refusal check of a `Baire1Above` search."""
+    state = []
+
+    def above(n: int, m: int) -> Truth:
+        if not state:
+            require_rule("Baire1Above", f, "mu_search/Baire1Above")
+            state.append(_probe_state(f, iv))
+        return Truth.NO if state[0].least_above(_reduced(n, 0, m), fuel) is None else Truth.YES
+
+    return above
 
 
 # query shape -> its least-witness search

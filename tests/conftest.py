@@ -36,27 +36,29 @@ def no_open_query_scope():
 
 @pytest.fixture
 def deadline():
-    """`deadline(seconds)` fails the test once it has run that long, so an
-    unbounded search fails quickly instead of stalling the suite.  Built on
-    SIGALRM (main thread, POSIX); the timer is cleared when the test body
-    ends (`pytest_runtest_call`), before pytest reports a failure, and the
-    handler is restored at teardown."""
+    """`deadline(seconds)` fails the test once it has used that much CPU
+    time, so an unbounded search fails quickly instead of stalling the
+    suite, and a stall of the host (another process on the CPU) fails
+    nothing.  Built on `ITIMER_PROF` and SIGPROF (main thread, POSIX), which
+    count the process's own user and system time; the timer is cleared when
+    the test body ends (`pytest_runtest_call`), before pytest reports a
+    failure, and the handler is restored at teardown."""
 
     def on_alarm(signum, frame):
         pytest.fail("test ran past its %s s deadline" % armed[0])
 
     armed = []
-    old = signal.signal(signal.SIGALRM, on_alarm)
+    old = signal.signal(signal.SIGPROF, on_alarm)
 
     def arm(seconds):
         armed[:] = [seconds]
-        signal.setitimer(signal.ITIMER_REAL, seconds)
+        signal.setitimer(signal.ITIMER_PROF, seconds)
 
     try:
         yield arm
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -65,7 +67,7 @@ def pytest_runtest_call(item):
     pytest formats the failure would replace the report with its own."""
     yield
     if "deadline" in item.fixturenames:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.setitimer(signal.ITIMER_PROF, 0)
 
 
 def calls_to(fn, filename: str, name: str) -> int:

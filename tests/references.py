@@ -207,6 +207,17 @@ def plain_probe_points(f, iv: DyadicInterval, depth: int):
     return [p for p, _ in itertools.groupby(sorted(pts))]
 
 
+def plain_depths(f, iv: DyadicInterval):
+    """Per probe depth up to the grid cap: the size of the plain basis and
+    the points it adds to the shallower plain bases, in basis order."""
+    seen, out = set(), []
+    for d in range(grid_depth_cap(iv) + 1):
+        pts = plain_probe_points(f, iv, d)
+        out.append((len(pts), [p for p in pts if p not in seen]))
+        seen.update(pts)
+    return out
+
+
 def brute_values(f, iv, depth, member_limit=32):
     return [f.eval(p) for p in probe_basis(f, iv, depth, member_limit)]
 
@@ -461,6 +472,15 @@ def halving(f, iv, lo, hi, k, fuel, search):
         return {Found: Truth.YES, NotFoundBelow: Truth.NO}.get(type(answer), Truth.UNKNOWN)
 
     return steps, outcome(lambda: _halve_values(lo, hi, k, decide))
+
+
+def plain_sup_baire1(f, p, q, values, k, fuel):
+    """`sup_baire1` as the halving over `plain_baire1_above`: its outcome, or
+    the refusal of the search that ended it, which `sup_baire1` passes on."""
+    steps, out = halving(f, DyadicInterval(p, q), *(values or f.range_bound()), k, fuel,
+                         plain_baire1_above)
+    last = steps[-1][1][0] if steps else None
+    return last if isinstance(last, tuple) else out
 
 
 # --- the ball walks over 0..fuel, one clipped ball at a time ---

@@ -24,8 +24,9 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
                    natural_usco_modulus, point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
-                   staircase, sup_qc, tilde_set)
+                   staircase, sup_baire1, sup_qc, tilde_set)
 from abyss.collapse import _ball_clipped
+from abyss.oracle import _ProbeState
 from abyss.serialize import dumps, fn_json
 from abyss.spikes import CoverPsi
 from abyss.universe import USCO, probe_points, query_scope
@@ -166,12 +167,32 @@ def build_grid(f, entry, rng):
     yield from [("constant", c0), ("linear", c1, c0)]
 
 
+def probe_intervals(rng):
+    """[0,1], intervals whose ends are special points or reach past [0,1],
+    and random ones."""
+    return [UNIT, DyadicInterval(F(1, 4), F(3, 4)), DyadicInterval(F(1, 3), F(1, 2)),
+            DyadicInterval(F(-1, 4), F(1, 3)), DyadicInterval(F(3, 4), F(5, 4))] \
+        + random_intervals(rng, 6, 9)
+
+
 def probe_grid(f, entry, rng):
-    """Every depth 0..8 on [0,1], on intervals whose ends are special points
-    or reach past [0,1], and on random ones."""
-    ivs = [UNIT, DyadicInterval(F(1, 4), F(3, 4)), DyadicInterval(F(1, 3), F(1, 2)),
-           DyadicInterval(F(-1, 4), F(1, 3)), DyadicInterval(F(3, 4), F(5, 4))]
-    return itertools.product(ivs + random_intervals(rng, 6, 9), range(9))
+    """Every depth 0..8 on the probe intervals."""
+    return itertools.product(probe_intervals(rng), range(9))
+
+
+def state_grid(f, entry, rng):
+    """Each interval the entry's probe, threshold and Baire-1 rows read, once."""
+    ivs = probe_intervals(rng) if "probe" in entry["groups"] else []
+    ivs += [DyadicInterval(p, q) for _, (p, q), *_ in entry.get("exists", [])]
+    ivs += [DyadicInterval(*iv) for iv, *_ in entry.get("baire1", [])]
+    return [(iv,) for iv in dict.fromkeys(ivs)]
+
+
+def state_depths(f, iv):
+    """Per depth up to the cap, the probe state's basis size and the points
+    the depth adds, built one depth at a time."""
+    state = _ProbeState(f, iv)
+    return [(state.basis_size(d), state.added[d]) for d in range(state.cap + 1)]
 
 
 def built_table(g):
@@ -194,6 +215,24 @@ def halving_grid(f, entry, rng):
     kept on the instance."""
     for (p, q), values, k, fuel, least in entry["halving"]:
         yield from [(DyadicInterval(p, q), *(values or f.range_bound()), k, fuel, least)] * 2
+
+
+def sup_baire1_grid(f, entry, rng):
+    """Each halving at its own fuel, and at fuel 12, below the grid cap of
+    the narrower intervals, where a limit without a stabilizer decides the
+    thresholds of its k = 10 halvings."""
+    return [(p, q, values, k, fuel) for (p, q), values, k, own, _ in entry["halving"]
+            for fuel in (own, 12)]
+
+
+def sup_baire1_twice(f, p, q, values, k, fuel):
+    """`sup_baire1`'s outcome, twice in one query scope: the second run reads
+    the probe state of the first.  A limit that gives no value range (no
+    stabilizer, no bounds) halves the range its entry names."""
+    if values:
+        f.range_bound = lambda: values
+    with query_scope():
+        return [ref.outcome(lambda: sup_baire1(f, p, q, k, fuel)) for _ in range(2)]
 
 
 def halving_side(run):
@@ -475,6 +514,11 @@ ROWS = [
     Row("sup-baire1-halving", halving_side(mu_search), halving_side(ref.plain_baire1_above),
         ("halving",), halving_grid, lambda f, got, want, *args: got == want
         and len(got[0]) > args[-1], ("one probe state", 20)),
+    Row("sup-baire1", sup_baire1_twice, lambda f, *args: [ref.plain_sup_baire1(f, *args)] * 2,
+        ("halving",), sup_baire1_grid, budget=("sup_baire1 runs", 15), kinds=frozenset({
+            "DyadicInterval", "limit value indistinguishable from the threshold"})),
+    Row("probe-state", state_depths, ref.plain_depths, ("probe", "exists", "baire1"), state_grid,
+        budget=("probe states", 20)),
     Row("baire1-above", search(mu_search), search(ref.plain_baire1_above), ("baire1",),
         lambda f, entry, rng: [(Baire1Above(f, DyadicInterval(*iv), y, fuel),)
                                for iv, y, fuel in entry["baire1"]],
@@ -545,14 +589,17 @@ def test_fast_path_answers_as_its_reference(row, name, request):
 def test_a_deadline_leaves_the_failure_report_to_pytest(pytester):
     """A budget fails a case that runs long, yet a case that fails in time
     reports its own error, even when formatting the error outlasts the
-    deadline: the alarm is off once the test body ends."""
+    deadline: the alarm is off once the test body ends.  The deadline counts
+    CPU time, so the formatting spins rather than sleeps."""
     pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text())
     pytester.makepyfile("""
         import time
 
         class SlowToRead(Exception):
             def __str__(self):
-                time.sleep(0.5)
+                start = time.process_time()
+                while time.process_time() - start < 0.5:
+                    pass
                 return "the case's own message"
 
         def test_fails_in_time(deadline):
