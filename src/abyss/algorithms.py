@@ -137,9 +137,9 @@ def is_continuous_at(f: SymbolicFn, x, fuel: int = DEFAULT_FUEL) -> FueledBool:
     require_rule("OscBelow", f, "is_continuous_at")
     prec = min(fuel, 48)
     b = osc_exact(f, Q2.of(x), prec)
-    if b.lo > 0:
+    if b.ln > 0:
         return FueledBool(Truth.NO, prec)
-    if b.hi == 0:
+    if not b.un:
         return FueledBool(Truth.YES, prec)
     return FueledBool(Truth.UNKNOWN, fuel)
 

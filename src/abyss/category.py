@@ -9,7 +9,7 @@ Every point returned comes with a certificate the caller can re-verify.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import abyss
 
@@ -25,16 +25,27 @@ from .universe import USCO, SymbolicFn, osc_exact, query_scope, query_state
 # ---------------------------------------------------------------------------
 
 
-def _interior_numerators(iv: DyadicInterval, depth: int) -> list[int]:
+def _interior_numerators(iv: DyadicInterval, depth: int) -> Iterator[int]:
     """The numerators j of the grid points j/2^depth at least width/8 from
-    both ends of iv, nearest the midpoint first (the lower one on a tie)."""
+    both ends of iv, nearest the midpoint first (the lower one on a tie): a
+    walk down and a walk up from the midpoint, merged."""
     ln, un, d = iv.ln, iv.un, iv.d
     if ln == un:
-        return []
+        return
     first = -(-((7 * ln + un) << depth) // (8 * d))
     last = ((ln + 7 * un) << depth) // (8 * d)
-    mid = (ln + un) << depth  # 2d 2^depth times the midpoint
-    return sorted(range(first, last + 1), key=lambda j: (abs(2 * d * j - mid), j))
+    # e j - mid is e times j's offset from the midpoint; the inner ends lie
+    # either side of it, so first <= down + 1 and down <= last
+    mid, e = (ln + un) << depth, 2 * d
+    down = mid // e
+    up = down + 1
+    while down >= first or up <= last:
+        if up > last or down >= first and mid - e * down <= e * up - mid:
+            yield down
+            down -= 1
+        else:
+            yield up
+            up += 1
 
 
 def _room(j: DyadicInterval, cn: int, cd: int) -> tuple[int, int]:
@@ -70,7 +81,7 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     2^-(m+7) above the true oscillation, which that bracket bounds."""
     _check_precision(k)
     require_rule("OscBelow", f, "point_of_continuity_qc")
-    j = DyadicInterval(Fraction(0), Fraction(1))
+    j = DyadicInterval.of_ints(0, 1, 1)
     held = None  # the bracket read on the ball that holds j
     for m in range(k + 1):
         def gone(ball):  # oscillation above 2^-m on the smallest ball
@@ -131,7 +142,7 @@ def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, USCO, "natural_usco_modulus")
 
     def radius(p, k):
-        n = _least_ball_below(f, p, Q2.of(Fraction(1, 1 << k)) + f.eval(p), k, fuel)
+        n = _least_ball_below(f, p, _reduced(1, 0, 1 << k) + f.eval(p), k, fuel)
         if n is None:
             raise FuelExhausted("no witnessing ball found within fuel")
         return Fraction(1, 1 << n)
@@ -153,25 +164,28 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
     """
     _check_precision(k)
     require_tag(f, USCO, "point_of_continuity_usco")
-    rl, rh = f.range_bound()
-    span = rh - rl + 1
-    j = DyadicInterval(Fraction(0), Fraction(1))
+    (an, ad), (bn, bd) = map(_ratio, f.range_bound())
+    den = ad * bd  # rl = lo_n/den and span = rh - rl + 1 = span_n/den
+    lo_n, span_n = an * bd, bn * ad - an * bd + den
+    j = DyadicInterval.of_ints(0, 1, 1)
     stage = 1
     with query_scope():  # the ball suprema the radii read, kept across stages
         while True:
-            t = rl + span * Fraction(1, 1 << stage)
-            tq = Q2.of(t)
+            tn, td = (lo_n << stage) + span_n, den << stage  # t = rl + span 2^-stage
+            tq = _reduced(tn, 0, td)
 
             def place(cn, cd):
                 p = _reduced(cn, 0, cd)
                 fc = f.eval(p)
                 if fc < tq:
+                    # the least k0 with 2^-k0 <= gap, read off a rational gap and
+                    # walked up to for an irrational one
                     gap = tq - fc
-                    k0 = 0
-                    while _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:  # 2^-k0 > gap
+                    k0 = 0 if gap.q else least_exponent(gap.p, gap.d)
+                    while k0 <= fuel and _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:
                         k0 += 1
-                        if k0 > fuel:
-                            return None
+                    if k0 > fuel:
+                        return None
                     c = Fraction(cn, cd)
                     radius = psi(c, k0)
                     if radius <= 0:
@@ -179,7 +193,8 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
                                              % (radius, c))
                     rn, rd = _ratio(radius)
                 else:
-                    res = abyss.mu_search(abyss.ValueBelowOnBall(f, p, t, min(fuel, 24)))
+                    res = abyss.mu_search(abyss.ValueBelowOnBall(f, p, Fraction(tn, td),
+                                                                 min(fuel, 24)))
                     if not isinstance(res, abyss.Found):
                         return None
                     rn, rd = 1, 1 << res.witness.value
@@ -195,11 +210,10 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
                 raise FuelExhausted("no threshold-set ball found inside the current "
                                     "interval", best=j)
             j = ball
-            if span * Fraction(1, 1 << stage) <= Fraction(1, 1 << (k + 1)):
-                out = j.midpoint
-                cert = osc_exact(f, Q2.of(out), k + 1)
-                if cert.hi <= Fraction(1, 1 << k):
-                    return out
+            if span_n << (k + 1) <= den << stage:  # span 2^-stage <= 2^-(k+1)
+                cert = osc_exact(f, _reduced(j.ln + j.un, 0, 2 * j.d), k + 1)
+                if cert.un << k <= cert.d:  # its upper end <= 2^-k
+                    return j.midpoint
             stage += 1
             if stage > fuel:
                 raise FuelExhausted("certificate did not close within fuel",
@@ -213,7 +227,7 @@ def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, USCO, "lsco_modulus_on_cf")
 
     def least(p, k):
-        cap = f.eval(p) + Q2.of(Fraction(1, 1 << (k + 1)))
+        cap = f.eval(p) + _reduced(1, 0, 2 << k)
         n = _least_ball_below(f, p, cap, k, fuel)
         return fuel if n is None else n
 

@@ -498,10 +498,11 @@ def _check_precision(k: int):
 
 
 def _subinterval(p, q) -> DyadicInterval:
-    p, q = _rational(p), _rational(q)
-    if not (0 <= p < q <= 1):
+    (pn, pd), (qn, qd) = _ratio(p), _ratio(q)
+    ln, un, d = pn * qd, qn * pd, pd * qd
+    if not 0 <= ln < un <= d:
         raise ValueError("need rational endpoints 0 <= p < q <= 1")
-    return DyadicInterval(p, q)
+    return DyadicInterval.of_ints(ln, un, d)
 
 
 # --- fueled truth values ---------------------------------------------------

@@ -6,9 +6,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import ConstructionError, DomainError
-from .exact import Bracket, Q2, _reduced
+from .exact import Bracket, Q2, _ratio, _reduced
 from .universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV, QUASI_CONTINUOUS,
-                       REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn, _Q0, _Q1)
+                       REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn, _Q0, _Q1,
+                       _poly_of_ints)
 
 
 class PiecewiseRational(SymbolicFn):
@@ -34,21 +35,24 @@ class PiecewiseRational(SymbolicFn):
         # off every side it has (not quasi-continuous), a right limit off its
         # value (not cadlag): each limit is compared with its value once
         up = down = split = jump = False
-        left = None
+        left = after = None
         for i, c in enumerate(cuts):
             if i and cuts[i - 1]._cmp(c) >= 0:
                 raise ConstructionError("cuts must be strictly increasing")
             if not shaped:
                 continue
             v, right = values[i], pieces[i] if i < m - 1 else None
-            before = after = sl = sr = None
+            before = sl = sr = None
             if left is not None:
                 w = left._vertex
                 if w is not None and cuts[i - 1] < w < c:
                     critical.append(w)
-                before = left(c)
+                # a constant piece (no vertex, no slope) has the left limit here
+                # that it has as its right limit at the last cut
+                before = left(c) if w is not None or left.n1 else after
                 sl = before._cmp(v)
             critical.append(c)
+            after = None
             if right is not None:
                 after = right(c)
                 sr = after._cmp(v)
@@ -165,7 +169,7 @@ def constant(c) -> PiecewiseRational:
     if not v.is_rational:
         raise ConstructionError("constant %s is irrational; Poly coefficients "
                                 "are rational" % (v,))
-    return PiecewiseRational((_Q0, _Q1), [Poly(v.as_rational())], [v, v])
+    return PiecewiseRational((_Q0, _Q1), [_poly_of_ints(v.p, 0, 0, v.d)], [v, v])
 
 
 def linear(slope, intercept=0) -> PiecewiseRational:
@@ -180,8 +184,9 @@ def staircase(jumps) -> PiecewiseRational:
     cuts, pieces, values = [_Q0], [Poly(0)], [_Q0]
     for pos, value in jumps:
         cuts.append(Q2.of(pos))
-        pieces.append(Poly(value))
-        values.append(Q2.of(value))
+        n, d = _ratio(value)
+        pieces.append(_poly_of_ints(n, 0, 0, d))
+        values.append(_reduced(n, 0, d))
     cuts.append(_Q1)
     values.append(values[-1])
     return PiecewiseRational(cuts, pieces, values)

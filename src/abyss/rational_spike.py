@@ -9,7 +9,7 @@ from typing import Optional
 
 from .exact import Bracket, DyadicInterval, Q2, Truth, _least_denominator, _reduced
 from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, CLIQUISH, REGULATED, USCO,
-                       SymbolicFn, _ZERO, irrational_inside)
+                       SymbolicFn, _Q0, _ZERO, irrational_inside)
 
 
 class Thomae(SymbolicFn):
@@ -24,9 +24,7 @@ class Thomae(SymbolicFn):
                          {CERT_SUP, CERT_INF, CERT_OSC})
 
     def _eval(self, x):
-        if not x.is_rational:
-            return Q2.of(0)
-        return Q2.of(Fraction(1, x.as_rational().denominator))
+        return _reduced(1, 0, x.d) if not x.q else _Q0  # x.d is the reduced denominator
 
     def _hull(self):
         return Q2.of(0), Q2.of(1), False, False
@@ -43,15 +41,11 @@ class Thomae(SymbolicFn):
         return (Fraction(p, q), q) if q <= cap else None
 
     def _range_on(self, iv, k):
-        # infimum: rational values 1/q get arbitrarily small, irrationals give 0
-        inf_b = _ZERO
+        # the infimum is 0 (values 1/q get arbitrarily small, irrationals give
+        # 0); the supremum is 1/q for the least denominator q in iv, up to a cap
         cap = 1 << (k + 2)
-        hit = self.min_denominator_in(iv, cap)
-        if hit is None:
-            sup_b = Bracket(Fraction(0), Fraction(1, cap))
-        else:
-            sup_b = Bracket.point(Fraction(1, hit[1]))
-        return inf_b, sup_b
+        q = _least_denominator(iv.ln, iv.d, iv.un, iv.d)[1]
+        return _ZERO, Bracket.of_ints(1, 1, q) if q <= cap else Bracket.of_ints(0, 1, cap)
 
     def _witness_above(self, iv, y):
         if y <= 0:

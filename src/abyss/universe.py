@@ -236,7 +236,9 @@ class SymbolicFn:
         """Rational bounds on the values over [0,1], where value halving
         starts: the hull's ends rounded outward at 2^-8."""
         lo, hi, _, _ = self._hull()
-        return Bracket.of_q2(lo, 8).lo, Bracket.of_q2(hi, 8).hi
+        ln, _, ld = lo._bracket_ints(8)
+        _, hn, hd = hi._bracket_ints(8)
+        return Fraction(ln, ld), Fraction(hn, hd)
 
     def is_positive(self) -> bool:
         """Exact check: f(x) > 0 for every x in [0,1].  The hull's low end

@@ -1,0 +1,97 @@
+"""Per-kind op times of one benchmark run, to see which kinds a change moved.
+
+    python3 tests/op_kinds.py --workload positive-mix --seed 101 [--tree DIR] [--fractions]
+
+Loads the workload of the tree DIR (default: this tree) through
+`perfbench/core.load_workload`, runs one run's timed passes through
+`core.Tally`, so each op's latency is normalised for the host's speed as
+`core` normalises it, and prints one line per op kind: its ops, its share of
+the run's op time, its median latency, and how many of its ops sit at or
+above the run's p50 and p90 (the nearest-rank percentiles of `core`).
+
+With --fractions it runs the same passes again, untimed, and adds each
+kind's `Fraction` constructions per op made by abyss itself: a construction
+counts when the first caller outside `fractions` lies in the tree's src.
+To compare a parent commit, export it (`git archive`) and pass --tree.
+
+Stdlib only; run by hand (pytest does not collect it).  It changes nothing
+under perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fractions
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fraction_counter(src: str):
+    """(count, restore): count() returns how many `Fraction`s code under src
+    has built since the patch; restore() takes the patch off."""
+    original, made = fractions.Fraction.__new__, [0]
+    lib = fractions.__file__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_filename == lib:
+            frame = frame.f_back
+        if frame is not None and frame.f_code.co_filename.startswith(src):
+            made[0] += 1
+        return original(cls, *args, **kwargs)
+
+    fractions.Fraction.__new__ = counted
+    return (lambda: made[0]), (lambda: setattr(fractions.Fraction, "__new__", original))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", default="positive-mix")
+    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--tree", default=str(ROOT), help="a checkout with src/ and perfbench/")
+    ap.add_argument("--fractions", action="store_true",
+                    help="also count the Fractions abyss builds per op")
+    args = ap.parse_args(argv)
+    tree = Path(args.tree).resolve()
+    sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
+    from core import Tally, load_workload, median, percentile
+
+    wl = load_workload(args.workload, args.seed)
+    passes = [wl.next_pass() for _ in range(wl.passes)]
+    tally = Tally()
+    for ops in passes:
+        tally.run(ops, wl.op_cap_s)
+    lat = tally.latencies
+    total, p50, p90 = sum(lat), percentile(lat, 50), percentile(lat, 90)
+    news = {}
+    if args.fractions:
+        count, restore = fraction_counter(str(tree / "src"))
+        try:
+            for ops in passes:
+                for op in ops:
+                    before = count()
+                    try:
+                        op.run()
+                    except Exception:
+                        pass  # a refusal is an answer; its Fractions count too
+                    news.setdefault(op.kind, []).append(count() - before)
+        finally:
+            restore()
+    print("%s seed %d, tree %s: %d ops, %.1f ms of op time, p50 %.4f ms, p90 %.4f ms" % (
+        args.workload, args.seed, tree, len(lat), 1000 * total, 1000 * p50, 1000 * p90))
+    width = max(map(len, tally.by_kind))
+    print("%-*s %5s %7s %10s %6s %6s%s" % (width, "kind", "ops", "share", "median ms", ">=p50",
+                                           ">=p90", "  Fractions/op" if news else ""))
+    for kind, ks in sorted(tally.by_kind.items(), key=lambda kv: -sum(kv[1])):
+        made = news.get(kind)
+        print("%-*s %5d %6.1f%% %10.4f %6d %6d%s" % (
+            width, kind, len(ks), 100 * sum(ks) / total, 1000 * median(ks),
+            sum(x >= p50 for x in ks), sum(x >= p90 for x in ks),
+            "  %12.1f" % (sum(made) / len(made)) if made else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

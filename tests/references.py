@@ -17,7 +17,7 @@ from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DyadicInterv
                    Q2, RMCode, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall,
                    rational_grid, unit_rationals)
 from abyss.algorithms import _halve_values
-from abyss.category import _next_ball, _room
+from abyss.category import _room
 from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.covers import _rational_interval_stream
@@ -517,6 +517,31 @@ def plain_value_below_on_ball(q, trace):
     return NotFoundBelow(q.fuel)
 
 
+def sorted_interior_numerators(iv, depth):
+    """The candidates of `category._interior_numerators`, all listed and
+    sorted by distance from the midpoint, the lower one first on a tie."""
+    ln, un, d = iv.ln, iv.un, iv.d
+    if ln == un:
+        return []
+    first = -(-((7 * ln + un) << depth) // (8 * d))
+    last = ((ln + 7 * un) << depth) // (8 * d)
+    mid = (ln + un) << depth  # 2d 2^depth times the midpoint
+    return sorted(range(first, last + 1), key=lambda j: (abs(2 * d * j - mid), j))
+
+
+def plain_next_ball(j, place):
+    """`category._next_ball` over the sorted candidates: the first ball
+    place(cn, 2^depth) grants, over twelve depths from the least depth >= 1
+    whose mesh is at most a quarter of j."""
+    depth0 = next(e for e in itertools.count(1) if F(1, 1 << e) <= j.width / 4)
+    for depth in range(depth0, depth0 + 12):
+        for cn in sorted_interior_numerators(j, depth):
+            ball = place(cn, 1 << depth)
+            if ball is not None:
+                return ball
+    return None
+
+
 def plain_modulus_continuity(f, fuel):
     require_rule("OscBelow", f, "modulus_continuity_qc")
     return lambda x, m: next((n for n in range(fuel + 1) if _osc_on(
@@ -542,7 +567,7 @@ def plain_point_of_continuity_qc(f, k, fuel):
             return None
 
         fits = F(1, 1 << fuel) <= (j.upper - j.lower) / 4
-        ball = _next_ball(j, place) if fits else None
+        ball = plain_next_ball(j, place) if fits else None
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
                                 "current interval", best=j)
@@ -593,7 +618,7 @@ def plain_point_of_continuity_usco(f, k, fuel):
             s = min(radius, (j.upper - j.lower) / 4, c - j.lower, j.upper - c) / 2
             return DyadicInterval(c - s, c + s)
 
-        ball = _next_ball(j, place)
+        ball = plain_next_ball(j, place)
         if ball is None:
             raise FuelExhausted("no threshold-set ball found inside the current "
                                 "interval", best=j)

@@ -294,6 +294,24 @@ def test_point_of_continuity_usco():
     assert point_of_continuity_usco(c, natural_usco_modulus(c), 6) == F(1, 2)
 
 
+def test_point_of_continuity_usco_keeps_its_thresholds_on_the_integers():
+    """A `Fraction` is built only where a caller sees one: the centres
+    handed to the modulus, the radii it returns, the range bound and the
+    point returned (81 when every stage's threshold and stop test were
+    `Fraction`s)."""
+    def run():
+        f = Penny(sqrt2_family())
+        return point_of_continuity_usco(f, natural_usco_modulus(f), 6)
+
+    assert run() == F(1, 2)
+    assert fraction_news(run) <= 22
+
+
+def usco_point(fuel, k):
+    f = Penny(A)
+    return point_of_continuity_usco(f, natural_usco_modulus(f, fuel), k, fuel)
+
+
 @pytest.mark.parametrize("run, error, message, best", [
     (lambda: cousin_subcover(constant(F(1, 64)), fuel=1), FuelExhausted,
      "enumeration prefix did not cover the interval", [(F(0), F(1, 64)), (F(1), F(1, 64))]),
@@ -301,12 +319,22 @@ def test_point_of_continuity_usco():
      "usco modulus gave the radius 0 at 1/2", None),
     (lambda: osc_point(linear(1), F(1, 2), 4, fuel=0), FuelExhausted,
      "ball oscillation did not close onto the cluster value", DyadicInterval(0, 0)),
-], ids=["cousin-prefix", "usco-zero-radius", "osc-ball-walk"])
+    (lambda: usco_point(0, 8), FuelExhausted,
+     "no threshold-set ball found inside the current interval", DyadicInterval(0, 1)),
+    (lambda: usco_point(1, 8), FuelExhausted, "no witnessing ball found within fuel", None),
+    (lambda: usco_point(3, 12), FuelExhausted, "certificate did not close within fuel",
+     DyadicInterval(F(127, 256), F(129, 256))),
+], ids=["cousin-prefix", "usco-zero-radius", "osc-ball-walk", "usco-no-ball", "usco-no-radius",
+        "usco-no-certificate"])
 def test_exits_name_their_cause(run, error, message, best):
     """A gauge of radius 1/64 needs more than the two balls fuel 1 allows; a
     modulus of radius 0 is refused at the first centre; and with fuel 0 the
     oscillation walk reads only the ball [0, 1], whose oscillation 1 does
-    not close onto the identity's 0 at 1/2."""
+    not close onto the identity's 0 at 1/2.  The usco construction on the
+    sqrt2 pennies (values in [0, 1/2], first threshold 3/4): at fuel 0 the
+    gap 3/4 asks k0 = 1; at fuel 1 both balls around 1/2 clip to [0, 1],
+    whose supremum 1/2 is not below f(1/2) + 2^-1; and at fuel 3 three
+    stages cannot bring the threshold span 3/2 under 2^-13."""
     with pytest.raises(error, match=message) as err:
         run()
     assert getattr(err.value, "best", None) == best

@@ -25,6 +25,7 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    natural_usco_modulus, point_of_continuity_qc, point_of_continuity_usco,
                    rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
                    staircase, sup_baire1, sup_qc, tilde_set)
+from abyss.category import _interior_numerators
 from abyss.collapse import _ball_clipped
 from abyss.oracle import _ProbeState
 from abyss.serialize import dumps, fn_json
@@ -618,6 +619,30 @@ def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
     # the transcript seed sets: finite sets of 1..12 points and their banded copies
     sizes = [make(name).a_set.size for name, e in ENTRIES.items() if "extraction" in e["groups"]]
     assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)
+
+
+# --- the order of the Baire-category candidates, not a function of the catalogue ---
+
+
+def test_interior_candidates_come_nearest_the_midpoint_first(deadline):
+    """The merged walk down and up from the midpoint lists the candidates
+    in the sorted order, ties to the lower one, at depths 0..13 on 600
+    seeded intervals: dyadic and other denominators, ends outside [0,1],
+    and degenerate intervals."""
+    deadline(10)
+    rng, shown = random.Random("interior order"), Counter()
+    for _ in range(600):
+        d = rng.choice((1, 2, 3, 8, 12, 64, 96, rng.randrange(1, 5000)))
+        a, width = rng.randrange(-d, 2 * d), rng.randrange(2 * d + 1) if rng.randrange(8) else 0
+        iv = DyadicInterval.of_ints(a, a + width, d)
+        shown["degenerate"] += iv.ln == iv.un
+        shown["not dyadic"] += iv.d & (iv.d - 1) != 0
+        for depth in range(14):
+            got = list(_interior_numerators(iv, depth))
+            assert got == ref.sorted_interior_numerators(iv, depth), (iv, depth, got)
+            # a tie: the first two candidates sit as far below the midpoint as above
+            shown["tie"] += len(got) > 1 and iv.d * (got[0] + got[1]) == (iv.ln + iv.un) << depth
+    assert all(shown[kind] for kind in ("degenerate", "not dyadic", "tie")), shown
 
 
 # --- a conversion of sets, not a function of the catalogue ---

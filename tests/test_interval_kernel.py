@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abyss import DyadicInterval, Q2, ball, halve, linear, rational_grid
-from abyss.exact import Bracket, DegenerateInterval, grid_depth_cap, grid_q2
+from abyss.exact import Bracket, DegenerateInterval, _subinterval, grid_depth_cap, grid_q2
 from abyss.collapse import _ball_clipped
 from abyss.universe import _clip_unit
 
@@ -271,6 +271,23 @@ def test_equality_holds_within_one_class():
         Bracket(F(1, 3), -1)
     with pytest.raises(AttributeError):
         DyadicInterval(0, 1).lower = F(1, 2)
+
+
+def test_subinterval_checks_its_ends_on_the_integers():
+    """`_subinterval(p, q)` is `DyadicInterval(p, q)` for 0 <= p < q <= 1 and
+    refuses any other ends; it builds no `Fraction` of its own."""
+    ends = [0, 1, F(1, 3), F(1, 2), F(2, 4), F(2, 3), F(-1, 4), F(5, 4)]
+    for p in ends:
+        for q in ends:
+            if 0 <= p < q <= 1:
+                assert _subinterval(p, q) == DyadicInterval(p, q)
+            else:
+                with pytest.raises(ValueError, match="need rational endpoints 0 <= p < q <= 1"):
+                    _subinterval(p, q)
+    with pytest.raises(TypeError, match="float"):
+        _subinterval(0.25, 1)
+    assert fraction_news(lambda: [_subinterval(p, q) for p in ends[:4] for q in ends[3:6]
+                                  if p < q]) == 0
 
 
 # --- no Fraction on the interval path ------------------------------------------------

@@ -662,17 +662,34 @@ def test_poly_evaluation_reduces_once_and_builds_no_fraction():
 def test_piecewise_builds_and_reads_work_from_the_table():
     """Operation counts, not seconds: a sum of two piecewise functions
     merges their tables with no `eval`, no bisection (`_locate`) and no hash
-    of a cut; a staircase evaluates its pieces only where its one-sided
-    limits need them, two per interior cut and one at each end; the hull
-    reads values off the table."""
+    of a cut; a staircase evaluates each of its constant pieces once, for
+    both of its one-sided limits; the hull reads values off the table."""
     jumps = [(F(1, 8), F(1, 2)), (S2(1), F(-1, 4)), (F(5, 8), F(3, 4)), (F(7, 8), F(1, 8))]
     f, g = staircase(jumps), fn_sum(staircase(jumps[::2]), linear(F(3, 4)))
     for name, file in (("eval", universe.__file__), ("_locate", piecewise.__file__),
                        ("__hash__", exact.__file__)):
         assert calls_to(lambda: fn_sum(f, g), file, name) == 0, name
     cuts = len(jumps) + 2
-    assert calls_to(lambda: staircase(jumps), universe.__file__, "__call__") == 2 * cuts - 2
+    assert calls_to(lambda: staircase(jumps), universe.__file__, "__call__") == cuts - 1
     assert calls_to(g._hull, piecewise.__file__, "_locate") == 0
+
+
+def test_thomae_and_the_step_builders_build_no_fraction():
+    """Thomae's values and ranges are read off denominators, and `constant`
+    and `staircase` build their tables from their arguments' integers: no
+    `Fraction` beyond the arguments."""
+    t, pts = thomae(), [Q2.of(F(j, 12)) for j in range(13)] + [S2(0), Q2(F(1, 3), F(1, 8))]
+    ivs = [DyadicInterval(F(1, 3), F(1, 2)), DyadicInterval(0, 1),
+           DyadicInterval(F(1, 1000), F(1, 999)), DyadicInterval(F(2, 5), F(2, 5))]
+    level, jumps = F(2, 7), [(F(1, 8), F(1, 2)), (S2(1), F(-1, 4)), (F(5, 8), 3)]
+    assert fraction_news(lambda: [t.eval(x) for x in pts]) == 0
+    assert fraction_news(lambda: [t.range_on(iv, k) for iv in ivs for k in (2, 10)]) == 0
+    assert fraction_news(lambda: (constant(level), constant(3), staircase(jumps))) == 0
+    assert [t.eval(x) for x in pts[:5]] == [Q2(1), Q2(F(1, 12)), Q2(F(1, 6)), Q2(F(1, 4)),
+                                            Q2(F(1, 3))]
+    assert t.eval(pts[-1]) == 0
+    assert [t.range_on(iv, 2)[1] for iv in ivs] == [
+        Bracket.point(F(1, 2)), Bracket.point(1), Bracket(0, F(1, 16)), Bracket.point(F(1, 5))]
 
 
 def test_both_defect_2a_instances_are_exact():
