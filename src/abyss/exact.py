@@ -37,9 +37,14 @@ def _sign_int(x: int, y: int) -> int:
 
 
 def _in_unit(x: "Q2") -> bool:
-    """Whether 0 <= x <= 1, on the integers: an irrational x is neither end."""
+    """Whether 0 <= x <= 1, on the integers: an irrational x is neither end,
+    and the signs of x and 1 - x follow `_sign_int`'s squaring rule."""
     p, q, d = x.p, x.q, x.d
-    return 0 <= p <= d if not q else _sign_int(p, q) > 0 and _sign_int(d - p, -q) > 0
+    if not q:
+        return 0 <= p <= d
+    qq, r = 2 * q * q, d - p
+    return ((p >= 0 or p * p < qq) and r > 0 and r * r > qq if q > 0
+            else p > 0 and p * p > qq and (r >= 0 or r * r < qq))
 
 
 def _rational(x) -> Fraction:
@@ -105,14 +110,14 @@ class Q2:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, a, b=0):
-        an, _, ad = _parts(a)
+        an, ad = a.as_integer_ratio() if a.__class__ is Fraction else _ratio(a)
         if b.__class__ is int and not b:
             self.p, self.q, self.d = an, 0, ad
             return
-        bn, _, bd = _parts(b)
-        p, q, d = an * bd, bn * ad, ad * bd
-        g = math.gcd(p, q, d)
-        self.p, self.q, self.d = p // g, q // g, d // g
+        bn, bd = b.as_integer_ratio() if b.__class__ is Fraction else _ratio(b)
+        # over lcm(ad, bd): both parts are in lowest terms, so the triple is too
+        g = math.gcd(ad, bd)
+        self.p, self.q, self.d = an * (bd // g), bn * (ad // g), ad // g * bd
 
     # --- constructors ---------------------------------------------------
 

@@ -136,11 +136,12 @@ def finite_set(points, name="finite") -> CountableSet:
     if not pts:
         raise ValueError("countable set must be nonempty")
     # a Q2 is reduced, so equal points have equal integers
-    index = {}
+    index, all_irr = {}, True
     for n, p in enumerate(pts):
         if index.setdefault((p.p, p.q, p.d), n) != n:
             raise ValueError("duplicate point %s (index map must be injective)" % (p,))
-    all_irr = all(not p.is_rational for p in pts)
+        if not p.q:
+            all_irr = False
 
     def index_of(x: Q2) -> Optional[int]:
         return index.get((x.p, x.q, x.d))

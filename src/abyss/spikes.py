@@ -68,9 +68,14 @@ class _SpikeFamily(SymbolicFn):
 
 
 def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
-    """Larger value at the two ends of iv, which every grid includes."""
-    ends = [f.eval(Q2.of(x)) for x in (iv.lower, iv.upper)]
-    return max(v.as_rational() if v.is_rational else v.approx(80) for v in ends)
+    """Larger value at the two ends of iv, which every grid includes.  Every
+    `_SpikeFamily._eval` value is rational (a spike value, a band value, 1/8
+    or 0), so it is exact: `as_rational` would raise on an irrational one."""
+    lo, hi = f.eval(_reduced(iv.ln, 0, iv.d)), f.eval(_reduced(iv.un, 0, iv.d))
+    v = hi if hi._cmp(lo) > 0 else lo
+    if v.p == 1 and v.d > 1 and not v.d & (v.d - 1) and not v.q:
+        return unit_dyadic(v.d.bit_length() - 2)  # a spike value
+    return v.as_rational()
 
 
 def _window_index(name: str, n) -> int:

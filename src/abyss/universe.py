@@ -209,10 +209,10 @@ class SymbolicFn:
     kind = "abstract"
 
     def __init__(self, tags, certificates=()):
-        bad = set(tags) - ALL_TAGS
-        if bad:
-            raise ValueError("unknown class tags: %s" % sorted(bad))
-        self.tags = frozenset(tags)
+        tags = frozenset(tags)  # a frozenset, as every family's TAGS, is kept as it is
+        if not tags <= ALL_TAGS:
+            raise ValueError("unknown class tags: %s" % sorted(tags - ALL_TAGS))
+        self.tags = tags
         self.certificates = frozenset(certificates)
 
     # -- evaluation --------------------------------------------------------

@@ -3,10 +3,12 @@
     python3 tests/bench_pairs.py PARENT --workload abyss-gap,positive-mix --seeds 301-310
 
 Exports PARENT (any git ref) with `git archive` into a temporary directory,
-once, then for each workload W of the comma list and each seed S runs
-`perfbench/run.py --workload W --seed S --trace 0` once in that tree and
-once in the working tree, alternating which runs first (the parent in the
-first pair).  For each workload and each end-to-end metric of BENCHMARK.json
+and copies the working tree (its tracked files and its untracked files that
+.gitignore does not name, as they stand) into a second one, once, so that
+both sides start alike: fresh trees with no bytecode cache and no leftovers
+of earlier runs.  Then for each workload W of the comma list and each seed
+S it runs `perfbench/run.py --workload W --seed S --trace 0` once in each
+tree, alternating which runs first (the parent in the first pair).  For each workload and each end-to-end metric of BENCHMARK.json
 it prints both sides' median and quartiles, and how many pairs the change
 won and tied.  A gain holds when the change wins at least 9 of every 10
 pairs, ties counting for neither, and the medians differ by more than the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,17 @@ def export(ref: str, into: Path) -> None:
                           capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into)
+
+
+def copy_worktree(into: Path) -> None:
+    """The working tree's tracked and unignored untracked files, as they stand."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, check=True, capture_output=True).stdout
+    for name in sorted(set(names.decode().split("\0")) - {""}):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is skipped
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -96,12 +110,13 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     worse = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = Path(tmp)
+        parent, change = Path(tmp, "parent"), Path(tmp, "change")
         export(args.parent, parent)
+        copy_worktree(change)
         for workload in args.workload.split(","):
             pairs = []
             for i, seed in enumerate(seeds_of(args.seeds)):
-                order = [(0, parent), (1, ROOT)] if i % 2 == 0 else [(1, ROOT), (0, parent)]
+                order = [(0, parent), (1, change)] if i % 2 == 0 else [(1, change), (0, parent)]
                 got = {}
                 for side, tree in order:
                     got[side] = run_once(tree, workload, seed)

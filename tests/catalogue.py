@@ -492,6 +492,15 @@ for _i, _a_set in enumerate([A, random_finite_set(_rng), random_finite_set(_rng,
 for _i, _a_set in enumerate(transcript_seed_sets()):
     for _f in (Penny(_a_set), TildePenny(_a_set)):
         add("extraction", "%s(transcript-%d)" % (_f.kind, _i), _f)
+    # the grid baseline on the abyss-gap workload's shape: the spike function
+    # and a truncation over the sqrt2 family and 1-12 irrational points
+    add("grid-baseline", "penny(transcript-%d)" % _i, Penny(_a_set))
+    add("grid-baseline", "pennyk(transcript-%d)" % _i, PennyK(_a_set, (_i * 5) % 13))
+# and families whose two ends can differ: rational members, band values
+for _name, _f in [("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
+                  ("penny(mixed)/0", Penny(MIXED_SEEDS)), ("cover-psi(sqrt2)", CoverPsi(A)),
+                  ("cover-psi-usco(sqrt2)", CoverPsiUsco(A))]:
+    add("grid-baseline", _name, _f)
 # (k, rounds) of the extraction each lying oracle is asked for
 for _label, _a_set, _run in (("sqrt2", A, (6, 4)), ("irrational-seeds", IRRATIONAL_SEEDS, (5, 3)),
                              ("rational-seeds", RATIONAL_SEEDS, (4, 4))):

@@ -846,6 +846,13 @@ def fraction_sup(f, p, q):
     return sup_b.lo
 
 
+def plain_grid_max(f, p, q, depth):
+    """The grid baseline as its docstring states it: the max of f's values
+    at the points of the dyadic grid of [p, q] at depth, one evaluation
+    each."""
+    return max(f.eval(Q2.of(g)).as_rational() for g in rational_grid(DyadicInterval(p, q), depth))
+
+
 def fraction_sup_oracle() -> SupOracle:
     """`fraction_sup` as an oracle: it reads the interval's `Fraction` ends."""
     return SupOracle(lambda f, iv: fraction_sup(f, iv.lower, iv.upper))

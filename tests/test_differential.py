@@ -22,9 +22,10 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    ValueBelowOnBall, constant, cousin_subcover, exhaustive_sup_oracle,
                    extract_enumeration_from_sup, fn_sum, indicator_baire1, inf_usco, linear,
                    modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
-                   natural_usco_modulus, point_of_continuity_qc, point_of_continuity_usco,
-                   rational_grid, realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple,
-                   staircase, sup_baire1, sup_qc, tilde_set)
+                   naive_rational_sup, natural_usco_modulus, point_of_continuity_qc,
+                   point_of_continuity_usco, rational_grid, realiser_from_sup,
+                   rm_code_from_r2_baire1, scalar_multiple, staircase, sup_baire1, sup_qc,
+                   tilde_set)
 from abyss.category import _interior_numerators
 from abyss.collapse import _ball_clipped
 from abyss.oracle import _ProbeState
@@ -470,6 +471,19 @@ def liar_grid(f, entry, rng):
     return [(walk, (lie, lie), *entry["liars"]) for lie in LIARS for walk in WALKS]
 
 
+# --- the grid baseline ---
+
+# ends with denominators 3, 5 and 7, none on a dyadic grid, and a member of
+# MIXED_SEEDS (1/3) as an end
+_GRID_ENDS = [(F(1, 3), F(5, 7)), (F(2, 5), F(3, 5)), (F(1, 7), F(2, 3)), (F(0), F(1, 3))]
+
+
+def grid_baseline_grid(f, entry, rng):
+    """[0,1], two random dyadic subintervals and the ends above, at every depth 0..12."""
+    ivs = [(F(0), F(1))] + [random_subinterval(rng) for _ in range(2)] + _GRID_ENDS
+    return [(p, q, depth) for p, q in ivs for depth in range(13)]
+
+
 # --- the rows ---
 
 ROWS = [
@@ -544,6 +558,8 @@ ROWS = [
         ("cover-usco",), cover_usco_grid),
     Row("member-scan", member_scan, lambda f, iv, window: ref.plain_member_scan(
         f.a_set, iv, *window), ("member-scan",), member_scan_grid),
+    Row("grid-baseline", naive_rational_sup, ref.plain_grid_max, ("grid-baseline",),
+        grid_baseline_grid, budget=("grid baselines", 30)),
     Row("sup-extraction", walk_side(0), walk_side(1), ("extraction",), honest_grid,
         extracts_every_round),
     Row("lying-oracles", walk_side(0), walk_side(1), ("liars",), liar_grid, kinds=frozenset({

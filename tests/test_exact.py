@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q2, Thomae,
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
                    rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
-from abyss.exact import (Bracket, DegenerateInterval, _least_denominator,
+from abyss.exact import (Bracket, DegenerateInterval, _in_unit, _least_denominator,
                          least_denominator_between)
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
@@ -283,6 +283,33 @@ def test_q2_by_q2_arithmetic_and_order_build_no_fraction():
                 x + y, x * y, x < y, x == y
     assert fraction_news(lambda: F(1, 3)) == 1  # the counter sees a Fraction
     assert fraction_news(ops) == 0
+
+
+def test_in_unit_decides_as_the_order_does():
+    """`_in_unit` reads the signs of x and 1 - x off the integers; Q2's order
+    decides the same, also at x and 1 - x = +-(p - q sqrt2) for the
+    convergents p/q of sqrt2, within 2^-40 of an end."""
+    xs = [Q2(F(p, d), F(q, d)) for p in range(-8, 10) for q in range(-7, 8) for d in (1, 2, 3, 8)]
+    for p, q in ((1, 1), (3, 2), (7, 5), (17, 12), (99, 70), (665857, 470832)):
+        for s in (1, -1):
+            near = Q2(F(s * p), F(-s * q))
+            xs += [near, 1 - near, near / 3, 1 - near / 3]
+    assert all(_in_unit(x) == (0 <= x <= 1) for x in xs)
+
+
+def test_q2_of_two_fractions_reads_their_integers_and_refuses_a_float():
+    """Each part is read off its `Fraction`'s integers, and the two meet over
+    the lcm of their denominators, in lowest terms."""
+    a, b = F(3, 7), F(-1, 8)
+    assert fraction_news(lambda: Q2(a, b)) == 0
+    for (x, y), triple in {(F(3, 7), F(-1, 8)): (24, -7, 56), (F(2, 4), F(1, 2)): (1, 1, 2),
+                           (F(5, 12), F(7, 18)): (15, 14, 36), (F(0), F(-3, 4)): (0, -3, 4),
+                           (F(1, 6), F(1, 10)): (5, 3, 30)}.items():
+        assert (Q2(x, y).p, Q2(x, y).q, Q2(x, y).d) == triple
+    message = r"^float 0\.5 refused: exact arithmetic takes int, Fraction or Q2$"
+    for build in (lambda: Q2(0.5, a), lambda: Q2(a, 0.5), lambda: Q2(0.5), lambda: Q2(1, 0.5)):
+        with pytest.raises(TypeError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("build", [

@@ -11,7 +11,7 @@ from abyss import (Bracket, CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModul
                    TildePenny, adversarial_cliq_modulus, canonical_cliq_modulus, canonical_regulation_modulus,
                    cantor_diagonal, demo_abyss, exhaustive_sup_oracle,
                    extract_enumeration_from_sup, finite_set, fn_sum, linear, naive_rational_sup,
-                   rational_grid, realiser_from_cliq_modulus, realiser_from_regulation_modulus,
+                   realiser_from_cliq_modulus, realiser_from_regulation_modulus,
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss import universe
 from abyss.composites import ScalarMultiple
@@ -24,7 +24,7 @@ from abyss.variation import _limit_pair, _regulated_within
 from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
 from conftest import calls_to, fraction_news
 from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup,
-                        outcome)
+                        outcome, plain_grid_max)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -247,9 +247,8 @@ def test_grid_max_matches_plain_scan(make):
     f = make()
     for p, q in ((F(0), F(1)), (F(1, 4), F(3, 4)), (F(1, 3), F(5, 7)), (F(3, 8), F(1, 2))):
         for depth in range(11):
-            plain = max(f.eval(Q2.of(g)).as_rational()
-                        for g in rational_grid(DyadicInterval(p, q), depth))
-            assert naive_rational_sup(f, p, q, depth) == plain, (p, q, depth)
+            assert naive_rational_sup(f, p, q, depth) == plain_grid_max(f, p, q, depth), \
+                (p, q, depth)
 
 
 def test_baseline_gap_invariant():
@@ -424,6 +423,34 @@ def test_sup_oracle_matches_the_fraction_oracle():
     for p, q in ((0.5, 1), (0, 0.5)):
         with pytest.raises(TypeError, match="float 0.5 refused"):
             oracle(Penny(A), p, q)
+
+
+def test_the_exhaustive_oracle_refuses_a_supremum_it_cannot_give_exactly():
+    """0 but for the value sqrt2/2 at 1/2: its one value there is irrational,
+    and on [1/4, 3/4] the supremum sqrt2/2 is no rational bracket end."""
+    f = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0), Poly(0)],
+                                     ["right", Q2(0, F(1, 2)), "right"])
+    oracle = exhaustive_sup_oracle()
+    with pytest.raises(OracleInconsistency, match="^exact supremum is irrational$"):
+        oracle(f, F(1, 2), F(1, 2))
+    with pytest.raises(OracleInconsistency,
+                       match="^supremum not exactly attained on this family$"):
+        oracle(f, F(1, 4), F(3, 4))
+
+
+def test_grid_baseline_of_a_finite_irrational_set_builds_only_its_answer():
+    """A finite irrational seed set puts no member on a grid, so the grid
+    maximum of its spike functions is the larger value at the two ends: they
+    are evaluated and compared on integers, and the one `Fraction` built is
+    the answer (four while each end and each value was read as a `Fraction`).
+    Building the set and the function builds none."""
+    pts = [Q2(F(3, 4), F(1, 64)), Q2(F(1, 3), F(1, 32)), Q2(F(1, 8), F(1, 128))]
+    a_set = finite_set(pts)
+    for p, q in ((F(1, 3), F(5, 7)), (F(1, 4), F(3, 4)), (F(0), F(1))):
+        for f in (Penny(a_set), PennyK(a_set, 1)):
+            assert fraction_news(lambda: naive_rational_sup(f, p, q, 24)) <= 1, (f.kind, p, q)
+    assert fraction_news(lambda: finite_set(pts)) == 0
+    assert fraction_news(lambda: Penny(a_set)) == 0
 
 
 def _two_pass_demo(a_set, depths=(8, 16, 24)):

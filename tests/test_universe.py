@@ -571,6 +571,24 @@ def test_finite_set_index_matches_a_linear_scan():
         finite_set([F(1, 3), S2(0), Q2.of(F(2, 6))])
 
 
+def test_finite_set_refuses_in_the_order_of_its_passes():
+    """Every point is read first (a float is refused), then each is checked
+    against [0,1], and only then are duplicates looked for."""
+    with pytest.raises(ValueError, match=r"^point 2 outside \[0,1\]$"):
+        finite_set([2, 2])
+    for points in ([2, 2, 0.5], [F(1, 3), F(1, 3), 0.5], [0.5, 2]):
+        with pytest.raises(TypeError, match="^float 0.5 refused"):
+            finite_set(points)
+
+
+@pytest.mark.parametrize("kind", [list, set, frozenset])
+def test_an_unknown_class_tag_is_refused_by_its_sorted_name(kind):
+    tags = kind(["usco", "zeta", "BV", "alpha"])
+    with pytest.raises(ValueError, match=r"^unknown class tags: \['alpha', 'zeta'\]$"):
+        universe.SymbolicFn(tags)
+    assert universe.SymbolicFn(kind([USCO, BV])).tags == frozenset({USCO, BV})
+
+
 def test_constant_refuses_an_irrational_value():
     with pytest.raises(ConstructionError):
         constant(Q2(0, F(1, 2)))
