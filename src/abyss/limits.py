@@ -49,18 +49,16 @@ class Indicator(SymbolicFn):
         return Q2.of(lo), Q2.of(hi), False, False
 
     def _range_on(self, iv, k):
-        meets = [(a, b) for a, b in self.components if a <= iv.upper and b >= iv.lower]
-        covered = any(a <= iv.lower and b >= iv.upper for a, b in meets)
+        lo, hi = iv.lower, iv.upper
+        meets = [(a, b) for a, b in self.components if a <= hi and b >= lo]
+        covered = any(a <= lo and b >= hi for a, b in meets)
         return Bracket.point(1 if covered else 0), Bracket.point(1 if meets else 0)
 
     def special_points(self, iv, depth):
         return [Q2.of(e) for a, b in self.components for e in (a, b) if iv.contains(e)]
 
     def _one_sided_limit(self, p, side, k):
-        if side > 0:
-            inside = any(a <= p and p < b for a, b in self.components)
-        else:
-            inside = any(a < p and p <= b for a, b in self.components)
+        inside = any(a <= p < b if side > 0 else a < p <= b for a, b in self.components)
         return Bracket.point(1 if inside else 0)
 
     def jump_candidates(self, limit):

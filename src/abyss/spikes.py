@@ -115,7 +115,7 @@ class Penny(_SpikeFamily):
         return band_of(min(y, 1), half_open=False)
 
     def _eval(self, x):
-        n = self.a_set.index_of(x)
+        n = self.a_set._index_of(x)
         if n is None or n < self.start or (self.stop is not None and n >= self.stop):
             return _Q0
         return Q2.of(self.spike_value(n))
@@ -156,7 +156,7 @@ class Penny(_SpikeFamily):
         # irrational point (the seed set may hold every dyadic rational).
         # Grid d holds grid d - 1, so past the first depth only the odd
         # multiples of 2^-d are new.
-        index_of = self.a_set.index_of
+        index_of = self.a_set._index_of
         for p in grid_q2(iv, 2):
             if index_of(p) is None:
                 return Truth.YES, p
@@ -214,7 +214,7 @@ class CoverPsi(_SpikeFamily):
     BASE = Fraction(1, 8)
 
     def _eval(self, x):
-        n = self.a_set.index_of(x)
+        n = self.a_set._index_of(x)
         return Q2.of(self.BASE) if n is None else Q2.of(self.spike_value(n))
 
     def _hull(self):
@@ -265,7 +265,7 @@ class CoverPsiUsco(_SpikeFamily):
         return Fraction(1, 1 << (n + 6))
 
     def _eval(self, x):
-        n = self.a_set.index_of(x)
+        n = self.a_set._index_of(x)
         if n is not None:
             return Q2.of(self.spike_value(n))
         m = band_of(x, half_open=False)

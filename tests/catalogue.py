@@ -20,13 +20,13 @@ from sympy import primefactors
 
 from abyss import (Baire1Limit, ComplementOfR2Open, CountableSet, CoverPsi, CoverPsiUsco,
                    FinitePointSet, FuelExhausted, Indicator, Penny, PennyK, PiecewiseRational,
-                   Poly, Q2, R2Rep, TildePenny, constant, constant_seq_limit, finite_set, fn_sum,
-                   linear, pennyk_limit, restrict_tags, scalar_multiple, sqrt2_family, staircase,
-                   thomae, unit_rationals)
+                   Poly, Q2, R2Rep, TildePenny, constant, constant_seq_limit, finite_set,
+                   fn_difference, fn_sum, linear, pennyk_limit, restrict_tags, scalar_multiple,
+                   sqrt2_family, staircase, thomae, unit_rationals)
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Bracket
 from abyss.serialize import dumps, fn_from_json, fn_json
-from abyss.universe import BAIRE1, QUASI_CONTINUOUS, REGULATED, USCO
+from abyss.universe import BAIRE1, CLIQUISH, QUASI_CONTINUOUS, REGULATED, USCO
 
 S2 = Q2.sqrt2_scaled
 A = sqrt2_family()
@@ -364,6 +364,10 @@ for _i in range(6):
     add("scan", "continuous(17-%d)" % _i, build(random_continuous_piecewise(_rng)))
 for _i in range(6):
     add("scan", "staircase+linear(17-%d)" % _i, build(random_staircase_plus_linear(_rng)))
+# the cut search: eight irrational cuts, listed falling, and 63 steps
+add("locate", "staircase(8 irrational cuts)",
+    staircase([(S2(j), F(j + 1, 8)) for j in range(7, -1, -1)]))
+add("locate", "staircase(63 steps)", staircase([(F(i, 64), F(i, 64)) for i in range(1, 64)]))
 add("modulus-qc", "staircase(1/3, 3/4)", staircase([(F(1, 3), F(1, 4)), (F(3, 4), F(-1, 2))]))
 _f = make("four-piece")
 add("modulus-qc", "four-piece|not-qc", restrict_tags(_f, _f.tags - {QUASI_CONTINUOUS}))
@@ -433,6 +437,19 @@ add("baire1 halving", "generic-limit(4 seeds)", Penny(_finite), wrap="generic-li
 _rng = random.Random(23)
 for _i in range(4):
     add("sup-qc", "staircase+linear(23-%d)" % _i, build(random_staircase_plus_linear(_rng)))
+# the running variation against its cell walk, and the total variation
+# against partitions: staircases on lines, a vertex inside its piece; the
+# walk alone at an irrational cut and where f jumps away from both one-sided
+# limits at a cut, which no normalised-BV function does
+for _name in ["staircase+linear(17-%d)" % i for i in range(6)] + [
+        "staircase+linear(23-%d)" % i for i in range(4)]:
+    add("variation", _name, make(_name))
+_BUMPS = ([0, F(1, 3), F(3, 4), 1], [Poly(0, 2, -2), Poly(1, -3, 3), Poly(F(1, 2), 1)])
+add("variation", "bumps", PiecewiseRational.from_polys(*_BUMPS))
+add("running-variation", "irrational-cut-staircase", make("irrational-cut-staircase"))
+for _values in ([1, 2, F(-1, 2), 3], ["right", 0, "right", 5]):
+    add("running-variation", "bumps(%s)" % ", ".join(map(str, _values)),
+        PiecewiseRational.from_polys(*_BUMPS, _values))
 add("inf-usco", "1/3 + penny(3 seeds)",
     fn_sum(constant(F(1, 3)), Penny(finite_set([F(1, 3), F(5, 8), Q2(0, F(1, 3))]))))
 add("inf-usco", "indicator(1/4, sqrt2/2)", Indicator(FinitePointSet.of([F(1, 4), Q2(0, F(1, 2))])))
@@ -466,6 +483,23 @@ for _i in range(8):
     add("sum", "sum3(3201-%d)" % _i, _s, sum=[(F(0), F(1)), (F(_a, 16), F(_b, 16))])
 
 
+# range brackets against the values on a probe basis: spike families,
+# indicators of points and of a closed set, a staircase, and sums over the
+# spike function, one with a scaled part
+for _name in ("thomae", "penny(sqrt2)", "tilde-penny(sqrt2)", "cover-psi(sqrt2)",
+              "cover-psi-usco(sqrt2)"):
+    add("range-brute", _name, make(_name))
+for _name, _f in [
+        ("pennyk(sqrt2,4)", PennyK(A, 4)),
+        ("indicator(1/2, sqrt2/8)", Indicator(FinitePointSet.of([F(1, 2), S2(2)]))),
+        ("indicator(3 components)", Indicator(ComplementOfR2Open(R2Rep.from_intervals(
+            [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))])))),
+        ("staircase(1/3, 2/3)", staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))])),
+        ("1 - penny(sqrt2)", fn_difference(constant(1), Penny(A))),
+        ("1/3 + penny(sqrt2)/2", Sum(constant(F(1, 3)), ScalarMultiple(F(1, 2), Penny(A))))]:
+    add("range-brute", _name, _f)
+
+
 def _spiked(group, label, a_set, starts):
     """Spike families over a_set: its truncations at 0 and 3, the spike
     function from each start, and the banded one on an irrational set."""
@@ -485,6 +519,8 @@ for _i, _a_set in enumerate(seed_sets()):
     for _f in [CoverPsi(_a_set)] + [cls(_a_set, start=s) for cls in (TildePenny, Penny)
                                     for s in (0, 2)]:
         add("spike-brackets", "%s(seeds-%d)/%d" % (_f.kind, _i, getattr(_f, "start", 0)), _f)
+    if _a_set.size:  # the index map of each finite set
+        add("index-of", "penny(seeds-%d)/0" % _i, Penny(_a_set))
 _rng = random.Random(1103)
 for _i, _a_set in enumerate([A, random_finite_set(_rng), random_finite_set(_rng, 3),
                              finite_set([S2(0), S2(5)])]):
@@ -501,6 +537,40 @@ for _name, _f in [("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
                   ("penny(mixed)/0", Penny(MIXED_SEEDS)), ("cover-psi(sqrt2)", CoverPsi(A)),
                   ("cover-psi-usco(sqrt2)", CoverPsiUsco(A))]:
     add("grid-baseline", _name, _f)
+# and every other kind it reads: truncations, banded copies, the rational
+# spikes, steps, a lone value 1 at the cut 5/32 and a vertex at 5/7 (off
+# every coarse grid), multiples, a restriction, a sum and the named tables
+for _name, _f in [
+        ("pennyk(sqrt2,3)", PennyK(A, 3)), ("pennyk(rational-seeds,1)", PennyK(RATIONAL_SEEDS, 1)),
+        ("tilde-penny(sqrt2)", TildePenny(A)),
+        ("tilde-penny(irrational-seeds)", TildePenny(IRRATIONAL_SEEDS)), ("thomae", thomae()),
+        ("staircase(1/3, 5/8)", staircase([(F(1, 3), F(1, 2)), (F(5, 8), F(-1, 4))])),
+        ("lone 1 at 5/32", PiecewiseRational.from_polys(
+            [0, F(5, 32), 1], [Poly(0, 1), Poly(0, F(10, 7), -1)], ["right", 1, "right"])),
+        ("3/2 penny(rational-seeds)", ScalarMultiple(F(3, 2), Penny(RATIONAL_SEEDS))),
+        ("-2 thomae", ScalarMultiple(F(-2), thomae())),
+        ("penny(rational-seeds)|cliquish", restrict_tags(Penny(RATIONAL_SEEDS), {CLIQUISH})),
+        ("thomae + x/4", fn_sum(thomae(), linear(F(1, 4)))),
+        ("irrational-cut-staircase", make("irrational-cut-staircase")),
+        ("vertex-off-its-piece", make("vertex-off-its-piece"))]:
+    add("grid-baseline", _name, _f)
+# the seed sets of the reductions' walks, each through its spike function:
+# the sqrt2 family, one irrational point, rational and irrational points,
+# and four drawn sets of up to 6 points
+_rng = random.Random(71)
+_WALKED = [("sqrt2", A), ("sqrt2/2", finite_set([S2(0)])), ("rational-seeds", RATIONAL_SEEDS),
+           ("irrational-seeds", IRRATIONAL_SEEDS)]
+for _name, _a_set in _WALKED + [("71-%d" % _i, random_finite_set(_rng, 6)) for _i in range(4)]:
+    add("bisection cliq demo", "penny(%s)" % _name, Penny(_a_set))
+# the exhaustive supremum: spike families, and a function whose value at the
+# rational cut 1/2 is irrational
+for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(sqrt2)/3", Penny(A, start=3)),
+                  ("pennyk(sqrt2,3)", PennyK(A, 3)),
+                  ("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
+                  ("tilde-penny(irrational-seeds)", TildePenny(IRRATIONAL_SEEDS)),
+                  ("sqrt2/2 at 1/2", PiecewiseRational.from_polys(
+                      [0, F(1, 2), 1], [Poly(0), Poly(F(1, 4))], ["right", S2(0), "right"]))]:
+    add("sup-oracle", _name, _f)
 # (k, rounds) of the extraction each lying oracle is asked for
 for _label, _a_set, _run in (("sqrt2", A, (6, 4)), ("irrational-seeds", IRRATIONAL_SEEDS, (5, 3)),
                              ("rational-seeds", RATIONAL_SEEDS, (4, 4))):
@@ -518,6 +588,45 @@ for _name, _f in [("penny(sqrt2)", Penny(A)), ("tilde-penny(sqrt2)", TildePenny(
                   ("penny(mixed)/0", Penny(MIXED_SEEDS))]:
     add("member-scan", _name, _f)
 add("member-scan", "penny(unit-rationals)", Penny(_RATIONALS), wrap="unit-rationals")
+_rng = random.Random(523)
+for _i in range(3):
+    _a_set = random_finite_set(_rng)
+    add("member-scan", "penny(523-%d)" % _i, Penny(_a_set))
+    add("member-scan", "tilde-penny(523-%d)" % _i, TildePenny(_a_set))
+for _name in ("penny(rationals)", "penny(mixed)/0", "penny(rational-seeds)"):
+    add("index-of", _name, make(_name))
+for _name in ("penny(sqrt2)", "tilde-penny(sqrt2)", "penny(irrational-seeds)"):
+    add("osc-exact", _name, make(_name))
+# the banded shift, at the members of the source sets in their own bands
+for _name in ("tilde-penny(sqrt2)", "tilde-penny(irrational-seeds)"):
+    add("minimal-shift", _name, make(_name))
+
+# the below-threshold witness over seed sets that hold whole dyadic grids,
+# each with intervals whose ends lie on the set's grid (an end off the set is
+# the witness at once): every rational of [0,1]; 90% of the grid at depth k
+# and three ninths; the grid at depth k and 70% of depth k + 1, where the
+# witness lies deeper
+add("below-witness", "penny(unit-rationals)", Penny(_RATIONALS), wrap="unit-rationals",
+    below=[(0, 1), (F(1, 3), F(5, 6))])
+_rng = random.Random(1201)
+
+
+def _below_intervals(den):
+    ends = [sorted(F(_rng.randrange(0, den + 1), den) for _ in range(2)) for _ in range(6)]
+    return [(lo, hi) for lo, hi in ends if lo < hi]
+
+
+for _i in range(12):
+    _k = _rng.randrange(1, 7)
+    _pts = [F(j, 1 << _k) for j in range((1 << _k) + 1) if _rng.random() < 0.9]
+    _pts += [F(_rng.randrange(1, 9), 9) for _ in range(3)]
+    add("below-witness", "penny(1201-%d)" % _i, Penny(finite_set(sorted(set(_pts)))),
+        below=_below_intervals(_rng.choice([96, 1 << _k])))
+for _k in range(2, 6):
+    _pts = [F(j, 1 << _k) for j in range((1 << _k) + 1)]
+    _pts += [F(j, 2 << _k) for j in range(1, 2 << _k, 2) if _rng.random() < 0.7]
+    add("below-witness", "penny(grid %d)" % _k, Penny(finite_set(_pts)),
+        below=_below_intervals(1 << _k))
 # the nested walks that resume: the continuity points of a continuous and a
 # jumping piecewise function, past the stages where a stage's first ball is
 # granted without a read
@@ -537,13 +646,21 @@ for _name in ("penny(sqrt2)", "penny(4 seeds)", "1/3 + penny(3 seeds)", "indicat
               "indicator(complement)", "indicator(1/4, sqrt2/2)", "penny(seeds-27)/0"):
     add("continuity-usco", _name, make(_name))
 
+# the regulation windows: spike functions over the sqrt2 family and over
+# rational seeds, a step and a line
+for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
+                  ("staircase(1 at 1/2)", staircase([(F(1, 2), 1)])), ("x", linear(1))]:
+    add("regulation-windows", _name, _f)
+
 # every regulated entry feeds the regulation row, but the sum whose parts
 # jump at shared points: each of its range reads gives up after 256 cells
 # (ROADMAP item 16) in 76 ms, on both of the row's sides alike
 for _name, _entry in ENTRIES.items():
     if REGULATED in make(_name).tags and _name != _SHARED_JUMPS:
         _entry["groups"].append("regulation")
-# every piecewise document feeds the build row, which sums it with each of them
+# every piecewise document feeds the build row, which sums it with each of
+# them, but the long cut tables of the cut search
 for _entry in ENTRIES.values():
-    if _entry["fn"]["kind"] == "piecewise" and "wrap" not in _entry:
+    if _entry["fn"]["kind"] == "piecewise" and "wrap" not in _entry \
+            and "locate" not in _entry["groups"]:
         _entry["groups"].append("piecewise-build")

@@ -11,11 +11,12 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DyadicInterval,
+from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DomainError, DyadicInterval,
                    ExistsValueAbove, ExistsValueBelow, Found, FuelExhausted, MuWitness,
                    NotFoundBelow, OracleInconsistency, OscBelow, Penny, PennyK, PiecewiseRational,
                    Q2, RMCode, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall,
-                   rational_grid, unit_rationals)
+                   canonical_cliq_modulus, exhaustive_sup_oracle, extract_enumeration_from_sup,
+                   naive_rational_sup, rational_grid, realiser_from_sup, unit_rationals)
 from abyss.algorithms import _halve_values
 from abyss.category import _room
 from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
@@ -23,10 +24,11 @@ from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.covers import _rational_interval_stream
 from abyss.exact import Truth, _check_precision, least_exponent
 from abyss.oracle import DEFAULT_FUEL, QueryTrace, _baire1_value_above, basis_at, grid_depth_cap
-from abyss.reductions import SupExtraction
+from abyss.reductions import AbyssReport, SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, osc_exact)
+                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly,
+                            irrational_inside, osc_exact)
 
 # the exceptions that answer a query: refusals, running out of fuel and
 # oracle lies; anything else is a fault of the test or the code
@@ -74,7 +76,7 @@ def plain_range(cs, lo, hi):
     return min(vals), max(vals)
 
 
-def plain_vertex(piece):
+def _plain_vertex(piece):
     """The vertex -c1/(2 c2) of a quadratic piece, from its coefficients;
     None for a piece of degree below 2."""
     _, c1, c2 = piece.coeffs()
@@ -95,6 +97,19 @@ def full_scan_candidates(f, iv):
         if iv.contains(c):
             vals.append(f.bp_values[i])
     return vals
+
+
+def linear_locate(f, x):
+    """`_locate` as a scan over the cuts: ("cut", i) at cut i, ("piece", j)
+    between cuts j and j + 1, refused below the first cut or past the last."""
+    for i, c in enumerate(f.cuts):
+        if x == c:
+            return ("cut", i)
+        if x < c:
+            if i:
+                return ("piece", i - 1)
+            break
+    raise DomainError("point %s outside [0,1]" % (x,))
 
 
 # --- piecewise builds: every value by evaluation, the table by its definitions ---
@@ -193,7 +208,7 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
                 -(-iv.lower * q // 1), iv.upper * q // 1 + 1) if 0 <= F(i, q) <= 1]
         if isinstance(g, PiecewiseRational):
             pts += [c for c in g.cuts if iv.contains(c)]
-            vertices = map(plain_vertex, g.pieces)
+            vertices = map(_plain_vertex, g.pieces)
             pts += [Q2.of(v) for v in vertices if v is not None and iv.contains(v)]
     return [p for p, _ in itertools.groupby(sorted(pts))]
 
@@ -222,7 +237,7 @@ def brute_values(f, iv, depth, member_limit=32):
     return [f.eval(p) for p in probe_basis(f, iv, depth, member_limit)]
 
 
-def plain_ball(x, exponent):
+def _plain_ball(x, exponent):
     """The ball of radius 2^-exponent around x, or a rational near it, in [0,1]."""
     p = Q2.of(x)
     c = p.as_rational() if p.is_rational else p.approx(exponent + 8)
@@ -231,7 +246,7 @@ def plain_ball(x, exponent):
 
 
 def brute_ball_osc(f, x, exponent, depth=7):
-    vals = brute_values(f, plain_ball(x, exponent), depth)
+    vals = brute_values(f, _plain_ball(x, exponent), depth)
     return max(vals) - min(vals)
 
 
@@ -248,7 +263,7 @@ def probe_predicate(query, rational_only, depth=7):
                    for v in (f.eval(p) for p in probe_basis(f, query.interval, depth) if keep(p)))
     if isinstance(query, OscBelow):  # the rule names f(x) and the carried spikes
         for n in range(24):
-            vals = [f.eval(p) for p in probe_basis(f, plain_ball(query.x, n), depth)]
+            vals = [f.eval(p) for p in probe_basis(f, _plain_ball(query.x, n), depth)]
             vals.append(f.eval(query.x))
             if max(vals) - min(vals) <= Q2.of(F(1, 1 << query.m)):
                 return n
@@ -256,7 +271,7 @@ def probe_predicate(query, rational_only, depth=7):
     if isinstance(query, ValueBelowOnBall):
         return next((m for m in range(24) if all(
             f.eval(p) >= Q2.of(query.q)
-            for p in probe_basis(f, plain_ball(query.x, m), depth) if keep(p))), None)
+            for p in probe_basis(f, _plain_ball(query.x, m), depth) if keep(p))), None)
     if isinstance(query, Baire1Above) and rational_only:
         rep = query.f_rep
         return any(rep.term(max(rep.conv_modulus(p, 12), 12)).eval(p) - Q2.of(F(1, 1 << 12))
@@ -326,7 +341,7 @@ def variation_candidates(f):
     out = set(rational_grid(DyadicInterval(0, 1), 3))
     for c in map(Q2.as_rational, f.cuts):
         out |= {c, c - F(1, 1 << 12)} if c > 0 else {c}
-    vertices = map(plain_vertex, f.pieces)
+    vertices = map(_plain_vertex, f.pieces)
     return out | {v for v in vertices if v is not None and 0 < v < 1}
 
 
@@ -344,6 +359,61 @@ def partition_brute_variation(f, x, candidates, max_points):
             if sums:
                 best[i, m] = max(sums)
     return max(best.values())
+
+
+def walked_variation(f, x):
+    """The variation of f over [0, x] as a walk over the cells of critical
+    points from 0 up to x, summed afresh on each call: in each cell the jump
+    from f(u) to the piece, the piece's change, and the jump to f(v)."""
+    if x == 0:
+        return Q2.of(0)
+    pts = [c for c in sorted(f.special_points(DyadicInterval(0, 1), 0)) if c < x] + [x]
+    total = Q2.of(0)
+    for u, v in zip(pts, pts[1:]):
+        piece = f.pieces[f._locate((u + v) / Q2.of(2))[1]]
+        ru, lv = piece(u), piece(v)
+        total = total + abs(f.eval(u) - ru) + abs(lv - ru) + abs(f.eval(v) - lv)
+    return total
+
+
+def cell_probes(f):
+    """Every critical point of f, and in each cell its midpoint and the
+    irrational point at sqrt2/2 of its width."""
+    crit = sorted(f.special_points(DyadicInterval(0, 1), 0))
+    xs = list(crit)
+    for u, v in zip(crit, crit[1:]):
+        xs += [(u + v) / Q2.of(2), u + (v - u) * Q2.sqrt2_scaled(0)]
+    return xs
+
+
+def fraction_regulated_within(f, p, m, k):
+    """`variation._regulated_within` on `Fraction`s: on each side of p that
+    has a one-sided limit, the window of radius 2^-(m+1) past p's bracket at
+    2^-(m+k+8) (trimmed by 2^-(k+24) at a rational p), read at 2^-(k+6); p is
+    regulated within 2^-k there when both brackets stay within 2^-k of the
+    limit."""
+    tol, r = F(1, 1 << k), F(1, 1 << (m + 1))
+    for side in (-1, 1):
+        lim = f.one_sided_limit(p, side, k + 6)
+        if lim is None:
+            continue
+        lo_pt, hi_pt = p.bracket(m + k + 8)
+        if side > 0:
+            lo, hi = hi_pt, min(F(1), lo_pt + r)
+        else:
+            lo, hi = max(F(0), hi_pt - r), lo_pt
+        if lo >= hi:
+            continue
+        if p.is_rational:
+            eps = F(1, 1 << (k + 24))
+            if side > 0 and lo + eps < hi:
+                lo += eps
+            elif side < 0 and lo < hi - eps:
+                hi -= eps
+        inf_b, sup_b = f.range_on(DyadicInterval(lo, hi), k + 6)
+        if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
+            return False
+    return True
 
 
 # --- the searches of the positive side, re-evaluating at every step ---
@@ -416,7 +486,7 @@ def plain_baire1_above(q, trace):
     return NotFoundBelow(q.fuel)
 
 
-def fresh_range_witness(f, iv, y, above):
+def _fresh_range_witness(f, iv, y, above):
     """The threshold answer read off `range_on`, asked afresh at every call."""
     yn, yd = y.as_integer_ratio()
     prec = max(8, yd.bit_length() + 4)
@@ -436,7 +506,7 @@ def fresh_halving(f, p, q, k, above):
     """`sup_qc` (above) or `inf_usco` with every threshold asked afresh."""
     iv = DyadicInterval(p, q)
     lo, hi = f.range_bound()
-    return _halve_values(lo, hi, k, lambda n, m: fresh_range_witness(f, iv, F(n, m), above),
+    return _halve_values(lo, hi, k, lambda n, m: _fresh_range_witness(f, iv, F(n, m), above),
                          keep_upper_on=Truth.YES if above else Truth.NO)
 
 
@@ -529,7 +599,7 @@ def sorted_interior_numerators(iv, depth):
     return sorted(range(first, last + 1), key=lambda j: (abs(2 * d * j - mid), j))
 
 
-def plain_next_ball(j, place):
+def _plain_next_ball(j, place):
     """`category._next_ball` over the sorted candidates: the first ball
     place(cn, 2^depth) grants, over twelve depths from the least depth >= 1
     whose mesh is at most a quarter of j."""
@@ -567,7 +637,7 @@ def plain_point_of_continuity_qc(f, k, fuel):
             return None
 
         fits = F(1, 1 << fuel) <= (j.upper - j.lower) / 4
-        ball = plain_next_ball(j, place) if fits else None
+        ball = _plain_next_ball(j, place) if fits else None
         if ball is None:
             raise FuelExhausted("no small-oscillation ball found inside the "
                                 "current interval", best=j)
@@ -618,7 +688,7 @@ def plain_point_of_continuity_usco(f, k, fuel):
             s = min(radius, (j.upper - j.lower) / 4, c - j.lower, j.upper - c) / 2
             return DyadicInterval(c - s, c + s)
 
-        ball = plain_next_ball(j, place)
+        ball = _plain_next_ball(j, place)
         if ball is None:
             raise FuelExhausted("no threshold-set ball found inside the current "
                                 "interval", best=j)
@@ -672,7 +742,7 @@ def sum_reference(f, breaks, iv):
 # --- spike families: every member filtered, every band walked ---
 
 
-def plain_spikes(f, iv, limit):
+def _plain_spikes(f, iv, limit):
     """Every spike of f in iv below limit: the whole member list, filtered."""
     if f.stop is not None:
         limit = min(limit, f.stop)
@@ -681,7 +751,7 @@ def plain_spikes(f, iv, limit):
 
 def plain_sup(f, iv, k):
     limit = max(k + 4, 8) if f.stop is None else f.stop
-    best = max((f.spike_value(n) for n, _ in plain_spikes(f, iv, limit)), default=F(0))
+    best = max((f.spike_value(n) for n, _ in _plain_spikes(f, iv, limit)), default=F(0))
     tail = F(1, 1 << (limit + 1))
     if f.stop is not None or best >= tail or f.a_set.scan_is_exhaustive(iv, limit):
         return best, best
@@ -696,7 +766,7 @@ def plain_witness_above(f, iv, y):
         limit = 1
         while F(1, 1 << (limit + 1)) > y and limit < 4096:
             limit += 1
-    for n, p in plain_spikes(f, iv, limit):
+    for n, p in _plain_spikes(f, iv, limit):
         if f.spike_value(n) > y:
             return Truth.YES, p
     if (f.stop is not None or F(1, 1 << (limit + 1)) <= y
@@ -721,6 +791,25 @@ def brute_members_in(a_set, iv):
     return [n for n in range(n_max) if iv.contains(a_set.member(n))]
 
 
+def linear_index(a_set, x):
+    """`index_of` on a finite set as a scan over its members."""
+    p = Q2.of(x)
+    return next((n for n in range(a_set.size) if a_set.member(n) == p), None)
+
+
+def grid_below_witness(f, iv):
+    """`Penny._witness_below` at a positive threshold as every grid in
+    full at each depth, so the points of the coarser grids are tested again,
+    then an irrational point: the first point off the seed set."""
+    for d in range(2, grid_depth_cap(iv) + 1):
+        for g in rational_grid(iv, d):
+            p = Q2.of(g)
+            if f.a_set.index_of(p) is None:
+                return Truth.YES, p
+    p = irrational_inside(iv)
+    return (Truth.YES, p) if f.a_set.index_of(p) is None else (Truth.UNKNOWN, None)
+
+
 def loop_band_of(x, half_open=True):
     """`band_of` as a loop over the bands."""
     p = Q2.of(x)
@@ -732,18 +821,18 @@ def loop_band_of(x, half_open=True):
     return n
 
 
-def signed_unit_rationals():
-    """Q cap [-1,1] by denominator, then numerator: -1, 0, 1, -1/2, 1/2,
-    -2/3, -1/3, 1/3, 2/3, ...  The order `minimal_shift_into_band` takes
-    its least index in."""
-    yield F(-1)
-    yield F(0)
-    yield F(1)
-    d = 2
+def plain_minimal_shift(a, n):
+    """`minimal_shift_into_band` as a scan of [-1,1] in its order, by
+    denominator, then numerator: for d = 1, 2, ... the least p in [-d, d]
+    with p/d in (a - 2^-n, a - 2^-(n+1)]."""
+    lo, hi = a - F(1, 1 << n), a - F(1, 1 << (n + 1))
+    if lo >= 1 or hi < -1:
+        raise ValueError("no rational of [-1,1] shifts %s into band %d" % (a, n))
+    d = 1
     while True:
-        for p in range(-d + 1, d):
-            if p != 0 and math.gcd(abs(p), d) == 1:
-                yield F(p, d)
+        p = max(math.floor(lo * d) + 1, -d)
+        if p <= d and hi * d >= p:
+            return F(p, d)
         d += 1
 
 
@@ -849,8 +938,40 @@ def fraction_sup(f, p, q):
 def plain_grid_max(f, p, q, depth):
     """The grid baseline as its docstring states it: the max of f's values
     at the points of the dyadic grid of [p, q] at depth, one evaluation
-    each."""
-    return max(f.eval(Q2.of(g)).as_rational() for g in rational_grid(DyadicInterval(p, q), depth))
+    each, compared as exact values and read as a rational once."""
+    grid = rational_grid(DyadicInterval(p, q), depth)
+    return max(f.eval(Q2.of(g)) for g in grid).as_rational()
+
+
+def plain_cliq_walk(a_set, k, fuel):
+    """The nested intervals of `realiser_from_cliq_modulus` on `Fraction`s:
+    at each level the honest modulus asked at the midpoint for the least n
+    with 2^-n strictly below half the width, counted up, and the middle half
+    of its answer next.  Each level's (n, c, d)."""
+    modulus, lo, hi, out = canonical_cliq_modulus(a_set), F(0), F(1), []
+    for j in range(max(k + 2, fuel + 1)):
+        n = 0
+        while F(1, 1 << n) >= (hi - lo) / 2:
+            n += 1
+        c, d = map(F, modulus((lo + hi) / 2, j + 1, n))
+        out.append((n, c, d))
+        lo, hi = (3 * c + d) / 4, (c + 3 * d) / 4
+    return out
+
+
+def two_pass_demo(a_set, depths=(8, 16, 24)):
+    """`demo_abyss` as three separate computations: the exact value, a
+    1-round extraction for the 16 bits, and the realiser's own 8-round
+    extraction."""
+    f = Penny(a_set)
+    oracle = exhaustive_sup_oracle()
+    baseline = [naive_rational_sup(f, 0, 1, d) for d in depths]
+    exact = oracle(f, F(0), F(1))
+    extraction = extract_enumeration_from_sup(oracle, a_set, 16, rounds=1)
+    z = realiser_from_sup(oracle, a_set, 16, fuel=8)
+    return AbyssReport("spike function over %s" % a_set.name, list(depths), baseline,
+                       exact, exact - max(baseline), z,
+                       extraction[0].bits if extraction else None)
 
 
 def fraction_sup_oracle() -> SupOracle:

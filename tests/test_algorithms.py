@@ -11,12 +11,12 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    InvalidModulus, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep, RMCode,
                    RepresentationInsufficient, Truth, UnsupportedVariant, ball, build_cover_psi,
                    category, collapse, constant, cousin_subcover, finite_set, fn_difference,
-                   fn_sum, indicator_baire1, inf_usco, is_continuous_at, limits, linear,
+                   fn_sum, indicator_baire1, inf_usco, is_continuous_at, jump_enum, limits, linear,
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc, modulus_regulation,
                    mu_search, natural_usco_modulus, oracle, osc_point, pennyk_limit,
                    point_of_continuity_qc, point_of_continuity_usco, rational_grid,
                    rational_spike, restrict_tags, rm_code_from_r2_baire1, sqrt2_family, spikes,
-                   staircase, sup_baire1, sup_qc, thomae, piecewise, unit_rationals, universe,
+                   staircase, sup_baire1, sup_qc, thomae, piecewise, universe,
                    usco_separator, variation)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
@@ -324,8 +324,13 @@ def usco_point(fuel, k):
     (lambda: usco_point(1, 8), FuelExhausted, "no witnessing ball found within fuel", None),
     (lambda: usco_point(3, 12), FuelExhausted, "certificate did not close within fuel",
      DyadicInterval(F(127, 256), F(129, 256))),
+    (lambda: modulus_regulation(staircase([(F(1, 2) + F(1, 64), 1)]), fuel=0)(F(1, 2), 0),
+     FuelExhausted, "no regulation exponent found within fuel", None),
+    (lambda: jump_enum(PiecewiseRational.from_polys(
+        [0, S2(0), 1], [Poly(0, 1), Poly(F(1, 1 << 60), 1)]), 4), FuelExhausted,
+     "one-sided limits too close to separate", None),
 ], ids=["cousin-prefix", "usco-zero-radius", "osc-ball-walk", "usco-no-ball", "usco-no-radius",
-        "usco-no-certificate"])
+        "usco-no-certificate", "regulation-no-exponent", "jumps-too-close"])
 def test_exits_name_their_cause(run, error, message, best):
     """A gauge of radius 1/64 needs more than the two balls fuel 1 allows; a
     modulus of radius 0 is refused at the first centre; and with fuel 0 the
@@ -334,7 +339,10 @@ def test_exits_name_their_cause(run, error, message, best):
     sqrt2 pennies (values in [0, 1/2], first threshold 3/4): at fuel 0 the
     gap 3/4 asks k0 = 1; at fuel 1 both balls around 1/2 clip to [0, 1],
     whose supremum 1/2 is not below f(1/2) + 2^-1; and at fuel 3 three
-    stages cannot bring the threshold span 3/2 under 2^-13."""
+    stages cannot bring the threshold span 3/2 under 2^-13.  At fuel 0 the
+    regulation search reads only the window of radius 1/2 around 1/2, which
+    holds the jump at 1/2 + 1/64; and the jump of 2^-60 at sqrt2/2 lies
+    inside the 2^-40 brackets of both one-sided limits."""
     with pytest.raises(error, match=message) as err:
         run()
     assert getattr(err.value, "best", None) == best
@@ -562,26 +570,6 @@ def test_rm_code_empty_and_split():
     o = R2Rep.from_intervals([(F(0), F(1, 2)), (F(1, 2), F(1))])
     code = rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=64)
     assert not code.covers(F(1, 2))
-
-
-def test_rm_code_seed_radius_matches_its_loop():
-    """The seed ball's radius is the largest 2^-m within the seed point's
-    radius, as the loop it replaces counted it down, also where that radius
-    is itself a power of two and the bound is met with equality."""
-    rng = random.Random(97)
-    exact_powers = 0
-    for i in range(12):
-        a = F(rng.randrange(0, 16), 16)
-        b = a + F(rng.randrange(1, 8), 16) if i % 2 else a + F(1, 1 << rng.randrange(1, 5))
-        o = R2Rep.from_intervals([(a, b)])
-        x0 = next(x for x in unit_rationals() if o.contains(x))
-        m0 = 0
-        while F(1, 1 << m0) > o.radius(x0):
-            m0 += 1
-        code = rm_code_from_r2_baire1(o, indicator_baire1(o), fuel=16)
-        assert (x0, F(1, 1 << m0)) in code.prefix, (a, b)
-        exact_powers += F(1, 1 << m0) == o.radius(x0)
-    assert exact_powers >= 2
 
 
 def test_rm_code_checks_the_indicator_off_the_set_and_codes_a_set_off_the_unit_empty():

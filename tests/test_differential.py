@@ -3,10 +3,21 @@ path gives the path, its reference (`references.py`), the catalogue groups
 it reads (`catalogue.py`) and the arguments it asks of each entry.  A case
 builds its entry afresh and compares the answers, refusals (type and
 message) and trace lines, or asks that the path's brackets hold the exact
-values.  A new fast path adds a reference and a row, not a test file."""
+values.  A new fast path adds a reference and a row, not a test file.
+
+Beside the searches, builders and scans of the positive side, rows check
+the universe (`minimal-shift`, the banded shift; `locate`, the cut
+bisection; `index-of` and `member-scan` on seed sets; `below-witness`;
+`spike-scans` with the spike count; `range-brute` and `osc-exact`, brackets
+against sampled values), the variation operators (`running-variation`,
+`total-variation`, `regulation-windows`) and the reductions
+(`grid-baseline`, `cliq-levels`, `sup-oracle`, `sup-extraction` with the
+bisection sets, `demo-abyss`).  The kernel's property tests on their own
+inputs (numbers and intervals) stay in their modules."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import random
@@ -19,22 +30,25 @@ import pytest
 
 from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, ExistsValueBelow,
                    OscBelow, PiecewiseRational, Poly, Q2, R2Rep, RMCode, SupOracle, Truth,
-                   ValueBelowOnBall, constant, cousin_subcover, exhaustive_sup_oracle,
-                   extract_enumeration_from_sup, fn_sum, indicator_baire1, inf_usco, linear,
-                   modulus_continuity_qc, modulus_qc, modulus_regulation, mu_search,
-                   naive_rational_sup, natural_usco_modulus, point_of_continuity_qc,
-                   point_of_continuity_usco, rational_grid, realiser_from_sup,
-                   rm_code_from_r2_baire1, scalar_multiple, staircase, sup_baire1, sup_qc,
-                   tilde_set)
+                   ValueBelowOnBall, canonical_cliq_modulus, constant, cousin_subcover,
+                   demo_abyss, exhaustive_sup_oracle, extract_enumeration_from_sup, fn_sum,
+                   indicator_baire1, inf_usco, jordan_nbv, linear, modulus_continuity_qc,
+                   modulus_qc, modulus_regulation, mu_search, naive_rational_sup,
+                   natural_usco_modulus, osc_exact, point_of_continuity_qc,
+                   point_of_continuity_usco, rational_grid, realiser_from_cliq_modulus,
+                   realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple, staircase,
+                   sup_baire1, sup_qc, tilde_set, total_variation_nbv)
 from abyss.category import _interior_numerators
 from abyss.collapse import _ball_clipped
 from abyss.oracle import _ProbeState
 from abyss.serialize import dumps, fn_json
+from abyss.sets import minimal_shift_into_band
 from abyss.spikes import CoverPsi
-from abyss.universe import USCO, probe_points, query_scope
+from abyss.universe import NORMALISED_BV, USCO, irrational_inside, probe_points, query_scope
+from abyss.variation import _limit_pair, _regulated_within, _running_variation
 
 import references as ref
-from catalogue import A, ENTRIES, S2, make, random_subinterval
+from catalogue import A, ENTRIES, RATIONAL_SEEDS, S2, make, random_dyadic, random_subinterval
 
 POINTS = [F(0), F(1), F(1, 2), F(1, 3), F(5, 16), A.member(1), S2(1), Q2(F(1, 3), F(1, 8))]
 FUELS = (0, 1, 64)
@@ -259,6 +273,44 @@ def halving_sides(run, above):
     return fast, refs
 
 
+def locate_grid(f, entry, rng):
+    """Each cut, each piece's midpoint, points sqrt2/2^21 and sqrt2/2^41
+    either side of each cut, eight irrational points, and four outside [0,1]."""
+    cuts = list(f.cuts)
+    pts = cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
+    pts += [c + S2(j) for c in cuts[:-1] for j in (20, 40)]
+    pts += [c - S2(j) for c in cuts[1:] for j in (20, 40)]
+    pts += [irrational_inside(DyadicInterval(*random_subinterval(rng))) for _ in range(8)]
+    return [(x,) for x in pts + [Q2(-1), -S2(30), Q2(1) + S2(30), Q2(2)]]
+
+
+def variation_sides(f, x):
+    """The running variation at x; on a normalised-BV f also Jordan's g, h
+    plus f, and the total variation's bracket at 2^-12."""
+    g = _running_variation(f)(x)
+    if NORMALISED_BV not in f.tags:
+        return (g,)
+    jp = jordan_nbv(f)
+    return g, jp.g(x), jp.h(x) + f.eval(x), total_variation_nbv(f, x, 12)
+
+
+def variation_holds(f, got, want, x):
+    return all(v == want for v in got[:3]) and (len(got) < 4 or got[3].contains(want))
+
+
+def brute_grid(f, entry, rng):
+    """25 drawn pairs of ends on the grid of 64ths, equal pairs dropped."""
+    ends = [sorted((F(rng.randrange(64), 64), F(rng.randrange(64), 64))) for _ in range(25)]
+    return [(DyadicInterval(lo, hi),) for lo, hi in ends if lo < hi]
+
+
+def values_held(f, got, vals, iv):
+    """Each bracket is at most 2^-12 wide and holds every sampled value."""
+    inf_b, sup_b = got
+    return max(inf_b.width, sup_b.width) <= F(1, 1 << 12) and \
+        Q2.of(inf_b.lo) <= min(vals) and max(vals) <= Q2.of(sup_b.hi)
+
+
 def brackets_hold(f, got, want, iv, k, breaks):
     (inf_b, sup_b), (lo, hi) = got, want
     return inf_b.width <= F(1, 1 << k) >= sup_b.width and inf_b.contains(lo) \
@@ -282,7 +334,8 @@ def spike_grid(f, entry, rng):
     """First-hit scans: 16 random intervals and tight ones around the first
     members, every precision 0..12, thresholds either side of each spike
     value.  Spike count: thresholds on and off the spike values on random
-    intervals, [0,1], [0, 2^-40], and just below each first spike."""
+    intervals, [0,1], [0, 2^-40] (with each 2^-j and 5/2^j down to 2^-11),
+    and at 3/4 and 1/2 of each first spike."""
     if "spikes" in entry["groups"]:
         ivs = random_intervals(rng, 16, 9)
         ivs += member_intervals(f.a_set, rng, 0, j_of=lambda n, rng: rng.randrange(2, 12) + 1)
@@ -293,11 +346,12 @@ def spike_grid(f, entry, rng):
                     yield iv, None, y if j >= 0 else -y
     if "spike-count" in entry["groups"]:
         ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
+        ys += [F(1, 1 << j) for j in range(1, 12)] + [F(5, 1 << j) for j in range(3, 12)]
         ivs = random_intervals(rng, 8, 9) + [UNIT, DyadicInterval(0, F(1, 1 << 40))]
         yield from ((iv, None, y) for iv, y in itertools.product(ivs, ys))
         for (n, _), iv in zip(f.a_set.members_upto(6), member_intervals(
                 f.a_set, rng, None, j_of=lambda n, rng: n + 8)):
-            yield iv, None, f.spike_value(n) * F(3, 4)
+            yield from ((iv, None, f.spike_value(n) * c) for c in (F(3, 4), F(1, 2)))
 
 
 def spike_bracket_grid(f, entry, rng):
@@ -366,26 +420,65 @@ def member_scan_grid(f, entry, rng):
     """Intervals around each of the first members of the seed set, from its
     bracket at 2^-80: for a rational member its point, and each end on it;
     for an irrational one the bracket and the intervals just past its ends.
-    Also [0,1], random intervals and the span of two members, which a
-    descending scan leaves at the first member below it.  Each is asked
-    over windows that start at 0, inside the set, and at or past the limit."""
+    Also its bracket at a drawn precision, a rational member as a point,
+    [0,1], random intervals and the span of two members, which a descending
+    scan leaves at the first member below it.  Each is asked over windows
+    that start at 0 (or by default), inside the set, and at or past the
+    limit, every start up to one past the limit for the limits up to 20."""
     pts = [p for _, p in f.a_set.members_upto(8)]
-    ivs = [UNIT] + random_intervals(rng, 6, 9)
+    ivs = [UNIT] + random_intervals(rng, 10, 9)
     for p in pts:
         w = F(1, 1 << rng.randrange(3, 12))
         lo, hi = p.bracket(80)
         ivs += [DyadicInterval(lo, hi), DyadicInterval(max(F(0), lo - w), lo),
-                DyadicInterval(hi, min(F(1), hi + w))]
+                DyadicInterval(hi, min(F(1), hi + w)),
+                DyadicInterval(*p.bracket(rng.randrange(2, 12)))]
+        if p.is_rational:
+            ivs.append(DyadicInterval(p.as_rational(), p.as_rational()))
     for p, q in zip(pts, pts[2:]):
         (lo, _), (_, hi) = min(p, q).bracket(80), max(p, q).bracket(80)
         ivs.append(DyadicInterval(lo, hi))
-    windows = [(64, 0), (200, 0), (8, 0), (64, 3), (5, 2), (3, 3), (2, 6), (0, 0)]
+    windows = [(64, 0), (200, 0), (64, 3), (5, 2), (2, 6)] + [
+        (limit, start) for limit in (0, 1, 3, 8, 20) for start in [None, *range(limit + 2)]]
     return itertools.product(ivs, windows)
 
 
 def member_scan(f, iv, window):
-    limit, start = window
-    return f.a_set.first_member_in(iv, limit, start), f.a_set.members_in(iv, limit, start)
+    args = (iv, *window) if window[1] is not None else (iv, window[0])
+    return f.a_set.first_member_in(*args), f.a_set.members_in(*args)
+
+
+def shift_grid(f, entry, rng):
+    """The first members of the source set in their own bands, where the
+    banded copy shifts them; 40 points of [0,1) (every other one rational)
+    in bands 0-10; 40 drawn points of [-1,2] in bands 0-14; bands 21 and 22
+    near simple rationals; and points that no rational of [-1,1] shifts
+    into their band."""
+    cases = [(p, n) for n, p in f.source.members_upto(6)]
+    pts = [Q2(F(rng.randrange(1, 127), 128), F(1, 1 << rng.randrange(3, 30)) if i % 2 else 0)
+           for i in range(40)]
+    cases += [(p, n) for p in pts if p < 1 for n in range(11)]
+    for _ in range(40):
+        d, band = rng.randrange(1, 201), rng.randrange(15)
+        a = F(rng.randrange(-d, 2 * d + 1), d)
+        b = F(rng.choice((1, -1)), 1 << rng.randrange(41)) if rng.randrange(2) else 0
+        cases.append((Q2(a, b), band))
+    return cases + [(Q2(F(3, 7), F(1, 32)), 22), (Q2(F(5, 9), F(-1, 64)), 21), (Q2(-1), 0),
+                    (Q2(F(5, 2)), 1), (Q2(3), 0)]
+
+
+def index_grid(f, entry, rng):
+    """Each member of the finite seed set, and each moved by sqrt2/2^50; the
+    grid of depth 5 as `Fraction`s, with 0 and 1 also as `int`s; and the
+    first six members of the sqrt2 family."""
+    pts = [p for _, p in f.a_set.members_upto(f.a_set.size)]
+    pts += [p + Q2(0, F(1, 1 << 50)) for p in pts] + rational_grid(UNIT, 5) + [0, 1]
+    return [(x,) for x in pts + [S2(n) for n in range(6)]]
+
+
+def osc_holds(f, got, brute, x):
+    """Each sampled ball oscillation bounds the oscillation at x from above."""
+    return all(b >= Q2.of(got.lo) - Q2.of(F(1, 1 << 18)) for b in brute)
 
 
 def scope_grid(ks):
@@ -397,6 +490,31 @@ def scope_grid(ks):
             pts += [p for _, p in f.a_set.members_upto(2)]
         return [(p, order) for p in pts for order in (ks, ks[::-1], rng.sample(ks, len(ks)))]
     return grid
+
+
+def windows_read(regulated):
+    """A row side: regulated(f, p, m, k) and the (window, precision) pairs it
+    reads through f's `range_on`."""
+    def run(f, p, m, k):
+        seen, read = [], f.range_on
+
+        def spy(iv, prec):
+            seen.append((iv, prec))
+            return read(iv, prec)
+        f.range_on = spy
+        try:
+            return regulated(f, p, m, k), seen
+        finally:
+            del f.range_on
+    return run
+
+
+def windows_grid(f, entry, rng):
+    """Rational and irrational points, the ends of [0,1] and a seed among
+    them, over a grid of (m, k)."""
+    pts = [Q2.of(x) for x in (0, 1, F(1, 2), F(1, 3), F(5, 7), F(3, 8))]
+    pts += [S2(0), S2(3), Q2(F(1, 3), F(1, 32)), RATIONAL_SEEDS.member(0)]
+    return itertools.product(pts, range(0, 12, 2), (0, 1, 3, 6))
 
 
 def in_one_scope(modulus):
@@ -432,8 +550,10 @@ def walk_side(side):
 
 
 def honest_grid(f, entry, rng):
-    """Every k in 0..16 over 16 rounds, every round count in 1..16, a realiser."""
+    """Every k in 0..16 over 16 rounds, every round count in 1..16, four k
+    over 5 rounds, a realiser."""
     pairs = [(k, 16) for k in range(17)] + [(r % 4, r) for r in range(1, 16)]
+    pairs += [(k, 5) for k in (0, 1, 7, 16)]
     return [("extract", HONEST, k, rounds) for k, rounds in pairs] + [
         ("realise", HONEST, 16, 16)]
 
@@ -471,6 +591,35 @@ def liar_grid(f, entry, rng):
     return [(walk, (lie, lie), *entry["liars"]) for lie in LIARS for walk in WALKS]
 
 
+def cliq_levels(f, k, fuel):
+    """The (n, c, d) of each level at which `realiser_from_cliq_modulus`
+    asks the honest modulus, after its probes at the first members."""
+    honest, calls = canonical_cliq_modulus(f.a_set), []
+
+    def spy(x, k, n):
+        c, d = honest(x, k, n)
+        calls.append((n, c, d))
+        return c, d
+    realiser_from_cliq_modulus(spy, f.a_set, k, fuel=fuel)
+    return calls[-max(k + 2, fuel + 1):]
+
+
+def demo_report(demo):
+    """A row side: the demo report on the entry's seed set at depths 8 and
+    16, and its canonical JSON."""
+    def run(f):
+        rep = demo(f.a_set, (8, 16))
+        return rep, dumps(rep.to_jsonable())
+    return run
+
+
+def sup_oracle_grid(f, entry, rng):
+    """Every pair of 20 ends: reversed pairs and ends outside [0,1] among them."""
+    ends = [F(0), F(1), F(1, 2), F(3, 8), F(1, 4), F(5, 7), F(-1, 2), F(3, 2)]
+    ends += [random_dyadic(rng, 8) for _ in range(12)]
+    return itertools.product(ends, ends)
+
+
 # --- the grid baseline ---
 
 # ends with denominators 3, 5 and 7, none on a dyadic grid, and a member of
@@ -479,9 +628,11 @@ _GRID_ENDS = [(F(1, 3), F(5, 7)), (F(2, 5), F(3, 5)), (F(1, 7), F(2, 3)), (F(0),
 
 
 def grid_baseline_grid(f, entry, rng):
-    """[0,1], two random dyadic subintervals and the ends above, at every depth 0..12."""
+    """[0,1], two random dyadic subintervals and the ends above, at every
+    depth 0..12 on a spike family (which reads the grid off its structure)
+    and 0..10 on the others (whose grid both sides scan)."""
     ivs = [(F(0), F(1))] + [random_subinterval(rng) for _ in range(2)] + _GRID_ENDS
-    return [(p, q, depth) for p, q in ivs for depth in range(13)]
+    return [(p, q, depth) for p, q in ivs for depth in range(13 if hasattr(f, "a_set") else 11)]
 
 
 # --- the rows ---
@@ -509,6 +660,9 @@ ROWS = [
     Row("regulation-resume", in_one_scope(lambda f: modulus_regulation(f, 24)),
         lambda f, p, ks: [ref.outcome(lambda: modulus_regulation(f, 24)(p, k)) for k in ks],
         ("regulation",), scope_grid([0, 1, 3, 6])),
+    Row("regulation-windows",
+        windows_read(lambda f, p, m, k: _regulated_within(f, p, m, k, _limit_pair(f, p, k))),
+        windows_read(ref.fraction_regulated_within), ("regulation-windows",), windows_grid),
     Row("usco-radius-scope", in_one_scope(lambda f: natural_usco_modulus(f, 32)),
         lambda f, p, ks: [ref.outcome(lambda: ref.plain_usco_radius(f, p, k, 32)) for k in ks],
         ("continuity-usco",), scope_grid([0, 3, 7, 12, 18])),
@@ -518,6 +672,17 @@ ROWS = [
     Row("piecewise-build", lambda f, kind, *args: built_table(BUILDS[kind][0](f, *args)),
         lambda f, kind, *args: ref.plain_table(*BUILDS[kind][1](f, *args)), ("piecewise-build",),
         build_grid),
+    Row("locate", lambda f, x: f._locate(x), ref.linear_locate, ("locate", "scan", "variation"),
+        locate_grid, refusals=True, min_checks=1081),
+    Row("running-variation", variation_sides, ref.walked_variation,
+        ("variation", "running-variation"),
+        lambda f, entry, rng: [(x,) for x in ref.cell_probes(f)], variation_holds,
+        min_checks=175),
+    Row("total-variation", lambda f, x: total_variation_nbv(f, x, 10),
+        lambda f, x: ref.partition_brute_variation(f, x, ref.variation_candidates(f), 12),
+        ("variation",), lambda f, entry, rng: [(F(1, 2),), (F(1),)],
+        lambda f, got, brute, x: Q2.of(got.lower) - Q2.of(F(1, 256)) <= brute
+        <= Q2.of(got.upper)),
     Row("modulus-qc", lambda f, x, n, k: modulus_qc(f, x, k, n, fuel=8),
         lambda f, x, n, k: ref.sorted_fraction_modulus_qc(f, x, k, n, fuel=8),
         ("modulus-qc",), lambda f, entry, rng: itertools.product(
@@ -551,16 +716,37 @@ ROWS = [
         lambda f, iv, k, y: f.range_on(iv, k) if y is None else f.witness_above(iv, y),
         lambda f, iv, k, y: ref.plain_witness_above(f, iv, y) if y is not None
         else (Bracket.point(0), Bracket(*ref.plain_sup(f, iv, k))), ("spikes", "spike-count"),
-        spike_grid),
+        spike_grid, min_checks=32266),
     Row("spike-brackets", spike_bracket_fast, spike_bracket_ref, ("spike-brackets",),
         spike_bracket_grid, spike_brackets_hold, min_checks=15000),
+    Row("range-brute", lambda f, iv: f.range_on(iv, 12), lambda f, iv: ref.brute_values(f, iv, 7),
+        ("range-brute",), brute_grid, values_held, min_checks=242),
+    Row("osc-exact", lambda f, x: osc_exact(f, x, 20),
+        lambda f, x: [ref.brute_ball_osc(f, x, n, depth=6) for n in (4, 8, 12)], ("osc-exact",),
+        lambda f, entry, rng: [(x,) for x in [p for _, p in f.a_set.members_upto(4)] + [
+            F(1, 3), F(0)]], osc_holds),
+    Row("below-witness", lambda f, iv: f._witness_below(iv, F(1, 8)), ref.grid_below_witness,
+        ("below-witness",),
+        lambda f, entry, rng: [(DyadicInterval(*iv),) for iv in entry["below"]]),
     Row("cover-usco-range", lambda f, iv, k: f.range_on(iv, k), ref.plain_cover_usco_range,
         ("cover-usco",), cover_usco_grid),
     Row("member-scan", member_scan, lambda f, iv, window: ref.plain_member_scan(
-        f.a_set, iv, *window), ("member-scan",), member_scan_grid),
+        f.a_set, iv, window[0], window[1] or 0), ("member-scan",), member_scan_grid,
+        min_checks=8075),
+    Row("index-of", lambda f, x: f.a_set.index_of(x), lambda f, x: ref.linear_index(f.a_set, x),
+        ("index-of",), index_grid, min_checks=1032),
+    Row("minimal-shift", lambda f, a, n: minimal_shift_into_band(a, n),
+        lambda f, a, n: ref.plain_minimal_shift(a, n), ("minimal-shift",), shift_grid,
+        refusals=True, min_checks=491),
     Row("grid-baseline", naive_rational_sup, ref.plain_grid_max, ("grid-baseline",),
-        grid_baseline_grid, budget=("grid baselines", 30)),
-    Row("sup-extraction", walk_side(0), walk_side(1), ("extraction",), honest_grid,
+        grid_baseline_grid, budget=("grid baselines", 30), min_checks=3478),
+    Row("cliq-levels", cliq_levels, lambda f, k, fuel: ref.plain_cliq_walk(f.a_set, k, fuel),
+        ("cliq",), lambda f, entry, rng: [(10, 16), (8, 4), (6, 8), (9, 12)]),
+    Row("sup-oracle", lambda f, p, q: exhaustive_sup_oracle()(f, p, q), ref.fraction_sup,
+        ("sup-oracle",), sup_oracle_grid, refusals=True),
+    Row("demo-abyss", demo_report(demo_abyss), demo_report(ref.two_pass_demo), ("demo",),
+        lambda f, entry, rng: [()]),
+    Row("sup-extraction", walk_side(0), walk_side(1), ("extraction", "bisection"), honest_grid,
         extracts_every_round),
     Row("lying-oracles", walk_side(0), walk_side(1), ("liars",), liar_grid, kinds=frozenset({
         "supremum grew on a subinterval", "supremum vanished on both halves",
@@ -637,6 +823,23 @@ def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
     assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)
 
 
+def test_every_reference_is_called_from_a_test():
+    """A reference whose check has moved or gone fails here instead of
+    rotting: every public function of `references.py` is read in some test
+    module, called or passed on as `ref.<name>`, and a name no test reads
+    shows."""
+    def public(text):
+        return {node.name for node in ast.parse(text).body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+    here = Path(__file__).parent
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in here.glob("test_*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert public("def plain_gone(f):\n    return f\n") - read == {"plain_gone"}
+    assert sorted(public((here / "references.py").read_text()) - read) == []
+
+
 # --- the order of the Baire-category candidates, not a function of the catalogue ---
 
 
@@ -678,14 +881,24 @@ def random_open_set(rng):
     return R2Rep.from_intervals(spans)
 
 
+def one_interval(rng, i):
+    """An interval from j/16, 1/16 to 7/16 long, or (every other one) 2^-r
+    long: a seed radius that is itself a power of two meets its bound."""
+    a = F(rng.randrange(0, 16), 16)
+    return R2Rep.from_intervals([(a, a + (F(rng.randrange(1, 8), 16) if i % 2
+                                          else F(1, 1 << rng.randrange(1, 5))))])
+
+
 def test_rm_code_answers_as_the_set_reads(deadline):
     """The conversion's one range read per interval against the interval
-    test on the set's own open intervals, over 200 seeded sets: touching
-    intervals, ends outside [0,1], empty sets and sets that miss (0, 1)."""
+    test on the set's own open intervals, over 200 seeded sets and 12 single
+    intervals: touching intervals, ends outside [0,1], empty sets, sets that
+    miss (0, 1), and a seed ball whose radius is the set's own radius at its
+    centre (only the seed ball can be: an interval's ball sits strictly
+    inside the set)."""
     deadline(20)
     rng, shown = random.Random("rm-code"), Counter()
-    for _ in range(200):
-        o = random_open_set(rng)
+    for o in [random_open_set(rng) for _ in range(200)] + [one_interval(rng, i) for i in range(12)]:
         shown["touching"] += any(b == a for (_, b), (a, _) in zip(o.intervals, o.intervals[1:]))
         shown["outside"] += any(a < 0 or b > 1 for a, b in o.intervals)
         shown["misses"] += all(b <= 0 or a >= 1 for a, b in o.intervals) and o.intervals != ()
@@ -697,6 +910,7 @@ def test_rm_code_answers_as_the_set_reads(deadline):
                 kind = got[0]
             else:  # the empty code, the seed alone, or intervals besides it
                 kind = ("empty", "seed", "many")[min(len(set(got.prefix)), 2)]
+                shown["power"] += any(r == o.radius(c) for c, r in got.prefix)
             shown[kind] += 1
     assert all(shown[kind] for kind in ("touching", "outside", "misses", "empty", "seed",
-                                        "many")), shown
+                                        "many", "power")), shown

@@ -6,25 +6,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (Bracket, CoverPsi, CoverPsiUsco, DyadicInterval, InvalidModulus,
+from abyss import (Bracket, DyadicInterval, InvalidModulus,
                    OracleInconsistency, Penny, PennyK, PiecewiseRational, Poly, Q2, SupOracle,
                    TildePenny, adversarial_cliq_modulus, canonical_cliq_modulus, canonical_regulation_modulus,
                    cantor_diagonal, demo_abyss, exhaustive_sup_oracle,
-                   extract_enumeration_from_sup, finite_set, fn_sum, linear, naive_rational_sup,
+                   extract_enumeration_from_sup, finite_set, naive_rational_sup,
                    realiser_from_cliq_modulus, realiser_from_regulation_modulus,
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss import universe
-from abyss.composites import ScalarMultiple
 from abyss.collapse import _ball_clipped
-from abyss.reductions import AbyssReport, CliqModulusOracle, _dyadic_inside
-from abyss.serialize import dumps
+from abyss.reductions import CliqModulusOracle, _dyadic_inside
 from abyss.universe import CLIQUISH
-from abyss.variation import _limit_pair, _regulated_within
 
-from catalogue import IRRATIONAL_SEEDS, RATIONAL_SEEDS, make, random_dyadic, random_finite_set
+from catalogue import RATIONAL_SEEDS, make, random_finite_set
 from conftest import calls_to, fraction_news
-from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup,
-                        outcome, plain_grid_max)
+from references import fraction_cantor_diagonal, fraction_dyadic_inside, two_pass_demo
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -100,30 +96,6 @@ def test_realiser_from_cliq_modulus():
     single = finite_set([S2(0)])
     z2 = realiser_from_cliq_modulus(canonical_cliq_modulus(single), single, 8, fuel=4)
     assert Q2.of(z2) != S2(0)
-
-
-def test_cliq_ball_exponent_matches_its_loop():
-    """Each level asks the modulus for the least n with 2^-n strictly below
-    half the interval's width, as the loop it replaces counted it up."""
-    rng = random.Random(83)
-    for a_set, k, fuel in ((A, 10, 16), (finite_set([S2(0)]), 8, 4),
-                           (random_finite_set(rng), 6, 8), (random_finite_set(rng), 9, 12)):
-        honest = canonical_cliq_modulus(a_set)
-        calls = []
-
-        def spy(x, k, n):
-            calls.append((n, honest(x, k, n)))
-            return calls[-1][1]
-
-        realiser_from_cliq_modulus(spy, a_set, k, fuel=fuel)
-        lo, hi = F(0), F(1)
-        for n, (c, d) in calls[-max(k + 2, fuel + 1):]:
-            want = 0
-            while F(1, 1 << want) >= (hi - lo) / 2:
-                want += 1
-            assert n == want
-            c, d = F(c), F(d)
-            lo, hi = (c + d) / 2 - (d - c) / 4, (c + d) / 2 + (d - c) / 4
 
 
 def adversarial_wide_modulus() -> CliqModulusOracle:
@@ -213,42 +185,6 @@ def test_only_the_spike_families_read_a_deep_grid(make):
     other family's grid is scanned, and one of 2^24 points is refused."""
     with pytest.raises(ValueError, match="grid too deep"):
         naive_rational_sup(make(), 0, 1, 24)
-
-
-# a finite seed set with rational members, one of them past index 1
-GRID_FAMILIES = [
-    ("penny-sqrt2", lambda: Penny(A)),
-    ("penny-finite", lambda: Penny(RATIONAL_SEEDS)),
-    ("pennyk-sqrt2", lambda: PennyK(A, 3)),
-    ("pennyk-finite", lambda: PennyK(RATIONAL_SEEDS, 1)),
-    ("tilde-penny-sqrt2", lambda: TildePenny(A)),
-    ("tilde-penny-finite", lambda: TildePenny(IRRATIONAL_SEEDS)),
-    ("cover-psi", lambda: CoverPsi(A)),
-    ("cover-psi-usco", lambda: CoverPsiUsco(A)),
-    ("thomae", thomae),
-    ("staircase", lambda: staircase([(F(1, 3), F(1, 2)), (F(5, 8), F(-1, 4))])),
-    # a lone value 1 at the cut 5/32 and a vertex at 5/7, off every coarse grid
-    ("piecewise", lambda: PiecewiseRational.from_polys(
-        [0, F(5, 32), 1], [Poly(0, 1), Poly(0, F(10, 7), -1)], ["right", 1, "right"])),
-    ("scalar-positive", lambda: ScalarMultiple(F(3, 2), Penny(RATIONAL_SEEDS))),
-    ("scalar-negative", lambda: ScalarMultiple(F(-2), thomae())),
-    ("restricted", lambda: restrict_tags(Penny(RATIONAL_SEEDS), {CLIQUISH})),
-    ("sum", lambda: fn_sum(thomae(), linear(F(1, 4)))),
-    ("staircase-irrational-cut", lambda: make("irrational-cut-staircase")),
-    ("piecewise-vertex-off-its-piece", lambda: make("vertex-off-its-piece")),
-]
-
-
-@pytest.mark.parametrize("make", [m for _, m in GRID_FAMILIES],
-                         ids=[name for name, _ in GRID_FAMILIES])
-def test_grid_max_matches_plain_scan(make):
-    """Whatever shortcut a family takes, naive_rational_sup is the max of
-    plain evaluations over the grid."""
-    f = make()
-    for p, q in ((F(0), F(1)), (F(1, 4), F(3, 4)), (F(1, 3), F(5, 7)), (F(3, 8), F(1, 2))):
-        for depth in range(11):
-            assert naive_rational_sup(f, p, q, depth) == plain_grid_max(f, p, q, depth), \
-                (p, q, depth)
 
 
 def test_baseline_gap_invariant():
@@ -374,60 +310,10 @@ def test_dyadic_inside_matches_the_fraction_rounding():
         assert _dyadic_inside(DyadicInterval(F(ln, d), F(un, d)), k) == want
 
 
-def _fraction_bisection(oracle, f, s, k):
-    """The bits and the interval the Fraction bisection located s at."""
-    lo, hi = F(0), F(1)
-    bits = ""
-    while hi - lo > F(1, 1 << k):
-        mid = (lo + hi) / 2
-        if oracle(f, lo, mid) == s:
-            hi, bits = mid, bits + "0"  # ties break toward the left half
-        else:
-            lo, bits = mid, bits + "1"
-    return bits, DyadicInterval(lo, hi)
-
-
-def test_extraction_matches_the_fraction_bisection():
-    rng = random.Random(71)
-    oracle = exhaustive_sup_oracle()
-    seed_sets = [A, finite_set([S2(0)]), RATIONAL_SEEDS, IRRATIONAL_SEEDS]
-    seed_sets += [random_finite_set(rng, max_size=6) for _ in range(4)]
-    for a_set in seed_sets:
-        for k in (0, 1, 7, 16):
-            steps = extract_enumeration_from_sup(oracle, a_set, k, rounds=5)
-            assert steps
-            for r, step in enumerate(steps):
-                f = Penny(a_set, start=steps[r - 1].index + 1 if r else 0)
-                assert (step.bits, step.interval) == _fraction_bisection(oracle, f, step.value, k)
-                assert len(step.bits) == k
-
-
-def test_sup_oracle_matches_the_fraction_oracle():
-    """Answers, and refusals with their messages, on spike families and on
-    a function with an irrational value at a rational cut: the oracle's
-    `Fraction` entry against a plain function of the same ends, reversed
-    ends and ends outside [0, 1] among them."""
-    rng = random.Random(89)
-    spiky = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0), Poly(F(1, 4))],
-                                         ["right", S2(0), "right"])
-    fns = [Penny(A), Penny(A, start=3), PennyK(A, 2), Penny(RATIONAL_SEEDS),
-           TildePenny(IRRATIONAL_SEEDS), spiky]
-    ends = [F(0), F(1), F(1, 2), F(3, 8), F(1, 4), F(5, 7), F(-1, 2), F(3, 2)]
-    ends += [random_dyadic(rng, 8) for _ in range(12)]
-    oracle = exhaustive_sup_oracle()
-    for f in fns:
-        for p in ends:
-            for q in ends:
-                want = outcome(lambda: fraction_sup(f, p, q))
-                assert outcome(lambda: oracle(f, p, q)) == want, (f.kind, p, q)
-    for p, q in ((0.5, 1), (0, 0.5)):
-        with pytest.raises(TypeError, match="float 0.5 refused"):
-            oracle(Penny(A), p, q)
-
-
 def test_the_exhaustive_oracle_refuses_a_supremum_it_cannot_give_exactly():
     """0 but for the value sqrt2/2 at 1/2: its one value there is irrational,
-    and on [1/4, 3/4] the supremum sqrt2/2 is no rational bracket end."""
+    and on [1/4, 3/4] the supremum sqrt2/2 is no rational bracket end.  A
+    float end is refused by name."""
     f = PiecewiseRational.from_polys([0, F(1, 2), 1], [Poly(0), Poly(0)],
                                      ["right", Q2(0, F(1, 2)), "right"])
     oracle = exhaustive_sup_oracle()
@@ -436,6 +322,9 @@ def test_the_exhaustive_oracle_refuses_a_supremum_it_cannot_give_exactly():
     with pytest.raises(OracleInconsistency,
                        match="^supremum not exactly attained on this family$"):
         oracle(f, F(1, 4), F(3, 4))
+    for p, q in ((0.5, 1), (0, 0.5)):
+        with pytest.raises(TypeError, match="float 0.5 refused"):
+            oracle(Penny(A), p, q)
 
 
 def test_grid_baseline_of_a_finite_irrational_set_builds_only_its_answer():
@@ -453,95 +342,13 @@ def test_grid_baseline_of_a_finite_irrational_set_builds_only_its_answer():
     assert fraction_news(lambda: Penny(a_set)) == 0
 
 
-def _two_pass_demo(a_set, depths=(8, 16, 24)):
-    """The demo as three separate computations: the exact value, a 1-round
-    extraction for the 16 bits, and the realiser's own 8-round extraction."""
-    f = Penny(a_set)
-    oracle = exhaustive_sup_oracle()
-    baseline = [naive_rational_sup(f, 0, 1, d) for d in depths]
-    exact = oracle(f, F(0), F(1))
-    extraction = extract_enumeration_from_sup(oracle, a_set, 16, rounds=1)
-    z = realiser_from_sup(oracle, a_set, 16, fuel=8)
-    return AbyssReport("spike function over %s" % a_set.name, list(depths), baseline,
-                       exact, exact - max(baseline), z,
-                       extraction[0].bits if extraction else None)
-
-
-def test_demo_report_matches_the_two_pass_demo():
-    rng = random.Random(79)
-    for a_set in [A, finite_set([S2(0)]), RATIONAL_SEEDS, IRRATIONAL_SEEDS,
-                  random_finite_set(rng), random_finite_set(rng)]:
-        rep = demo_abyss(a_set, (8, 16))
-        assert rep == _two_pass_demo(a_set, (8, 16))
-        assert dumps(rep.to_jsonable()) == dumps(_two_pass_demo(a_set, (8, 16)).to_jsonable())
-
-
 def test_demo_extracts_once():
     """One 8-round extraction serves the exact value, the bits and the
     realiser: on the sqrt2 family, 8 + 8 * 16 left-half queries and 43
     right-half ones, where the two-pass demo asked 203."""
     from abyss import reductions
     assert calls_to(lambda: demo_abyss(A), reductions.__file__, "sup") == 179
-    assert calls_to(lambda: _two_pass_demo(A), reductions.__file__, "sup") == 203
-
-
-def _fraction_regulated_within(f, p, m, k):
-    tol, r = F(1, 1 << k), F(1, 1 << (m + 1))
-    for side in (-1, 1):
-        lim = f.one_sided_limit(p, side, k + 6)
-        if lim is None:
-            continue
-        lo_pt, hi_pt = p.bracket(m + k + 8)
-        if side > 0:
-            lo, hi = hi_pt, min(F(1), lo_pt + r)
-        else:
-            lo, hi = max(F(0), hi_pt - r), lo_pt
-        if lo >= hi:
-            continue
-        if p.is_rational:
-            eps = F(1, 1 << (k + 24))
-            if side > 0 and lo + eps < hi:
-                lo += eps
-            elif side < 0 and lo < hi - eps:
-                hi -= eps
-        inf_b, sup_b = f.range_on(DyadicInterval(lo, hi), k + 6)
-        if sup_b.hi - lim.lo >= tol or lim.hi - inf_b.lo >= tol:
-            return False
-    return True
-
-
-def _windows(regulated, f, p, m, k):
-    """regulated(f, p, m, k) and the (window, precision) pairs it read."""
-    seen = []
-    read = f.range_on
-
-    def spy(iv, prec):
-        seen.append((iv, prec))
-        return read(iv, prec)
-
-    f.range_on = spy
-    try:
-        return regulated(f, p, m, k), seen
-    finally:
-        del f.range_on
-
-
-def _regulated_within_at(f, p, m, k):
-    return _regulated_within(f, p, m, k, _limit_pair(f, p, k))
-
-
-def test_regulation_windows_match_the_fraction_windows():
-    """The same windows read and the same answer, at rational and irrational
-    points (the ends of [0,1] included) over a grid of (m, k)."""
-    functions = [Penny(A), Penny(RATIONAL_SEEDS), staircase([(F(1, 2), 1)]), linear(1)]
-    points = [Q2.of(x) for x in (0, 1, F(1, 2), F(1, 3), F(5, 7), F(3, 8))]
-    points += [S2(0), S2(3), Q2(F(1, 3), F(1, 32)), RATIONAL_SEEDS.member(0)]
-    for f in functions:
-        for p in points:
-            for m in range(0, 12, 2):
-                for k in (0, 1, 3, 6):
-                    assert _windows(_regulated_within_at, f, p, m, k) == \
-                        _windows(_fraction_regulated_within, f, p, m, k), (f.kind, p, m, k)
+    assert calls_to(lambda: two_pass_demo(A), reductions.__file__, "sup") == 203
 
 
 def test_extraction_refuses_a_stripped_spike_value():

@@ -4,7 +4,6 @@ ranges against brute force, serialization."""
 import ast
 import importlib
 import inspect
-import math
 import random
 import re
 import time
@@ -12,29 +11,25 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from abyss import (ConstructionError, CoverPsi, CoverPsiUsco, DomainError, DyadicInterval,
                    ExistsValueBelow, FinitePointSet, Found, FuelExhausted, Indicator, MuWitness,
                    NotPointwiseEvaluable, Penny, PennyK, PiecewiseRational, Poly, Q2, R2Rep,
                    TildePenny, Truth, UnsupportedVariant, ValueBelowOnBall, build_cover_psi,
                    constant, exact, finite_set, fn_difference, fn_sum, inf_usco, jump_enum, linear,
-                   mu_search, osc_exact, osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
+                   mu_search, osc_selfcheck, pennyk_limit, rational_grid, restrict_tags,
                    scalar_multiple, sqrt2_family, staircase, thomae, tilde_set, usco_separator)
 from abyss import piecewise, universe
 from abyss.composites import ScalarMultiple, Sum
-from abyss.exact import Bracket, grid_depth_cap
+from abyss.exact import Bracket
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
-from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO,
-                            NORMALISED_BV, QUASI_CONTINUOUS, REGULATED,
-                            SIMPLY_CONTINUOUS, USCO, _unit_point, irrational_inside)
+from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
+                            QUASI_CONTINUOUS, REGULATED, USCO, _unit_point)
 
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
-                       random_finite_set, random_staircase, random_subinterval)
+                       random_staircase, random_subinterval)
 from conftest import calls_to, fraction_news
-from references import (brute_ball_osc, brute_values, loop_band_of, probe_basis,
-                        signed_unit_rationals)
+from references import brute_values, loop_band_of, probe_basis
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -122,36 +117,6 @@ def test_baire1_limit_needs_modulus():
 
 
 # --- the banded copy and the covering instances ---
-
-
-def test_minimal_shift_matches_plain_scan():
-    # independent oracle: scan the fixed enumeration from index 0, for the
-    # canonical members in their own bands and for 40 points of [0,1)
-    # (every other one rational) in bands 0-10
-    gen, prefix = signed_unit_rationals(), []
-
-    def scan(lo, hi):
-        i = 0
-        while True:
-            if i == len(prefix):
-                prefix.append(next(gen))
-            if Q2.of(prefix[i]) > lo and Q2.of(prefix[i]) <= hi:
-                return prefix[i]
-            i += 1
-
-    rng = random.Random(429)
-    pts = []
-    while len(pts) < 40:
-        b = F(1, 1 << rng.randrange(3, 30)) if len(pts) % 2 else 0
-        p = Q2(F(rng.randrange(1, 127), 128), b)
-        if p < 1:
-            pts.append(p)
-    cases = [(A.member(n), n) for n in range(6)] + [(a, n) for a in pts for n in range(11)]
-    for a, n in cases:
-        expected = scan(a - F(1, 1 << n), a - F(1, 1 << (n + 1)))
-        assert minimal_shift_into_band(a, n) == expected
-    with pytest.raises(ValueError):  # no rational of [-1,1] reaches band 0
-        minimal_shift_into_band(Q2(3), 0)
 
 
 def test_tilde_of_canonical_is_itself():
@@ -270,158 +235,6 @@ def _cliquish_witness(f, x, k, big_n=2) -> bool:
     return False
 
 
-@pytest.mark.parametrize("fn_builder", [
-    thomae,
-    lambda: Penny(A),
-    lambda: build_cover_psi(A, False),
-    lambda: build_cover_psi(A, True),
-    lambda: TildePenny(A),
-    pytest.param(lambda: make("irrational-cut-staircase"), id="irrational_cut_staircase"),
-    pytest.param(lambda: make("vertex-off-its-piece"), id="vertex_off_its_piece"),
-])
-def test_cliquish_tag_witnessed(fn_builder):
-    f = fn_builder()
-    assert CLIQUISH in f.tags
-    for x in rational_grid(DyadicInterval(0, 1), 3) + [S2(0)]:
-        for k in (2, 4, 6):
-            assert _cliquish_witness(f, x, k), (f.kind, x, k)
-
-
-def test_usco_tag_witnessed_penny_thomae():
-    for f in (Penny(A), thomae()):
-        for x in [F(0), F(1, 3), F(1, 2), S2(0), S2(1), F(1)]:
-            fx = f.eval(x)
-            for k in (2, 5):
-                target = fx + Q2.of(F(1, 1 << k))
-                ok = False
-                p = Q2.of(x)
-                for n in range(2, 40):
-                    c = p.as_rational() if p.is_rational else p.approx(n + 8)
-                    lo = max(F(0), c - F(1, 1 << n))
-                    hi = min(F(1), c + F(1, 1 << n))
-                    if all(f.eval(pt) < target
-                           for pt in probe_basis(f, DyadicInterval(lo, hi), 6)):
-                        ok = True
-                        break
-                assert ok, (f.kind, x, k)
-
-
-def test_qc_tag_witnessed_on_staircase():
-    st = staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))])
-    assert QUASI_CONTINUOUS in st.tags
-    for x in rational_grid(DyadicInterval(0, 1), 3):
-        fx = st.eval(x)
-        found = False
-        p = F(x)
-        for side in (1, -1):
-            a = p if side > 0 else p - F(1, 64)
-            b = p + F(1, 64) if side > 0 else p
-            a, b = max(F(0), a), min(F(1), b)
-            if a >= b:
-                continue
-            shrink = (b - a) / 4
-            inner = DyadicInterval(a + shrink, b - shrink)
-            vals = [st.eval(pt) for pt in probe_basis(st, inner, 5)]
-            if all(abs(v - fx) < Q2.of(F(1, 16)) for v in vals):
-                found = True
-        assert found, x
-
-
-def test_bv_tag_witnessed_random_partitions():
-    rng = random.Random(11)
-    f = Penny(A)
-    for _ in range(40):
-        pts = sorted(rng.sample(
-            [F(i, 256) for i in range(257)], rng.randrange(2, 12)))
-        pts = [p for _, p in A.members_upto(rng.randrange(0, 6))] + [Q2.of(p) for p in pts]
-        pts = sorted(pts)
-        total = sum((abs(f.eval(b) - f.eval(a)) for a, b in zip(pts, pts[1:])),
-                    Q2.of(0))
-        assert total <= Q2.of(2)  # the spike values sum to one, each jumps twice
-
-
-def test_normalised_bv_tag_staircase():
-    st = staircase([(F(1, 2), F(1, 4))])
-    assert NORMALISED_BV in st.tags
-    assert st.eval(F(0)) == Q2.of(0)
-    lr_val = st.pieces[1](Q2.of(F(1, 2)))
-    assert st.eval(F(1, 2)) == lr_val  # right-continuous at the jump
-    assert NORMALISED_BV not in Penny(A).tags  # removable jumps break it
-
-
-def test_regulated_tag_witnessed():
-    f = Penny(A)
-    for x in [F(1, 3), S2(0), F(0)]:
-        for side in (-1, 1):
-            b = f.one_sided_limit(x, side, 20)
-            if b is None:
-                assert (Q2.of(x) == 0 and side < 0) or (Q2.of(x) == 1 and side > 0)
-                continue
-            # window values approach the limit
-            p = Q2.of(x)
-            c = p.as_rational() if p.is_rational else p.approx(30)
-            for m in (6, 10):
-                a, bnd = (c, min(F(1), c + F(1, 1 << m))) if side > 0 else \
-                    (max(F(0), c - F(1, 1 << m)), c)
-                if a >= bnd:
-                    continue
-                window = DyadicInterval(a, bnd)
-                vals = [f.eval(pt) for pt in probe_basis(f, window, 6)
-                        if Q2.of(pt) != p and f.a_set.index_of(Q2.of(pt)) is None]
-                assert all(abs(v - Q2.of(b.lo)) <= Q2.of(F(1, 1 << (m - 4)) + F(1, 1 << 18))
-                           for v in vals)
-
-
-def test_simply_continuous_tag_tilde():
-    f = TildePenny(A)
-    assert SIMPLY_CONTINUOUS in f.tags
-    assert SIMPLY_CONTINUOUS not in thomae().tags  # the classic non-example
-
-
-def test_restricted_view():
-    f = Penny(A)
-    g = restrict_tags(f, {CLIQUISH})
-    assert g.tags == frozenset({CLIQUISH})
-    assert g.certificates == frozenset()
-    assert g.eval(S2(0)) == f.eval(S2(0))
-    with pytest.raises(ValueError):
-        restrict_tags(f, {QUASI_CONTINUOUS})  # cannot add tags
-
-
-# --- exact ranges against brute force ---
-
-
-@pytest.mark.parametrize("fn_builder", [
-    thomae,
-    lambda: Penny(A),
-    lambda: PennyK(A, 4),
-    lambda: TildePenny(A),
-    lambda: build_cover_psi(A, False),
-    lambda: build_cover_psi(A, True),
-    lambda: Indicator(FinitePointSet.of([F(1, 2), S2(2)])),
-    lambda: Indicator(ComplementOfR2Open(R2Rep.from_intervals(
-        [(F(-1, 8), F(1, 4)), (F(1, 4), F(5, 8)), (F(3, 4), F(9, 8))]))),
-    lambda: staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))]),
-    lambda: fn_difference(constant(1), Penny(A)),
-    lambda: Sum(constant(F(1, 3)), ScalarMultiple(F(1, 2), Penny(A))),
-])
-def test_range_brackets_brute_force(fn_builder):
-    f = fn_builder()
-    rng = random.Random(5)
-    for _ in range(25):
-        a = F(rng.randrange(0, 64), 64)
-        b = F(rng.randrange(0, 64), 64)
-        lo, hi = min(a, b), max(a, b)
-        if lo == hi:
-            continue
-        iv = DyadicInterval(lo, hi)
-        inf_b, sup_b = f.range_on(iv, 12)
-        bmax, bmin = max(brute_values(f, iv, 7)), min(brute_values(f, iv, 7))
-        assert Q2.of(sup_b.hi) >= bmax >= Q2.of(inf_b.lo)
-        assert Q2.of(inf_b.lo) <= bmin
-        assert sup_b.width <= F(1, 1 << 12) and inf_b.width <= F(1, 1 << 12)
-
-
 def test_brute_force_reads_the_members_of_a_scaled_part_inside_a_sum():
     """The probe basis unwraps a scaled part at every level: 1/3 + Penny/2
     peaks at 7/12 at the member sqrt2/2, which no grid point holds."""
@@ -524,61 +337,17 @@ def test_spike_scans_reach_the_member_they_once_missed():
         assert psi.range_on(iv, 4) == (Bracket.point(value), Bracket.point(F(1, 8)))
 
 
-def test_member_scans_match_a_per_index_reference():
-    """`first_member_in` and `members_in` against a plain test of every
-    index in [start, limit), on descending, finite and mixed sets, from
-    every start offset."""
-    rng = random.Random(523)
-    mixed = finite_set([S2(2), F(1, 3), Q2(F(1, 2), F(1, 64)), F(5, 8), S2(0), F(1, 16)])
-    finite = [random_finite_set(rng) for _ in range(3)]
-    seeds = [A, tilde_set(A), mixed] + finite + [tilde_set(s) for s in finite]
-    for a_set in seeds:
-        ivs = [DyadicInterval(*random_subinterval(rng, rng.randrange(1, 9))) for _ in range(10)]
-        for _, p in a_set.members_upto(6):  # tight and degenerate intervals at members
-            lo, hi = p.bracket(rng.randrange(2, 12))
-            ivs.append(DyadicInterval(lo, hi))
-            if p.is_rational:
-                ivs.append(DyadicInterval(p.a, p.a))
-        for iv in ivs:
-            for limit in (0, 1, 3, 8, 20):
-                hi = limit if a_set.size is None else min(limit, a_set.size)
-                for start in range(limit + 2):
-                    want = [(n, a_set.member(n)) for n in range(start, hi)
-                            if iv.contains(a_set.member(n))]
-                    assert a_set.members_in(iv, limit, start) == want, (a_set.name, iv, start)
-                    assert a_set.first_member_in(iv, limit, start) == (want[0] if want else None)
-                assert a_set.members_in(iv, limit) == a_set.members_in(iv, limit, 0)
-
-
-def test_finite_set_index_matches_a_linear_scan():
-    """`index_of` reads the point's integers; a linear scan over the points
-    agrees on members, rational non-members and sqrt2 non-members, and a
-    repeated point is refused with the same message."""
-    rng = random.Random(529)
-    for _ in range(20):
-        s = random_finite_set(rng)
-        pts = [s.member(n) for n in range(s.size)]
-        probes = pts + [Q2.of(g) for g in rational_grid(DyadicInterval(0, 1), 5)]
-        probes += [S2(n) for n in range(6)] + [p + Q2(0, F(1, 1 << 50)) for p in pts]
-        for x in probes:
-            want = next((n for n, p in enumerate(pts) if p == x), None)
-            assert s.index_of(x) == want
-    rationals = finite_set([F(1, 3), F(0), F(1), S2(1)])
-    assert [rationals.index_of(x) for x in (F(1, 3), F(2, 6), 0, 1, S2(1), F(1, 4))] == \
-        [0, 0, 1, 2, 3, None]
-    with pytest.raises(ValueError, match=r"^duplicate point 1/3 \(index map must be "
-                                         r"injective\)$"):
-        finite_set([F(1, 3), S2(0), Q2.of(F(2, 6))])
-
-
 def test_finite_set_refuses_in_the_order_of_its_passes():
     """Every point is read first (a float is refused), then each is checked
-    against [0,1], and only then are duplicates looked for."""
+    against [0,1], and only then are duplicates looked for, by value."""
     with pytest.raises(ValueError, match=r"^point 2 outside \[0,1\]$"):
         finite_set([2, 2])
     for points in ([2, 2, 0.5], [F(1, 3), F(1, 3), 0.5], [0.5, 2]):
         with pytest.raises(TypeError, match="^float 0.5 refused"):
             finite_set(points)
+    with pytest.raises(ValueError, match=r"^duplicate point 1/3 \(index map must be "
+                                         r"injective\)$"):
+        finite_set([F(1, 3), S2(0), Q2.of(F(2, 6))])
 
 
 @pytest.mark.parametrize("kind", [list, set, frozenset])
@@ -645,15 +414,6 @@ def test_sum_with_a_constant_side_is_exact_in_one_cell(monkeypatch):
         # no function document names a generic limit, so the run is patched
         monkeypatch.setattr(cli, "_run", lambda args, s=s: s.range_on(DyadicInterval(0, 1), 4))
         assert cli.main(["selftest"]) == 1
-
-
-def test_osc_exact_matches_brute_limit():
-    f = Penny(A)
-    for x in [S2(0), S2(3), F(1, 3), F(0)]:
-        b = osc_exact(f, x, 20)
-        # brute: decreasing ball oscillations bound the exact value from above
-        for n in (4, 8, 12):
-            assert brute_ball_osc(f, x, n, depth=6) >= Q2.of(b.lo) - Q2.of(F(1, 1 << 18))
 
 
 def test_poly_integers_are_canonical():
@@ -939,37 +699,6 @@ def test_scalar_multiple_of_a_piecewise_stays_piecewise(f, vertex, c):
     assert all(h.eval(x) == Q2.of(x) - f.eval(x) for x in points)
 
 
-def _linear_locate(f, x):
-    """The plain scan over the cuts that `_locate`'s bisection replaces."""
-    for i, c in enumerate(f.cuts):
-        if x == c:
-            return ("cut", i)
-        if x < c:
-            return ("piece", i - 1)
-    raise DomainError("point %s outside [0,1]" % (x,))
-
-
-def test_locate_by_bisection_matches_linear_scan():
-    rng = random.Random(383)
-    fns = [build(random_continuous_piecewise(rng)) for _ in range(6)]
-    fns += [build(random_staircase(rng)) for _ in range(6)]
-    fns += [fn_sum(build(random_staircase(rng)), build(random_staircase(rng))) for _ in range(4)]
-    fns += [staircase([(S2(j), F(j + 1, 8)) for j in range(7, -1, -1)]),  # irrational cuts
-            staircase([(F(i, 64), F(i, 64)) for i in range(1, 64)]),
-            linear(1)]
-    for f in fns:
-        cuts = list(f.cuts)
-        pts = cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]
-        pts += [c + S2(j) for c in cuts[:-1] for j in (20, 40)]  # just right of each cut
-        pts += [c - S2(j) for c in cuts[1:] for j in (20, 40)]   # just left of each cut
-        pts += [irrational_inside(DyadicInterval(*random_subinterval(rng))) for _ in range(8)]
-        for x in pts:
-            assert f._locate(x) == _linear_locate(f, x), (f.cuts, x)
-        for x in (Q2(-1, 0), -S2(30), Q2(1) + S2(30), Q2(2)):
-            with pytest.raises(DomainError):
-                f._locate(x)
-
-
 def test_finite_point_set_rejects_points_outside_unit_interval():
     for points in ([F(2)], [F(1, 2), F(-1, 3)], [S2(0) + Q2.of(1)]):
         with pytest.raises(ValueError) as fin:
@@ -1061,6 +790,10 @@ def test_indicator_closed_set_forms_pinned():
     assert ranges(gap, F(5, 16), F(7, 16)) == (0, 0)
     assert ranges(whole, F(1, 3), F(2, 3)) == (1, 1)
     assert ranges(pts, F(1, 4), F(3, 8)) == (0, 1)  # only the irrational point
+    # the interval's ends are read once, not once per component (8 Fractions then)
+    four = Indicator(FinitePointSet.of([F(1, 3), F(1, 2), F(2, 3), F(3, 4)]))
+    iv = DyadicInterval(F(1, 8), F(5, 8))
+    assert fraction_news(lambda: four.range_on(iv, 8)) == 2
 
     def limits(cs, x):
         f = Indicator(cs)
@@ -1312,16 +1045,6 @@ def test_no_family_object_keeps_query_state():
     assert state_stores(Path(universe.__file__).parent) == []
 
 
-def test_spike_count_answers_witness_above_as_the_capped_loop():
-    """`Penny.spikes_above` reads the spikes above y off y's integers, where
-    a loop capped at index 4096 once counted them; the cap never binds at
-    these thresholds.  The `spike-count` row of `test_differential.py`
-    checks `witness_above` against the capped loop."""
-    ys = [F(1, 2), F(3, 5), F(3, 4), F(1), F(5), F(1, 1 << 70), F(3, 1 << 72)]
-    for y in ys + [F(1, 1 << j) for j in range(1, 12)] + [F(5, 1 << j) for j in range(3, 12)]:
-        assert Penny.spikes_above(y) == next(n for n in range(4096) if Penny.spike_value(n) <= y)
-
-
 def test_band_of_reads_the_band_off_the_integers():
     rng = random.Random(1102)
     # plain ints too: `spikes_above` passes min(y, 1), which may be the int 1
@@ -1352,84 +1075,6 @@ def test_penny_below_witness_ends_when_the_seed_set_holds_every_dyadic(deadline)
     assert truth is Truth.YES and iv.contains(p) and f.eval(p) < y
     assert inf_usco(f, F(1, 4), F(1, 2), 4).lower == 0
     assert isinstance(mu_search(ExistsValueBelow(f, iv, y)), Found)
-
-
-def _grid_below_witness(f, iv):
-    """The earlier loop of `Penny._witness_below`: every grid in full at each
-    depth, so the points of the coarser grids are tested again."""
-    for d in range(2, grid_depth_cap(iv) + 1):
-        for g in rational_grid(iv, d):
-            p = Q2.of(g)
-            if f.a_set.index_of(p) is None:
-                return Truth.YES, p
-    p = irrational_inside(iv)
-    return (Truth.YES, p) if f.a_set.index_of(p) is None else (Truth.UNKNOWN, None)
-
-
-def test_penny_below_witness_visits_new_points_as_the_full_grid_loop():
-    rng = random.Random(1201)
-
-    def intervals(den):
-        """Six intervals with ends over den: an end off the seed set is the
-        witness at once, so ends on the set's grid reach the deeper grids."""
-        ends = [sorted(F(rng.randrange(0, den + 1), den) for _ in range(2)) for _ in range(6)]
-        return [DyadicInterval(lo, hi) for lo, hi in ends if lo < hi]
-
-    # every grid point of this set is a member, so both loops run to the cap;
-    # its index map costs more the deeper the grid, so the intervals are wide
-    cases = [(all_unit_rationals(), [DyadicInterval(0, 1), DyadicInterval(F(1, 3), F(5, 6))])]
-    for _ in range(12):
-        k = rng.randrange(1, 7)
-        pts = [F(j, 1 << k) for j in range((1 << k) + 1) if rng.random() < 0.9]
-        pts += [F(rng.randrange(1, 9), 9) for _ in range(3)]
-        cases.append((finite_set(sorted(set(pts))), intervals(rng.choice([96, 1 << k]))))
-    for k in range(2, 6):
-        # the whole grid at depth k and part of depth k + 1: the witness lies deeper
-        pts = [F(j, 1 << k) for j in range((1 << k) + 1)]
-        pts += [F(j, 2 << k) for j in range(1, 2 << k, 2) if rng.random() < 0.7]
-        cases.append((finite_set(pts), intervals(1 << k)))
-    for s, ivs in cases:
-        f = Penny(s)
-        for iv in ivs:
-            assert f._witness_below(iv, F(1, 8)) == _grid_below_witness(f, iv), (s.name, iv)
-
-
-def _shift_by_denominators(a, n):
-    """The scan `minimal_shift_into_band` replaced: one denominator at a time."""
-    lo, hi = a - F(1, 1 << n), a - F(1, 1 << (n + 1))
-    if lo >= 1 or hi < -1:
-        raise ValueError("empty")
-    d = 1
-    while True:
-        p = max(math.floor(lo * d) + 1, -d)
-        if p <= d and hi * d >= p:
-            return F(p, d)
-        d += 1
-
-
-shift_points = st.one_of(
-    st.fractions(min_value=-1, max_value=2, max_denominator=200).map(Q2.of),
-    st.builds(lambda a, s, k: Q2(a, F(s, 1 << k)),
-              st.fractions(min_value=-1, max_value=2, max_denominator=64),
-              st.sampled_from([-1, 1]), st.integers(0, 40)))
-
-
-# the scan needs up to about 2^(n+1) denominators near a simple rational, so
-# drawn bands stop at 14; the pinned examples reach band 22
-@settings(max_examples=40, deadline=None)
-@given(shift_points, st.integers(0, 14))
-@example(Q2(F(3, 7), F(1, 32)), 22)
-@example(Q2(F(5, 9), F(-1, 64)), 21)
-@example(Q2(-1), 0)
-@example(Q2(F(5, 2)), 1)
-def test_minimal_shift_matches_denominator_scan(a, n):
-    try:
-        want = _shift_by_denominators(a, n)
-    except ValueError:
-        with pytest.raises(ValueError):
-            minimal_shift_into_band(a, n)
-        return
-    assert minimal_shift_into_band(a, n) == want
 
 
 def test_minimal_shift_at_band_22_is_fast():

@@ -1,5 +1,6 @@
 """Regulated and bounded-variation operations: one-sided limits, jumps,
-total variation vs partition search, Jordan decomposition, regulation moduli."""
+total variation, Jordan decomposition, regulation moduli (their plain
+references run as rows of `test_differential.py`)."""
 
 import ast
 import inspect
@@ -8,8 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, PiecewiseRational, Poly,
-                   Q2, TildePenny,
+from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, Q2, TildePenny,
                    UnsupportedVariant, build_cover_psi, constant, finite_set,
                    fn_sum, jordan_nbv,
                    jump_enum, limits_lr, linear, modulus_regulation, osc_exact,
@@ -22,9 +22,9 @@ from abyss.limits import Indicator
 from abyss.sets import ComplementOfR2Open, R2Rep
 from abyss.universe import probe_points
 
-from catalogue import build, make, random_staircase_plus_linear
+from catalogue import build, random_staircase_plus_linear
 from conftest import calls_to
-from references import partition_brute_variation, probe_basis, variation_candidates
+from references import probe_basis
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -141,17 +141,6 @@ def test_variation_prefix_monotone():
     assert total_variation_nbv(st, F(1), 10).contains(F(3, 4))
 
 
-def test_variation_matches_partition_brute_force():
-    rng = random.Random(17)
-    for _ in range(8):
-        f = build(random_staircase_plus_linear(rng))
-        got = total_variation_nbv(f, F(1), 10)
-        brute = partition_brute_variation(f, F(1), variation_candidates(f), 12)
-        # brute never exceeds the true value and comes within the mesh error
-        assert brute <= Q2.of(got.upper)
-        assert brute >= Q2.of(got.lower) - Q2.of(F(1, 256))
-
-
 def test_variation_refusals():
     with pytest.raises(ClassRefusal):
         total_variation_nbv(Penny(A), F(1), 8)  # removable jumps
@@ -179,53 +168,6 @@ def test_jordan_monotone_and_exact():
         assert all(a <= b for a, b in zip(gs, gs[1:]))
         assert all(a <= b for a, b in zip(hs, hs[1:]))
         assert all(jp.check_point(f, x) for x in grid)
-
-
-def _walked_variation(f, bound):
-    """The cell walk the running-variation table replaces: every cell of
-    critical points from 0 up to bound, summed afresh on each call."""
-    pts = [c for c in sorted(f.special_points(DyadicInterval(0, 1), 0)) if c < bound]
-    pts.append(bound)
-    total = Q2.of(0)
-    for u, v in zip(pts, pts[1:]):
-        piece = f.pieces[f._locate((u + v) / Q2.of(2))[1]]
-        ru, lv = piece(u), piece(v)
-        total = total + abs(f.eval(u) - ru) + abs(lv - ru) + abs(f.eval(v) - lv)
-    return total
-
-
-def _cell_probes(f):
-    crit = sorted(f.special_points(DyadicInterval(0, 1), 0))
-    xs = list(crit)
-    for u, v in zip(crit, crit[1:]):
-        xs += [(u + v) / Q2.of(2), u + (v - u) * Q2.sqrt2_scaled(0)]
-    return xs
-
-
-def test_running_variation_matches_the_cell_walk():
-    """`jordan_nbv` and `total_variation_nbv` read g off a table built once;
-    at every cut, every vertex, each cell's midpoint and an irrational point
-    per cell they give the walk's exact value.  The table also keeps the
-    walk's value where f jumps away from both one-sided limits at a cut,
-    which no normalised-BV input does."""
-    from abyss.variation import _running_variation
-    rng = random.Random(61)
-    cuts = [0, F(1, 3), F(3, 4), 1]
-    pieces = [Poly(0, 2, -2), Poly(1, -3, 3), Poly(F(1, 2), 1)]
-    bumps = PiecewiseRational.from_polys(cuts, pieces)
-    assert Q2.of(F(1, 2)) in bumps.special_points(DyadicInterval(0, 1), 0)  # a vertex
-    nbv = [build(random_staircase_plus_linear(rng)) for _ in range(12)]
-    for f in nbv + [bumps, make("irrational-cut-staircase")]:
-        jp = jordan_nbv(f)
-        for x in _cell_probes(f):
-            want = Q2.of(0) if x == Q2.of(0) else _walked_variation(f, x)
-            assert jp.g(x) == want and jp.h(x) == want - f.eval(x), x
-            assert total_variation_nbv(f, x, 12).contains(want), x
-    for values in ([1, 2, F(-1, 2), 3], ["right", 0, "right", 5]):
-        f = PiecewiseRational.from_polys(cuts, pieces, values)
-        g = _running_variation(f)
-        for x in _cell_probes(f):
-            assert g(x) == (Q2.of(0) if x == Q2.of(0) else _walked_variation(f, x)), x
 
 
 def test_variation_reads_functions_through_public_data():
