@@ -50,15 +50,17 @@ class Indicator(SymbolicFn):
 
     def _range_on(self, iv, k):
         lo, hi = iv.lower, iv.upper
-        meets = [(a, b) for a, b in self.components if a <= hi and b >= lo]
-        covered = any(a <= lo and b >= hi for a, b in meets)
-        return Bracket.point(1 if covered else 0), Bracket.point(1 if meets else 0)
+        covers = [a <= lo and b >= hi for a, b in self.components if a <= hi and b >= lo]
+        return Bracket.point(1 if any(covers) else 0), Bracket.point(1 if covers else 0)
 
     def special_points(self, iv, depth):
         return [Q2.of(e) for a, b in self.components for e in (a, b) if iv.contains(e)]
 
     def _one_sided_limit(self, p, side, k):
-        inside = any(a <= p < b if side > 0 else a < p <= b for a, b in self.components)
+        if side > 0:
+            inside = any(a <= p and p < b for a, b in self.components)
+        else:
+            inside = any(a < p and p <= b for a, b in self.components)
         return Bracket.point(1 if inside else 0)
 
     def jump_candidates(self, limit):

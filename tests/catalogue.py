@@ -565,7 +565,7 @@ for _name, _a_set in _WALKED + [("71-%d" % _i, random_finite_set(_rng, 6)) for _
 # the exhaustive supremum: spike families, and a function whose value at the
 # rational cut 1/2 is irrational
 for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(sqrt2)/3", Penny(A, start=3)),
-                  ("pennyk(sqrt2,3)", PennyK(A, 3)),
+                  ("pennyk(sqrt2,2)", PennyK(A, 2)), ("pennyk(sqrt2,3)", PennyK(A, 3)),
                   ("penny(rational-seeds)", Penny(RATIONAL_SEEDS)),
                   ("tilde-penny(irrational-seeds)", TildePenny(IRRATIONAL_SEEDS)),
                   ("sqrt2/2 at 1/2", PiecewiseRational.from_polys(

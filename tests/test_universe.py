@@ -24,7 +24,7 @@ from abyss.exact import Bracket
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, USCO, _unit_point)
+                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, _unit_point)
 
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_staircase, random_subinterval)
@@ -233,6 +233,127 @@ def _cliquish_witness(f, x, k, big_n=2) -> bool:
             if not vals or max(vals) - min(vals) < Q2.of(F(1, 1 << k)):
                 return True
     return False
+
+
+@pytest.mark.parametrize("fn_builder", [
+    thomae,
+    lambda: Penny(A),
+    lambda: build_cover_psi(A, False),
+    lambda: build_cover_psi(A, True),
+    lambda: TildePenny(A),
+    pytest.param(lambda: make("irrational-cut-staircase"), id="irrational_cut_staircase"),
+    pytest.param(lambda: make("vertex-off-its-piece"), id="vertex_off_its_piece"),
+])
+def test_cliquish_tag_witnessed(fn_builder):
+    f = fn_builder()
+    assert CLIQUISH in f.tags
+    for x in rational_grid(DyadicInterval(0, 1), 3) + [S2(0)]:
+        for k in (2, 4, 6):
+            assert _cliquish_witness(f, x, k), (f.kind, x, k)
+
+
+def test_usco_tag_witnessed_penny_thomae():
+    for f in (Penny(A), thomae()):
+        for x in [F(0), F(1, 3), F(1, 2), S2(0), S2(1), F(1)]:
+            fx = f.eval(x)
+            for k in (2, 5):
+                target = fx + Q2.of(F(1, 1 << k))
+                ok = False
+                p = Q2.of(x)
+                for n in range(2, 40):
+                    c = p.as_rational() if p.is_rational else p.approx(n + 8)
+                    lo = max(F(0), c - F(1, 1 << n))
+                    hi = min(F(1), c + F(1, 1 << n))
+                    if all(f.eval(pt) < target
+                           for pt in probe_basis(f, DyadicInterval(lo, hi), 6)):
+                        ok = True
+                        break
+                assert ok, (f.kind, x, k)
+
+
+def test_qc_tag_witnessed_on_staircase():
+    st = staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))])
+    assert QUASI_CONTINUOUS in st.tags
+    for x in rational_grid(DyadicInterval(0, 1), 3):
+        fx = st.eval(x)
+        found = False
+        p = F(x)
+        for side in (1, -1):
+            a = p if side > 0 else p - F(1, 64)
+            b = p + F(1, 64) if side > 0 else p
+            a, b = max(F(0), a), min(F(1), b)
+            if a >= b:
+                continue
+            shrink = (b - a) / 4
+            inner = DyadicInterval(a + shrink, b - shrink)
+            vals = [st.eval(pt) for pt in probe_basis(st, inner, 5)]
+            if all(abs(v - fx) < Q2.of(F(1, 16)) for v in vals):
+                found = True
+        assert found, x
+
+
+def test_bv_tag_witnessed_random_partitions():
+    rng = random.Random(11)
+    f = Penny(A)
+    for _ in range(40):
+        pts = sorted(rng.sample(
+            [F(i, 256) for i in range(257)], rng.randrange(2, 12)))
+        pts = [p for _, p in A.members_upto(rng.randrange(0, 6))] + [Q2.of(p) for p in pts]
+        pts = sorted(pts)
+        total = sum((abs(f.eval(b) - f.eval(a)) for a, b in zip(pts, pts[1:])),
+                    Q2.of(0))
+        assert total <= Q2.of(2)  # the spike values sum to one, each jumps twice
+
+
+def test_normalised_bv_tag_staircase():
+    st = staircase([(F(1, 2), F(1, 4))])
+    assert NORMALISED_BV in st.tags
+    assert st.eval(F(0)) == Q2.of(0)
+    lr_val = st.pieces[1](Q2.of(F(1, 2)))
+    assert st.eval(F(1, 2)) == lr_val  # right-continuous at the jump
+    assert NORMALISED_BV not in Penny(A).tags  # removable jumps break it
+
+
+def test_regulated_tag_witnessed():
+    f = Penny(A)
+    for x in [F(1, 3), S2(0), F(0)]:
+        for side in (-1, 1):
+            b = f.one_sided_limit(x, side, 20)
+            if b is None:
+                assert (Q2.of(x) == 0 and side < 0) or (Q2.of(x) == 1 and side > 0)
+                continue
+            # window values approach the limit
+            p = Q2.of(x)
+            c = p.as_rational() if p.is_rational else p.approx(30)
+            for m in (6, 10):
+                a, bnd = (c, min(F(1), c + F(1, 1 << m))) if side > 0 else \
+                    (max(F(0), c - F(1, 1 << m)), c)
+                if a >= bnd:
+                    continue
+                window = DyadicInterval(a, bnd)
+                vals = [f.eval(pt) for pt in probe_basis(f, window, 6)
+                        if Q2.of(pt) != p and f.a_set.index_of(Q2.of(pt)) is None]
+                assert all(abs(v - Q2.of(b.lo)) <= Q2.of(F(1, 1 << (m - 4)) + F(1, 1 << 18))
+                           for v in vals)
+
+
+def test_simply_continuous_tag_tilde():
+    f = TildePenny(A)
+    assert SIMPLY_CONTINUOUS in f.tags
+    assert SIMPLY_CONTINUOUS not in thomae().tags  # the classic non-example
+
+
+def test_restricted_view():
+    f = Penny(A)
+    g = restrict_tags(f, {CLIQUISH})
+    assert g.tags == frozenset({CLIQUISH})
+    assert g.certificates == frozenset()
+    assert g.eval(S2(0)) == f.eval(S2(0))
+    with pytest.raises(ValueError):
+        restrict_tags(f, {QUASI_CONTINUOUS})  # cannot add tags
+
+
+# --- exact ranges against brute force ---
 
 
 def test_brute_force_reads_the_members_of_a_scaled_part_inside_a_sum():
