@@ -7,6 +7,7 @@ A subcover is verified by exact interval arithmetic before it is returned.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
@@ -29,10 +30,11 @@ if TYPE_CHECKING:  # annotations only: the families are reached through `abyss`
 # ---------------------------------------------------------------------------
 
 
-def _merge_open(components: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction):
+def _merge_open(components: list[tuple[int, int]], lo: int, hi: int):
     """Merge the open interval (lo, hi), lo < hi, into the sorted disjoint
-    open intervals `components`, in place.  Two that only touch stay apart:
-    their common end is covered by neither."""
+    open intervals `components`, in place, all ends numerators over one
+    denominator.  Two that only touch stay apart: their common end is
+    covered by neither."""
     # components[i:j] are those that overlap (lo, hi): upper end past lo, lower end before hi
     i = bisect_right(components, lo, key=itemgetter(1))
     j = bisect_left(components, hi, lo=i, key=itemgetter(0))
@@ -49,7 +51,9 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
 
     The union of the open balls is kept incrementally, as sorted disjoint
     components into which each new ball is merged by bisection; the prefix
-    ends when one component holds [0,1]."""
+    ends when one component holds [0,1].  The components' ends are
+    numerators over one denominator, the lcm of the balls' own, so only the
+    centre and radius of each ball are `Fraction`s."""
     if not (QUASI_CONTINUOUS in psi.tags or LSCO in psi.tags):
         raise ClassRefusal(
             "cousin_subcover", "quasi-continuous or lsco tag", psi,
@@ -59,7 +63,8 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
     if not psi.is_positive():
         raise ClassRefusal("cousin_subcover", "a strictly positive gauge", psi)
     balls: list[tuple[Fraction, Fraction]] = []
-    union: list[tuple[Fraction, Fraction]] = []
+    union: list[tuple[int, int]] = []
+    den = 1  # the components' denominator
     gen = unit_rationals()
     bound = 1 << min(fuel, 12)
     for n in range(bound):
@@ -68,8 +73,15 @@ def cousin_subcover(psi: SymbolicFn, fuel: int = DEFAULT_FUEL) -> list[tuple[Fra
         r = v.as_rational() if v.is_rational else v.bracket(24)[0]
         balls.append((q, r))
         if r > 0:  # a ball of radius <= 0 is empty
-            lo, hi = _merge_open(union, q - r, q + r)
-            if lo < 0 and hi > 1:
+            (qn, qd), (rn, rd) = q.as_integer_ratio(), r.as_integer_ratio()
+            e = qd * rd  # q -/+ r = (qn rd -/+ rn qd)/e
+            if den % e:
+                m = e // math.gcd(den, e)
+                union = [(a * m, b * m) for a, b in union]
+                den *= m
+            m = den // e
+            lo, hi = _merge_open(union, (qn * rd - rn * qd) * m, (qn * rd + rn * qd) * m)
+            if lo < 0 and hi > den:
                 return balls
     raise FuelExhausted("enumeration prefix did not cover the interval",
                         best=balls)

@@ -581,29 +581,66 @@ def _least_denominator(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
         return a * t + b, c * t + d
 
 
+def _reciprocal(x: int, y: int, e: int) -> tuple[int, int, int]:
+    """The reduced triple of e/(x + y sqrt2) for e > 0 and x + y sqrt2 != 0:
+    e (x - y sqrt2)/(x^2 - 2 y^2), the conjugate over the norm."""
+    n = x * x - 2 * y * y
+    if n < 0:
+        n, e = -n, -e
+    p, q = e * x, -e * y
+    g = math.gcd(p, q, n)
+    return p // g, q // g, n // g
+
+
 def least_denominator_between(lo, hi, lo_open: bool = False) -> tuple[int, int]:
     """(p, q) with p/q the simplest rational of [lo, hi], or of (lo, hi] when
     lo_open, for ends lo <= hi that are Q2s or rationals of either sign: the
     least denominator q, then the least numerator p.  p/q is in lowest terms.
 
-    The walk of `_least_denominator` on Q2 ends.  Its reciprocal step
-    swaps which end is open, and an open integer lower end f sends the
-    upper end to infinity (None).
+    The ends are read as their integer triples (p, q, d) and walked by
+    `_least_denominator_q2`, which builds no `Q2` and no `Fraction`: an
+    interval of width w > 0 takes at most about 2 log2(1 + 1/w) + 2 steps.
     """
     lo, hi = Q2.of(lo), Q2.of(hi)
     s = lo._cmp(hi)
     if s > 0 or (s == 0 and lo_open):
         raise ValueError("empty interval between %s and %s" % (lo, hi))
-    one, hi_open = Q2.of(1), False
+    return _least_denominator_q2(lo.p, lo.q, lo.d, hi.p, hi.q, hi.d, lo_open)
+
+
+def _least_denominator_q2(lp: int, lq: int, ld: int, hp: int, hq: int, hd: int,
+                          lo_open: bool) -> tuple[int, int]:
+    """`least_denominator_between` on a nonempty interval whose ends are the
+    integer triples lo = (lp + lq sqrt2)/ld and hi = (hp + hq sqrt2)/hd,
+    ld, hd > 0 (not necessarily reduced).
+
+    The walk of `_least_denominator` with irrational ends, on the integers:
+    the floor of an end is read through `math.isqrt`, its comparison with
+    an integer through `_sign_int`, and the reciprocal step maps an end
+    (x + y sqrt2)/e - f to e (x - y sqrt2)/(x^2 - 2 y^2), reduced by one
+    gcd.  That step swaps which end is open, and an open integer lower end
+    f sends the upper end to infinity (hd = 0).  Each pair of steps at
+    least doubles c, and the answer's denominator c t + d >= c is at most
+    1 + 1/w for an interval of width w, so the walk takes at most about
+    2 log2(1 + 1/w) + 2 steps: O(n) for the width 2^-(n+1) of a band.
+    """
+    hi_open = False
     a, b, c, d = 1, 0, 0, 1
     while True:
-        f = math.floor(lo)
-        on_f = lo == f
+        if lq:  # floor(lo) = floor((lp + floor(lq sqrt2))/ld); lo is irrational
+            r = math.isqrt(2 * lq * lq)
+            f, on_f = (lp + (r if lq > 0 else -r - 1)) // ld, False
+        else:
+            f, m = divmod(lp, ld)
+            on_f = not m
         t = f if on_f and not lo_open else f + 1  # the least integer past the lower end
-        if hi is None or (hi > t if hi_open else hi >= t):
+        s = _sign_int(hp - t * hd, hq) if hd else 1  # the sign of hi - t
+        if s > 0 or (s == 0 and not hi_open):
             return a * t + b, c * t + d
         a, b, c, d = a * f + b, a, c * f + d, c
-        lo, hi = one / (hi - f), None if on_f else one / (lo - f)
+        lo = _reciprocal(hp - f * hd, hq, hd)
+        hp, hq, hd = (0, 0, 0) if on_f else _reciprocal(lp - f * ld, lq, ld)
+        lp, lq, ld = lo
         lo_open, hi_open = hi_open, lo_open
 
 

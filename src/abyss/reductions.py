@@ -57,12 +57,21 @@ class SupOracle:
 
 
 def exhaustive_sup_oracle() -> SupOracle:
+    """The supremum read off `range_on` at 2^-60, exact or refused.  On a
+    spike family over a nondegenerate subinterval of [0,1] it is the one
+    first-hit scan that `Penny._range_on` makes, read without a bracket."""
     def sup(f, iv):
-        if iv.ln == iv.un:
-            v = f.eval(_reduced(iv.ln, 0, iv.d))
+        ln, un, d = iv.ln, iv.un, iv.d
+        if ln == un:
+            v = f.eval(_reduced(ln, 0, d))
             if v.q:
                 raise OracleInconsistency("exact supremum is irrational")
             return _answer(v.p, v.d)
+        if isinstance(f, Penny) and ln >= 0 and un <= d:
+            n = f._top_spike(iv, 60)
+            if n is None:
+                raise OracleInconsistency("supremum not exactly attained on this family")
+            return unit_dyadic(n) if n >= 0 else _ZERO
         _, sup_b = f.range_on(iv, 60)
         if sup_b.ln != sup_b.un:
             raise OracleInconsistency("supremum not exactly attained on this family")
@@ -225,10 +234,11 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     integers."""
     _check_precision(k)
     out = []
+    sup, interval = oracle.sup, DyadicInterval.of_ints
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = Penny(a_set, out[-1].index + 1 if out else 0)
-        s = oracle.sup(f, _UNIT)
+        s = sup(f, _UNIT)
         sn, sd = _ratio(s)
         if not sn:
             break
@@ -244,20 +254,21 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         bits = []
         for j in range(k):
             d = 2 << j
-            ln, ld = _ratio(oracle.sup(f, DyadicInterval.of_ints(2 * a, 2 * a + 1, d)))
-            if ln * sd > sn * ld:
-                raise OracleInconsistency("supremum grew on a subinterval")
-            if ln == sn and ld == sd:
-                a = 2 * a  # ties break toward the left half
-                bits.append("0")
-            else:
-                right = oracle.sup(f, DyadicInterval.of_ints(2 * a + 1, 2 * a + 2, d))
-                if _ratio(right) != (sn, sd):
-                    raise OracleInconsistency("supremum vanished on both halves")
-                a = 2 * a + 1
-                bits.append("1")
-        out.append(SupExtraction(idx, s, "".join(bits),
-                                 DyadicInterval.of_ints(a, a + 1, 1 << k)))
+            left = sup(f, interval(2 * a, 2 * a + 1, d))
+            if left is not s:  # the round's own object needs no integers
+                ln, ld = _ratio(left)
+                if ln * sd > sn * ld:
+                    raise OracleInconsistency("supremum grew on a subinterval")
+                if ln != sn or ld != sd:
+                    right = sup(f, interval(2 * a + 1, 2 * a + 2, d))
+                    if right is not s and _ratio(right) != (sn, sd):
+                        raise OracleInconsistency("supremum vanished on both halves")
+                    a = 2 * a + 1
+                    bits.append("1")
+                    continue
+            a = 2 * a  # ties break toward the left half
+            bits.append("0")
+        out.append(SupExtraction(idx, s, "".join(bits), interval(a, a + 1, 1 << k)))
     return out
 
 

@@ -12,8 +12,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import (Q2, DyadicInterval, _in_unit, _ratio, _rational, _vs,
-                    least_denominator_between)
+from .exact import (Q2, DyadicInterval, _in_unit, _least_denominator_q2, _ratio, _rational,
+                    _sign_int, _vs)
 from .records import record
 
 
@@ -59,8 +59,19 @@ class CountableSet:
                         start: int = 0) -> Optional[tuple[int, Q2]]:
         """The first member inside iv with index in [start, limit), as
         (n, member), or None; a descending enumeration stops at the first
-        member below iv.  A cached member is read straight from the cache,
-        and decided against iv's two ends on the integers in this loop."""
+        member below iv."""
+        hit = self._scan(iv, limit, start)
+        return hit if hit.__class__ is tuple else None
+
+    def _scan(self, iv: DyadicInterval, limit: int, start: int):
+        """The scan of `first_member_in`, with where a miss stopped: (n,
+        member) on a hit, else the index the scan ended at, a member below
+        iv of a descending enumeration or the end of the window.  An end
+        below limit proves that no member of index >= start lies in iv:
+        the members past one below iv are lower still, and a finite set
+        shorter than limit has none past its end.  A cached member is read
+        straight from the cache, and decided against iv's two ends on the
+        integers in this loop."""
         hi = limit if self.size is None else min(limit, self.size)
         ln, d, w = iv.ln, iv.d, iv.un - iv.ln
         descend = self.values_descend
@@ -76,12 +87,12 @@ class CountableSet:
             a, bb = p.p * d - ln * e, 2 * b * b
             if (a if a * a > bb else b) < 0:
                 if descend:
-                    return None
+                    return n
                 continue
             a -= w * e
             if (a if a * a > bb else b) <= 0:
                 return n, p
-        return None
+        return hi
 
     def members_in(self, iv: DyadicInterval, limit: int,
                    start: int = 0) -> list[tuple[int, Q2]]:
@@ -89,10 +100,10 @@ class CountableSet:
         (exhaustive when the enumeration descends below iv or the set is
         finite)."""
         out = []
-        hit = self.first_member_in(iv, limit, start)
-        while hit is not None:
+        hit = self._scan(iv, limit, start)
+        while hit.__class__ is tuple:
             out.append(hit)
-            hit = self.first_member_in(iv, limit, hit[0] + 1)
+            hit = self._scan(iv, limit, hit[0] + 1)
         return out
 
     def scan_is_exhaustive(self, iv: DyadicInterval, limit: int) -> bool:
@@ -186,16 +197,20 @@ def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     (-1, 0, 1, -1/2, 1/2, -2/3, ...), so the minimal index belongs to the
     least denominator d with an integer p in (lo d, hi d] cap [-d, d], and
     to the least such p.
-    The continued-fraction walk of `least_denominator_between` finds them
-    in O(n) steps.
+    Both ends are integer triples (p, q, d) over the one denominator
+    a.d 2^(n+1), and the continued-fraction walk of
+    `exact._least_denominator_q2` finds them on the integers in O(n)
+    steps.  The ends need no clip to [-1,1]: the interval is at most 1/2
+    wide, so one that reaches past -1 or 1 holds that integer, the answer.
     """
-    lo = a - Fraction(1, 1 << n)       # exclusive
-    hi = a - Fraction(1, 1 << (n + 1))  # inclusive
-    if lo >= 1 or hi < -1:
+    a = Q2.of(a)
+    e = a.d << (n + 1)
+    p, q = a.p << (n + 1), a.q << (n + 1)
+    lp, hp = p - 2 * a.d, p - a.d  # lo = (lp + q sqrt2)/e, hi = (hp + q sqrt2)/e
+    if _sign_int(lp - e, q) >= 0 or _sign_int(hp + e, q) < 0:  # lo >= 1 or hi < -1
         raise ValueError("no rational of [-1,1] shifts %s into band %d" % (a, n))
-    lo_open = lo >= -1
-    p, d = least_denominator_between(lo if lo_open else -1, min(hi, Q2.of(1)), lo_open)
-    return Fraction(p, d)
+    num, den = _least_denominator_q2(lp, q, e, hp, q, e, True)
+    return Fraction(num, den)
 
 
 def tilde_set(a_set: CountableSet) -> CountableSet:

@@ -123,15 +123,31 @@ class Penny(_SpikeFamily):
     def _hull(self):
         return _Q0, Q2.of(self.spike_value(self.start)), False, False
 
+    def _limit(self, k):
+        """The scan window of a read at precision k: every spike past it is
+        at most 2^-(k+5), within the width the read allows; a bounded
+        window is scanned whole."""
+        return max(k + 4, 8) if self.stop is None else self.stop
+
+    def _top_spike(self, iv, k) -> Optional[int]:
+        """One first-hit scan of iv up to the limit of precision k: the index
+        of the largest spike in iv, -1 when the scan proves iv holds none,
+        None when only spikes past the limit may lie in iv.  `_range_on`
+        and the exhaustive supremum oracle both answer through it."""
+        limit = self._limit(k)
+        hit = self.a_set._scan(iv, limit, self.start)
+        if hit.__class__ is tuple:  # index below limit: no later spike reaches it
+            return hit[0]
+        if hit < limit or self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
+            return -1
+        return None
+
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are read from the shared table
-        limit = max(k + 4, 8) if self.stop is None else self.stop
-        hit = self.a_set.first_member_in(iv, limit, self.start)
-        if hit is not None:  # index below limit: no later spike reaches it
-            return _ZERO, unit_dyadic_bracket(hit[0])
-        if self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
-            return _ZERO, _ZERO
-        return _ZERO, Bracket.of_ints(0, 1, 2 << limit)
+        n = self._top_spike(iv, k)
+        if n is None:
+            return _ZERO, Bracket.of_ints(0, 1, 2 << self._limit(k))
+        return _ZERO, (unit_dyadic_bracket(n) if n >= 0 else _ZERO)
 
     def _witness_above(self, iv, y):
         if y < 0:
@@ -142,10 +158,13 @@ class Penny(_SpikeFamily):
             limit = self.spikes_above(y)  # no later spike exceeds y
         else:
             limit = 4096  # every spike exceeds 0: a bounded prefix decides
-        hit = self.a_set.first_member_in(iv, limit, self.start)
-        if hit is not None and self.spike_value(hit[0]) > y:
+        hit = self.a_set._scan(iv, limit, self.start)
+        if hit.__class__ is tuple and self.spike_value(hit[0]) > y:
             return Truth.YES, hit[1]
-        if self.stop is not None or y > 0 or self.a_set.scan_is_exhaustive(iv, limit):
+        # at y = 0 every spike exceeds y, so hit is a miss's end: one below
+        # the limit proves iv holds no spike
+        if (self.stop is not None or y > 0 or hit < limit
+                or self.a_set.scan_is_exhaustive(iv, limit)):
             return Truth.NO, None
         return Truth.UNKNOWN, None
 

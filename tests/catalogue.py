@@ -593,6 +593,11 @@ for _i in range(3):
     _a_set = random_finite_set(_rng)
     add("member-scan", "penny(523-%d)" % _i, Penny(_a_set))
     add("member-scan", "tilde-penny(523-%d)" % _i, TildePenny(_a_set))
+# the scan's own proof of a miss: the member-scan seed sets, a spike window
+# that starts past 0 and a bounded one
+for _name in [_n for _n, _e in ENTRIES.items() if "member-scan" in _e["groups"]] + [
+        "penny(sqrt2)/3", "pennyk(sqrt2,3)"]:
+    add("scan-proof", _name, ENTRIES[_name]["fn"], wrap=ENTRIES[_name].get("wrap"))
 for _name in ("penny(rationals)", "penny(mixed)/0", "penny(rational-seeds)"):
     add("index-of", _name, make(_name))
 for _name in ("penny(sqrt2)", "tilde-penny(sqrt2)", "penny(irrational-seeds)"):

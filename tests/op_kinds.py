@@ -8,6 +8,9 @@ Loads the workload of the tree DIR (default: this tree) through
 `core` normalises it, and prints one line per op kind: its ops, its share of
 the run's op time, its median latency, and how many of its ops sit at or
 above the run's p50 and p90 (the nearest-rank percentiles of `core`).
+Then, for each of the p50 and p90, the ops at the nearest ranks around it
+(three either side), each with its latency and kind: the kinds that set
+the percentile, which a change must speed up to move it.
 
 With --fractions it runs the same passes again, untimed, and adds each
 kind's `Fraction` constructions per op made by abyss itself: a construction
@@ -26,6 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+NEAREST = 3  # the ranks shown either side of each percentile
 
 
 def fraction_counter(src: str):
@@ -90,6 +94,14 @@ def main(argv=None) -> int:
             width, kind, len(ks), 100 * sum(ks) / total, 1000 * median(ks),
             sum(x >= p50 for x in ks), sum(x >= p90 for x in ks),
             "  %12.1f" % (sum(made) / len(made)) if made else ""))
+    ranked = sorted(zip(lat, (op.kind for ops in passes for op in ops)))
+    for q, value in ((50, p50), (90, p90)):
+        rank = [x for x, _ in ranked].index(value) + 1
+        print("p%d %.4f ms is rank %d of %d; the nearest ranks:" % (q, 1000 * value, rank,
+                                                                 len(ranked)))
+        for r in range(max(rank - NEAREST, 1), min(rank + NEAREST, len(ranked)) + 1):
+            x, kind = ranked[r - 1]
+            print("%s %5d %10.4f  %s" % (">" if r == rank else " ", r, 1000 * x, kind))
     return 0
 
 

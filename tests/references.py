@@ -784,6 +784,27 @@ def plain_member_scan(a_set, iv, limit, start):
     return (inside[0] if inside else None), inside
 
 
+def plain_top_spike(f, iv, k):
+    """`Penny._top_spike` from the plain member scan and a second read of
+    `scan_is_exhaustive`: the first spike in iv below the scan limit
+    (max(k + 4, 8), or the bounded window), else -1 when the window is
+    bounded or the scan is exhaustive, else None.  With how the scan ended,
+    read off the members: below the limit when a descending enumeration
+    holds a member below iv in the window, or a finite set is shorter than
+    the limit; else at the limit."""
+    limit = max(k + 4, 8) if f.stop is None else f.stop
+    a_set = f.a_set
+    first, _ = plain_member_scan(a_set, iv, limit, f.start)
+    if first is not None:
+        return ("hit",), first[0]
+    hi = limit if a_set.size is None else min(limit, a_set.size)
+    lower = Q2.of(iv.lower)
+    short = (a_set.size is not None and a_set.size < limit) or a_set.values_descend and any(
+        a_set.member(n) < lower for n in range(f.start, hi))
+    n = -1 if f.stop is not None or a_set.scan_is_exhaustive(iv, limit) else None
+    return ("%s: %s" % ("ended below the limit" if short else "ran to the limit", n),), n
+
+
 def brute_members_in(a_set, iv):
     """Every index whose member lies in iv: the whole finite set, or the
     first 64 members of an infinite one, each tested on its own."""

@@ -467,6 +467,17 @@ def test_cousin_uniform_gauge():
     assert all(r == F(1, 8) for _, r in balls)
 
 
+def test_cousin_merges_its_union_on_integers():
+    """The union of the balls is merged over one denominator, so each
+    enumerated centre builds two `Fraction`s, its centre and its radius:
+    26 for the 13 centres of a 3/32 gauge, where building q - r and q + r
+    to merge made 52."""
+    psi = constant(F(3, 32))
+    balls = cousin_subcover(psi)
+    assert len(balls) == 13 and covers_unit(balls)
+    assert fraction_news(lambda: cousin_subcover(psi)) == 26
+
+
 def test_cousin_linear_gauge():
     balls = cousin_subcover(linear(F(1, 2), F(1, 16)))
     assert covers_unit(balls)

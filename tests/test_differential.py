@@ -416,15 +416,13 @@ def cover_usco_grid(f, entry, rng):
     return itertools.product(ivs, list(range(13)) + [24, 48])
 
 
-def member_scan_grid(f, entry, rng):
+def member_scan_intervals(f, rng):
     """Intervals around each of the first members of the seed set, from its
     bracket at 2^-80: for a rational member its point, and each end on it;
     for an irrational one the bracket and the intervals just past its ends.
     Also its bracket at a drawn precision, a rational member as a point,
     [0,1], random intervals and the span of two members, which a descending
-    scan leaves at the first member below it.  Each is asked over windows
-    that start at 0 (or by default), inside the set, and at or past the
-    limit, every start up to one past the limit for the limits up to 20."""
+    scan leaves at the first member below it."""
     pts = [p for _, p in f.a_set.members_upto(8)]
     ivs = [UNIT] + random_intervals(rng, 10, 9)
     for p in pts:
@@ -438,9 +436,42 @@ def member_scan_grid(f, entry, rng):
     for p, q in zip(pts, pts[2:]):
         (lo, _), (_, hi) = min(p, q).bracket(80), max(p, q).bracket(80)
         ivs.append(DyadicInterval(lo, hi))
+    return ivs
+
+
+def member_scan_grid(f, entry, rng):
+    """The member-scan intervals, each asked over windows that start at 0
+    (or by default), inside the set, and at or past the limit, every start
+    up to one past the limit for the limits up to 20."""
     windows = [(64, 0), (200, 0), (64, 3), (5, 2), (2, 6)] + [
         (limit, start) for limit in (0, 1, 3, 8, 20) for start in [None, *range(limit + 2)]]
-    return itertools.product(ivs, windows)
+    return itertools.product(member_scan_intervals(f, rng), windows)
+
+
+def scan_proof_grid(f, entry, rng):
+    """The member-scan intervals, the brackets of members 8-24 (past a scan
+    limit of 8 or 16) and, on a descending set, the gaps between members
+    n + 1 and n for n < 24 (the one below the limit ends a scan there), at
+    precisions 0, 4, 12 and 60: scan limits 8, 8, 16 and 64, or the
+    family's bounded window."""
+    ivs = member_scan_intervals(f, rng)
+    pts = [p for _, p in f.a_set.members_upto(25)]
+    ivs += [DyadicInterval(*p.bracket(80)) for p in pts[8:]]
+    if f.a_set.values_descend:
+        ivs += [DyadicInterval(q.bracket(80)[1], p.bracket(80)[0]) for p, q in zip(pts, pts[1:])]
+    return itertools.product(ivs, (0, 4, 12, 60))
+
+
+def scan_proof(f, iv, k):
+    """How the one first-hit scan at precision k ended (a hit, or a miss
+    whose end lies below the scan limit or at it) and `_top_spike`'s
+    verdict: the largest spike's index, -1 for none, None for unknown."""
+    limit = f._limit(k)
+    end = f.a_set._scan(iv, limit, f.start)
+    n = f._top_spike(iv, k)
+    if end.__class__ is tuple:
+        return ("hit",), n
+    return ("%s: %s" % ("ended below the limit" if end < limit else "ran to the limit", n),), n
 
 
 def member_scan(f, iv, window):
@@ -449,12 +480,14 @@ def member_scan(f, iv, window):
 
 
 def shift_grid(f, entry, rng):
-    """The first members of the source set in their own bands, where the
-    banded copy shifts them; 40 points of [0,1) (every other one rational)
-    in bands 0-10; 40 drawn points of [-1,2] in bands 0-14; bands 21 and 22
-    near simple rationals; and points that no rational of [-1,1] shifts
-    into their band."""
-    cases = [(p, n) for n, p in f.source.members_upto(6)]
+    """The first 41 members of the source set in their own bands, where the
+    banded copy shifts them (bands 0-40 of the sqrt2 family); 40 points of
+    [0,1) (every other one rational) in bands 0-10; 40 drawn points of
+    [-1,2] in bands 0-14; bands 21 and 22 near simple rationals; points
+    that no rational of [-1,1] shifts into their band; and in bands 0-12,
+    points whose lower end falls below -1 or upper end past 1, whose open
+    lower end is an integer, and points with a negative sqrt2 part."""
+    cases = [(p, n) for n, p in f.source.members_upto(41)]
     pts = [Q2(F(rng.randrange(1, 127), 128), F(1, 1 << rng.randrange(3, 30)) if i % 2 else 0)
            for i in range(40)]
     cases += [(p, n) for p in pts if p < 1 for n in range(11)]
@@ -463,6 +496,12 @@ def shift_grid(f, entry, rng):
         a = F(rng.randrange(-d, 2 * d + 1), d)
         b = F(rng.choice((1, -1)), 1 << rng.randrange(41)) if rng.randrange(2) else 0
         cases.append((Q2(a, b), band))
+    for n in range(13):
+        w = F(1, 1 << n)
+        cases += [(Q2(-1 + 3 * w / 4), n), (Q2(-1 + 3 * w / 4, F(-1, 1 << (n + 5))), n),
+                  (Q2(1 + 3 * w / 4), n), (Q2(1 + w, F(-1, 1 << (n + 4))), n),
+                  (Q2(w), n), (Q2(w - 1), n), (Q2(F(1, 3) + w), n),
+                  (Q2(F(2, 3), F(-1, 1 << n)), n), (Q2(1, F(-1, 2)), n)]
     return cases + [(Q2(F(3, 7), F(1, 32)), 22), (Q2(F(5, 9), F(-1, 64)), 21), (Q2(-1), 0),
                     (Q2(F(5, 2)), 1), (Q2(3), 0)]
 
@@ -733,11 +772,14 @@ ROWS = [
     Row("member-scan", member_scan, lambda f, iv, window: ref.plain_member_scan(
         f.a_set, iv, window[0], window[1] or 0), ("member-scan",), member_scan_grid,
         min_checks=8075),
+    Row("scan-proof", scan_proof, ref.plain_top_spike, ("scan-proof",), scan_proof_grid,
+        kinds=frozenset({"hit", "ended below the limit: -1", "ran to the limit: -1",
+                         "ran to the limit: None"}), min_checks=3256),
     Row("index-of", lambda f, x: f.a_set.index_of(x), lambda f, x: ref.linear_index(f.a_set, x),
         ("index-of",), index_grid, min_checks=1032),
     Row("minimal-shift", lambda f, a, n: minimal_shift_into_band(a, n),
         lambda f, a, n: ref.plain_minimal_shift(a, n), ("minimal-shift",), shift_grid,
-        refusals=True, min_checks=491),
+        refusals=True, min_checks=1248),
     Row("grid-baseline", naive_rational_sup, ref.plain_grid_max, ("grid-baseline",),
         grid_baseline_grid, budget=("grid baselines", 30), min_checks=3478),
     Row("cliq-levels", cliq_levels, lambda f, k, fuel: ref.plain_cliq_walk(f.a_set, k, fuel),
@@ -823,6 +865,30 @@ def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
     assert sorted(s for s in sizes if s) == sorted(list(range(1, 13)) * 2)
     # the variation rows walk a cell that ends at a vertex inside a piece
     assert Q2.of(F(1, 2)) in make("bumps").special_points(DyadicInterval(0, 1), 0)
+
+
+def test_the_shift_grid_reaches_every_branch_of_the_walk():
+    """On each minimal-shift entry the cases hold a target interval (lo, hi]
+    = (a - 2^-n, a - 2^-(n+1)] whose lower end lies below -1, one whose
+    upper end lies past 1 (each holds that integer), an open lower end
+    that is an integer (the walk's first step sends its upper end to
+    infinity), a negative sqrt2 part, and refusals; the sqrt2 family's
+    cases are its members in bands 0-40."""
+    for name in [n for n, e in ENTRIES.items() if "minimal-shift" in e["groups"]]:
+        f, shown = make(name), Counter()
+        cases = shift_grid(f, ENTRIES[name], random.Random("minimal-shift/%s" % name))
+        for a, n in cases:
+            lo, hi = a - F(1, 1 << n), a - F(1, 1 << (n + 1))
+            if lo >= 1 or hi < -1:
+                shown["refused"] += 1
+                continue
+            shown["below -1"] += lo < -1
+            shown["past 1"] += hi > 1
+            shown["open integer end"] += lo >= -1 and lo.is_rational and lo.d == 1
+            shown["negative sqrt2 part"] += a.q < 0
+        assert len(shown) == 5 and all(shown.values()), (name, shown)
+        if f.source.size is None:
+            assert [(a, n) for a, n in cases if a == S2(n)] == [(S2(n), n) for n in range(41)]
 
 
 def test_every_reference_is_called_from_a_test():

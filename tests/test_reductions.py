@@ -1,5 +1,6 @@
 """Realiser reductions and the rational-sampling baseline they defeat."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -20,7 +21,8 @@ from abyss.universe import CLIQUISH
 
 from catalogue import RATIONAL_SEEDS, make, random_finite_set
 from conftest import calls_to, fraction_news
-from references import fraction_cantor_diagonal, fraction_dyadic_inside, two_pass_demo
+from references import (fraction_cantor_diagonal, fraction_dyadic_inside, fraction_sup, outcome,
+                        two_pass_demo)
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -258,18 +260,22 @@ def test_extraction_asks_one_query_per_bit_and_one_per_1_bit():
     """Each round asks for the supremum on [0, 1], then for the left half at
     each of the k steps, and for the right half once more at each 1-bit,
     where it must find the supremum again: 1 + 16 + 6 = 23 queries for
-    round 0 of the sqrt2 family at k = 16, and 338 over 16 rounds."""
+    round 0 of the sqrt2 family at k = 16, and 338 over 16 rounds, read
+    through a counting oracle: 288 answers positive and 50 zero, so no
+    consistency query is dropped where an answer is the round's supremum."""
     honest = exhaustive_sup_oracle()
-    starts = []
+    starts, answers = [], []
 
     def spy(f, iv):
         starts.append(f.start)
-        return honest.sup(f, iv)
+        answers.append(honest.sup(f, iv))
+        return answers[-1]
 
     steps = extract_enumeration_from_sup(SupOracle(spy), A, 16, rounds=16)
     assert [starts.count(r) for r in range(16)] == \
         [1 + 16 + step.bits.count("1") for step in steps]
     assert starts.count(0) == 23 and len(starts) == 338
+    assert (sum(a > 0 for a in answers), answers.count(0)) == (288, 50)
 
 
 # --- the integer walks against the Fraction computations they replace ---
@@ -388,6 +394,23 @@ def test_sup_oracle_answers_unit_dyadics_and_zero_without_a_fraction():
     assert answers[:4] == [F(1, 2), F(1, 64), F(1, 8), 0] and answers[4] == 0
     assert fraction_news(lambda: [oracle(*q) for q in queries]) == 0
     assert [oracle(*q) for q in queries] == answers
+
+
+def test_sup_oracle_scan_answers_deep_intervals_as_the_range_read():
+    """Near 0 the one scan of a spike family at 2^-60 reaches its limit of
+    64 members: an interval that holds a member past it is refused as the
+    inexact bracket of `range_on` was, and one past every member (or
+    between two, or holding one inside the limit) is answered exactly."""
+    ends = [F(0), F(1, 1 << 80), F(1, 1 << 70), F(1, 1 << 66), F(1, 1 << 64), F(1, 1 << 60)]
+    for n in (62, 63, 64, 65):
+        ends += S2(n).bracket(90)
+    shown = set()
+    for f in (Penny(A), Penny(A, start=3), PennyK(A, 64), TildePenny(A)):
+        for p, q in itertools.combinations(sorted(ends), 2):
+            got = outcome(lambda: exhaustive_sup_oracle()(f, p, q))
+            assert got == outcome(lambda: fraction_sup(f, p, q)), (f.kind, p, q)
+            shown.add(got[0] if isinstance(got, tuple) else "exact")
+    assert shown == {"exact", "OracleInconsistency"}
 
 
 def test_unit_dyadic_table_holds_the_spike_values_and_grows_only_as_asked():
