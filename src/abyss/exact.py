@@ -592,27 +592,14 @@ def _reciprocal(x: int, y: int, e: int) -> tuple[int, int, int]:
     return p // g, q // g, n // g
 
 
-def least_denominator_between(lo, hi, lo_open: bool = False) -> tuple[int, int]:
-    """(p, q) with p/q the simplest rational of [lo, hi], or of (lo, hi] when
-    lo_open, for ends lo <= hi that are Q2s or rationals of either sign: the
-    least denominator q, then the least numerator p.  p/q is in lowest terms.
-
-    The ends are read as their integer triples (p, q, d) and walked by
-    `_least_denominator_q2`, which builds no `Q2` and no `Fraction`: an
-    interval of width w > 0 takes at most about 2 log2(1 + 1/w) + 2 steps.
-    """
-    lo, hi = Q2.of(lo), Q2.of(hi)
-    s = lo._cmp(hi)
-    if s > 0 or (s == 0 and lo_open):
-        raise ValueError("empty interval between %s and %s" % (lo, hi))
-    return _least_denominator_q2(lo.p, lo.q, lo.d, hi.p, hi.q, hi.d, lo_open)
-
-
 def _least_denominator_q2(lp: int, lq: int, ld: int, hp: int, hq: int, hd: int,
                           lo_open: bool) -> tuple[int, int]:
-    """`least_denominator_between` on a nonempty interval whose ends are the
-    integer triples lo = (lp + lq sqrt2)/ld and hi = (hp + hq sqrt2)/hd,
-    ld, hd > 0 (not necessarily reduced).
+    """(p, q) with p/q the simplest rational of the nonempty interval [lo, hi],
+    or of (lo, hi] when lo_open, whose ends are the integer triples
+    lo = (lp + lq sqrt2)/ld and hi = (hp + hq sqrt2)/hd, ld, hd > 0 (not
+    necessarily reduced), of either sign: the least denominator q, then the
+    least numerator p.  p/q is in lowest terms; no `Q2` and no `Fraction`
+    is built.
 
     The walk of `_least_denominator` with irrational ends, on the integers:
     the floor of an end is read through `math.isqrt`, its comparison with

@@ -166,6 +166,20 @@ class FussyPenny(Penny):
         return super()._range_on(iv, k)
 
 
+class Blurred(PiecewiseRational):
+    """f with brackets centred on the exact value and never exact: the
+    witness of a threshold at a rational extremum answers UNKNOWN."""
+
+    def __init__(self, f):
+        super().__init__(f.cuts, f.pieces, f.bp_values)
+
+    def _range_on(self, iv, k):
+        inf_b, sup_b = super()._range_on(iv, k)
+        assert inf_b.exact and sup_b.exact
+        w = F(1, 2 << k)
+        return Bracket(inf_b.lo - w, inf_b.lo + w), Bracket(sup_b.lo - w, sup_b.lo + w)
+
+
 class Slack(RestrictedView):
     """f with brackets as loose as `range_on`'s contract allows: each holds
     the exact value and is 2^-k wide.  On a ball narrower than 2^-30 the

@@ -23,7 +23,7 @@ from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.covers import _rational_interval_stream
 from abyss.exact import Truth, _check_precision, least_exponent
-from abyss.oracle import DEFAULT_FUEL, QueryTrace, _baire1_value_above, basis_at, grid_depth_cap
+from abyss.oracle import DEFAULT_FUEL, _baire1_value_above, basis_at, grid_depth_cap
 from abyss.reductions import AbyssReport, SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
@@ -42,19 +42,6 @@ def outcome(run):
         return run()
     except ANSWERS as e:
         return (type(e).__name__, str(e))
-
-
-def traced(search, q):
-    """The outcome of search(q, trace) and the lines of its trace."""
-    trace = QueryTrace()
-    return outcome(lambda: search(q, trace)), trace.lines
-
-
-def same_walk(f, got, want, q):
-    """The traced walk of the ball query q and the plain one give the same
-    answer, and the balls it reads above the smallest are the plain's first."""
-    short, plain = ([ln for ln in lines if ln["depth"] < q.fuel] for lines in (got[1], want[1]))
-    return got[0] == want[0] and short == plain[:len(short)]
 
 
 # --- piecewise functions: Horner on Q2 and a scan over every piece ---
@@ -223,12 +210,12 @@ def plain_probe_points(f, iv: DyadicInterval, depth: int):
 
 
 def plain_depths(f, iv: DyadicInterval):
-    """Per probe depth up to the grid cap: the size of the plain basis and
-    the points it adds to the shallower plain bases, in basis order."""
+    """Per probe depth up to the grid cap: the points the plain basis adds
+    to the shallower plain bases, in basis order."""
     seen, out = set(), []
     for d in range(grid_depth_cap(iv) + 1):
         pts = plain_probe_points(f, iv, d)
-        out.append((len(pts), [p for p in pts if p not in seen]))
+        out.append([p for p in pts if p not in seen])
         seen.update(pts)
     return out
 
@@ -447,19 +434,15 @@ def sorted_fraction_modulus_qc(f, x, k, big_n, fuel=DEFAULT_FUEL):
     raise FuelExhausted("no certified subinterval found within fuel")
 
 
-def plain_exists(q, trace):
+def plain_exists(q):
     """An `ExistsValueAbove`/`Below` search that scans every basis in full."""
     above = type(q) is ExistsValueAbove
-    shape = type(q).__name__
     y = F(q.threshold)
     truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
     if truth is Truth.NO:
-        trace.record(shape, q.fuel, 0, "no")
         return NotFoundBelow(q.fuel)
     for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
-        pts = basis_at(q.f, q.interval, d)
-        trace.record(shape, d, len(pts), "scan")
-        for p in pts:
+        for p in basis_at(q.f, q.interval, d):
             v = q.f.eval(p)
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
@@ -467,14 +450,12 @@ def plain_exists(q, trace):
                         "basis within fuel")
 
 
-def plain_baire1_above(q, trace):
+def plain_baire1_above(q):
     """A `Baire1Above` search that rebuilds and re-evaluates every basis."""
     f, y = q.f_rep, F(q.threshold)
     last = f.witness_depth(y)
     for d in range(q.fuel + 1):
-        pts = basis_at(f, q.interval, d)
-        trace.record("Baire1Above", d, len(pts), "scan")
-        for p in pts:
+        for p in basis_at(f, q.interval, d):
             if (f.eval(p) > y if f.stabilizer is not None
                     else _baire1_value_above(f, p, y, q.fuel)):
                 return Found(MuWitness(d))
@@ -531,14 +512,14 @@ def plain_witness_halving(f, p, q, k, above):
 
 def halving(f, iv, lo, hi, k, fuel, search):
     """The value halving of `sup_baire1` over [lo, hi], each threshold asked
-    through search(Baire1Above(...), trace): each threshold's traced answer,
-    and the outcome."""
+    through search(Baire1Above(...)): each threshold's outcome, and the
+    halving's."""
     steps = []
 
     def decide(n, m):
         mid = F(n, m)
-        steps.append((mid, traced(search, Baire1Above(f, iv, mid, fuel))))
-        answer = steps[-1][1][0]
+        steps.append((mid, outcome(lambda: search(Baire1Above(f, iv, mid, fuel)))))
+        answer = steps[-1][1]
         return {Found: Truth.YES, NotFoundBelow: Truth.NO}.get(type(answer), Truth.UNKNOWN)
 
     return steps, outcome(lambda: _halve_values(lo, hi, k, decide))
@@ -549,19 +530,18 @@ def plain_sup_baire1(f, p, q, values, k, fuel):
     the refusal of the search that ended it, which `sup_baire1` passes on."""
     steps, out = halving(f, DyadicInterval(p, q), *(values or f.range_bound()), k, fuel,
                          plain_baire1_above)
-    last = steps[-1][1][0] if steps else None
+    last = steps[-1][1] if steps else None
     return last if isinstance(last, tuple) else out
 
 
 # --- the ball walks over 0..fuel, one clipped ball at a time ---
 
 
-def plain_osc_below(q, trace):
+def plain_osc_below(q):
     require_rule("OscBelow", q.f, "mu_search/OscBelow")
     bound = F(1, 1 << q.m)
     for n in range(q.fuel + 1):
         osc = _osc_on(q.f, _ball_clipped(q.x, n), q.m + 4)
-        trace.record("OscBelow", n, 0, "osc<=%s..%s" % (osc.lo, osc.hi))
         if osc.hi <= bound:
             return Found(MuWitness(n))
         if osc.lo <= bound:
@@ -574,11 +554,10 @@ def plain_osc_below(q, trace):
     return NotFoundBelow(q.fuel)
 
 
-def plain_value_below_on_ball(q, trace):
+def plain_value_below_on_ball(q):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
     for n in range(q.fuel + 1):
         inf_b, _ = q.f.range_on(_ball_clipped(q.x, n), 8)
-        trace.record("ValueBelowOnBall", n, 0, "inf>=%s" % (inf_b.lo,))
         if inf_b.lo >= q.q:
             return Found(MuWitness(n))
         if not inf_b.exact and inf_b.hi >= q.q:
@@ -680,8 +659,7 @@ def plain_point_of_continuity_usco(f, k, fuel):
                         return None
                 radius = plain_usco_radius(f, c, k0, fuel)
             else:
-                res = plain_value_below_on_ball(ValueBelowOnBall(f, c, t, min(fuel, 24)),
-                                                QueryTrace())
+                res = plain_value_below_on_ball(ValueBelowOnBall(f, c, t, min(fuel, 24)))
                 if not isinstance(res, Found):
                     return None
                 radius = F(1, 1 << res.witness.value)

@@ -23,7 +23,7 @@ from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
 from abyss.reductions import canonical_regulation_modulus, realiser_from_regulation_modulus
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, query_scope, query_state
 
-from catalogue import ENTRIES, make
+from catalogue import ENTRIES, Blurred, make
 from conftest import calls_to, fraction_news
 from references import (brute_ball_osc, covers_unit, exact_symbolic_sup, fresh_halving, halving,
                         outcome, probe_basis)
@@ -329,8 +329,13 @@ def usco_point(fuel, k):
     (lambda: jump_enum(PiecewiseRational.from_polys(
         [0, S2(0), 1], [Poly(0, 1), Poly(F(1, 1 << 60), 1)]), 4), FuelExhausted,
      "one-sided limits too close to separate", None),
+    (lambda: mu_search(ExistsValueAbove(Blurred(linear(1)), DyadicInterval(0, F(1, 2)), F(1, 2))),
+     FuelExhausted, "threshold query undecided on this family", None),
+    (lambda: sup_qc(Blurred(linear(1)), 0, F(1, 2), 8), FuelExhausted,
+     "value search undecided below the target width", DyadicInterval(0, 1)),
 ], ids=["cousin-prefix", "usco-zero-radius", "osc-ball-walk", "usco-no-ball", "usco-no-radius",
-        "usco-no-certificate", "regulation-no-exponent", "jumps-too-close"])
+        "usco-no-certificate", "regulation-no-exponent", "jumps-too-close", "threshold-undecided",
+        "halving-undecided"])
 def test_exits_name_their_cause(run, error, message, best):
     """A gauge of radius 1/64 needs more than the two balls fuel 1 allows; a
     modulus of radius 0 is refused at the first centre; and with fuel 0 the
@@ -342,7 +347,9 @@ def test_exits_name_their_cause(run, error, message, best):
     stages cannot bring the threshold span 3/2 under 2^-13.  At fuel 0 the
     regulation search reads only the window of radius 1/2 around 1/2, which
     holds the jump at 1/2 + 1/64; and the jump of 2^-60 at sqrt2/2 lies
-    inside the 2^-40 brackets of both one-sided limits."""
+    inside the 2^-40 brackets of both one-sided limits.  On the identity
+    with brackets that never close on the value, no bracket decides 1/2,
+    the supremum over [0, 1/2] and the halving's first midpoint."""
     with pytest.raises(error, match=message) as err:
         run()
     assert getattr(err.value, "best", None) == best
@@ -734,7 +741,7 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
                                    "_unit_point")
             states = probe_states(query_state())
             assert list(states) == [(f, iv.ln, iv.un, iv.d)], (p, q)
-            points = {(x.p, x.q, x.d) for d in range(len(states[f, iv.ln, iv.un, iv.d].sizes))
+            points = {(x.p, x.q, x.d) for d in range(len(states[f, iv.ln, iv.un, iv.d].depths))
                       for x in basis_at(f, iv, d)}
             assert evaluations <= len(points), (p, q)
             for name in ("probe_points", "_unit_point"):
@@ -783,9 +790,9 @@ def test_a_halving_shares_one_query_scope_and_closes_it():
     scopes = []
 
     def watch(search):
-        def decide(query, trace):
+        def decide(query):
             scopes.append(universe._SCOPE.get())
-            return search(query, trace)
+            return search(query)
         return decide
 
     for run in (lambda: sup_qc(make("four-piece"), 0, 1, 10),

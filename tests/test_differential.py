@@ -1,9 +1,9 @@
 """Each fast path against the plain computation it shortcuts: one row per
 path gives the path, its reference (`references.py`), the catalogue groups
 it reads (`catalogue.py`) and the arguments it asks of each entry.  A case
-builds its entry afresh and compares the answers, refusals (type and
-message) and trace lines, or asks that the path's brackets hold the exact
-values.  A new fast path adds a reference and a row, not a test file.
+builds its entry afresh and compares the answers and refusals (type and
+message), or asks that the path's brackets hold the exact values.  A new
+fast path adds a reference and a row, not a test file.
 
 Beside the searches, builders and scans of the positive side, rows check
 the universe (`minimal-shift`, the banded shift; `locate`, the cut
@@ -70,8 +70,9 @@ class Row(NamedTuple):
 
 
 def search(run):
-    """A row side that asks the query q through run(q, trace)."""
-    return lambda f, q: ref.traced(run, q)
+    """A row side that asks the query q through run(q): its outcome, alone
+    in a tuple, where the row reads the kind of its answer."""
+    return lambda f, q: (ref.outcome(lambda: run(q)),)
 
 
 def random_intervals(rng, count, depth_below):
@@ -205,10 +206,10 @@ def state_grid(f, entry, rng):
 
 
 def state_depths(f, iv):
-    """Per depth up to the cap, the probe state's basis size and the points
-    the depth adds, built one depth at a time."""
+    """Per depth up to the cap, the points the probe state's depth adds,
+    built one depth at a time."""
     state = _ProbeState(f, iv)
-    return [(state.basis_size(d), state.added[d]) for d in range(state.cap + 1)]
+    return [state.added(d) for d in range(state.cap + 1)]
 
 
 def built_table(g):
@@ -678,10 +679,10 @@ def grid_baseline_grid(f, entry, rng):
 
 ROWS = [
     Row("value-below-on-ball", search(mu_search), search(ref.plain_value_below_on_ball),
-        ("walk", "ball", "slack-inf"), value_below_grid, ref.same_walk, ("value-below walks", 60),
-        WALK_KINDS),
+        ("walk", "ball", "slack-inf"), value_below_grid, budget=("value-below walks", 60),
+        kinds=WALK_KINDS),
     Row("osc-below", search(mu_search), search(ref.plain_osc_below), ("walk", "ball", "margin"),
-        osc_grid, ref.same_walk, ("osc walks", 60), WALK_KINDS),
+        osc_grid, budget=("osc walks", 60), kinds=WALK_KINDS),
     Row("modulus-continuity-qc", lambda f, fuel, x, m: modulus_continuity_qc(f, fuel)(x, m),
         lambda f, fuel, x, m: ref.plain_modulus_continuity(f, fuel)(x, m),
         ("walk", "slack-continuity"),

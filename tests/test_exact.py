@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q2, Thomae,
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
                    rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
-from abyss.exact import (Bracket, DegenerateInterval, _in_unit, _least_denominator,
-                         least_denominator_between)
+from abyss.exact import Bracket, DegenerateInterval, _in_unit, _least_denominator
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
 from conftest import fraction_news
@@ -376,13 +375,6 @@ def test_min_denominator_clips_to_unit_interval(a, b, cap):
     lo, hi = min(a, b), max(a, b)
     got = Thomae().min_denominator_in(DyadicInterval(lo, hi), cap)
     assert got == plain_min_denominator_in(lo, hi, cap)
-
-
-def test_least_denominator_rejects_bad_intervals():
-    with pytest.raises(ValueError):
-        least_denominator_between(F(1, 2), F(1, 3))
-    with pytest.raises(ValueError):
-        least_denominator_between(F(1, 2), F(1, 2), lo_open=True)
 
 
 dyadic_ends = st.builds(lambda i, d: F(i % ((1 << d) + 1), 1 << d),

@@ -1087,6 +1087,25 @@ def test_documents_live_in_serialize_alone():
                 assert node.name != "to_jsonable", (mod.__name__, node.lineno)
 
 
+def test_every_definition_is_reached_outside_the_tests():
+    """A top-level function or class of the package is exported, registered
+    by a decorator (the CLI's `@subcommand` handlers) or named in the
+    package, the benchmark or the demos: one that only tests reach is
+    deleted.  A module's dunder hooks are the interpreter's to call."""
+    import abyss
+    root = Path(universe.__file__).parents[2]
+    trees = {path: ast.parse(path.read_text()) for top in ("src", "perfbench", "demos")
+             for path in sorted((root / top).rglob("*.py"))}
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for tree in trees.values() for node in ast.walk(tree)}
+    unreached = ["%s.%s" % (path.stem, node.name) for path, tree in trees.items()
+                 if path.parent.name == "abyss" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                     node.name in abyss.__all__ or node.decorator_list or node.name in named
+                     or node.name.startswith("__"))]
+    assert unreached == []
+
+
 def state_stores(package: Path) -> list[str]:
     """The attribute stores in the package's modules, outside a family
     class's `__init__`, on an object that may be a family object, as
