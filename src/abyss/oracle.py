@@ -27,7 +27,7 @@ from .errors import FuelExhausted
 from .exact import (DEFAULT_FUEL, DyadicInterval, FueledBool, Q2, Truth, _ratio, _rational,
                     _reduced, grid_depth_cap, grid_span)
 from .records import record
-from .universe import SymbolicFn, _clip_unit, probe_points, query_state
+from .universe import SymbolicFn, _clip_unit, query_state
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .limits import Baire1Limit
@@ -100,8 +100,13 @@ class NotFoundBelow:
 # --- probe bases ------------------------------------------------------------
 
 
-def basis_at(f: SymbolicFn, iv: DyadicInterval, depth: int):
-    return probe_points(f, iv, min(depth, grid_depth_cap(iv)))
+def basis_at(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
+    """The probe basis of f on iv at depth (past the grid cap, at the cap):
+    the points the probe depths up to it add, sorted."""
+    if depth < 0:
+        raise ValueError("grid depth must be >= 0")
+    state = _ProbeState(f, iv)
+    return sorted(p for d in range(min(depth, state.cap) + 1) for p in state.added(d))
 
 
 # --- exact threshold queries (the workhorses) --------------------------------

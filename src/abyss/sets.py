@@ -55,23 +55,15 @@ class CountableSet:
         hi = limit if self.size is None else min(limit, self.size)
         return [(n, self.member(n)) for n in range(hi)]
 
-    def first_member_in(self, iv: DyadicInterval, limit: int,
-                        start: int = 0) -> Optional[tuple[int, Q2]]:
-        """The first member inside iv with index in [start, limit), as
-        (n, member), or None; a descending enumeration stops at the first
-        member below iv."""
-        hit = self._scan(iv, limit, start)
-        return hit if hit.__class__ is tuple else None
-
     def _scan(self, iv: DyadicInterval, limit: int, start: int):
-        """The scan of `first_member_in`, with where a miss stopped: (n,
-        member) on a hit, else the index the scan ended at, a member below
-        iv of a descending enumeration or the end of the window.  An end
-        below limit proves that no member of index >= start lies in iv:
-        the members past one below iv are lower still, and a finite set
-        shorter than limit has none past its end.  A cached member is read
-        straight from the cache, and decided against iv's two ends on the
-        integers in this loop."""
+        """The first member inside iv with index in [start, limit), as (n,
+        member), else where the miss stopped: the index the scan ended at, a
+        member below iv of a descending enumeration or the end of the
+        window.  An end below limit proves that no member of index >= start
+        lies in iv: the members past one below iv are lower still, and a
+        finite set shorter than limit has none past its end.  A cached
+        member is read straight from the cache, and decided against iv's two
+        ends on the integers in this loop."""
         hi = limit if self.size is None else min(limit, self.size)
         ln, d, w = iv.ln, iv.d, iv.un - iv.ln
         descend = self.values_descend

@@ -18,7 +18,6 @@ only the families it builds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,7 @@ from typing import Optional
 
 from .errors import DomainError, UnsupportedVariant
 from .exact import (Bracket, DyadicInterval, Q2, Truth, _in_unit, _ratio, _rational, _reduced,
-                    _sign_int, grid_q2)
+                    _sign_int)
 
 # class tags (vocabulary fixed by the glossary of notions in play)
 CONTINUOUS = "continuous"
@@ -380,24 +379,6 @@ class SymbolicFn:
 
     def __repr__(self):
         return "<%s tags={%s}>" % (self.kind, ",".join(sorted(self.tags)))
-
-
-def probe_points(f: SymbolicFn, iv: DyadicInterval, depth: int) -> list[Q2]:
-    """Deterministic probe basis: dyadic grid of iv at `depth`, interval
-    endpoints, and the function's own special points, sorted ascending.  iv
-    is read on its part inside [0,1], as `range_on` reads it.  The grid is
-    already strictly increasing, so only the special points are sorted and
-    merged into it."""
-    iv = _clip_unit(iv)
-    grid = grid_q2(iv, depth)
-    out, i = [], 0
-    for p in sorted(map(Q2.of, f.special_points(iv, depth))):
-        j = bisect_left(grid, p, i)
-        out += grid[i:j]
-        i = j
-        if not (j < len(grid) and grid[j] == p or out and out[-1] == p):
-            out.append(p)
-    return out + grid[i:]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from abyss import (Baire1Limit, ComplementOfR2Open, CountableSet, CoverPsi, Cove
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.exact import Bracket
 from abyss.serialize import dumps, fn_from_json, fn_json
-from abyss.universe import BAIRE1, CLIQUISH, QUASI_CONTINUOUS, REGULATED, USCO
+from abyss.universe import BAIRE1, BV, CLIQUISH, QUASI_CONTINUOUS, REGULATED, USCO
 
 S2 = Q2.sqrt2_scaled
 A = sqrt2_family()
@@ -335,14 +335,20 @@ for _name, _f in [
          Sum(_CLOSED[1], Penny(finite_set([S2(0) / 32 + F(3, 8), S2(0) / 64 + F(7, 8)]))))]:
     add("ball", _name, _f)
 # at the early miss's margins, bracketed as loosely as allowed: on every ball inside
-# (1/4, 1] inf 1/2, in (1/4, 3/4) oscillation 1/8 + d, in (7/16, 33/64) oscillation 1/2
-add("slack-inf", "slack(1/2 at 1/4)", staircase([(F(1, 4), F(1, 2))]), wrap="slack")
+# (1/4, 1] inf 1/2, in (1/4, 3/4) oscillation 1/8 + d, in (7/16, 33/64) oscillation 1/2.
+# At 3/4 ("slack-inf": point and target) and at the continuity point of
+# precision 1, the smallest ball's bracket alone would wrongly say "miss"
+# at 1/2 + 2^-9 and at the hit that only its low end leaves open
+add("slack-inf", "slack(1/2 at 1/4)", staircase([(F(1, 4), F(1, 2))]), wrap="slack",
+    **{"slack-inf": [(F(3, 4), F(1, 2) + F(1, 512)),
+                     (F(3, 4), F(1, 2) + F(1, 256) + F(1, 1 << 40))]})
 for _d in (F(1, 1 << 40), F(1, 1 << 16) + F(1, 1 << 40)):
     add("margin", "slack(1/2 at 1/4, %s at 1/2)" % (F(5, 8) + _d),
         staircase([(F(1, 4), F(1, 2)), (F(1, 2), F(5, 8) + _d)]), wrap="slack",
         margin=[(F(1, 2), 3)])
 add("slack-continuity", "slack(1/2 at 1/2, 1 at 33/64)",
-    staircase([(F(1, 2), F(1, 2)), (F(33, 64), F(1))]), wrap="slack")
+    staircase([(F(1, 2), F(1, 2)), (F(33, 64), F(1))]), wrap="slack",
+    **{"continuity-point": [1]})
 
 
 def _margin_steps(m):
@@ -513,6 +519,22 @@ for _name, _f in [
         ("1/3 + penny(sqrt2)/2", Sum(constant(F(1, 3)), ScalarMultiple(F(1, 2), Penny(A))))]:
     add("range-brute", _name, _f)
 
+# the class tags against their witnesses: the spike families, both covering
+# instances, steps at an irrational and at rational cuts, a vertex off its
+# piece, a sum with a scaled part, a multiple, an indicator and a restricted
+# view; each that claims BV gives its total variation ("bv"), and the plain
+# covering instance the tags its witnesses refute ("refutes": tag and
+# arguments; it is not usco at its band-0 member, has no right limit at 0,
+# and varies by more than 2 over the depth-8 basis)
+for _name, _bv in [("thomae", None), ("penny(sqrt2)", 2), ("tilde-penny(sqrt2)", 2),
+                   ("cover-psi-usco(sqrt2)", F(3, 32)), ("irrational-cut-staircase", F(7, 4)),
+                   ("vertex-off-its-piece", F(39, 32)), ("staircase(1/3, 2/3)", F(3, 4)),
+                   ("1/3 + penny(sqrt2)/2", 1), ("-3/4 indicator(complement)", 3),
+                   ("indicator(points)", 6), ("penny(sqrt2)|usco", None)]:
+    add("tag-witness", _name, make(_name), **({} if _bv is None else {"bv": F(_bv)}))
+add("tag-witness", "cover-psi(sqrt2)", make("cover-psi(sqrt2)"),
+    refutes=[(USCO, S2(0), 6), (REGULATED, F(0), 2), (BV, F(2), 8)])
+
 
 def _spiked(group, label, a_set, starts):
     """Spike families over a_set: its truncations at 0 and 3, the spike
@@ -671,12 +693,29 @@ for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(rational-seeds)", Penny(RA
                   ("staircase(1 at 1/2)", staircase([(F(1, 2), 1)])), ("x", linear(1))]:
     add("regulation-windows", _name, _f)
 
-# every regulated entry feeds the regulation row, but the sum whose parts
-# jump at shared points: each of its range reads gives up after 256 cells
-# (ROADMAP item 16) in 76 ms, on both of the row's sides alike
-for _name, _entry in ENTRIES.items():
-    if REGULATED in make(_name).tags and _name != _SHARED_JUMPS:
-        _entry["groups"].append("regulation")
+# the regulation search resumed in one query scope: entries of every
+# regulated kind (not the sum whose parts jump at shared points: each of its
+# range reads gives up after 256 cells, ROADMAP item 16, in 76 ms on both of
+# the row's sides alike), and the staircases whose bumps show that a search
+# resumes only past trimmed windows, each at its point and precisions
+for _name in ("four-piece", "irrational-cut-staircase", "staircase(3 steps)",
+              "staircase(1 at 1/2)", "lone 1 at 5/32", "continuous(2401a)",
+              "staircase+linear(17-0)", "penny(sqrt2)", "penny(4 seeds)", "penny(sqrt2)/3",
+              "penny(rational-seeds)", "penny(mixed)/0", "penny(unit-rationals)",
+              "pennyk(sqrt2,3)", "tilde-penny(sqrt2)", "tilde-penny(irrational-seeds)", "thomae",
+              "cover-psi(seeds-2)/0", "cover-psi-usco(sqrt2)", "indicator(points)",
+              "indicator(complement)", "-thomae", "-3/4 indicator(complement)",
+              "1/3 + penny(sqrt2)", "indicator(1/3) + indicator(2/3)", "sum3(3201-0)",
+              "four-piece|not-qc", "pennyk-limit(sqrt2)", "constant-seq-limit(four-piece)",
+              "slack(1/2 at 1/4)"):
+    assert REGULATED in make(_name).tags, _name
+    ENTRIES[_name]["groups"].append("regulation")
+for _p, _steps, _ks in [
+        (F(1, 2), [(F(1, 2) + F(1, 1 << 38), 1), (F(1, 2) + F(1, 1 << 36), 0),
+                   (F(1, 2) + F(3, 1 << 25), 1)], [0, 6]),
+        (1 - F(1, 1 << 40), [(1 - F(1, 1 << 40) + F(1, 1 << 50), 1),
+                             (1 - F(1, 1 << 40) + F(1, 1 << 48), 0)], [0, 17])]:
+    add("regulation", "bumps past %s" % _p, staircase(_steps), regulation=[(_p, _ks)])
 # every piecewise document feeds the build row, which sums it with each of
 # them, but the long cut tables of the cut search
 for _entry in ENTRIES.values():

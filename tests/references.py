@@ -3,7 +3,8 @@ once.  A reference does not run the shortcut it checks: it loops where the
 path bisects, re-evaluates where the path keeps state, reads every ball
 where the path stops early, and walks on `Fraction`s where the path walks on
 integers.  What it shares with the path (`_ball_clipped`, `_osc_on`,
-`basis_at`, `_halve_values`) is not the shortcut under test."""
+`_halve_values`) is not the shortcut under test; each probe basis is built
+here (`plain_probe_points`), not read off the probe state."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.covers import _rational_interval_stream
 from abyss.exact import Truth, _check_precision, least_exponent
-from abyss.oracle import DEFAULT_FUEL, _baire1_value_above, basis_at, grid_depth_cap
+from abyss.oracle import DEFAULT_FUEL, _baire1_value_above, grid_depth_cap
 from abyss.reductions import AbyssReport, SupExtraction
 from abyss.serialize import dumps, q2_json
 from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
@@ -201,8 +202,10 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
 
 
 def plain_probe_points(f, iv: DyadicInterval, depth: int):
-    """`probe_points` as one sort and de-duplication of the grid and the
-    special points, on the part of iv inside [0,1]."""
+    """The probe basis at depth (past the grid cap, at the cap) as one sort
+    and de-duplication of the grid and the special points, on the part of
+    iv inside [0,1]."""
+    depth = min(depth, grid_depth_cap(iv))
     iv = DyadicInterval(max(iv.lower, F(0)), min(iv.upper, F(1)))
     pts = [Q2.of(g) for g in rational_grid(iv, depth)]
     pts += [Q2.of(p) for p in f.special_points(iv, depth)]
@@ -235,6 +238,94 @@ def _plain_ball(x, exponent):
 def brute_ball_osc(f, x, exponent, depth=7):
     vals = brute_values(f, _plain_ball(x, exponent), depth)
     return max(vals) - min(vals)
+
+
+# --- class tags: each tag's defining property, read off probe bases ---
+
+
+def _window(x, side, m):
+    """The one-sided window [x, x + 2^-m] (side > 0) or [x - 2^-m, x] in
+    [0,1], x read as a rational near it; None when x has no room there."""
+    p = Q2.of(x)
+    c = p.as_rational() if p.is_rational else p.approx(m + 8)
+    r = F(1, 1 << m)
+    a, b = (c, min(F(1), c + r)) if side > 0 else (max(F(0), c - r), c)
+    return DyadicInterval(a, b) if a < b else None
+
+
+def _usco_witness(f, x, k):
+    """Some clipped ball B(x, 2^-n), n = 2..40, whose probe values stay
+    below f(x) + 2^-k."""
+    target = f.eval(x) + Q2.of(F(1, 1 << k))
+    return any(all(f.eval(p) < target for p in probe_basis(f, _plain_ball(x, n), 6))
+               for n in range(2, 41))
+
+
+def _cliquish_witness(f, x, k, big_n=2):
+    """Somewhere inside the 2^-big_n ball there is an open subinterval whose
+    grid oscillation (interior probes only) is below 2^-k."""
+    ball = _plain_ball(x, big_n)
+    for depth in (k + 2, k + 4):
+        grid = rational_grid(ball, depth)
+        for a, b in zip(grid, grid[1:]):
+            vals = [f.eval(pt)
+                    for pt in probe_basis(f, DyadicInterval(a, b), depth + 4)
+                    if Q2.of(a) < pt < Q2.of(b)]
+            if not vals or max(vals) - min(vals) < Q2.of(F(1, 1 << k)):
+                return True
+    return False
+
+
+def _qc_witness(f, x, k):
+    """A one-sided window of radius 2^-m, m = 6..40, whose inner half's
+    probe values stay within 2^-k of f(x)."""
+    fx, tol = f.eval(x), Q2.of(F(1, 1 << k))
+    for m, side in itertools.product(range(6, 41), (1, -1)):
+        w = _window(x, side, m)
+        if w is not None:
+            inner = DyadicInterval(w.lower + w.width / 4, w.upper - w.width / 4)
+            if all(abs(f.eval(p) - fx) < tol for p in probe_basis(f, inner, 5)):
+                return True
+    return False
+
+
+def _regulated_witness(f, x, k):
+    """On each side of x with room, a one-sided limit (its bracket at 2^-20)
+    and a window of radius 2^-m, m = k + 4..40, whose probe values past x
+    stay within 2^-k of that bracket (2^-(m-4) at the first window)."""
+    p, tol = Q2.of(x), F(1, 1 << k)
+    for side in (-1, 1):
+        lim = f.one_sided_limit(x, side, 20)
+        if lim is None:
+            if _window(x, side, 40) is not None:
+                return False
+            continue
+        lo, hi = Q2.of(lim.lo - tol), Q2.of(lim.hi + tol)
+        windows = [w for w in (_window(x, side, m) for m in range(k + 4, 41)) if w is not None]
+        if not any(all(lo <= f.eval(q) <= hi for q in probe_basis(f, w, 6)
+                       if (q > p if side > 0 else q < p)) for w in windows):
+            return False
+    return True
+
+
+def _bv_witness(f, bound, depth):
+    """The variation sum over the probe basis of [0,1] at depth, the finest
+    partition it holds, is at most bound; no bound witnesses nothing."""
+    if bound is None:
+        return False
+    vals = [f.eval(p) for p in probe_basis(f, DyadicInterval(0, 1), depth)]
+    return sum((abs(b - a) for a, b in zip(vals, vals[1:])), Q2.of(0)) <= Q2.of(bound)
+
+
+_TAG_WITNESSES = {USCO: _usco_witness, CLIQUISH: _cliquish_witness,
+                  QUASI_CONTINUOUS: _qc_witness, REGULATED: _regulated_witness, BV: _bv_witness}
+
+
+def witnessed(f, tag, *args):
+    """Whether the class tag's defining property holds of f at args, read
+    off plain probe bases: (x, k) for a pointwise tag, (bound, depth) for
+    BV."""
+    return _TAG_WITNESSES[tag](f, *args)
 
 
 def probe_predicate(query, rational_only, depth=7):
@@ -442,7 +533,7 @@ def plain_exists(q):
     if truth is Truth.NO:
         return NotFoundBelow(q.fuel)
     for d in range(min(q.fuel, grid_depth_cap(q.interval)) + 1):
-        for p in basis_at(q.f, q.interval, d):
+        for p in plain_probe_points(q.f, q.interval, d):
             v = q.f.eval(p)
             if (v > y) if above else (v < y):
                 return Found(MuWitness(d))
@@ -455,7 +546,7 @@ def plain_baire1_above(q):
     f, y = q.f_rep, F(q.threshold)
     last = f.witness_depth(y)
     for d in range(q.fuel + 1):
-        for p in basis_at(f, q.interval, d):
+        for p in plain_probe_points(f, q.interval, d):
             if (f.eval(p) > y if f.stabilizer is not None
                     else _baire1_value_above(f, p, y, q.fuel)):
                 return Found(MuWitness(d))

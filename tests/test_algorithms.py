@@ -715,11 +715,12 @@ def probe_states(scope):
 
 
 def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
-    """Rebuilding the basis for every threshold made 27, 55 and 34
-    `probe_points` calls for the first three runs, and every threshold of
-    `sup_qc` called `_range_on`: 21 at k = 20.  A halving keeps one probe
-    state per limit and interval in its query scope, which a second run in
-    the same scope reads; a threshold on a spike value of a limit with no
+    """Rebuilding the basis for every threshold built 27, 55 and 34 bases
+    for the first three runs, and every threshold of `sup_qc` called
+    `_range_on`: 21 at k = 20.  A halving keeps one probe state per limit
+    and interval in its query scope, which builds each probe depth up to
+    the grid cap at most once (`_ProbeState._grow`) and which a second run
+    in the same scope reads; a threshold on a spike value of a limit with no
     stabilizer is undecided.  An exact bracket, read once, decides every
     midpoint with no threshold query (at k = 20 the four runs below made 19
     or 20 `_witness` calls each, and their `Fraction`s grew with k); an
@@ -731,7 +732,7 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
             return sup_baire1(pennyk_limit(sqrt2_family()), p, q, 10)
 
         iv = DyadicInterval(p, q)
-        assert calls_to(run, universe.__file__, "probe_points") <= grid_depth_cap(iv) + 1, (p, q)
+        assert 0 < calls_to(run, oracle.__file__, "_grow") <= grid_depth_cap(iv) + 1, (p, q)
         # each point is evaluated once (one point check per evaluation), and
         # a second run on the same limit and interval in the same scope
         # evaluates nothing
@@ -744,8 +745,8 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
             points = {(x.p, x.q, x.d) for d in range(len(states[f, iv.ln, iv.un, iv.d].depths))
                       for x in basis_at(f, iv, d)}
             assert evaluations <= len(points), (p, q)
-            for name in ("probe_points", "_unit_point"):
-                assert calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__, name) == 0
+            for module, name in ((oracle, "_grow"), (universe, "_unit_point")):
+                assert calls_to(lambda: sup_baire1(f, p, q, 10), module.__file__, name) == 0
     for run, module in [(lambda k: sup_qc(make("four-piece"), 0, 1, k), piecewise),
                         (lambda k: inf_usco(make("four-piece"), F(1, 8), 1, k), piecewise),
                         (lambda k: sup_qc(thomae(), F(1, 4), F(3, 4), k), rational_spike),

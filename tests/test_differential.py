@@ -9,7 +9,8 @@ Beside the searches, builders and scans of the positive side, rows check
 the universe (`minimal-shift`, the banded shift; `locate`, the cut
 bisection; `index-of` and `member-scan` on seed sets; `below-witness`;
 `spike-scans` with the spike count; `range-brute` and `osc-exact`, brackets
-against sampled values), the variation operators (`running-variation`,
+against sampled values; `tag-witness`, each class tag a family claims
+against its defining property), the variation operators (`running-variation`,
 `total-variation`, `regulation-windows`) and the reductions
 (`grid-baseline`, `cliq-levels`, `sup-oracle`, `sup-extraction` with the
 bisection sets, `demo-abyss`).  The kernel's property tests on their own
@@ -40,11 +41,12 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    sup_baire1, sup_qc, tilde_set, total_variation_nbv)
 from abyss.category import _interior_numerators
 from abyss.collapse import _ball_clipped
-from abyss.oracle import _ProbeState
+from abyss.oracle import _ProbeState, basis_at
 from abyss.serialize import dumps, fn_json
 from abyss.sets import minimal_shift_into_band
 from abyss.spikes import CoverPsi
-from abyss.universe import NORMALISED_BV, USCO, irrational_inside, probe_points, query_scope
+from abyss.universe import (BV, CLIQUISH, NORMALISED_BV, QUASI_CONTINUOUS, REGULATED, USCO,
+                            irrational_inside, query_scope)
 from abyss.variation import _limit_pair, _regulated_within, _running_variation
 
 import references as ref
@@ -86,7 +88,8 @@ def random_intervals(rng, count, depth_below):
 def value_below_grid(f, entry, rng):
     """Four targets, and on a usco family but the ball-only sums five at the
     2^-8 margin: the top end of the smallest ball's inf bracket plus 2^-8,
-    just either side of it, that top end, and its bracket's midpoint."""
+    just either side of it, that top end, and its bracket's midpoint; then
+    the entry's own (point, target) pairs at each fuel."""
     for x, fuel in itertools.product(POINTS, FUELS):
         qs = [F(0), F(1, 8), F(1, 2), F(1)]
         if USCO in f.tags and "ball" not in entry["groups"]:
@@ -94,6 +97,8 @@ def value_below_grid(f, entry, rng):
             qs += [inf_b.hi + F(1, 256) + e for e in (F(-1, 1 << 40), F(0), F(1, 1 << 40))]
             qs += [inf_b.hi, (inf_b.lo + inf_b.hi) / 2]
         yield from ((ValueBelowOnBall(f, x, q, fuel),) for q in qs)
+    for (x, q), fuel in itertools.product(entry.get("slack-inf", []), FUELS):
+        yield ValueBelowOnBall(f, x, q, fuel),
 
 
 def osc_grid(f, entry, rng):
@@ -167,15 +172,19 @@ def summand(name):
     return make(name)
 
 
+# the second parts of the sums: steps at 1/3, 1/2 and 3/4, cuts that many
+# entries share; a step at the irrational cut sqrt2/4; and four pieces, one
+# of them quadratic
+SUMMANDS = ("staircase(3 steps)", "irrational-cut-staircase", "four-piece")
+
+
 def build_grid(f, entry, rng):
-    """f plus itself, so that every cut is shared, and plus every other
-    piecewise entry but the polynomial tables (all on the cuts j/6); f
-    scaled by c < 0, c = 0 and c > 0; the staircase on f's cuts; f's pieces
-    rebuilt by `from_polys` with and without a policy; and the constant and
-    the line of f's first piece."""
+    """f plus itself, so that every cut is shared, and plus each summand;
+    f scaled by c < 0, c = 0 and c > 0; the staircase on f's cuts; f's
+    pieces rebuilt by `from_polys` with and without a policy; and the
+    constant and the line of f's first piece."""
     yield "sum", f
-    yield from (("sum", summand(name)) for name, e in ENTRIES.items() if e is not entry
-                and "piecewise-build" in e["groups"] and "poly" not in e["groups"])
+    yield from (("sum", summand(name)) for name in SUMMANDS)
     yield from (("scale", c) for c in (F(-3, 2), F(0), F(5, 4)))
     yield "staircase", [(c, piece.coeffs()[0]) for c, piece in zip(f.cuts[1:-1], f.pieces[1:])]
     yield "from-polys", None
@@ -193,8 +202,9 @@ def probe_intervals(rng):
 
 
 def probe_grid(f, entry, rng):
-    """Every depth 0..8 on the probe intervals."""
-    return itertools.product(probe_intervals(rng), range(9))
+    """Every depth 0..8 on the probe intervals, depth 13 (past the grid cap
+    of the widest ones) and the refused depth -1."""
+    return itertools.product(probe_intervals(rng), [-1, *range(9), 13])
 
 
 def state_grid(f, entry, rng):
@@ -210,6 +220,26 @@ def state_depths(f, iv):
     built one depth at a time."""
     state = _ProbeState(f, iv)
     return [state.added(d) for d in range(state.cap + 1)]
+
+
+# the points and precisions at which each class tag a family claims is witnessed
+TAG_POINTS = rational_grid(UNIT, 3) + [F(1, 3), S2(0), S2(1), S2(2)]
+WITNESSED_TAGS = (USCO, CLIQUISH, QUASI_CONTINUOUS, REGULATED, BV)
+
+
+def tag_grid(f, entry, rng):
+    """Each of the five tags f claims at the tag points and precisions 2, 4
+    and 6, BV with the entry's bound at probe depths 3 and 8; then the
+    entry's refutations."""
+    for tag in (t for t in WITNESSED_TAGS if t in f.tags):
+        yield from ([(BV, entry.get("bv"), d) for d in (3, 8)] if tag == BV else
+                    ((tag, x, k) for x in TAG_POINTS for k in (2, 4, 6)))
+    yield from entry.get("refutes", [])
+
+
+def claims(f, tag, *args):
+    """The tag as the family claims it, alone in a tuple for the row's kinds."""
+    return ((tag,) if tag in f.tags else ("not " + tag,),)
 
 
 def built_table(g):
@@ -402,10 +432,20 @@ def spike_brackets_hold(f, got, want, iv, k, y, inside):
         p is None or (iv.contains(p) and f.eval(p) > y))
 
 
+def near_zero_and_half(rng):
+    """Intervals at 0 and 1/2, two points, and 20 drawn on the grid of 1024ths
+    (points among them)."""
+    ends = [(F(0), F(1, 1024)), (F(0), F(1, 3)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)),
+            (F(1, 4), F(1, 2)), (F(15, 32), F(17, 32))]
+    ends += [sorted(F(rng.randrange(0, 1025), 1024) for _ in range(2)) for _ in range(20)]
+    return [DyadicInterval(lo, hi) for lo, hi in ends]
+
+
 def cover_usco_grid(f, entry, rng):
     """Band boundaries, whole bands, runs of bands (some reaching past the
-    cap), random intervals and tight ones around members."""
-    ivs = random_intervals(rng, 12, 12)
+    cap), random intervals, tight ones around members, and intervals at 0
+    and 1/2."""
+    ivs = random_intervals(rng, 12, 12) + near_zero_and_half(random.Random(13))
     for n in range(0, 52, 4):
         edge = F(1, 1 << (n + 1))
         ivs += [DyadicInterval(edge, 2 * edge), DyadicInterval(edge / 4, edge),
@@ -476,8 +516,12 @@ def scan_proof(f, iv, k):
 
 
 def member_scan(f, iv, window):
-    args = (iv, *window) if window[1] is not None else (iv, window[0])
-    return f.a_set.first_member_in(*args), f.a_set.members_in(*args)
+    """The scan's hit, or None on a miss, and the members in iv, over the
+    window (limit, start), start by default when None."""
+    limit, start = window
+    hit = f.a_set._scan(iv, limit, start or 0)
+    args = (iv, limit) if start is None else (iv, limit, start)
+    return (hit if hit.__class__ is tuple else None), f.a_set.members_in(*args)
 
 
 def shift_grid(f, entry, rng):
@@ -523,12 +567,15 @@ def osc_holds(f, got, brute, x):
 
 def scope_grid(ks):
     """Rational and irrational points, members of a seed set, 0 and 1, each
-    asked for the precisions ks ascending, descending and shuffled."""
+    asked for the precisions ks ascending, descending and shuffled; and the
+    entry's own points, each with its precisions ascending and descending."""
     def grid(f, entry, rng):
         pts = [F(0), F(1), F(1, 2), F(1, 3), F(5, 16), S2(1), Q2(F(1, 3), F(1, 8))]
         if hasattr(f, "a_set"):
             pts += [p for _, p in f.a_set.members_upto(2)]
-        return [(p, order) for p in pts for order in (ks, ks[::-1], rng.sample(ks, len(ks)))]
+        own = [(p, order) for p, own_ks in entry.get("regulation", [])
+               for order in (own_ks, own_ks[::-1])]
+        return [(p, order) for p in pts for order in (ks, ks[::-1], rng.sample(ks, len(ks)))] + own
     return grid
 
 
@@ -727,7 +774,10 @@ ROWS = [
         lambda f, x, n, k: ref.sorted_fraction_modulus_qc(f, x, k, n, fuel=8),
         ("modulus-qc",), lambda f, entry, rng: itertools.product(
             [F(1, 2), F(5, 16), F(1, 3), S2(0)], (0, 1, 3, 5), (0, 3, 6, 9)), refusals=True),
-    Row("probe-points", probe_points, ref.plain_probe_points, ("probe",), probe_grid),
+    Row("probe-points", basis_at, ref.plain_probe_points, ("probe",), probe_grid, refusals=True),
+    Row("tag-witness", claims, ref.witnessed, ("tag-witness",), tag_grid,
+        lambda f, got, want, tag, *args: (got == ((tag,),)) == want,
+        kinds=frozenset(WITNESSED_TAGS) | {"not " + t for t in (USCO, REGULATED, BV)}),
     Row("cousin-subcover", lambda psi: cousin_subcover(psi), least_covering_prefix,
         ("gauge",), lambda f, entry, rng: [()]),
     Row("exists-value", search(mu_search), search(ref.plain_exists), ("exists",), exists_grid),

@@ -20,10 +20,9 @@ from abyss.collapse import _ball_clipped, _ball_walk
 from abyss.oracle import grid_depth_cap
 from abyss.universe import BAIRE1, BV, CLIQUISH, REGULATED, USCO
 
-from catalogue import FussyPenny, Slack, generic_limit, make
+from catalogue import FussyPenny, generic_limit, make
 from conftest import calls_to
-from references import (brute_ball_osc, outcome, plain_modulus_continuity,
-                        plain_point_of_continuity_qc, plain_value_below_on_ball, probe_predicate)
+from references import brute_ball_osc, outcome, probe_predicate
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -329,11 +328,11 @@ def test_only_the_shared_walk_loops_over_balls():
 def test_only_the_probe_state_walks_probe_depths():
     """A probe basis read inside a loop is a hand-written walk over probe
     depths, and `oracle._ProbeState` is the one walk: no function outside
-    its methods calls `basis_at` or `probe_points` inside a loop.  And no
-    class but `SymbolicFn` (None: the plain scan) and `_SpikeFamily`
-    defines `grid_max`."""
+    its methods calls `basis_at` inside a loop.  And no class but
+    `SymbolicFn` (None: the plain scan) and `_SpikeFamily` defines
+    `grid_max`."""
     import abyss
-    assert loop_calls({"basis_at", "probe_points"}, "_ProbeState") == []
+    assert loop_calls({"basis_at"}, "_ProbeState") == []
     grid_maxes = [node.name for path in Path(abyss.__file__).parent.glob("*.py")
                   for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.ClassDef)
@@ -439,24 +438,6 @@ def test_a_smallest_ball_that_fails_fails_the_walk():
     its answer; any other error there is a fault, and surfaces."""
     with pytest.raises(ZeroDivisionError, match="narrower than 2"):
         mu_search(OscBelow(BrokenPenny(A), F(1, 2), 3))
-
-
-def test_the_early_miss_keeps_its_margins_under_loose_brackets():
-    """Each walk's answer on a family bracketed as loosely as allowed is the
-    plain walk's, at the edge of each margin: the smallest ball's bracket
-    alone would wrongly say "miss" in every case but the last of each.  The
-    oscillation walk's 2^-(m+13) margin is the `osc-below` row's "margin"
-    entries."""
-    # inf 1/2 on every ball inside (1/4, 1], 0 on the first: the 2^-8 margin
-    rise = Slack(staircase([(F(1, 4), F(1, 2))]))
-    for y in (F(1, 2) + F(1, 512), F(1, 2) + F(1, 256) + F(1, 1 << 40)):
-        q = ValueBelowOnBall(rise, F(3, 4), y)
-        assert outcome(lambda: mu_search(q)) == outcome(lambda: plain_value_below_on_ball(q))
-    # oscillation exactly 1/2 on every ball inside (7/16, 33/64): a hit
-    # that only the low end of the smallest ball's bracket leaves open
-    f = Slack(staircase([(F(1, 2), F(1, 2)), (F(33, 64), F(1))]))
-    assert modulus_continuity_qc(f)(F(1, 2), 0) == plain_modulus_continuity(f, 64)(F(1, 2), 0) == 7
-    assert point_of_continuity_qc(f, 1) == plain_point_of_continuity_qc(f, 1, 64) == F(1, 2)
 
 
 def test_a_limit_search_below_zero_runs_out_of_fuel():

@@ -1,5 +1,6 @@
-"""Function universe: exact evaluation, constructors, witnessed class tags,
-ranges against brute force, serialization."""
+"""Function universe: exact evaluation, constructors, class tags (the
+`tag-witness` row witnesses them), ranges against brute force,
+serialization."""
 
 import ast
 import importlib
@@ -29,7 +30,7 @@ from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_B
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_staircase, random_subinterval)
 from conftest import calls_to, fraction_news
-from references import brute_values, loop_band_of, probe_basis
+from references import brute_values, loop_band_of, plain_probe_points
 
 A = sqrt2_family()
 S2 = Q2.sqrt2_scaled
@@ -179,132 +180,6 @@ def test_cover_tags():
     assert USCO in usco.tags and QUASI_CONTINUOUS not in usco.tags
 
 
-def test_cover_psi_usco_is_usco_at_probes():
-    """Defining property of upper semicontinuity, checked by brute force."""
-    psi = build_cover_psi(A, True)
-    probes = [F(1, 2), F(1, 4), F(3, 4), F(0), F(1), S2(0), S2(2), F(5, 8)]
-    for x in probes:
-        fx = psi.eval(x)
-        for k in (2, 4, 6):
-            target = fx + Q2.of(F(1, 1 << k))
-            ok = False
-            for n in range(2, 40):
-                p = Q2.of(x)
-                c = p.as_rational() if p.is_rational else p.approx(n + 8)
-                lo = max(F(0), c - F(1, 1 << n))
-                hi = min(F(1), c + F(1, 1 << n))
-                basis = probe_basis(psi, DyadicInterval(lo, hi), 6)
-                if all(psi.eval(pt) < target for pt in basis):
-                    ok = True
-                    break
-            assert ok, (x, k)
-
-
-def test_cover_psi_not_usco_witnessed():
-    """The plain covering instance fails upper semicontinuity at the copy."""
-    psi = build_cover_psi(A, False)
-    y0 = S2(0)  # band-0 member, value 2^-5
-    fx = psi.eval(y0)
-    target = fx + Q2.of(F(1, 64))  # below the base value 1/8
-    # every ball around the member keeps base-valued points at 1/8 >= target
-    for n in range(2, 20):
-        lo = (y0 - F(1, 1 << n)).bracket(40)[0]
-        hi = (y0 + F(1, 1 << n)).bracket(40)[1]
-        basis = probe_basis(psi, DyadicInterval(max(F(0), lo), min(F(1), hi)), 5)
-        assert any(psi.eval(pt) >= target for pt in basis)
-
-
-# --- witnessed class tags ---
-
-
-def _cliquish_witness(f, x, k, big_n=2) -> bool:
-    """Somewhere inside the 2^-big_n ball there is an open subinterval whose
-    grid oscillation (interior probes only) is below 2^-k."""
-    p = Q2.of(x)
-    c = p.as_rational() if p.is_rational else p.approx(big_n + 8)
-    lo = max(F(0), c - F(1, 1 << big_n))
-    hi = min(F(1), c + F(1, 1 << big_n))
-    for depth in (k + 2, k + 4):
-        grid = rational_grid(DyadicInterval(lo, hi), depth)
-        for a, b in zip(grid, grid[1:]):
-            vals = [f.eval(pt)
-                    for pt in probe_basis(f, DyadicInterval(a, b), depth + 4)
-                    if Q2.of(a) < pt < Q2.of(b)]
-            if not vals or max(vals) - min(vals) < Q2.of(F(1, 1 << k)):
-                return True
-    return False
-
-
-@pytest.mark.parametrize("fn_builder", [
-    thomae,
-    lambda: Penny(A),
-    lambda: build_cover_psi(A, False),
-    lambda: build_cover_psi(A, True),
-    lambda: TildePenny(A),
-    pytest.param(lambda: make("irrational-cut-staircase"), id="irrational_cut_staircase"),
-    pytest.param(lambda: make("vertex-off-its-piece"), id="vertex_off_its_piece"),
-])
-def test_cliquish_tag_witnessed(fn_builder):
-    f = fn_builder()
-    assert CLIQUISH in f.tags
-    for x in rational_grid(DyadicInterval(0, 1), 3) + [S2(0)]:
-        for k in (2, 4, 6):
-            assert _cliquish_witness(f, x, k), (f.kind, x, k)
-
-
-def test_usco_tag_witnessed_penny_thomae():
-    for f in (Penny(A), thomae()):
-        for x in [F(0), F(1, 3), F(1, 2), S2(0), S2(1), F(1)]:
-            fx = f.eval(x)
-            for k in (2, 5):
-                target = fx + Q2.of(F(1, 1 << k))
-                ok = False
-                p = Q2.of(x)
-                for n in range(2, 40):
-                    c = p.as_rational() if p.is_rational else p.approx(n + 8)
-                    lo = max(F(0), c - F(1, 1 << n))
-                    hi = min(F(1), c + F(1, 1 << n))
-                    if all(f.eval(pt) < target
-                           for pt in probe_basis(f, DyadicInterval(lo, hi), 6)):
-                        ok = True
-                        break
-                assert ok, (f.kind, x, k)
-
-
-def test_qc_tag_witnessed_on_staircase():
-    st = staircase([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))])
-    assert QUASI_CONTINUOUS in st.tags
-    for x in rational_grid(DyadicInterval(0, 1), 3):
-        fx = st.eval(x)
-        found = False
-        p = F(x)
-        for side in (1, -1):
-            a = p if side > 0 else p - F(1, 64)
-            b = p + F(1, 64) if side > 0 else p
-            a, b = max(F(0), a), min(F(1), b)
-            if a >= b:
-                continue
-            shrink = (b - a) / 4
-            inner = DyadicInterval(a + shrink, b - shrink)
-            vals = [st.eval(pt) for pt in probe_basis(st, inner, 5)]
-            if all(abs(v - fx) < Q2.of(F(1, 16)) for v in vals):
-                found = True
-        assert found, x
-
-
-def test_bv_tag_witnessed_random_partitions():
-    rng = random.Random(11)
-    f = Penny(A)
-    for _ in range(40):
-        pts = sorted(rng.sample(
-            [F(i, 256) for i in range(257)], rng.randrange(2, 12)))
-        pts = [p for _, p in A.members_upto(rng.randrange(0, 6))] + [Q2.of(p) for p in pts]
-        pts = sorted(pts)
-        total = sum((abs(f.eval(b) - f.eval(a)) for a, b in zip(pts, pts[1:])),
-                    Q2.of(0))
-        assert total <= Q2.of(2)  # the spike values sum to one, each jumps twice
-
-
 def test_normalised_bv_tag_staircase():
     st = staircase([(F(1, 2), F(1, 4))])
     assert NORMALISED_BV in st.tags
@@ -312,29 +187,6 @@ def test_normalised_bv_tag_staircase():
     lr_val = st.pieces[1](Q2.of(F(1, 2)))
     assert st.eval(F(1, 2)) == lr_val  # right-continuous at the jump
     assert NORMALISED_BV not in Penny(A).tags  # removable jumps break it
-
-
-def test_regulated_tag_witnessed():
-    f = Penny(A)
-    for x in [F(1, 3), S2(0), F(0)]:
-        for side in (-1, 1):
-            b = f.one_sided_limit(x, side, 20)
-            if b is None:
-                assert (Q2.of(x) == 0 and side < 0) or (Q2.of(x) == 1 and side > 0)
-                continue
-            # window values approach the limit
-            p = Q2.of(x)
-            c = p.as_rational() if p.is_rational else p.approx(30)
-            for m in (6, 10):
-                a, bnd = (c, min(F(1), c + F(1, 1 << m))) if side > 0 else \
-                    (max(F(0), c - F(1, 1 << m)), c)
-                if a >= bnd:
-                    continue
-                window = DyadicInterval(a, bnd)
-                vals = [f.eval(pt) for pt in probe_basis(f, window, 6)
-                        if Q2.of(pt) != p and f.a_set.index_of(Q2.of(pt)) is None]
-                assert all(abs(v - Q2.of(b.lo)) <= Q2.of(F(1, 1 << (m - 4)) + F(1, 1 << 18))
-                           for v in vals)
 
 
 def test_simply_continuous_tag_tilde():
@@ -378,29 +230,6 @@ def test_cluster_bounds_examples():
     psi = build_cover_psi(A, False)
     li, ls = psi.cluster_bounds(F(0), 20)
     assert li.lo == 0 and ls.lo == F(1, 8)
-
-
-def test_cover_usco_range_near_zero_and_boundaries():
-    """The banded values are the trickiest range logic: cross-check against a
-    plain evaluation loop on awkward intervals."""
-    psi = build_cover_psi(A, True)
-    rng = random.Random(13)
-    cases = [(F(0), F(1, 1024)), (F(0), F(1, 3)), (F(1, 4), F(1, 4)),
-             (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)), (F(15, 32), F(17, 32))]
-    for _ in range(20):
-        a = F(rng.randrange(0, 1025), 1024)
-        b = F(rng.randrange(0, 1025), 1024)
-        cases.append((min(a, b), max(a, b)))
-    for lo, hi in cases:
-        iv = DyadicInterval(lo, hi)
-        inf_b, sup_b = psi.range_on(iv, 14)
-        vals = [psi.eval(p) for p in probe_basis(psi, iv, 8)]
-        assert Q2.of(sup_b.hi) >= max(vals)
-        assert Q2.of(sup_b.lo) <= max(vals) or sup_b.exact
-        assert Q2.of(inf_b.lo) <= min(vals)
-        # the declared supremum is actually achieved by some probed value
-        if sup_b.exact:
-            assert any(v == Q2.of(sup_b.lo) for v in vals)
 
 
 def test_cover_usco_osc_at_band_boundary():
@@ -761,12 +590,11 @@ def test_hull_holds_every_exact_value():
     lies in the hull [lo, hi], and none equals an end marked open; the
     instances cover every kind a document can name."""
     from abyss.serialize import FN_KINDS, _type
-    from abyss.universe import probe_points
     instances = _hull_instances()
     assert {_type(entry[0]) for entry in FN_KINDS.values()} <= {type(f) for f in instances}
     for f in instances:
         lo, hi, lo_open, hi_open = f._hull()
-        for p in probe_points(f, DyadicInterval(0, 1), 8):
+        for p in plain_probe_points(f, DyadicInterval(0, 1), 8):
             v = f.eval(p)
             assert lo <= v <= hi, (f, p, v)
             assert not (lo_open and v == lo) and not (hi_open and v == hi), (f, p, v)

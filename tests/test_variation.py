@@ -19,8 +19,8 @@ from abyss import (ClassRefusal, CoverPsi, DyadicInterval, Penny, Q2, TildePenny
 from abyss import universe
 from abyss.composites import ScalarMultiple, Sum
 from abyss.limits import Indicator
+from abyss.oracle import basis_at
 from abyss.sets import ComplementOfR2Open, R2Rep
-from abyss.universe import probe_points
 
 from catalogue import build, random_staircase_plus_linear
 from conftest import calls_to
@@ -94,7 +94,7 @@ def test_composite_limits_jumps_and_oscillation(f, jumps, limits, positive):
     parts: jumps, one-sided limits, the oscillation they imply, positivity."""
     assert jump_enum(f) == [Q2.of(j) for j in jumps]
     lo, hi = f.range_bound()
-    basis = probe_points(f, DyadicInterval(0, 1), 0)
+    basis = basis_at(f, DyadicInterval(0, 1), 0)
     for x, sides in limits.items():
         got = limits_lr(f, x, 20)
         assert (got.left, got.right) == tuple(None if v is None else DyadicInterval(v, v)
