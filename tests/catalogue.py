@@ -693,23 +693,14 @@ for _name, _f in [("penny(sqrt2)", Penny(A)), ("penny(rational-seeds)", Penny(RA
                   ("staircase(1 at 1/2)", staircase([(F(1, 2), 1)])), ("x", linear(1))]:
     add("regulation-windows", _name, _f)
 
-# the regulation search resumed in one query scope: entries of every
-# regulated kind (not the sum whose parts jump at shared points: each of its
-# range reads gives up after 256 cells, ROADMAP item 16, in 76 ms on both of
-# the row's sides alike), and the staircases whose bumps show that a search
-# resumes only past trimmed windows, each at its point and precisions
-for _name in ("four-piece", "irrational-cut-staircase", "staircase(3 steps)",
-              "staircase(1 at 1/2)", "lone 1 at 5/32", "continuous(2401a)",
-              "staircase+linear(17-0)", "penny(sqrt2)", "penny(4 seeds)", "penny(sqrt2)/3",
-              "penny(rational-seeds)", "penny(mixed)/0", "penny(unit-rationals)",
-              "pennyk(sqrt2,3)", "tilde-penny(sqrt2)", "tilde-penny(irrational-seeds)", "thomae",
-              "cover-psi(seeds-2)/0", "cover-psi-usco(sqrt2)", "indicator(points)",
-              "indicator(complement)", "-thomae", "-3/4 indicator(complement)",
-              "1/3 + penny(sqrt2)", "indicator(1/3) + indicator(2/3)", "sum3(3201-0)",
-              "four-piece|not-qc", "pennyk-limit(sqrt2)", "constant-seq-limit(four-piece)",
-              "slack(1/2 at 1/4)"):
-    assert REGULATED in make(_name).tags, _name
-    ENTRIES[_name]["groups"].append("regulation")
+# every regulated entry feeds the regulation row, but the sum whose parts
+# jump at shared points: each of its range reads gives up after 256 cells
+# (ROADMAP item 16) in 76 ms, on both of the row's sides alike; and the
+# staircases whose bumps show that a search resumes only past trimmed
+# windows, each at its point and precisions
+for _name, _entry in ENTRIES.items():
+    if REGULATED in make(_name).tags and _name != _SHARED_JUMPS:
+        _entry["groups"].append("regulation")
 for _p, _steps, _ks in [
         (F(1, 2), [(F(1, 2) + F(1, 1 << 38), 1), (F(1, 2) + F(1, 1 << 36), 0),
                    (F(1, 2) + F(3, 1 << 25), 1)], [0, 6]),
