@@ -426,6 +426,16 @@ class DyadicInterval(_Ends):
         return "[%s, %s]" % (self._lo(), self._hi())
 
 
+def _dyadic(ln: int, un: int, d: int) -> DyadicInterval:
+    """The DyadicInterval [ln/d, un/d] of a triple already canonical: d > 0,
+    ln <= un and gcd(ln, un, d) = 1, so `of_ints`'s order check and gcd are
+    skipped.  Two consecutive numerators over a power of two are such a
+    triple."""
+    x = _new(DyadicInterval)
+    x.ln, x.un, x.d = ln, un, d
+    return x
+
+
 def ball(x, k: int) -> DyadicInterval:
     """The interval (x - 2^-k, x + 2^-k), recorded by its rational endpoints."""
     if k < 0:

@@ -12,7 +12,12 @@ The walks run on integer triples (ln, un, d), the interval [ln/d, un/d]:
 the bisection on a/2^j, the Cantor walk on a/3^n, and the nested intervals
 of the cliquishness and regulation realisers as `DyadicInterval`s.  A
 `SupOracle` is asked about a `DyadicInterval`, so the bisection hands it
-integer triples.  A `Fraction` is built only at the API: the ends a caller
+integer triples: each half [2a, 2a + 1]/2^(j+1) or [2a + 1, 2a + 2]/2^(j+1)
+has consecutive numerators, so it is in lowest terms as built and is made
+by `exact._dyadic`, with no gcd.  The checks of the cliquishness modulus
+work on the integers too: the canonical modulus compares the widths of
+its gaps on the walls' integers, and its answer is held against the ball
+on the integers of its ends.  A `Fraction` is built only at the API: the ends a caller
 hands to `SupOracle.__call__`, the answers of the oracles and moduli, the
 returned points and the reports.
 A precision k below 0 is refused with a `ValueError` that names it.
@@ -26,8 +31,8 @@ from typing import Callable, Optional
 from .category import _interior_numerators
 from .collapse import Modulus, _ball_clipped
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import (DyadicInterval, Q2, _check_precision, _ratio, _rational, _reduced, _vs,
-                    least_exponent, rational_grid)
+from .exact import (DyadicInterval, Q2, _check_precision, _dyadic, _ratio, _rational, _reduced,
+                    _sign_int, _vs, least_exponent, rational_grid)
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
@@ -68,7 +73,7 @@ def exhaustive_sup_oracle() -> SupOracle:
                 raise OracleInconsistency("exact supremum is irrational")
             return _answer(v.p, v.d)
         if isinstance(f, Penny) and ln >= 0 and un <= d:
-            n = f._top_spike(iv, 60)
+            n = f._top_spike(iv, 60)[0]
             if n is None:
                 raise OracleInconsistency("supremum not exactly attained on this family")
             return unit_dyadic(n) if n >= 0 else _ZERO
@@ -106,14 +111,16 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
     def fn(x, k, n):
         iv = _ball_clipped(x, n)
         # member i's spike 2^-(i+1) reaches 2^-k exactly when i < k
-        blockers = sorted(p for _, p in a_set.members_in(iv, k))
-        walls = [_reduced(iv.ln, 0, iv.d)] + blockers + [_reduced(iv.un, 0, iv.d)]
-        best = None
-        for lo, hi in zip(walls, walls[1:]):
-            width = hi - lo
-            if best is None or width > best[1]:
-                best = ((lo, hi), width)
-        (lo, hi), _ = best
+        walls = [_reduced(iv.ln, 0, iv.d)]
+        walls += sorted(p for _, p in a_set.members_in(iv, k))
+        walls.append(_reduced(iv.un, 0, iv.d))
+        # the widest gap, the first on a tie: the width of [a, b] is
+        # (wp + wq sqrt2)/we, and two widths compare as `Q2._cmp` compares
+        lo = hi = None
+        for a, b in zip(walls, walls[1:]):
+            wp, wq, we = b.p * a.d - a.p * b.d, b.q * a.d - a.q * b.d, a.d * b.d
+            if lo is None or _sign_int(wp * be - bp * we, wq * be - bq * we) > 0:
+                lo, hi, bp, bq, be = a, b, wp, wq, we
         # at most k walls split a ball of width >= 2^-(n+1): the widest gap
         # exceeds 2^-(n+k+1), far more than the two nudges of 2^-(n+k+12)
         prec = n + k + 12
@@ -230,11 +237,12 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j]:
     the oracle is asked about the left half [2a, 2a + 1]/2^(j+1), and,
     when the supremum is not there, about the right half, which must hold
-    it.  Its answers are compared with the round's supremum sn/sd on their
-    integers."""
+    it.  The halves are built in lowest terms (`exact._dyadic`).  The
+    round's supremum sn/sd is a spike value when sn = 1 and sd is a power
+    of two, and every answer is compared with it on the integers."""
     _check_precision(k)
     out = []
-    sup, interval = oracle.sup, DyadicInterval.of_ints
+    sup = oracle.sup
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = Penny(a_set, out[-1].index + 1 if out else 0)
@@ -242,33 +250,30 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         sn, sd = _ratio(s)
         if not sn:
             break
-        idx = Penny.spikes_above(s) if sn > 0 else None
-        if idx is None or f.spike_value(idx) != s:
+        # a spike value 2^-(idx+1) is 1 over a power of two at least 2
+        if sn != 1 or sd < 2 or sd & (sd - 1):
             raise OracleInconsistency("supremum %s is not a spike value" % (s,))
+        idx = sd.bit_length() - 2
         if idx < f.start:
             raise OracleInconsistency("supremum %s is the stripped spike %d" % (s, idx))
         if a_set.size is not None and idx >= a_set.size:
             raise OracleInconsistency("supremum %s is spike %d of a %d-point seed set"
                                       % (s, idx, a_set.size))
         a = 0
-        bits = []
         for j in range(k):
-            d = 2 << j
-            left = sup(f, interval(2 * a, 2 * a + 1, d))
+            a, d = 2 * a, 2 << j  # ties break toward the left half
+            left = sup(f, _dyadic(a, a + 1, d))
             if left is not s:  # the round's own object needs no integers
                 ln, ld = _ratio(left)
                 if ln * sd > sn * ld:
                     raise OracleInconsistency("supremum grew on a subinterval")
                 if ln != sn or ld != sd:
-                    right = sup(f, interval(2 * a + 1, 2 * a + 2, d))
+                    a += 1
+                    right = sup(f, _dyadic(a, a + 1, d))
                     if right is not s and _ratio(right) != (sn, sd):
                         raise OracleInconsistency("supremum vanished on both halves")
-                    a = 2 * a + 1
-                    bits.append("1")
-                    continue
-            a = 2 * a  # ties break toward the left half
-            bits.append("0")
-        out.append(SupExtraction(idx, s, "".join(bits), interval(a, a + 1, 1 << k)))
+        # the bits are a's k binary digits, read past the leading 1 of 2^k + a
+        out.append(SupExtraction(idx, s, bin(a + (1 << k))[3:], _dyadic(a, a + 1, 1 << k)))
     return out
 
 
@@ -325,18 +330,21 @@ def _checked_cliq_answer(modulus: CliqModulusOracle, a_set: CountableSet, x: Q2,
                          k: int, n: int) -> DyadicInterval:
     """The modulus's interval [c, d] for (x, k, n), checked against its
     defining bound: it lies in the prescribed ball, and no member whose spike
-    reaches 2^-k (index below k) lies strictly inside it."""
-    c, d = (_rational(e) for e in modulus(x, k, n))
+    reaches 2^-k (index below k) lies strictly inside it.  The ends are
+    compared on their integers, over the one denominator of [c, d]."""
+    c, d = modulus(x, k, n)
+    (cn, ce), (dn, de) = _ratio(c), _ratio(d)
+    ln, un, e = cn * de, dn * ce, ce * de
     ball = _ball_clipped(x, n)
-    if not (c < d and ball.contains(c) and ball.contains(d)):
+    if not (ln < un and ball.ln * e <= ln * ball.d and un * ball.d <= ball.un * e):
         raise InvalidModulus("returned interval escapes the prescribed ball")
-    answer = DyadicInterval(c, d)
+    answer = DyadicInterval.of_ints(ln, un, e)
     for i, p in a_set.members_in(answer, k):
         if answer.contains_interior(p):
             # pair (member, any rational in the interval) violates the bound
             raise InvalidModulus(
                 "interval (%s, %s) contains member %d with spike %s >= 2^-%d"
-                % (c, d, i, Penny.spike_value(i), k))
+                % (_rational(c), _rational(d), i, Penny.spike_value(i), k))
     return answer
 
 
@@ -368,7 +376,7 @@ def realiser_from_regulation_modulus(modulus: Modulus,
             depth = max(2, least_exponent(w, 8 * d))
             for gn in _interior_numerators(iv, depth):
                 g = _reduced(gn, 0, 1 << depth)
-                v = f.eval(g)
+                v = f._eval(g)  # g lies inside iv, a subinterval of [0,1]
                 if not v.q and v.p << j < v.d:  # f(g) < 2^-j
                     m = modulus(g, j + 2)
                     # the ball around g of radius s/2 = hn/hd, where

@@ -64,7 +64,8 @@ class CountableSet:
         finite set shorter than limit has none past its end.  A cached
         member is read straight from the cache, and decided against iv's two
         ends on the integers in this loop."""
-        hi = limit if self.size is None else min(limit, self.size)
+        size = self.size
+        hi = limit if size is None or size > limit else size
         ln, d, w = iv.ln, iv.d, iv.un - iv.ln
         descend = self.values_descend
         cached = self._cache.get
@@ -164,11 +165,18 @@ def band_of(x, half_open=True) -> Optional[int]:
     # the least n >= 0 with 2^(n+1) >= t = 1/x, read off m = floor(t) and
     # whether t = m: for a rational n/d, m = d // n and t = m iff n divides d
     if x.__class__ is Q2 and x.q:
-        if x.sign() <= 0 or (x >= 1 if half_open else x > 1):
+        # an irrational x = (p + q sqrt2)/d is neither 0, 1 nor 1/t for an
+        # integer t; t = d (p - q sqrt2)/(p^2 - 2 q^2) is floored as
+        # `Q2.__floor__` floors, over a positive denominator
+        p, q, d = x.p, x.q, x.d
+        if _sign_int(p, q) < 0 or _sign_int(p - d, q) > 0:
             return None
-        t = Q2.of(1) / x
-        m = math.floor(t)
-        whole = t == m
+        tp, tq, td = d * p, -d * q, p * p - 2 * q * q
+        if td < 0:
+            tp, tq, td = -tp, -tq, -td
+        r = math.isqrt(2 * tq * tq)
+        m = (tp + (r if tq > 0 else -r - 1)) // td
+        whole = False
     else:
         n, d = (x.p, x.d) if x.__class__ is Q2 else _ratio(x)
         if n <= 0 or (n >= d if half_open else n > d):

@@ -123,30 +123,29 @@ class Penny(_SpikeFamily):
     def _hull(self):
         return _Q0, Q2.of(self.spike_value(self.start)), False, False
 
-    def _limit(self, k):
-        """The scan window of a read at precision k: every spike past it is
-        at most 2^-(k+5), within the width the read allows; a bounded
-        window is scanned whole."""
-        return max(k + 4, 8) if self.stop is None else self.stop
-
-    def _top_spike(self, iv, k) -> Optional[int]:
-        """One first-hit scan of iv up to the limit of precision k: the index
-        of the largest spike in iv, -1 when the scan proves iv holds none,
-        None when only spikes past the limit may lie in iv.  `_range_on`
-        and the exhaustive supremum oracle both answer through it."""
-        limit = self._limit(k)
+    def _top_spike(self, iv, k) -> tuple[Optional[int], int]:
+        """One first-hit scan of iv at precision k, as (n, limit): n is the
+        index of the largest spike in iv, -1 when the scan proves iv holds
+        none, None when only spikes past the scan window may lie in iv, and
+        the window ends at index limit.  Every spike past it is at most
+        2^-(k+5), within the width a read at precision k allows; a bounded
+        window is scanned whole.  `_range_on` and the exhaustive supremum
+        oracle both answer through it, so they keep one window rule."""
+        limit = self.stop
+        if limit is None:
+            limit = k + 4 if k > 4 else 8
         hit = self.a_set._scan(iv, limit, self.start)
         if hit.__class__ is tuple:  # index below limit: no later spike reaches it
-            return hit[0]
+            return hit[0], limit
         if hit < limit or self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
-            return -1
-        return None
+            return -1, limit
+        return None, limit
 
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are read from the shared table
-        n = self._top_spike(iv, k)
+        n, limit = self._top_spike(iv, k)
         if n is None:
-            return _ZERO, Bracket.of_ints(0, 1, 2 << self._limit(k))
+            return _ZERO, Bracket.of_ints(0, 1, 2 << limit)
         return _ZERO, (unit_dyadic_bracket(n) if n >= 0 else _ZERO)
 
     def _witness_above(self, iv, y):

@@ -269,7 +269,8 @@ class SymbolicFn:
         """Bracket of f(x+) (side=+1) or f(x-) (side=-1); None when the point
         has no approach from that side within [0,1] or no limit exists."""
         p = _unit_point(x)
-        if (p <= 0 and side < 0) or (p >= 1 and side > 0):
+        # p is in [0,1], so only a rational p = n/d can be an end: 0 <= n <= d
+        if not p.q and (side < 0 and p.p <= 0 or side > 0 and p.p >= p.d):
             return None
         return self._one_sided_limit(p, side, k)
 

@@ -176,7 +176,7 @@ def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
             lo, hi = max(0, hi_pt - r), lo_pt
         if lo >= hi:
             continue
-        if p.is_rational:
+        if not p.q:
             # the window ends at p; leave p itself out unless that empties it
             if side > 0 and lo + eps < hi:
                 lo += eps
@@ -207,14 +207,23 @@ def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, REGULATED, "modulus_regulation")
 
     def least(p, k):
-        found = query_state().setdefault(("regulation", f, p), {})
+        # keyed by p's integers, as the "range" keys are: a rational `Q2`
+        # hashes through a `Fraction`
+        found = query_state().setdefault(("regulation", f, p.p, p.q, p.d), {})
         limits = _limit_pair(f, p, k)
-        for m in range(max((m for k0, m in found.items() if k0 <= k), default=0), fuel + 1):
+        start = 0
+        for k0, m in found.items():
+            if k0 <= k and m > start:
+                start = m
+        for m in range(start, fuel + 1):
             if _regulated_within(f, p, m, k, limits):
                 if p.q:
                     found[k] = m
-                elif all(e << (k + 24) > p.d for e in (p.p, p.d - p.p) if e):
-                    found[k] = min(m, k + 23)  # trimmed while 2^-(m+1) > 2^-(k+24)
+                else:
+                    # p's room on each side that has any, n/d and r/d
+                    n, r, t = p.p, p.d - p.p, k + 24
+                    if (not n or n << t > p.d) and (not r or r << t > p.d):
+                        found[k] = min(m, k + 23)  # trimmed while 2^-(m+1) > 2^-(k+24)
                 return m
         raise FuelExhausted("no regulation exponent found within fuel")
 

@@ -34,8 +34,13 @@ def no_open_query_scope():
         pytest.fail("the test left a query scope open")
 
 
+# set on a test item once its `deadline` fixture is set up, however the
+# test asked for it (by name or through `request.getfixturevalue`)
+DEADLINE_SET_UP = pytest.StashKey[bool]()
+
+
 @pytest.fixture
-def deadline():
+def deadline(request):
     """`deadline(seconds)` fails the test once it has used that much CPU
     time, so an unbounded search fails quickly instead of stalling the
     suite, and a stall of the host (another process on the CPU) fails
@@ -49,6 +54,7 @@ def deadline():
 
     armed = []
     old = signal.signal(signal.SIGPROF, on_alarm)
+    request.node.stash[DEADLINE_SET_UP] = True
 
     def arm(seconds):
         armed[:] = [seconds]
@@ -66,7 +72,7 @@ def pytest_runtest_call(item):
     """A `deadline` times the test body alone: an alarm that fired while
     pytest formats the failure would replace the report with its own."""
     yield
-    if "deadline" in item.fixturenames:
+    if item.stash.get(DEADLINE_SET_UP, False):
         signal.setitimer(signal.ITIMER_PROF, 0)
 
 

@@ -1,6 +1,7 @@
 """Per-kind op times of one benchmark run, to see which kinds a change moved.
 
     python3 tests/op_kinds.py --workload positive-mix --seed 101 [--tree DIR] [--fractions]
+                              [--by-label]
 
 Loads the workload of the tree DIR (default: this tree) through
 `perfbench/core.load_workload`, runs one run's timed passes through
@@ -11,6 +12,12 @@ above the run's p50 and p90 (the nearest-rank percentiles of `core`).
 Then, for each of the p50 and p90, the ops at the nearest ranks around it
 (three either side), each with its latency and kind: the kinds that set
 the percentile, which a change must speed up to move it.
+
+With --by-label it also prints one line per instance, an op kind and its
+label, slowest median first: its ops, its median latency, and how many of
+its ops sit at or above the p50 and p90.  A kind whose instances differ in
+size (a seeded finite set and the shared sqrt2 set) shows there which of
+them sit above a percentile.
 
 With --fractions it runs the same passes again, untimed, and adds each
 kind's `Fraction` constructions per op made by abyss itself: a construction
@@ -57,6 +64,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", default=str(ROOT), help="a checkout with src/ and perfbench/")
     ap.add_argument("--fractions", action="store_true",
                     help="also count the Fractions abyss builds per op")
+    ap.add_argument("--by-label", action="store_true",
+                    help="also print each instance's median and its ops at or above p50 and p90")
     args = ap.parse_args(argv)
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
@@ -94,6 +103,19 @@ def main(argv=None) -> int:
             width, kind, len(ks), 100 * sum(ks) / total, 1000 * median(ks),
             sum(x >= p50 for x in ks), sum(x >= p90 for x in ks),
             "  %12.1f" % (sum(made) / len(made)) if made else ""))
+    if args.by_label:
+        by_label = {}
+        for x, op in zip(lat, (op for ops in passes for op in ops)):
+            by_label.setdefault((op.kind, op.label), []).append(x)
+        rows = sorted(by_label.items(), key=lambda kv: -median(kv[1]))
+        width = max(len("%s %s" % key) for key in by_label)
+        print("\n%-*s %5s %10s %6s %6s" % (width, "kind label", "ops", "median ms", ">=p50",
+                                           ">=p90"))
+        for (kind, label), ks in rows:
+            print("%-*s %5d %10.4f %6d %6d" % (width, "%s %s" % (kind, label), len(ks),
+                                               1000 * median(ks), sum(x >= p50 for x in ks),
+                                               sum(x >= p90 for x in ks)))
+        print()
     ranked = sorted(zip(lat, (op.kind for ops in passes for op in ops)))
     for q, value in ((50, p50), (90, p90)):
         rank = [x for x, _ in ranked].index(value) + 1

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction as F
 
 from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DomainError, DyadicInterval,
-                   ExistsValueAbove, ExistsValueBelow, Found, FuelExhausted, MuWitness,
+                   ExistsValueAbove, ExistsValueBelow, Found, FuelExhausted, Indicator, MuWitness,
                    NotFoundBelow, OracleInconsistency, OscBelow, Penny, PennyK, PiecewiseRational,
                    Q2, RMCode, SupOracle, Thomae, UnsupportedVariant, ValueBelowOnBall,
                    canonical_cliq_modulus, exhaustive_sup_oracle, extract_enumeration_from_sup,
@@ -194,6 +194,9 @@ def probe_basis(f, iv: DyadicInterval, depth: int, member_limit=32):
         if isinstance(g, Thomae):
             pts += [Q2.of(F(i, q)) for q in range(1, depth + 2) for i in range(
                 -(-iv.lower * q // 1), iv.upper * q // 1 + 1) if 0 <= F(i, q) <= 1]
+        if isinstance(g, Indicator):  # the set's points and component ends
+            pts += [Q2.of(e) for a, b in g.closed_set.component_intervals() for e in (a, b)
+                    if iv.contains(e)]
         if isinstance(g, PiecewiseRational):
             pts += [c for c in g.cuts if iv.contains(c)]
             vertices = map(_plain_vertex, g.pieces)
@@ -909,6 +912,17 @@ def loop_band_of(x, half_open=True):
     while p < F(1, 1 << (n + 1)):
         n += 1
     return n
+
+
+def q2_band_of(x, half_open=True):
+    """`band_of` read through `Q2` arithmetic: the bit length of m =
+    floor(1/x), one less when 1/x = m is a power of two."""
+    p = Q2.of(x)
+    if p.sign() <= 0 or (p >= 1 if half_open else p > 1):
+        return None
+    t = Q2.of(1) / p
+    m = math.floor(t)
+    return max(m.bit_length() - 1 - (t == m and m & (m - 1) == 0), 0)
 
 
 def plain_minimal_shift(a, n):

@@ -15,12 +15,13 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, ComplementOfR2Open, D
                    lsco_modulus_on_cf, modulus_continuity_qc, modulus_qc, modulus_regulation,
                    mu_search, natural_usco_modulus, oracle, osc_point, pennyk_limit,
                    point_of_continuity_qc, point_of_continuity_usco, rational_grid,
-                   rational_spike, restrict_tags, rm_code_from_r2_baire1, sqrt2_family, spikes,
-                   staircase, sup_baire1, sup_qc, thomae, piecewise, universe,
-                   usco_separator, variation)
+                   rational_spike, reductions, restrict_tags, rm_code_from_r2_baire1, sets,
+                   sqrt2_family, spikes, staircase, sup_baire1, sup_qc, thomae, piecewise,
+                   universe, usco_separator, variation)
 from abyss.composites import Sum
 from abyss.oracle import DEFAULT_FUEL, basis_at, grid_depth_cap
-from abyss.reductions import canonical_regulation_modulus, realiser_from_regulation_modulus
+from abyss.reductions import (canonical_cliq_modulus, canonical_regulation_modulus, demo_abyss,
+                              realiser_from_cliq_modulus, realiser_from_regulation_modulus)
 from abyss.universe import CLIQUISH, QUASI_CONTINUOUS, query_scope, query_state
 
 from catalogue import ENTRIES, Blurred, make
@@ -686,6 +687,13 @@ QUERY_COUNTS = [
     ("regulation realiser, sqrt2, k = 16, fuel 16",
      lambda: realiser_from_regulation_modulus(canonical_regulation_modulus(A), A, 16, 16),
      [(variation, "_regulated_within"), (spikes, "_range_on")], [36, 67]),
+    # one checked answer per upfront probe (4) and per level (18), and the
+    # member scans of the modulus and of its check
+    ("cliquishness realiser, sqrt2, k = 16, fuel 16",
+     lambda: realiser_from_cliq_modulus(canonical_cliq_modulus(A), A, 16, 16),
+     [(reductions, "_checked_cliq_answer"), (sets, "_scan")], [22, 52]),
+    # one 8-round extraction: 8 + 8 * 16 left halves and 43 right halves
+    ("demo_abyss, sqrt2", lambda: demo_abyss(A), [(reductions, "sup")], [179]),
     # one scope over the stages: each ball supremum read once (not kept: 32)
     ("point_of_continuity_usco, penny(sqrt2), k = 6",
      lambda: point_of_continuity_usco(Penny(A), natural_usco_modulus(Penny(A)), 6),

@@ -43,7 +43,7 @@ from abyss.category import _interior_numerators
 from abyss.collapse import _ball_clipped
 from abyss.oracle import _ProbeState, basis_at
 from abyss.serialize import dumps, fn_json
-from abyss.sets import minimal_shift_into_band
+from abyss.sets import band_of, minimal_shift_into_band
 from abyss.spikes import CoverPsi
 from abyss.universe import (BV, CLIQUISH, NORMALISED_BV, QUASI_CONTINUOUS, REGULATED, USCO,
                             irrational_inside, query_scope)
@@ -507,9 +507,8 @@ def scan_proof(f, iv, k):
     """How the one first-hit scan at precision k ended (a hit, or a miss
     whose end lies below the scan limit or at it) and `_top_spike`'s
     verdict: the largest spike's index, -1 for none, None for unknown."""
-    limit = f._limit(k)
+    n, limit = f._top_spike(iv, k)
     end = f.a_set._scan(iv, limit, f.start)
-    n = f._top_spike(iv, k)
     if end.__class__ is tuple:
         return ("hit",), n
     return ("%s: %s" % ("ended below the limit" if end < limit else "ran to the limit", n),), n
@@ -549,6 +548,23 @@ def shift_grid(f, entry, rng):
                   (Q2(F(2, 3), F(-1, 1 << n)), n), (Q2(1, F(-1, 2)), n)]
     return cases + [(Q2(F(3, 7), F(1, 32)), 22), (Q2(F(5, 9), F(-1, 64)), 21), (Q2(-1), 0),
                     (Q2(F(5, 2)), 1), (Q2(3), 0)]
+
+
+def band_grid(f, entry, rng):
+    """The minimal-shift row's points and each point its shift moves into
+    its band (an irrational point of that band when the point is
+    irrational); and the points sqrt2/2^(n+40) either side of each band end
+    2^-(n+1), n < 64, where 1/x lies just below or just above a power of
+    two.  Each is read half-open and closed."""
+    pts = []
+    for a, n in shift_grid(f, entry, rng):
+        pts.append(a)
+        try:
+            pts.append(a - minimal_shift_into_band(a, n))
+        except ValueError:  # no rational of [-1,1] shifts it into band n
+            pass
+    pts += [Q2(F(1, 1 << (n + 1)), F(side, 1 << (n + 40))) for n in range(64) for side in (1, -1)]
+    return [(x, half_open) for x in pts for half_open in (True, False)]
 
 
 def index_grid(f, entry, rng):
@@ -831,6 +847,9 @@ ROWS = [
     Row("minimal-shift", lambda f, a, n: minimal_shift_into_band(a, n),
         lambda f, a, n: ref.plain_minimal_shift(a, n), ("minimal-shift",), shift_grid,
         refusals=True, min_checks=1248),
+    Row("band-of", lambda f, x, half_open: band_of(x, half_open),
+        lambda f, x, half_open: ref.q2_band_of(x, half_open), ("minimal-shift",), band_grid,
+        min_checks=5424),
     Row("grid-baseline", naive_rational_sup, ref.plain_grid_max, ("grid-baseline",),
         grid_baseline_grid, budget=("grid baselines", 30), min_checks=3478),
     Row("cliq-levels", cliq_levels, lambda f, k, fuel: ref.plain_cliq_walk(f.a_set, k, fuel),
@@ -885,8 +904,10 @@ def test_fast_path_answers_as_its_reference(row, name, request):
 def test_a_deadline_leaves_the_failure_report_to_pytest(pytester):
     """A budget fails a case that runs long, yet a case that fails in time
     reports its own error, even when formatting the error outlasts the
-    deadline: the alarm is off once the test body ends.  The deadline counts
-    CPU time, so the formatting spins rather than sleeps."""
+    deadline: the alarm is off once the test body ends, whether the test
+    named the fixture or asked for it through `request.getfixturevalue`, as
+    a budgeted row does.  The deadline counts CPU time, so the formatting
+    spins rather than sleeps."""
     pytester.makeconftest(Path(__file__).with_name("conftest.py").read_text())
     pytester.makepyfile("""
         import time
@@ -901,10 +922,14 @@ def test_a_deadline_leaves_the_failure_report_to_pytest(pytester):
         def test_fails_in_time(deadline):
             deadline(0.2)
             raise SlowToRead()
+
+        def test_fails_in_time_asked_by_request(request):
+            request.getfixturevalue("deadline")(0.2)
+            raise SlowToRead()
     """)
     result = pytester.runpytest_subprocess()
-    result.assert_outcomes(failed=1)
-    result.stdout.fnmatch_lines(["E   *SlowToRead: the case's own message"])
+    result.assert_outcomes(failed=2)
+    result.stdout.fnmatch_lines(["E   *SlowToRead: the case's own message"] * 2)
 
 
 def test_every_row_reads_two_entries_and_every_entry_feeds_a_row():
