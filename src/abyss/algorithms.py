@@ -16,11 +16,10 @@ from typing import TYPE_CHECKING, Callable
 
 import abyss
 
-from .collapse import (Modulus, _ball_clipped, _ball_walk, _osc_on, require_limit,
-                       require_rule)
+from .collapse import Modulus, ball_clipped, ball_walk, osc_on, require_limit, require_rule
 from .errors import FuelExhausted
-from .exact import (DEFAULT_FUEL, DyadicInterval, FueledBool, Q2, Truth, _check_precision,
-                    _grid, _ratio, _reduced, _subinterval, _vs, grid_depth_cap)
+from .exact import (DEFAULT_FUEL, Q2, DyadicInterval, FueledBool, Truth, check_precision,
+                    grid_depth_cap, grid_of, ratio, reduced, sign_vs, subinterval)
 from .universe import SymbolicFn, osc_exact, query_scope, threshold_precision
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
@@ -39,7 +38,7 @@ def _halve_values(lo: Fraction, hi: Fraction, k: int,
     decide(n, m), asked about the midpoint n/m, answers `keep_upper_on`,
     else the lower half (deterministic tie-break).  The ends are ln/d and
     un/d, and each step doubles d."""
-    (ln, d), (un, e) = _ratio(lo), _ratio(hi)
+    (ln, d), (un, e) = ratio(lo), ratio(hi)
     ln, un, d = ln * e, un * d, d * e
     with query_scope():
         while (un - ln) << k > d:
@@ -78,8 +77,8 @@ def _halve_extreme(f: SymbolicFn, iv: DyadicInterval, k: int, above: bool) -> Dy
 def sup_qc(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     """Width-2^-k interval containing sup f over [p,q]; admitted for functions
     whose class collapses 'exists a value above y' to rational points."""
-    _check_precision(k)
-    iv = _subinterval(p, q)
+    check_precision(k)
+    iv = subinterval(p, q)
     require_rule("ExistsValueAbove", f, "sup_qc")
     return _halve_extreme(f, iv, k, True)
 
@@ -88,8 +87,8 @@ def inf_usco(f: SymbolicFn, p, q, k: int) -> DyadicInterval:
     """Width-2^-k interval containing inf f over [p,q] for upper
     semicontinuous (bounded below) functions: no value below mid keeps the
     upper half."""
-    _check_precision(k)
-    iv = _subinterval(p, q)
+    check_precision(k)
+    iv = subinterval(p, q)
     require_rule("ExistsValueBelow", f, "inf_usco")
     return _halve_extreme(f, iv, k, False)
 
@@ -99,11 +98,11 @@ def sup_baire1(f_rep: Baire1Limit, p, q, k: int, fuel: int = DEFAULT_FUEL) -> Dy
     tail condition 'terms stay above the threshold' is bounded by the
     convergence modulus, making each halving step arithmetical; every
     midpoint is read off one probe walk, with no search."""
-    _check_precision(k)
-    iv = _subinterval(p, q)
+    check_precision(k)
+    iv = subinterval(p, q)
     require_limit(f_rep, "sup_baire1")
     lo, hi = f_rep.range_bound()
-    return _halve_values(lo, hi, k, abyss.oracle._baire1_midpoints(f_rep, iv, fuel))
+    return _halve_values(lo, hi, k, abyss.oracle.baire1_midpoints(f_rep, iv, fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +114,15 @@ def osc_point(f: SymbolicFn, x, k: int, fuel: int = DEFAULT_FUEL) -> DyadicInter
     """Width-2^-k interval containing the oscillation of f at x, computed as
     the decreasing limit of ball suprema minus ball infima and pinned by the
     exact cluster analysis of the universe."""
-    _check_precision(k)
+    check_precision(k)
     require_rule("OscBelow", f, "osc_point")
     p = Q2.of(x)
     limit_b = osc_exact(f, p, k + 1)  # width <= 2^-(k+2)
     lo = max(Fraction(0), limit_b.lo)
     # w.hi <= limit_b.hi + 2^-(k+2), cross-multiplied over w.d limit_b.d 2^(k+2)
     bound, e = (limit_b.un << (k + 2)) + limit_b.d, limit_b.d << (k + 2)
-    for n, ball in _ball_walk(p, fuel):
-        w = _osc_on(f, ball, k + 4)
+    for n, ball in ball_walk(p, fuel):
+        w = osc_on(f, ball, k + 4)
         if w.un * e <= bound * w.d:
             hi = max(lo, min(w.hi, limit_b.hi))
             return DyadicInterval(lo, hi)
@@ -152,11 +151,11 @@ def modulus_continuity_qc(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
 
     def least(p, m):
         def gone(ball):  # oscillation above 2^-(m+1) on the smallest ball
-            w = _osc_on(f, ball, m + 6)
+            w = osc_on(f, ball, m + 6)
             return w.ln << (m + 1) > w.d
 
-        for n, ball in _ball_walk(p, fuel, gone=gone):
-            w = _osc_on(f, ball, m + 6)
+        for n, ball in ball_walk(p, fuel, gone=gone):
+            w = osc_on(f, ball, m + 6)
             if w.un << (m + 1) <= w.d:  # oscillation <= 2^-(m+1)
                 return n
         return 0
@@ -177,29 +176,29 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
     bracket holds its end values, so a cell with an end outside the caps
     fails unread: each grid point is evaluated once, when a cell first asks.
     """
-    _check_precision(k)
+    check_precision(k)
     p = Q2.of(x)
     fx = f.eval(p)
-    tol = _reduced(1, 0, 1 << k)
+    tol = reduced(1, 0, 1 << k)
     lo_cap, hi_cap = fx - tol, fx + tol  # values must lie strictly between
     inside: dict = {}  # (numerator, denominator) of a grid point -> f there between the caps
 
     def in_band(c: int, den: int) -> bool:
         if (c, den) not in inside:
-            inside[c, den] = lo_cap < f.eval(_reduced(c, 0, den)) < hi_cap
+            inside[c, den] = lo_cap < f.eval(reduced(c, 0, den)) < hi_cap
         return inside[c, den]
 
     def candidate_ok(cn: int, dn: int, den: int) -> bool:
         """Whether f stays strictly between the caps on (cn/den, dn/den)."""
         inf_b, sup_b = f.range_on(DyadicInterval.of_ints(cn, dn, den), k + 4)
-        return _vs(hi_cap, sup_b.un, sup_b.d) > 0 and _vs(lo_cap, inf_b.ln, inf_b.d) < 0
+        return sign_vs(hi_cap, sup_b.un, sup_b.d) > 0 and sign_vs(lo_cap, inf_b.ln, inf_b.d) < 0
 
-    ball_iv = _ball_clipped(p, big_n)
+    ball_iv = ball_clipped(p, big_n)
     bn, bu, bd = ball_iv.ln, ball_iv.un, ball_iv.d
     for j in range(big_n + 2, big_n + 2 + min(fuel, 24)):
         # first, an interval straddling x itself: the bracket [lo/e, hi/e] of
         # x widened by 2^-j on each side, cut to the ball, over bd e 2^j
-        lo, hi, e = p._bracket_ints(j + 2)
+        lo, hi, e = p.bracket_ints(j + 2)
         den = bd * e << j
         cn = max(bn * e << j, ((lo << j) - e) * bd)
         dn = min(bu * e << j, ((hi << j) + e) * bd)
@@ -209,7 +208,7 @@ def modulus_qc(f: SymbolicFn, x, k: int, big_n: int,
         # bd 2^n, nearest to x first: by |(c + d)/2 - lo/e|, then by c
         n = min(j, grid_depth_cap(ball_iv))
         den = bd << n
-        nums = _grid(ball_iv, n, lambda num, d: num * (den // d))
+        nums = grid_of(ball_iv, n, lambda num, d: num * (den // d))
         t = 2 * lo * den
         for c, d in sorted(zip(nums, nums[1:]),
                            key=lambda cd: (abs((cd[0] + cd[1]) * e - t), cd[0])):

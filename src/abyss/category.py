@@ -13,10 +13,10 @@ from typing import Callable, Iterator, Optional
 
 import abyss
 
-from .collapse import Modulus, _ball_walk, _osc_on, require_rule, require_tag
+from .collapse import Modulus, ball_walk, osc_on, require_rule, require_tag
 from .errors import FuelExhausted, InvalidModulus
-from .exact import (DEFAULT_FUEL, DyadicInterval, Q2, _check_precision, _ratio, _reduced,
-                    _sign_int, _vs, least_exponent)
+from .exact import (DEFAULT_FUEL, Q2, DyadicInterval, check_precision, least_exponent, ratio,
+                    reduced, sign, sign_vs)
 from .universe import USCO, SymbolicFn, osc_exact, query_scope, query_state
 
 
@@ -25,7 +25,7 @@ from .universe import USCO, SymbolicFn, osc_exact, query_scope, query_state
 # ---------------------------------------------------------------------------
 
 
-def _interior_numerators(iv: DyadicInterval, depth: int) -> Iterator[int]:
+def interior_numerators(iv: DyadicInterval, depth: int) -> Iterator[int]:
     """The numerators j of the grid points j/2^depth at least width/8 from
     both ends of iv, nearest the midpoint first (the lower one on a tie): a
     walk down and a walk up from the midpoint, merged."""
@@ -64,7 +64,7 @@ def _next_ball(j: DyadicInterval,
     depth0 = max(1, least_exponent(j.un - j.ln, 4 * j.d))
     for depth in range(depth0, depth0 + 12):
         den = 1 << depth
-        for cn in _interior_numerators(j, depth):
+        for cn in interior_numerators(j, depth):
             ball = place(cn, den)
             if ball is not None:
                 return ball
@@ -79,13 +79,13 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
     without a read when the bracket that granted that ball has its upper end
     at most 2^-m - 2^-(m+7): the skipped read's upper end would lie at most
     2^-(m+7) above the true oscillation, which that bracket bounds."""
-    _check_precision(k)
+    check_precision(k)
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval.of_ints(0, 1, 1)
     held = None  # the bracket read on the ball that holds j
     for m in range(k + 1):
         def gone(ball):  # oscillation above 2^-m on the smallest ball
-            w = _osc_on(f, ball, m + 6)
+            w = osc_on(f, ball, m + 6)
             return w.ln << m > w.d
 
         def place(cn, cd):
@@ -94,8 +94,8 @@ def point_of_continuity_qc(f: SymbolicFn, k: int, fuel: int = DEFAULT_FUEL) -> F
             if held is not None and held.un << (m + 7) <= 127 * held.d and n_size <= fuel:
                 s = n_size + 1
                 return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
-            for n, ball in _ball_walk(_reduced(cn, 0, cd), fuel, n_size, gone):
-                w = _osc_on(f, ball, m + 6)
+            for n, ball in ball_walk(reduced(cn, 0, cd), fuel, n_size, gone):
+                w = osc_on(f, ball, m + 6)
                 if w.un << m <= w.d:  # oscillation <= 2^-m
                     held, s = w, n + 1
                     return DyadicInterval.of_ints((cn << s) - cd, (cn << s) + cd, cd << s)
@@ -124,13 +124,13 @@ def _least_ball_below(f: SymbolicFn, p: Q2, cap: Q2, k: int, fuel: int) -> Optio
     this precision, or at a coarser one with its sup exact (a finer read
     only tightens), so the answer is a fresh read's."""
     scope, prec = query_state(), k + 6
-    for n, ball in _ball_walk(p, fuel):
+    for n, ball in ball_walk(p, fuel):
         key = ("range", f, ball.ln, ball.un, ball.d)
         kept = scope.get(key)
         if kept is None or kept[0] != prec and not (kept[0] < prec and kept[1][1].exact):
             kept = scope[key] = prec, f.range_on(ball, prec)
         sup_b = kept[1][1]
-        if _vs(cap, sup_b.un, sup_b.d) > 0:  # the bracket's upper end below cap
+        if sign_vs(cap, sup_b.un, sup_b.d) > 0:  # the bracket's upper end below cap
             return n
     return None
 
@@ -142,7 +142,7 @@ def natural_usco_modulus(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, USCO, "natural_usco_modulus")
 
     def radius(p, k):
-        n = _least_ball_below(f, p, _reduced(1, 0, 1 << k) + f.eval(p), k, fuel)
+        n = _least_ball_below(f, p, reduced(1, 0, 1 << k) + f.eval(p), k, fuel)
         if n is None:
             raise FuelExhausted("no witnessing ball found within fuel")
         return Fraction(1, 1 << n)
@@ -162,9 +162,9 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
     stages, so a psi that reads ball suprema through `_least_ball_below`
     (the natural usco modulus, G0) keeps them from stage to stage.
     """
-    _check_precision(k)
+    check_precision(k)
     require_tag(f, USCO, "point_of_continuity_usco")
-    (an, ad), (bn, bd) = map(_ratio, f.range_bound())
+    (an, ad), (bn, bd) = map(ratio, f.range_bound())
     den = ad * bd  # rl = lo_n/den and span = rh - rl + 1 = span_n/den
     lo_n, span_n = an * bd, bn * ad - an * bd + den
     j = DyadicInterval.of_ints(0, 1, 1)
@@ -172,17 +172,17 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
     with query_scope():  # the ball suprema the radii read, kept across stages
         while True:
             tn, td = (lo_n << stage) + span_n, den << stage  # t = rl + span 2^-stage
-            tq = _reduced(tn, 0, td)
+            tq = reduced(tn, 0, td)
 
             def place(cn, cd):
-                p = _reduced(cn, 0, cd)
+                p = reduced(cn, 0, cd)
                 fc = f.eval(p)
                 if fc < tq:
                     # the least k0 with 2^-k0 <= gap, read off a rational gap and
                     # walked up to for an irrational one
                     gap = tq - fc
                     k0 = 0 if gap.q else least_exponent(gap.p, gap.d)
-                    while k0 <= fuel and _sign_int((gap.p << k0) - gap.d, gap.q << k0) < 0:
+                    while k0 <= fuel and sign((gap.p << k0) - gap.d, gap.q << k0) < 0:
                         k0 += 1
                     if k0 > fuel:
                         return None
@@ -191,7 +191,7 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
                     if radius <= 0:
                         raise InvalidModulus("usco modulus gave the radius %s at %s"
                                              % (radius, c))
-                    rn, rd = _ratio(radius)
+                    rn, rd = ratio(radius)
                 else:
                     res = abyss.mu_search(abyss.ValueBelowOnBall(f, p, Fraction(tn, td),
                                                                  min(fuel, 24)))
@@ -211,7 +211,7 @@ def point_of_continuity_usco(f: SymbolicFn, psi: Callable, k: int,
                                     "interval", best=j)
             j = ball
             if span_n << (k + 1) <= den << stage:  # span 2^-stage <= 2^-(k+1)
-                cert = osc_exact(f, _reduced(j.ln + j.un, 0, 2 * j.d), k + 1)
+                cert = osc_exact(f, reduced(j.ln + j.un, 0, 2 * j.d), k + 1)
                 if cert.un << k <= cert.d:  # its upper end <= 2^-k
                     return j.midpoint
             stage += 1
@@ -227,7 +227,7 @@ def lsco_modulus_on_cf(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
     require_tag(f, USCO, "lsco_modulus_on_cf")
 
     def least(p, k):
-        cap = f.eval(p) + _reduced(1, 0, 2 << k)
+        cap = f.eval(p) + reduced(1, 0, 2 << k)
         n = _least_ball_below(f, p, cap, k, fuel)
         return fuel if n is None else n
 

@@ -18,8 +18,8 @@ import abyss
 from .errors import ClassRefusal, FuelExhausted, RepresentationInsufficient
 from .exact import Bracket, DyadicInterval
 from .records import record
-from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS, USCO,
-                       SymbolicFn, _unit_point)
+from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, QUASI_CONTINUOUS, USCO, SymbolicFn,
+                       unit_point)
 
 
 # --- the collapse-rule table ------------------------------------------------
@@ -168,24 +168,24 @@ class Modulus:
         self._fn = fn
 
     def __call__(self, x, k: int):
-        return self._fn(_unit_point(x), k)
+        return self._fn(unit_point(x), k)
 
 
 # --- balls around a point ---------------------------------------------------
 
 
-def _ball_clipped(x, exponent: int) -> DyadicInterval:
+def ball_clipped(x, exponent: int) -> DyadicInterval:
     """The ball of radius 2^-exponent around the point x of [0,1], clipped
     to [0,1]; an irrational x is centred at `x.approx(exponent + 4)`."""
     if exponent < 0:
         raise ValueError("radius exponent must be >= 0")
-    return _ball_around(_unit_point(x), exponent)
+    return _ball_around(unit_point(x), exponent)
 
 
 def _ball_around(p, exponent: int) -> DyadicInterval:
-    """`_ball_clipped` for a point p of [0,1] already read."""
+    """`ball_clipped` for a point p of [0,1] already read."""
     if p.q:
-        lo, hi, e = p._bracket_ints(exponent + 5)
+        lo, hi, e = p.bracket_ints(exponent + 5)
         c, e = lo + hi, 2 * e  # the midpoint, as approx gives it
     else:
         c, e = p.p, p.d
@@ -194,7 +194,7 @@ def _ball_around(p, exponent: int) -> DyadicInterval:
     return DyadicInterval.of_ints(max(c - e, 0), min(c + e, den), den)
 
 
-def _ball_walk(x, fuel: int, start: int = 0, gone=None):
+def ball_walk(x, fuel: int, start: int = 0, gone=None):
     """The clipped balls B(x, 2^-n) for n = start..fuel, as (n, ball), with
     x read once: the one walk over ball exponents.
 
@@ -208,7 +208,7 @@ def _ball_walk(x, fuel: int, start: int = 0, gone=None):
     shortcut: the walk goes on and gives its own answer."""
     if start > fuel:
         return
-    p = _unit_point(x)
+    p = unit_point(x)
     yield start, _ball_around(p, start)
     if gone is not None and start < fuel:
         try:
@@ -220,7 +220,7 @@ def _ball_walk(x, fuel: int, start: int = 0, gone=None):
         yield n, _ball_around(p, n)
 
 
-def _osc_on(f: SymbolicFn, ball: DyadicInterval, k: int) -> Bracket:
+def osc_on(f: SymbolicFn, ball: DyadicInterval, k: int) -> Bracket:
     """Bracket of sup - inf of f over the ball, of width at most 2^-(k+1)."""
     inf_b, sup_b = f.range_on(ball, k + 2)
     return sup_b - inf_b

@@ -9,11 +9,11 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import FuelExhausted
-from .exact import Bracket, _rational, halve
+from .exact import Bracket, halve, rational
 from .piecewise import PiecewiseRational, constant
 from .universe import (ALL_TAGS, BAIRE1, BV, CERT_INF, CERT_OSC, CERT_SUP, CLIQUISH, CONTINUOUS,
                        LSCO, NORMALISED_BV, QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO,
-                       SymbolicFn, _poly_of_ints)
+                       SymbolicFn, poly_of_ints)
 
 
 def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRational:
@@ -24,7 +24,7 @@ def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRat
     cuts, pieces, vals = [], [], []
     i = j = 0  # the next cut of f and of g; both lists end at 1
     while True:
-        s = fc[i]._cmp(gc[j])
+        s = fc[i].cmp(gc[j])
         c = fc[i] if s <= 0 else gc[j]
         cuts.append(c)
         vals.append((f.bp_values[i] if s <= 0 else f.pieces[i - 1](c))
@@ -35,8 +35,8 @@ def _merge_piecewise(f: PiecewiseRational, g: PiecewiseRational) -> PiecewiseRat
         # the pieces of f and g on (c, next cut) are the ones before their next cuts
         pf, pg = f.pieces[i - 1], g.pieces[j - 1]
         fd, gd = pf.d, pg.d
-        pieces.append(_poly_of_ints(pf.n0 * gd + pg.n0 * fd, pf.n1 * gd + pg.n1 * fd,
-                                    pf.n2 * gd + pg.n2 * fd, fd * gd))
+        pieces.append(poly_of_ints(pf.n0 * gd + pg.n0 * fd, pf.n1 * gd + pg.n1 * fd,
+                                   pf.n2 * gd + pg.n2 * fd, fd * gd))
 
 
 def fn_sum(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
@@ -51,9 +51,9 @@ def fn_difference(f: SymbolicFn, g: SymbolicFn) -> SymbolicFn:
 
 def scalar_multiple(c, f: SymbolicFn) -> SymbolicFn:
     if isinstance(f, PiecewiseRational):
-        c = _rational(c)
+        c = rational(c)
         cn, cd = c.as_integer_ratio()
-        pieces = [_poly_of_ints(cn * p.n0, cn * p.n1, cn * p.n2, cd * p.d) for p in f.pieces]
+        pieces = [poly_of_ints(cn * p.n0, cn * p.n1, cn * p.n2, cd * p.d) for p in f.pieces]
         vals = [v * c for v in f.bp_values]
         return PiecewiseRational(f.cuts, pieces, vals)
     return ScalarMultiple(c, f)
@@ -86,7 +86,7 @@ class Combination(SymbolicFn):
                     term[0], term[1] = term[0] + c, max(term[1], b)
                 else:
                     atoms[id(h)] = [c, b, h]
-        terms = [((_rational(c), h), b) for c, b, h in atoms.values() if c]
+        terms = [((rational(c), h), b) for c, b, h in atoms.values() if c]
         if pieces:
             pw = reduce(_merge_piecewise, [h for h, _ in pieces])
             # a piecewise part is 0 when its values and its pieces' coefficients are
@@ -194,7 +194,7 @@ class ScalarMultiple(Combination):
     kind = "scalar-multiple"
 
     def __init__(self, c, f: SymbolicFn):
-        self.c = c = _rational(c)
+        self.c = c = rational(c)
         self.f = f
         if c == 0:
             tags, certs = ALL_TAGS, {CERT_SUP, CERT_INF, CERT_OSC}

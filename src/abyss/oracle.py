@@ -22,12 +22,12 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .collapse import _ball_walk, _osc_on, require_limit, require_rule
+from .collapse import ball_walk, osc_on, require_limit, require_rule
 from .errors import FuelExhausted
-from .exact import (DEFAULT_FUEL, DyadicInterval, FueledBool, Q2, Truth, _ratio, _rational,
-                    _reduced, grid_depth_cap, grid_span)
+from .exact import (DEFAULT_FUEL, Q2, DyadicInterval, FueledBool, Truth, grid_depth_cap, grid_span,
+                    ratio, rational, reduced)
 from .records import record
-from .universe import SymbolicFn, _clip_unit, query_state
+from .universe import SymbolicFn, clip_unit, query_state
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .limits import Baire1Limit
@@ -130,7 +130,7 @@ def mu_search(query):
     minimal index, NotFoundBelow records an exact empty search up to fuel.
     A ball search may decide its NotFoundBelow from the smallest ball
     alone, when its bracket there shows that no larger ball can hit (see
-    `_ball_walk`)."""
+    `ball_walk`)."""
     run = _RUNNERS.get(type(query))
     if run is None:
         raise ValueError("unknown query shape %r" % (query,))
@@ -145,17 +145,17 @@ def _mu_osc_below(q: OscBelow):
         # a low end above 2^-m + 2^-(m+13) here: every ball's oscillation
         # is at least that, so its refined bracket, 2^-(m+13) wide, lies
         # above 2^-m: no ball hits and none straddles
-        osc = _osc_on(f, ball, m + 12)
+        osc = osc_on(f, ball, m + 12)
         return osc.ln << (m + 13) > ((1 << 13) + 1) * osc.d
 
-    for n, ball in _ball_walk(q.x, q.fuel, gone=gone):
-        osc = _osc_on(f, ball, m + 4)
+    for n, ball in ball_walk(q.x, q.fuel, gone=gone):
+        osc = osc_on(f, ball, m + 4)
         # the ends against the bound 2^-m, on the integers
         if osc.un << m <= osc.d:
             return Found(MuWitness(n))
         if osc.ln << m <= osc.d:
             # bracket straddles the bound; refine once, then give up honestly
-            osc = _osc_on(f, ball, m + 12)
+            osc = osc_on(f, ball, m + 12)
             if osc.un << m <= osc.d:
                 return Found(MuWitness(n))
             if osc.ln << m <= osc.d:
@@ -166,7 +166,7 @@ def _mu_osc_below(q: OscBelow):
 
 def _mu_value_below_on_ball(q: ValueBelowOnBall):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
-    tn, td = _ratio(q.q)
+    tn, td = ratio(q.q)
 
     def gone(ball):
         # the top end + 2^-8 below the target here: every ball's infimum is
@@ -175,7 +175,7 @@ def _mu_value_below_on_ball(q: ValueBelowOnBall):
         inf_b, _ = q.f.range_on(ball, 8)
         return ((inf_b.un << 8) + inf_b.d) * td < (tn * inf_b.d) << 8
 
-    for n, ball in _ball_walk(q.x, q.fuel, gone=gone):
+    for n, ball in ball_walk(q.x, q.fuel, gone=gone):
         inf_b, _ = q.f.range_on(ball, 8)
         # the ends against the target tn/td, on the integers
         if inf_b.ln * td >= tn * inf_b.d:
@@ -190,7 +190,7 @@ def _mu_exists(q):
     shape = type(q).__name__
     above = type(q) is ExistsValueAbove
     require_rule(shape, q.f, "mu_search/" + shape)
-    y = _rational(q.threshold)
+    y = rational(q.threshold)
     truth, _ = (q.f.witness_above if above else q.f.witness_below)(q.interval, y)
     if truth is Truth.NO:
         return NotFoundBelow(q.fuel)
@@ -251,13 +251,13 @@ class _ProbeState:
         """Build the next depth n from the points it adds: at depth 0 the whole
         grid (its ends read as special points), past it the odd multiples."""
         n, off = len(self.depths), self._off
-        odd, iv, den = n > 0, _clip_unit(self.iv), 1 << n  # iv: the part the bases probe
+        odd, iv, den = n > 0, clip_unit(self.iv), 1 << n  # iv: the part the bases probe
         ln, un, e = iv.ln, iv.un, iv.d
         first, last = grid_span(iv, n)
-        pts = [_reduced(j, 0, den) for j in range(first | odd, last + 1, 1 + odd)
+        pts = [reduced(j, 0, den) for j in range(first | odd, last + 1, 1 + odd)
                if (j, 0, den) not in off]
         more = self.f.special_points(iv, n) if odd else [
-            _reduced(ln, 0, e), _reduced(un, 0, e), *self.f.special_points(iv, n)]
+            reduced(ln, 0, e), reduced(un, 0, e), *self.f.special_points(iv, n)]
         for (a, b, c), p in {(p.p, p.q, p.d): p for p in map(Q2.of, more)}.items():
             # a point off the grid's mesh that no shallower depth added
             if (b or den % c or not first <= a * (den // c) <= last) and (a, b, c) not in off:
@@ -304,12 +304,12 @@ def _mu_baire1_above(q: Baire1Above):
     f = q.f_rep
     require_limit(f, "mu_search/Baire1Above")
     require_rule("Baire1Above", f, "mu_search/Baire1Above")
-    y = Q2.of(_rational(q.threshold))
+    y = Q2.of(rational(q.threshold))
     d = _probe_state(f, q.interval).least_above(y, q.fuel)
     return NotFoundBelow(q.fuel) if d is None else Found(MuWitness(d))
 
 
-def _baire1_midpoints(f: Baire1Limit, iv: DyadicInterval, fuel: int):
+def baire1_midpoints(f: Baire1Limit, iv: DyadicInterval, fuel: int):
     """`sup_baire1`'s test of a midpoint n/m, read off the probe state with
     no search; the first makes the refusal check of a `Baire1Above` search."""
     state = []
@@ -318,7 +318,7 @@ def _baire1_midpoints(f: Baire1Limit, iv: DyadicInterval, fuel: int):
         if not state:
             require_rule("Baire1Above", f, "mu_search/Baire1Above")
             state.append(_probe_state(f, iv))
-        return Truth.NO if state[0].least_above(_reduced(n, 0, m), fuel) is None else Truth.YES
+        return Truth.NO if state[0].least_above(reduced(n, 0, m), fuel) is None else Truth.YES
 
     return above
 

@@ -6,10 +6,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import ConstructionError, DomainError
-from .exact import Bracket, Q2, _ratio, _reduced
-from .universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV, QUASI_CONTINUOUS,
-                       REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn, _Q0, _Q1,
-                       _poly_of_ints)
+from .exact import Q2, Bracket, ratio, reduced
+from .universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV, Q0, Q1,
+                       QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, Poly, SymbolicFn,
+                       poly_of_ints)
 
 
 class PiecewiseRational(SymbolicFn):
@@ -27,7 +27,7 @@ class PiecewiseRational(SymbolicFn):
         self.pieces = pieces = tuple(pieces)
         self.bp_values = values = tuple(map(Q2.of, bp_values))
         m = len(cuts)
-        if m < 2 or cuts[0] != _Q0 or cuts[-1] != _Q1:
+        if m < 2 or cuts[0] != Q0 or cuts[-1] != Q1:
             raise ConstructionError("cuts must run from 0 to 1")
         shaped = len(pieces) == m - 1 and len(values) == m
         sides, critical = [], []
@@ -37,25 +37,25 @@ class PiecewiseRational(SymbolicFn):
         up = down = split = jump = False
         left = after = None
         for i, c in enumerate(cuts):
-            if i and cuts[i - 1]._cmp(c) >= 0:
+            if i and cuts[i - 1].cmp(c) >= 0:
                 raise ConstructionError("cuts must be strictly increasing")
             if not shaped:
                 continue
             v, right = values[i], pieces[i] if i < m - 1 else None
             before = sl = sr = None
             if left is not None:
-                w = left._vertex
+                w = left.vertex
                 if w is not None and cuts[i - 1] < w < c:
                     critical.append(w)
                 # a constant piece (no vertex, no slope) has the left limit here
                 # that it has as its right limit at the last cut
                 before = left(c) if w is not None or left.n1 else after
-                sl = before._cmp(v)
+                sl = before.cmp(v)
             critical.append(c)
             after = None
             if right is not None:
                 after = right(c)
-                sr = after._cmp(v)
+                sr = after.cmp(v)
                 jump = jump or sr != 0
             sides.append((before, v, after))
             up = up or sl == 1 or sr == 1
@@ -68,7 +68,7 @@ class PiecewiseRational(SymbolicFn):
         tags = {CLIQUISH, SIMPLY_CONTINUOUS, BV, REGULATED, BAIRE1}
         for tag, holds in ((CONTINUOUS, not (up or down)), (QUASI_CONTINUOUS, not split),
                            (USCO, not up), (LSCO, not down),
-                           (NORMALISED_BV, not jump and values[0] == _Q0)):
+                           (NORMALISED_BV, not jump and values[0] == Q0)):
             if holds:
                 tags.add(tag)
         super().__init__(tags)
@@ -108,7 +108,7 @@ class PiecewiseRational(SymbolicFn):
         taken, limits = list(self.bp_values), []
         for piece, a, b, before, after in zip(self.pieces, self.cuts, self.cuts[1:],
                                               self.sides, self.sides[1:]):
-            v = piece._vertex
+            v = piece.vertex
             if v is not None and a < v < b:
                 taken.append(piece(v))
             (taken if piece.is_constant else limits).extend((before[2], after[0]))
@@ -120,7 +120,7 @@ class PiecewiseRational(SymbolicFn):
         piece's range on its part of iv and the value at each cut in iv.
         Only the pieces and cuts that meet iv are visited, found by
         bisection on the cuts."""
-        lo, hi = _reduced(iv.ln, 0, iv.d), _reduced(iv.un, 0, iv.d)
+        lo, hi = reduced(iv.ln, 0, iv.d), reduced(iv.un, 0, iv.d)
         cuts, pieces = self.cuts, self.pieces
         first, stop = bisect_left(cuts, lo), bisect_right(cuts, hi)
         vals = list(self.bp_values[first:stop])
@@ -142,9 +142,9 @@ class PiecewiseRational(SymbolicFn):
         vals = self._value_candidates(iv)
         lo = hi = vals[0]
         for v in vals:
-            if v._cmp(lo) < 0:
+            if v.cmp(lo) < 0:
                 lo = v
-            elif v._cmp(hi) > 0:
+            elif v.cmp(hi) > 0:
                 hi = v
         return Bracket.of_q2(lo, k), Bracket.of_q2(hi, k)
 
@@ -169,24 +169,24 @@ def constant(c) -> PiecewiseRational:
     if not v.is_rational:
         raise ConstructionError("constant %s is irrational; Poly coefficients "
                                 "are rational" % (v,))
-    return PiecewiseRational((_Q0, _Q1), [_poly_of_ints(v.p, 0, 0, v.d)], [v, v])
+    return PiecewiseRational((Q0, Q1), [poly_of_ints(v.p, 0, 0, v.d)], [v, v])
 
 
 def linear(slope, intercept=0) -> PiecewiseRational:
     p = Poly(intercept, slope)
-    return PiecewiseRational((_Q0, _Q1), [p], [p(_Q0), p(_Q1)])
+    return PiecewiseRational((Q0, Q1), [p], [p(Q0), p(Q1)])
 
 
 def staircase(jumps) -> PiecewiseRational:
     """Cadlag step function: value 0 on [0, first jump), then each
     (pos, value) in order.  Its value at a cut is the level the cut starts,
     and at 1 the last level."""
-    cuts, pieces, values = [_Q0], [Poly(0)], [_Q0]
+    cuts, pieces, values = [Q0], [Poly(0)], [Q0]
     for pos, value in jumps:
         cuts.append(Q2.of(pos))
-        n, d = _ratio(value)
-        pieces.append(_poly_of_ints(n, 0, 0, d))
-        values.append(_reduced(n, 0, d))
-    cuts.append(_Q1)
+        n, d = ratio(value)
+        pieces.append(poly_of_ints(n, 0, 0, d))
+        values.append(reduced(n, 0, d))
+    cuts.append(Q1)
     values.append(values[-1])
     return PiecewiseRational(cuts, pieces, values)

@@ -7,9 +7,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Bracket, DyadicInterval, Q2, Truth, _least_denominator, _reduced
-from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, CLIQUISH, REGULATED, USCO,
-                       SymbolicFn, _Q0, _ZERO, irrational_inside)
+from .exact import Q2, Bracket, DyadicInterval, Truth, least_denominator, reduced
+from .universe import (BAIRE1, CERT_INF, CERT_OSC, CERT_SUP, CLIQUISH, Q0, REGULATED, USCO,
+                       ZERO_BRACKET, SymbolicFn, irrational_inside)
 
 
 class Thomae(SymbolicFn):
@@ -24,7 +24,7 @@ class Thomae(SymbolicFn):
                          {CERT_SUP, CERT_INF, CERT_OSC})
 
     def _eval(self, x):
-        return _reduced(1, 0, x.d) if not x.q else _Q0  # x.d is the reduced denominator
+        return reduced(1, 0, x.d) if not x.q else Q0  # x.d is the reduced denominator
 
     def _hull(self):
         return Q2.of(0), Q2.of(1), False, False
@@ -32,20 +32,20 @@ class Thomae(SymbolicFn):
     def min_denominator_in(self, iv: DyadicInterval, cap: int) -> Optional[tuple[Fraction, int]]:
         """(point, q) for the smallest denominator q <= cap with some reduced
         p/q in iv cap [0,1] (the least such p); None if there is none up to
-        cap.  The walk of `exact._least_denominator` finds it in O(log)
+        cap.  The walk of `exact.least_denominator` finds it in O(log)
         steps."""
         lo, hi, d = max(iv.ln, 0), min(iv.un, iv.d), iv.d
         if lo > hi:
             return None
-        p, q = _least_denominator(lo, d, hi, d)
+        p, q = least_denominator(lo, d, hi, d)
         return (Fraction(p, q), q) if q <= cap else None
 
     def _range_on(self, iv, k):
         # the infimum is 0 (values 1/q get arbitrarily small, irrationals give
         # 0); the supremum is 1/q for the least denominator q in iv, up to a cap
         cap = 1 << (k + 2)
-        q = _least_denominator(iv.ln, iv.d, iv.un, iv.d)[1]
-        return _ZERO, Bracket.of_ints(1, 1, q) if q <= cap else Bracket.of_ints(0, 1, cap)
+        q = least_denominator(iv.ln, iv.d, iv.un, iv.d)[1]
+        return ZERO_BRACKET, Bracket.of_ints(1, 1, q) if q <= cap else Bracket.of_ints(0, 1, cap)
 
     def _witness_above(self, iv, y):
         if y <= 0:
@@ -72,11 +72,11 @@ class Thomae(SymbolicFn):
             hi = min(iv.un * q // iv.d, q)
             for p in range(lo, hi + 1):
                 if math.gcd(p, q) == 1:
-                    out.append(_reduced(p, 0, q))
+                    out.append(reduced(p, 0, q))
         return out
 
     def _one_sided_limit(self, p, side, k):
-        return _ZERO
+        return ZERO_BRACKET
 
 
 thomae = Thomae

@@ -14,7 +14,7 @@ of the cliquishness and regulation realisers as `DyadicInterval`s.  A
 `SupOracle` is asked about a `DyadicInterval`, so the bisection hands it
 integer triples: each half [2a, 2a + 1]/2^(j+1) or [2a + 1, 2a + 2]/2^(j+1)
 has consecutive numerators, so it is in lowest terms as built and is made
-by `exact._dyadic`, with no gcd.  The checks of the cliquishness modulus
+by `exact.dyadic`, with no gcd.  The checks of the cliquishness modulus
 work on the integers too: the canonical modulus compares the widths of
 its gaps on the walls' integers, and its answer is held against the ball
 on the integers of its ends.  A `Fraction` is built only at the API: the ends a caller
@@ -28,17 +28,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .category import _interior_numerators
-from .collapse import Modulus, _ball_clipped
+from .category import interior_numerators
+from .collapse import Modulus, ball_clipped
 from .errors import InvalidModulus, OracleInconsistency
-from .exact import (DyadicInterval, Q2, _check_precision, _dyadic, _ratio, _rational, _reduced,
-                    _sign_int, _vs, least_exponent, rational_grid)
+from .exact import (Q2, DyadicInterval, check_precision, dyadic, least_exponent, ratio, rational,
+                    rational_grid, reduced, sign, sign_vs)
 from .records import record
 from .serialize import rat_json
 from .sets import CountableSet
 from .spikes import Penny
 from .universe import SymbolicFn, query_scope, unit_dyadic
-from .variation import _limit_pair, _regulated_within, modulus_regulation
+from .variation import limit_pair, modulus_regulation, regulated_within
 
 _ZERO = Fraction(0)  # Fractions are immutable: one serves all
 _UNIT = DyadicInterval.of_ints(0, 1, 1)  # [0, 1], where every walk starts
@@ -68,12 +68,12 @@ def exhaustive_sup_oracle() -> SupOracle:
     def sup(f, iv):
         ln, un, d = iv.ln, iv.un, iv.d
         if ln == un:
-            v = f.eval(_reduced(ln, 0, d))
+            v = f.eval(reduced(ln, 0, d))
             if v.q:
                 raise OracleInconsistency("exact supremum is irrational")
             return _answer(v.p, v.d)
         if isinstance(f, Penny) and ln >= 0 and un <= d:
-            n = f._top_spike(iv, 60)[0]
+            n = f.top_spike(iv, 60)[0]
             if n is None:
                 raise OracleInconsistency("supremum not exactly attained on this family")
             return unit_dyadic(n) if n >= 0 else _ZERO
@@ -109,17 +109,17 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
     between the (finitely many) members whose value could exceed 2^-k."""
 
     def fn(x, k, n):
-        iv = _ball_clipped(x, n)
+        iv = ball_clipped(x, n)
         # member i's spike 2^-(i+1) reaches 2^-k exactly when i < k
-        walls = [_reduced(iv.ln, 0, iv.d)]
+        walls = [reduced(iv.ln, 0, iv.d)]
         walls += sorted(p for _, p in a_set.members_in(iv, k))
-        walls.append(_reduced(iv.un, 0, iv.d))
+        walls.append(reduced(iv.un, 0, iv.d))
         # the widest gap, the first on a tie: the width of [a, b] is
-        # (wp + wq sqrt2)/we, and two widths compare as `Q2._cmp` compares
+        # (wp + wq sqrt2)/we, and two widths compare as `Q2.cmp` compares
         lo = hi = None
         for a, b in zip(walls, walls[1:]):
             wp, wq, we = b.p * a.d - a.p * b.d, b.q * a.d - a.q * b.d, a.d * b.d
-            if lo is None or _sign_int(wp * be - bp * we, wq * be - bq * we) > 0:
+            if lo is None or sign(wp * be - bp * we, wq * be - bq * we) > 0:
                 lo, hi, bp, bq, be = a, b, wp, wq, we
         # at most k walls split a ball of width >= 2^-(n+1): the widest gap
         # exceeds 2^-(n+k+1), far more than the two nudges of 2^-(n+k+12)
@@ -132,7 +132,7 @@ def canonical_cliq_modulus(a_set: CountableSet) -> CliqModulusOracle:
 def _nudged(x: Q2, prec: int, side: int) -> Fraction:
     """A rational within 2^-prec of x, strictly above it for side 1 and
     below it for side -1: an end of x's bracket, or x moved by 2^-prec."""
-    lo, hi, e = x._bracket_ints(prec)
+    lo, hi, e = x.bracket_ints(prec)
     if lo == hi:  # x is the rational lo/e
         return Fraction((lo << prec) + side * e, e << prec)
     return Fraction(hi if side > 0 else lo, e)
@@ -189,12 +189,12 @@ def cantor_diagonal(xs: Callable[[int], Q2], k: int, fuel: int = 16) -> Fraction
     ternary digit to a: 2 (the right third) when xs(n) is at or left of the
     midpoint, 0 (the left third) when it is right of it, and 1 (the middle
     third) once the fuel is spent."""
-    _check_precision(k)
+    check_precision(k)
     a, d = 0, 1  # d = 3^n at stage n
     n = 0
     while n < fuel or d < 1 << (k + 2):
         if n < fuel:
-            t = 2 if _vs(Q2.of(xs(n)), 2 * a + 1, 2 * d) <= 0 else 0
+            t = 2 if sign_vs(Q2.of(xs(n)), 2 * a + 1, 2 * d) <= 0 else 0
         else:
             t = 1
         a, d = 3 * a + t, 3 * d
@@ -237,17 +237,17 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
     Each round bisects k times on the numerator a of [a/2^j, (a + 1)/2^j]:
     the oracle is asked about the left half [2a, 2a + 1]/2^(j+1), and,
     when the supremum is not there, about the right half, which must hold
-    it.  The halves are built in lowest terms (`exact._dyadic`).  The
+    it.  The halves are built in lowest terms (`exact.dyadic`).  The
     round's supremum sn/sd is a spike value when sn = 1 and sd is a power
     of two, and every answer is compared with it on the integers."""
-    _check_precision(k)
+    check_precision(k)
     out = []
     sup = oracle.sup
     bound = rounds if a_set.size is None else min(rounds, a_set.size)
     for r in range(bound):
         f = Penny(a_set, out[-1].index + 1 if out else 0)
         s = sup(f, _UNIT)
-        sn, sd = _ratio(s)
+        sn, sd = ratio(s)
         if not sn:
             break
         # a spike value 2^-(idx+1) is 1 over a power of two at least 2
@@ -262,25 +262,25 @@ def extract_enumeration_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
         a = 0
         for j in range(k):
             a, d = 2 * a, 2 << j  # ties break toward the left half
-            left = sup(f, _dyadic(a, a + 1, d))
+            left = sup(f, dyadic(a, a + 1, d))
             if left is not s:  # the round's own object needs no integers
-                ln, ld = _ratio(left)
+                ln, ld = ratio(left)
                 if ln * sd > sn * ld:
                     raise OracleInconsistency("supremum grew on a subinterval")
                 if ln != sn or ld != sd:
                     a += 1
-                    right = sup(f, _dyadic(a, a + 1, d))
-                    if right is not s and _ratio(right) != (sn, sd):
+                    right = sup(f, dyadic(a, a + 1, d))
+                    if right is not s and ratio(right) != (sn, sd):
                         raise OracleInconsistency("supremum vanished on both halves")
         # the bits are a's k binary digits, read past the leading 1 of 2^k + a
-        out.append(SupExtraction(idx, s, bin(a + (1 << k))[3:], _dyadic(a, a + 1, 1 << k)))
+        out.append(SupExtraction(idx, s, bin(a + (1 << k))[3:], dyadic(a, a + 1, 1 << k)))
     return out
 
 
 def realiser_from_sup(oracle: SupOracle, a_set: CountableSet, k: int,
                       fuel: int = 16) -> Fraction:
     """From an exact supremum functional to a point outside the seed set."""
-    _check_precision(k)
+    check_precision(k)
     extraction = extract_enumeration_from_sup(oracle, a_set, k, rounds=fuel)
     return _diagonal_past(extraction, a_set, k, fuel)
 
@@ -307,7 +307,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
     """Nested closed intervals through the modulus: any member caught in the
     level-j interval would force a variation the modulus has ruled out, so
     the limit avoids the whole enumeration."""
-    _check_precision(k)
+    check_precision(k)
     # upfront validity probes at the carried members: an interval answered
     # around a member must not keep the member's own spike inside
     for i, p in a_set.members_upto(min(4, fuel)):
@@ -319,7 +319,7 @@ def realiser_from_cliq_modulus(modulus: CliqModulusOracle, a_set: CountableSet,
         w, d = iv.un - iv.ln, 2 * iv.d
         n_j = least_exponent(w, d)
         n_j += w << n_j == d
-        cd = _checked_cliq_answer(modulus, a_set, _reduced(iv.ln + iv.un, 0, d), j + 1, n_j)
+        cd = _checked_cliq_answer(modulus, a_set, reduced(iv.ln + iv.un, 0, d), j + 1, n_j)
         # the middle half of the answer [c, d]: [(3c + d)/4, (c + 3d)/4]
         iv = DyadicInterval.of_ints(3 * cd.ln + cd.un, cd.ln + 3 * cd.un, 4 * cd.d)
         intervals.append(iv)
@@ -333,9 +333,9 @@ def _checked_cliq_answer(modulus: CliqModulusOracle, a_set: CountableSet, x: Q2,
     reaches 2^-k (index below k) lies strictly inside it.  The ends are
     compared on their integers, over the one denominator of [c, d]."""
     c, d = modulus(x, k, n)
-    (cn, ce), (dn, de) = _ratio(c), _ratio(d)
+    (cn, ce), (dn, de) = ratio(c), ratio(d)
     ln, un, e = cn * de, dn * ce, ce * de
-    ball = _ball_clipped(x, n)
+    ball = ball_clipped(x, n)
     if not (ln < un and ball.ln * e <= ln * ball.d and un * ball.d <= ball.un * e):
         raise InvalidModulus("returned interval escapes the prescribed ball")
     answer = DyadicInterval.of_ints(ln, un, e)
@@ -344,7 +344,7 @@ def _checked_cliq_answer(modulus: CliqModulusOracle, a_set: CountableSet, x: Q2,
             # pair (member, any rational in the interval) violates the bound
             raise InvalidModulus(
                 "interval (%s, %s) contains member %d with spike %s >= 2^-%d"
-                % (_rational(c), _rational(d), i, Penny.spike_value(i), k))
+                % (rational(c), rational(d), i, Penny.spike_value(i), k))
     return answer
 
 
@@ -365,7 +365,7 @@ def realiser_from_regulation_modulus(modulus: Modulus,
                                      fuel: int = 16) -> Fraction:
     """Regulation radii turn the cofinite-spike sets into represented dense
     opens; the nested construction walks through them."""
-    _check_precision(k)
+    check_precision(k)
     f = Penny(a_set)
     _spot_check_regulation(modulus, f)
     iv = _UNIT
@@ -374,8 +374,8 @@ def realiser_from_regulation_modulus(modulus: Modulus,
         for j in range(max(k + 2, fuel + 1)):
             w, d = iv.un - iv.ln, iv.d  # the width is w/d
             depth = max(2, least_exponent(w, 8 * d))
-            for gn in _interior_numerators(iv, depth):
-                g = _reduced(gn, 0, 1 << depth)
+            for gn in interior_numerators(iv, depth):
+                g = reduced(gn, 0, 1 << depth)
                 v = f._eval(g)  # g lies inside iv, a subinterval of [0,1]
                 if not v.q and v.p << j < v.d:  # f(g) < 2^-j
                     m = modulus(g, j + 2)
@@ -397,7 +397,7 @@ def _spot_check_regulation(modulus, f: Penny):
     names, the window `variation.modulus_regulation` itself checks."""
     k = 3
     for _, p in f.a_set.members_upto(4):
-        if not _regulated_within(f, p, modulus(p, k), k, _limit_pair(f, p, k)):
+        if not regulated_within(f, p, modulus(p, k), k, limit_pair(f, p, k)):
             raise InvalidModulus("values stray 2^-%d or more from a one-sided limit "
                                  "on the regulation window around %s" % (k, p))
 

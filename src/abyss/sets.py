@@ -8,28 +8,28 @@ exactly decidable over Q(sqrt2).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
-from .exact import (Q2, DyadicInterval, _in_unit, _least_denominator_q2, _ratio, _rational,
-                    _sign_int, _vs)
+from .exact import (Q2, DyadicInterval, floor_q2, in_unit, least_denominator_q2, ratio, rational,
+                    sign, sign_vs)
 from .records import record
 
 
 class CountableSet:
     """An indexed countable subset of [0,1] with decidable membership.
 
-    `member(n)` enumerates the set, `index_of(x)` inverts it (None when x is
-    not a member).  `size` is None for infinite families.  When
-    `values_descend` holds, member(n) is strictly decreasing in n, which lets
-    interval scans terminate exactly.
+    `member(n)` enumerates the set (`enumeration`, cached), `index_of(x)`
+    inverts it (`index_map` on the `Q2` of x; None when x is not a member).
+    `size` is None for infinite families.  When `values_descend` holds,
+    member(n) is strictly decreasing in n, which lets interval scans
+    terminate exactly.
     """
 
     def __init__(self, member, index_of, size=None, name="custom",
                  values_descend=False, all_irrational=False):
-        self._member = member
-        self._index_of = index_of
+        self.enumeration = member
+        self.index_map = index_of
         self.size = size
         self.name = name
         self.values_descend = values_descend
@@ -41,12 +41,12 @@ class CountableSet:
             raise IndexError("no member with index %d" % n)
         got = self._cache.get(n)
         if got is None:
-            got = Q2.of(self._member(n))
+            got = Q2.of(self.enumeration(n))
             self._cache[n] = got
         return got
 
     def index_of(self, x) -> Optional[int]:
-        return self._index_of(Q2.of(x))
+        return self.index_map(Q2.of(x))
 
     def __contains__(self, x) -> bool:
         return self.index_of(x) is not None
@@ -55,7 +55,7 @@ class CountableSet:
         hi = limit if self.size is None else min(limit, self.size)
         return [(n, self.member(n)) for n in range(hi)]
 
-    def _scan(self, iv: DyadicInterval, limit: int, start: int):
+    def scan(self, iv: DyadicInterval, limit: int, start: int):
         """The first member inside iv with index in [start, limit), as (n,
         member), else where the miss stopped: the index the scan ended at, a
         member below iv of a descending enumeration or the end of the
@@ -73,9 +73,10 @@ class CountableSet:
             p = cached(n)
             if p is None:
                 p = self.member(n)
-            # member - end = (a + b sqrt2)/(d p.d) with a = p.p d - end p.d;
-            # `exact._sign_int`'s squaring rule: when b != 0 its sign is a's
-            # if a^2 > 2 b^2, else b's (no tie)
+            # member - end = (a + b sqrt2)/(d p.d) with a = p.p d - end p.d,
+            # signed by `exact.sign`'s squaring rule (if b != 0, a's sign if
+            # a^2 > 2 b^2, else b's), written out: a `sign` call per end took
+            # a 40-member scan of the sqrt2 set from 25 to 35 us (`timeit`)
             e, b = p.d, p.q * d
             a, bb = p.p * d - ln * e, 2 * b * b
             if (a if a * a > bb else b) < 0:
@@ -93,17 +94,17 @@ class CountableSet:
         (exhaustive when the enumeration descends below iv or the set is
         finite)."""
         out = []
-        hit = self._scan(iv, limit, start)
+        hit = self.scan(iv, limit, start)
         while hit.__class__ is tuple:
             out.append(hit)
-            hit = self._scan(iv, limit, hit[0] + 1)
+            hit = self.scan(iv, limit, hit[0] + 1)
         return out
 
     def scan_is_exhaustive(self, iv: DyadicInterval, limit: int) -> bool:
         """Whether members_in(iv, limit) provably saw every member in iv."""
         if self.size is not None and self.size <= limit:
             return True
-        return self.values_descend and _vs(self.member(limit), iv.ln, iv.d) < 0
+        return self.values_descend and sign_vs(self.member(limit), iv.ln, iv.d) < 0
 
 
 def sqrt2_family() -> CountableSet:
@@ -128,7 +129,7 @@ def _unit_points(points) -> list[Q2]:
     """The points as Q2, refusing any outside [0,1]."""
     pts = [Q2.of(p) for p in points]
     for p in pts:
-        if not _in_unit(p):
+        if not in_unit(p):
             raise ValueError("point %s outside [0,1]" % (p,))
     return pts
 
@@ -166,19 +167,16 @@ def band_of(x, half_open=True) -> Optional[int]:
     # whether t = m: for a rational n/d, m = d // n and t = m iff n divides d
     if x.__class__ is Q2 and x.q:
         # an irrational x = (p + q sqrt2)/d is neither 0, 1 nor 1/t for an
-        # integer t; t = d (p - q sqrt2)/(p^2 - 2 q^2) is floored as
-        # `Q2.__floor__` floors, over a positive denominator
+        # integer t; t = d (p - q sqrt2)/(p^2 - 2 q^2) is floored by
+        # `floor_q2`, over a positive denominator
         p, q, d = x.p, x.q, x.d
-        if _sign_int(p, q) < 0 or _sign_int(p - d, q) > 0:
+        if sign(p, q) < 0 or sign(p - d, q) > 0:
             return None
         tp, tq, td = d * p, -d * q, p * p - 2 * q * q
-        if td < 0:
-            tp, tq, td = -tp, -tq, -td
-        r = math.isqrt(2 * tq * tq)
-        m = (tp + (r if tq > 0 else -r - 1)) // td
+        m = floor_q2(tp, tq, td) if td > 0 else floor_q2(-tp, -tq, -td)
         whole = False
     else:
-        n, d = (x.p, x.d) if x.__class__ is Q2 else _ratio(x)
+        n, d = (x.p, x.d) if x.__class__ is Q2 else ratio(x)
         if n <= 0 or (n >= d if half_open else n > d):
             return None
         m, r = divmod(d, n)
@@ -199,7 +197,7 @@ def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     to the least such p.
     Both ends are integer triples (p, q, d) over the one denominator
     a.d 2^(n+1), and the continued-fraction walk of
-    `exact._least_denominator_q2` finds them on the integers in O(n)
+    `exact.least_denominator_q2` finds them on the integers in O(n)
     steps.  The ends need no clip to [-1,1]: the interval is at most 1/2
     wide, so one that reaches past -1 or 1 holds that integer, the answer.
     """
@@ -207,9 +205,9 @@ def minimal_shift_into_band(a: Q2, n: int) -> Fraction:
     e = a.d << (n + 1)
     p, q = a.p << (n + 1), a.q << (n + 1)
     lp, hp = p - 2 * a.d, p - a.d  # lo = (lp + q sqrt2)/e, hi = (hp + q sqrt2)/e
-    if _sign_int(lp - e, q) >= 0 or _sign_int(hp + e, q) < 0:  # lo >= 1 or hi < -1
+    if sign(lp - e, q) >= 0 or sign(hp + e, q) < 0:  # lo >= 1 or hi < -1
         raise ValueError("no rational of [-1,1] shifts %s into band %d" % (a, n))
-    num, den = _least_denominator_q2(lp, q, e, hp, q, e, True)
+    num, den = least_denominator_q2(lp, q, e, hp, q, e, True)
     return Fraction(num, den)
 
 
@@ -253,8 +251,8 @@ class R2Rep:
 
     @staticmethod
     def from_intervals(spans) -> "R2Rep":
-        cleaned = sorted((_rational(a), _rational(b)) for a, b in spans
-                         if _rational(a) < _rational(b))
+        cleaned = sorted((rational(a), rational(b)) for a, b in spans
+                         if rational(a) < rational(b))
         for (a1, b1), (a2, b2) in zip(cleaned, cleaned[1:]):
             if b1 > a2:
                 raise ValueError("intervals must be disjoint")
@@ -346,5 +344,5 @@ class RMCode:
 
     @staticmethod
     def from_balls(balls, prefix_of_infinite=False) -> "RMCode":
-        return RMCode(tuple((_rational(c), _rational(r)) for c, r in balls),
+        return RMCode(tuple((rational(c), rational(r)) for c, r in balls),
                       prefix_of_infinite)

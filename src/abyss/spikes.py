@@ -8,11 +8,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConstructionError, UnsupportedVariant
-from .exact import (Bracket, DyadicInterval, Q2, Truth, _reduced, grid_depth_cap, grid_q2,
-                    grid_span)
+from .exact import Q2, Bracket, DyadicInterval, Truth, grid_depth_cap, grid_q2, grid_span, reduced
 from .sets import CountableSet, band_of, tilde_set
-from .universe import (BAIRE1, BV, CLIQUISH, LSCO, REGULATED, SIMPLY_CONTINUOUS, USCO,
-                       SymbolicFn, _Q0, _ZERO, irrational_inside, osc_exact, unit_dyadic,
+from .universe import (BAIRE1, BV, CLIQUISH, LSCO, Q0, REGULATED, SIMPLY_CONTINUOUS, USCO,
+                       ZERO_BRACKET, SymbolicFn, irrational_inside, osc_exact, unit_dyadic,
                        unit_dyadic_bracket)
 
 
@@ -71,8 +70,8 @@ def _ends_max(f: SymbolicFn, iv: DyadicInterval) -> Fraction:
     """Larger value at the two ends of iv, which every grid includes.  Every
     `_SpikeFamily._eval` value is rational (a spike value, a band value, 1/8
     or 0), so it is exact: `as_rational` would raise on an irrational one."""
-    lo, hi = f.eval(_reduced(iv.ln, 0, iv.d)), f.eval(_reduced(iv.un, 0, iv.d))
-    v = hi if hi._cmp(lo) > 0 else lo
+    lo, hi = f.eval(reduced(iv.ln, 0, iv.d)), f.eval(reduced(iv.un, 0, iv.d))
+    v = hi if hi.cmp(lo) > 0 else lo
     if v.p == 1 and v.d > 1 and not v.d & (v.d - 1) and not v.q:
         return unit_dyadic(v.d.bit_length() - 2)  # a spike value
     return v.as_rational()
@@ -115,15 +114,15 @@ class Penny(_SpikeFamily):
         return band_of(min(y, 1), half_open=False)
 
     def _eval(self, x):
-        n = self.a_set._index_of(x)
+        n = self.a_set.index_map(x)
         if n is None or n < self.start or (self.stop is not None and n >= self.stop):
-            return _Q0
+            return Q0
         return Q2.of(self.spike_value(n))
 
     def _hull(self):
-        return _Q0, Q2.of(self.spike_value(self.start)), False, False
+        return Q0, Q2.of(self.spike_value(self.start)), False, False
 
-    def _top_spike(self, iv, k) -> tuple[Optional[int], int]:
+    def top_spike(self, iv, k) -> tuple[Optional[int], int]:
         """One first-hit scan of iv at precision k, as (n, limit): n is the
         index of the largest spike in iv, -1 when the scan proves iv holds
         none, None when only spikes past the scan window may lie in iv, and
@@ -134,7 +133,7 @@ class Penny(_SpikeFamily):
         limit = self.stop
         if limit is None:
             limit = k + 4 if k > 4 else 8
-        hit = self.a_set._scan(iv, limit, self.start)
+        hit = self.a_set.scan(iv, limit, self.start)
         if hit.__class__ is tuple:  # index below limit: no later spike reaches it
             return hit[0], limit
         if hit < limit or self.stop is not None or self.a_set.scan_is_exhaustive(iv, limit):
@@ -143,10 +142,10 @@ class Penny(_SpikeFamily):
 
     def _range_on(self, iv, k):
         # spike n is 1/(2 << n): the brackets are read from the shared table
-        n, limit = self._top_spike(iv, k)
+        n, limit = self.top_spike(iv, k)
         if n is None:
-            return _ZERO, Bracket.of_ints(0, 1, 2 << limit)
-        return _ZERO, (unit_dyadic_bracket(n) if n >= 0 else _ZERO)
+            return ZERO_BRACKET, Bracket.of_ints(0, 1, 2 << limit)
+        return ZERO_BRACKET, (unit_dyadic_bracket(n) if n >= 0 else ZERO_BRACKET)
 
     def _witness_above(self, iv, y):
         if y < 0:
@@ -157,7 +156,7 @@ class Penny(_SpikeFamily):
             limit = self.spikes_above(y)  # no later spike exceeds y
         else:
             limit = 4096  # every spike exceeds 0: a bounded prefix decides
-        hit = self.a_set._scan(iv, limit, self.start)
+        hit = self.a_set.scan(iv, limit, self.start)
         if hit.__class__ is tuple and self.spike_value(hit[0]) > y:
             return Truth.YES, hit[1]
         # at y = 0 every spike exceeds y, so hit is a miss's end: one below
@@ -174,21 +173,21 @@ class Penny(_SpikeFamily):
         # irrational point (the seed set may hold every dyadic rational).
         # Grid d holds grid d - 1, so past the first depth only the odd
         # multiples of 2^-d are new.
-        index_of = self.a_set._index_of
+        index_of = self.a_set.index_map
         for p in grid_q2(iv, 2):
             if index_of(p) is None:
                 return Truth.YES, p
         for d in range(3, grid_depth_cap(iv) + 1):
             first, last = grid_span(iv, d)
             for j in range(first | 1, last + 1, 2):
-                p = _reduced(j, 0, 1 << d)
+                p = reduced(j, 0, 1 << d)
                 if index_of(p) is None:
                     return Truth.YES, p
         p = irrational_inside(iv)
         return (Truth.YES, p) if index_of(p) is None else (Truth.UNKNOWN, None)
 
     def _one_sided_limit(self, p, side, k):
-        return _ZERO
+        return ZERO_BRACKET
 
 
 class PennyK(Penny):
@@ -232,7 +231,7 @@ class CoverPsi(_SpikeFamily):
     BASE = Fraction(1, 8)
 
     def _eval(self, x):
-        n = self.a_set._index_of(x)
+        n = self.a_set.index_map(x)
         return Q2.of(self.BASE) if n is None else Q2.of(self.spike_value(n))
 
     def _hull(self):
@@ -247,7 +246,7 @@ class CoverPsi(_SpikeFamily):
         base = Bracket.point(self.BASE)
         bottom = band_of(iv.lower, half_open=False)
         if bottom is None and self.a_set.size is None:
-            return _ZERO, base  # spike values decrease to 0 near 0
+            return ZERO_BRACKET, base  # spike values decrease to 0 near 0
         spikes = self.spikes_in(iv, self.a_set.size if bottom is None else bottom + 1)
         return (Bracket.point(self.spike_value(spikes[-1][0])) if spikes else base), base
 
@@ -259,7 +258,7 @@ class CoverPsi(_SpikeFamily):
     def cluster_bounds(self, x, k):
         p = Q2.of(x)
         if p == 0 and self.a_set.size is None:
-            return _ZERO, Bracket.point(self.BASE)
+            return ZERO_BRACKET, Bracket.point(self.BASE)
         return super().cluster_bounds(x, k)
 
 
@@ -283,7 +282,7 @@ class CoverPsiUsco(_SpikeFamily):
         return Fraction(1, 1 << (n + 6))
 
     def _eval(self, x):
-        n = self.a_set._index_of(x)
+        n = self.a_set.index_map(x)
         if n is not None:
             return Q2.of(self.spike_value(n))
         m = band_of(x, half_open=False)
@@ -312,7 +311,7 @@ class CoverPsiUsco(_SpikeFamily):
                 vals.append(self.spike_value(n))
         sup_b = Bracket.point(max(vals))
         if bottom is None:
-            inf_b = _ZERO  # band values vanish towards 0
+            inf_b = ZERO_BRACKET  # band values vanish towards 0
         elif last < bottom:
             inf_b = Bracket(Fraction(0), min(vals))
         else:
@@ -321,7 +320,7 @@ class CoverPsiUsco(_SpikeFamily):
 
     def _one_sided_limit(self, p, side, k):
         if p == 0:
-            return _ZERO
+            return ZERO_BRACKET
         if p == 1:
             return Bracket.point(self.band_value(0))
         n = band_of(p, half_open=False)

@@ -24,8 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, UnsupportedVariant
-from .exact import (Bracket, DyadicInterval, Q2, Truth, _in_unit, _ratio, _rational, _reduced,
-                    _sign_int)
+from .exact import Q2, Bracket, DyadicInterval, Truth, in_unit, ratio, rational, reduced, sign
 
 # class tags (vocabulary fixed by the glossary of notions in play)
 CONTINUOUS = "continuous"
@@ -48,8 +47,8 @@ CERT_SUP = "sup-collapses-to-rationals"
 CERT_INF = "inf-collapses-to-rationals"
 CERT_OSC = "oscillation-collapses-to-rationals"
 
-_ZERO = Bracket.point(0)  # brackets are immutable, so one zero serves all
-_Q0, _Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
+ZERO_BRACKET = Bracket.point(0)  # brackets are immutable, so one zero serves all
+Q0, Q1 = Q2.of(0), Q2.of(1)  # and so are Q2s: the ends of [0,1]
 
 # The open query scope: what the questions of one computation learn about
 # the functions they ask, keyed by (kind, function, interval integers).
@@ -91,14 +90,14 @@ def unit_dyadic_bracket(n: int) -> Bracket:
     return Bracket.of_ints(1, 1, 2 << n)
 
 
-def _unit_point(x) -> Q2:
+def unit_point(x) -> Q2:
     p = Q2.of(x)
-    if not _in_unit(p):
+    if not in_unit(p):
         raise DomainError("point %s outside [0,1]" % (p,))
     return p
 
 
-def _clip_unit(iv: DyadicInterval) -> DyadicInterval:
+def clip_unit(iv: DyadicInterval) -> DyadicInterval:
     ln, un, d = iv.ln, iv.un, iv.d
     if ln >= 0 and un <= d:
         return iv
@@ -117,9 +116,9 @@ def irrational_inside(iv: DyadicInterval) -> Q2:
     g = math.gcd(w, d)  # the width in lowest terms is (w/g)/(d/g)
     j = max(2, ((d // g).bit_length() - (w // g).bit_length()) + 3)
     # midpoint + sqrt2/2^j > upper  iff  2d sqrt2 > w 2^j
-    while _sign_int(-w << j, 2 * d) > 0:
+    while sign(-w << j, 2 * d) > 0:
         j += 1
-    return _reduced((ln + un) << j, 2 * d, 2 * d << j)
+    return reduced((ln + un) << j, 2 * d, 2 * d << j)
 
 
 class Poly:
@@ -132,13 +131,13 @@ class Poly:
     `Q2`, when the polynomial is built.  An evaluation at a rational or
     Q(sqrt2) point works on those integers and reduces once."""
 
-    __slots__ = ("n0", "n1", "n2", "d", "_vertex")
+    __slots__ = ("n0", "n1", "n2", "d", "vertex")
 
     def __init__(self, c0, c1=0, c2=0):
-        (n0, d0), (n1, d1), (n2, d2) = _ratio(c0), _ratio(c1), _ratio(c2)
+        (n0, d0), (n1, d1), (n2, d2) = ratio(c0), ratio(c1), ratio(c2)
         d = math.lcm(d0, d1, d2)
         self.n0, self.n1, self.n2, self.d = n0 * (d // d0), n1 * (d // d1), n2 * (d // d2), d
-        self._vertex = _vertex_of(self.n1, self.n2) if n2 else None
+        self.vertex = _vertex_of(self.n1, self.n2) if n2 else None
 
     def __call__(self, x) -> Q2:
         x = Q2.of(x)
@@ -149,12 +148,12 @@ class Poly:
                 v = object.__new__(Q2)
                 v.p, v.q, v.d = n0, 0, self.d
                 return v
-            return _reduced(n0 * e + n1 * p, n1 * q, self.d * e)
+            return reduced(n0 * e + n1 * p, n1 * q, self.d * e)
         # (n0 e^2 + n1 e x + n2 (e x)^2) / (d e^2), with e x = p + q sqrt2
         if not q:
-            return _reduced((n2 * p + n1 * e) * p + n0 * e * e, 0, self.d * e * e)
-        return _reduced((n2 * p + n1 * e) * p + 2 * n2 * q * q + n0 * e * e,
-                        (2 * n2 * p + n1 * e) * q, self.d * e * e)
+            return reduced((n2 * p + n1 * e) * p + n0 * e * e, 0, self.d * e * e)
+        return reduced((n2 * p + n1 * e) * p + 2 * n2 * q * q + n0 * e * e,
+                       (2 * n2 * p + n1 * e) * q, self.d * e * e)
 
     @property
     def is_constant(self) -> bool:
@@ -165,7 +164,7 @@ class Poly:
         a, b = self(lo), self(hi)
         if b < a:
             a, b = b, a
-        v = self._vertex
+        v = self.vertex
         if v is not None and lo < v < hi:
             w = self(v)
             if w < a:
@@ -186,12 +185,12 @@ class Poly:
         return "Poly(%s, %s, %s)" % self.coeffs()
 
 
-def _poly_of_ints(n0: int, n1: int, n2: int, d: int) -> Poly:
+def poly_of_ints(n0: int, n1: int, n2: int, d: int) -> Poly:
     """The Poly (n0 + n1 x + n2 x^2)/d for d > 0, brought to lowest terms."""
     g = math.gcd(n0, n1, n2, d)
     x = object.__new__(Poly)
     x.n0, x.n1, x.n2, x.d = n0 // g, n1 // g, n2 // g, d // g
-    x._vertex = _vertex_of(x.n1, x.n2) if n2 else None
+    x.vertex = _vertex_of(x.n1, x.n2) if n2 else None
     return x
 
 
@@ -199,7 +198,7 @@ def _vertex_of(n1: int, n2: int) -> Q2:
     """The vertex -n1/(2 n2) of a quadratic, n2 != 0."""
     if n2 < 0:
         n1, n2 = -n1, -n2
-    return _reduced(-n1, 0, 2 * n2)
+    return reduced(-n1, 0, 2 * n2)
 
 
 class SymbolicFn:
@@ -217,7 +216,7 @@ class SymbolicFn:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x) -> Q2:
-        return self._eval(_unit_point(x))
+        return self._eval(unit_point(x))
 
     def _eval(self, x: Q2) -> Q2:
         raise NotImplementedError
@@ -235,24 +234,24 @@ class SymbolicFn:
         """Rational bounds on the values over [0,1], where value halving
         starts: the hull's ends rounded outward at 2^-8."""
         lo, hi, _, _ = self._hull()
-        ln, _, ld = lo._bracket_ints(8)
-        _, hn, hd = hi._bracket_ints(8)
+        ln, _, ld = lo.bracket_ints(8)
+        _, hn, hd = hi.bracket_ints(8)
         return Fraction(ln, ld), Fraction(hn, hd)
 
     def is_positive(self) -> bool:
         """Exact check: f(x) > 0 for every x in [0,1].  The hull's low end
         is above 0, or is 0 and never taken."""
         lo, _, lo_open, _ = self._hull()
-        sign = lo.sign()
-        return sign > 0 or (sign == 0 and lo_open)
+        s = lo.sign()
+        return s > 0 or (s == 0 and lo_open)
 
     def range_on(self, iv: DyadicInterval, k: int) -> tuple[Bracket, Bracket]:
         """(inf, sup) brackets over every point of the part of iv inside
         [0,1], each of width at most 2^-k; exact whenever attainable.  A
         single point is read off its value."""
-        iv = _clip_unit(iv)
+        iv = clip_unit(iv)
         if iv.ln == iv.un:
-            v = Bracket.of_q2(self._eval(_reduced(iv.ln, 0, iv.d)), k)
+            v = Bracket.of_q2(self._eval(reduced(iv.ln, 0, iv.d)), k)
             return v, v
         return self._range_on(iv, k)
 
@@ -268,7 +267,7 @@ class SymbolicFn:
     def one_sided_limit(self, x, side: int, k: int) -> Optional[Bracket]:
         """Bracket of f(x+) (side=+1) or f(x-) (side=-1); None when the point
         has no approach from that side within [0,1] or no limit exists."""
-        p = _unit_point(x)
+        p = unit_point(x)
         # p is in [0,1], so only a rational p = n/d can be an end: 0 <= n <= d
         if not p.q and (side < 0 and p.p <= 0 or side > 0 and p.p >= p.d):
             return None
@@ -324,10 +323,10 @@ class SymbolicFn:
         return self._witness(iv, y, above=False)
 
     def _witness(self, iv, y, above):
-        iv = _clip_unit(iv)
-        y = _rational(y)
+        iv = clip_unit(iv)
+        y = rational(y)
         if iv.ln == iv.un:
-            p = _reduced(iv.ln, 0, iv.d)
+            p = reduced(iv.ln, 0, iv.d)
             v = self._eval(p)
             return (Truth.YES, p) if (v > y if above else v < y) else (Truth.NO, None)
         return self._witness_above(iv, y) if above else self._witness_below(iv, y)

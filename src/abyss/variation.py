@@ -18,7 +18,7 @@ from .collapse import Modulus, require_tag
 from .errors import ClassRefusal, FuelExhausted
 from .exact import DEFAULT_FUEL, Bracket, DyadicInterval, Q2
 from .records import record
-from .universe import NORMALISED_BV, REGULATED, SymbolicFn, _unit_point, query_state
+from .universe import NORMALISED_BV, REGULATED, SymbolicFn, query_state, unit_point
 
 if TYPE_CHECKING:  # annotations only: the family is reached through `abyss`
     from .piecewise import PiecewiseRational
@@ -110,7 +110,7 @@ def _running_variation(f: PiecewiseRational) -> Callable[[object], Q2]:
         ends.append(cells[-1][0] + abs(lv - ru) + abs(fv - lv))
 
     def g(x) -> Q2:
-        xq = _unit_point(x)
+        xq = unit_point(x)
         j = bisect_left(pts, xq)
         if pts[j] == xq:
             return ends[j]
@@ -148,25 +148,26 @@ def jordan_nbv(f: SymbolicFn) -> JordanPair:
 # ---------------------------------------------------------------------------
 
 
-def _limit_pair(f: SymbolicFn, p: Q2, k: int) -> tuple[Optional[Bracket], Optional[Bracket]]:
-    """The brackets of f(p-) and f(p+) that `_regulated_within` tests the
+def limit_pair(f: SymbolicFn, p: Q2, k: int) -> tuple[Optional[Bracket], Optional[Bracket]]:
+    """The brackets of f(p-) and f(p+) that `regulated_within` tests the
     windows at p against for the tolerance 2^-k; they do not depend on m."""
     return f.one_sided_limit(p, -1, k + 6), f.one_sided_limit(p, 1, k + 6)
 
 
-def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
-                      limits: tuple[Optional[Bracket], Optional[Bracket]]) -> bool:
+def regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
+                     limits: tuple[Optional[Bracket], Optional[Bracket]]) -> bool:
     """Whether f stays within 2^-k of each one-sided limit at p, given as
-    `_limit_pair(f, p, k)`, on the window of radius 2^-(m+1) on that side.
+    `limit_pair(f, p, k)`, on the window of radius 2^-(m+1) on that side.
     The windows are built on integers over one denominator: p's bracket of
     width 2^-(m+k+8), the radius, and the trim 2^-(k+24) that keeps a
-    rational p out."""
-    pb = Bracket.of_q2(p, m + k + 8)
+    rational p out.  Each is a nondegenerate subinterval of [0,1], read
+    through the `_range_on` hook."""
+    ln, un, e = p.bracket_ints(m + k + 8)
     s = max(m + 1, k + 24)
-    den = pb.d << s
-    lo_pt, hi_pt = pb.ln << s, pb.un << s
-    r = pb.d << (s - m - 1)
-    eps = pb.d << (s - k - 24)
+    den = e << s
+    lo_pt, hi_pt = ln << s, un << s
+    r = e << (s - m - 1)
+    eps = e << (s - k - 24)
     for side, lim in zip((-1, 1), limits):
         if lim is None:
             continue
@@ -182,7 +183,7 @@ def _regulated_within(f: SymbolicFn, p: Q2, m: int, k: int,
                 lo += eps
             elif side < 0 and lo < hi - eps:
                 hi -= eps
-        inf_b, sup_b = f.range_on(DyadicInterval.of_ints(lo, hi, den), k + 6)
+        inf_b, sup_b = f._range_on(DyadicInterval.of_ints(lo, hi, den), k + 6)
         # the gaps are the upper ends of sup_b - lim and lim - inf_b, tested
         # against 2^-k over the product denominators
         ld = lim.d
@@ -210,13 +211,13 @@ def modulus_regulation(f: SymbolicFn, fuel: int = DEFAULT_FUEL) -> Modulus:
         # keyed by p's integers, as the "range" keys are: a rational `Q2`
         # hashes through a `Fraction`
         found = query_state().setdefault(("regulation", f, p.p, p.q, p.d), {})
-        limits = _limit_pair(f, p, k)
+        limits = limit_pair(f, p, k)
         start = 0
         for k0, m in found.items():
             if k0 <= k and m > start:
                 start = m
         for m in range(start, fuel + 1):
-            if _regulated_within(f, p, m, k, limits):
+            if regulated_within(f, p, m, k, limits):
                 if p.q:
                     found[k] = m
                 else:

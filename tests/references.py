@@ -2,7 +2,7 @@
 once.  A reference does not run the shortcut it checks: it loops where the
 path bisects, re-evaluates where the path keeps state, reads every ball
 where the path stops early, and walks on `Fraction`s where the path walks on
-integers.  What it shares with the path (`_ball_clipped`, `_osc_on`,
+integers.  What it shares with the path (`ball_clipped`, `osc_on`,
 `_halve_values`) is not the shortcut under test; each probe basis is built
 here (`plain_probe_points`), not read off the probe state."""
 
@@ -20,10 +20,10 @@ from abyss import (Baire1Above, Baire1Limit, Bracket, ClassRefusal, DomainError,
                    naive_rational_sup, rational_grid, realiser_from_sup, unit_rationals)
 from abyss.algorithms import _halve_values
 from abyss.category import _room
-from abyss.collapse import _ball_clipped, _osc_on, require_rule, require_tag
+from abyss.collapse import ball_clipped, osc_on, require_rule, require_tag
 from abyss.composites import RestrictedView, ScalarMultiple, Sum
 from abyss.covers import _rational_interval_stream
-from abyss.exact import Truth, _check_precision, least_exponent
+from abyss.exact import Truth, check_precision, least_exponent
 from abyss.oracle import DEFAULT_FUEL, _baire1_value_above, grid_depth_cap
 from abyss.reductions import AbyssReport, SupExtraction
 from abyss.serialize import dumps, q2_json
@@ -468,7 +468,7 @@ def cell_probes(f):
 
 
 def fraction_regulated_within(f, p, m, k):
-    """`variation._regulated_within` on `Fraction`s: on each side of p that
+    """`variation.regulated_within` on `Fraction`s: on each side of p that
     has a one-sided limit, the window of radius 2^-(m+1) past p's bracket at
     2^-(m+k+8) (trimmed by 2^-(k+24) at a rational p), read at 2^-(k+6); p is
     regulated within 2^-k there when both brackets stay within 2^-k of the
@@ -513,7 +513,7 @@ def sorted_fraction_modulus_qc(f, x, k, big_n, fuel=DEFAULT_FUEL):
         inf_b, sup_b = f.range_on(DyadicInterval(c, d), k + 4)
         return Q2.of(sup_b.hi) - fx < tol and fx - Q2.of(inf_b.lo) < tol
 
-    ball_iv = _ball_clipped(p, big_n)
+    ball_iv = ball_clipped(p, big_n)
     for j in range(big_n + 2, big_n + 2 + min(fuel, 24)):
         r = F(1, 1 << j)
         blo, bhi = p.bracket(j + 2)
@@ -635,11 +635,11 @@ def plain_osc_below(q):
     require_rule("OscBelow", q.f, "mu_search/OscBelow")
     bound = F(1, 1 << q.m)
     for n in range(q.fuel + 1):
-        osc = _osc_on(q.f, _ball_clipped(q.x, n), q.m + 4)
+        osc = osc_on(q.f, ball_clipped(q.x, n), q.m + 4)
         if osc.hi <= bound:
             return Found(MuWitness(n))
         if osc.lo <= bound:
-            osc = _osc_on(q.f, _ball_clipped(q.x, n), q.m + 12)
+            osc = osc_on(q.f, ball_clipped(q.x, n), q.m + 12)
             if osc.hi <= bound:
                 return Found(MuWitness(n))
             if osc.lo <= bound:
@@ -651,7 +651,7 @@ def plain_osc_below(q):
 def plain_value_below_on_ball(q):
     require_rule("ValueBelowOnBall", q.f, "mu_search/ValueBelowOnBall")
     for n in range(q.fuel + 1):
-        inf_b, _ = q.f.range_on(_ball_clipped(q.x, n), 8)
+        inf_b, _ = q.f.range_on(ball_clipped(q.x, n), 8)
         if inf_b.lo >= q.q:
             return Found(MuWitness(n))
         if not inf_b.exact and inf_b.hi >= q.q:
@@ -661,7 +661,7 @@ def plain_value_below_on_ball(q):
 
 
 def sorted_interior_numerators(iv, depth):
-    """The candidates of `category._interior_numerators`, all listed and
+    """The candidates of `category.interior_numerators`, all listed and
     sorted by distance from the midpoint, the lower one first on a tie."""
     ln, un, d = iv.ln, iv.un, iv.d
     if ln == un:
@@ -687,22 +687,22 @@ def _plain_next_ball(j, place):
 
 def plain_modulus_continuity(f, fuel):
     require_rule("OscBelow", f, "modulus_continuity_qc")
-    return lambda x, m: next((n for n in range(fuel + 1) if _osc_on(
-        f, _ball_clipped(x, n), m + 6).hi <= F(1, 1 << (m + 1))), 0)
+    return lambda x, m: next((n for n in range(fuel + 1) if osc_on(
+        f, ball_clipped(x, n), m + 6).hi <= F(1, 1 << (m + 1))), 0)
 
 
 def plain_point_of_continuity_qc(f, k, fuel):
     """Every stage reads the balls of its candidates afresh.  A candidate's
     room is at most a quarter of j, so when 2^-fuel is wider than that no
     ball of any depth fits, and the stage is not tried."""
-    _check_precision(k)
+    check_precision(k)
     require_rule("OscBelow", f, "point_of_continuity_qc")
     j = DyadicInterval(F(0), F(1))
     for m in range(k + 1):
         def place(cn, cd):
             n_size = least_exponent(*_room(j, cn, cd))
             for n in range(n_size, fuel + 1):
-                w = _osc_on(f, _ball_clipped(F(cn, cd), n), m + 6)
+                w = osc_on(f, ball_clipped(F(cn, cd), n), m + 6)
                 if w.hi <= F(1, 1 << m):
                     return DyadicInterval(F(cn, cd) - F(1, 2 << n), F(cn, cd) + F(1, 2 << n))
                 if w.lo > F(1, 1 << m) and n > n_size + 24:
@@ -724,7 +724,7 @@ def plain_usco_radius(f, c, k, fuel):
     strictly below f(c) + 2^-k."""
     cap = f.eval(c) + Q2.of(F(1, 1 << k))
     for n in range(fuel + 1):
-        _, sup_b = f.range_on(_ball_clipped(c, n), k + 6)
+        _, sup_b = f.range_on(ball_clipped(c, n), k + 6)
         if sup_b.hi < cap:
             return F(1, 1 << n)
     raise FuelExhausted("no witnessing ball found within fuel")
@@ -734,7 +734,7 @@ def plain_point_of_continuity_usco(f, k, fuel):
     """`point_of_continuity_usco` with the natural usco modulus, on
     `Fraction`s, its radii read by `plain_usco_radius`: no ball supremum is
     kept from one read to the next."""
-    _check_precision(k)
+    check_precision(k)
     require_tag(f, USCO, "point_of_continuity_usco")
     rl, rh = f.range_bound()
     span = rh - rl + 1
@@ -857,7 +857,7 @@ def plain_member_scan(a_set, iv, limit, start):
 
 
 def plain_top_spike(f, iv, k):
-    """`Penny._top_spike` from the plain member scan and a second read of
+    """`Penny.top_spike` from the plain member scan and a second read of
     `scan_is_exhaustive`: the first spike in iv below the scan limit
     (max(k + 4, 8), or the bounded window), else -1 when the window is
     bounded or the scan is exhaustive, else None.  With how the scan ended,

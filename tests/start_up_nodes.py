@@ -1,6 +1,7 @@
 """What a fresh CLI process compiles, counted in AST nodes.
 
     python3 tests/start_up_nodes.py [SRC]
+    python3 tests/start_up_nodes.py --against REF [SRC]
 
 For each invocation of perfbench/golden.json, runs `abyss.cli` in a fresh
 interpreter with SRC (default: this tree's src) on its path, and prints the
@@ -8,20 +9,27 @@ total AST node count of the abyss modules the process loaded, the
 invocation, and those modules.  With PYTHONDONTWRITEBYTECODE set and no
 __pycache__, a process compiles every module it imports, so the count is
 the size of its compile work; unlike a wall time it repeats exactly, so it
-shows where a start-up saving lies.  Run it on a `git archive` export of a
-parent commit's src to compare the two.
+shows where a start-up saving lies.
+
+With --against REF (any git ref), exports REF with `git archive`, as
+`bench_pairs.py` does, and prints each invocation's count under REF's src,
+under SRC, and the change; the exit status is 1 when any count rises.
 
 Stdlib only; run by hand (pytest does not collect it).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from bench_pairs import export
 
 ROOT = Path(__file__).resolve().parent.parent
 # runs cli.main on its argv, then writes the abyss modules loaded as the last
@@ -50,18 +58,40 @@ def node_count(src: Path, module: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
 
 
-def main(argv: list[str]) -> None:
-    src = Path(argv[0]).resolve() if argv else ROOT / "src"
+def counts(src: Path) -> list[tuple[int, str, str]]:
+    """(nodes, invocation, modules loaded) for each golden invocation under src."""
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["cli"]
-    nodes = {}
+    nodes, out = {}, []
     for invocation in golden:
         modules = loaded_modules(src, invocation.split())
         for m in modules:
             if m not in nodes:
                 nodes[m] = node_count(src, m)
         names = " ".join(m.partition(".")[2] or m for m in modules)
-        print("%6d  %-52s %s" % (sum(nodes[m] for m in modules), invocation, names))
+        out.append((sum(nodes[m] for m in modules), invocation, names))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src")
+    parser.add_argument("--against", metavar="REF", help="git ref to compare with")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if args.against is None:
+        for total, invocation, names in counts(src):
+            print("%6d  %-52s %s" % (total, invocation, names))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.against, Path(tmp))
+        before = counts(Path(tmp) / "src")
+    rose = 0
+    for (old, invocation, _), (new, _, _) in zip(before, counts(src)):
+        rose += new > old
+        print("%6d %6d %+6d  %s" % (old, new, new - old, invocation))
+    print("%d of %d invocations compile more than %s" % (rose, len(before), args.against))
+    return 1 if rose else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

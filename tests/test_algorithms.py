@@ -686,12 +686,12 @@ QUERY_COUNTS = [
     # (searching each level from 0 asked 70 windows and 101 spike ranges)
     ("regulation realiser, sqrt2, k = 16, fuel 16",
      lambda: realiser_from_regulation_modulus(canonical_regulation_modulus(A), A, 16, 16),
-     [(variation, "_regulated_within"), (spikes, "_range_on")], [36, 67]),
+     [(variation, "regulated_within"), (spikes, "_range_on")], [36, 67]),
     # one checked answer per upfront probe (4) and per level (18), and the
     # member scans of the modulus and of its check
     ("cliquishness realiser, sqrt2, k = 16, fuel 16",
      lambda: realiser_from_cliq_modulus(canonical_cliq_modulus(A), A, 16, 16),
-     [(reductions, "_checked_cliq_answer"), (sets, "_scan")], [22, 52]),
+     [(reductions, "_checked_cliq_answer"), (sets, "scan")], [22, 52]),
     # one 8-round extraction: 8 + 8 * 16 left halves and 43 right halves
     ("demo_abyss, sqrt2", lambda: demo_abyss(A), [(reductions, "sup")], [179]),
     # one scope over the stages: each ball supremum read once (not kept: 32)
@@ -701,7 +701,7 @@ QUERY_COUNTS = [
     # a stage's first ball inside a ball well below 2^-m is granted unread
     # (every first ball read: 9)
     ("point_of_continuity_qc, four-piece, k = 8", lambda: point_of_continuity_qc(
-        make("four-piece"), 8), [(collapse, "_osc_on")], [3]),
+        make("four-piece"), 8), [(collapse, "osc_on")], [3]),
     # the halving's one probe walk evaluates the limit at 3 points (a
     # Baire1Above search per midpoint evaluated it at 3 points too)
     ("sup_baire1, pennyk_limit(sqrt2), k = 10", lambda: sup_baire1(
@@ -747,13 +747,13 @@ def test_a_halving_run_keeps_its_probe_state_and_exact_bracket(deadline):
         f = pennyk_limit(sqrt2_family())
         with query_scope():
             evaluations = calls_to(lambda: sup_baire1(f, p, q, 10), universe.__file__,
-                                   "_unit_point")
+                                   "unit_point")
             states = probe_states(query_state())
             assert list(states) == [(f, iv.ln, iv.un, iv.d)], (p, q)
             points = {(x.p, x.q, x.d) for d in range(len(states[f, iv.ln, iv.un, iv.d].depths))
                       for x in basis_at(f, iv, d)}
             assert evaluations <= len(points), (p, q)
-            for module, name in ((oracle, "_grow"), (universe, "_unit_point")):
+            for module, name in ((oracle, "_grow"), (universe, "unit_point")):
                 assert calls_to(lambda: sup_baire1(f, p, q, 10), module.__file__, name) == 0
     for run, module in [(lambda k: sup_qc(make("four-piece"), 0, 1, k), piecewise),
                         (lambda k: inf_usco(make("four-piece"), F(1, 8), 1, k), piecewise),

@@ -39,15 +39,15 @@ from abyss import (Baire1Above, Bracket, DyadicInterval, ExistsValueAbove, Exist
                    point_of_continuity_usco, rational_grid, realiser_from_cliq_modulus,
                    realiser_from_sup, rm_code_from_r2_baire1, scalar_multiple, staircase,
                    sup_baire1, sup_qc, tilde_set, total_variation_nbv)
-from abyss.category import _interior_numerators
-from abyss.collapse import _ball_clipped
+from abyss.category import interior_numerators
+from abyss.collapse import ball_clipped
 from abyss.oracle import _ProbeState, basis_at
 from abyss.serialize import dumps, fn_json
 from abyss.sets import band_of, minimal_shift_into_band
 from abyss.spikes import CoverPsi
 from abyss.universe import (BV, CLIQUISH, NORMALISED_BV, QUASI_CONTINUOUS, REGULATED, USCO,
                             irrational_inside, query_scope)
-from abyss.variation import _limit_pair, _regulated_within, _running_variation
+from abyss.variation import _running_variation, limit_pair, regulated_within
 
 import references as ref
 from catalogue import A, ENTRIES, RATIONAL_SEEDS, S2, make, random_dyadic, random_subinterval
@@ -93,7 +93,7 @@ def value_below_grid(f, entry, rng):
     for x, fuel in itertools.product(POINTS, FUELS):
         qs = [F(0), F(1, 8), F(1, 2), F(1)]
         if USCO in f.tags and "ball" not in entry["groups"]:
-            inf_b, _ = f.range_on(_ball_clipped(x, fuel), 8)
+            inf_b, _ = f.range_on(ball_clipped(x, fuel), 8)
             qs += [inf_b.hi + F(1, 256) + e for e in (F(-1, 1 << 40), F(0), F(1, 1 << 40))]
             qs += [inf_b.hi, (inf_b.lo + inf_b.hi) / 2]
         yield from ((ValueBelowOnBall(f, x, q, fuel),) for q in qs)
@@ -121,7 +121,7 @@ def poly_grid(f, entry, rng):
 def poly_fast(f, i, cs, *pts):
     poly = f.pieces[i]
     if not pts:
-        return poly.coeffs(), poly == Poly(*cs), poly.is_constant, poly._vertex
+        return poly.coeffs(), poly == Poly(*cs), poly.is_constant, poly.vertex
     return poly(*pts) if len(pts) == 1 else poly.range_on(*pts)
 
 
@@ -505,10 +505,10 @@ def scan_proof_grid(f, entry, rng):
 
 def scan_proof(f, iv, k):
     """How the one first-hit scan at precision k ended (a hit, or a miss
-    whose end lies below the scan limit or at it) and `_top_spike`'s
+    whose end lies below the scan limit or at it) and `top_spike`'s
     verdict: the largest spike's index, -1 for none, None for unknown."""
-    n, limit = f._top_spike(iv, k)
-    end = f.a_set._scan(iv, limit, f.start)
+    n, limit = f.top_spike(iv, k)
+    end = f.a_set.scan(iv, limit, f.start)
     if end.__class__ is tuple:
         return ("hit",), n
     return ("%s: %s" % ("ended below the limit" if end < limit else "ran to the limit", n),), n
@@ -518,7 +518,7 @@ def member_scan(f, iv, window):
     """The scan's hit, or None on a miss, and the members in iv, over the
     window (limit, start), start by default when None."""
     limit, start = window
-    hit = f.a_set._scan(iv, limit, start or 0)
+    hit = f.a_set.scan(iv, limit, start or 0)
     args = (iv, limit) if start is None else (iv, limit, start)
     return (hit if hit.__class__ is tuple else None), f.a_set.members_in(*args)
 
@@ -597,18 +597,19 @@ def scope_grid(ks):
 
 def windows_read(regulated):
     """A row side: regulated(f, p, m, k) and the (window, precision) pairs it
-    reads through f's `range_on`."""
+    reads through f's `_range_on` hook, which `range_on` calls on a
+    nondegenerate window inside [0,1] and the fast side calls directly."""
     def run(f, p, m, k):
-        seen, read = [], f.range_on
+        seen, read = [], f._range_on
 
         def spy(iv, prec):
             seen.append((iv, prec))
             return read(iv, prec)
-        f.range_on = spy
+        f._range_on = spy
         try:
             return regulated(f, p, m, k), seen
         finally:
-            del f.range_on
+            del f._range_on
     return run
 
 
@@ -764,7 +765,7 @@ ROWS = [
         lambda f, p, ks: [ref.outcome(lambda: modulus_regulation(f, 24)(p, k)) for k in ks],
         ("regulation",), scope_grid([0, 1, 3, 6])),
     Row("regulation-windows",
-        windows_read(lambda f, p, m, k: _regulated_within(f, p, m, k, _limit_pair(f, p, k))),
+        windows_read(lambda f, p, m, k: regulated_within(f, p, m, k, limit_pair(f, p, k))),
         windows_read(ref.fraction_regulated_within), ("regulation-windows",), windows_grid),
     Row("usco-radius-scope", in_one_scope(lambda f: natural_usco_modulus(f, 32)),
         lambda f, p, ks: [ref.outcome(lambda: ref.plain_usco_radius(f, p, k, 32)) for k in ks],
@@ -1002,7 +1003,7 @@ def test_interior_candidates_come_nearest_the_midpoint_first(deadline):
         shown["degenerate"] += iv.ln == iv.un
         shown["not dyadic"] += iv.d & (iv.d - 1) != 0
         for depth in range(14):
-            got = list(_interior_numerators(iv, depth))
+            got = list(interior_numerators(iv, depth))
             assert got == ref.sorted_interior_numerators(iv, depth), (iv, depth, got)
             # a tie: the first two candidates sit as far below the midpoint as above
             shown["tie"] += len(got) > 1 and iv.d * (got[0] + got[1]) == (iv.ln + iv.un) << depth

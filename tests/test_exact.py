@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from abyss import (DyadicInterval, ExistsValueAbove, FueledBool, PennyK, Poly, Q2, Thomae,
                    R2Rep, Truth, ball, halve, linear, mu_search, naive_rational_sup,
                    rational_grid, scalar_multiple, sqrt2_family, sup_qc, unit_rationals)
-from abyss.exact import Bracket, DegenerateInterval, _in_unit, _least_denominator
+from abyss.exact import Bracket, DegenerateInterval, in_unit, least_denominator
 from abyss.serialize import fn_from_json, q2_from_json, q2_json
 
 from conftest import fraction_news
@@ -282,7 +282,7 @@ def test_q2_by_q2_arithmetic_and_order_build_no_fraction():
 
 
 def test_in_unit_decides_as_the_order_does():
-    """`_in_unit` reads the signs of x and 1 - x off the integers; Q2's order
+    """`in_unit` reads the signs of x and 1 - x off the integers; Q2's order
     decides the same, also at x and 1 - x = +-(p - q sqrt2) for the
     convergents p/q of sqrt2, within 2^-40 of an end."""
     xs = [Q2(F(p, d), F(q, d)) for p in range(-8, 10) for q in range(-7, 8) for d in (1, 2, 3, 8)]
@@ -290,7 +290,7 @@ def test_in_unit_decides_as_the_order_does():
         for s in (1, -1):
             near = Q2(F(s * p), F(-s * q))
             xs += [near, 1 - near, near / 3, 1 - near / 3]
-    assert all(_in_unit(x) == (0 <= x <= 1) for x in xs)
+    assert all(in_unit(x) == (0 <= x <= 1) for x in xs)
 
 
 def test_q2_of_two_fractions_reads_their_integers_and_refuses_a_float():
@@ -360,7 +360,7 @@ unit = st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
 @example(F(1001, 2048), F(1023, 2048))
 def test_least_denominator_matches_plain_loop(a, b):
     lo, hi = min(a, b), max(a, b)
-    p, q = _least_denominator(*lo.as_integer_ratio(), *hi.as_integer_ratio())
+    p, q = least_denominator(*lo.as_integer_ratio(), *hi.as_integer_ratio())
     want = plain_min_denominator_in(lo, hi, lo.denominator)  # lo is a candidate
     assert (F(p, q), q) == want and math.gcd(p, q) == 1
     iv = DyadicInterval(lo, hi)

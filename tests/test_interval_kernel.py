@@ -3,7 +3,9 @@
 `DyadicInterval` and `Bracket` store their ends as integers (ln, un, d) over
 one denominator.  The reference below is the earlier implementation on
 stdlib `Fraction` pairs, kept here verbatim in behaviour: every rewritten
-method must answer as it does, and print, compare and hash the same.
+method must answer as it does, and print, compare and hash the same.  The
+Q(sqrt2) rules of `exact`'s integer surface (`sign`, `sign_vs`, `floor_q2`)
+are checked against sympy.
 """
 
 import math
@@ -11,13 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abyss import DyadicInterval, Q2, ball, halve, linear, rational_grid
-from abyss.exact import Bracket, DegenerateInterval, _subinterval, grid_depth_cap, grid_q2
-from abyss.collapse import _ball_clipped
-from abyss.universe import _clip_unit
+from abyss.exact import (Bracket, DegenerateInterval, floor_q2, grid_depth_cap, grid_q2, reduced,
+                         sign, sign_vs, subinterval)
+from abyss.collapse import ball_clipped
+from abyss.universe import clip_unit
 
 from conftest import fraction_news
 
@@ -239,7 +243,7 @@ def test_ball_matches_fraction_reference(x, k):
                            st.sampled_from([-1, 1]), st.integers(3, 40))),
        st.integers(0, 14))
 def test_ball_clipped_matches_fraction_reference(x, e):
-    same_interval(_ball_clipped(x, e), ref_ball_clipped(x, e))
+    same_interval(ball_clipped(x, e), ref_ball_clipped(x, e))
 
 
 @given(intervals(), intervals(), rationals, st.integers(0, 30), st.lists(points, max_size=4))
@@ -274,19 +278,19 @@ def test_equality_holds_within_one_class():
 
 
 def test_subinterval_checks_its_ends_on_the_integers():
-    """`_subinterval(p, q)` is `DyadicInterval(p, q)` for 0 <= p < q <= 1 and
+    """`subinterval(p, q)` is `DyadicInterval(p, q)` for 0 <= p < q <= 1 and
     refuses any other ends; it builds no `Fraction` of its own."""
     ends = [0, 1, F(1, 3), F(1, 2), F(2, 4), F(2, 3), F(-1, 4), F(5, 4)]
     for p in ends:
         for q in ends:
             if 0 <= p < q <= 1:
-                assert _subinterval(p, q) == DyadicInterval(p, q)
+                assert subinterval(p, q) == DyadicInterval(p, q)
             else:
                 with pytest.raises(ValueError, match="need rational endpoints 0 <= p < q <= 1"):
-                    _subinterval(p, q)
+                    subinterval(p, q)
     with pytest.raises(TypeError, match="float"):
-        _subinterval(0.25, 1)
-    assert fraction_news(lambda: [_subinterval(p, q) for p in ends[:4] for q in ends[3:6]
+        subinterval(0.25, 1)
+    assert fraction_news(lambda: [subinterval(p, q) for p in ends[:4] for q in ends[3:6]
                                   if p < q]) == 0
 
 
@@ -311,10 +315,10 @@ def test_interval_paths_build_no_fraction():
             if iv.ln != iv.un:
                 halve(iv)
             if iv.ln <= iv.d and iv.un >= 0:
-                _clip_unit(iv)
+                clip_unit(iv)
         ball(half, 3), ball(third, 0), ball(-1, 5)
         for x in xs[:5]:
-            _ball_clipped(x, 4)
+            ball_clipped(x, 4)
         for a in bs:
             for b in bs:
                 a + b, a - b
@@ -325,3 +329,58 @@ def test_interval_paths_build_no_fraction():
         unit.contains(xs[3])
     assert fraction_news(lambda: F(1, 3)) == 1  # the counter sees a Fraction
     assert fraction_news(ops) == 0
+
+
+# --- the Q(sqrt2) rules against sympy ------------------------------------------------
+
+# the Pell pairs n^2 - 2 m^2 = +-1, 1/1, 3/2, 7/5, ..., 665857/470832: n - m sqrt2
+# is as near 0 as integers of that size come, where a squaring rule or a
+# floor read one off is most easily wrong
+PELL = [(1, 1)]
+while PELL[-1][0] < 665857:
+    n, m = PELL[-1]
+    PELL.append((n + 2 * m, n + m))
+signs = st.sampled_from([-1, 1])
+parts = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                  st.builds(lambda k, s: s * k * k, st.integers(0, 1000), signs))
+# (x, y) for x + y sqrt2: zero parts, perfect squares, and scaled Pell pairs
+# of either signs
+pairs = st.one_of(st.tuples(parts, parts),
+                  st.builds(lambda nm, c, sx, sy: (sx * c * nm[0], sy * c * nm[1]),
+                            st.sampled_from(PELL), st.integers(1, 40), signs, signs))
+denominators = st.one_of(st.integers(1, 1000), st.builds(lambda k: k * k, st.integers(1, 100)),
+                         st.sampled_from([n for pair in PELL for n in pair]))
+SQRT2 = sympy.sqrt(2)
+
+
+@given(pairs)
+@example((0, 0))
+@example((-665857, 470832))
+@example((4, -3))  # 16 < 18
+def test_sign_matches_sympy(xy):
+    x, y = xy
+    assert sign(x, y) == sympy.sign(x + y * SQRT2)
+
+
+@given(pairs, denominators, st.integers(-3, 3))
+@example((0, 0), 1, 0)
+@example((5, 0), 3, -1)
+@example((-470832 * 2, 665857 * 1), 1, 2)
+def test_floor_q2_and_q2_floor_match_sympy(pq, d, t):
+    """(p + q sqrt2)/d near the integer t; `Q2.__floor__` reduces first."""
+    p, q = pq
+    p += d * t
+    want = sympy.floor((p + q * SQRT2) / d)
+    assert floor_q2(p, q, d) == want
+    assert math.floor(reduced(p, q, d)) == want
+
+
+@given(pairs, denominators, denominators, st.integers(-3, 3), st.integers(-2, 2))
+@example((0, 0), 1, 1, 0, 0)
+@example((665857, -470832), 7, 3, 1, 0)
+def test_sign_vs_matches_sympy(pq, e, d, t, j):
+    """The sign of x - n/d for x = (p + q sqrt2)/e near t and n/d = t + j/d."""
+    p, q = pq
+    x = reduced(p + e * t, q, e)
+    n = d * t + j
+    assert sign_vs(x, n, d) == sympy.sign((p + e * t + q * SQRT2) / e - sympy.Rational(n, d))

@@ -16,7 +16,7 @@ from abyss import (Baire1Above, Baire1Limit, ClassRefusal, DomainError, DyadicIn
                    modulus_continuity_qc, mu_search, pennyk_limit, point_of_continuity_qc,
                    restrict_tags, rm_code_from_r2_baire1, sqrt2_family, staircase, sup_baire1,
                    thomae, universe)
-from abyss.collapse import _ball_clipped, _ball_walk
+from abyss.collapse import ball_clipped, ball_walk
 from abyss.oracle import grid_depth_cap
 from abyss.universe import BAIRE1, BV, CLIQUISH, REGULATED, USCO
 
@@ -181,9 +181,9 @@ def test_negative_ball_exponent_is_refused_by_name():
     """A negative exponent once fell through to a bare "negative shift
     count"; the ball refuses it as `exact.ball` does."""
     from abyss import linear, modulus_qc
-    for run in (lambda: _ball_clipped(F(1, 2), -1),
+    for run in (lambda: ball_clipped(F(1, 2), -1),
                 lambda: modulus_qc(linear(1), F(1, 2), 3, -1),
-                lambda: _ball_clipped(F(1, 2), -2)):
+                lambda: ball_clipped(F(1, 2), -2)):
         with pytest.raises(ValueError, match="radius exponent must be >= 0"):
             run()
 
@@ -320,9 +320,9 @@ def loop_calls(names, owner):
 
 def test_only_the_shared_walk_loops_over_balls():
     """A ball read inside a loop is a hand-written walk over ball exponents,
-    and `collapse._ball_walk` is the one walk: no other function of the
-    package reads `_ball_clipped` or `_ball_around` inside a loop."""
-    assert loop_calls({"_ball_clipped", "_ball_around"}, "_ball_walk") == []
+    and `collapse.ball_walk` is the one walk: no other function of the
+    package reads `ball_clipped` or `_ball_around` inside a loop."""
+    assert loop_calls({"ball_clipped", "_ball_around"}, "ball_walk") == []
 
 
 def test_only_the_probe_state_walks_probe_depths():
@@ -370,7 +370,7 @@ def test_ball_queries_refuse_points_outside_unit_interval(x):
     with pytest.raises(DomainError):
         mu_search(ValueBelowOnBall(thomae(), x, F(1, 2), 8))
     with pytest.raises(DomainError):
-        _ball_clipped(x, 3)
+        ball_clipped(x, 3)
 
 
 # --- the nested-ball walk (its answers against the plain walks: test_differential) ---
@@ -391,10 +391,10 @@ NEST_POINTS = ([F(0), F(1), F(1, 2), F(1, 3), F(5, 7), F((1 << 70) - 1, 1 << 70)
 @pytest.mark.parametrize("x", NEST_POINTS, ids=str)
 def test_clipped_balls_are_nested(x):
     """B(x, 2^-(n+1)) lies inside B(x, 2^-n) for n = 0..70, and the walk
-    yields the balls `_ball_clipped` gives, from any start."""
-    walk = list(_ball_walk(x, 71))
-    assert walk == [(n, _ball_clipped(x, n)) for n in range(72)]
-    assert list(_ball_walk(x, 71, 30)) == walk[30:]
+    yields the balls `ball_clipped` gives, from any start."""
+    walk = list(ball_walk(x, 71))
+    assert walk == [(n, ball_clipped(x, n)) for n in range(72)]
+    assert list(ball_walk(x, 71, 30)) == walk[30:]
     for (_, big), (_, small) in zip(walk, walk[1:]):
         assert big.ln * small.d <= small.ln * big.d, (x, big, small)
         assert small.un * big.d <= big.un * small.d, (x, big, small)

@@ -89,6 +89,63 @@ def test_no_function_body_imports():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def foreign_private_names(sources: dict) -> list:
+    """(module, line, name) of each `from .m import _x` and each read of an
+    underscore attribute (dunders aside) that the reading module does not
+    define itself, over module sources by name.  The hooks `SymbolicFn`
+    declares for its families (the underscore methods of its class body
+    that a class of another module defines again) may be read anywhere."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    defined, methods = {}, {}
+    for name, tree in trees.items():
+        names, own = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            if isinstance(node, ast.ClassDef):
+                body = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                own |= body
+                if name == "universe" and node.name == "SymbolicFn":
+                    declared = {n for n in body if private(n)}
+        defined[name], methods[name] = names, own
+    hooks = {n for n in declared
+             if any(n in own for name, own in methods.items() if name != "universe")}
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [(name, node.lineno, a.name) for a in node.names if private(a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and private(node.attr) and node.attr not in defined[name]
+                  and node.attr not in hooks):
+                found.append((name, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    """Each module reaches another through its public names, and `exact`'s
+    integer kernel is one of them: an underscore name is read only in the
+    module that defines it, or is a `SymbolicFn` hook."""
+    reach = {
+        "universe": "class SymbolicFn:\n    def _eval(self): pass\n    def _help(self): pass\n",
+        "spikes": "class P:\n    def _eval(self):\n        self._s = 1\n        return self._s\n",
+        "oracle": "from .spikes import P, _grid\ndef f(p): return p._eval(), p._help(), p._t,"
+                  " p.__class__\n"}
+    assert foreign_private_names(reach) == [("oracle", 1, "_grid"), ("oracle", 2, "_help"),
+                                            ("oracle", 2, "_t")]
+    package = Path(abyss.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert foreign_private_names(sources) == []
+
+
 def test_unknown_names_raise_attribute_error():
     assert not hasattr(abyss, "no_such_name")
     with pytest.raises(ImportError):

@@ -15,7 +15,7 @@ from abyss import (Bracket, DyadicInterval, InvalidModulus,
                    realiser_from_cliq_modulus, realiser_from_regulation_modulus,
                    realiser_from_sup, restrict_tags, sqrt2_family, staircase, thomae)
 from abyss import universe
-from abyss.collapse import _ball_clipped
+from abyss.collapse import ball_clipped
 from abyss.reductions import CliqModulusOracle, _dyadic_inside
 from abyss.universe import CLIQUISH
 
@@ -105,7 +105,7 @@ def adversarial_wide_modulus() -> CliqModulusOracle:
     member spot-check refutes it as soon as a visible spike is inside."""
 
     def fn(x, k, n):
-        iv = _ball_clipped(x, n)
+        iv = ball_clipped(x, n)
         w = iv.width / 8
         return (iv.lower + w, iv.upper - w)
 

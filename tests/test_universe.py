@@ -24,8 +24,8 @@ from abyss.composites import ScalarMultiple, Sum
 from abyss.exact import Bracket
 from abyss.sets import ComplementOfR2Open, band_of, minimal_shift_into_band
 from abyss.serialize import fn_from_json, fn_json
-from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV,
-                            QUASI_CONTINUOUS, REGULATED, SIMPLY_CONTINUOUS, USCO, _unit_point)
+from abyss.universe import (BAIRE1, BV, CLIQUISH, CONTINUOUS, LSCO, NORMALISED_BV, QUASI_CONTINUOUS,
+                            REGULATED, SIMPLY_CONTINUOUS, USCO, unit_point)
 
 from catalogue import (all_unit_rationals, build, make, random_continuous_piecewise,
                        random_staircase, random_subinterval)
@@ -384,7 +384,7 @@ def test_poly_evaluation_reduces_once_and_builds_no_fraction():
         return [poly(x) for x in pts]
 
     assert fraction_news(run) == 0
-    assert calls_to(run, exact.__file__, "_reduced") == 64
+    assert calls_to(run, exact.__file__, "reduced") == 64
 
 
 def test_piecewise_builds_and_reads_work_from_the_table():
@@ -659,18 +659,18 @@ def test_finite_point_set_rejects_points_outside_unit_interval():
 
 
 def test_unit_interval_checks_read_the_integers_as_the_q2_order():
-    """`_unit_point` and the finite sets test 0 <= x <= 1 on x's integers,
+    """`unit_point` and the finite sets test 0 <= x <= 1 on x's integers,
     plain comparisons for a rational x and the sign of p + q sqrt2 else: at
     the ends, just past them, and at irrational points hugging them."""
     tiny = F(1, 1 << 80)
     points = [Q2.of(0), Q2.of(1), Q2.of(-tiny), Q2.of(1 + tiny), S2(69), 1 - S2(69), 1 + S2(69)]
     for x in points:
         if Q2.of(0) <= x <= Q2.of(1):
-            assert _unit_point(x) is x and finite_set([x]).member(0) == x
+            assert unit_point(x) is x and finite_set([x]).member(0) == x
             continue
         message = "point %s outside [0,1]" % (x,)
         with pytest.raises(DomainError, match=r"^%s$" % re.escape(message)):
-            _unit_point(x)
+            unit_point(x)
         for build_set in (finite_set, FinitePointSet.of):
             with pytest.raises(ValueError, match=r"^%s$" % re.escape(message)):
                 build_set([F(1, 2), x])

@@ -2,8 +2,6 @@
 total variation, Jordan decomposition, regulation moduli (their plain
 references run as rows of `test_differential.py`)."""
 
-import ast
-import inspect
 import random
 from fractions import Fraction as F
 
@@ -168,17 +166,6 @@ def test_jordan_monotone_and_exact():
         assert all(a <= b for a, b in zip(gs, gs[1:]))
         assert all(a <= b for a, b in zip(hs, hs[1:]))
         assert all(jp.check_point(f, x) for x in grid)
-
-
-def test_variation_reads_functions_through_public_data():
-    """`variation` reads a function's breakpoint table and public methods,
-    never an underscore attribute, so the family stays the one home of its
-    structure."""
-    from abyss import variation
-    private = sorted((node.attr, node.lineno)
-                     for node in ast.walk(ast.parse(inspect.getsource(variation)))
-                     if isinstance(node, ast.Attribute) and node.attr.startswith("_"))
-    assert private == [], private
 
 
 def test_jordan_refused_for_spikes():
